@@ -23,15 +23,19 @@ Suites and their bounds:
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ObstructkitError
-from .matcore import commutator, op_norm, spectral_projection
+from .matcore import (
+    commutator,
+    coordinate_projection,
+    hermitian_rotation,
+    op_norm,
+    spectral_projection,
+)
 from .projops import (
     CONJUGATION_EXACTNESS,
     connecting_unitary,
@@ -137,24 +141,13 @@ def _trial_alm_proj(rng) -> dict:
     return {"commutator": op_norm(commutator(chi, b)) / bound}
 
 
-def _rotation(h: np.ndarray, angle: float) -> np.ndarray:
-    lam, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (vecs * np.exp(1j * angle * lam)) @ vecs.conj().T
-
-
-def _coordinate_projection(dim: int, rank: int) -> np.ndarray:
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    p[:rank, :rank] = np.eye(rank)
-    return p
-
-
 def _trial_path_uni(rng) -> dict:
     dim = int(rng.integers(4, 13))
     rank = int(rng.integers(1, dim))
     w = haar_unitary(dim, rng)
-    p0 = _coordinate_projection(dim, rank)
+    p0 = coordinate_projection(dim, rank)
     theta = float(rng.uniform(0.005, 0.1))
-    g = _rotation(random_hermitian(dim, rng, 1.0), theta)
+    g = hermitian_rotation(random_hermitian(dim, rng, 1.0), theta)
     p = w @ p0 @ w.conj().T
     q = w @ (g @ p0 @ g.conj().T) @ w.conj().T
     # Test operators diagonal in the hidden basis: they commute with p
@@ -176,7 +169,7 @@ def _trial_chain(rng) -> dict:
     dim = int(rng.integers(3, 9))
     steps = int(rng.integers(5, 66))
     rank = int(rng.integers(1, dim))
-    p0 = _coordinate_projection(dim, rank)
+    p0 = coordinate_projection(dim, rank)
     h = random_hermitian(dim, rng, 1.0)
     lam, vecs = np.linalg.eigh(h)
     total_angle = float(rng.uniform(0.3, min(2.5, 0.12 * steps)))
@@ -187,7 +180,7 @@ def _trial_chain(rng) -> dict:
     test_ops = []
     for _ in range(2):
         nu = float(rng.uniform(0.001, 0.05))
-        test_ops.append(_rotation(random_hermitian(dim, rng, 1.0), nu))
+        test_ops.append(hermitian_rotation(random_hermitian(dim, rng, 1.0), nu))
     _, report = chain_conjugation(path, test_ops)
     return {
         "conjugation": report.conjugation_error / report.conjugation_bound,
@@ -240,15 +233,6 @@ def run_trial(suite: str, master_seed: int, trial: int) -> dict:
     return _TRIALS[suite](rng)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("OBSTRUCTKIT_THREADS", "")
-    try:
-        cap = int(env) if env else 1
-    except ValueError:
-        cap = 1
-    return max(1, cap)
-
-
 def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
     """Run one suite; collects the worst ratio per bound and any failures.
 
@@ -259,37 +243,21 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
     if suite not in _TRIALS:
         raise ObstructkitError(f"unknown audit suite {suite!r}; expected one of {SUITES}")
     start = time.perf_counter()
-    names = sorted(BOUND_LABELS[suite])
-    worst = {name: 0.0 for name in names}
+    worst = {name: 0.0 for name in sorted(BOUND_LABELS[suite])}
     failures = []
-
-    def one(trial: int):
+    for trial in range(trials):
+        replay = {"suite": suite, "master_seed": master_seed, "trial": trial}
         try:
-            return trial, run_trial(suite, master_seed, trial), None
+            ratios = run_trial(suite, master_seed, trial)
         except ObstructkitError as exc:
-            return trial, None, f"{type(exc).__name__}: {exc}"
-
-    workers = _worker_count()
-    if workers == 1 or trials <= 1:
-        results = [one(t) for t in range(trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(trials)))
-
-    for trial, ratios, error in results:
-        if error is not None:
-            failures.append(
-                {"suite": suite, "master_seed": master_seed, "trial": trial, "error": error}
-            )
+            failures.append({**replay, "error": f"{type(exc).__name__}: {exc}"})
             continue
         bad = {k: v for k, v in ratios.items() if v > 1.0}
         for k, v in ratios.items():
             if v > worst[k]:
                 worst[k] = v
         if bad:
-            failures.append(
-                {"suite": suite, "master_seed": master_seed, "trial": trial, "ratios": bad}
-            )
+            failures.append({**replay, "ratios": bad})
     return SuiteResult(
         suite=suite,
         trials=trials,
@@ -358,9 +326,9 @@ def random_pairing_instance(rng, with_twist: bool = True):
     q = np.kron(np.eye(n_dim), q0)
     if with_twist:
         theta = float(rng.uniform(0.0, 0.01))
-        u = _rotation(random_hermitian(n_dim * k_dim, rng, 1.0), theta)
+        u = hermitian_rotation(random_hermitian(n_dim * k_dim, rng, 1.0), theta)
         q = u @ q @ u.conj().T
     e_plus_b = random_projection(2 * n_dim, n_dim + s, rng)
-    e = _coordinate_projection(2 * n_dim, n_dim)
+    e = coordinate_projection(2 * n_dim, n_dim)
     b = e_plus_b - e
     return pairing_input(b, q, n_dim, k_dim), s * r

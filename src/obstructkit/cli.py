@@ -66,7 +66,6 @@ from .words import (
     commutator_decompose,
     exponent_sums,
     free_abelian_presentation,
-    reduce as reduce_word,
     surface_presentation,
     word_from_text,
 )
@@ -152,28 +151,33 @@ def _matrix_arg(text: str):
 # ---------------------------------------------------------------------------
 
 
+def _honest_or_perturbed(pres, args):
+    """Commuting honest representation, perturbed to defect below --eps if given."""
+    rng = derive_rng(args.seed, _GEN_STREAM)
+    if args.eps is None:
+        return honest_commuting_rep(pres, args.dim, rng)
+    return perturbed_honest_rep(pres, symmetrized_generators(pres), args.eps, args.dim, rng)
+
+
 def _gen_surface_rep(args):
     pres = surface_presentation(args.genus, orientable=not args.non_orientable)
-    rng = derive_rng(args.seed, _GEN_STREAM)
+    if not args.non_orientable:
+        return _honest_or_perturbed(pres, args)
     if args.eps is not None:
-        if args.non_orientable:
-            raise ParseError(
-                "perturbed non-orientable surface models are not provided; "
-                "use --honest"
-            )
-        S = symmetrized_generators(pres)
-        return perturbed_honest_rep(pres, S, args.eps, args.dim, rng)
-    if args.non_orientable:
-        # Commuting involutions in a hidden common eigenbasis: each a_i^2 = 1
-        # exactly, so the single defining relator evaluates to the identity.
-        w = haar_unitary(args.dim, rng)
-        images = []
-        for _ in range(pres.num_generators):
-            signs = np.where(rng.integers(0, 2, size=args.dim) == 0, 1.0, -1.0)
-            images.append((w * signs) @ w.conj().T)
-        require_honest(images, pres)
-        return QuasiRep(pres, tuple(images), flavor="unitary")
-    return honest_commuting_rep(pres, args.dim, rng)
+        raise ParseError(
+            "perturbed non-orientable surface models are not provided; "
+            "omit --eps for an exact one"
+        )
+    # Commuting involutions in a hidden common eigenbasis: each a_i^2 = 1
+    # exactly, so the single defining relator evaluates to the identity.
+    rng = derive_rng(args.seed, _GEN_STREAM)
+    w = haar_unitary(args.dim, rng)
+    images = []
+    for _ in range(pres.num_generators):
+        signs = np.where(rng.integers(0, 2, size=args.dim) == 0, 1.0, -1.0)
+        images.append((w * signs) @ w.conj().T)
+    require_honest(images, pres)
+    return QuasiRep(pres, tuple(images), flavor="unitary")
 
 
 def cmd_gen(args, tols) -> int:
@@ -186,14 +190,7 @@ def cmd_gen(args, tols) -> int:
     elif args.family == "surface":
         rep = _gen_surface_rep(args)
     else:  # abelian
-        pres = free_abelian_presentation(args.rank)
-        rng = derive_rng(args.seed, _GEN_STREAM)
-        if args.eps is not None:
-            rep = perturbed_honest_rep(
-                pres, symmetrized_generators(pres), args.eps, args.dim, rng
-            )
-        else:
-            rep = honest_commuting_rep(pres, args.dim, rng)
+        rep = _honest_or_perturbed(free_abelian_presentation(args.rank), args)
     _emit(quasirep_to_json(rep), args.out)
     return 0
 
@@ -214,11 +211,7 @@ def _parse_pairs(spec: str, pres) -> CommutatorDecomposition:
         pairs.append(
             (word_from_text(parts[0].strip(), pres), word_from_text(parts[1].strip(), pres))
         )
-    witness = None
-    for a, b in pairs:
-        c = a * b * a.inverse() * b.inverse()
-        witness = c if witness is None else witness * c
-    return CommutatorDecomposition(tuple(pairs), reduce_word(witness))
+    return CommutatorDecomposition.from_pairs(pairs)
 
 
 def _default_decomposition(pres):
@@ -432,7 +425,6 @@ def cmd_pairing(args, tols) -> int:
 
 def _add_output_flags(p):
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    p.add_argument("--format", choices=("json",), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,14 +446,12 @@ def build_parser() -> argparse.ArgumentParser:
     s = gen_sub.add_parser("surface", help="surface-group representation")
     s.add_argument("--genus", type=int, required=True)
     s.add_argument("--non-orientable", dest="non_orientable", action="store_true")
-    s.add_argument("--honest", action="store_true", help="exact representation (default)")
     s.add_argument("--eps", type=float, default=None, help="perturb to defect below eps")
     s.add_argument("--dim", type=int, default=8)
     s.add_argument("--seed", type=int, default=0)
     _add_output_flags(s)
     ab = gen_sub.add_parser("abelian", help="free-abelian representation")
     ab.add_argument("--rank", type=int, default=2)
-    ab.add_argument("--honest", action="store_true", help="exact representation (default)")
     ab.add_argument("--eps", type=float, default=None)
     ab.add_argument("--dim", type=int, default=8)
     ab.add_argument("--seed", type=int, default=0)

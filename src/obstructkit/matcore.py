@@ -23,7 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    HypothesisViolation,
     InvalidMatrix,
+    InvalidSize,
     NotHermitian,
     NotInvertible,
     NotProjection,
@@ -110,6 +112,15 @@ def require_unitary(a, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.n
     return arr
 
 
+def require_unit_ball(a: np.ndarray, dim: int, tol: float, what: str) -> None:
+    """Check that ``a`` is ``dim`` x ``dim`` with ``||a|| <= 1 + tol``."""
+    if a.shape[0] != dim:
+        raise InvalidSize(f"{what} must be {dim} x {dim}, got {a.shape[0]}")
+    norm = op_norm(a)
+    if norm > 1.0 + tol:
+        raise HypothesisViolation(f"{what} leaves the unit ball: norm {norm:.12f}", measured=norm)
+
+
 def require_projection(a, tol: float | None = None, what: str = "matrix") -> np.ndarray:
     """Check ``a = a* = a^2`` within ``tol`` (default ``spectral_tol(dim)``)."""
     arr = as_matrix(a)
@@ -192,14 +203,15 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     """Spectral projection onto eigenvalues above ``cut``.
 
     Applies the characteristic function of ``(cut, oo)`` to a hermitian
-    matrix through its eigendecomposition.  Every eigenvalue must keep
-    distance at least ``gap_tol`` from the cut; an eigenvalue inside the
-    window raises :class:`SpectralGapViolation` carrying the offender.
+    matrix (or its :class:`HermitianSpectrum`) through its eigendecomposition.
+    Every eigenvalue must keep distance at least ``gap_tol`` from the cut; an
+    eigenvalue inside the window raises :class:`SpectralGapViolation`
+    carrying the offender.
 
     The output commutes with ``a`` and satisfies ``||P^2 - P||`` and
     ``||P - P*||`` below ``spectral_tol(dim)``.
     """
-    spec = hermitian_eigensystem(a)
+    spec = a if isinstance(a, HermitianSpectrum) else hermitian_eigensystem(a)
     lam = spec.eigenvalues
     dist = np.abs(lam - cut)
     if dist.size and float(dist.min()) < gap_tol:
@@ -217,23 +229,33 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
 
 def block_sum(a, b) -> np.ndarray:
     """Block-diagonal sum ``diag(a, b)``."""
-    x = as_matrix(a)
-    y = as_matrix(b)
-    n, m = x.shape[0], y.shape[0]
-    out = np.zeros((n + m, n + m), dtype=np.complex128)
-    out[:n, :n] = x
-    out[n:, n:] = y
-    return _freeze(out)
+    return block_sum_many((a, b))
 
 
 def block_sum_many(mats) -> np.ndarray:
-    mats = list(mats)
+    """Block-diagonal sum ``diag(m_0, m_1, ...)``, filled into one allocation."""
+    mats = [as_matrix(m) for m in mats]
     if not mats:
         raise InvalidMatrix("block_sum_many needs at least one matrix")
-    out = as_matrix(mats[0])
-    for m in mats[1:]:
-        out = block_sum(out, m)
+    n = sum(m.shape[0] for m in mats)
+    out = np.zeros((n, n), dtype=np.complex128)
+    at = 0
+    for m in mats:
+        out[at:at + len(m), at:at + len(m)] = m
+        at += len(m)
+    out.setflags(write=False)
     return out
+
+
+def coordinate_projection(dim: int, rank: int) -> np.ndarray:
+    """The projection onto the first ``rank`` coordinates of ``C^dim``."""
+    return _freeze(np.diag((np.arange(dim) < rank).astype(np.complex128)))
+
+
+def hermitian_rotation(h, angle: float) -> np.ndarray:
+    """``exp(i angle h)`` for hermitian ``h`` (symmetrized, not checked)."""
+    lam, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (vecs * np.exp(1j * angle * lam)) @ vecs.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +276,9 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
+        # check the shape before allocating: "dim" alone must not size an array
+        if len(entries) != dim or any(len(row) != dim for row in entries):
+            raise ValueError(f"entries are not {dim} rows of {dim}")
         data = np.empty((dim, dim), dtype=np.complex128)
         for i in range(dim):
             row = entries[i]

@@ -27,6 +27,7 @@ from .errors import (
 from .matcore import (
     as_matrix,
     commutator,
+    coordinate_projection,
     dagger,
     hermitian_eigensystem,
     identity,
@@ -35,6 +36,7 @@ from .matcore import (
     op_norm,
     polar_unitary,
     require_projection,
+    require_unit_ball,
     spectral_projection,
     spectral_tol,
 )
@@ -64,18 +66,17 @@ def projection_pair_context(p, q, test_ops) -> ProjectionPairContext:
     q = require_projection(q, what="second projection")
     if p.shape != q.shape:
         raise InvalidSize("projections must share one dimension")
-    ops = tuple(as_matrix(x) for x in test_ops)
-    eps = 0.0
-    for x in ops:
-        if x.shape != p.shape:
-            raise InvalidSize("test operators must match the projections' dimension")
-        norm = op_norm(x)
-        if norm > 1.0 + 1e-8:
-            raise HypothesisViolation(
-                f"test operator leaves the unit ball: norm {norm:.6f}", measured=norm
-            )
-        eps = max(eps, op_norm(commutator(p, x)), op_norm(commutator(q, x)))
+    ops = _unit_ball_operators(test_ops, p.shape[0])
+    eps = max([0.0, *(op_norm(commutator(y, x)) for x in ops for y in (p, q))])
     return ProjectionPairContext(p, q, ops, eps)
+
+
+def _unit_ball_operators(test_ops, dim: int) -> tuple:
+    """Validate test operators: ``dim``-square and inside the unit ball."""
+    ops = tuple(as_matrix(x) for x in test_ops)
+    for x in ops:
+        require_unit_ball(x, dim, 1e-8, "test operator")
+    return ops
 
 
 @dataclass(frozen=True)
@@ -120,18 +121,21 @@ def connecting_unitary(ctx: ProjectionPairContext):
             f"conjugation identity failed: ||u p u* - q|| = {conj_err:.3e}"
         )
     bound = COMMUTATOR_CONSTANT * ctx.eps + 1e-9
+    norms, worst = _commutator_norms(u, ctx.test_ops, bound, "28*eps + 1e-9")
+    return u, ConjugationAudit(conj_err, norms, ctx.eps, bound, worst)
+
+
+def _commutator_norms(u, ops, bound: float, label: str):
+    """``||[u, x]||`` per test operator and the worst ratio; refuses any above ``bound``."""
     norms = []
-    worst = 0.0
-    for x in ctx.test_ops:
+    for x in ops:
         n = op_norm(commutator(u, x))
-        norms.append(n)
-        worst = max(worst, n / bound)
         if n > bound:
             raise NumericalInconsistency(
-                f"commutator bound failed: ||[u,x]|| = {n:.3e} > 28*eps + 1e-9 = {bound:.3e}"
+                f"commutator bound failed: ||[u,x]|| = {n:.3e} > {label} = {bound:.3e}"
             )
-    audit = ConjugationAudit(conj_err, tuple(norms), ctx.eps, bound, worst)
-    return u, audit
+        norms.append(n)
+    return tuple(norms), max([0.0, *(n / bound for n in norms)])
 
 
 @dataclass(frozen=True)
@@ -161,10 +165,8 @@ def chain_conjugation(path, test_ops):
     if not path:
         raise InvalidSize("chain_conjugation needs a nonempty path")
     dim = path[0].shape[0]
-    ops = tuple(as_matrix(x) for x in test_ops)
-    for pt in path:
-        if pt.shape[0] != dim:
-            raise InvalidSize("all path projections must share one dimension")
+    if any(pt.shape[0] != dim for pt in path):
+        raise InvalidSize("all path projections must share one dimension")
     m = len(path) - 1
     for i in range(m):
         gap = op_norm(path[i] - path[i + 1])
@@ -173,14 +175,15 @@ def chain_conjugation(path, test_ops):
                 f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
                 index=i,
             )
-    eps_path = 0.0
-    for pt in path:
-        for x in ops:
-            eps_path = max(eps_path, op_norm(commutator(pt, x)))
+    ops = _unit_ball_operators(test_ops, dim)
+    # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
+    comm = [[op_norm(commutator(pt, x)) for x in ops] for pt in path]
+    eps_path = max([0.0, *(n for row in comm for n in row)])
 
     u = identity(dim)
     for i in range(m):
-        ctx = projection_pair_context(path[i], path[i + 1], ops)
+        step_eps = max([0.0, *comm[i], *comm[i + 1]])
+        ctx = ProjectionPairContext(path[i], path[i + 1], ops, step_eps)
         step_u, _ = connecting_unitary(ctx)
         u = step_u @ u
 
@@ -191,20 +194,8 @@ def chain_conjugation(path, test_ops):
             f"chained conjugation drift {conj_err:.3e} exceeds {conj_bound:.3e}"
         )
     comm_bound = COMMUTATOR_CONSTANT * eps_path * m + CHAIN_EXACTNESS
-    norms = []
-    worst = 0.0
-    for x in ops:
-        n = op_norm(commutator(u, x))
-        norms.append(n)
-        if comm_bound > 0:
-            worst = max(worst, n / comm_bound)
-        if n > comm_bound:
-            raise NumericalInconsistency(
-                f"chained commutator {n:.3e} exceeds 28*eps*m + 1e-8 = {comm_bound:.3e}"
-            )
-    report = ChainReport(
-        m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst
-    )
+    norms, worst = _commutator_norms(u, ops, comm_bound, "28*eps*m + 1e-8")
+    report = ChainReport(m, eps_path, conj_err, conj_bound, norms, comm_bound, worst)
     return u, report
 
 
@@ -238,18 +229,12 @@ def pairing_input(b, q, n_dim: int, k_dim: int, gap_tol: float = DEFAULT_GAP_TOL
         raise InvalidSize(f"b must be {2 * n_dim} x {2 * n_dim}, got {b.shape[0]}")
     if q.shape[0] != n_dim * k_dim:
         raise InvalidSize(f"q must be {n_dim * k_dim} x {n_dim * k_dim}, got {q.shape[0]}")
-    e = _corner_projection(n_dim)
+    e = coordinate_projection(2 * n_dim, n_dim)
     require_projection(e + b, what="e + b")
     require_projection(q, what="pairing projection q")
     if not 0.0 < gap_tol < 0.5:
         raise HypothesisViolation(f"gap_tol must lie in (0, 1/2), got {gap_tol}")
     return PairingInput(b, q, n_dim, k_dim, gap_tol)
-
-
-def _corner_projection(n: int) -> np.ndarray:
-    e = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    e[:n, :n] = np.eye(n)
-    return e
 
 
 @dataclass(frozen=True)
@@ -269,7 +254,7 @@ class PairingResult:
 
 def pairing_operand(inp: PairingInput) -> np.ndarray:
     """The hermitian operand ``e (x) 1 + (1 (x) q)(b (x) 1)(1 (x) q)``."""
-    e_big = np.kron(_corner_projection(inp.n_dim), np.eye(inp.k_dim))
+    e_big = np.kron(coordinate_projection(2 * inp.n_dim, inp.n_dim), np.eye(inp.k_dim))
     q_big = np.kron(np.eye(2), inp.q)
     b_big = np.kron(inp.b, np.eye(inp.k_dim))
     operand = e_big + q_big @ b_big @ q_big
@@ -283,8 +268,8 @@ def pairing(inp: PairingInput) -> PairingResult:
     resulting spectral projection is checked idempotent to 1e-10 and its
     rank, minus ``N*k``, is the integer index.
     """
-    operand = pairing_operand(inp)
-    proj = spectral_projection(operand, 0.5, inp.gap_tol)
+    spec = hermitian_eigensystem(pairing_operand(inp))
+    proj = spectral_projection(spec, 0.5, inp.gap_tol)
     idem = op_norm(proj @ proj - proj)
     if idem > 1e-10:
         raise NumericalInconsistency(
@@ -296,8 +281,7 @@ def pairing(inp: PairingInput) -> PairingResult:
         raise NumericalInconsistency(
             f"pairing projection trace {trace!r} is not close to an integer"
         )
-    eigs = hermitian_eigensystem(operand).eigenvalues
-    margin = float(np.min(np.abs(eigs - 0.5)))
+    margin = float(np.min(np.abs(spec.eigenvalues - 0.5)))
     return PairingResult(proj, rank - inp.n_dim * inp.k_dim, rank, margin)
 
 

@@ -18,7 +18,7 @@ The factor 6 is a theorem, and the test suite asserts it literally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     BoundViolation,
     HypothesisViolation,
     InvalidSize,
-    NotUnitary,
     ParseError,
 )
 from .matcore import (
@@ -36,26 +35,31 @@ from .matcore import (
     block_sum_many,
     dagger,
     hermitian_eigensystem,
+    hermitian_rotation,
     identity,
     matrix_from_json,
     matrix_to_json,
     op_norm,
     polar_unitary,
     require_projection,
+    require_unit_ball,
     require_unitary,
     spectral_tol,
 )
 from .seeding import haar_unitary, random_hermitian
 from .words import (
+    INVERSE_MODES,
     GroupWord,
     IDENTITY_WORD,
     Presentation,
     canonical_form,
+    fold_word,
     free_abelian_presentation,
+    generator,
+    inverse_images,
     presentation_from_json,
     presentation_to_json,
     word_from_text,
-    word_matrix,
     word_to_text,
 )
 
@@ -64,13 +68,26 @@ UNIT_BALL_TOL = 1e-10
 FLAVORS = ("general", "unitary", "ucp-compression")
 
 
-def _letters_key(w: GroupWord) -> tuple:
-    return w.letters
-
-
 def _word_sort_key(w: GroupWord) -> tuple:
     """Total order on words: length, then letters with +1 before -1."""
     return (len(w.letters), tuple((g, 0 if e == 1 else 1) for g, e in w.letters))
+
+
+def _canonical_elements(words, p: Presentation) -> dict:
+    """The distinct group elements ``words`` name: canonical letters -> form."""
+    out: dict[tuple, GroupWord] = {}
+    for w in words:
+        k = canonical_form(w, p)
+        out.setdefault(k.letters, k)
+    return out
+
+
+def _generator_images(p: Presentation, table: dict, defaults) -> tuple:
+    """Each generator's table value where it has one, else its default."""
+    return tuple(
+        table.get(canonical_form(generator(g), p).letters, d)
+        for g, d in enumerate(defaults)
+    )
 
 
 @dataclass(frozen=True)
@@ -96,6 +113,9 @@ class QuasiRep:
     element outside the table evaluate to the identity (used by ``unitarize``,
     whose construction is defined piecewise and is the identity off the
     word set it was given).
+
+    Construction validates all data once (copying ``word_table``, never
+    writing to it); ``evaluate`` folds words over the stored arrays unchecked.
     """
 
     presentation: Presentation
@@ -104,6 +124,8 @@ class QuasiRep:
     word_table: dict = field(default_factory=dict)
     compression: CompressionData | None = None
     default_to_identity: bool = False
+    # inverse mode -> inverse_images of the matrices evaluate folds over
+    _inverses: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -114,29 +136,29 @@ class QuasiRep:
         object.__setattr__(self, "images", images)
         dim = images[0].shape[0]
         for i, m in enumerate(images):
-            if m.shape[0] != dim:
-                raise InvalidSize("generator images must share one dimension")
-            norm = op_norm(m)
-            if norm > 1.0 + UNIT_BALL_TOL:
-                raise HypothesisViolation(
-                    f"image of generator {i} leaves the unit ball: norm {norm:.12f}",
-                    measured=norm,
-                )
-            if self.flavor == "unitary":
-                require_unitary(m, what=f"image of generator {i}")
-        for key, value in self.word_table.items():
-            v = as_matrix(value)
-            if v.shape[0] != dim:
-                raise InvalidSize("word table values must match generator dimension")
-            norm = op_norm(v)
-            if norm > 1.0 + UNIT_BALL_TOL:
-                raise HypothesisViolation(
-                    f"table value for {key} leaves the unit ball: norm {norm:.12f}",
-                    measured=norm,
-                )
-            self.word_table[key] = v
+            require_unit_ball(m, dim, UNIT_BALL_TOL, f"image of generator {i}")
+        table = {key: as_matrix(value) for key, value in self.word_table.items()}
+        for key, v in table.items():
+            require_unit_ball(v, dim, UNIT_BALL_TOL, f"table value for {key}")
+        object.__setattr__(self, "word_table", table)
         if self.flavor == "ucp-compression" and self.compression is None:
             raise ParseError("ucp-compression flavor requires compression data")
+        comp = self.compression
+        if comp is None:
+            inverses = {mode: inverse_images(images, mode) for mode in INVERSE_MODES}
+            if self.flavor == "unitary":
+                _refuse_non_unitary(images, inverses["adjoint"], "image of generator")
+        else:
+            big = tuple(as_matrix(m) for m in comp.big_images)
+            shape = (comp.isometry.shape[0], dim)
+            if len(big) != len(images) or comp.isometry.shape != shape or any(
+                m.shape[0] != shape[0] for m in big
+            ):
+                raise InvalidSize("compression data must match the generators")
+            inverses = {"adjoint": inverse_images(big, "adjoint")}
+            _refuse_non_unitary(big, inverses["adjoint"], "compressed image of generator")
+            object.__setattr__(self, "compression", replace(comp, big_images=big))
+        object.__setattr__(self, "_inverses", inverses)
 
     @property
     def dim(self) -> int:
@@ -151,15 +173,27 @@ class QuasiRep:
         if not key.letters:
             return identity(self.dim)
         if self.compression is not None:
-            big = word_matrix(key, self.compression.big_images, "adjoint")
+            big = fold_word(
+                key, self.compression.big_images, self._inverses["adjoint"], "adjoint"
+            )
             v = self.compression.isometry
             return dagger(v) @ big @ v
-        hit = self.word_table.get(_letters_key(key))
+        hit = self.word_table.get(key.letters)
         if hit is not None:
             return hit
         if self.default_to_identity:
             return identity(self.dim)
-        return word_matrix(key, self.images, mode or self.default_mode())
+        mode = mode or self.default_mode()
+        if mode not in INVERSE_MODES:
+            raise ParseError(f"unknown inverse_mode {mode!r}")
+        return fold_word(key, self.images, self._inverses[mode], mode)
+
+
+def _refuse_non_unitary(mats, adjoints, what: str) -> None:
+    """Refuse the matrices that :func:`inverse_images` found not unitary."""
+    for i, (m, adj) in enumerate(zip(mats, adjoints)):
+        if adj is None:
+            require_unitary(m, what=f"{what} {i}")  # raises, with the measured defect
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +273,10 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     if eps <= 0.0:
         raise BoundViolation(f"unitarization needs eps > 0, got {eps}")
     S = list(S)
-    keys: dict[tuple, GroupWord] = {}
-    for s in S:
-        k = canonical_form(s, phi.presentation)
-        keys.setdefault(_letters_key(k), k)
+    keys = _canonical_elements(S, phi.presentation)
     for k in list(keys.values()):
         inv = canonical_form(k.inverse(), phi.presentation)
-        if _letters_key(inv) not in keys:
+        if inv.letters not in keys:
             raise AsymmetricSet(
                 f"word set is not closed under inversion (missing inverse of a member)"
             )
@@ -266,18 +297,14 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     for left in base_keys:
         for right in base_keys:
             prod = canonical_form(left * right, phi.presentation)
-            pk = _letters_key(prod)
+            pk = prod.letters
             if not prod.letters or pk in keys or pk in table:
                 continue
-            table[pk] = table[_letters_key(left)] @ table[_letters_key(right)]
+            table[pk] = table[left.letters] @ table[right.letters]
 
-    images = []
-    for g in range(phi.presentation.num_generators):
-        gk = _letters_key(canonical_form(GroupWord(((g, 1),)), phi.presentation))
-        images.append(table.get(gk, identity(phi.dim)))
     return QuasiRep(
         presentation=phi.presentation,
-        images=tuple(images),
+        images=_generator_images(phi.presentation, table, [identity(phi.dim)] * len(phi.images)),
         flavor="unitary",
         word_table=table,
         default_to_identity=True,
@@ -337,8 +364,9 @@ def require_honest(big_images, p: Presentation, tol: float | None = None):
     for i, m in enumerate(mats):
         require_unitary(m, tol=max(tol, UNITARITY_TOL), what=f"image of generator {i}")
     eye = identity(dim)
+    adjoints = inverse_images(mats, "adjoint")
     for r in p.relators:
-        err = op_norm(word_matrix(r, mats, "adjoint") - eye)
+        err = op_norm(fold_word(r, mats, adjoints, "adjoint") - eye)
         if err > tol:
             raise HypothesisViolation(
                 f"relator evaluates {err:.3e} away from the identity; "
@@ -412,10 +440,10 @@ def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
     entries = []
     worst = 0.0
     passed = True
+    values = [phi.evaluate(s) for s in S]
     for g in g_sample:
         vg = phi.evaluate(g)
-        for s in S:
-            vs = phi.evaluate(s)
+        for s, vs in zip(S, values):
             for order, w, prod in (
                 ("left", g * s, vg @ vs),
                 ("right", s * g, vs @ vg),
@@ -518,14 +546,7 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
         raise HypothesisViolation(f"eps must be positive, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
-    needed: dict[tuple, GroupWord] = {}
-    for s in S:
-        k = canonical_form(s, p)
-        needed.setdefault(_letters_key(k), k)
-    for s in S:
-        for t in S:
-            k = canonical_form(s * t, p)
-            needed.setdefault(_letters_key(k), k)
+    needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)
     eta = eps / 4.0
     table: dict[tuple, np.ndarray] = {}
     for lk, w in needed.items():
@@ -534,16 +555,9 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
         h = random_hermitian(dim, rng, norm=1.0)
         theta = rng.uniform(0.0, eta)
         shrink = rng.uniform(0.0, eta / 4.0)
-        spec = hermitian_eigensystem(h)
-        rot = (spec.vectors * np.exp(1j * theta * spec.eigenvalues)) @ dagger(
-            spec.vectors
-        )
+        rot = hermitian_rotation(h, theta)
         table[lk] = (1.0 - shrink) * (rot @ base.evaluate(w))
-    images = []
-    for g in range(p.num_generators):
-        gk = _letters_key(canonical_form(GroupWord(((g, 1),)), p))
-        images.append(table.get(gk, base.images[g]))
-    return QuasiRep(p, tuple(images), flavor="general", word_table=table)
+    return QuasiRep(p, _generator_images(p, table, base.images), word_table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +590,18 @@ def quasirep_from_json(obj) -> QuasiRep:
         pres = presentation_from_json(obj["presentation"])
         flavor = str(obj.get("flavor", "general"))
         images = tuple(matrix_from_json(m) for m in obj["images"])
-    except (KeyError, TypeError) as exc:
+        table = {}
+        for text, mat in obj.get("word_table", {}).items():
+            w = canonical_form(word_from_text(text, pres), pres)
+            table[w.letters] = matrix_from_json(mat)
+        compression = None
+        if "compression" in obj:
+            comp = obj["compression"]
+            big = tuple(matrix_from_json(m) for m in comp["big_images"])
+            proj = require_projection(matrix_from_json(comp["projection"]))
+            compression = CompressionData(big, proj, _range_isometry(proj))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed quasi-representation JSON: {exc}") from exc
-    table = {}
-    for text, mat in obj.get("word_table", {}).items():
-        w = canonical_form(word_from_text(text, pres), pres)
-        table[_letters_key(w)] = matrix_from_json(mat)
-    compression = None
-    if "compression" in obj:
-        comp = obj["compression"]
-        big = tuple(matrix_from_json(m) for m in comp["big_images"])
-        proj = require_projection(matrix_from_json(comp["projection"]))
-        compression = CompressionData(big, proj, _range_isometry(proj))
     return QuasiRep(
         presentation=pres,
         images=images,

@@ -20,12 +20,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidSize, NotInCommutatorSubgroup, ParseError
-from .matcore import as_matrix, identity, require_unitary
+from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, NotUnitary, ParseError
+from .matcore import as_matrix, identity, is_unitary
 
 Letter = tuple[int, int]
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+INVERSE_MODES = ("adjoint", "true-inverse")
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,14 @@ class CommutatorDecomposition:
     pairs: tuple[tuple[GroupWord, GroupWord], ...]
     witness_product: GroupWord
 
+    @classmethod
+    def from_pairs(cls, pairs) -> "CommutatorDecomposition":
+        """The decomposition of ``prod [a_i, b_i]`` over the given word pairs."""
+        witness = IDENTITY_WORD
+        for a, b in pairs:
+            witness = witness * _commutator_word(a, b)
+        return cls(tuple(pairs), reduce(witness))
+
 
 def _commutator_word(a: GroupWord, b: GroupWord) -> GroupWord:
     return a * b * a.inverse() * b.inverse()
@@ -128,10 +137,7 @@ def commutator_decompose(w: GroupWord) -> CommutatorDecomposition:
         if x.letters:
             pairs.append((GroupWord(((g, e),)), x))
         rest = reduce(x * y)
-    witness = IDENTITY_WORD
-    for a, b in pairs:
-        witness = witness * _commutator_word(a, b)
-    return CommutatorDecomposition(tuple(pairs), reduce(witness))
+    return CommutatorDecomposition.from_pairs(pairs)
 
 
 def word_matrix(w: GroupWord, images, inverse_mode: str = "adjoint") -> np.ndarray:
@@ -143,44 +149,48 @@ def word_matrix(w: GroupWord, images, inverse_mode: str = "adjoint") -> np.ndarr
     (images must be invertible).  Evaluation order is a strict left fold, so
     concatenation is respected exactly, not just up to rounding.
     """
-    if inverse_mode not in ("adjoint", "true-inverse"):
+    if inverse_mode not in INVERSE_MODES:
         raise ParseError(f"unknown inverse_mode {inverse_mode!r}")
     mats = [as_matrix(m) for m in images]
     if not mats:
         raise InvalidSize("word_matrix needs at least one generator image")
-    dim = mats[0].shape[0]
+    if any(m.shape != mats[0].shape for m in mats):
+        raise InvalidSize("generator images must share one dimension")
+    return fold_word(w, mats, inverse_images(mats, inverse_mode), inverse_mode)
+
+
+def inverse_images(mats, inverse_mode: str) -> tuple:
+    """Per validated image, the read-only adjoint (of a unitary image) or inverse
+    (of an invertible one) that its inverse letter stands for, else None."""
+    out = []
     for m in mats:
-        if m.shape[0] != dim:
-            raise InvalidSize("generator images must share one dimension")
-    factors: list[np.ndarray] = []
-    inverses: dict[int, np.ndarray] = {}
+        if inverse_mode == "adjoint":
+            inv = m.conj().T if is_unitary(m) else None
+        else:
+            try:
+                inv = np.linalg.inv(m)
+            except np.linalg.LinAlgError:
+                inv = None
+        if inv is not None:
+            inv.setflags(write=False)
+        out.append(inv)
+    return tuple(out)
+
+
+def fold_word(w: GroupWord, mats, inverses, inverse_mode: str) -> np.ndarray:
+    """Strict left fold of ``w`` over validated images and their
+    :func:`inverse_images`; only the letters themselves are checked."""
+    out = None
     for g, e in w.letters:
         if g >= len(mats):
-            raise ParseError(
-                f"word uses generator {g} but only {len(mats)} images given"
-            )
-        if e == 1:
-            factors.append(mats[g])
-        elif inverse_mode == "adjoint":
-            require_unitary(mats[g], what=f"image of generator {g}")
-            factors.append(mats[g].conj().T)
-        else:
-            if g not in inverses:
-                try:
-                    inverses[g] = np.linalg.inv(mats[g])
-                except np.linalg.LinAlgError as exc:
-                    from .errors import NotInvertible
-
-                    raise NotInvertible(
-                        f"image of generator {g} is singular"
-                    ) from exc
-            factors.append(inverses[g])
-    if not factors:
-        return identity(dim)
-    out = factors[0]
-    for f in factors[1:]:
-        out = out @ f
-    return out
+            raise ParseError(f"word uses generator {g} but only {len(mats)} images given")
+        factor = mats[g] if e == 1 else inverses[g]
+        if factor is None:
+            if inverse_mode == "adjoint":
+                raise NotUnitary(f"image of generator {g} is not unitary")
+            raise NotInvertible(f"image of generator {g} is singular")
+        out = factor if out is None else out @ factor
+    return identity(mats[0].shape[0]) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +204,8 @@ class Presentation:
     num_generators: int
     generator_names: tuple[str, ...]
     relators: tuple[GroupWord, ...] = ()
+    # is_free_abelian, computed once at construction for canonical_form
+    free_abelian: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_generators < 1:
@@ -209,6 +221,7 @@ class Presentation:
                 )
         for r in self.relators:
             exponent_sums(r, self.num_generators)  # raises on out-of-range letters
+        object.__setattr__(self, "free_abelian", is_free_abelian(self))
 
 
 def _default_names(n: int) -> tuple[str, ...]:
@@ -301,7 +314,7 @@ def canonical_form(w: GroupWord, p: Presentation) -> GroupWord:
     words equal in a free-abelian group therefore share one canonical form,
     which is what makes group-element-level evaluation well defined there.
     """
-    if is_free_abelian(p):
+    if p.free_abelian:
         sums = exponent_sums(w, p.num_generators)
         letters: list[Letter] = []
         for g, e in enumerate(sums):

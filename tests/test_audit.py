@@ -98,26 +98,6 @@ def test_json_timings_opt_in():
     assert timed["suites"][0]["seconds"] >= 0.0
 
 
-def test_thread_cap_does_not_change_results(monkeypatch):
-    single = audit_outcome_to_json(run_audit(MASTER, 6, suites=("path_uni",)))
-    monkeypatch.setenv("OBSTRUCTKIT_THREADS", "4")
-    pooled = audit_outcome_to_json(run_audit(MASTER, 6, suites=("path_uni",)))
-    assert json.dumps(single, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-
-
-def test_thread_env_parsing(monkeypatch):
-    from obstructkit.audit import _worker_count
-
-    monkeypatch.delenv("OBSTRUCTKIT_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("OBSTRUCTKIT_THREADS", "8")
-    assert _worker_count() == 8
-    monkeypatch.setenv("OBSTRUCTKIT_THREADS", "weird")
-    assert _worker_count() == 1
-    monkeypatch.setenv("OBSTRUCTKIT_THREADS", "-2")
-    assert _worker_count() == 1
-
-
 def test_random_pairing_instances_have_the_promised_index():
     rng = derive_rng(MASTER, 77)
     for _ in range(30):

@@ -11,7 +11,9 @@ from obstructkit.audit import run_trial
 from obstructkit.cli import main
 from obstructkit.matcore import matrix_to_json
 from obstructkit.projops import pairing_input, pairing_input_to_json
+from obstructkit.quasirep import compress, honest_commuting_rep, quasirep_to_json
 from obstructkit.seeding import derive_rng, random_projection
+from obstructkit.words import free_abelian_presentation
 
 
 def run_cli(argv, capsys):
@@ -70,7 +72,7 @@ def test_gen_clock_shift(tmp_path, capsys):
 def test_gen_surface_honest(tmp_path, capsys):
     witness = tmp_path / "surf.json"
     run_cli(
-        ["gen", "surface", "--genus", "2", "--honest", "--out", str(witness)], capsys
+        ["gen", "surface", "--genus", "2", "--out", str(witness)], capsys
     )
     payload = run_json(["invariants", str(witness)], capsys)
     assert payload["defect"]["max_defect"] <= 1e-10
@@ -141,6 +143,32 @@ def test_invariants_malformed_json_exit_one(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run_cli(["invariants", str(path)], capsys)
     assert code == 1
+
+
+def test_invariants_huge_dim_exit_one_without_allocating(tmp_path, capsys):
+    # a dim with no entries behind it must be refused before any allocation
+    huge = {"dim": 1000000, "entries": []}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"u": huge, "v": huge}))
+    code, out, err = run_cli(["invariants", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_invariants_non_unitary_compression_exit_two(tmp_path, capsys):
+    pres = free_abelian_presentation(2)
+    big = honest_commuting_rep(pres, 4, derive_rng(5, 1))
+    rep, _ = compress(big.images, np.diag([1.0, 1.0, 0.0, 0.0]), pres)
+    obj = quasirep_to_json(rep)
+    obj["compression"]["big_images"][0] = matrix_to_json(np.diag([0.5, 1.0, 1.0, 1.0]))
+    path = tmp_path / "comp.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(["invariants", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "not unitary" in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,14 @@ from obstructkit.errors import (
     HypothesisViolation,
     InvalidSize,
     NotProjection,
+    NotUnitary,
 )
 from obstructkit.matcore import (
     block_sum,
     commutator,
     dagger,
     identity,
+    matrix_to_json,
     op_norm,
     require_unitary,
     spectral_tol,
@@ -442,3 +444,50 @@ def test_quasirep_json_compression_round_trip(rng):
     S = symmetrized_generators(Z2)
     for s in S:
         assert op_norm(back.evaluate(s) - rep.evaluate(s)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Validation boundary
+# ---------------------------------------------------------------------------
+
+
+def test_construction_leaves_caller_word_table_untouched():
+    p1 = free_presentation(1)
+    value = [[0.5, 0.0], [0.0, 0.5]]
+    table = {((0, 1),): value}
+    phi = QuasiRep(p1, (np.eye(2),), flavor="general", word_table=table)
+    assert phi.word_table is not table
+    assert list(table) == [((0, 1),)]
+    assert table[((0, 1),)] is value
+    assert value == [[0.5, 0.0], [0.0, 0.5]]
+    assert np.array_equal(phi.evaluate(A), 0.5 * np.eye(2))
+
+
+def test_adjoint_evaluation_of_non_unitary_general_rep_raises():
+    p1 = free_presentation(1)
+    phi = QuasiRep(p1, (np.diag([0.5, 0.5]),), flavor="general")
+    with pytest.raises(NotUnitary):
+        phi.evaluate(A.inverse(), "adjoint")
+    # the default true-inverse mode and positive letters stay available
+    assert np.allclose(phi.evaluate(A.inverse()), 2.0 * np.eye(2))
+    assert np.allclose(phi.evaluate(A, "adjoint"), 0.5 * np.eye(2))
+
+
+def test_adjoint_evaluation_of_unitary_general_rep(rng):
+    u = haar_unitary(3, rng)
+    phi = QuasiRep(free_presentation(1), (u,), flavor="general")
+    assert np.array_equal(phi.evaluate(A.inverse(), "adjoint"), dagger(u))
+
+
+def non_unitary_compression_json(rng):
+    big = honest_commuting_rep(Z2, 4, rng)
+    p = np.diag([1.0, 1.0, 0.0, 0.0])
+    rep, _ = compress(big.images, p, Z2)
+    obj = quasirep_to_json(rep)
+    obj["compression"]["big_images"][0] = matrix_to_json(np.diag([0.5, 1.0, 1.0, 1.0]))
+    return obj
+
+
+def test_json_compression_with_non_unitary_big_image_is_refused(rng):
+    with pytest.raises(NotUnitary):
+        quasirep_from_json(non_unitary_compression_json(rng))
