@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -126,24 +127,24 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
+def _parse_json(text: str, source: str):
+    """Decode JSON; bad syntax, deep nesting or an over-long number: ParseError."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON in {source}: {exc}") from exc
+
+
 def _load_json(path: str):
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    return _parse_json(text, path)
 
 
 def _matrix_arg(text: str):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"--matrix must be JSON: {exc}") from exc
-    return int_matrix(data)
+    return int_matrix(_parse_json(text, "--matrix"))
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +272,12 @@ def cmd_invariants(args, tols) -> int:
 def cmd_audit(args, tols) -> int:
     if args.replay is not None:
         raw = args.replay
-        obj = _load_json(raw[1:]) if raw.startswith("@") else None
-        if obj is None:
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"--replay must be JSON or @file: {exc}") from exc
+        obj = _load_json(raw[1:]) if raw.startswith("@") else _parse_json(raw, "--replay")
         try:
             suite = str(obj["suite"])
             seed = int(obj["master_seed"])
             trial = int(obj["trial"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(
                 "--replay needs fields suite, master_seed, trial"
             ) from exc

@@ -4,9 +4,12 @@ Everything here runs over Python's arbitrary-precision integers, so the
 exact-arithmetic mandate is discharged structurally: no intermediate value
 can overflow or wrap.  The pieces:
 
+* one fraction-free (Bareiss) row-echelon elimination, every division
+  checked exact, giving determinants and the ranks behind the H2 free ranks;
 * Smith normal form with tracked unimodular row/column transforms
   (smallest-magnitude pivoting to temper coefficient growth), self-verified
-  against an exact fraction-free determinant;
+  by exact products and determinants; it serves ``smith_normal_form`` and
+  ``homology snf``, where the transforms and torsion are part of the answer;
 * second homology of free-by-cyclic groups (rank = multiplicity of the
   eigenvalue one of the inducing automorphism's abelianization);
 * second homology of surface mapping tori from the orientation sign and the
@@ -18,6 +21,8 @@ can overflow or wrap.  The pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BoundViolation,
@@ -42,13 +47,10 @@ class IntMatrix:
     def __post_init__(self):
         if not isinstance(self.entries, tuple) or not self.entries:
             raise InvalidMatrix("integer matrix needs at least one row")
-        width = None
         for row in self.entries:
             if not isinstance(row, tuple) or not row:
                 raise InvalidMatrix("integer matrix rows must be nonempty tuples")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if len(row) != len(self.entries[0]):
                 raise InvalidMatrix("integer matrix rows must share one length")
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
@@ -74,26 +76,12 @@ class IntMatrix:
 def int_matrix(rows) -> IntMatrix:
     """Build an IntMatrix from any nested iterable of exact integers."""
     try:
-        data = tuple(tuple(int(x) if _is_exact_int(x) else _reject(x) for x in row)
-                     for row in rows)
-    except InvalidMatrix:
-        raise
+        data = tuple(
+            tuple(int(x) if isinstance(x, np.integer) else x for x in row) for row in rows
+        )
     except TypeError as exc:
         raise InvalidMatrix(f"cannot build an integer matrix from {rows!r}") from exc
     return IntMatrix(data)
-
-
-def _is_exact_int(x) -> bool:
-    if isinstance(x, bool):
-        return False
-    if isinstance(x, int):
-        return True
-    # numpy integer scalars quack like ints and convert exactly
-    return hasattr(x, "dtype") and getattr(x.dtype, "kind", "") in ("i", "u")
-
-
-def _reject(x):
-    raise InvalidMatrix(f"integer matrix entries must be exact ints; got {x!r}")
 
 
 def int_identity(n: int) -> IntMatrix:
@@ -126,27 +114,40 @@ def int_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
+def _eliminate(rows) -> tuple[int, int]:
+    """Fraction-free (Bareiss) row echelon form: (rank over Q, determinant or 0).
+
+    Columns without a pivot are skipped.  Each division by the previous pivot
+    is exact by Sylvester's identity; a remainder means corrupted arithmetic."""
+    m = [list(row) for row in rows]
+    n_rows, n_cols = len(m), len(m[0])
+    rank, sign, prev = 0, 1, 1
+    for col in range(n_cols):
+        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            sign = -sign
+        top = m[rank]
+        pivot = top[col]
+        for i in range(rank + 1, n_rows):
+            row = m[i]
+            lead = row[col]
+            for j in range(col + 1, n_cols):
+                row[j], rem = divmod(row[j] * pivot - lead * top[j], prev)
+                if rem:
+                    raise NumericalInconsistency("fraction-free elimination left a remainder")
+        prev = pivot
+        rank += 1
+    return rank, sign * prev if rank == n_rows == n_cols else 0
+
+
 def exact_determinant(a: IntMatrix) -> int:
     """Fraction-free (Bareiss) determinant; every division is exact."""
     if not a.is_square():
         raise InvalidSize("determinant needs a square matrix")
-    n = a.rows
-    m = [list(row) for row in a.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return _eliminate(a.entries)[1]
 
 
 def int_matrix_to_json(a: IntMatrix) -> dict:
@@ -342,8 +343,13 @@ def abelian_group_to_json(g: AbelianGroup) -> dict:
 
 
 def _corank_of_one_minus(m: IntMatrix) -> int:
-    diag = snf_diagonal(int_sub(int_identity(m.rows), m))
-    return m.rows - sum(1 for d in diag if d)
+    return m.rows - _eliminate(int_sub(int_identity(m.rows), m).entries)[0]
+
+
+def _require_unimodular(m: IntMatrix, consequence: str) -> None:
+    det = exact_determinant(m)
+    if abs(det) != 1:
+        raise NotAnAutomorphism(f"determinant {det} is not ±1; {consequence}")
 
 
 def free_by_cyclic_h2(phi_star: IntMatrix) -> AbelianGroup:
@@ -356,11 +362,7 @@ def free_by_cyclic_h2(phi_star: IntMatrix) -> AbelianGroup:
     """
     if not phi_star.is_square():
         raise InvalidSize("induced map must be square")
-    if abs(exact_determinant(phi_star)) != 1:
-        raise NotAnAutomorphism(
-            f"determinant {exact_determinant(phi_star)} is not ±1; "
-            "the matrix is not induced by a free-group automorphism"
-        )
+    _require_unimodular(phi_star, "the matrix is not induced by a free-group automorphism")
     return AbelianGroup(free_rank=_corank_of_one_minus(phi_star))
 
 
@@ -381,11 +383,7 @@ def mapping_torus_surface_h2(orientation_sign: int, m: IntMatrix) -> AbelianGrou
         raise InvalidSize("surface homology action must be square")
     if m.rows % 2:
         raise InvalidSize(f"surface homology action must be even-dimensional; got {m.rows}")
-    if abs(exact_determinant(m)) != 1:
-        raise NotAnAutomorphism(
-            f"determinant {exact_determinant(m)} is not ±1; "
-            "the matrix does not act on the homology of a closed surface"
-        )
+    _require_unimodular(m, "the matrix does not act on the homology of a closed surface")
     corank = _corank_of_one_minus(m)
     if orientation_sign == 1:
         return AbelianGroup(free_rank=corank + 1)
@@ -426,7 +424,7 @@ def obstruction_count(
       else 0.  For n != m with |n| == |m| the count is still well-defined
       even though approximation theorems need residual finiteness.
     """
-    if family == "fbc" or family == "free-by-cyclic":
+    if family == "fbc":
         if phi_star is None:
             raise InvalidFamily("free-by-cyclic family needs phi_star")
         try:

@@ -285,6 +285,6 @@ def matrix_from_json(obj) -> np.ndarray:
             for j in range(dim):
                 re, im = row[j]
                 data[i, j] = complex(re, im)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
     return as_matrix(data)

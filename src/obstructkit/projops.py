@@ -22,6 +22,7 @@ from .errors import (
     HypothesisViolation,
     InvalidSize,
     NumericalInconsistency,
+    ParseError,
     SubdivisionTooCoarse,
 )
 from .matcore import (
@@ -38,7 +39,6 @@ from .matcore import (
     require_projection,
     require_unit_ball,
     spectral_projection,
-    spectral_tol,
 )
 
 CONJUGATION_EXACTNESS = 1e-9
@@ -326,13 +326,13 @@ def pairing_input_to_json(inp: PairingInput) -> dict:
 
 
 def pairing_input_from_json(obj) -> PairingInput:
-    return pairing_input(
-        matrix_from_json(obj["b"]),
-        matrix_from_json(obj["q"]),
-        int(obj["N"]),
-        int(obj["k"]),
-        float(obj.get("gap_tol", DEFAULT_GAP_TOL)),
-    )
+    try:
+        b, q = matrix_from_json(obj["b"]), matrix_from_json(obj["q"])
+        n_dim, k_dim = int(obj["N"]), int(obj["k"])
+        gap_tol = float(obj.get("gap_tol", DEFAULT_GAP_TOL))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ParseError(f"malformed pairing JSON: {exc}") from exc
+    return pairing_input(b, q, n_dim, k_dim, gap_tol)
 
 
 # ---------------------------------------------------------------------------

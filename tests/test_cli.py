@@ -1,11 +1,14 @@
 """End-to-end CLI coverage: subcommands, exit codes, JSON determinism."""
 
+import contextlib
 import io
 import json
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstructkit.audit import run_trial
 from obstructkit.cli import main
@@ -441,3 +444,80 @@ def test_out_file_byte_identical_to_stdout(tmp_path, capsys):
     code, silent, _ = run_cli(["eta", "--q", "0.3", "--out", str(out)], capsys)
     assert code == 0 and silent == ""
     assert out.read_text() == stdout_text
+
+
+# ---------------------------------------------------------------------------
+# malformed JSON never escapes as a traceback
+# ---------------------------------------------------------------------------
+
+
+def assert_clean_refusal(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+DEEP = "[" * 50000
+LONG_INT = "9" * 5001
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "snf", "--matrix", DEEP],
+        ["audit", "--replay", DEEP],
+        ["homology", "fbc", "--matrix", f"[[{LONG_INT}]]"],
+        ["audit", "--replay", '{"suite": "chain", "master_seed": 1e400, "trial": 0}'],
+    ],
+    ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed"],
+)
+def test_malformed_inline_json_exit_one(argv, capsys):
+    assert_clean_refusal(*run_cli(argv, capsys))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("invariants", '{"u": ' + LONG_INT + "}"),
+        ("invariants", '{"u": {"dim": 1e400, "entries": []}, "v": {}}'),
+        ("invariants", b"\xff\xfe"),
+        ("pairing", "[]"),
+        ("pairing", '{"N": 1}'),
+    ],
+    ids=["invariants-long-int", "invariants-infinite-dim", "invariants-not-utf8",
+         "pairing-list", "pairing-missing-fields"],
+)
+def test_malformed_json_file_exit_one(command, text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    assert_clean_refusal(*run_cli([command, str(path)], capsys))
+
+
+FIELD_NAMES = ("u", "v", "dim", "entries", "b", "q", "N", "k", "gap_tol",
+               "presentation", "generators", "relators", "images", "flavor")
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(max_size=3), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150)
+@given(json_values)
+def test_arbitrary_json_gets_an_exit_code(value):
+    text = json.dumps(value)
+    for argv in (["invariants", "-"], ["pairing", "-"], ["homology", "fbc", f"--matrix={text}"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                code = main(argv)
+            finally:
+                sys.stdin = old_stdin
+        assert isinstance(code, int), argv
+        assert "Traceback" not in err.getvalue()

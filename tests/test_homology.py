@@ -1,5 +1,7 @@
 """Exact integer homology: SNF, mapping-torus H2, obstruction counts."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from obstructkit.errors import (
     InvalidMatrix,
     InvalidSize,
     NotAnAutomorphism,
+    NumericalInconsistency,
 )
 from obstructkit.homology import (
     AbelianGroup,
+    _eliminate,
     abelian_group_to_json,
     abelian_group_to_text,
     exact_determinant,
@@ -118,6 +122,9 @@ def test_determinant_examples():
     assert exact_determinant(int_matrix(B_BLOCK)) == 1
     assert exact_determinant(int_matrix([[2, 4], [1, 2]])) == 0
     assert exact_determinant(int_matrix([[-7]])) == -7
+    assert exact_determinant(int_matrix([[0, 1], [1, 0]])) == -1
+    assert exact_determinant(int_matrix([[0, 2], [0, 3]])) == 0
+    assert exact_determinant(int_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == -1
     with pytest.raises(InvalidSize):
         exact_determinant(int_matrix([[1, 2]]))
 
@@ -128,6 +135,20 @@ def test_determinant_matches_sympy(rows):
         return
     a = int_matrix(rows)
     assert exact_determinant(a) == int(sympy.Matrix(rows).det())
+
+
+@given(small_matrices(max_dim=5))
+def test_eliminate_rank_matches_sympy(rows):
+    rank, det = _eliminate(int_matrix(rows).entries)
+    assert rank == sympy.Matrix(rows).rank()
+    if len(rows) != len(rows[0]):
+        assert det == 0
+
+
+def test_eliminate_refuses_an_inexact_division():
+    # integer input always divides exactly; a fractional entry exposes the check
+    with pytest.raises(NumericalInconsistency):
+        _eliminate(((2, 1, 1), (1, 1, 0), (1, 0, Fraction(1, 3))))
 
 
 def test_determinant_huge_entries_exact():
@@ -223,6 +244,51 @@ def test_free_by_cyclic_rank_is_kernel_dimension():
     shear = int_matrix([[1, 1], [0, 1]])
     assert free_by_cyclic_h2(shear).free_rank == 1
     assert free_by_cyclic_h2(int_identity(3)).free_rank == 3
+
+
+@st.composite
+def unimodular_matrices(draw, sizes=st.integers(min_value=1, max_value=6)):
+    """A product of elementary row operations on the identity, sometimes
+    block-summed with an identity block so that the eigenvalue 1 has
+    geometric multiplicity above 1."""
+    n = draw(sizes)
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(("add", "swap", "negate")))
+        if kind == "add" and i != j:
+            k = draw(st.integers(min_value=-3, max_value=3))
+            m[j] = [y + k * x for x, y in zip(m[i], m[j])]
+        elif kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-x for x in m[i]]
+    extra = draw(st.sampled_from((0, 0, 1, 2)))
+    if extra:
+        m = [row + [0] * extra for row in m] + [
+            [0] * n + [int(i == j) for j in range(extra)] for i in range(extra)
+        ]
+    return m
+
+
+def rational_corank_of_one_minus(rows):
+    n = len(rows)
+    return n - (sympy.eye(n) - sympy.Matrix(rows)).rank()
+
+
+@settings(max_examples=80)
+@given(unimodular_matrices())
+def test_free_by_cyclic_rank_matches_sympy(rows):
+    assert free_by_cyclic_h2(int_matrix(rows)).free_rank == rational_corank_of_one_minus(rows)
+
+
+@settings(max_examples=60)
+@given(unimodular_matrices(st.sampled_from((2, 4, 6))).filter(lambda m: len(m) % 2 == 0))
+def test_mapping_torus_rank_matches_sympy(rows):
+    corank = rational_corank_of_one_minus(rows)
+    m = int_matrix(rows)
+    assert mapping_torus_surface_h2(1, m) == AbelianGroup(free_rank=corank + 1)
+    assert mapping_torus_surface_h2(-1, m) == AbelianGroup(free_rank=corank, torsion=(2,))
 
 
 def test_free_by_cyclic_gates():

@@ -320,6 +320,15 @@ def test_require_honest_rejects_defective(rng):
         require_honest(phi.images, Z2, tol=1e-9)
 
 
+def test_require_honest_gates_unitarity_at_the_quasirep_tolerance(rng):
+    # ||a*a - 1|| ~ 1.1e-8: above UNITARITY_TOL = 1e-8 but below the
+    # 1e-10 * dim relator tolerance at dim 120, which must not widen the gate
+    scaled = haar_unitary(120, rng) * (1.0 + 5.5e-9)
+    with pytest.raises(NotUnitary, match=r"\|\|a\*a - 1\|\| = 1\.1"):
+        require_honest([scaled], free_presentation(1))
+    assert require_honest([haar_unitary(120, rng)], free_presentation(1))[0].shape == (120, 120)
+
+
 # ---------------------------------------------------------------------------
 # approx_mult_audit
 # ---------------------------------------------------------------------------
