@@ -42,6 +42,7 @@ from .homology import (
     mapping_torus_surface_h2,
     obstruction_count,
     smith_normal_form,
+    unbounded_int_text,
 )
 from .matcore import matrix_from_json, matrix_to_json
 from .projops import pairing, pairing_input, pairing_input_from_json
@@ -119,7 +120,8 @@ def _usage_fail(message: str):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with unbounded_int_text():
+        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -147,6 +149,12 @@ def _matrix_arg(text: str):
     return int_matrix(_parse_json(text, "--matrix"))
 
 
+def _seed(value: int, source: str) -> int:
+    if value < 0:
+        raise ParseError(f"{source} must be a non-negative integer, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -154,7 +162,7 @@ def _matrix_arg(text: str):
 
 def _honest_or_perturbed(pres, args):
     """Commuting honest representation, perturbed to defect below --eps if given."""
-    rng = derive_rng(args.seed, _GEN_STREAM)
+    rng = derive_rng(_seed(args.seed, "--seed"), _GEN_STREAM)
     if args.eps is None:
         return honest_commuting_rep(pres, args.dim, rng)
     return perturbed_honest_rep(pres, symmetrized_generators(pres), args.eps, args.dim, rng)
@@ -171,7 +179,7 @@ def _gen_surface_rep(args):
         )
     # Commuting involutions in a hidden common eigenbasis: each a_i^2 = 1
     # exactly, so the single defining relator evaluates to the identity.
-    rng = derive_rng(args.seed, _GEN_STREAM)
+    rng = derive_rng(_seed(args.seed, "--seed"), _GEN_STREAM)
     w = haar_unitary(args.dim, rng)
     images = []
     for _ in range(pres.num_generators):
@@ -283,6 +291,8 @@ def cmd_audit(args, tols) -> int:
             ) from exc
         if suite not in audit_mod.SUITES:
             raise ParseError(f"unknown suite {suite!r} in replay data")
+        _seed(seed, "replay master_seed")
+        _seed(trial, "replay trial")
         payload = {"suite": suite, "master_seed": seed, "trial": trial}
         try:
             ratios = audit_mod.run_trial(suite, seed, trial)
@@ -297,7 +307,7 @@ def cmd_audit(args, tols) -> int:
             return 4
         return 0
 
-    outcome = audit_mod.run_audit(args.seed, args.trials, args.suite or None)
+    outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite or None)
     _emit(audit_mod.audit_outcome_to_json(outcome, include_timings=args.timings), args.out)
     if not outcome.all_passed:
         failing = [r.suite for r in outcome.suites if not r.passed]

@@ -20,6 +20,8 @@ can overflow or wrap.  The pieces:
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,26 @@ from .errors import (
     NotAnAutomorphism,
     NumericalInconsistency,
 )
+
+
+@contextmanager
+def unbounded_int_text():
+    """Lift the interpreter's cap on decimal digits of an int for one block.
+
+    Python refuses ``str(n)`` and ``int(text)`` beyond 4300 digits (3.11+) so
+    that parsing untrusted text stays cheap.  Exact results outgrow the cap
+    legitimately; parsing outside the block keeps it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
 
 # ---------------------------------------------------------------------------
 # Exact integer matrices
@@ -330,7 +352,8 @@ def abelian_group_to_text(g: AbelianGroup) -> str:
         parts.append("Z")
     elif g.free_rank > 1:
         parts.append(f"Z^{g.free_rank}")
-    parts.extend(f"Z/{d}" for d in g.torsion)
+    with unbounded_int_text():
+        parts.extend(f"Z/{d}" for d in g.torsion)
     return " ⊕ ".join(parts) if parts else "0"
 
 
@@ -349,7 +372,9 @@ def _corank_of_one_minus(m: IntMatrix) -> int:
 def _require_unimodular(m: IntMatrix, consequence: str) -> None:
     det = exact_determinant(m)
     if abs(det) != 1:
-        raise NotAnAutomorphism(f"determinant {det} is not ±1; {consequence}")
+        with unbounded_int_text():
+            message = f"determinant {det} is not ±1; {consequence}"
+        raise NotAnAutomorphism(message)
 
 
 def free_by_cyclic_h2(phi_star: IntMatrix) -> AbelianGroup:

@@ -4,11 +4,20 @@ For a unitary ``W`` with ``||W - 1|| < 1`` the path ``t -> det(t + (1-t)W)``
 on [0, 1] is closed (when ``det W = 1``) and avoids the origin, so it has a
 winding number.  Two algorithms compute it and must agree:
 
-* eigenvalue method — minus the sum of principal arguments of the
-  eigenvalues over 2 pi, which must round to an integer;
+* eigenvalue method — minus the sum of the eigenphases over 2 pi, which must
+  round to an integer.  The phases are read off the Hermitian part
+  ``S = (W - W*)/2i`` as ``arcsin(eigvalsh(S))``.  This is certified: the
+  input check gives ``||W*W - 1|| <= tau``, so by the polar decomposition
+  ``W`` lies within ``tau`` of a unitary ``U``; ``||W - 1|| < 1`` puts every
+  eigenphase of ``U`` in (-pi/3, pi/3), where ``arcsin`` inverts ``sin`` with
+  Lipschitz constant at most 2; and Weyl's inequality moves each eigenvalue
+  of ``S`` by at most ``||W - U|| <= tau``.  Each phase is thus off by at most
+  ``2 tau`` and their sum by ``2 n tau``, far below the 1/2 that rounding
+  tolerates;
 * path method — adaptive sampling of the determinant along the path,
   accumulating wrapped argument increments until every consecutive jump is
-  below pi/2.
+  below pi/2.  Above ``DENSE_DET_DIM_LIMIT`` the first grid is already fine
+  enough that no jump can alias (see ``_path_winding``).
 
 Sign convention: the reported winding is counterclockwise-positive for the
 path ``t + (1-t)W`` as written.  Under it the clock-and-shift pair winds to
@@ -47,6 +56,8 @@ MAX_PATH_SAMPLES = 2 ** 20
 # Above this dimension the path samples the determinant through the spectral
 # factorization instead of dense LU factorizations (see _PathSampler).
 DENSE_DET_DIM_LIMIT = 160
+# Eigenvalue factors the spectral sampler holds at once (16 MB of complex).
+FACTOR_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -86,41 +97,67 @@ def winding_report_to_json(r: WindingReport) -> dict:
 class _PathSampler:
     """Evaluates magnitude and wrapped argument of ``det(t + (1-t)W)``.
 
-    Small dimensions use dense LU determinants (a route fully independent of
-    the eigenvalue method).  Large dimensions would pay O(dim^3) per sample,
-    so they evaluate the same function through the eigenvalues of ``W``
-    (exact, since ``t + (1-t)W`` shares eigenvectors with ``W``); the path
-    method then still differs from the eigenvalue method in everything
-    downstream of the eigensolve — wrapped per-sample arguments and adaptive
-    continuation instead of principal-argument summation.
+    Small dimensions use dense LU determinants, a route independent of the
+    eigensolve.  Large dimensions would pay O(dim^3) per sample, so they
+    evaluate the same function through the eigenphases ``theta`` of ``W``
+    (exact up to the ``2 tau`` phase error bounded in the module docstring,
+    since ``t + (1-t)W`` shares eigenvectors with ``W``); the path method then
+    still differs from the eigenvalue method in everything downstream of the
+    eigensolve — wrapped per-sample arguments and continuation over a
+    certified grid instead of phase summation.
     """
 
-    def __init__(self, w: np.ndarray, eigenvalues: np.ndarray):
+    def __init__(self, w: np.ndarray, theta: np.ndarray):
         self._w = w
-        self._lam = eigenvalues
+        self._lam = np.exp(1j * theta)
         self._dim = w.shape[0]
-        self._dense = self._dim <= DENSE_DET_DIM_LIMIT
+        self.dense = self._dim <= DENSE_DET_DIM_LIMIT
 
     def __call__(self, ts: np.ndarray):
-        if self._dense:
+        if self.dense:
             stack = ts[:, None, None] * np.eye(self._dim) + (1.0 - ts)[
                 :, None, None
             ] * self._w
             z = np.linalg.det(stack)
             return np.abs(z), np.angle(z)
-        factors = ts[:, None] + np.outer(1.0 - ts, self._lam)
-        mag = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
-        ang = np.angle(np.exp(1j * np.sum(np.angle(factors), axis=1)))
-        return mag, ang
+        mag = np.empty(len(ts))
+        ang = np.empty(len(ts))
+        step = max(1, FACTOR_BLOCK // self._dim)
+        for i in range(0, len(ts), step):
+            factors = ts[i:i + step, None] + np.outer(1.0 - ts[i:i + step], self._lam)
+            mag[i:i + step] = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
+            ang[i:i + step] = np.sum(np.angle(factors), axis=1)
+        return mag, np.angle(np.exp(1j * ang))
 
 
 def _wrap_angle_diff(angles: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * np.diff(angles)))
 
 
-def _path_winding(w: np.ndarray, eigenvalues: np.ndarray):
-    sample = _PathSampler(w, eigenvalues)
-    ts = np.linspace(0.0, 1.0, INITIAL_INTERVALS + 1)
+def _path_winding(w: np.ndarray, theta: np.ndarray, speed: float):
+    """Path winding, refining the grid until every wrapped jump is below pi/2.
+
+    ``speed`` bounds ``|d/dt arg det(t + (1-t)W)|``.  With eigenvalues
+    ``lam_j`` the derivative is ``sum_j Im((1 - lam_j) / (t + (1-t) lam_j))``.
+    Each denominator is ``1 - (1-t)(1 - lam_j)``, of modulus at least
+    ``1 - |1 - lam_j| >= 1 - ||1 - W||``, and Weyl's majorant theorem gives
+    ``sum_j |1 - lam_j| <= ||1 - W||_1`` (the sum of the singular values), so
+    ``speed = ||1 - W||_1 / (1 - ||1 - W||)`` is a bound.  On a grid of
+    ``ceil(2 speed / pi) + 1`` intervals each true increment is below pi/2,
+    so no wrapped jump can alias a true one above 3 pi/2.  The eigenvalue
+    factor branch starts from that grid; the dense branch keeps the adaptive
+    refinement from ``INITIAL_INTERVALS``.
+    """
+    sample = _PathSampler(w, theta)
+    intervals = INITIAL_INTERVALS
+    if not sample.dense:
+        intervals = max(intervals, math.ceil(2.0 * speed / math.pi) + 1)
+        if intervals >= MAX_PATH_SAMPLES:
+            raise NumericalInconsistency(
+                f"certified path grid needs {intervals + 1} samples, over "
+                f"{MAX_PATH_SAMPLES}; ||W - 1|| sits too close to 1"
+            )
+    ts = np.linspace(0.0, 1.0, intervals + 1)
     mag, ang = sample(ts)
     while True:
         jumps = _wrap_angle_diff(ang)
@@ -159,11 +196,14 @@ def winding_of_unitary(
 
     Requires ``W`` unitary within tolerance, ``||W - 1|| < 1`` (the path then
     cannot meet the origin) and ``|det W - 1| <= 1e-8`` (the path is closed).
+    The eigenphases are certified only once the first two checks pass, so
+    they run first.
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
     w = require_unitary(w, tol=tol, what="winding input")
     dim = w.shape[0]
-    dist = op_norm(w - identity(dim))
+    sigma = np.linalg.svd(w - identity(dim), compute_uv=False)
+    dist = float(sigma[0])
     if dist >= 1.0:
         raise HypothesisViolation(
             f"||W - 1|| = {dist:.6f} >= 1; the determinant path may hit zero",
@@ -174,14 +214,15 @@ def winding_of_unitary(
         raise OpenPath(
             f"det(W) = {det:.12g} sits {abs(det - 1.0):.3e} from 1; path not closed"
         )
-    lam = np.linalg.eigvals(w)
-    total = -float(np.sum(np.angle(lam))) / (2.0 * np.pi)
+    theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
+    total = -float(np.sum(theta)) / (2.0 * np.pi)
     w_eig = int(round(total))
     if abs(total - w_eig) > EIG_RESIDUE_TOL:
         raise OpenPath(
             f"eigenvalue argument sum {total!r} does not round to an integer"
         )
-    w_path, clearance, samples = _path_winding(w, lam)
+    speed = float(np.sum(sigma)) / (1.0 - dist)
+    w_path, clearance, samples = _path_winding(w, theta, speed)
     if w_path != w_eig:
         raise NumericalInconsistency(
             f"winding methods disagree: eigenvalue {w_eig}, path {w_path}"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from obstructkit.audit import run_trial
 from obstructkit.cli import main
+from obstructkit.homology import unbounded_int_text
 from obstructkit.matcore import matrix_to_json
 from obstructkit.projops import pairing_input, pairing_input_to_json
 from obstructkit.quasirep import compress, honest_commuting_rep, quasirep_to_json
@@ -360,6 +361,24 @@ def test_homology_non_automorphism_exit_two(capsys):
     assert "automorphism" in err.lower()
 
 
+def test_homology_huge_exact_results_exit_cleanly(capsys):
+    # 3000-digit entries parse under the interpreter's 4300-digit cap, but
+    # the determinant and the Smith diagonal run to about 6000 digits
+    big = 10**2999 + 1
+    with unbounded_int_text():
+        matrix = f"[[{big},{big}],[{big},1]]"
+        det_text = str(big - big * big)
+    code, out, err = run_cli(["homology", "fbc", "--matrix", matrix], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert f"determinant {det_text} is not ±1" in err
+    code, out, err = run_cli(["homology", "snf", "--matrix", matrix], capsys)
+    assert code == 0, err
+    with unbounded_int_text():
+        payload = json.loads(out)
+    assert payload["diagonal"] == [1, big * big - big]
+
+
 # ---------------------------------------------------------------------------
 # pairing
 # ---------------------------------------------------------------------------
@@ -447,7 +466,7 @@ def test_out_file_byte_identical_to_stdout(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# malformed JSON never escapes as a traceback
+# malformed input never escapes as a traceback
 # ---------------------------------------------------------------------------
 
 
@@ -469,8 +488,14 @@ LONG_INT = "9" * 5001
         ["audit", "--replay", DEEP],
         ["homology", "fbc", "--matrix", f"[[{LONG_INT}]]"],
         ["audit", "--replay", '{"suite": "chain", "master_seed": 1e400, "trial": 0}'],
+        ["gen", "abelian", "--seed", "-1"],
+        ["audit", "--seed", "-1", "--trials", "1"],
+        ["audit", "--replay", '{"suite": "chain", "master_seed": -1, "trial": 0}'],
+        ["audit", "--replay", '{"suite": "chain", "master_seed": 1, "trial": -5}'],
     ],
-    ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed"],
+    ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
+         "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
+         "replay-negative-trial"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

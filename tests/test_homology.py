@@ -397,6 +397,8 @@ def test_abelian_group_text():
     assert abelian_group_to_text(AbelianGroup(3)) == "Z^3"
     assert abelian_group_to_text(AbelianGroup(0, (2,))) == "Z/2"
     assert abelian_group_to_text(AbelianGroup(2, (2, 6))) == "Z^2 ⊕ Z/2 ⊕ Z/6"
+    # past the interpreter's 4300-digit cap on int-to-text conversion
+    assert abelian_group_to_text(AbelianGroup(0, (10**5000,))) == "Z/1" + "0" * 5000
 
 
 def test_abelian_group_json():

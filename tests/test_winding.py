@@ -1,12 +1,17 @@
 """Winding numbers: dual-algorithm agreement, additivity, stability.
 
-The independent oracle is plain dense sampling of t -> det(t + (1-t)W) on a
-fixed uniform grid with no adaptivity, so it shares no code path with the
-library's refinement loop.
+Two independent oracles: plain dense sampling of t -> det(t + (1-t)W) on a
+fixed uniform grid with no adaptivity, which shares no code path with the
+library's refinement loop; and the nonsymmetric eigensolver
+``np.linalg.eigvals``, which the library's Hermitian eigenphases replace.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstructkit.errors import (
     HypothesisViolation,
@@ -14,7 +19,7 @@ from obstructkit.errors import (
     NumericalInconsistency,
     OpenPath,
 )
-from obstructkit.matcore import block_sum, dagger, op_norm
+from obstructkit.matcore import UNITARITY_TOL, block_sum, dagger, op_norm
 from obstructkit.quasirep import (
     clock_shift,
     honest_commuting_rep,
@@ -23,6 +28,7 @@ from obstructkit.quasirep import (
 )
 from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian
 from obstructkit.winding import (
+    INITIAL_INTERVALS,
     WindingReport,
     max_winding_for_dim,
     random_admissible_unitary,
@@ -166,6 +172,92 @@ def test_winding_matches_oracle_on_random_batch(rng):
         w, claimed = random_admissible_unitary(dim, rng)
         oracle, _ = brute_force_winding(w)
         assert winding_of_unitary(w).winding == oracle == claimed
+
+
+def eigvals_winding(w):
+    """Nonsymmetric-eigensolver oracle: minus the summed eigenvalue arguments."""
+    return -float(np.sum(np.angle(np.linalg.eigvals(w)))) / (2.0 * np.pi)
+
+
+def with_unitarity_defect(w, defect, gen):
+    """``W (1 + F)`` with ``F`` traceless and ``||F + F*|| = defect``.
+
+    ``F`` is not normal, so the result is not normal either; ``det`` moves by
+    O(dim ||F||^2) only, far inside the closed-path tolerance.
+    """
+    dim = w.shape[0]
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    g -= (np.trace(g) / dim) * np.eye(dim)
+    f = defect * g / op_norm(g + dagger(g))
+    return w @ (np.eye(dim) + f)
+
+
+@settings(max_examples=20)
+@given(
+    dim=st.integers(8, 400),
+    seed=st.integers(0, 2**32 - 1),
+    perturb=st.booleans(),
+)
+def test_hermitian_phases_match_eigvals_oracle(dim, seed, perturb):
+    gen = derive_rng(seed, dim)
+    w, claimed = random_admissible_unitary(dim, gen)
+    if perturb:
+        w = with_unitarity_defect(w, 0.5 * UNITARITY_TOL, gen)
+        defect = op_norm(dagger(w) @ w - np.eye(dim))
+        assert 0.4 * UNITARITY_TOL < defect < 0.6 * UNITARITY_TOL
+    oracle = eigvals_winding(w)
+    assert abs(oracle - claimed) < 1e-6
+    report = winding_of_unitary(w)
+    assert report.winding == report.eigenvalue_method == report.path_method == claimed
+
+
+@pytest.mark.parametrize("theta", [np.pi / 2 - 1e-6, np.pi / 2, np.pi / 2 + 1e-6])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
+    # eigenphases near +-pi/2 put eigenvalues of (W - W*)/2i at or just past
+    # +-1 once W carries a unitarity defect; the ||W - 1|| >= 1 gate must
+    # refuse the input before arcsin could see them
+    scale = 1.0 + 0.25 * UNITARITY_TOL
+    phases = sign * np.array([theta, -theta, 0.1, -0.1])
+    radii = np.array([scale, 1.0 / scale, 1.0, 1.0])
+    q = haar_unitary(4, rng)
+    w = (q * (radii * np.exp(1j * phases))) @ dagger(q)
+    with np.errstate(invalid="raise"), pytest.raises(HypothesisViolation) as exc_info:
+        winding_of_unitary(w)
+    assert exc_info.value.measured == pytest.approx(2.0 * np.sin(theta / 2.0), abs=1e-6)
+
+
+def certified_sample_count(w):
+    """Samples of the certified first grid above the dense-LU dimensions."""
+    sigma = np.linalg.svd(w - np.eye(w.shape[0]), compute_uv=False)
+    speed = float(np.sum(sigma)) / (1.0 - float(sigma[0]))
+    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1) + 1
+
+
+@pytest.mark.parametrize(
+    "dim, k",
+    [(200, 25), (400, 48), (600, 54), (600, 63), (600, 72), (800, 101), (800, -101)],
+)
+def test_large_windings_do_not_alias(dim, k):
+    # a true jump above 3 pi/2 between samples wraps to a small one; from a
+    # 64-interval grid the inputs above dim 200 used to report path windings
+    # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement
+    w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
+    report = winding_of_unitary(w)
+    assert report.winding == report.path_method == claimed == k
+    assert report.samples_used <= certified_sample_count(w)
+
+
+def test_certified_grid_beyond_sample_cap_is_refused(rng):
+    # ||W - 1|| = 1 - 1e-9 bounds the argument speed by about 2e9, so the
+    # certified grid would need over a billion samples: refused, not allocated
+    theta = 2.0 * np.arcsin((1.0 - 1e-9) / 2.0)
+    phases = np.zeros(170)
+    phases[:2] = theta, -theta
+    q = haar_unitary(170, rng)
+    w = (q * np.exp(1j * phases)) @ dagger(q)
+    with pytest.raises(NumericalInconsistency, match="certified path grid"):
+        winding_of_unitary(w)
 
 
 # ---------------------------------------------------------------------------
