@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,6 @@ from .homology import (
     mapping_torus_surface_h2,
     obstruction_count,
     smith_normal_form,
-    unbounded_int_text,
 )
 from .matcore import matrix_from_json, matrix_to_json
 from .projops import pairing, pairing_input, pairing_input_from_json
@@ -119,8 +119,27 @@ def _usage_fail(message: str):
     raise SystemExit(1)
 
 
+@contextmanager
+def _uncapped_int_text():
+    """Lift the interpreter's 4300-digit cap on int-to-text for one block.
+
+    ``json.dumps`` obeys the cap and exact results can pass it.  Only the
+    command-line process flips the setting, around its own output, so input
+    parsing keeps the cap and the library never touches it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # no cap before 3.10.7
+        yield
+        return
+    old_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old_cap)
+
+
 def _emit(payload, out_path):
-    with unbounded_int_text():
+    with _uncapped_int_text():
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:

@@ -20,8 +20,6 @@ can overflow or wrap.  The pieces:
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,23 +34,27 @@ from .errors import (
 )
 
 
-@contextmanager
-def unbounded_int_text():
-    """Lift the interpreter's cap on decimal digits of an int for one block.
+_STR_SAFE_DIGITS = 1000
 
-    Python refuses ``str(n)`` and ``int(text)`` beyond 4300 digits (3.11+) so
-    that parsing untrusted text stays cheap.  Exact results outgrow the cap
-    legitimately; parsing outside the block keeps it.
+
+def int_text(n: int) -> str:
+    """Decimal text of an int of any length.
+
+    ``str`` refuses ints beyond 4300 digits (Python 3.11+) so that parsing
+    untrusted text stays cheap, and exact results outgrow that cap
+    legitimately.  This splits at a power of ten near the square root until
+    the pieces are short enough for ``str``, and leaves the interpreter-wide
+    cap alone.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+    if n < 0:
+        return "-" + int_text(-n)
+    if n < 10 ** _STR_SAFE_DIGITS:
+        return str(n)
+    # 10**half <= 2**((bit_length - 1) / 2) <= sqrt(n), so the high part is
+    # nonzero and its text carries no leading zeros
+    half = (n.bit_length() - 1) * 30102 // 200000
+    high, low = divmod(n, 10 ** half)
+    return int_text(high) + int_text(low).zfill(half)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +354,7 @@ def abelian_group_to_text(g: AbelianGroup) -> str:
         parts.append("Z")
     elif g.free_rank > 1:
         parts.append(f"Z^{g.free_rank}")
-    with unbounded_int_text():
-        parts.extend(f"Z/{d}" for d in g.torsion)
+    parts.extend(f"Z/{int_text(d)}" for d in g.torsion)
     return " ⊕ ".join(parts) if parts else "0"
 
 
@@ -372,9 +373,9 @@ def _corank_of_one_minus(m: IntMatrix) -> int:
 def _require_unimodular(m: IntMatrix, consequence: str) -> None:
     det = exact_determinant(m)
     if abs(det) != 1:
-        with unbounded_int_text():
-            message = f"determinant {det} is not ±1; {consequence}"
-        raise NotAnAutomorphism(message)
+        raise NotAnAutomorphism(
+            f"determinant {int_text(det)} is not ±1; {consequence}"
+        )
 
 
 def free_by_cyclic_h2(phi_star: IntMatrix) -> AbelianGroup:

@@ -5,19 +5,25 @@ on [0, 1] is closed (when ``det W = 1``) and avoids the origin, so it has a
 winding number.  Two algorithms compute it and must agree:
 
 * eigenvalue method — minus the sum of the eigenphases over 2 pi, which must
-  round to an integer.  The phases are read off the Hermitian part
-  ``S = (W - W*)/2i`` as ``arcsin(eigvalsh(S))``.  This is certified: the
-  input check gives ``||W*W - 1|| <= tau``, so by the polar decomposition
-  ``W`` lies within ``tau`` of a unitary ``U``; ``||W - 1|| < 1`` puts every
-  eigenphase of ``U`` in (-pi/3, pi/3), where ``arcsin`` inverts ``sin`` with
-  Lipschitz constant at most 2; and Weyl's inequality moves each eigenvalue
-  of ``S`` by at most ``||W - U|| <= tau``.  Each phase is thus off by at most
-  ``2 tau`` and their sum by ``2 n tau``, far below the 1/2 that rounding
-  tolerates;
-* path method — adaptive sampling of the determinant along the path,
-  accumulating wrapped argument increments until every consecutive jump is
-  below pi/2.  Above ``DENSE_DET_DIM_LIMIT`` the first grid is already fine
-  enough that no jump can alias (see ``_path_winding``).
+  round to an integer.  When ``n tau <= HERMITIAN_PHASE_BUDGET`` (``n`` the
+  dimension, ``tau`` the unitarity tolerance) the phases are read off the
+  Hermitian part ``S = (W - W*)/2i`` as ``arcsin(eigvalsh(S))``.  This is
+  certified: the input check gives ``||W*W - 1|| <= tau``, so by the polar
+  decomposition ``W`` lies within ``tau`` of a unitary ``U``;
+  ``||W - 1|| < 1`` keeps every eigenphase of ``U`` within ``2 tau`` of
+  (-pi/3, pi/3), where for ``tau <= 1e-3`` ``arcsin`` inverts ``sin`` with
+  Lipschitz constant below 2.02; and Weyl's inequality moves each eigenvalue
+  of ``S`` by at most ``||W - U|| <= tau``.  Each phase is thus off by at
+  most ``2.02 tau`` and the winding sum by ``2.02 n tau / 2 pi < n tau / 3``,
+  so the residue gate allows ``EIG_RESIDUE_TOL + n tau / 3`` and the
+  integer is certified with room to spare.  Looser tolerances void that
+  bound (a defect of 1e-2 at dim 400 can move the sum by more than 1/2), so
+  they take the phases as the arguments of ``np.linalg.eigvals(W)``, whose
+  sum follows ``arg det W`` to rounding;
+* path method — sampling of the determinant along the path, accumulating
+  wrapped argument increments until every consecutive jump is below pi/2.
+  Above ``DENSE_DET_DIM_LIMIT`` the first grid is already fine enough that
+  no jump can alias (see ``_path_winding``).
 
 Sign convention: the reported winding is counterclockwise-positive for the
 path ``t + (1-t)W`` as written.  Under it the clock-and-shift pair winds to
@@ -51,13 +57,13 @@ from .seeding import haar_unitary
 
 DET_TOL = 1e-8
 EIG_RESIDUE_TOL = 1e-6
+# Largest dim * tau for which the Hermitian eigenphases are certified.
+HERMITIAN_PHASE_BUDGET = 1e-3
 INITIAL_INTERVALS = 64
 MAX_PATH_SAMPLES = 2 ** 20
 # Above this dimension the path samples the determinant through the spectral
 # factorization instead of dense LU factorizations (see _PathSampler).
 DENSE_DET_DIM_LIMIT = 160
-# Eigenvalue factors the spectral sampler holds at once (16 MB of complex).
-FACTOR_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,12 @@ class _PathSampler:
 
     Small dimensions use dense LU determinants, a route independent of the
     eigensolve.  Large dimensions would pay O(dim^3) per sample, so they
-    evaluate the same function through the eigenphases ``theta`` of ``W``
-    (exact up to the ``2 tau`` phase error bounded in the module docstring,
-    since ``t + (1-t)W`` shares eigenvectors with ``W``); the path method then
-    still differs from the eigenvalue method in everything downstream of the
-    eigensolve — wrapped per-sample arguments and continuation over a
-    certified grid instead of phase summation.
+    evaluate the product of the factors ``t + (1-t) exp(i theta_j)`` over the
+    eigenphases ``theta`` of ``W`` (exact up to the phase error bounded in the
+    module docstring, since ``t + (1-t)W`` shares eigenvectors with ``W``);
+    the path method then still differs from the eigenvalue method in
+    everything downstream of the eigensolve — wrapped per-sample arguments
+    and continuation over a certified grid instead of phase summation.
     """
 
     def __init__(self, w: np.ndarray, theta: np.ndarray):
@@ -120,43 +126,48 @@ class _PathSampler:
             ] * self._w
             z = np.linalg.det(stack)
             return np.abs(z), np.angle(z)
-        mag = np.empty(len(ts))
-        ang = np.empty(len(ts))
-        step = max(1, FACTOR_BLOCK // self._dim)
-        for i in range(0, len(ts), step):
-            factors = ts[i:i + step, None] + np.outer(1.0 - ts[i:i + step], self._lam)
-            mag[i:i + step] = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
-            ang[i:i + step] = np.sum(np.angle(factors), axis=1)
-        return mag, np.angle(np.exp(1j * ang))
+        factors = ts[:, None] + np.outer(1.0 - ts, self._lam)
+        mag = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
+        ang = np.angle(np.exp(1j * np.sum(np.angle(factors), axis=1)))
+        return mag, ang
 
 
 def _wrap_angle_diff(angles: np.ndarray) -> np.ndarray:
     return np.angle(np.exp(1j * np.diff(angles)))
 
 
-def _path_winding(w: np.ndarray, theta: np.ndarray, speed: float):
+def _certified_intervals(theta: np.ndarray) -> int:
+    """First-grid size on which the eigenvalue-factor path cannot alias.
+
+    The sampler's factor ``t + (1-t) exp(i theta_j)`` runs along a chord of
+    the unit circle, so its argument moves monotonically from ``theta_j`` to
+    0 at speed ``|Im((1 - e^{i theta}) / (t + (1-t) e^{i theta}))|``, at most
+    ``2 |sin(theta_j / 2)| / cos(theta_j / 2)``: the chord stays at least
+    ``cos(theta_j / 2)`` from the origin.  ``speed = sum_j 2 |tan(theta_j/2)|``
+    thus bounds ``|d/dt arg det|`` for what is sampled, and on
+    ``ceil(2 speed / pi) + 1`` intervals each true increment is below pi/2,
+    so no wrapped jump can alias a true one above 3 pi/2.  With
+    ``|theta_j| < pi/2`` (``||W - 1|| < 1``) that is under ``1.28 dim + 1``
+    intervals, and under ``0.74 dim + 1`` on the Hermitian route.
+    """
+    speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
+    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1)
+
+
+def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
     """Path winding, refining the grid until every wrapped jump is below pi/2.
 
-    ``speed`` bounds ``|d/dt arg det(t + (1-t)W)|``.  With eigenvalues
-    ``lam_j`` the derivative is ``sum_j Im((1 - lam_j) / (t + (1-t) lam_j))``.
-    Each denominator is ``1 - (1-t)(1 - lam_j)``, of modulus at least
-    ``1 - |1 - lam_j| >= 1 - ||1 - W||``, and Weyl's majorant theorem gives
-    ``sum_j |1 - lam_j| <= ||1 - W||_1`` (the sum of the singular values), so
-    ``speed = ||1 - W||_1 / (1 - ||1 - W||)`` is a bound.  On a grid of
-    ``ceil(2 speed / pi) + 1`` intervals each true increment is below pi/2,
-    so no wrapped jump can alias a true one above 3 pi/2.  The eigenvalue
-    factor branch starts from that grid; the dense branch keeps the adaptive
-    refinement from ``INITIAL_INTERVALS``.
+    The eigenvalue-factor branch starts from ``_certified_intervals(theta)``;
+    the dense branch keeps the adaptive refinement from
+    ``INITIAL_INTERVALS``.  The sum of the increments must lie within
+    ``residue_tol`` of an integer: on the eigenvalue-factor branch it equals
+    minus the phase sum over 2 pi, so it carries the same certified error as
+    the eigenvalue method.
     """
     sample = _PathSampler(w, theta)
     intervals = INITIAL_INTERVALS
     if not sample.dense:
-        intervals = max(intervals, math.ceil(2.0 * speed / math.pi) + 1)
-        if intervals >= MAX_PATH_SAMPLES:
-            raise NumericalInconsistency(
-                f"certified path grid needs {intervals + 1} samples, over "
-                f"{MAX_PATH_SAMPLES}; ||W - 1|| sits too close to 1"
-            )
+        intervals = _certified_intervals(theta)
     ts = np.linspace(0.0, 1.0, intervals + 1)
     mag, ang = sample(ts)
     while True:
@@ -177,7 +188,7 @@ def _path_winding(w: np.ndarray, theta: np.ndarray, speed: float):
         ang = np.insert(ang, idx, mang)
     total = float(np.sum(jumps)) / (2.0 * np.pi)
     winding = int(round(total))
-    if abs(total - winding) > EIG_RESIDUE_TOL:
+    if abs(total - winding) > residue_tol:
         raise NumericalInconsistency(
             f"path argument sum {total!r} does not close to an integer winding"
         )
@@ -196,14 +207,13 @@ def winding_of_unitary(
 
     Requires ``W`` unitary within tolerance, ``||W - 1|| < 1`` (the path then
     cannot meet the origin) and ``|det W - 1| <= 1e-8`` (the path is closed).
-    The eigenphases are certified only once the first two checks pass, so
-    they run first.
+    The Hermitian eigenphases are certified only once the first two checks
+    pass, so they run first.
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
     w = require_unitary(w, tol=tol, what="winding input")
     dim = w.shape[0]
-    sigma = np.linalg.svd(w - identity(dim), compute_uv=False)
-    dist = float(sigma[0])
+    dist = op_norm(w - identity(dim))
     if dist >= 1.0:
         raise HypothesisViolation(
             f"||W - 1|| = {dist:.6f} >= 1; the determinant path may hit zero",
@@ -214,15 +224,19 @@ def winding_of_unitary(
         raise OpenPath(
             f"det(W) = {det:.12g} sits {abs(det - 1.0):.3e} from 1; path not closed"
         )
-    theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
+    if dim * tol <= HERMITIAN_PHASE_BUDGET:
+        theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
+        residue_tol = EIG_RESIDUE_TOL + dim * tol / 3.0
+    else:
+        theta = np.angle(np.linalg.eigvals(w))
+        residue_tol = EIG_RESIDUE_TOL
     total = -float(np.sum(theta)) / (2.0 * np.pi)
     w_eig = int(round(total))
-    if abs(total - w_eig) > EIG_RESIDUE_TOL:
+    if abs(total - w_eig) > residue_tol:
         raise OpenPath(
             f"eigenvalue argument sum {total!r} does not round to an integer"
         )
-    speed = float(np.sum(sigma)) / (1.0 - dist)
-    w_path, clearance, samples = _path_winding(w, theta, speed)
+    w_path, clearance, samples = _path_winding(w, theta, residue_tol)
     if w_path != w_eig:
         raise NumericalInconsistency(
             f"winding methods disagree: eigenvalue {w_eig}, path {w_path}"

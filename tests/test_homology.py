@@ -21,6 +21,7 @@ from obstructkit.homology import (
     _eliminate,
     abelian_group_to_json,
     abelian_group_to_text,
+    int_text,
     exact_determinant,
     free_by_cyclic_h2,
     int_identity,
@@ -389,6 +390,24 @@ def test_obstruction_count_gates():
 # ---------------------------------------------------------------------------
 # AbelianGroup formatting and validation
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=-(10**4299), max_value=10**4299))
+def test_int_text_matches_str_under_the_cap(n):
+    assert int_text(n) == str(n)
+
+
+@pytest.mark.parametrize("digits", [1000, 1001, 2000, 4299])
+def test_int_text_at_powers_of_ten(digits):
+    # zero runs straddle the split points and must survive the padding
+    for n in (10**digits - 1, 10**digits, 10**digits + 1, -(10**digits)):
+        assert int_text(n) == str(n)
+
+
+def test_int_text_past_the_cap():
+    assert int_text(10**5000 + 7) == "1" + "0" * 4999 + "7"
+    assert int_text(-(10**9000)) == "-1" + "0" * 9000
 
 
 def test_abelian_group_text():

@@ -228,10 +228,15 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
 
 
 def certified_sample_count(w):
-    """Samples of the certified first grid above the dense-LU dimensions."""
-    sigma = np.linalg.svd(w - np.eye(w.shape[0]), compute_uv=False)
-    speed = float(np.sum(sigma)) / (1.0 - float(sigma[0]))
-    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1) + 1
+    """Samples of the certified first grid above the dense-LU dimensions.
+
+    Each factor ``t + (1-t) e^{i theta}`` turns at most ``2 |tan(theta/2)|``;
+    the phases come from the ``eigvals`` oracle.  One interval of slack
+    covers the phases' ``2 tau`` distance from the library's.
+    """
+    theta = np.angle(np.linalg.eigvals(w))
+    speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
+    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 2) + 1
 
 
 @pytest.mark.parametrize(
@@ -248,16 +253,63 @@ def test_large_windings_do_not_alias(dim, k):
     assert report.samples_used <= certified_sample_count(w)
 
 
-def test_certified_grid_beyond_sample_cap_is_refused(rng):
-    # ||W - 1|| = 1 - 1e-9 bounds the argument speed by about 2e9, so the
-    # certified grid would need over a billion samples: refused, not allocated
+def test_distance_near_one_above_dense_dims(rng):
+    # ||W - 1|| = 1 - 1e-9: the eigenvalues +-pi/3 turn at most 2 tan(pi/6)
+    # each along the sampled chords, so the certified grid stays at 64
+    # intervals however close the distance sits to 1
     theta = 2.0 * np.arcsin((1.0 - 1e-9) / 2.0)
     phases = np.zeros(170)
     phases[:2] = theta, -theta
     q = haar_unitary(170, rng)
     w = (q * np.exp(1j * phases)) @ dagger(q)
-    with pytest.raises(NumericalInconsistency, match="certified path grid"):
-        winding_of_unitary(w)
+    report = winding_of_unitary(w)
+    assert report.winding == report.path_method == 0
+    assert report.samples_used == INITIAL_INTERVALS + 1
+
+
+def structured_defect_unitary(dim, tol, theta, rng):
+    """Normal ``W`` with ``det W = 1`` and ``||W*W - 1|| = 0.99 tol``.
+
+    Half the eigenvalues sit at ``r e^{i theta}``, half at ``e^{-i theta}/r``.
+    ``arcsin`` of their imaginary parts overshoots each phase by about
+    ``(r - 1) tan(theta)`` with one sign, so the errors add up instead of
+    cancelling: the Hermitian phase sum misses its integer by about
+    ``dim (r - 1) tan(theta) / 2 pi``.
+    """
+    r = math.sqrt(1.0 + 0.99 * tol)
+    half = dim // 2
+    lam = np.concatenate([
+        np.full(half, r * np.exp(1j * theta)),
+        np.full(half, np.exp(-1j * theta) / r),
+    ])
+    q = haar_unitary(dim, rng)
+    return (q * lam) @ dagger(q)
+
+
+@pytest.mark.parametrize(
+    "dim, tol",
+    [(800, UNITARITY_TOL), (160, 5.0 * UNITARITY_TOL)],
+    ids=["spectral-branch", "dense-branch-pair-tolerance"],
+)
+def test_residue_gate_follows_phase_certificate(dim, tol, rng):
+    # the phase sums miss 0 by about 1.07e-6, past a flat 1e-6 gate but
+    # well inside the certified n tau / 3
+    w = structured_defect_unitary(dim, tol, 1.04, rng)
+    residue = -float(np.sum(np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))))
+    assert 1.05e-6 < abs(residue) / (2.0 * np.pi) < dim * tol / 3.0
+    report = winding_of_unitary(w, unitarity_tol=tol)
+    assert report.winding == report.eigenvalue_method == report.path_method == 0
+
+
+def test_loose_tolerance_takes_nonsymmetric_phases(rng):
+    # at tau = 1.1e-2 and dim 400 the Hermitian phases would sum to about
+    # -0.59 turns and round to a wrong winding; beyond the phase budget the
+    # eigenvalue method reads the arguments of eigvals instead
+    w = structured_defect_unitary(400, 1.1e-2, 1.04, rng)
+    hermitian = -float(np.sum(np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))))
+    assert round(hermitian / (2.0 * np.pi)) != 0
+    report = winding_of_unitary(w, unitarity_tol=1.1e-2)
+    assert report.winding == report.eigenvalue_method == report.path_method == 0
 
 
 # ---------------------------------------------------------------------------
