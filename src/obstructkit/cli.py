@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -105,9 +106,16 @@ def _extract_tolerances(argv):
                     + ", ".join(RECOGNIZED_TOLERANCES)
                 )
             try:
-                tols[name] = float(raw)
+                value = float(raw)
             except ValueError:
                 _usage_fail(f"tolerance --tol.{name} needs a number, got {raw!r}")
+            # a NaN or infinite tolerance would switch its gate off, a negative
+            # one would refuse every input
+            if not 0.0 <= value < math.inf:
+                _usage_fail(
+                    f"tolerance --tol.{name} must be finite and non-negative, got {raw!r}"
+                )
+            tols[name] = value
         else:
             rest.append(arg)
         i += 1

@@ -446,6 +446,11 @@ def test_tolerance_flag_errors(capsys):
     assert code == 1
     code, _, _ = run_cli(["--tol.gap"], capsys)
     assert code == 1
+    # a NaN or infinite tolerance would switch its gate off, a negative one
+    # would refuse every input
+    for value in ("nan", "inf", "-1"):
+        code, _, err = run_cli(["--tol.gap", value, "eta", "--q", "0.2"], capsys)
+        assert code == 1 and "finite and non-negative" in err
 
 
 def test_usage_errors_exit_one(capsys):

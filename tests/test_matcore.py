@@ -1,9 +1,9 @@
 """Contracts of the dense linear-algebra core.
 
 Oracles: scipy.linalg.polar for the polar factor, a hand-rolled power
-iteration for the operator norm, and direct eigenvalue counts for spectral
-projections.  Library calls are cross-checked against these, never against
-themselves.
+iteration and the SVD for the operator norm, and direct eigenvalue counts for
+spectral projections.  Library calls are cross-checked against these, never
+against themselves.
 """
 
 import numpy as np
@@ -22,6 +22,8 @@ from obstructkit.errors import (
 )
 from obstructkit.matcore import (
     SINGULARITY_TOL,
+    SVD_NORM_DIM_LIMIT,
+    UNITARITY_TOL,
     as_matrix,
     block_sum,
     block_sum_many,
@@ -102,6 +104,30 @@ def test_op_norm_submultiplicative(dim, seed):
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     b = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-10
+
+
+@given(
+    dim=st.integers(1, 64),
+    rank=st.integers(0, 64),
+    exponent=st.integers(-150, 150),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60)
+def test_op_norm_matches_svd_across_scales(dim, rank, exponent, seed):
+    gen = derive_rng(seed, 3)
+    rank = min(rank, dim)
+    x = gen.normal(size=(dim, rank)) + 1j * gen.normal(size=(dim, rank))
+    y = gen.normal(size=(rank, dim)) + 1j * gen.normal(size=(rank, dim))
+    a = (x @ y) * 10.0 ** exponent
+    expected = float(np.linalg.svd(a, compute_uv=False)[0])
+    assert abs(op_norm(a) - expected) <= 1e-12 * dim * expected
+
+
+@pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["svd", "gram"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 0.0])
+def test_op_norm_extreme_scales(scale, dim):
+    # unscaled, the Gram matrix of the first would overflow, of the second underflow
+    assert abs(op_norm(scale * np.eye(dim)) - scale) <= 1e-14 * scale
 
 
 def test_op_norm_rejects_nonfinite():
@@ -286,6 +312,37 @@ def test_require_unitary_accepts_and_rejects(rng):
     with pytest.raises(NotUnitary):
         require_unitary(w * 1.01)
     assert not is_unitary(w * 1.01)
+
+
+def test_unitarity_screen_falls_back_to_the_exact_norm():
+    # ||a*a - 1|| = 0.9 tol, but its Frobenius norm is sqrt(400) * 0.9 tol
+    dim = 400
+    diag = np.full(dim, np.sqrt(1.0 + 0.9 * UNITARITY_TOL))
+    a = np.diag(diag)
+    assert np.linalg.norm(a.conj().T @ a - np.eye(dim)) > UNITARITY_TOL
+    assert is_unitary(a)
+    require_unitary(a)
+    diag[0] = np.sqrt(1.0 + 1.1 * UNITARITY_TOL)
+    a = np.diag(diag)
+    assert not is_unitary(a)
+    with pytest.raises(NotUnitary, match="1.100e-08"):
+        require_unitary(a)
+
+
+@pytest.mark.parametrize("dim", [2, SVD_NORM_DIM_LIMIT + 4], ids=["svd", "gram"])
+def test_unitarity_gate_refuses_tiny_defects_and_nan_tolerances(dim):
+    # unscaled, the squares of 1e-170 flush to zero and the screen would pass
+    a = np.eye(dim)
+    a[0, 1] = 1e-170
+    assert not is_unitary(a, tol=0.0)
+    # exact norm 1e-170, Frobenius norm 1.41e-170
+    assert is_unitary(a, tol=1.2e-170)
+    assert not is_unitary(a, tol=0.5e-170)
+    assert is_unitary(identity(3), tol=0.0)
+    assert not is_unitary(identity(3), tol=float("nan"))
+    assert not is_unitary(a, tol=float("nan"))
+    with pytest.raises(NotUnitary):
+        require_unitary(identity(3), tol=float("nan"))
 
 
 def test_require_projection_gate(rng):

@@ -122,6 +122,12 @@ def test_non_unitary_rejected():
         winding_of_unitary(np.diag([0.9, 1.0]))
 
 
+def test_nan_tolerance_refuses():
+    w, _ = random_admissible_unitary(8, derive_rng(3, 8), winding=1)
+    with pytest.raises(NotUnitary):
+        winding_of_unitary(w, unitarity_tol=float("nan"))
+
+
 def test_report_json_fields():
     obj = winding_report_to_json(winding_of_unitary(np.eye(3)))
     assert obj["winding"] == 0
@@ -402,6 +408,14 @@ def test_swap_antisymmetry():
         u, v = voiculescu_pair(0.4, k)
         assert winding_pair(u, v).winding == k
         assert winding_pair(v, u).winding == -k
+
+
+@pytest.mark.parametrize("k", [-1, 1])
+def test_voiculescu_small_delta_pair(k):
+    # delta = 0.01 takes clock-and-shift blocks of size 629
+    u, v = voiculescu_pair(0.01, k)
+    assert u.shape == (629, 629)
+    assert winding_pair(u, v).winding == k
 
 
 def test_pair_block_additivity():
