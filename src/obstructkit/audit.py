@@ -34,6 +34,7 @@ from .matcore import (
     coordinate_projection,
     hermitian_rotation,
     op_norm,
+    op_norms,
     spectral_projection,
 )
 from .projops import (
@@ -94,7 +95,7 @@ def _trial_unitarize(rng) -> dict:
     phi = perturbed_honest_rep(pres, S, eps, dim, rng)
     sigma = unitarize(phi, S, eps)
     out = defect(sigma, S)
-    closeness = max(op_norm(sigma.evaluate(s) - phi.evaluate(s)) for s in S)
+    closeness = float(op_norms(sigma.evaluate(s) - phi.evaluate(s) for s in S).max())
     return {
         "defect": out.max_defect / (6.0 * eps),
         "closeness": closeness / eps,
@@ -137,8 +138,8 @@ def _trial_alm_proj(rng) -> dict:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     b = g / op_norm(g)
     chi = spectral_projection(a, 0.5, gap_tol=(0.5 - delta) * 0.99)
-    bound = op_norm(commutator(a, b)) / (1.0 - 2.0 * delta) + 1e-12
-    return {"commutator": op_norm(commutator(chi, b)) / bound}
+    ab, chib = op_norms((commutator(a, b), commutator(chi, b))).tolist()
+    return {"commutator": chib / (ab / (1.0 - 2.0 * delta) + 1e-12)}
 
 
 def _trial_path_uni(rng) -> dict:

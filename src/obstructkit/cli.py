@@ -23,6 +23,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from .errors import (
+    AuditViolation,
     NotUnitary,
     ObstructkitError,
     ParseError,
@@ -330,18 +331,16 @@ def cmd_audit(args, tols) -> int:
             failed = True
         _emit(payload, args.out)
         if failed:
-            sys.stderr.write("replayed instance fails its bound\n")
-            return 4
+            raise AuditViolation("replayed instance fails its bound")
         return 0
 
     outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite or None)
     _emit(audit_mod.audit_outcome_to_json(outcome, include_timings=args.timings), args.out)
     if not outcome.all_passed:
         failing = [r.suite for r in outcome.suites if not r.passed]
-        sys.stderr.write(
-            "audit failed in: " + ", ".join(failing) + " (failures are in the report)\n"
+        raise AuditViolation(
+            "audit failed in: " + ", ".join(failing) + " (failures are in the report)"
         )
-        return 4
     return 0
 
 

@@ -4,6 +4,11 @@ Every matrix in this library is a square, finite ``numpy`` array of
 ``complex128``.  All norms are operator norms: the largest singular value,
 from one SVD up to ``SVD_NORM_DIM_LIMIT`` and above it, without an SVD, as
 ``s sqrt(lambda_max(b*b))`` for ``b = a / s`` (see :func:`op_norm`).
+:func:`op_norms` takes the norms of many equal-size matrices at once: up to
+``SVD_NORM_DIM_LIMIT`` it validates them as one stack and reads every norm
+off one stacked SVD call, which is bitwise equal to per-matrix calls; above
+it it streams the matrices one at a time through :func:`op_norm`, so a
+generator of large residues never holds more than one of them.
 Functions here are pure: inputs are never mutated and returned arrays are
 marked read-only, so values can be shared freely between threads.
 
@@ -17,12 +22,13 @@ Tolerances
 ``UNITARITY_TOL``
     default tolerance for "unitary within tolerance" gates.
 ``SVD_NORM_DIM_LIMIT``
-    largest dimension whose operator norm comes from one SVD call; above it
-    the scaled Gram route is cheaper.
+    largest dimension whose operator norm comes from one SVD call (stacked
+    in :func:`op_norms`); above it the scaled Gram route is cheaper.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +84,27 @@ def as_matrix(a) -> np.ndarray:
     return _freeze(arr)
 
 
+def as_stack(mats) -> np.ndarray:
+    """Validate equal-size square complex matrices as one read-only stack.
+
+    Returns a ``(k, n, n)`` array; raises :class:`InvalidMatrix` for an
+    empty or ragged input, non-square or empty matrices, or non-finite
+    entries.
+    """
+    try:
+        arr = np.asarray(list(mats), dtype=np.complex128)
+    except ValueError as exc:
+        raise InvalidMatrix(f"expected equal-size square matrices: {exc}") from exc
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise InvalidMatrix(f"expected a stack of square matrices, got shape {arr.shape}")
+    if arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise InvalidMatrix("a stack needs at least one matrix of positive dimension")
+    if not np.isfinite(arr).all():
+        raise InvalidMatrix("matrix has non-finite entries")
+    arr.setflags(write=False)  # built from a list, so never the caller's array
+    return arr
+
+
 def identity(dim: int) -> np.ndarray:
     return _freeze(np.eye(dim, dtype=np.complex128))
 
@@ -122,6 +149,36 @@ def op_norm(a) -> float:
     return scale * math.sqrt(float(np.linalg.eigvalsh(b.conj().T @ b)[-1]))
 
 
+def op_norms(mats) -> np.ndarray:
+    """Operator norms of an iterable of equal-size square matrices.
+
+    Up to ``SVD_NORM_DIM_LIMIT`` the matrices are validated once as a stack
+    and every norm comes from one stacked ``np.linalg.svd`` call, which
+    returns the same bits as :func:`op_norm` on each matrix.  Above it they
+    are taken one at a time through :func:`op_norm`, so a generator input
+    never holds more than one large matrix.  An empty input gives an empty
+    array; ragged, non-square or non-finite input raises
+    :class:`InvalidMatrix`.
+    """
+    mats = iter(mats)
+    first = next(mats, None)
+    if first is None:
+        return np.empty(0)
+    shape = np.shape(first)
+    if len(shape) == 2 and shape[0] > SVD_NORM_DIM_LIMIT:
+        rest = itertools.chain((first,), mats)
+        del first  # the stream below must be the only holder of each matrix
+        return np.array([op_norm(_require_shape(a, shape)) for a in rest], dtype=float)
+    return np.linalg.svd(as_stack(itertools.chain((first,), mats)), compute_uv=False)[:, 0]
+
+
+def _require_shape(a, shape: tuple) -> np.ndarray:
+    arr = as_matrix(a)
+    if arr.shape != shape:
+        raise InvalidMatrix(f"expected equal-size matrices: {arr.shape} after {shape}")
+    return arr
+
+
 def matrices_close(a, b, tol: float) -> bool:
     """Tolerance-parameterized equality in operator norm (never bitwise)."""
     return op_norm(np.asarray(a) - np.asarray(b)) <= tol
@@ -156,27 +213,49 @@ def require_unitary(a, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.n
     return arr
 
 
-def require_unit_ball(a: np.ndarray, dim: int, tol: float, what: str) -> None:
-    """Check that ``a`` is ``dim`` x ``dim`` with ``||a|| <= 1 + tol``."""
-    if a.shape[0] != dim:
-        raise InvalidSize(f"{what} must be {dim} x {dim}, got {a.shape[0]}")
-    norm = op_norm(a)
-    if norm > 1.0 + tol:
-        raise HypothesisViolation(f"{what} leaves the unit ball: norm {norm:.12f}", measured=norm)
+def require_unit_ball(mats, dim: int, tol: float, whats) -> None:
+    """Check that each matrix is ``dim`` x ``dim`` with ``||a|| <= 1 + tol``.
+
+    ``whats`` names the matrices in the messages.  Refusals come in input
+    order: the norms of the matrices before the first wrong shape are taken
+    in one :func:`op_norms` call and the first above ``1 + tol`` raises
+    :class:`HypothesisViolation`; otherwise the wrong shape raises
+    :class:`InvalidSize`.
+    """
+    mats = list(mats)
+    whats = list(whats)
+    fit = next((i for i, a in enumerate(mats) if a.shape[0] != dim), len(mats))
+    for what, norm in zip(whats, op_norms(mats[:fit]).tolist()):
+        if norm > 1.0 + tol:
+            raise HypothesisViolation(
+                f"{what} leaves the unit ball: norm {norm:.12f}", measured=norm
+            )
+    if fit < len(mats):
+        raise InvalidSize(f"{whats[fit]} must be {dim} x {dim}, got {mats[fit].shape[0]}")
 
 
 def require_projection(a, tol: float | None = None, what: str = "matrix") -> np.ndarray:
     """Check ``a = a* = a^2`` within ``tol`` (default ``spectral_tol(dim)``)."""
     arr = as_matrix(a)
-    if tol is None:
-        tol = spectral_tol(arr.shape[0])
-    herm = op_norm(arr - arr.conj().T)
-    idem = op_norm(arr @ arr - arr)
-    if herm > tol or idem > tol:
-        raise NotProjection(
-            f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}"
-        )
+    require_projections(arr[None], (what,), tol)
     return arr
+
+
+def require_projections(stack: np.ndarray, whats, tol: float | None = None) -> None:
+    """:func:`require_projection` for every matrix of a validated stack.
+
+    ``whats`` names the matrices.  Both residues of every matrix come from
+    one :func:`op_norms` call; the first matrix in stack order that fails
+    raises :class:`NotProjection`.
+    """
+    if tol is None:
+        tol = spectral_tol(stack.shape[1])
+    norms = op_norms(r for a in stack for r in (a - a.conj().T, a @ a - a)).tolist()
+    for what, herm, idem in zip(whats, norms[::2], norms[1::2]):
+        if herm > tol or idem > tol:
+            raise NotProjection(
+                f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}"
+            )
 
 
 def polar_unitary(a) -> np.ndarray:

@@ -20,13 +20,17 @@ import numpy as np
 
 from .errors import (
     HypothesisViolation,
+    InvalidMatrix,
     InvalidSize,
+    NotInvertible,
     NumericalInconsistency,
     ParseError,
     SubdivisionTooCoarse,
 )
 from .matcore import (
+    SINGULARITY_TOL,
     as_matrix,
+    as_stack,
     commutator,
     coordinate_projection,
     dagger,
@@ -35,8 +39,9 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
-    polar_unitary,
+    op_norms,
     require_projection,
+    require_projections,
     require_unit_ball,
     spectral_projection,
 )
@@ -67,15 +72,14 @@ def projection_pair_context(p, q, test_ops) -> ProjectionPairContext:
     if p.shape != q.shape:
         raise InvalidSize("projections must share one dimension")
     ops = _unit_ball_operators(test_ops, p.shape[0])
-    eps = max([0.0, *(op_norm(commutator(y, x)) for x in ops for y in (p, q))])
+    eps = max([0.0, *op_norms(commutator(y, x) for x in ops for y in (p, q)).tolist()])
     return ProjectionPairContext(p, q, ops, eps)
 
 
 def _unit_ball_operators(test_ops, dim: int) -> tuple:
     """Validate test operators: ``dim``-square and inside the unit ball."""
     ops = tuple(as_matrix(x) for x in test_ops)
-    for x in ops:
-        require_unit_ball(x, dim, 1e-8, "test operator")
+    require_unit_ball(ops, dim, 1e-8, ["test operator"] * len(ops))
     return ops
 
 
@@ -104,38 +108,58 @@ def connecting_unitary(ctx: ProjectionPairContext):
     ``||[u, x]|| <= 28 eps`` for every test operator.  Both facts are
     asserted, with 1e-9 slack for floating point, before returning.
     """
-    p, q = ctx.p, ctx.q
-    gap = op_norm(p - q)
+    gap = op_norm(ctx.p - ctx.q)
     if gap >= 0.25:
         raise HypothesisViolation(
             f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
         )
-    dim = p.shape[0]
-    eye = identity(dim)
-    v = q @ p + (eye - q) @ (eye - p)
-    u = polar_unitary(v)
-
-    conj_err = op_norm(u @ p @ dagger(u) - q)
-    if conj_err > CONJUGATION_EXACTNESS:
-        raise NumericalInconsistency(
-            f"conjugation identity failed: ||u p u* - q|| = {conj_err:.3e}"
-        )
-    bound = COMMUTATOR_CONSTANT * ctx.eps + 1e-9
-    norms, worst = _commutator_norms(u, ctx.test_ops, bound, "28*eps + 1e-9")
-    return u, ConjugationAudit(conj_err, norms, ctx.eps, bound, worst)
+    us, audits = _connecting_unitaries(np.stack([ctx.p, ctx.q]), ctx.test_ops, [ctx.eps])
+    return us[0], audits[0]
 
 
-def _commutator_norms(u, ops, bound: float, label: str):
-    """``||[u, x]||`` per test operator and the worst ratio; refuses any above ``bound``."""
-    norms = []
-    for x in ops:
-        n = op_norm(commutator(u, x))
+def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
+    """The connecting unitaries of every step ``path[i] -> path[i + 1]``.
+
+    ``path`` is a stack of projections with consecutive gaps below 1/4 and
+    ``step_eps[i]`` the commutator scale of step ``i``.  All polar factors
+    come from one stacked SVD and all conjugation and commutator norms from
+    one :func:`op_norms` call each; the guarantees of
+    :func:`connecting_unitary` are then checked in step order, so the first
+    failing step raises.  Returns the unitaries as a stack and one
+    :class:`ConjugationAudit` per step.
+    """
+    p, q = path[:-1], path[1:]
+    eye = identity(path.shape[1])
+    w, s, vh = np.linalg.svd(q @ p + (eye - q) @ (eye - p))
+    us = w @ vh
+    us.setflags(write=False)
+    conj = op_norms(u @ pi @ dagger(u) - qi for u, pi, qi in zip(us, p, q)).tolist()
+    comm = op_norms(commutator(u, x) for u in us for x in ops).tolist()
+    audits = []
+    for i, eps in enumerate(step_eps):
+        if s[i, -1] <= SINGULARITY_TOL:
+            raise NotInvertible(
+                f"smallest singular value {s[i, -1]:.3e} <= {SINGULARITY_TOL:.1e}"
+            )
+        if conj[i] > CONJUGATION_EXACTNESS:
+            raise NumericalInconsistency(
+                f"conjugation identity failed: ||u p u* - q|| = {conj[i]:.3e}"
+            )
+        bound = COMMUTATOR_CONSTANT * eps + 1e-9
+        norms = comm[i * len(ops):(i + 1) * len(ops)]
+        worst = _commutator_worst(norms, bound, "28*eps + 1e-9")
+        audits.append(ConjugationAudit(conj[i], tuple(norms), eps, bound, worst))
+    return us, audits
+
+
+def _commutator_worst(norms, bound: float, label: str) -> float:
+    """The worst ratio of ``||[u, x]||`` to ``bound``; refuses the first norm above it."""
+    for n in norms:
         if n > bound:
             raise NumericalInconsistency(
                 f"commutator bound failed: ||[u,x]|| = {n:.3e} > {label} = {bound:.3e}"
             )
-        norms.append(n)
-    return tuple(norms), max([0.0, *(n / bound for n in norms)])
+    return max([0.0, *(n / bound for n in norms)])
 
 
 @dataclass(frozen=True)
@@ -161,15 +185,10 @@ def chain_conjugation(path, test_ops):
     1e-8 m`` and ``||[u, x]|| <= 28 eps_path m + 1e-8`` — the telescoping
     sum of the per-step guarantees.
     """
-    path = [require_projection(pt, what=f"path projection {i}") for i, pt in enumerate(path)]
-    if not path:
-        raise InvalidSize("chain_conjugation needs a nonempty path")
-    dim = path[0].shape[0]
-    if any(pt.shape[0] != dim for pt in path):
-        raise InvalidSize("all path projections must share one dimension")
-    m = len(path) - 1
-    for i in range(m):
-        gap = op_norm(path[i] - path[i + 1])
+    path = _projection_path(path)
+    m, dim = len(path) - 1, path.shape[1]
+    gaps = op_norms(path[i] - path[i + 1] for i in range(m)).tolist()
+    for i, gap in enumerate(gaps):
         if gap >= 0.25:
             raise SubdivisionTooCoarse(
                 f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
@@ -177,14 +196,15 @@ def chain_conjugation(path, test_ops):
             )
     ops = _unit_ball_operators(test_ops, dim)
     # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
-    comm = [[op_norm(commutator(pt, x)) for x in ops] for pt in path]
-    eps_path = max([0.0, *(n for row in comm for n in row)])
+    k = len(ops)
+    flat = op_norms(commutator(pt, x) for pt in path for x in ops).tolist()
+    comm = [flat[i * k:(i + 1) * k] for i in range(m + 1)]
+    eps_path = max([0.0, *flat])
 
+    step_eps = [max([0.0, *comm[i], *comm[i + 1]]) for i in range(m)]
+    step_us, _ = _connecting_unitaries(path, ops, step_eps)
     u = identity(dim)
-    for i in range(m):
-        step_eps = max([0.0, *comm[i], *comm[i + 1]])
-        ctx = ProjectionPairContext(path[i], path[i + 1], ops, step_eps)
-        step_u, _ = connecting_unitary(ctx)
+    for step_u in step_us:
         u = step_u @ u
 
     conj_err = op_norm(u @ path[0] @ dagger(u) - path[-1])
@@ -194,9 +214,31 @@ def chain_conjugation(path, test_ops):
             f"chained conjugation drift {conj_err:.3e} exceeds {conj_bound:.3e}"
         )
     comm_bound = COMMUTATOR_CONSTANT * eps_path * m + CHAIN_EXACTNESS
-    norms, worst = _commutator_norms(u, ops, comm_bound, "28*eps*m + 1e-8")
-    report = ChainReport(m, eps_path, conj_err, conj_bound, norms, comm_bound, worst)
+    norms = op_norms(commutator(u, x) for x in ops).tolist()
+    worst = _commutator_worst(norms, comm_bound, "28*eps*m + 1e-8")
+    report = ChainReport(m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst)
     return u, report
+
+
+def _projection_path(path) -> np.ndarray:
+    """Validate a path of projections as one stack, refusing in path order.
+
+    A path that does not stack (a malformed entry or two dimensions) is
+    checked position by position instead, so the first bad position raises
+    what :func:`require_projection` raises; if every position passes, the
+    dimensions differ.
+    """
+    path = list(path)
+    if not path:
+        raise InvalidSize("chain_conjugation needs a nonempty path")
+    try:
+        stack = as_stack(path)
+    except InvalidMatrix:
+        for i, pt in enumerate(path):
+            require_projection(pt, what=f"path projection {i}")
+        raise InvalidSize("all path projections must share one dimension") from None
+    require_projections(stack, (f"path projection {i}" for i in range(len(stack))))
+    return stack
 
 
 # ---------------------------------------------------------------------------

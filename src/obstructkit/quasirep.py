@@ -17,6 +17,7 @@ The factor 6 is a theorem, and the test suite asserts it literally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -39,6 +40,7 @@ from .matcore import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    op_norms,
     polar_unitary,
     require_projection,
     require_unit_ball,
@@ -133,11 +135,11 @@ class QuasiRep:
         images = tuple(as_matrix(m) for m in self.images)
         object.__setattr__(self, "images", images)
         dim = images[0].shape[0]
-        for i, m in enumerate(images):
-            require_unit_ball(m, dim, UNIT_BALL_TOL, f"image of generator {i}")
+        whats = (f"image of generator {i}" for i in range(len(images)))
+        require_unit_ball(images, dim, UNIT_BALL_TOL, whats)
         table = {key: as_matrix(value) for key, value in self.word_table.items()}
-        for key, v in table.items():
-            require_unit_ball(v, dim, UNIT_BALL_TOL, f"table value for {key}")
+        whats = (f"table value for {key}" for key in table)
+        require_unit_ball(table.values(), dim, UNIT_BALL_TOL, whats)
         object.__setattr__(self, "word_table", table)
         if self.flavor == "ucp-compression" and self.compression is None:
             raise ParseError("ucp-compression flavor requires compression data")
@@ -214,26 +216,27 @@ class DefectReport:
 
 
 def defect(phi: QuasiRep, S, mode: str | None = None) -> DefectReport:
-    """Measure all ordered-pair defects of ``phi`` over the word list ``S``."""
+    """Measure all ordered-pair defects of ``phi`` over the word list ``S``.
+
+    The ``|S|^2`` product residues and ``2 |S|`` unitarity residues go to one
+    :func:`op_norms` call, which streams them above ``SVD_NORM_DIM_LIMIT``.
+    """
     S = list(S)
     values = [phi.evaluate(s, mode) for s in S]
     eye = identity(phi.dim)
-    pair_defects: dict = {}
-    max_defect = 0.0
-    for i, s in enumerate(S):
-        for j, t in enumerate(S):
-            d = op_norm(values[i] @ values[j] - phi.evaluate(s * t, mode))
-            pair_defects[(s, t)] = d
-            if d > max_defect:
-                max_defect = d
-    unit = 0.0
-    for v in values:
-        unit = max(
-            unit,
-            op_norm(dagger(v) @ v - eye),
-            op_norm(v @ dagger(v) - eye),
-        )
-    return DefectReport(pair_defects, max_defect, unit)
+    pairs = [(s, t) for s in S for t in S]
+    residues = itertools.chain(
+        (
+            vs @ vt - phi.evaluate(s * t, mode)
+            for s, vs in zip(S, values)
+            for t, vt in zip(S, values)
+        ),
+        (r for v in values for r in (dagger(v) @ v - eye, v @ dagger(v) - eye)),
+    )
+    norms = op_norms(residues).tolist()
+    pair_defects = dict(zip(pairs, norms))
+    max_defect = max([0.0, *norms[:len(pairs)]])
+    return DefectReport(pair_defects, max_defect, max([0.0, *norms[len(pairs):]]))
 
 
 def defect_report_to_json(report: DefectReport, p: Presentation) -> dict:
@@ -365,8 +368,8 @@ def require_honest(big_images, p: Presentation, tol: float | None = None):
         require_unitary(m, what=f"image of generator {i}")
     eye = identity(dim)
     adjoints = tuple(m.conj().T for m in mats)
-    for r in p.relators:
-        err = op_norm(fold_word(r, mats, adjoints, "adjoint") - eye)
+    relators = (fold_word(r, mats, adjoints, "adjoint") - eye for r in p.relators)
+    for err in op_norms(relators).tolist():
         if err > tol:
             raise HypothesisViolation(
                 f"relator evaluates {err:.3e} away from the identity; "
@@ -437,24 +440,23 @@ def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
             f"unitarity defect {eps:.6f} is not below 1", measured=eps
         )
     bound = math.sqrt(eps) + 1e-9
-    entries = []
-    worst = 0.0
-    passed = True
+    g_sample = list(g_sample)
     values = [phi.evaluate(s) for s in S]
-    for g in g_sample:
-        vg = phi.evaluate(g)
-        for s, vs in zip(S, values):
-            for order, w, prod in (
-                ("left", g * s, vg @ vs),
-                ("right", s * g, vs @ vg),
-            ):
-                measured = op_norm(phi.evaluate(w) - prod)
-                ratio = measured / bound
-                ok = measured <= bound
-                passed = passed and ok
-                worst = max(worst, ratio)
-                entries.append((g, s, order, measured, ratio, ok))
-    return MultiplicativityAudit(eps, bound, tuple(entries), worst, passed)
+
+    def residues():
+        for g in g_sample:
+            vg = phi.evaluate(g)
+            for s, vs in zip(S, values):
+                yield phi.evaluate(g * s) - vg @ vs
+                yield phi.evaluate(s * g) - vs @ vg
+
+    cases = [(g, s, order) for g in g_sample for s in S for order in ("left", "right")]
+    entries = tuple(
+        (*case, measured, measured / bound, measured <= bound)
+        for case, measured in zip(cases, op_norms(residues()).tolist())
+    )
+    worst = max([0.0, *(e[4] for e in entries)])
+    return MultiplicativityAudit(eps, bound, entries, worst, all(e[5] for e in entries))
 
 
 # ---------------------------------------------------------------------------

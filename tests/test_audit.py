@@ -19,10 +19,53 @@ from obstructkit.seeding import derive_rng
 
 MASTER = 20240817
 
+# float.hex of every ratio of trials 0 and 1 of each suite at master seed 7,
+# recorded before the audit norms were stacked: any drift of even one ulp in
+# a norm, a polar factor or the order of a product fails the test below
+GOLDEN_SEED = 7
+GOLDEN_RATIOS = {
+    ("unitarize", 0): {
+        "closeness": "0x1.fdba0dd05a94bp-5",
+        "defect": "0x1.cade801fb3640p-5",
+        "unitarity": "0x1.795927eb1faadp-17",
+    },
+    ("unitarize", 1): {
+        "closeness": "0x1.fcccf9f8854eep-5",
+        "defect": "0x1.6a01c569d8aafp-5",
+        "unitarity": "0x1.2c4b70ce7e413p-17",
+    },
+    ("sqrt_mult", 0): {"multiplicativity": "0x1.fd0470af115f7p-1"},
+    ("sqrt_mult", 1): {"multiplicativity": "0x1.d24320bb6e81ep-1"},
+    ("alm_proj", 0): {"commutator": "0x1.2c8352b15880cp-1"},
+    ("alm_proj", 1): {"commutator": "0x1.df5823ba1d901p-3"},
+    ("path_uni", 0): {
+        "commutator": "0x1.24db0069ebf8ep-5",
+        "conjugation": "0x1.a39e7019a47e5p-20",
+    },
+    ("path_uni", 1): {
+        "commutator": "0x1.24edcf020391fp-5",
+        "conjugation": "0x1.f53c672417325p-21",
+    },
+    ("chain", 0): {
+        "commutator": "0x1.156cbc4f04b90p-10",
+        "conjugation": "0x1.28bbf972b1632p-25",
+    },
+    ("chain", 1): {
+        "commutator": "0x1.4cb0e308af2f2p-11",
+        "conjugation": "0x1.d4b706faf145ep-23",
+    },
+}
+
 
 def test_suite_catalogue():
     assert SUITES == ("unitarize", "sqrt_mult", "alm_proj", "path_uni", "chain")
     assert set(BOUND_LABELS) == set(SUITES)
+
+
+@pytest.mark.parametrize("suite, trial", sorted(GOLDEN_RATIOS, key=str))
+def test_run_trial_ratios_are_bit_exact(suite, trial):
+    ratios = run_trial(suite, GOLDEN_SEED, trial)
+    assert {k: float(v).hex() for k, v in ratios.items()} == GOLDEN_RATIOS[(suite, trial)]
 
 
 @pytest.mark.parametrize("suite", SUITES)

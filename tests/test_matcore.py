@@ -36,6 +36,7 @@ from obstructkit.matcore import (
     matrix_from_json,
     matrix_to_json,
     op_norm,
+    op_norms,
     polar_unitary,
     require_projection,
     require_unitary,
@@ -133,6 +134,48 @@ def test_op_norm_extreme_scales(scale, dim):
 def test_op_norm_rejects_nonfinite():
     with pytest.raises(InvalidMatrix):
         op_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@given(
+    dim=st.integers(1, 40),
+    count=st.integers(1, 6),
+    container=st.sampled_from(["list", "tuple", "generator"]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=60)
+def test_op_norms_bitwise_equal_to_op_norm(dim, count, container, seed):
+    # dims 1-40 cover both routes: the stacked SVD and the streamed Gram route
+    gen = derive_rng(seed, 4)
+    mats = [
+        gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)) for _ in range(count)
+    ]
+    expected = [op_norm(a) for a in mats]
+    given_mats = {"list": mats, "tuple": tuple(mats), "generator": (a for a in mats)}[container]
+    norms = op_norms(given_mats)
+    assert norms.dtype == np.float64
+    assert norms.tolist() == expected
+
+
+@pytest.mark.parametrize("empty", [[], (), iter(())], ids=["list", "tuple", "generator"])
+def test_op_norms_of_nothing_is_empty(empty):
+    norms = op_norms(empty)
+    assert norms.shape == (0,)
+    assert norms.dtype == np.float64
+
+
+@pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
+def test_op_norms_rejects_bad_stacks(dim):
+    eye = np.eye(dim)
+    bad_entry = eye.copy()
+    bad_entry[0, 0] = np.inf
+    with pytest.raises(InvalidMatrix):
+        op_norms([eye, np.ones((dim, dim + 1))])
+    with pytest.raises(InvalidMatrix):
+        op_norms((eye, bad_entry))
+    with pytest.raises(InvalidMatrix):
+        op_norms(a for a in (eye, np.eye(dim + 1)))
+    with pytest.raises(InvalidMatrix):
+        op_norms([np.ones(dim)])
 
 
 # ---------------------------------------------------------------------------

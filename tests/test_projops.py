@@ -155,6 +155,24 @@ def test_chain_two_step_equals_composition(rng):
     assert np.array_equal(u_chain, u2 @ u1)
 
 
+def test_chain_refuses_a_non_projection_before_a_coarse_gap(rng):
+    basis = haar_unitary(4, rng)
+    p0, p1 = plane_rotated_projection(2, 4, 0.05, basis)
+    _, p_far = plane_rotated_projection(2, 4, 0.7, basis)  # gap >= 1/4 at index 1
+    path = [p0, p1, p_far, p_far, 0.5 * np.eye(4), p_far]
+    with pytest.raises(NotProjection, match="path projection 4 "):
+        chain_conjugation(path, [np.eye(4)])
+
+
+def test_chain_unstackable_path_refuses_in_path_order(rng):
+    p3 = random_projection(3, 1, rng)
+    p4 = random_projection(4, 2, rng)
+    with pytest.raises(NotProjection, match="path projection 2 "):
+        chain_conjugation([p3, p4, 0.5 * np.eye(3), np.full((3, 3), np.nan)], [])
+    with pytest.raises(InvalidSize, match="share one dimension"):
+        chain_conjugation([p3, p4], [])
+
+
 def test_chain_coarse_subdivision_rejected(rng):
     basis = haar_unitary(4, rng)
     p0, p_far = plane_rotated_projection(2, 4, 0.6, basis)  # sin(0.6) > 1/4

@@ -6,6 +6,7 @@ on independently constructed matrices.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,32 @@ def test_defect_invariant_under_joint_conjugation(rng):
     assert defect(conj, S).max_defect == pytest.approx(
         defect(phi, S).max_defect, abs=1e-10 * 5
     )
+
+
+def test_defect_streams_large_residues():
+    # dim 189: above SVD_NORM_DIM_LIMIT the 16 residues are normed one at a
+    # time, so the peak stays a few matrices, not the whole set of residues
+    phi = unitary_pair_rep(*voiculescu_pair(0.1, 3))
+    S = symmetrized_generators(Z2)
+    matrix_bytes = phi.dim ** 2 * 16
+    defect(phi, S)
+    tracemalloc.start()
+    try:
+        defect(phi, S)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert phi.dim == 189
+    assert peak < 10 * matrix_bytes
+
+
+def test_unit_ball_refusal_comes_before_a_later_wrong_size():
+    table = {canonical_form(A * B, Z2).letters: identity(3)}
+    with pytest.raises(HypothesisViolation, match="image of generator 0 leaves") as exc_info:
+        QuasiRep(Z2, (2.0 * identity(2), identity(2)), word_table=table)
+    assert exc_info.value.measured == pytest.approx(2.0)
+    with pytest.raises(InvalidSize, match="table value"):
+        QuasiRep(Z2, (identity(2), identity(2)), word_table=table)
 
 
 def test_defect_report_json_shape():
