@@ -4,15 +4,19 @@ Exit codes:
     1 -- malformed input (files, JSON, sizes, family parameters)
     2 -- a mathematical hypothesis of an operation is not met
     3 -- internal numerical inconsistency (dual methods disagree, lost
-         invertibility, exhausted sampling budget)
+         invertibility, a path step its certified grid rules out)
     4 -- an audited bound was violated (used by the audit suites)
 """
 
 
 class ObstructkitError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``measured`` holds the value a gate saw."""
 
     exit_code = 2
+
+    def __init__(self, message, measured=None):
+        super().__init__(message)
+        self.measured = measured
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +47,6 @@ class InvalidFamily(ParseError):
 
 class HypothesisViolation(ObstructkitError):
     """A quantitative hypothesis fails; carries the measured value."""
-
-    def __init__(self, message, measured=None):
-        super().__init__(message)
-        self.measured = measured
 
 
 class NotInvertible(ObstructkitError):

@@ -20,7 +20,7 @@ operator, producing the numerical conjugation invariant in R/Z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,13 +68,7 @@ class EtaResult:
 
 
 def eta_result_to_json(r: EtaResult) -> dict:
-    return {
-        "eta": r.eta,
-        "kernel_dim": r.kernel_dim,
-        "rho_mod_Z": r.rho_mod_Z,
-        "method": r.method,
-        "extrapolation_error": r.extrapolation_error,
-    }
+    return asdict(r)
 
 
 def _rho_from_eta(eta: float, kernel_dim: int) -> float:

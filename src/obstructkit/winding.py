@@ -20,10 +20,14 @@ winding number.  Two algorithms compute it and must agree:
   bound (a defect of 1e-2 at dim 400 can move the sum by more than 1/2), so
   they take the phases as the arguments of ``np.linalg.eigvals(W)``, whose
   sum follows ``arg det W`` to rounding;
-* path method — sampling of the determinant along the path, accumulating
-  wrapped argument increments until every consecutive jump is below pi/2.
-  Above ``DENSE_DET_DIM_LIMIT`` the first grid is already fine enough that
-  no jump can alias (see ``_path_winding``).
+* path method — the wrapped argument increments of the determinant summed
+  over one batch of samples on the grid of ``_certified_intervals(theta)``
+  intervals, on which no true increment reaches pi/2; a wrapped jump at or
+  above pi/2 is refused, not refined (proof in ``_path_winding``).  Up to
+  ``DENSE_DET_DIM_LIMIT`` the samples are dense LU determinants, independent
+  of the eigensolve; above it they are products over the eigenphases, so
+  the path method there cross-checks the summation and the grid, not the
+  phases.
 
 Sign convention: the reported winding is counterclockwise-positive for the
 path ``t + (1-t)W`` as written.  Under it the clock-and-shift pair winds to
@@ -35,7 +39,7 @@ conventionally written with the reversed path ``(1-t) + tW``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,10 +64,11 @@ EIG_RESIDUE_TOL = 1e-6
 # Largest dim * tau for which the Hermitian eigenphases are certified.
 HERMITIAN_PHASE_BUDGET = 1e-3
 INITIAL_INTERVALS = 64
-MAX_PATH_SAMPLES = 2 ** 20
 # Above this dimension the path samples the determinant through the spectral
-# factorization instead of dense LU factorizations (see _PathSampler).
+# factorization instead of dense LU factorizations (see _sample_path).
 DENSE_DET_DIM_LIMIT = 160
+# Dense samples per LU stack: 13 MB at dim 160, however many the grid asks for.
+DET_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -88,104 +93,100 @@ class WindingReport:
 
 
 def winding_report_to_json(r: WindingReport) -> dict:
-    return {
-        "winding": r.winding,
-        "min_clearance": r.min_clearance,
-        "samples_used": r.samples_used,
-        "eigenvalue_method": r.eigenvalue_method,
-        "path_method": r.path_method,
-        "agreement": r.agreement,
-        "orientation": r.orientation,
-        "source_path_reversed": r.source_path_reversed,
-    }
+    return asdict(r)
 
 
-class _PathSampler:
-    """Evaluates magnitude and wrapped argument of ``det(t + (1-t)W)``.
+def _sample_path(w: np.ndarray, theta: np.ndarray, ts: np.ndarray):
+    """Magnitude and wrapped argument of ``det(t + (1-t)W)`` at each ``t``.
 
-    Small dimensions use dense LU determinants, a route independent of the
-    eigensolve.  Large dimensions would pay O(dim^3) per sample, so they
-    evaluate the product of the factors ``t + (1-t) exp(i theta_j)`` over the
-    eigenphases ``theta`` of ``W`` (exact up to the phase error bounded in the
-    module docstring, since ``t + (1-t)W`` shares eigenvectors with ``W``);
-    the path method then still differs from the eigenvalue method in
-    everything downstream of the eigensolve — wrapped per-sample arguments
-    and continuation over a certified grid instead of phase summation.
+    Dense LU determinants up to ``DENSE_DET_DIM_LIMIT``; above it, where one
+    O(dim^3) factorization per sample would dominate, products of the factors
+    ``t + (1-t) exp(i theta_j)`` (``t + (1-t)W`` shares eigenvectors with ``W``).
     """
-
-    def __init__(self, w: np.ndarray, theta: np.ndarray):
-        self._w = w
-        self._lam = np.exp(1j * theta)
-        self._dim = w.shape[0]
-        self.dense = self._dim <= DENSE_DET_DIM_LIMIT
-
-    def __call__(self, ts: np.ndarray):
-        if self.dense:
-            stack = ts[:, None, None] * np.eye(self._dim) + (1.0 - ts)[
-                :, None, None
-            ] * self._w
-            z = np.linalg.det(stack)
-            return np.abs(z), np.angle(z)
-        factors = ts[:, None] + np.outer(1.0 - ts, self._lam)
-        mag = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
-        ang = np.angle(np.exp(1j * np.sum(np.angle(factors), axis=1)))
-        return mag, ang
-
-
-def _wrap_angle_diff(angles: np.ndarray) -> np.ndarray:
-    return np.angle(np.exp(1j * np.diff(angles)))
+    dim = w.shape[0]
+    if dim <= DENSE_DET_DIM_LIMIT:
+        diag = np.arange(dim)
+        z = np.empty(len(ts), dtype=np.complex128)
+        for lo in range(0, len(ts), DET_BATCH):
+            t = ts[lo : lo + DET_BATCH]
+            # one allocation per batch: t on the diagonal of (1 - t) W has the
+            # bits of t I + (1 - t) W, as t * 0 + x == x and addition commutes
+            stack = (1.0 - t)[:, None, None] * w
+            stack[:, diag, diag] += t[:, None]
+            z[lo : lo + DET_BATCH] = np.linalg.det(stack)
+        return np.abs(z), np.angle(z)
+    factors = ts[:, None] + np.outer(1.0 - ts, np.exp(1j * theta))
+    mag = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
+    ang = np.angle(np.exp(1j * np.sum(np.angle(factors), axis=1)))
+    return mag, ang
 
 
 def _certified_intervals(theta: np.ndarray) -> int:
-    """First-grid size on which the eigenvalue-factor path cannot alias.
+    """Grid size on which no true increment of the sampled argument reaches pi/2.
 
-    The sampler's factor ``t + (1-t) exp(i theta_j)`` runs along a chord of
-    the unit circle, so its argument moves monotonically from ``theta_j`` to
-    0 at speed ``|Im((1 - e^{i theta}) / (t + (1-t) e^{i theta}))|``, at most
-    ``2 |sin(theta_j / 2)| / cos(theta_j / 2)``: the chord stays at least
-    ``cos(theta_j / 2)`` from the origin.  ``speed = sum_j 2 |tan(theta_j/2)|``
-    thus bounds ``|d/dt arg det|`` for what is sampled, and on
-    ``ceil(2 speed / pi) + 1`` intervals each true increment is below pi/2,
-    so no wrapped jump can alias a true one above 3 pi/2.  With
+    Along ``t -> t + (1-t) lam`` the argument moves monotonically at speed
+    ``|Im lam| / |t + (1-t) lam|^2``.  For ``lam = exp(i theta)`` the chord
+    stays at least ``cos(theta / 2)`` from the origin, so that speed is at
+    most ``2 |tan(theta / 2)|`` and ``speed = sum_j 2 |tan(theta_j / 2)|``
+    bounds ``|d/dt arg det|``.  On ``N = ceil(2 speed / pi) + 1`` intervals,
+    factors whose top speeds sum to less than ``speed + pi/2`` move the
+    argument by less than ``(speed + pi/2) / N <= pi/2`` per interval (the
+    slack ``_path_winding`` spends on the dense branch).  With
     ``|theta_j| < pi/2`` (``||W - 1|| < 1``) that is under ``1.28 dim + 1``
-    intervals, and under ``0.74 dim + 1`` on the Hermitian route.
+    intervals, and under ``0.74 dim + 1`` on the Hermitian route;
+    ``INITIAL_INTERVALS`` is the floor.
     """
     speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
     return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1)
 
 
 def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
-    """Path winding, refining the grid until every wrapped jump is below pi/2.
+    """Path winding from one batch of ``_certified_intervals(theta) + 1`` samples.
 
-    The eigenvalue-factor branch starts from ``_certified_intervals(theta)``;
-    the dense branch keeps the adaptive refinement from
-    ``INITIAL_INTERVALS``.  The sum of the increments must lie within
-    ``residue_tol`` of an integer: on the eigenvalue-factor branch it equals
-    minus the phase sum over 2 pi, so it carries the same certified error as
-    the eigenvalue method.
+    A wrapped jump at or above pi/2 raises :class:`NumericalInconsistency`
+    carrying the jump, since on a valid input no true increment reaches pi/2.
+    Proof: let ``E`` bound how far the sampled factors' top speeds sum past
+    ``speed`` (``_certified_intervals``); ``E < pi/2`` suffices.
+
+    * Above ``DENSE_DET_DIM_LIMIT`` the factors are the ``exp(i theta_j)``
+      themselves, so ``E = 0``.
+    * Up to it the samples are ``prod_j (t + (1-t) lam_j)`` over the
+      eigenvalues ``lam = r e^{i phi}`` of ``W``.  The unitarity check puts
+      ``W`` within ``tau`` of its polar factor ``U``, so by Bauer-Fike
+      ``|r - 1| <= tau``, and ``|lam - 1| <= ||W - 1|| < 1`` keeps each chord
+      off the origin.  A chord's top speed ``r |sin phi| / d^2`` (``d`` its
+      distance from 0) exceeds ``2 |tan(phi / 2)|`` by
+      ``(r - 1)^2 / (r |sin phi|)`` with ``sin^2 phi >= |1 - r^2| / max(1, r^2)``
+      when its nearest point to 0 is interior, and by at most
+      ``|r - 1| |sin phi| / min(1, r)`` with ``sin^2 phi < 2 tau`` when that
+      point is an endpoint: either way by at most
+      ``sqrt(2) tau^{3/2} / (1 - tau)``.  On the ``eigvals`` route
+      ``theta_j = phi_j``, so ``E <= sqrt(2) n tau^{3/2} / (1 - tau)``, below
+      pi/2 whenever ``n tau^{3/2} <= 1`` and ``tau <= 0.09``: every
+      ``tau <= 0.033`` at dim 160.  On the Hermitian route (``n tau <= 1e-3``)
+      ``theta`` is within ``2.02 tau`` of the phases of ``U`` (module
+      docstring), and the eigenvalues of ``W`` pair with those of ``U`` within
+      ``2 n tau`` (each lies within ``tau`` of the spectrum of ``U``, and by
+      continuity from ``U`` every connected union of those ``tau``-discs holds
+      as many of either), so their arguments within ``pi n tau``; as
+      ``2 tan(phi / 2)`` has slope at most 2 for ``|phi| < pi/2``,
+      ``E <= 2 pi n^2 tau + 4.04 n tau + sqrt(2) n tau^{3/2} / (1 - tau)``,
+      under 1.02 at ``n <= 160``.
+
+    The sum of the increments must lie within ``residue_tol`` of an integer:
+    on the eigenvalue-factor branch it equals minus the phase sum over 2 pi,
+    so it carries the same certified error as the eigenvalue method.
     """
-    sample = _PathSampler(w, theta)
-    intervals = INITIAL_INTERVALS
-    if not sample.dense:
-        intervals = _certified_intervals(theta)
-    ts = np.linspace(0.0, 1.0, intervals + 1)
-    mag, ang = sample(ts)
-    while True:
-        jumps = _wrap_angle_diff(ang)
-        bad = np.abs(jumps) >= (np.pi / 2.0)
-        if not bad.any():
-            break
-        mids = (ts[:-1][bad] + ts[1:][bad]) / 2.0
-        if len(ts) + len(mids) > MAX_PATH_SAMPLES:
-            raise NumericalInconsistency(
-                f"path refinement exceeded {MAX_PATH_SAMPLES} samples; "
-                "determinant path too wild to continue"
-            )
-        mmag, mang = sample(mids)
-        idx = np.searchsorted(ts, mids)
-        ts = np.insert(ts, idx, mids)
-        mag = np.insert(mag, idx, mmag)
-        ang = np.insert(ang, idx, mang)
+    intervals = _certified_intervals(theta)
+    mag, ang = _sample_path(w, theta, np.linspace(0.0, 1.0, intervals + 1))
+    jumps = np.angle(np.exp(1j * np.diff(ang)))
+    worst = float(np.max(np.abs(jumps)))
+    if worst >= np.pi / 2.0:
+        raise NumericalInconsistency(
+            f"wrapped path jump {worst:.6f} reaches pi/2 on the certified grid "
+            f"of {intervals} intervals; the samples do not follow the phases",
+            measured=worst,
+        )
     total = float(np.sum(jumps)) / (2.0 * np.pi)
     winding = int(round(total))
     if abs(total - winding) > residue_tol:
@@ -197,11 +198,14 @@ def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
         raise NumericalInconsistency(
             "sampled determinant magnitude reached zero; path not conclusive"
         )
-    return winding, clearance, len(ts)
+    return winding, clearance, intervals + 1
 
 
 def winding_of_unitary(
-    w, unitarity_tol: float | None = None, _source_reversed: bool = False
+    w,
+    unitarity_tol: float | None = None,
+    _source_reversed: bool = False,
+    _distance: str = "||W - 1||",
 ) -> WindingReport:
     """Winding of ``t -> det(t + (1-t)W)`` by both methods, which must agree.
 
@@ -216,7 +220,7 @@ def winding_of_unitary(
     dist = op_norm(w - identity(dim))
     if dist >= 1.0:
         raise HypothesisViolation(
-            f"||W - 1|| = {dist:.6f} >= 1; the determinant path may hit zero",
+            f"{_distance} = {dist:.6f} >= 1; the determinant path may hit zero",
             measured=dist,
         )
     det = complex(np.linalg.det(w))
@@ -255,24 +259,21 @@ def winding_of_unitary(
 def winding_pair(u, v, unitarity_tol: float | None = None) -> WindingReport:
     """Winding of the multiplicative commutator ``u v u* v*``.
 
-    Defined when ``||uv - vu|| < 1``; for unitaries that norm equals
-    ``||uvu*v* - 1||``.  Swapping the pair inverts the commutator and so
-    negates the winding.
+    Defined when ``||uvu*v* - 1|| < 1``, the gate ``winding_of_unitary``
+    measures; for unitaries ``uvu*v* - 1 = (uv - vu) u*v*`` makes that norm
+    ``||uv - vu||``, so it is measured once.  Swapping the pair inverts the
+    commutator and so negates the winding.
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
     u = require_unitary(u, tol=tol, what="first of the pair")
     v = require_unitary(v, tol=tol, what="second of the pair")
     if u.shape != v.shape:
         raise NotUnitary("pair must share one dimension")
-    defect = op_norm(u @ v - v @ u)
-    if defect >= 1.0:
-        raise HypothesisViolation(
-            f"||uv - vu|| = {defect:.6f} >= 1; winding of the pair undefined",
-            measured=defect,
-        )
     w = u @ v @ dagger(u) @ dagger(v)
     # the product of four tol-almost-unitaries is only (4 tol)-almost-unitary
-    return winding_of_unitary(w, unitarity_tol=5.0 * tol)
+    return winding_of_unitary(
+        w, unitarity_tol=5.0 * tol, _distance="||uvu*v* - 1|| (= ||uv - vu|| for unitaries)"
+    )
 
 
 def winding_class(phi, decomp) -> WindingReport:

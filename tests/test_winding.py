@@ -1,9 +1,9 @@
 """Winding numbers: dual-algorithm agreement, additivity, stability.
 
 Two independent oracles: plain dense sampling of t -> det(t + (1-t)W) on a
-fixed uniform grid with no adaptivity, which shares no code path with the
-library's refinement loop; and the nonsymmetric eigensolver
-``np.linalg.eigvals``, which the library's Hermitian eigenphases replace.
+fixed fine uniform grid, which shares no code path with the library's
+certified grid; and the nonsymmetric eigensolver ``np.linalg.eigvals``,
+which the library's Hermitian eigenphases replace.
 """
 
 import math
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obstructkit import winding
 from obstructkit.errors import (
     HypothesisViolation,
     NotUnitary,
@@ -234,7 +235,7 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
 
 
 def certified_sample_count(w):
-    """Samples of the certified first grid above the dense-LU dimensions.
+    """Samples of the certified grid, on the dense-LU and spectral branches alike.
 
     Each factor ``t + (1-t) e^{i theta}`` turns at most ``2 |tan(theta/2)|``;
     the phases come from the ``eigvals`` oracle.  One interval of slack
@@ -247,16 +248,43 @@ def certified_sample_count(w):
 
 @pytest.mark.parametrize(
     "dim, k",
-    [(200, 25), (400, 48), (600, 54), (600, 63), (600, 72), (800, 101), (800, -101)],
+    [
+        (120, 15), (160, 20), (160, -20),
+        (200, 25), (400, 48), (600, 54), (600, 63), (600, 72), (800, 101), (800, -101),
+    ],
 )
 def test_large_windings_do_not_alias(dim, k):
     # a true jump above 3 pi/2 between samples wraps to a small one; from a
     # 64-interval grid the inputs above dim 200 used to report path windings
-    # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement
+    # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement.  Dims
+    # 120 and 160 take the dense-LU samples on the same certified grid.
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == claimed == k
     assert report.samples_used <= certified_sample_count(w)
+
+
+def test_coarse_grid_refuses_on_dense_branch(monkeypatch):
+    # four intervals at dim 160 are far below the certified count; the dense
+    # samples must then be refused, never read as a winding: at k = 15 one
+    # wrapped jump reaches pi/2, at k = +-20 every jump aliases to a small
+    # one and the path reads 0 against the eigenvalue method's +-20
+    certified = winding._certified_intervals
+    monkeypatch.setattr(
+        winding, "_certified_intervals", lambda th: 4 if len(th) == 160 else certified(th)
+    )
+
+    def coarse(k):
+        w, _ = random_admissible_unitary(160, derive_rng(7, 160, abs(k)), winding=k)
+        with pytest.raises(NumericalInconsistency) as exc_info:
+            winding_of_unitary(w)
+        return exc_info.value
+
+    jump = coarse(15)
+    assert "reaches pi/2" in str(jump)
+    assert jump.measured == pytest.approx(2.108, abs=1e-3)
+    for k in (20, -20):
+        assert "methods disagree" in str(coarse(k))
 
 
 def test_distance_near_one_above_dense_dims(rng):
@@ -316,6 +344,25 @@ def test_loose_tolerance_takes_nonsymmetric_phases(rng):
     assert round(hermitian / (2.0 * np.pi)) != 0
     report = winding_of_unitary(w, unitarity_tol=1.1e-2)
     assert report.winding == report.eigenvalue_method == report.path_method == 0
+
+
+def test_loose_tolerance_dense_branch_off_circle(rng):
+    # tau = 1e-2 at dim 160 takes the eigvals phases and the dense-LU samples;
+    # a third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i}, inside the
+    # circle, and the rest on the positive axis at the radius that restores
+    # |det W| = 1, so the chords leave the circle the grid was certified for
+    tol, dim, inner = 1e-2, 160, 27
+    rho = 1.0 - tol / 2.0
+    lam = np.concatenate([
+        np.full(inner, rho * np.exp(1.04j)),
+        np.full(inner, rho * np.exp(-1.04j)),
+        np.full(dim - 2 * inner, rho ** (-2.0 * inner / (dim - 2 * inner))),
+    ])
+    q = haar_unitary(dim, rng)
+    w = (q * lam) @ dagger(q)
+    report = winding_of_unitary(w, unitarity_tol=tol)
+    assert report.winding == report.eigenvalue_method == report.path_method == 0
+    assert report.samples_used <= certified_sample_count(w)
 
 
 # ---------------------------------------------------------------------------
