@@ -572,6 +572,9 @@ def main(argv=None) -> int:
     except ObstructkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc or 'allocation failed'}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -494,8 +494,8 @@ def voiculescu_pair(delta: float, k: int):
     swapping inverts the multiplicative commutator and so negates the
     winding.  ``k = 0`` degenerates to a commuting 1x1 pair.
     """
-    if delta <= 0.0:
-        raise HypothesisViolation(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:  # NaN fails both comparisons
+        raise HypothesisViolation(f"delta must be positive and finite, got {delta}")
     if k == 0:
         one = identity(1)
         return one, one
@@ -544,8 +544,8 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     below ``eps / 16`` the triangle inequality keeps every pair defect at or
     below ``15 eps / 16``.
     """
-    if eps <= 0:
-        raise HypothesisViolation(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:  # NaN fails both comparisons
+        raise HypothesisViolation(f"eps must be positive and finite, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
     needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)

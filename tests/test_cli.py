@@ -106,6 +106,29 @@ def test_gen_surface_eps_conflicts_with_non_orientable(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "abelian", "--rank", "2", "--eps", "nan"],
+        ["gen", "abelian", "--rank", "2", "--eps", "inf"],
+        ["gen", "surface", "--genus", "2", "--eps", "inf", "--dim", "8"],
+        ["gen", "surface", "--genus", "2", "--eps", "nan", "--dim", "8"],
+        ["gen", "voiculescu", "--delta", "nan", "--k", "2"],
+        ["gen", "voiculescu", "--delta", "inf", "--k", "2"],
+    ],
+    ids=["abelian-eps-nan", "abelian-eps-inf", "surface-eps-inf", "surface-eps-nan",
+         "voiculescu-delta-nan", "voiculescu-delta-inf"],
+)
+def test_gen_non_finite_bound_exit_two(argv, capsys):
+    # NaN passed the old `<= 0` checks: eps reached rng.uniform (OverflowError
+    # traceback) and delta = nan built a pair of defect 2
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "must be positive" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # invariants on raw pairs
 # ---------------------------------------------------------------------------
@@ -158,6 +181,23 @@ def test_invariants_huge_dim_exit_one_without_allocating(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.count("error:") == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_gen_out_of_memory_exit_one(monkeypatch, capsys):
+    # `gen voiculescu --delta 0.5 --k 100000` asks numpy for a 24.6 TiB
+    # matrix; the allocator's MemoryError is raised here without allocating
+    import obstructkit.cli as cli
+
+    def refuse(delta, k):
+        raise MemoryError("Unable to allocate 24.6 TiB for an array")
+
+    monkeypatch.setattr(cli, "voiculescu_pair", refuse)
+    code, out, err = run_cli(["gen", "voiculescu", "--delta", "0.5", "--k", "100000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "24.6 TiB" in err
     assert "Traceback" not in err
 
 

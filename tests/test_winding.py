@@ -20,7 +20,7 @@ from obstructkit.errors import (
     NumericalInconsistency,
     OpenPath,
 )
-from obstructkit.matcore import UNITARITY_TOL, block_sum, dagger, op_norm
+from obstructkit.matcore import UNITARITY_TOL, block_sum, dagger, is_unitary, op_norm
 from obstructkit.quasirep import (
     clock_shift,
     honest_commuting_rep,
@@ -363,6 +363,115 @@ def test_loose_tolerance_dense_branch_off_circle(rng):
     report = winding_of_unitary(w, unitarity_tol=tol)
     assert report.winding == report.eigenvalue_method == report.path_method == 0
     assert report.samples_used <= certified_sample_count(w)
+
+
+# ---------------------------------------------------------------------------
+# dense path samples: Householder + Hyman against slogdet
+# ---------------------------------------------------------------------------
+
+
+def dense_test_matrix(kind, dim, gen):
+    """Admissible-looking ``W`` whose Hessenberg form has the named structure.
+
+    ``diagonal`` gives an all-zero subdiagonal, ``blocks`` exact zeros at
+    the block edges, ``tiny`` a 1e-200 entry coupling two blocks at the
+    edge (``W[k+1, k]``), ``dense`` none of these.
+    """
+    if kind == "diagonal" or dim == 1:
+        return np.diag(np.exp(1j * gen.uniform(-1.0, 1.0, size=dim)))
+    if kind == "dense":
+        return np.array(random_admissible_unitary(dim, gen)[0])
+    cut = int(gen.integers(1, dim))
+    w = np.array(block_sum(
+        random_admissible_unitary(cut, gen)[0], random_admissible_unitary(dim - cut, gen)[0]
+    ))
+    if kind == "tiny":
+        w[cut, cut - 1] = 1e-200
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(1, 160),
+    kind=st.sampled_from(["dense", "diagonal", "blocks", "tiny"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hyman_samples_match_slogdet(dim, kind, seed):
+    gen = derive_rng(seed, dim)
+    w = dense_test_matrix(kind, dim, gen)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
+    h = winding._hessenberg(w)
+    assert np.all(np.tril(h, -2) == 0.0)
+    if kind == "diagonal":
+        assert np.all(np.diagonal(h, -1) == 0.0)
+    log_mag, ang = winding._hyman_log_det(h, ts)
+    assert np.all(np.isfinite(log_mag)) and np.all(np.isfinite(ang))
+    stack = ts[:, None, None] * np.eye(dim) + (1.0 - ts)[:, None, None] * w
+    sign, logabs = np.linalg.slogdet(stack)
+    assert np.max(np.abs(log_mag - logabs)) < 1e-10
+    assert np.max(np.abs(np.angle(np.exp(1j * ang) / sign))) < 1e-10
+    at_one = ts == 1.0
+    assert np.all(log_mag[at_one] == 0.0) and np.all(ang[at_one] == 0.0)
+
+
+@pytest.mark.parametrize("dim, k", [(40, 2), (40, -2), (160, 10), (160, -10)])
+def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
+    # moving every eigenphase by 2 pi / dim (away from 0, so the grid only
+    # gets finer) shifts the eigenvalue method by one turn; the Hessenberg
+    # samples must keep the true winding, and the dual gate must fire
+    eigenphases = winding._eigenphases
+
+    def shifted(w, tol):
+        theta, residue_tol = eigenphases(w, tol)
+        return theta - math.copysign(2.0 * np.pi / len(theta), k), residue_tol
+
+    monkeypatch.setattr(winding, "_eigenphases", shifted)
+    w, _ = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
+    with pytest.raises(NumericalInconsistency, match="methods disagree"):
+        winding_of_unitary(w)
+
+
+def near_unit_distance_matrix(dim, offset, defect, gen):
+    """``W`` with ``||W - 1||`` within about ``offset`` of 1 and ``||W*W - 1||`` near ``defect``.
+
+    One eigenvalue sits at ``r e^{i phi}`` with ``|e^{i phi} - 1| = 1 + offset``,
+    the rest at random phases below 0.9 and radii within ``defect / 4`` of 1;
+    a non-normal factor ``1 + F`` with ``||F|| = defect / 4`` follows.
+    """
+    phases = gen.uniform(-0.9, 0.9, size=dim)
+    phases[0] = math.copysign(2.0 * math.asin((1.0 + offset) / 2.0), phases[0])
+    radii = 1.0 + gen.uniform(-0.25, 0.25, size=dim) * defect
+    q = haar_unitary(dim, gen)
+    w = (q * (radii * np.exp(1j * phases))) @ dagger(q)
+    g = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    return w @ (np.eye(dim) + 0.25 * defect * g / op_norm(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 60),
+    offset=st.floats(-1e-9, 1e-9),
+    tau_exp=st.floats(-12.0, -8.0),
+    defect_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distance_screen_accepts_only_below_one(dim, offset, tau_exp, defect_frac, seed):
+    tau = 10.0**tau_exp
+    w = near_unit_distance_matrix(dim, offset, defect_frac * tau, derive_rng(seed, dim))
+    if not is_unitary(w, tau):
+        return
+    if winding._distance_below_one(w, tau):
+        assert np.linalg.svd(w - np.eye(dim), compute_uv=False)[0] < 1.0
+
+
+def test_distance_screen_decides_near_one(rng):
+    # 1e-9 below 1 with tau = 1e-12 the screen proves the gate; 1e-9 above,
+    # and 1e-9 below at the default tau, it cannot and the norm is measured
+    below = near_unit_distance_matrix(40, -1e-9, 0.0, rng)
+    above = near_unit_distance_matrix(40, 1e-9, 0.0, rng)
+    assert winding._distance_below_one(below, 1e-12)
+    assert not winding._distance_below_one(below, UNITARITY_TOL)
+    assert not winding._distance_below_one(above, 1e-12)
 
 
 # ---------------------------------------------------------------------------
