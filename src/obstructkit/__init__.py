@@ -34,7 +34,6 @@ from .eta import (
     abel_series_value,
     eta_character_abel,
     eta_character_closed,
-    rho_character,
     rho_loop,
 )
 from .homology import (

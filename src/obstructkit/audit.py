@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObstructkitError
+from .errors import InvalidSize, ObstructkitError
 from .matcore import (
     commutator,
     coordinate_projection,
@@ -243,6 +243,8 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
     """
     if suite not in _TRIALS:
         raise ObstructkitError(f"unknown audit suite {suite!r}; expected one of {SUITES}")
+    if trials < 0:
+        raise InvalidSize(f"trials must be non-negative, got {trials}")
     start = time.perf_counter()
     worst = {name: 0.0 for name in sorted(BOUND_LABELS[suite])}
     failures = []

@@ -5,9 +5,11 @@ parameters); 2 a mathematical hypothesis of the requested computation fails;
 3 internal numerical inconsistency; 4 an audited bound was violated.
 
 All output is JSON with sorted keys, so identical inputs, seeds and
-tolerance overrides produce byte-identical bytes.  Tolerance overrides use
-``--tol.<name> <value>``; recognized names: ``gap`` (spectral-gap window of
-the pairing) and ``unitarity`` (input validation for raw unitary pairs).
+tolerance overrides produce byte-identical bytes.  The overrides
+``--tol.gap`` (spectral-gap window of the pairing) and ``--tol.unitarity``
+(input validation for raw unitary pairs) are ordinary argparse options on
+every parser, so they go before or after the subcommand, as ``--tol.gap 0.01``
+or ``--tol.gap=0.01``; a value must be finite and non-negative.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from .words import (
     word_from_text,
 )
 
-RECOGNIZED_TOLERANCES = ("gap", "unitarity")
 _GEN_STREAM = 31
 
 
@@ -86,46 +87,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _extract_tolerances(argv):
-    """Split ``--tol.<name> <value>`` (or ``=value``) flags out of argv."""
-    rest, tols = [], {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            if "=" in arg:
-                name, _, raw = arg[len("--tol."):].partition("=")
-            else:
-                name = arg[len("--tol."):]
-                i += 1
-                if i >= len(argv):
-                    _usage_fail(f"flag --tol.{name} needs a value")
-                raw = argv[i]
-            if name not in RECOGNIZED_TOLERANCES:
-                _usage_fail(
-                    f"unknown tolerance {name!r}; recognized: "
-                    + ", ".join(RECOGNIZED_TOLERANCES)
-                )
-            try:
-                value = float(raw)
-            except ValueError:
-                _usage_fail(f"tolerance --tol.{name} needs a number, got {raw!r}")
-            # a NaN or infinite tolerance would switch its gate off, a negative
-            # one would refuse every input
-            if not 0.0 <= value < math.inf:
-                _usage_fail(
-                    f"tolerance --tol.{name} must be finite and non-negative, got {raw!r}"
-                )
-            tols[name] = value
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, tols
-
-
-def _usage_fail(message: str):
-    sys.stderr.write(f"obstructkit: error: {message}\n")
-    raise SystemExit(1)
+def _tolerance(raw: str) -> float:
+    """Value of a ``--tol.<name>`` flag: a finite, non-negative number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs a number, got {raw!r}") from None
+    # a NaN or infinite tolerance would switch its gate off, a negative one
+    # would refuse every input
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {raw!r}")
+    return value
 
 
 @contextmanager
@@ -217,7 +189,7 @@ def _gen_surface_rep(args):
     return QuasiRep(pres, tuple(images), flavor="unitary")
 
 
-def cmd_gen(args, tols) -> int:
+def cmd_gen(args) -> int:
     if args.family == "voiculescu":
         u, v = voiculescu_pair(args.delta, args.k)
         rep = unitary_pair_rep(u, v)
@@ -258,12 +230,12 @@ def _default_decomposition(pres):
     return None
 
 
-def cmd_invariants(args, tols) -> int:
+def cmd_invariants(args) -> int:
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "u" in obj and "v" in obj:
         u = matrix_from_json(obj["u"])
         v = matrix_from_json(obj["v"])
-        report = winding_pair(u, v, unitarity_tol=tols.get("unitarity"))
+        report = winding_pair(u, v, unitarity_tol=getattr(args, "tol_unitarity", None))
         payload = {
             "input": "unitary-pair",
             "commutation_defect": commutation_defect(u, v),
@@ -305,7 +277,7 @@ def cmd_invariants(args, tols) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_audit(args, tols) -> int:
+def cmd_audit(args) -> int:
     if args.replay is not None:
         raw = args.replay
         obj = _load_json(raw[1:]) if raw.startswith("@") else _parse_json(raw, "--replay")
@@ -349,7 +321,7 @@ def cmd_audit(args, tols) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_eta(args, tols) -> int:
+def cmd_eta(args) -> int:
     if (args.q is None) == (args.phases is None):
         raise ParseError("give exactly one of --q or --phases")
     if args.phases is not None:
@@ -380,7 +352,7 @@ def cmd_eta(args, tols) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_homology(args, tols) -> int:
+def cmd_homology(args) -> int:
     if args.family == "fbc":
         group = free_by_cyclic_h2(_matrix_arg(args.matrix))
         payload = {
@@ -431,10 +403,11 @@ def cmd_homology(args, tols) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_pairing(args, tols) -> int:
+def cmd_pairing(args) -> int:
     inp = pairing_input_from_json(_load_json(args.input))
-    if "gap" in tols:
-        inp = pairing_input(inp.b, inp.q, inp.n_dim, inp.k_dim, tols["gap"])
+    gap = getattr(args, "tol_gap", None)
+    if gap is not None:
+        inp = pairing_input(inp.b, inp.q, inp.n_dim, inp.k_dim, gap)
     result = pairing(inp)
     payload = {
         "N": inp.n_dim,
@@ -455,50 +428,55 @@ def cmd_pairing(args, tols) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_output_flags(p):
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # every parser takes the tolerances, so they may come before or after the
+    # subcommand; SUPPRESS keeps an absent flag from overwriting a given one
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol.gap", dest="tol_gap", type=_tolerance, default=argparse.SUPPRESS,
+                     help="spectral-gap window of the index pairing (default 0.05)")
+    tol.add_argument("--tol.unitarity", dest="tol_unitarity", type=_tolerance,
+                     default=argparse.SUPPRESS, help="validation threshold for raw unitary pairs")
+    leaf = argparse.ArgumentParser(add_help=False, parents=[tol])
+    leaf.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
     parser = _Parser(
         prog="obstructkit",
         description="winding-number obstructions for almost-multiplicative matrix families",
+        parents=[tol],
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    gen = sub.add_parser("gen", help="generate witness files")
+    gen = sub.add_parser("gen", parents=[tol], help="generate witness files")
     gen_sub = gen.add_subparsers(dest="family", required=True, metavar="family")
-    v = gen_sub.add_parser("voiculescu", help="almost-commuting pair with chosen winding")
+    v = gen_sub.add_parser("voiculescu", parents=[leaf],
+                           help="almost-commuting pair with chosen winding")
     v.add_argument("--delta", type=float, default=0.5, help="commutation defect bound")
     v.add_argument("--k", type=int, default=1, help="winding number of the pair")
-    _add_output_flags(v)
-    c = gen_sub.add_parser("clock-shift", help="the n-dimensional clock-and-shift pair")
+    c = gen_sub.add_parser("clock-shift", parents=[leaf],
+                           help="the n-dimensional clock-and-shift pair")
     c.add_argument("--n", type=int, required=True)
-    _add_output_flags(c)
-    s = gen_sub.add_parser("surface", help="surface-group representation")
+    s = gen_sub.add_parser("surface", parents=[leaf], help="surface-group representation")
     s.add_argument("--genus", type=int, required=True)
     s.add_argument("--non-orientable", dest="non_orientable", action="store_true")
     s.add_argument("--eps", type=float, default=None, help="perturb to defect below eps")
     s.add_argument("--dim", type=int, default=8)
     s.add_argument("--seed", type=int, default=0)
-    _add_output_flags(s)
-    ab = gen_sub.add_parser("abelian", help="free-abelian representation")
+    ab = gen_sub.add_parser("abelian", parents=[leaf], help="free-abelian representation")
     ab.add_argument("--rank", type=int, default=2)
     ab.add_argument("--eps", type=float, default=None)
     ab.add_argument("--dim", type=int, default=8)
     ab.add_argument("--seed", type=int, default=0)
-    _add_output_flags(ab)
 
-    inv = sub.add_parser("invariants", help="winding and defect reports for a witness file")
+    inv = sub.add_parser("invariants", parents=[leaf],
+                         help="winding and defect reports for a witness file")
     inv.add_argument("input", help="witness JSON path, or - for stdin")
     inv.add_argument(
         "--pairs",
         default=None,
         help="commutator decomposition as word pairs 'a,b;c,d' (default: from a relator)",
     )
-    _add_output_flags(inv)
 
-    aud = sub.add_parser("audit", help="run randomized bound-audit suites")
+    aud = sub.add_parser("audit", parents=[leaf], help="run randomized bound-audit suites")
     aud.add_argument("--trials", type=int, default=1000)
     aud.add_argument("--seed", type=int, default=0)
     aud.add_argument(
@@ -513,41 +491,36 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help='replay one instance: JSON {"suite","master_seed","trial"} or @file',
     )
-    _add_output_flags(aud)
 
-    eta_p = sub.add_parser("eta", help="spectral asymmetry of twisted circle operators")
+    eta_p = sub.add_parser("eta", parents=[leaf],
+                           help="spectral asymmetry of twisted circle operators")
     eta_p.add_argument("--q", type=float, default=None, help="character phase in [0,1)")
     eta_p.add_argument("--phases", default=None, help="comma-separated eigenphases for rho_loop")
     eta_p.add_argument("--method", choices=("closed", "abel"), default="closed")
     eta_p.add_argument("--ladder", default=None, help="comma-separated descending t values")
     eta_p.add_argument("--order", type=int, default=DEFAULT_RICHARDSON_ORDER)
-    _add_output_flags(eta_p)
 
-    hom = sub.add_parser("homology", help="integer homology and obstruction counts")
+    hom = sub.add_parser("homology", parents=[tol], help="integer homology and obstruction counts")
     hom_sub = hom.add_subparsers(dest="family", required=True, metavar="family")
-    f = hom_sub.add_parser("fbc", help="free-by-cyclic group from the induced matrix")
+    f = hom_sub.add_parser("fbc", parents=[leaf],
+                           help="free-by-cyclic group from the induced matrix")
     f.add_argument("--matrix", required=True, help="JSON integer matrix, e.g. [[1]]")
-    _add_output_flags(f)
-    mt = hom_sub.add_parser("mapping-torus", help="surface mapping torus")
+    mt = hom_sub.add_parser("mapping-torus", parents=[leaf], help="surface mapping torus")
     mt.add_argument("--sign", type=int, choices=(1, -1), required=True)
     mt.add_argument("--matrix", required=True, help="action on first homology (JSON)")
-    _add_output_flags(mt)
-    sf = hom_sub.add_parser("surface", help="closed surface group")
+    sf = hom_sub.add_parser("surface", parents=[leaf], help="closed surface group")
     sf.add_argument("--genus", type=int, required=True)
     sf.add_argument("--non-orientable", dest="non_orientable", action="store_true")
-    _add_output_flags(sf)
-    bs = hom_sub.add_parser("bs", help="two-exponent one-relator family")
+    bs = hom_sub.add_parser("bs", parents=[leaf], help="two-exponent one-relator family")
     bs.add_argument("--n", type=int, required=True)
     bs.add_argument("--m", type=int, required=True)
-    _add_output_flags(bs)
-    sn = hom_sub.add_parser("snf", help="Smith normal form of an integer matrix")
+    sn = hom_sub.add_parser("snf", parents=[leaf], help="Smith normal form of an integer matrix")
     sn.add_argument("--matrix", required=True)
-    _add_output_flags(sn)
 
-    pr = sub.add_parser("pairing", help="index pairing of a projection against block data")
+    pr = sub.add_parser("pairing", parents=[leaf],
+                        help="index pairing of a projection against block data")
     pr.add_argument("input", help="pairing JSON path, or - for stdin")
     pr.add_argument("--full", action="store_true", help="embed the spectral projection")
-    _add_output_flags(pr)
 
     return parser
 
@@ -563,12 +536,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv, tols = _extract_tolerances(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, tols)
+        return _DISPATCH[args.command](args)
     except ObstructkitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code

@@ -12,9 +12,10 @@ computed two ways:
   Richardson-extrapolates ``t -> 0``.  ``E`` is even in ``t``, so the
   extrapolation runs in the variable ``t^2``.
 
-``rho_character`` and ``rho_loop`` reduce the eta data of a character (or a
-whole list of eigenphases of a unitary at a loop) against the untwisted
-operator, producing the numerical conjugation invariant in R/Z.
+Both report ``rho_mod_Z``, the eta data of the character reduced against the
+untwisted operator: ``((kernel + eta) - (1 + 0)) / 2`` mod 1, which is ``-q``
+mod 1.  ``rho_loop`` sums that invariant over a whole list of eigenphases of a
+unitary at a loop, producing the numerical conjugation invariant in R/Z.
 """
 
 from __future__ import annotations
@@ -174,15 +175,6 @@ def eta_character_abel(
         method="abel-regularized",
         extrapolation_error=err,
     )
-
-
-def rho_character(tw: CharacterTwist) -> EtaResult:
-    """Reduction mod Z of the twisted operator's eta data: ``-q`` mod 1.
-
-    Computed as ``((kernel + eta) - (1 + 0)) / 2`` mod 1 — the twisted
-    half-count against the untwisted one — via the closed form.
-    """
-    return eta_character_closed(tw)
 
 
 def rho_loop(phases) -> float:

@@ -388,26 +388,25 @@ def hermitian_rotation(h, angle: float) -> np.ndarray:
 def matrix_to_json(a) -> dict:
     """Encode as ``{"dim": n, "entries": [[[re, im], ...], ...]}`` row-major."""
     arr = as_matrix(a)
-    entries = [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in arr
-    ]
-    return {"dim": int(arr.shape[0]), "entries": entries}
+    n = arr.shape[0]
+    return {"dim": int(n), "entries": arr.view(np.float64).reshape(n, n, 2).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
+    """Decode :func:`matrix_to_json` output bit for bit.  Entries must be
+    numbers, booleans included, within a machine integer; anything else is
+    :class:`InvalidMatrix`."""
     try:
         dim = int(obj["dim"])
         entries = obj["entries"]
         # check the shape before allocating: "dim" alone must not size an array
         if len(entries) != dim or any(len(row) != dim for row in entries):
             raise ValueError(f"entries are not {dim} rows of {dim}")
-        data = np.empty((dim, dim), dtype=np.complex128)
-        for i in range(dim):
-            row = entries[i]
-            for j in range(dim):
-                re, im = row[j]
-                data[i, j] = complex(re, im)
+        parts = np.asarray(entries)
+        if parts.dtype.kind not in "biuf" or parts.shape != (dim, dim, 2):
+            raise ValueError(f"entries are not {dim} x {dim} pairs of numbers")
+        # a view keeps every bit, the sign of -0.0 included; re + 1j*im would not
+        data = parts.astype(np.float64).view(np.complex128).reshape(dim, dim)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
     return as_matrix(data)

@@ -49,7 +49,6 @@ from .matcore import (
 )
 from .seeding import haar_unitary, random_hermitian
 from .words import (
-    INVERSE_MODES,
     GroupWord,
     Presentation,
     canonical_form,
@@ -124,8 +123,9 @@ class QuasiRep:
     word_table: dict = field(default_factory=dict)
     compression: CompressionData | None = None
     default_to_identity: bool = False
-    # inverse mode -> inverse_images of the matrices evaluate folds over
-    _inverses: dict = field(init=False, repr=False, compare=False)
+    # fold_word's (matrices, inverse_images, inverse mode) for evaluate: the
+    # adjoints of a unitary or compressed rep, else the matrix inverses
+    _fold: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flavor not in FLAVORS:
@@ -145,9 +145,11 @@ class QuasiRep:
             raise ParseError("ucp-compression flavor requires compression data")
         comp = self.compression
         if comp is None:
-            inverses = {mode: inverse_images(images, mode) for mode in INVERSE_MODES}
+            mode = "adjoint" if self.flavor == "unitary" else "true-inverse"
+            inverses = inverse_images(images, mode)
             if self.flavor == "unitary":
-                _refuse_non_unitary(images, inverses["adjoint"], "image of generator")
+                _refuse_non_unitary(images, inverses, "image of generator")
+            fold = (images, inverses, mode)
         else:
             big = tuple(as_matrix(m) for m in comp.big_images)
             shape = (comp.isometry.shape[0], dim)
@@ -155,38 +157,30 @@ class QuasiRep:
                 m.shape[0] != shape[0] for m in big
             ):
                 raise InvalidSize("compression data must match the generators")
-            inverses = {"adjoint": inverse_images(big, "adjoint")}
-            _refuse_non_unitary(big, inverses["adjoint"], "compressed image of generator")
+            inverses = inverse_images(big, "adjoint")
+            _refuse_non_unitary(big, inverses, "compressed image of generator")
             object.__setattr__(self, "compression", replace(comp, big_images=big))
-        object.__setattr__(self, "_inverses", inverses)
+            fold = (big, inverses, "adjoint")
+        object.__setattr__(self, "_fold", fold)
 
     @property
     def dim(self) -> int:
         return int(self.images[0].shape[0])
 
-    def default_mode(self) -> str:
-        return "adjoint" if self.flavor in ("unitary", "ucp-compression") else "true-inverse"
-
-    def evaluate(self, w: GroupWord, mode: str | None = None) -> np.ndarray:
+    def evaluate(self, w: GroupWord) -> np.ndarray:
         """Value on the group element named by ``w`` (not on the spelling)."""
         key = canonical_form(w, self.presentation)
         if not key.letters:
             return identity(self.dim)
         if self.compression is not None:
-            big = fold_word(
-                key, self.compression.big_images, self._inverses["adjoint"], "adjoint"
-            )
             v = self.compression.isometry
-            return dagger(v) @ big @ v
+            return dagger(v) @ fold_word(key, *self._fold) @ v
         hit = self.word_table.get(key.letters)
         if hit is not None:
             return hit
         if self.default_to_identity:
             return identity(self.dim)
-        mode = mode or self.default_mode()
-        if mode not in INVERSE_MODES:
-            raise ParseError(f"unknown inverse_mode {mode!r}")
-        return fold_word(key, self.images, self._inverses[mode], mode)
+        return fold_word(key, *self._fold)
 
 
 def _refuse_non_unitary(mats, adjoints, what: str) -> None:
@@ -215,19 +209,19 @@ class DefectReport:
     unitarity_defect: float
 
 
-def defect(phi: QuasiRep, S, mode: str | None = None) -> DefectReport:
+def defect(phi: QuasiRep, S) -> DefectReport:
     """Measure all ordered-pair defects of ``phi`` over the word list ``S``.
 
     The ``|S|^2`` product residues and ``2 |S|`` unitarity residues go to one
     :func:`op_norms` call, which streams them above ``SVD_NORM_DIM_LIMIT``.
     """
     S = list(S)
-    values = [phi.evaluate(s, mode) for s in S]
+    values = [phi.evaluate(s) for s in S]
     eye = identity(phi.dim)
     pairs = [(s, t) for s in S for t in S]
     residues = itertools.chain(
         (
-            vs @ vt - phi.evaluate(s * t, mode)
+            vs @ vt - phi.evaluate(s * t)
             for s, vs in zip(S, values)
             for t, vt in zip(S, values)
         ),
@@ -316,7 +310,7 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
 # Complete-positivity probe
 # ---------------------------------------------------------------------------
 
-def ucp_gram_check(phi: QuasiRep, F, mode: str | None = None) -> float:
+def ucp_gram_check(phi: QuasiRep, F) -> float:
     """Smallest eigenvalue of the block Gram matrix ``[phi(g^-1 h)]``.
 
     A value above ``-tol`` certifies positivity of the sesquilinear form
@@ -333,9 +327,7 @@ def ucp_gram_check(phi: QuasiRep, F, mode: str | None = None) -> float:
     gram = np.empty((n * d, n * d), dtype=np.complex128)
     for i, g in enumerate(F):
         for j, h in enumerate(F):
-            gram[i * d:(i + 1) * d, j * d:(j + 1) * d] = phi.evaluate(
-                g.inverse() * h, mode
-            )
+            gram[i * d:(i + 1) * d, j * d:(j + 1) * d] = phi.evaluate(g.inverse() * h)
     herm = (gram + gram.conj().T) / 2.0
     return float(np.linalg.eigvalsh(herm)[0])
 
@@ -400,7 +392,7 @@ def compress(big_images, proj, presentation: Presentation):
         compression=CompressionData(mats, p, v),
     )
     S = symmetrized_generators(presentation)
-    return rep, defect(rep, S, "adjoint")
+    return rep, defect(rep, S)
 
 
 def symmetrized_generators(p: Presentation) -> list[GroupWord]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidSize
+
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """A generator keyed by (master_seed, *path), order-independent across trials."""
@@ -23,6 +25,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The R-factor's diagonal phases are divided out, which is what makes the
     distribution exactly Haar rather than merely orthogonal-column.
     """
+    if dim < 1:
+        raise InvalidSize(f"dimension must be positive, got {dim}")
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)

@@ -492,8 +492,8 @@ def winding_class(phi, decomp) -> WindingReport:
         )
     w = identity(phi.dim)
     for a_word, b_word in decomp.pairs:
-        av = phi.evaluate(a_word, "adjoint")
-        bv = phi.evaluate(b_word, "adjoint")
+        av = phi.evaluate(a_word)
+        bv = phi.evaluate(b_word)
         w = w @ (av @ bv @ dagger(av) @ dagger(bv))
     # each commutator factor multiplies four almost-unitaries
     tol = 5.0 * UNITARITY_TOL * max(1, len(decomp.pairs))

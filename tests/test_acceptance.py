@@ -21,7 +21,7 @@ from obstructkit.homology import (
     obstruction_count,
     symplectic_check,
 )
-from obstructkit.eta import CharacterTwist, eta_character_abel, rho_character
+from obstructkit.eta import CharacterTwist, eta_character_abel, eta_character_closed
 from obstructkit.matcore import dagger, op_norm
 from obstructkit.projops import pairing, pairing_block_sum, pairing_input
 from obstructkit.quasirep import commutation_defect, voiculescu_pair
@@ -96,7 +96,7 @@ def test_criterion_5_eta_closed_form():
     with budget(5, "rho = -q exactly and Abel eta within 1e-6", 10.0):
         for j in range(1, 200):
             q = j / 200.0
-            assert rho_character(CharacterTwist(q)).rho_mod_Z == (-q) % 1.0
+            assert eta_character_closed(CharacterTwist(q)).rho_mod_Z == (-q) % 1.0
             res = eta_character_abel(CharacterTwist(q))
             assert abs(res.eta - (1.0 - 2.0 * q)) <= 1e-6
 

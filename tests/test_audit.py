@@ -13,7 +13,7 @@ from obstructkit.audit import (
     run_suite,
     run_trial,
 )
-from obstructkit.errors import ObstructkitError
+from obstructkit.errors import InvalidSize, ObstructkitError
 from obstructkit.projops import pairing
 from obstructkit.seeding import derive_rng
 
@@ -105,6 +105,11 @@ def test_zero_trials_is_vacuously_green():
     assert result.passed
     assert result.trials == 0
     assert all(v == 0.0 for v in result.worst_ratios.values())
+
+
+def test_negative_trials_rejected():
+    with pytest.raises(InvalidSize):
+        run_suite("chain", MASTER, -1)
 
 
 def test_unknown_suite_rejected():

@@ -450,6 +450,27 @@ def test_pairing_gap_override(tmp_path, capsys):
     assert payload["gap_tol"] == 0.01
 
 
+def test_tolerance_after_the_subcommand(tmp_path, capsys):
+    path = str(pairing_fixture_path(tmp_path))
+    before = run_cli(["--tol.gap", "0.01", "pairing", path], capsys)
+    after = run_cli(["pairing", path, "--tol.gap", "0.01"], capsys)
+    assert before[0] == 0 and before == after
+    assert json.loads(after[1])["gap_tol"] == 0.01
+    assert run_cli(["pairing", path, "--tol.gap=0.01"], capsys) == before
+    # the later of two values wins, wherever each stands
+    assert run_cli(["--tol.gap", "0.3", "pairing", path, "--tol.gap", "0.01"], capsys) == before
+    plain = run_cli(["gen", "voiculescu", "--k", "2"], capsys)
+    assert plain[0] == 0
+    for argv in (
+        ["gen", "voiculescu", "--k", "2", "--tol.unitarity", "1e-6"],
+        ["gen", "--tol.gap=0.2", "voiculescu", "--k", "2"],
+        ["--tol.unitarity", "1e-6", "gen", "voiculescu", "--tol.gap", "0.2", "--k", "2"],
+    ):
+        assert run_cli(argv, capsys) == plain
+    code, _, err = run_cli(["gen", "voiculescu", "--tol.unitarity", "-1"], capsys)
+    assert code == 1 and "finite and non-negative" in err
+
+
 def test_pairing_gap_violation_exit_two(tmp_path, capsys):
     # operand spectrum {0, 1/4, 3/4, 1}: a 0.3 gate must trip
     phi = np.pi / 3.0
@@ -536,10 +557,14 @@ LONG_INT = "9" * 5001
         ["audit", "--seed", "-1", "--trials", "1"],
         ["audit", "--replay", '{"suite": "chain", "master_seed": -1, "trial": 0}'],
         ["audit", "--replay", '{"suite": "chain", "master_seed": 1, "trial": -5}'],
+        ["gen", "abelian", "--dim", "-1"],
+        ["gen", "surface", "--genus", "1", "--non-orientable", "--dim", "-2"],
+        ["audit", "--trials", "-1"],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
-         "replay-negative-trial"],
+         "replay-negative-trial", "gen-negative-dim", "gen-non-orientable-negative-dim",
+         "audit-negative-trials"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

@@ -15,7 +15,6 @@ from obstructkit.eta import (
     eta_character_abel,
     eta_character_closed,
     eta_result_to_json,
-    rho_character,
     rho_loop,
 )
 
@@ -125,21 +124,21 @@ def test_twist_phase_domain():
 
 
 def test_rho_character_values():
-    assert rho_character(CharacterTwist(0.0)).rho_mod_Z == 0.0
-    assert rho_character(CharacterTwist(0.25)).rho_mod_Z == 0.75
-    assert rho_character(CharacterTwist(0.5)).rho_mod_Z == 0.5
+    assert eta_character_closed(CharacterTwist(0.0)).rho_mod_Z == 0.0
+    assert eta_character_closed(CharacterTwist(0.25)).rho_mod_Z == 0.75
+    assert eta_character_closed(CharacterTwist(0.5)).rho_mod_Z == 0.5
 
 
 def test_rho_exact_negation_on_grid():
     for q in GRID:
-        assert rho_character(CharacterTwist(q)).rho_mod_Z == (-q) % 1.0
+        assert eta_character_closed(CharacterTwist(q)).rho_mod_Z == (-q) % 1.0
 
 
 def test_rho_loop_basic():
     assert rho_loop([]) == 0.0
     assert rho_loop([0.0, 0.0, 0.0]) == 0.0
     for q in (0.125, 0.3, 0.9):
-        assert rho_loop([q]) == rho_character(CharacterTwist(q)).rho_mod_Z
+        assert rho_loop([q]) == eta_character_closed(CharacterTwist(q)).rho_mod_Z
 
 
 def test_rho_loop_third_multiplicity_three():

@@ -6,6 +6,8 @@ spectral projections.  Library calls are cross-checked against these, never
 against themselves.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -428,6 +430,15 @@ def test_matrix_json_round_trip_exact(rng):
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     back = matrix_from_json(matrix_to_json(a))
     assert np.array_equal(back, as_matrix(a))
+    # bit for bit, the sign of a zero included
+    signed = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [-1.5, 2j]])
+    obj = matrix_to_json(signed)
+    assert obj["entries"][0] == [[-0.0, 0.0], [0.0, -0.0]]
+    assert math.copysign(1.0, obj["entries"][0][0][0]) == -1.0
+    assert np.array_equal(matrix_from_json(obj).view(np.uint64), signed.view(np.uint64))
+    # booleans are numbers, as complex(True, False) takes them
+    flags = {"dim": 2, "entries": [[[True, False], [False, False]], [[0, 0], [False, True]]]}
+    assert np.array_equal(matrix_from_json(flags), np.diag([1.0, 1j]))
 
 
 def test_matrix_json_malformed():
@@ -435,3 +446,13 @@ def test_matrix_json_malformed():
         matrix_from_json({"dim": 2, "entries": [[[1.0, 0.0]]]})
     with pytest.raises(InvalidMatrix):
         matrix_from_json({"entries": []})
+    for entries in (
+        [[["1", 0]]],  # a string
+        [[[None, 0]]],
+        [[[1.0, 0.0, 0.0]]],  # (dim, dim, 3)
+        [[[1.0]]],  # (dim, dim, 1)
+        [[[1.0, [0.0]]]],  # ragged
+        [[[[1.0, 0.0], [0.0, 0.0]]]],  # nested one level too deep
+    ):
+        with pytest.raises(InvalidMatrix):
+            matrix_from_json({"dim": 1, "entries": entries})

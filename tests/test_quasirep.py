@@ -501,18 +501,14 @@ def test_construction_leaves_caller_word_table_untouched():
 
 def test_adjoint_evaluation_of_non_unitary_general_rep_raises():
     p1 = free_presentation(1)
-    phi = QuasiRep(p1, (np.diag([0.5, 0.5]),), flavor="general")
+    m = np.diag([0.5, 0.5])
+    # adjoint evaluation belongs to the unitary flavor, which refuses the image
     with pytest.raises(NotUnitary):
-        phi.evaluate(A.inverse(), "adjoint")
-    # the default true-inverse mode and positive letters stay available
+        QuasiRep(p1, (m,), flavor="unitary")
+    # the general flavor inverts, and positive letters stay available
+    phi = QuasiRep(p1, (m,), flavor="general")
     assert np.allclose(phi.evaluate(A.inverse()), 2.0 * np.eye(2))
-    assert np.allclose(phi.evaluate(A, "adjoint"), 0.5 * np.eye(2))
-
-
-def test_adjoint_evaluation_of_unitary_general_rep(rng):
-    u = haar_unitary(3, rng)
-    phi = QuasiRep(free_presentation(1), (u,), flavor="general")
-    assert np.array_equal(phi.evaluate(A.inverse(), "adjoint"), dagger(u))
+    assert np.allclose(phi.evaluate(A), 0.5 * np.eye(2))
 
 
 def non_unitary_compression_json(rng):
