@@ -58,7 +58,6 @@ from .words import GroupWord, free_abelian_presentation, surface_presentation
 
 SUITES = ("unitarize", "sqrt_mult", "alm_proj", "path_uni", "chain")
 _SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
-_PAIRING_STREAM = len(SUITES)
 
 _PLANE = free_abelian_presentation(2)
 _SURFACE2 = surface_presentation(2, orientable=True)
@@ -245,6 +244,8 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
         raise ObstructkitError(f"unknown audit suite {suite!r}; expected one of {SUITES}")
     if trials < 0:
         raise InvalidSize(f"trials must be non-negative, got {trials}")
+    if master_seed < 0:
+        raise InvalidSize(f"master seed must be non-negative, got {master_seed}")
     start = time.perf_counter()
     worst = {name: 0.0 for name in sorted(BOUND_LABELS[suite])}
     failures = []
@@ -273,7 +274,8 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
 
 
 def run_audit(master_seed: int, trials: int, suites=None) -> AuditOutcome:
-    chosen = list(suites) if suites is not None else list(SUITES)
+    """Run each named suite once, in the order first given (default: all)."""
+    chosen = dict.fromkeys(suites if suites is not None else SUITES)
     results = tuple(run_suite(name, master_seed, trials) for name in chosen)
     return AuditOutcome(
         master_seed=master_seed,

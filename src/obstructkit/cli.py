@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from . import audit as audit_mod
 from .errors import (
     AuditViolation,
-    NotUnitary,
     ObstructkitError,
     ParseError,
 )
@@ -36,7 +36,6 @@ from .eta import (
     CharacterTwist,
     eta_character_abel,
     eta_character_closed,
-    eta_result_to_json,
     rho_loop,
 )
 from .homology import (
@@ -66,7 +65,7 @@ from .quasirep import (
     voiculescu_pair,
 )
 from .seeding import derive_rng, haar_unitary
-from .winding import winding_class, winding_pair, winding_report_to_json
+from .winding import winding_class, winding_pair
 from .words import (
     CommutatorDecomposition,
     commutator_decompose,
@@ -239,7 +238,7 @@ def cmd_invariants(args) -> int:
         payload = {
             "input": "unitary-pair",
             "commutation_defect": commutation_defect(u, v),
-            "winding": winding_report_to_json(report),
+            "winding": asdict(report),
         }
         _emit(payload, args.out)
         return 0
@@ -255,19 +254,15 @@ def cmd_invariants(args) -> int:
         if args.pairs
         else _default_decomposition(phi.presentation)
     )
-    if phi.flavor != "unitary" and args.pairs:
-        raise NotUnitary(
-            "winding of a non-unitary quasi-representation is undefined; "
-            "unitarize first"
-        )
-    if phi.flavor != "unitary":
+    if phi.flavor != "unitary" and not args.pairs:
         payload["winding"] = {"skipped": "flavor is not unitary; unitarize first"}
     elif decomp is None:
         payload["winding"] = {
             "skipped": "no relator with vanishing exponent sums; pass --pairs"
         }
     else:
-        payload["winding"] = winding_report_to_json(winding_class(phi, decomp))
+        # winding_class refuses a non-unitary flavor given --pairs
+        payload["winding"] = asdict(winding_class(phi, decomp))
     _emit(payload, args.out)
     return 0
 
@@ -343,7 +338,7 @@ def cmd_eta(args) -> int:
         else:
             ladder = DEFAULT_T_LADDER
         res = eta_character_abel(tw, ladder, args.order)
-    _emit(eta_result_to_json(res), args.out)
+    _emit(asdict(res), args.out)
     return 0
 
 

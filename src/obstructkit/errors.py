@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every module, with the CLI exit-code map.
 
 Exit codes:
-    1 -- malformed input (files, JSON, sizes, family parameters)
+    1 -- malformed input (files, JSON, sizes, family and bound parameters)
     2 -- a mathematical hypothesis of an operation is not met
     3 -- internal numerical inconsistency (dual methods disagree, lost
          invertibility, a path step its certified grid rules out)
@@ -39,6 +39,10 @@ class InvalidSize(ParseError):
 
 class InvalidFamily(ParseError):
     """Unknown family name or invalid family parameters."""
+
+
+class BoundViolation(ParseError):
+    """A caller-supplied bound parameter is outside its admissible range."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +100,6 @@ class SubdivisionTooCoarse(ObstructkitError):
     def __init__(self, message, index=None):
         super().__init__(message)
         self.index = index
-
-
-class BoundViolation(ObstructkitError):
-    """A caller-supplied bound parameter is outside its admissible range."""
 
 
 class ZeroMode(ObstructkitError):

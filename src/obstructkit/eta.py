@@ -21,7 +21,7 @@ unitary at a loop, producing the numerical conjugation invariant in R/Z.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +66,6 @@ class EtaResult:
     rho_mod_Z: float
     method: str
     extrapolation_error: float
-
-
-def eta_result_to_json(r: EtaResult) -> dict:
-    return asdict(r)
 
 
 def _rho_from_eta(eta: float, kernel_dim: int) -> float:

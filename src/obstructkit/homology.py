@@ -178,18 +178,6 @@ def int_matrix_to_json(a: IntMatrix) -> dict:
     return {"rows": a.rows, "cols": a.cols, "entries": [list(row) for row in a.entries]}
 
 
-def int_matrix_from_json(obj) -> IntMatrix:
-    if not isinstance(obj, dict) or "entries" not in obj:
-        raise InvalidMatrix("integer matrix JSON needs an 'entries' field")
-    a = int_matrix(obj["entries"])
-    for field, got in (("rows", a.rows), ("cols", a.cols)):
-        if field in obj and obj[field] != got:
-            raise InvalidMatrix(
-                f"integer matrix JSON declares {field}={obj[field]} but entries give {got}"
-            )
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
@@ -311,12 +299,6 @@ def _verify_snf(a, u, d, v):
             raise NumericalInconsistency("diagonal divisibility chain broken")
 
 
-def snf_diagonal(a: IntMatrix):
-    """Diagonal of the Smith normal form (nonnegative, divisibility chain)."""
-    _, d, _ = smith_normal_form(a)
-    return d.diagonal()
-
-
 # ---------------------------------------------------------------------------
 # Abelian groups and the homology computations
 # ---------------------------------------------------------------------------
@@ -343,9 +325,6 @@ class AbelianGroup:
         for x, y in zip(tor, tor[1:]):
             if y % x:
                 raise BoundViolation(f"torsion coefficients must form a divisibility chain; got {tor}")
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
 
 def abelian_group_to_text(g: AbelianGroup) -> str:

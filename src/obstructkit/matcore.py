@@ -179,11 +179,6 @@ def _require_shape(a, shape: tuple) -> np.ndarray:
     return arr
 
 
-def matrices_close(a, b, tol: float) -> bool:
-    """Tolerance-parameterized equality in operator norm (never bitwise)."""
-    return op_norm(np.asarray(a) - np.asarray(b)) <= tol
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
@@ -288,14 +283,6 @@ class HermitianSpectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.eigenvalues.shape[0])
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.vectors
-        return _freeze((v * self.eigenvalues) @ v.conj().T)
-
 
 def hermitian_eigensystem(a) -> HermitianSpectrum:
     """Eigendecomposition after the hermiticity gate.
@@ -348,11 +335,6 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     proj = cols @ cols.conj().T
     proj = (proj + proj.conj().T) / 2.0
     return _freeze(proj)
-
-
-def block_sum(a, b) -> np.ndarray:
-    """Block-diagonal sum ``diag(a, b)``."""
-    return block_sum_many((a, b))
 
 
 def block_sum_many(mats) -> np.ndarray:

@@ -44,18 +44,18 @@ from .matcore import (
     polar_unitary,
     require_projection,
     require_unit_ball,
-    require_unitary,
     spectral_tol,
 )
 from .seeding import haar_unitary, random_hermitian
 from .words import (
     GroupWord,
     Presentation,
+    adjoints,
     canonical_form,
     fold_word,
     free_abelian_presentation,
     generator,
-    inverse_images,
+    inverses,
     presentation_from_json,
     presentation_to_json,
     word_from_text,
@@ -115,6 +115,8 @@ class QuasiRep:
 
     Construction validates all data once (copying ``word_table``, never
     writing to it); ``evaluate`` folds words over the stored arrays unchecked.
+    An inverse letter is the adjoint, behind the :func:`words.adjoints` gate,
+    for the ``"unitary"`` flavor and compressions, else the matrix inverse.
     """
 
     presentation: Presentation
@@ -123,8 +125,8 @@ class QuasiRep:
     word_table: dict = field(default_factory=dict)
     compression: CompressionData | None = None
     default_to_identity: bool = False
-    # fold_word's (matrices, inverse_images, inverse mode) for evaluate: the
-    # adjoints of a unitary or compressed rep, else the matrix inverses
+    # fold_word's (matrices, inverses) for evaluate: the adjoints of a
+    # unitary or compressed rep, else the matrix inverses
     _fold: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,11 +147,10 @@ class QuasiRep:
             raise ParseError("ucp-compression flavor requires compression data")
         comp = self.compression
         if comp is None:
-            mode = "adjoint" if self.flavor == "unitary" else "true-inverse"
-            inverses = inverse_images(images, mode)
             if self.flavor == "unitary":
-                _refuse_non_unitary(images, inverses, "image of generator")
-            fold = (images, inverses, mode)
+                fold = (images, adjoints(images, "image of generator"))
+            else:
+                fold = (images, inverses(images))
         else:
             big = tuple(as_matrix(m) for m in comp.big_images)
             shape = (comp.isometry.shape[0], dim)
@@ -157,10 +158,8 @@ class QuasiRep:
                 m.shape[0] != shape[0] for m in big
             ):
                 raise InvalidSize("compression data must match the generators")
-            inverses = inverse_images(big, "adjoint")
-            _refuse_non_unitary(big, inverses, "compressed image of generator")
+            fold = (big, adjoints(big, "compressed image of generator"))
             object.__setattr__(self, "compression", replace(comp, big_images=big))
-            fold = (big, inverses, "adjoint")
         object.__setattr__(self, "_fold", fold)
 
     @property
@@ -181,13 +180,6 @@ class QuasiRep:
         if self.default_to_identity:
             return identity(self.dim)
         return fold_word(key, *self._fold)
-
-
-def _refuse_non_unitary(mats, adjoints, what: str) -> None:
-    """Refuse the matrices that :func:`inverse_images` found not unitary."""
-    for i, (m, adj) in enumerate(zip(mats, adjoints)):
-        if adj is None:
-            require_unitary(m, what=f"{what} {i}")  # raises, with the measured defect
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +340,7 @@ def _range_isometry(p: np.ndarray) -> np.ndarray:
 
 def require_honest(big_images, p: Presentation, tol: float | None = None):
     """Check that matrices form an honest unitary representation of ``p``: each
-    image unitary within ``UNITARITY_TOL`` (the ``QuasiRep`` gate), each relator
+    image passes the :func:`words.adjoints` gate, each relator evaluates
     within ``tol`` of the identity."""
     mats = tuple(as_matrix(m) for m in big_images)
     if len(mats) != p.num_generators:
@@ -356,11 +348,9 @@ def require_honest(big_images, p: Presentation, tol: float | None = None):
     dim = mats[0].shape[0]
     if tol is None:
         tol = max(spectral_tol(dim), 1e-9)
-    for i, m in enumerate(mats):
-        require_unitary(m, what=f"image of generator {i}")
+    adj = adjoints(mats, "image of generator")
     eye = identity(dim)
-    adjoints = tuple(m.conj().T for m in mats)
-    relators = (fold_word(r, mats, adjoints, "adjoint") - eye for r in p.relators)
+    relators = (fold_word(r, mats, adj) - eye for r in p.relators)
     for err in op_norms(relators).tolist():
         if err > tol:
             raise HypothesisViolation(

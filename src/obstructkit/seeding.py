@@ -15,7 +15,10 @@ from .errors import InvalidSize
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     """A generator keyed by (master_seed, *path), order-independent across trials."""
-    seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))
+    key = (int(master_seed), *(int(p) for p in path))
+    if min(key) < 0:
+        raise InvalidSize(f"seed and stream indices must be non-negative, got {key}")
+    seq = np.random.SeedSequence(entropy=key[0], spawn_key=key[1:])
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -51,7 +54,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> n
 def random_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Rank-``rank`` orthogonal projection with Haar-random range."""
     if not 0 <= rank <= dim:
-        raise ValueError(f"rank {rank} out of range for dimension {dim}")
+        raise InvalidSize(f"rank {rank} out of range for dimension {dim}")
     u = haar_unitary(dim, rng)
     cols = u[:, :rank]
     p = cols @ cols.conj().T

@@ -45,7 +45,7 @@ conventionally written with the reversed path ``(1-t) + tW``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,10 +101,6 @@ class WindingReport:
     agreement: bool
     orientation: str = "basic"
     source_path_reversed: bool = False
-
-
-def winding_report_to_json(r: WindingReport) -> dict:
-    return asdict(r)
 
 
 def _hessenberg(w: np.ndarray) -> np.ndarray:

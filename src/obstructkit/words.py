@@ -11,6 +11,9 @@ commutes and nothing else is imposed), ``canonical_form`` sorts a word into
 ``g_0^{e_0} g_1^{e_1} ...``.  That is what lets evaluation of a
 quasi-representation depend on the group element rather than on the
 spelling of the word.
+
+An inverse letter evaluates through a table: :func:`adjoints`, the one
+unitarity gate behind every adjoint, or the true inverses of :func:`inverses`.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, NotUnitary, ParseError
-from .matcore import as_matrix, identity, is_unitary
+from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, ParseError
+from .matcore import as_matrix, identity, require_unitary
 
 Letter = tuple[int, int]
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
-INVERSE_MODES = ("adjoint", "true-inverse")
 
 
 @dataclass(frozen=True)
@@ -56,10 +58,6 @@ class GroupWord:
 
 
 IDENTITY_WORD = GroupWord()
-
-
-def word(*letters: Letter) -> GroupWord:
-    return GroupWord(tuple(letters))
 
 
 def generator(index: int) -> GroupWord:
@@ -144,50 +142,58 @@ def word_matrix(w: GroupWord, images, inverse_mode: str = "adjoint") -> np.ndarr
     """Evaluate a word on matrices, left to right.
 
     ``inverse_mode`` fixes what a negative letter means: ``"adjoint"``
-    substitutes the conjugate transpose (images must be unitary within the
-    default tolerance), ``"true-inverse"`` substitutes the matrix inverse
+    substitutes the conjugate transpose (every image must pass the
+    :func:`adjoints` gate), ``"true-inverse"`` substitutes the matrix inverse
     (images must be invertible).  Evaluation order is a strict left fold, so
     concatenation is respected exactly, not just up to rounding.
     """
-    if inverse_mode not in INVERSE_MODES:
+    if inverse_mode not in ("adjoint", "true-inverse"):
         raise ParseError(f"unknown inverse_mode {inverse_mode!r}")
     mats = [as_matrix(m) for m in images]
     if not mats:
         raise InvalidSize("word_matrix needs at least one generator image")
     if any(m.shape != mats[0].shape for m in mats):
         raise InvalidSize("generator images must share one dimension")
-    return fold_word(w, mats, inverse_images(mats, inverse_mode), inverse_mode)
+    if inverse_mode == "adjoint":
+        return fold_word(w, mats, adjoints(mats, "image of generator"))
+    return fold_word(w, mats, inverses(mats))
 
 
-def inverse_images(mats, inverse_mode: str) -> tuple:
-    """Per validated image, the read-only adjoint (of a unitary image) or inverse
-    (of an invertible one) that its inverse letter stands for, else None."""
+def adjoints(mats, what: str) -> tuple:
+    """The unitarity gate: read-only adjoints of validated images, each unitary
+    within ``UNITARITY_TOL`` or refused as ``f"{what} {i}"`` (:class:`NotUnitary`)."""
+    out = []
+    for i, m in enumerate(mats):
+        require_unitary(m, what=f"{what} {i}")
+        adj = m.conj().T
+        adj.setflags(write=False)
+        out.append(adj)
+    return tuple(out)
+
+
+def inverses(mats) -> tuple:
+    """Per validated image, its read-only matrix inverse, or None if singular."""
     out = []
     for m in mats:
-        if inverse_mode == "adjoint":
-            inv = m.conj().T if is_unitary(m) else None
+        try:
+            inv = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            inv = None
         else:
-            try:
-                inv = np.linalg.inv(m)
-            except np.linalg.LinAlgError:
-                inv = None
-        if inv is not None:
             inv.setflags(write=False)
         out.append(inv)
     return tuple(out)
 
 
-def fold_word(w: GroupWord, mats, inverses, inverse_mode: str) -> np.ndarray:
-    """Strict left fold of ``w`` over validated images and their
-    :func:`inverse_images`; only the letters themselves are checked."""
+def fold_word(w: GroupWord, mats, inverses) -> np.ndarray:
+    """Strict left fold of ``w`` over validated images and their :func:`adjoints`
+    or :func:`inverses`; only the letters are checked (None means singular)."""
     out = None
     for g, e in w.letters:
         if g >= len(mats):
             raise ParseError(f"word uses generator {g} but only {len(mats)} images given")
         factor = mats[g] if e == 1 else inverses[g]
         if factor is None:
-            if inverse_mode == "adjoint":
-                raise NotUnitary(f"image of generator {g} is not unitary")
             raise NotInvertible(f"image of generator {g} is singular")
         out = factor if out is None else out @ factor
     return identity(mats[0].shape[0]) if out is None else out

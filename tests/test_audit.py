@@ -15,7 +15,7 @@ from obstructkit.audit import (
 )
 from obstructkit.errors import InvalidSize, ObstructkitError
 from obstructkit.projops import pairing
-from obstructkit.seeding import derive_rng
+from obstructkit.seeding import derive_rng, random_projection
 
 MASTER = 20240817
 
@@ -112,6 +112,24 @@ def test_negative_trials_rejected():
         run_suite("chain", MASTER, -1)
 
 
+def test_negative_master_seed_rejected_before_any_trial():
+    with pytest.raises(InvalidSize):
+        run_trial("chain", -1, 0)
+    with pytest.raises(InvalidSize):
+        run_suite("chain", -1, 3)  # refused, not recorded as three failed trials
+    with pytest.raises(InvalidSize):
+        run_trial("chain", MASTER, -1)
+
+
+def test_seeding_refusals_are_library_errors():
+    with pytest.raises(InvalidSize):
+        derive_rng(-1)
+    with pytest.raises(InvalidSize):
+        derive_rng(0, 2, -3)
+    with pytest.raises(InvalidSize):
+        random_projection(3, 5, derive_rng(0))
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ObstructkitError):
         run_trial("nonsense", 0, 0)
@@ -126,6 +144,13 @@ def test_run_audit_aggregates_in_order():
     assert outcome.master_seed == MASTER and outcome.trials == 2
     partial = run_audit(MASTER, 2, suites=("chain", "unitarize"))
     assert tuple(r.suite for r in partial.suites) == ("chain", "unitarize")
+
+
+def test_run_audit_runs_a_repeated_suite_once():
+    outcome = run_audit(MASTER, 1, suites=["chain", "alm_proj", "chain"])
+    assert tuple(r.suite for r in outcome.suites) == ("chain", "alm_proj")
+    once = run_suite("chain", MASTER, 1)
+    assert outcome.suites[0].worst_ratios == once.worst_ratios
 
 
 def test_json_reruns_byte_identical():

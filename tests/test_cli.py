@@ -234,6 +234,15 @@ def test_audit_small_run_green(capsys):
         assert "seconds" not in entry
 
 
+def test_audit_repeated_suite_runs_once(capsys):
+    payload = run_json(
+        ["audit", "--trials", "1", "--suite", "chain", "--suite", "alm_proj",
+         "--suite", "chain"],
+        capsys,
+    )
+    assert [s["suite"] for s in payload["suites"]] == ["chain", "alm_proj"]
+
+
 def test_audit_zero_trials(capsys):
     payload = run_json(["audit", "--trials", "0"], capsys)
     assert payload["all_passed"] is True
@@ -343,6 +352,22 @@ def test_eta_argument_exclusivity(capsys):
     assert code == 1
     code, _, _ = run_cli(["eta", "--q", "0.1", "--phases", "0.2"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "--q", "0.3", "--method", "abel", "--order", "0"],
+        ["eta", "--phases", "0.5,nan"],
+        ["eta", "--q", "1.5"],
+    ],
+    ids=["abel-order-zero", "phases-nan", "q-out-of-range"],
+)
+def test_eta_unusable_flag_exit_one(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_eta_zero_mode_exit_two(capsys):

@@ -1,6 +1,7 @@
 """Twisted-circle eta invariants: closed form, Abel regularization, rho."""
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,6 @@ from obstructkit.eta import (
     abel_series_value,
     eta_character_abel,
     eta_character_closed,
-    eta_result_to_json,
     rho_loop,
 )
 
@@ -169,7 +169,7 @@ def test_rho_loop_phase_domain():
 
 
 def test_result_json_shape():
-    payload = eta_result_to_json(eta_character_closed(CharacterTwist(0.25)))
+    payload = asdict(eta_character_closed(CharacterTwist(0.25)))
     assert payload == {
         "eta": 0.5,
         "kernel_dim": 0,
@@ -177,6 +177,6 @@ def test_result_json_shape():
         "method": "closed-form",
         "extrapolation_error": 0.0,
     }
-    abel = eta_result_to_json(eta_character_abel(CharacterTwist(0.25)))
+    abel = asdict(eta_character_abel(CharacterTwist(0.25)))
     assert abel["method"] == "abel-regularized"
     assert 0.0 < abel["extrapolation_error"] < 1e-6

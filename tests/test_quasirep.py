@@ -7,6 +7,7 @@ on independently constructed matrices.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from obstructkit.errors import (
     BoundViolation,
     HypothesisViolation,
     InvalidSize,
+    NotInvertible,
     NotProjection,
     NotUnitary,
 )
 from obstructkit.matcore import (
-    block_sum,
+    block_sum_many,
     commutator,
     dagger,
     identity,
@@ -56,7 +58,6 @@ from obstructkit.words import (
     free_abelian_presentation,
     free_presentation,
     generator,
-    word,
 )
 
 Z2 = free_abelian_presentation(2)
@@ -216,7 +217,7 @@ def test_unitarize_randomized_triple(rng):
 def test_unitarize_is_identity_off_the_set(rng):
     phi = perturbed_honest_rep(Z2, symmetrized_generators(Z2), 0.05, 4, rng)
     sigma = unitarize(phi, symmetrized_generators(Z2), 0.05)
-    far = word((0, 1), (0, 1), (0, 1))  # a^3: outside S and S*S
+    far = GroupWord(((0, 1), (0, 1), (0, 1)))  # a^3: outside S and S*S
     assert np.allclose(sigma.evaluate(far), np.eye(4))
 
 
@@ -296,7 +297,7 @@ def test_compress_by_identity_is_original(rng):
 def test_compress_by_commuting_projector_is_subrep(rng):
     r1 = honest_commuting_rep(Z2, 3, rng)
     r2 = honest_commuting_rep(Z2, 2, rng)
-    big = [block_sum(a, b) for a, b in zip(r1.images, r2.images)]
+    big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
     p = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
     rep, report = compress(big, p, Z2)
     assert report.max_defect <= 1e-10
@@ -373,7 +374,7 @@ def test_mult_audit_honest_compression(rng):
 def test_mult_audit_commuting_projector(rng):
     r1 = honest_commuting_rep(Z2, 3, rng)
     r2 = honest_commuting_rep(Z2, 3, rng)
-    big = [block_sum(a, b) for a, b in zip(r1.images, r2.images)]
+    big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
     rep, _ = compress(big, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
     audit = approx_mult_audit(rep, symmetrized_generators(Z2), [A, A * B])
     assert audit.passed
@@ -509,6 +510,27 @@ def test_adjoint_evaluation_of_non_unitary_general_rep_raises():
     phi = QuasiRep(p1, (m,), flavor="general")
     assert np.allclose(phi.evaluate(A.inverse()), 2.0 * np.eye(2))
     assert np.allclose(phi.evaluate(A), 0.5 * np.eye(2))
+
+
+def test_unitarity_refusals_name_the_image(rng):
+    u = haar_unitary(3, rng)
+    bad = np.diag([1.0, 1.0, 0.5])
+    refusal = r"^image of generator 1 is not unitary: \|\|a\*a - 1\|\| = 7\.500e-01 > "
+    with pytest.raises(NotUnitary, match=refusal):
+        QuasiRep(Z2, (u, bad), flavor="unitary")
+    with pytest.raises(NotUnitary, match=r"^image of generator 0 is not unitary"):
+        require_honest([bad, u], Z2)
+    comp = compress([u, u], np.diag([1.0, 0.0, 0.0]), Z2)[0].compression
+    with pytest.raises(NotUnitary, match=r"^compressed image of generator 1 is not unitary"):
+        QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
+                 compression=replace(comp, big_images=(u, bad)))
+
+
+def test_general_rep_refuses_inverse_letter_of_singular_image():
+    phi = QuasiRep(free_presentation(1), (np.diag([1.0, 0.0]),))
+    assert np.array_equal(phi.evaluate(A), np.diag([1.0, 0.0]))
+    with pytest.raises(NotInvertible, match="image of generator 0 is singular"):
+        phi.evaluate(A.inverse())
 
 
 def non_unitary_compression_json(rng):

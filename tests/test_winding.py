@@ -7,6 +7,7 @@ which the library's Hermitian eigenphases replace.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from obstructkit.errors import (
     NumericalInconsistency,
     OpenPath,
 )
-from obstructkit.matcore import UNITARITY_TOL, block_sum, dagger, is_unitary, op_norm
+from obstructkit.matcore import UNITARITY_TOL, block_sum_many, dagger, is_unitary, op_norm
 from obstructkit.quasirep import (
     clock_shift,
     honest_commuting_rep,
@@ -36,7 +37,6 @@ from obstructkit.winding import (
     winding_class,
     winding_of_unitary,
     winding_pair,
-    winding_report_to_json,
 )
 from obstructkit.words import (
     CommutatorDecomposition,
@@ -130,7 +130,7 @@ def test_nan_tolerance_refuses():
 
 
 def test_report_json_fields():
-    obj = winding_report_to_json(winding_of_unitary(np.eye(3)))
+    obj = asdict(winding_of_unitary(np.eye(3)))
     assert obj["winding"] == 0
     assert obj["agreement"] is True
     assert obj["orientation"] == "basic"
@@ -382,9 +382,9 @@ def dense_test_matrix(kind, dim, gen):
     if kind == "dense":
         return np.array(random_admissible_unitary(dim, gen)[0])
     cut = int(gen.integers(1, dim))
-    w = np.array(block_sum(
+    w = np.array(block_sum_many((
         random_admissible_unitary(cut, gen)[0], random_admissible_unitary(dim - cut, gen)[0]
-    ))
+    )))
     if kind == "tiny":
         w[cut, cut - 1] = 1e-200
     return w
@@ -484,7 +484,7 @@ def test_block_sum_additivity(rng):
         d1, d2 = int(rng.integers(2, 15)), int(rng.integers(2, 15))
         w1, k1 = random_admissible_unitary(d1, rng)
         w2, k2 = random_admissible_unitary(d2, rng)
-        report = winding_of_unitary(block_sum(w1, w2))
+        report = winding_of_unitary(block_sum_many((w1, w2)))
         assert report.winding == k1 + k2
 
 
@@ -577,7 +577,7 @@ def test_voiculescu_small_delta_pair(k):
 def test_pair_block_additivity():
     u1, v1 = voiculescu_pair(0.5, 2)
     u2, v2 = voiculescu_pair(0.5, -1)
-    report = winding_pair(block_sum(u1, u2), block_sum(v1, v2))
+    report = winding_pair(block_sum_many((u1, u2)), block_sum_many((v1, v2)))
     assert report.winding == 1
 
 

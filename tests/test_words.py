@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from obstructkit.errors import (
     InvalidSize,
     NotInCommutatorSubgroup,
+    NotInvertible,
     NotUnitary,
     ParseError,
 )
@@ -31,7 +32,6 @@ from obstructkit.words import (
     presentation_to_json,
     reduce,
     surface_presentation,
-    word,
     word_from_text,
     word_matrix,
     word_to_text,
@@ -129,7 +129,7 @@ def test_exponent_sums_bs_relator(n, m):
 
 def test_exponent_sums_out_of_range_generator():
     with pytest.raises(ParseError):
-        exponent_sums(word((5, 1)), 2)
+        exponent_sums(GroupWord(((5, 1),)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +244,26 @@ def test_word_matrix_adjoint_mode_requires_unitary():
         word_matrix(A.inverse(), [np.diag([0.5, 0.5])], inverse_mode="adjoint")
 
 
+def test_word_matrix_adjoint_gate_runs_without_inverse_letters():
+    # the gate checks every image before the fold, so a positive word on a
+    # non-unitary image is refused too, naming the image
+    with pytest.raises(NotUnitary, match="image of generator 0 is not unitary"):
+        word_matrix(A, [np.diag([0.5, 0.5])], "adjoint")
+
+
 def test_word_matrix_true_inverse_mode():
     m = np.diag([2.0, 4.0])
     out = word_matrix(A.inverse(), [m], inverse_mode="true-inverse")
     assert np.allclose(out, np.diag([0.5, 0.25]))
+    with pytest.raises(NotInvertible, match="image of generator 1 is singular"):
+        word_matrix(A * B.inverse(), [m, np.zeros((2, 2))], inverse_mode="true-inverse")
+    # a singular image is fine while no inverse letter needs it
+    assert np.allclose(word_matrix(B, [m, np.zeros((2, 2))], "true-inverse"), 0.0)
+
+
+def test_word_matrix_unknown_inverse_mode():
+    with pytest.raises(ParseError, match="unknown inverse_mode"):
+        word_matrix(A, [np.eye(2)], "transpose")
 
 
 def test_word_matrix_dimension_mismatch():
@@ -296,7 +312,7 @@ def test_canonical_form_sorts_abelian_words():
     w1 = B * A * B * A.inverse()
     w2 = B * B
     assert canonical_form(w1, p) == canonical_form(w2, p)
-    assert canonical_form(w1, p) == word((1, 1), (1, 1))
+    assert canonical_form(w1, p) == GroupWord(((1, 1), (1, 1)))
 
 
 def test_canonical_form_nonabelian_is_reduction():
@@ -331,7 +347,7 @@ def test_presentation_validation():
     with pytest.raises(InvalidSize):
         Presentation(0, ())
     with pytest.raises(ParseError):
-        Presentation(1, ("a",), (word((3, 1)),))
+        Presentation(1, ("a",), (GroupWord(((3, 1),)),))
 
 
 def test_group_word_validation():
