@@ -6,10 +6,13 @@ can overflow or wrap.  The pieces:
 
 * one fraction-free (Bareiss) row-echelon elimination, every division
   checked exact, giving determinants and the ranks behind the H2 free ranks;
-* Smith normal form with tracked unimodular row/column transforms
-  (smallest-magnitude pivoting to temper coefficient growth), self-verified
-  by exact products and determinants; it serves ``smith_normal_form`` and
-  ``homology snf``, where the transforms and torsion are part of the answer;
+* Smith normal form with tracked unimodular row/column transforms, self-
+  verified by exact products and determinants; it serves
+  ``smith_normal_form`` and ``homology snf``, where the transforms and
+  torsion are part of the answer.  The matrix is brought to Hermite form
+  by row operations before any column operation, which keeps the transforms
+  near the input's size: under 50 bits from 15- to 24-bit inputs up to 40
+  wide, where column operations on the unreduced matrix reached 1500;
 * second homology of free-by-cyclic groups (rank = multiplicity of the
   eigenvalue one of the inducing automorphism's abelianization);
 * second homology of surface mapping tori from the orientation sign and the
@@ -20,9 +23,8 @@ can overflow or wrap.  The pieces:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BoundViolation,
@@ -97,12 +99,21 @@ class IntMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
+def _exact_int(x):
+    """``x`` as an int when its type is an integer type (``__index__``), such
+    as numpy's; anything else, bool included, is left for IntMatrix to refuse."""
+    if isinstance(x, int):
+        return x
+    try:
+        return operator.index(x)
+    except TypeError:
+        return x
+
+
 def int_matrix(rows) -> IntMatrix:
     """Build an IntMatrix from any nested iterable of exact integers."""
     try:
-        data = tuple(
-            tuple(int(x) if isinstance(x, np.integer) else x for x in row) for row in rows
-        )
+        data = tuple(tuple(map(_exact_int, row)) for row in rows)
     except TypeError as exc:
         raise InvalidMatrix(f"cannot build an integer matrix from {rows!r}") from exc
     return IntMatrix(data)
@@ -187,19 +198,34 @@ def smith_normal_form(a: IntMatrix):
     """Exact Smith normal form: returns (U, D, V) with U*A*V = D.
 
     D is diagonal with nonnegative entries forming a divisibility chain
-    d1 | d2 | ...; U and V are unimodular.  Pivots are chosen with smallest
-    absolute value to temper coefficient growth.  The factorization and the
-    unimodularity of U, V are re-verified exactly before returning.
+    d1 | d2 | ...; U and V are unimodular.  The elimination runs in three
+    stages on one matrix (Kannan & Bachem; Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4):
+
+    1. row echelon form by row operations, with the smallest remaining entry
+       as each pivot and Euclid on the column below it; V records only the
+       column swaps that bring the pivots into place;
+    2. Hermite reduction, pivot by pivot in ascending order, of every entry
+       above a pivot modulo that pivot;
+    3. diagonalization of the reduced triangle.  Entries above a unit pivot
+       are zero, so the column operations reach only the columns of the
+       non-unit pivots, with multipliers smaller than that pivot, and the
+       columns past the rank.
+
+    Reducing before any column operation keeps the entries of U and V near
+    the size of the input's instead of growing with every column.  The
+    factorization and the unimodularity of U, V are re-verified exactly
+    before returning.
     """
     r, c = a.rows, a.cols
-    m = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    # the augmented matrix [A | I]: its row operations carry U along in
+    # columns c and up, one list operation per row
+    m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a.entries)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         if i != j:
             m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -208,14 +234,10 @@ def smith_normal_form(a: IntMatrix):
             for row in v:
                 row[i], row[j] = row[j], row[i]
 
-    def add_row(src, dst, k):  # row[dst] += k * row[src]
+    def add_row(src, dst, k, lo=0):  # row[dst] += k * row[src]; row[src] is 0 left of lo
         if k:
-            ms, md = m[src], m[dst]
-            for idx in range(c):
-                md[idx] += k * ms[idx]
-            us, ud = u[src], u[dst]
-            for idx in range(r):
-                ud[idx] += k * us[idx]
+            md = m[dst]
+            md[lo:] = [x + k * y for x, y in zip(md[lo:], m[src][lo:])]
 
     def add_col(src, dst, k):  # col[dst] += k * col[src]
         if k:
@@ -224,16 +246,52 @@ def smith_normal_form(a: IntMatrix):
             for row in v:
                 row[dst] += k * row[src]
 
+    def smallest_entry(t):  # first (i, j) of the smallest nonzero |m[i][j]|, i, j >= t
+        best, best_row = 0, None
+        for i in range(t, r):
+            val = min(map(abs, filter(None, m[i][t:c])), default=0)
+            if val and (not best or val < best):
+                best, best_row = val, i
+        if best_row is None:
+            return None
+        row = m[best_row]
+        return best_row, next(j for j in range(t, c) if abs(row[j]) == best)
+
+    # Stage 1: row echelon form; the rows past the rank end up zero.
     limit = min(r, c)
     t = 0
     while t < limit:
-        pivot_pos = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                val = abs(m[i][j])
-                if val and (best is None or val < best):
-                    pivot_pos, best = (i, j), val
+        pivot_pos = smallest_entry(t)
+        if pivot_pos is None:
+            break
+        swap_rows(t, pivot_pos[0])
+        swap_cols(t, pivot_pos[1])
+        while True:
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            pivot = m[t][t]
+            # nearest-integer quotients: each remainder is at most pivot / 2
+            for i in range(t + 1, r):
+                if m[i][t]:
+                    add_row(t, i, -((2 * m[i][t] + pivot) // (2 * pivot)), t)
+            leftover = [i for i in range(t + 1, r) if m[i][t]]
+            if not leftover:
+                break
+            swap_rows(t, min(leftover, key=lambda i: abs(m[i][t])))
+        t += 1
+    rank = t
+
+    # Stage 2: Hermite reduction.  Reducing column s changes only columns
+    # right of s, so the ascending order leaves every reduced column reduced.
+    for s in range(rank):
+        pivot = m[s][s]
+        for i in range(s):
+            add_row(s, i, -(m[i][s] // pivot), s)
+
+    # Stage 3: diagonalize, keeping the divisibility chain.
+    t = 0
+    while t < limit:
+        pivot_pos = smallest_entry(t)
         if pivot_pos is None:
             break
         swap_rows(t, pivot_pos[0])
@@ -260,11 +318,7 @@ def smith_normal_form(a: IntMatrix):
             # let the clearing loop shrink the pivot.
             pivot = m[t][t]
             offender = next(
-                (
-                    i
-                    for i in range(t + 1, r)
-                    if any(m[i][j] % pivot for j in range(t + 1, c))
-                ),
+                (i for i in range(t + 1, r) if any(x % pivot for x in m[i][t + 1:c])),
                 None,
             )
             if offender is None:
@@ -272,11 +326,10 @@ def smith_normal_form(a: IntMatrix):
             add_row(offender, t, 1)
         if m[t][t] < 0:
             m[t] = [-x for x in m[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
 
-    uu = IntMatrix(tuple(tuple(row) for row in u))
-    dd = IntMatrix(tuple(tuple(row) for row in m))
+    uu = IntMatrix(tuple(tuple(row[c:]) for row in m))
+    dd = IntMatrix(tuple(tuple(row[:c]) for row in m))
     vv = IntMatrix(tuple(tuple(row) for row in v))
     _verify_snf(a, uu, dd, vv)
     return uu, dd, vv

@@ -1,7 +1,9 @@
 """Exact integer homology: SNF, mapping-torus H2, obstruction counts."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -81,13 +83,23 @@ def test_int_matrix_validation():
 
 
 def test_int_matrix_accepts_numpy_integers():
-    import numpy as np
-
     a = int_matrix(np.array([[1, -2], [3, 4]], dtype=np.int64))
     assert a.entries == ((1, -2), (3, 4))
     assert isinstance(a.entries[0][0], int)
     with pytest.raises(InvalidMatrix):
         int_matrix(np.array([[1.0, 2.0]]))
+
+
+def test_int_matrix_accepts_numpy_integer_scalars_in_lists():
+    a = int_matrix([[np.int64(-7), 2], [np.uint8(200), np.int32(0)]])
+    assert a.entries == ((-7, 2), (200, 0))
+    assert all(type(x) is int for row in a.entries for x in row)
+
+
+@pytest.mark.parametrize("entry", [True, np.bool_(True), 1.0, Fraction(1)])
+def test_int_matrix_refuses_inexact_entries(entry):
+    with pytest.raises(InvalidMatrix, match="exact ints"):
+        int_matrix([[1, entry]])
 
 
 def test_int_matrix_json_round_trip():
@@ -198,17 +210,74 @@ def test_snf_rectangular():
     assert d == (2, 2, 156)  # sympy-verified invariant factors
 
 
-@settings(max_examples=60)
-@given(small_matrices())
-def test_snf_matches_sympy_invariant_factors(rows):
-    a = int_matrix(rows)
-    diag = assert_snf_contract(a)
+def assert_snf_matches_sympy(rows):
+    diag = assert_snf_contract(int_matrix(rows))
     oracle = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
     got = sorted(abs(x) for x in diag if x)
     want = sorted(
         abs(int(oracle[i, i])) for i in range(min(oracle.rows, oracle.cols)) if oracle[i, i]
     )
     assert got == want
+
+
+@settings(max_examples=60)
+@given(small_matrices())
+def test_snf_matches_sympy_invariant_factors(rows):
+    assert_snf_matches_sympy(rows)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """L R with L r x k and R k x c, k from 0 to min(r, c), up to 7 x 9 and
+    9 x 7; some columns of R are zeroed, so A has zero columns between the
+    columns that carry pivots."""
+    r = draw(st.integers(min_value=1, max_value=9))
+    c = draw(st.integers(min_value=1, max_value=9 if r <= 7 else 7))
+    k = draw(st.integers(min_value=0, max_value=min(r, c)))
+    small = st.integers(min_value=-4, max_value=4)
+    left = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=r, max_size=r))
+    right = draw(st.lists(st.lists(small, min_size=c, max_size=c), min_size=k, max_size=k))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=c - 1), max_size=c // 2))
+    return [
+        [0 if j in zero_cols else sum(left[i][l] * right[l][j] for l in range(k)) for j in range(c)]
+        for i in range(r)
+    ]
+
+
+@settings(max_examples=80)
+@given(low_rank_matrices())
+def test_snf_rank_deficient_matches_sympy(rows):
+    assert_snf_matches_sympy(rows)
+
+
+def elementary_product(n, steps, rng):
+    """Product of ``steps`` elementary row additions, multipliers +-1 or +-2."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@pytest.mark.parametrize(
+    "n, steps, tail",
+    [(40, 160, ()), (30, 120, (2, 10, 20, 2400))],
+    ids=["unimodular-40", "chain-30"],
+)
+def test_snf_transforms_stay_small(n, steps, tail):
+    # A = P diag(1, ..., 1, tail) Q with random unimodular P, Q.  Column
+    # operations on the unreduced matrix grow these transforms to 164-852 bits.
+    rng = random.Random(n)
+    diagonal = [1] * (n - len(tail)) + list(tail)
+    p = elementary_product(n, steps, rng)
+    q = elementary_product(n, steps, rng)
+    scaled = int_matrix([[x * d for x, d in zip(row, diagonal)] for row in p])
+    a = int_matmul(scaled, int_matrix(q))
+    assert list(assert_snf_contract(a)) == diagonal
+    u, _, v = smith_normal_form(a)
+    for transform in (u, v):
+        assert max(abs(x).bit_length() for row in transform.entries for x in row) <= 64
 
 
 def test_snf_huge_entries():
