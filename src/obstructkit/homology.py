@@ -9,10 +9,11 @@ can overflow or wrap.  The pieces:
 * Smith normal form with tracked unimodular row/column transforms, self-
   verified by exact products and determinants; it serves
   ``smith_normal_form`` and ``homology snf``, where the transforms and
-  torsion are part of the answer.  The matrix is brought to Hermite form
-  by row operations before any column operation, which keeps the transforms
-  near the input's size: under 50 bits from 15- to 24-bit inputs up to 40
-  wide, where column operations on the unreduced matrix reached 1500;
+  torsion are part of the answer.  One Hermite routine, run on the rows
+  and then on the columns in turn until the matrix is diagonal, does all
+  the elimination; reducing above every pivot keeps the transforms near the
+  input's size: under 50 bits from 15- to 24-bit inputs up to 40 wide, where
+  column operations on the unreduced matrix reached 1500;
 * second homology of free-by-cyclic groups (rank = multiplicity of the
   eigenvalue one of the inducing automorphism's abelianization);
 * second homology of surface mapping tori from the orientation sign and the
@@ -194,143 +195,101 @@ def int_matrix_to_json(a: IntMatrix) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _hermite(m, width, partner):
+    """Bring the first ``width`` columns of the rows ``m`` to Hermite form in
+    place, by row operations on whole rows; return the rank.
+
+    The columns past ``width`` ride along, so they collect the row
+    transform.  Each pivot is the smallest nonzero entry of the remaining
+    block, and the column swap that brings it into place is recorded by
+    swapping the same two rows of ``partner``, the other side's transform
+    with its rows indexed by these columns.  Euclid with nearest-integer
+    quotients clears the column below the pivot, the pivot is made positive,
+    and the entries above it are reduced modulo it.  Those reductions change
+    only columns right of the pivot, and later swaps only columns right of
+    later pivots, so every reduced column stays reduced.
+    """
+    rows = len(m)
+    for t in range(min(rows, width)):
+        best, pos = 0, None
+        for i in range(t, rows):
+            val = min(map(abs, filter(None, m[i][t:width])), default=0)
+            if val and (not best or val < best):
+                best, pos = val, i
+        if pos is None:
+            return t
+        m[t], m[pos] = m[pos], m[t]
+        j = next(j for j in range(t, width) if abs(m[t][j]) == best)
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            partner[t], partner[j] = partner[j], partner[t]
+        while True:
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            top = m[t][t:]
+            pivot = top[0]
+            # nearest-integer quotients: each remainder is at most pivot / 2
+            for i in range(t + 1, rows):
+                row = m[i]
+                k = (2 * row[t] + pivot) // (2 * pivot)
+                if k:
+                    row[t:] = [x - k * y for x, y in zip(row[t:], top)]
+            leftover = [i for i in range(t + 1, rows) if m[i][t]]
+            if not leftover:
+                break
+            low = min(leftover, key=lambda i: abs(m[i][t]))
+            m[t], m[low] = m[low], m[t]
+        for i in range(t):
+            row = m[i]
+            k = row[t] // pivot
+            if k:
+                row[t:] = [x - k * y for x, y in zip(row[t:], top)]
+    return min(rows, width)
+
+
 def smith_normal_form(a: IntMatrix):
     """Exact Smith normal form: returns (U, D, V) with U*A*V = D.
 
     D is diagonal with nonnegative entries forming a divisibility chain
-    d1 | d2 | ...; U and V are unimodular.  The elimination runs in three
-    stages on one matrix (Kannan & Bachem; Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.4):
+    d1 | d2 | ..., its zeros last; U and V are unimodular.  One Hermite
+    routine serves both sides (Kannan & Bachem; Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4): a row phase on [A | U]
+    and a column phase on the transpose [A^T | V^T] alternate until the
+    matrix is diagonal.  When it is diagonal but some d_i does not divide
+    d_(i+1), row i+1 is added to row i, and the next column phase replaces
+    d_i by their gcd.
 
-    1. row echelon form by row operations, with the smallest remaining entry
-       as each pivot and Euclid on the column below it; V records only the
-       column swaps that bring the pivots into place;
-    2. Hermite reduction, pivot by pivot in ascending order, of every entry
-       above a pivot modulo that pivot;
-    3. diagonalization of the reduced triangle.  Entries above a unit pivot
-       are zero, so the column operations reach only the columns of the
-       non-unit pivots, with multipliers smaller than that pivot, and the
-       columns past the rank.
-
-    Reducing before any column operation keeps the entries of U and V near
-    the size of the input's instead of growing with every column.  The
-    factorization and the unimodularity of U, V are re-verified exactly
-    before returning.
+    Why the loop ends: a phase's first pivot is the gcd of the column that
+    holds the smallest nonzero entry, so it is at most the previous phase's
+    first pivot, and equal only when that pivot divides its whole row,
+    which the phase then clears; the same holds for the pivots of the
+    remaining block in turn.  So each phase either ends with a diagonal
+    matrix or makes the pivot sequence lexicographically smaller, and so
+    does each chain fold; a sequence of rank-many positive integers cannot
+    decrease forever.  Reducing above every pivot keeps the entries of U
+    and V near the size of the input's.  The factorization and the
+    unimodularity of U, V are re-verified exactly before returning.
     """
     r, c = a.rows, a.cols
-    # the augmented matrix [A | I]: its row operations carry U along in
-    # columns c and up, one list operation per row
     m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a.entries)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def swap_rows(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, k, lo=0):  # row[dst] += k * row[src]; row[src] is 0 left of lo
-        if k:
-            md = m[dst]
-            md[lo:] = [x + k * y for x, y in zip(md[lo:], m[src][lo:])]
-
-    def add_col(src, dst, k):  # col[dst] += k * col[src]
-        if k:
-            for row in m:
-                row[dst] += k * row[src]
-            for row in v:
-                row[dst] += k * row[src]
-
-    def smallest_entry(t):  # first (i, j) of the smallest nonzero |m[i][j]|, i, j >= t
-        best, best_row = 0, None
-        for i in range(t, r):
-            val = min(map(abs, filter(None, m[i][t:c])), default=0)
-            if val and (not best or val < best):
-                best, best_row = val, i
-        if best_row is None:
-            return None
-        row = m[best_row]
-        return best_row, next(j for j in range(t, c) if abs(row[j]) == best)
-
-    # Stage 1: row echelon form; the rows past the rank end up zero.
-    limit = min(r, c)
-    t = 0
-    while t < limit:
-        pivot_pos = smallest_entry(t)
-        if pivot_pos is None:
-            break
-        swap_rows(t, pivot_pos[0])
-        swap_cols(t, pivot_pos[1])
-        while True:
-            if m[t][t] < 0:
-                m[t] = [-x for x in m[t]]
-            pivot = m[t][t]
-            # nearest-integer quotients: each remainder is at most pivot / 2
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    add_row(t, i, -((2 * m[i][t] + pivot) // (2 * pivot)), t)
-            leftover = [i for i in range(t + 1, r) if m[i][t]]
-            if not leftover:
+    vt = [[int(i == j) for j in range(c)] for i in range(c)]
+    while True:
+        rank = _hermite(m, c, vt)
+        if not any(x for i, row in enumerate(m) for j, x in enumerate(row[:c]) if i != j):
+            i = next((i for i in range(rank - 1) if m[i + 1][i + 1] % m[i][i]), None)
+            if i is None:
                 break
-            swap_rows(t, min(leftover, key=lambda i: abs(m[i][t])))
-        t += 1
-    rank = t
-
-    # Stage 2: Hermite reduction.  Reducing column s changes only columns
-    # right of s, so the ascending order leaves every reduced column reduced.
-    for s in range(rank):
-        pivot = m[s][s]
-        for i in range(s):
-            add_row(s, i, -(m[i][s] // pivot), s)
-
-    # Stage 3: diagonalize, keeping the divisibility chain.
-    t = 0
-    while t < limit:
-        pivot_pos = smallest_entry(t)
-        if pivot_pos is None:
-            break
-        swap_rows(t, pivot_pos[0])
-        swap_cols(t, pivot_pos[1])
-        while True:
-            # Clear column t with row operations; a nonzero remainder is a
-            # strictly smaller candidate pivot, so swap it up and retry.
-            for i in range(t + 1, r):
-                if m[i][t]:
-                    add_row(t, i, -(m[i][t] // m[t][t]))
-            leftover = next((i for i in range(t + 1, r) if m[i][t]), None)
-            if leftover is not None:
-                swap_rows(t, leftover)
-                continue
-            for j in range(t + 1, c):
-                if m[t][j]:
-                    add_col(t, j, -(m[t][j] // m[t][t]))
-            leftover = next((j for j in range(t + 1, c) if m[t][j]), None)
-            if leftover is not None:
-                swap_cols(t, leftover)
-                continue
-            # Pivot must divide the whole remaining block for the chain
-            # d_t | d_{t+1}; if not, fold the offending row into row t and
-            # let the clearing loop shrink the pivot.
-            pivot = m[t][t]
-            offender = next(
-                (i for i in range(t + 1, r) if any(x % pivot for x in m[i][t + 1:c])),
-                None,
-            )
-            if offender is None:
-                break
-            add_row(offender, t, 1)
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        t += 1
+            m[i] = [x + y for x, y in zip(m[i], m[i + 1])]
+        u = [row[c:] for row in m]
+        mt = [list(col) + row for col, row in zip(zip(*(row[:c] for row in m)), vt)]
+        _hermite(mt, r, u)
+        vt = [row[r:] for row in mt]
+        m = [list(row) + u_row for row, u_row in zip(zip(*(row[:r] for row in mt)), u)]
 
     uu = IntMatrix(tuple(tuple(row[c:]) for row in m))
     dd = IntMatrix(tuple(tuple(row[:c]) for row in m))
-    vv = IntMatrix(tuple(tuple(row) for row in v))
+    vv = IntMatrix(tuple(zip(*vt)))
     _verify_snf(a, uu, dd, vv)
     return uu, dd, vv
 

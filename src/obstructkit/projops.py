@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BoundViolation,
     HypothesisViolation,
     InvalidMatrix,
     InvalidSize,
@@ -275,7 +276,7 @@ def pairing_input(b, q, n_dim: int, k_dim: int, gap_tol: float = DEFAULT_GAP_TOL
     require_projection(e + b, what="e + b")
     require_projection(q, what="pairing projection q")
     if not 0.0 < gap_tol < 0.5:
-        raise HypothesisViolation(f"gap_tol must lie in (0, 1/2), got {gap_tol}")
+        raise BoundViolation(f"gap_tol must lie in (0, 1/2), got {gap_tol}")
     return PairingInput(b, q, n_dim, k_dim, gap_tol)
 
 

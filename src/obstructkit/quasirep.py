@@ -345,6 +345,8 @@ def require_honest(big_images, p: Presentation, tol: float | None = None):
     mats = tuple(as_matrix(m) for m in big_images)
     if len(mats) != p.num_generators:
         raise InvalidSize("one image per generator required")
+    if any(m.shape != mats[0].shape for m in mats):
+        raise InvalidSize("generator images must share one dimension")
     dim = mats[0].shape[0]
     if tol is None:
         tol = max(spectral_tol(dim), 1e-9)

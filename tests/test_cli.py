@@ -496,6 +496,22 @@ def test_tolerance_after_the_subcommand(tmp_path, capsys):
     assert code == 1 and "finite and non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "flags, gap_in_json",
+    [(["--tol.gap", "0.7"], None), (["--tol.gap", "0"], None), ([], "NaN")],
+    ids=["flag-above-half", "flag-zero", "json-nan"],
+)
+def test_pairing_gap_out_of_range_exit_one(tmp_path, capsys, flags, gap_in_json):
+    path = pairing_fixture_path(tmp_path)
+    if gap_in_json is not None:
+        path.write_text(path.read_text().replace('"gap_tol": 0.05', f'"gap_tol": {gap_in_json}'))
+        assert gap_in_json in path.read_text()
+    code, out, err = run_cli(["pairing", str(path), *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "gap_tol" in err
+
+
 def test_pairing_gap_violation_exit_two(tmp_path, capsys):
     # operand spectrum {0, 1/4, 3/4, 1}: a 0.3 gate must trip
     phi = np.pi / 3.0

@@ -188,16 +188,30 @@ def assert_snf_contract(a):
 
 
 def test_snf_diag_two_three():
-    d = assert_snf_contract(int_matrix([[2, 0], [0, 3]]))
-    assert d == (1, 6)
+    # diag(4, 6) and diag(6, 4) need the chain fold; a zero pivot goes last
+    for rows, diagonal in [
+        ([[2, 0], [0, 3]], (1, 6)),
+        ([[4, 0], [0, 6]], (2, 12)),
+        ([[6, 0], [0, 4]], (2, 12)),
+        ([[0, 0], [0, 5]], (5, 0)),
+    ]:
+        assert assert_snf_contract(int_matrix(rows)) == diagonal, rows
 
 
 def test_snf_zero_matrix():
-    a = int_matrix([[0, 0], [0, 0]])
-    u, d, v = smith_normal_form(a)
-    assert d.entries == a.entries
-    assert u.entries == int_identity(2).entries
-    assert v.entries == int_identity(2).entries
+    # a Smith form is its own normal form, reached with U = V = I
+    for rows in [
+        [[0, 0], [0, 0]],
+        [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 6, 0], [0, 0, 0, 0]],
+        [[3, 0, 0]],
+        [[3], [0], [0]],
+        [[2, 0, 0], [0, 2, 0], [0, 0, 0]],
+    ]:
+        a = int_matrix(rows)
+        u, d, v = smith_normal_form(a)
+        assert d.entries == a.entries, rows
+        assert u.entries == int_identity(a.rows).entries, rows
+        assert v.entries == int_identity(a.cols).entries, rows
 
 
 def test_snf_fixture_kernel_trivial():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from obstructkit.errors import (
+    BoundViolation,
     HypothesisViolation,
     InvalidSize,
     NotProjection,
@@ -294,7 +295,7 @@ def test_pairing_input_validation(rng):
         pairing_input(np.zeros((3, 3)), np.eye(n * k), n, k)
     with pytest.raises(InvalidSize):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(5), n, k)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(BoundViolation):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(n * k), n, k, gap_tol=0.7)
 
 

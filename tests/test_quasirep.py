@@ -348,6 +348,14 @@ def test_require_honest_rejects_defective(rng):
         require_honest(phi.images, Z2, tol=1e-9)
 
 
+def test_require_honest_and_compress_refuse_mismatched_image_sizes():
+    images = [np.eye(2), np.eye(3)]
+    with pytest.raises(InvalidSize, match="^generator images must share one dimension$"):
+        require_honest(images, Z2)
+    with pytest.raises(InvalidSize, match="^generator images must share one dimension$"):
+        compress(images, np.eye(2), Z2)
+
+
 def test_require_honest_gates_unitarity_at_the_quasirep_tolerance(rng):
     # ||a*a - 1|| ~ 1.1e-8: above UNITARITY_TOL = 1e-8 but below the
     # 1e-10 * dim relator tolerance at dim 120, which must not widen the gate
