@@ -10,6 +10,10 @@ tolerance overrides produce byte-identical bytes.  The overrides
 (input validation for raw unitary pairs) are ordinary argparse options on
 every parser, so they go before or after the subcommand, as ``--tol.gap 0.01``
 or ``--tol.gap=0.01``; a value must be finite and non-negative.
+
+Each command imports the library modules it runs when it runs, so start-up
+is paid by subcommand: ``homology`` and the closed-form and ``--phases``
+forms of ``eta`` never load numpy.
 """
 
 from __future__ import annotations
@@ -22,58 +26,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import audit as audit_mod
-from .errors import (
-    AuditViolation,
-    ObstructkitError,
-    ParseError,
-)
-from .eta import (
-    DEFAULT_RICHARDSON_ORDER,
-    DEFAULT_T_LADDER,
-    CharacterTwist,
-    eta_character_abel,
-    eta_character_closed,
-    rho_loop,
-)
-from .homology import (
-    abelian_group_to_json,
-    free_by_cyclic_h2,
-    int_matrix,
-    int_matrix_to_json,
-    mapping_torus_surface_h2,
-    obstruction_count,
-    smith_normal_form,
-)
-from .matcore import matrix_from_json, matrix_to_json
-from .projops import pairing, pairing_input, pairing_input_from_json
-from .quasirep import (
-    QuasiRep,
-    clock_shift,
-    commutation_defect,
-    defect,
-    defect_report_to_json,
-    honest_commuting_rep,
-    perturbed_honest_rep,
-    quasirep_from_json,
-    quasirep_to_json,
-    require_honest,
-    symmetrized_generators,
-    unitary_pair_rep,
-    voiculescu_pair,
-)
-from .seeding import derive_rng, haar_unitary
-from .winding import winding_class, winding_pair
-from .words import (
-    CommutatorDecomposition,
-    commutator_decompose,
-    exponent_sums,
-    free_abelian_presentation,
-    surface_presentation,
-    word_from_text,
-)
+from .errors import AuditViolation, ObstructkitError, ParseError
 
 _GEN_STREAM = 31
 
@@ -145,6 +98,8 @@ def _load_json(path: str):
 
 
 def _matrix_arg(text: str):
+    from .homology import int_matrix
+
     return int_matrix(_parse_json(text, "--matrix"))
 
 
@@ -161,6 +116,9 @@ def _seed(value: int, source: str) -> int:
 
 def _honest_or_perturbed(pres, args):
     """Commuting honest representation, perturbed to defect below --eps if given."""
+    from .quasirep import honest_commuting_rep, perturbed_honest_rep, symmetrized_generators
+    from .seeding import derive_rng
+
     rng = derive_rng(_seed(args.seed, "--seed"), _GEN_STREAM)
     if args.eps is None:
         return honest_commuting_rep(pres, args.dim, rng)
@@ -168,6 +126,12 @@ def _honest_or_perturbed(pres, args):
 
 
 def _gen_surface_rep(args):
+    import numpy as np
+
+    from .quasirep import QuasiRep, require_honest
+    from .seeding import derive_rng, haar_unitary
+    from .words import surface_presentation
+
     pres = surface_presentation(args.genus, orientable=not args.non_orientable)
     if not args.non_orientable:
         return _honest_or_perturbed(pres, args)
@@ -189,6 +153,9 @@ def _gen_surface_rep(args):
 
 
 def cmd_gen(args) -> int:
+    from .quasirep import clock_shift, quasirep_to_json, unitary_pair_rep, voiculescu_pair
+    from .words import free_abelian_presentation
+
     if args.family == "voiculescu":
         u, v = voiculescu_pair(args.delta, args.k)
         rep = unitary_pair_rep(u, v)
@@ -208,7 +175,9 @@ def cmd_gen(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_pairs(spec: str, pres) -> CommutatorDecomposition:
+def _parse_pairs(spec: str, pres):
+    from .words import CommutatorDecomposition, word_from_text
+
     pairs = []
     for chunk in spec.split(";"):
         parts = chunk.split(",")
@@ -223,6 +192,8 @@ def _parse_pairs(spec: str, pres) -> CommutatorDecomposition:
 
 
 def _default_decomposition(pres):
+    from .words import commutator_decompose, exponent_sums
+
     for r in pres.relators:
         if not any(exponent_sums(r, pres.num_generators)):
             return commutator_decompose(r)
@@ -230,6 +201,16 @@ def _default_decomposition(pres):
 
 
 def cmd_invariants(args) -> int:
+    from .matcore import matrix_from_json
+    from .quasirep import (
+        commutation_defect,
+        defect,
+        defect_report_to_json,
+        quasirep_from_json,
+        symmetrized_generators,
+    )
+    from .winding import winding_class, winding_pair
+
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "u" in obj and "v" in obj:
         u = matrix_from_json(obj["u"])
@@ -272,7 +253,17 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _suite(name: str, source: str) -> str:
+    from .audit import SUITES
+
+    if name not in SUITES:
+        raise ParseError(f"unknown suite {name!r} in {source}; expected one of {SUITES}")
+    return name
+
+
 def cmd_audit(args) -> int:
+    from . import audit as audit_mod
+
     if args.replay is not None:
         raw = args.replay
         obj = _load_json(raw[1:]) if raw.startswith("@") else _parse_json(raw, "--replay")
@@ -284,8 +275,7 @@ def cmd_audit(args) -> int:
             raise ParseError(
                 "--replay needs fields suite, master_seed, trial"
             ) from exc
-        if suite not in audit_mod.SUITES:
-            raise ParseError(f"unknown suite {suite!r} in replay data")
+        _suite(suite, "replay data")
         _seed(seed, "replay master_seed")
         _seed(trial, "replay trial")
         payload = {"suite": suite, "master_seed": seed, "trial": trial}
@@ -301,7 +291,8 @@ def cmd_audit(args) -> int:
             raise AuditViolation("replayed instance fails its bound")
         return 0
 
-    outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite or None)
+    suites = [_suite(name, "--suite") for name in args.suite] if args.suite else None
+    outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, suites)
     _emit(audit_mod.audit_outcome_to_json(outcome, include_timings=args.timings), args.out)
     if not outcome.all_passed:
         failing = [r.suite for r in outcome.suites if not r.passed]
@@ -317,6 +308,14 @@ def cmd_audit(args) -> int:
 
 
 def cmd_eta(args) -> int:
+    from .eta import (
+        DEFAULT_T_LADDER,
+        CharacterTwist,
+        eta_character_abel,
+        eta_character_closed,
+        rho_loop,
+    )
+
     if (args.q is None) == (args.phases is None):
         raise ParseError("give exactly one of --q or --phases")
     if args.phases is not None:
@@ -337,7 +336,10 @@ def cmd_eta(args) -> int:
                 raise ParseError(f"--ladder must be comma-separated numbers: {exc}") from exc
         else:
             ladder = DEFAULT_T_LADDER
-        res = eta_character_abel(tw, ladder, args.order)
+        if args.order is None:
+            res = eta_character_abel(tw, ladder)
+        else:
+            res = eta_character_abel(tw, ladder, args.order)
     _emit(asdict(res), args.out)
     return 0
 
@@ -348,6 +350,15 @@ def cmd_eta(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .homology import (
+        abelian_group_to_json,
+        free_by_cyclic_h2,
+        int_matrix_to_json,
+        mapping_torus_surface_h2,
+        obstruction_count,
+        smith_normal_form,
+    )
+
     if args.family == "fbc":
         group = free_by_cyclic_h2(_matrix_arg(args.matrix))
         payload = {
@@ -399,6 +410,9 @@ def cmd_homology(args) -> int:
 
 
 def cmd_pairing(args) -> int:
+    from .matcore import matrix_to_json
+    from .projops import pairing, pairing_input, pairing_input_from_json
+
     inp = pairing_input_from_json(_load_json(args.input))
     gap = getattr(args, "tol_gap", None)
     if gap is not None:
@@ -474,12 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     aud = sub.add_parser("audit", parents=[leaf], help="run randomized bound-audit suites")
     aud.add_argument("--trials", type=int, default=1000)
     aud.add_argument("--seed", type=int, default=0)
-    aud.add_argument(
-        "--suite",
-        action="append",
-        choices=audit_mod.SUITES,
-        help="restrict to one suite (repeatable; default: all)",
-    )
+    aud.add_argument("--suite", action="append",
+                     help="restrict to one suite (repeatable; default: all)")
     aud.add_argument("--timings", action="store_true", help="include wall times in the report")
     aud.add_argument(
         "--replay",
@@ -493,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     eta_p.add_argument("--phases", default=None, help="comma-separated eigenphases for rho_loop")
     eta_p.add_argument("--method", choices=("closed", "abel"), default="closed")
     eta_p.add_argument("--ladder", default=None, help="comma-separated descending t values")
-    eta_p.add_argument("--order", type=int, default=DEFAULT_RICHARDSON_ORDER)
+    eta_p.add_argument("--order", type=int, default=None)
 
     hom = sub.add_parser("homology", parents=[tol], help="integer homology and obstruction counts")
     hom_sub = hom.add_subparsers(dest="family", required=True, metavar="family")

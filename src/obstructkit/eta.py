@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BoundViolation, NumericalInconsistency, ZeroMode
 
 DEFAULT_T_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
@@ -103,6 +101,8 @@ def _truncation_count(t: float) -> int:
 
 def abel_series_value(q: float, t: float) -> float:
     """Truncated ``sum over n of sign(n+q) e^{-t|n+q|}`` (tail below 1e-14)."""
+    import numpy as np  # here, so the closed form and rho_loop start without numpy
+
     n_max = _truncation_count(t)
     ns = np.arange(-n_max, n_max + 1, dtype=np.float64)
     lam = ns + q

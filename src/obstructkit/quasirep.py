@@ -479,7 +479,7 @@ def voiculescu_pair(delta: float, k: int):
     winding.  ``k = 0`` degenerates to a commuting 1x1 pair.
     """
     if not 0.0 < delta < math.inf:  # NaN fails both comparisons
-        raise HypothesisViolation(f"delta must be positive and finite, got {delta}")
+        raise BoundViolation(f"delta must be positive and finite, got {delta}")
     if k == 0:
         one = identity(1)
         return one, one
@@ -529,7 +529,7 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     below ``15 eps / 16``.
     """
     if not 0.0 < eps < math.inf:  # NaN fails both comparisons
-        raise HypothesisViolation(f"eps must be positive and finite, got {eps}")
+        raise BoundViolation(f"eps must be positive and finite, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
     needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -18,3 +23,17 @@ settings.load_profile("numerics")
 def rng():
     """Deterministic per-session generator, independent of the audit streams."""
     return derive_rng(20240817, 9000)
+
+
+@pytest.fixture
+def fresh_python():
+    """Runs Python source in a new interpreter that imports this checkout's
+    ``src/obstructkit``; returns the completed process, output as text."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+    def run(source: str, *argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+
+    return run

@@ -115,15 +115,19 @@ def test_gen_surface_eps_conflicts_with_non_orientable(capsys):
         ["gen", "surface", "--genus", "2", "--eps", "nan", "--dim", "8"],
         ["gen", "voiculescu", "--delta", "nan", "--k", "2"],
         ["gen", "voiculescu", "--delta", "inf", "--k", "2"],
+        ["gen", "voiculescu", "--delta", "-1"],
+        ["gen", "abelian", "--eps", "-1"],
     ],
     ids=["abelian-eps-nan", "abelian-eps-inf", "surface-eps-inf", "surface-eps-nan",
-         "voiculescu-delta-nan", "voiculescu-delta-inf"],
+         "voiculescu-delta-nan", "voiculescu-delta-inf", "voiculescu-delta-negative",
+         "abelian-eps-negative"],
 )
 def test_gen_non_finite_bound_exit_two(argv, capsys):
     # NaN passed the old `<= 0` checks: eps reached rng.uniform (OverflowError
-    # traceback) and delta = nan built a pair of defect 2
+    # traceback) and delta = nan built a pair of defect 2.  An out-of-range
+    # bound is unusable input, so it exits 1 (the name predates that).
     code, out, err = run_cli(argv, capsys)
-    assert code == 2
+    assert code == 1
     assert out == ""
     assert err.startswith("error:") and "must be positive" in err
     assert "Traceback" not in err
@@ -187,12 +191,12 @@ def test_invariants_huge_dim_exit_one_without_allocating(tmp_path, capsys):
 def test_gen_out_of_memory_exit_one(monkeypatch, capsys):
     # `gen voiculescu --delta 0.5 --k 100000` asks numpy for a 24.6 TiB
     # matrix; the allocator's MemoryError is raised here without allocating
-    import obstructkit.cli as cli
+    import obstructkit.quasirep as quasirep
 
     def refuse(delta, k):
         raise MemoryError("Unable to allocate 24.6 TiB for an array")
 
-    monkeypatch.setattr(cli, "voiculescu_pair", refuse)
+    monkeypatch.setattr(quasirep, "voiculescu_pair", refuse)
     code, out, err = run_cli(["gen", "voiculescu", "--delta", "0.5", "--k", "100000"], capsys)
     assert code == 1
     assert out == ""
@@ -563,6 +567,32 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(["homology", "mapping-torus", "--sign", "2", "--matrix", "[[1]]"], capsys)[0] == 1
 
 
+# A fresh interpreter runs the command through cli.main, then reports on stderr
+# its exit code and whether numpy was loaded.
+NUMPY_PROBE = """
+import json, sys
+from obstructkit.cli import main
+code = main(sys.argv[1:])
+sys.stderr.write(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["homology", "snf", "--matrix", "[[2,4],[6,8]]"], False),
+        (["homology", "fbc", "--matrix", "[[1,1],[1,2]]"], False),
+        (["eta", "--q", "0.25"], False),
+        (["eta", "--phases", "0.1,0.2"], False),
+        (["eta", "--q", "0.25", "--method", "abel"], True),
+    ],
+    ids=["homology-snf", "homology-fbc", "eta-closed", "eta-phases", "eta-abel"],
+)
+def test_startup_imports_by_subcommand(argv, loads_numpy, fresh_python):
+    proc = fresh_python(NUMPY_PROBE, *argv)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, loads_numpy], proc.stderr
+
+
 def test_out_file_byte_identical_to_stdout(tmp_path, capsys):
     _, stdout_text, _ = run_cli(["eta", "--q", "0.3"], capsys)
     out = tmp_path / "eta.json"
@@ -601,11 +631,12 @@ LONG_INT = "9" * 5001
         ["gen", "abelian", "--dim", "-1"],
         ["gen", "surface", "--genus", "1", "--non-orientable", "--dim", "-2"],
         ["audit", "--trials", "-1"],
+        ["audit", "--suite", "zzz"],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
          "replay-negative-trial", "gen-negative-dim", "gen-non-orientable-negative-dim",
-         "audit-negative-trials"],
+         "audit-negative-trials", "audit-unknown-suite"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))
