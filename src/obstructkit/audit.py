@@ -102,8 +102,8 @@ def _trial_unitarize(rng) -> dict:
     }
 
 
-def _random_word(rng, n_generators: int, max_len: int = 3) -> GroupWord:
-    length = int(rng.integers(0, max_len + 1))
+def _random_word(rng, n_generators: int) -> GroupWord:
+    length = int(rng.integers(0, 4))  # up to three letters
     letters = tuple(
         (int(rng.integers(0, n_generators)), (1, -1)[int(rng.integers(0, 2))])
         for _ in range(length)

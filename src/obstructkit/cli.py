@@ -148,8 +148,7 @@ def _gen_surface_rep(args):
     for _ in range(pres.num_generators):
         signs = np.where(rng.integers(0, 2, size=args.dim) == 0, 1.0, -1.0)
         images.append((w * signs) @ w.conj().T)
-    require_honest(images, pres)
-    return QuasiRep(pres, tuple(images), flavor="unitary")
+    return require_honest(QuasiRep(pres, tuple(images), flavor="unitary"))
 
 
 def cmd_gen(args) -> int:

@@ -29,6 +29,8 @@ DEFAULT_T_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
 DEFAULT_RICHARDSON_ORDER = 4
 # Omitted-tail bound for the Abel series at each ladder point.
 TAIL_TOL = 1e-14
+# Smallest accepted t: a window of about 8.4e5 series terms, growing like 1/t.
+T_MIN = 1e-4
 # Floor on the reported extrapolation error: covers truncation and rounding
 # noise after amplification by the extrapolation weights.
 ERROR_FLOOR = 1e-13
@@ -101,6 +103,8 @@ def _truncation_count(t: float) -> int:
 
 def abel_series_value(q: float, t: float) -> float:
     """Truncated ``sum over n of sign(n+q) e^{-t|n+q|}`` (tail below 1e-14)."""
+    if not t >= T_MIN:  # NaN fails the comparison
+        raise BoundViolation(f"Abel parameter t must be at least {T_MIN}, got {t!r}")
     import numpy as np  # here, so the closed form and rho_loop start without numpy
 
     n_max = _truncation_count(t)
@@ -131,7 +135,7 @@ def eta_character_abel(
 
     Needs ``q`` in (0, 1): at ``q = 0`` the zero eigenvalue makes the signed
     series ambiguous and the closed form should be used instead (ZeroMode).
-    The ladder must be a descending sequence in (0, 1] with at least
+    The ladder must be a descending sequence in [T_MIN, 1] with at least
     ``richardson_order + 1`` entries; the extrapolation uses its last
     ``richardson_order + 1`` points.  The result is cross-checked against
     the exact limit and must agree within the reported error estimate.
@@ -142,8 +146,8 @@ def eta_character_abel(
             "not determine the sign — use eta_character_closed"
         )
     ladder = [float(t) for t in t_ladder]
-    if not ladder or any(not (0.0 < t <= 1.0) for t in ladder):
-        raise BoundViolation("t ladder entries must lie in (0, 1]")
+    if not ladder or any(not (T_MIN <= t <= 1.0) for t in ladder):
+        raise BoundViolation(f"t ladder entries must lie in [{T_MIN}, 1]")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise BoundViolation("t ladder must be strictly descending")
     order = int(richardson_order)

@@ -229,22 +229,21 @@ def require_unit_ball(mats, dim: int, tol: float, whats) -> None:
         raise InvalidSize(f"{whats[fit]} must be {dim} x {dim}, got {mats[fit].shape[0]}")
 
 
-def require_projection(a, tol: float | None = None, what: str = "matrix") -> np.ndarray:
-    """Check ``a = a* = a^2`` within ``tol`` (default ``spectral_tol(dim)``)."""
+def require_projection(a, what: str = "matrix") -> np.ndarray:
+    """Check ``a = a* = a^2`` within ``spectral_tol(dim)``."""
     arr = as_matrix(a)
-    require_projections(arr[None], (what,), tol)
+    require_projections(arr[None], (what,))
     return arr
 
 
-def require_projections(stack: np.ndarray, whats, tol: float | None = None) -> None:
+def require_projections(stack: np.ndarray, whats) -> None:
     """:func:`require_projection` for every matrix of a validated stack.
 
     ``whats`` names the matrices.  Both residues of every matrix come from
     one :func:`op_norms` call; the first matrix in stack order that fails
     raises :class:`NotProjection`.
     """
-    if tol is None:
-        tol = spectral_tol(stack.shape[1])
+    tol = spectral_tol(stack.shape[1])
     norms = op_norms(r for a in stack for r in (a - a.conj().T, a @ a - a)).tolist()
     for what, herm, idem in zip(whats, norms[::2], norms[1::2]):
         if herm > tol or idem > tol:

@@ -32,7 +32,6 @@ from .errors import (
 )
 from .matcore import (
     as_matrix,
-    block_sum_many,
     dagger,
     hermitian_eigensystem,
     hermitian_rotation,
@@ -117,6 +116,9 @@ class QuasiRep:
     writing to it); ``evaluate`` folds words over the stored arrays unchecked.
     An inverse letter is the adjoint, behind the :func:`words.adjoints` gate,
     for the ``"unitary"`` flavor and compressions, else the matrix inverse.
+    This is the library's only unitarity gate on generator images: it runs
+    before the unit-ball check, so a nearly unitary image is refused as
+    :class:`NotUnitary`, and :func:`require_honest` reuses its table.
     """
 
     presentation: Presentation
@@ -134,8 +136,19 @@ class QuasiRep:
             raise ParseError(f"unknown flavor {self.flavor!r}")
         if len(self.images) != self.presentation.num_generators:
             raise InvalidSize("one image per generator required")
+        comp = self.compression
+        if self.flavor == "ucp-compression" and comp is None:
+            raise ParseError("ucp-compression flavor requires compression data")
         images = tuple(as_matrix(m) for m in self.images)
         object.__setattr__(self, "images", images)
+        if comp is not None:
+            big = tuple(as_matrix(m) for m in comp.big_images)
+            fold = (big, adjoints(big, "compressed image of generator"))
+        elif self.flavor == "unitary":
+            fold = (images, adjoints(images, "image of generator"))
+        else:
+            fold = (images, inverses(images))
+        object.__setattr__(self, "_fold", fold)
         dim = images[0].shape[0]
         whats = (f"image of generator {i}" for i in range(len(images)))
         require_unit_ball(images, dim, UNIT_BALL_TOL, whats)
@@ -143,24 +156,13 @@ class QuasiRep:
         whats = (f"table value for {key}" for key in table)
         require_unit_ball(table.values(), dim, UNIT_BALL_TOL, whats)
         object.__setattr__(self, "word_table", table)
-        if self.flavor == "ucp-compression" and self.compression is None:
-            raise ParseError("ucp-compression flavor requires compression data")
-        comp = self.compression
-        if comp is None:
-            if self.flavor == "unitary":
-                fold = (images, adjoints(images, "image of generator"))
-            else:
-                fold = (images, inverses(images))
-        else:
-            big = tuple(as_matrix(m) for m in comp.big_images)
+        if comp is not None:
             shape = (comp.isometry.shape[0], dim)
             if len(big) != len(images) or comp.isometry.shape != shape or any(
                 m.shape[0] != shape[0] for m in big
             ):
                 raise InvalidSize("compression data must match the generators")
-            fold = (big, adjoints(big, "compressed image of generator"))
             object.__setattr__(self, "compression", replace(comp, big_images=big))
-        object.__setattr__(self, "_fold", fold)
 
     @property
     def dim(self) -> int:
@@ -217,12 +219,16 @@ def defect(phi: QuasiRep, S) -> DefectReport:
             for s, vs in zip(S, values)
             for t, vt in zip(S, values)
         ),
-        (r for v in values for r in (dagger(v) @ v - eye, v @ dagger(v) - eye)),
+        _unitarity_residues(values, eye),
     )
     norms = op_norms(residues).tolist()
     pair_defects = dict(zip(pairs, norms))
     max_defect = max([0.0, *norms[:len(pairs)]])
     return DefectReport(pair_defects, max_defect, max([0.0, *norms[len(pairs):]]))
+
+
+def _unitarity_residues(values, eye):
+    return (r for v in values for r in (dagger(v) @ v - eye, v @ dagger(v) - eye))
 
 
 def defect_report_to_json(report: DefectReport, p: Presentation) -> dict:
@@ -338,21 +344,19 @@ def _range_isometry(p: np.ndarray) -> np.ndarray:
     return spec.vectors[:, mask]
 
 
-def require_honest(big_images, p: Presentation, tol: float | None = None):
-    """Check that matrices form an honest unitary representation of ``p``: each
-    image passes the :func:`words.adjoints` gate, each relator evaluates
-    within ``tol`` of the identity."""
-    mats = tuple(as_matrix(m) for m in big_images)
-    if len(mats) != p.num_generators:
-        raise InvalidSize("one image per generator required")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise InvalidSize("generator images must share one dimension")
-    dim = mats[0].shape[0]
+def require_honest(rep: QuasiRep, tol: float | None = None) -> QuasiRep:
+    """Check that a unitary-flavor or compression ``rep`` is honest: each
+    relator, folded over the images and adjoints its construction gated as
+    unitary (the big images of a compression), evaluates within ``tol`` of
+    the identity.  The unitarity gate itself lives in :class:`QuasiRep`;
+    a general-flavor rep has no such table and is refused.  Returns ``rep``."""
+    if rep.compression is None and rep.flavor != "unitary":
+        raise ParseError("an honest representation needs the unitary flavor or compression data")
+    dim = rep._fold[0][0].shape[0]
     if tol is None:
         tol = max(spectral_tol(dim), 1e-9)
-    adj = adjoints(mats, "image of generator")
     eye = identity(dim)
-    relators = (fold_word(r, mats, adj) - eye for r in p.relators)
+    relators = (fold_word(r, *rep._fold) - eye for r in rep.presentation.relators)
     for err in op_norms(relators).tolist():
         if err > tol:
             raise HypothesisViolation(
@@ -360,7 +364,7 @@ def require_honest(big_images, p: Presentation, tol: float | None = None):
                 "not an honest representation",
                 measured=err,
             )
-    return mats
+    return rep
 
 
 def compress(big_images, proj, presentation: Presentation):
@@ -371,20 +375,21 @@ def compress(big_images, proj, presentation: Presentation):
     report over the symmetrized generator set.  The measured generator
     defect never exceeds ``max_g ||[proj, pi(g)]|| + 1e-9``.
     """
-    mats = require_honest(big_images, presentation)
+    mats = tuple(as_matrix(m) for m in big_images)
+    if len({m.shape for m in mats}) > 1:
+        raise InvalidSize("generator images must share one dimension")
     p = require_projection(proj, what="compression projection")
-    if p.shape[0] != mats[0].shape[0]:
+    if any(m.shape != p.shape for m in mats):
         raise InvalidSize("projection dimension must match the representation")
     v = _range_isometry(p)
-    images = tuple(dagger(v) @ m @ v for m in mats)
     rep = QuasiRep(
         presentation=presentation,
-        images=images,
+        images=tuple(dagger(v) @ m @ v for m in mats),
         flavor="ucp-compression",
         compression=CompressionData(mats, p, v),
     )
-    S = symmetrized_generators(presentation)
-    return rep, defect(rep, S)
+    require_honest(rep)
+    return rep, defect(rep, symmetrized_generators(presentation))
 
 
 def symmetrized_generators(p: Presentation) -> list[GroupWord]:
@@ -417,15 +422,14 @@ class MultiplicativityAudit:
 
 def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
     S = list(S)
-    report = defect(phi, S)
-    eps = report.unitarity_defect
+    values = [phi.evaluate(s) for s in S]
+    eps = max([0.0, *op_norms(_unitarity_residues(values, identity(phi.dim))).tolist()])
     if eps >= 1.0:
         raise HypothesisViolation(
             f"unitarity defect {eps:.6f} is not below 1", measured=eps
         )
     bound = math.sqrt(eps) + 1e-9
     g_sample = list(g_sample)
-    values = [phi.evaluate(s) for s in S]
 
     def residues():
         for g in g_sample:
@@ -483,15 +487,32 @@ def voiculescu_pair(delta: float, k: int):
     if k == 0:
         one = identity(1)
         return one, one
-    n = 2
-    while 2.0 * math.sin(math.pi / n) >= delta:
-        n += 1
+    try:
+        n = _block_size(delta)
+        # both outputs exist before any block: a size past numpy's index
+        # range or past the address space is refused here
+        u = np.zeros((n * abs(k),) * 2, dtype=np.complex128)
+        v = np.zeros_like(u)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise InvalidSize(f"the pair for delta = {delta}, k = {k} is too large: {exc}") from exc
     u1, v1 = clock_shift(n)
     if k > 0:
         u1, v1 = v1, u1
-    u = block_sum_many([u1] * abs(k))
-    v = block_sum_many([v1] * abs(k))
+    at = np.arange(abs(k))
+    for out, block in ((u, u1), (v, v1)):
+        out.reshape(abs(k), n, abs(k), n)[at, :, at, :] = block
+        out.setflags(write=False)
     return u, v
+
+
+def _block_size(delta: float) -> int:
+    """Smallest ``n >= 2`` with ``2 sin(pi / n) < delta``.  As ``sin`` increases
+    on (0, pi/2], that is ``n > pi / asin(delta / 2)``: the search starts one
+    below, which rounding cannot carry past the answer."""
+    n = max(2, math.floor(math.pi / math.asin(min(delta / 2.0, 1.0))) - 1)
+    while 2.0 * math.sin(math.pi / n) >= delta:
+        n += 1
+    return n
 
 
 def unitary_pair_rep(u, v) -> QuasiRep:
@@ -515,8 +536,7 @@ def honest_commuting_rep(p: Presentation, dim: int, rng) -> QuasiRep:
     for _ in range(p.num_generators):
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
         images.append(q @ np.diag(phases) @ q.conj().T)
-    require_honest(images, p, tol=1e-8)
-    return QuasiRep(p, tuple(images), flavor="unitary")
+    return require_honest(QuasiRep(p, tuple(images), flavor="unitary"), tol=1e-8)
 
 
 def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> QuasiRep:

@@ -45,7 +45,7 @@ conventionally written with the reversed path ``(1-t) + tW``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -401,7 +401,6 @@ def _eigenphases(w: np.ndarray, tol: float):
 def winding_of_unitary(
     w,
     unitarity_tol: float | None = None,
-    _source_reversed: bool = False,
     _distance: str = "||W - 1||",
 ) -> WindingReport:
     """Winding of ``t -> det(t + (1-t)W)`` by both methods, which must agree.
@@ -446,7 +445,6 @@ def winding_of_unitary(
         eigenvalue_method=w_eig,
         path_method=w_path,
         agreement=True,
-        source_path_reversed=_source_reversed,
     )
 
 
@@ -493,7 +491,7 @@ def winding_class(phi, decomp) -> WindingReport:
         w = w @ (av @ bv @ dagger(av) @ dagger(bv))
     # each commutator factor multiplies four almost-unitaries
     tol = 5.0 * UNITARITY_TOL * max(1, len(decomp.pairs))
-    return winding_of_unitary(w, unitarity_tol=tol, _source_reversed=True)
+    return replace(winding_of_unitary(w, unitarity_tol=tol), source_path_reversed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, ParseError
-from .matcore import as_matrix, identity, require_unitary
+from .matcore import identity, require_unitary
 
 Letter = tuple[int, int]
 
@@ -136,27 +136,6 @@ def commutator_decompose(w: GroupWord) -> CommutatorDecomposition:
             pairs.append((GroupWord(((g, e),)), x))
         rest = reduce(x * y)
     return CommutatorDecomposition.from_pairs(pairs)
-
-
-def word_matrix(w: GroupWord, images, inverse_mode: str = "adjoint") -> np.ndarray:
-    """Evaluate a word on matrices, left to right.
-
-    ``inverse_mode`` fixes what a negative letter means: ``"adjoint"``
-    substitutes the conjugate transpose (every image must pass the
-    :func:`adjoints` gate), ``"true-inverse"`` substitutes the matrix inverse
-    (images must be invertible).  Evaluation order is a strict left fold, so
-    concatenation is respected exactly, not just up to rounding.
-    """
-    if inverse_mode not in ("adjoint", "true-inverse"):
-        raise ParseError(f"unknown inverse_mode {inverse_mode!r}")
-    mats = [as_matrix(m) for m in images]
-    if not mats:
-        raise InvalidSize("word_matrix needs at least one generator image")
-    if any(m.shape != mats[0].shape for m in mats):
-        raise InvalidSize("generator images must share one dimension")
-    if inverse_mode == "adjoint":
-        return fold_word(w, mats, adjoints(mats, "image of generator"))
-    return fold_word(w, mats, inverses(mats))
 
 
 def adjoints(mats, what: str) -> tuple:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from obstructkit import matcore
 from obstructkit.seeding import derive_rng
 
 # Dense-matrix examples are slow per case; trade example count for coverage
@@ -37,3 +39,18 @@ def fresh_python():
                               capture_output=True, text=True, timeout=120, check=False)
 
     return run
+
+
+@pytest.fixture
+def unitarity_checks(monkeypatch):
+    """The shapes of the matrices ``matcore.is_unitary`` checks from here on,
+    which every unitarity gate goes through."""
+    calls = []
+    original = matcore.is_unitary
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "is_unitary", counted)
+    return calls

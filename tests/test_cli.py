@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -203,6 +204,36 @@ def test_gen_out_of_memory_exit_one(monkeypatch, capsys):
     assert err.count("error:") == 1 and err.startswith("error:")
     assert "24.6 TiB" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eta", "--q", "0.3", "--method", "abel", "--ladder", "0.4,0.2,0.1,0.05,1e-300"],
+        ["eta", "--q", "0.3", "--method", "abel", "--ladder", "0.4,0.2,0.1,0.05,1e-7"],
+        ["gen", "voiculescu", "--delta", "1e-9"],
+        ["gen", "voiculescu", "--delta", "0.5", "--k", "10000000"],
+    ],
+    ids=["ladder-1e-300", "ladder-1e-7", "voiculescu-delta-1e-9", "voiculescu-k-1e7"],
+)
+def test_oversized_requests_exit_one_before_allocating(argv, capsys):
+    # each used to run for minutes, raise a traceback or exhaust memory; the
+    # k = 1e7 pair (1.3e8 square) is past the address space, so the
+    # allocator refuses it at once
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 10.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gen_non_orientable_surface_gates_each_image_once(tmp_path, capsys, unitarity_checks):
+    witness = tmp_path / "surf.json"
+    argv = ["gen", "surface", "--genus", "2", "--non-orientable", "--out", str(witness)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+    assert unitarity_checks == [(8, 8), (8, 8)]
 
 
 def test_invariants_non_unitary_compression_exit_two(tmp_path, capsys):

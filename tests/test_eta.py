@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from obstructkit.errors import BoundViolation, ZeroMode
 from obstructkit.eta import (
     DEFAULT_T_LADDER,
+    T_MIN,
     CharacterTwist,
     EtaResult,
     abel_series_value,
@@ -112,6 +113,20 @@ def test_ladder_validation():
         eta_character_abel(tw, richardson_order=0)
     with pytest.raises(BoundViolation):
         eta_character_abel(tw, t_ladder=(0.4, 0.2), richardson_order=4)
+
+
+@pytest.mark.parametrize("t", [1e-300, 1e-7, 0.99e-4, float("nan"), 0.0, -1.0])
+def test_abel_parameter_floor_refuses_before_allocating(t):
+    # below T_MIN the window grows like 1/t: 1e-7 would need two 8 GB arrays
+    # and 1e-300 overflows the window arithmetic itself
+    with pytest.raises(BoundViolation, match="at least 0.0001"):
+        abel_series_value(0.3, t)
+    with pytest.raises(BoundViolation, match=r"must lie in \[0.0001, 1\]"):
+        eta_character_abel(CharacterTwist(0.3), t_ladder=(0.4, 0.2, 0.1, 0.05, t))
+
+
+def test_abel_parameter_floor_is_accepted():
+    assert abel_series_value(0.3, T_MIN) == pytest.approx(0.4, abs=1e-7)
 
 
 def test_twist_phase_domain():

@@ -20,6 +20,7 @@ from obstructkit.errors import (
     NotInvertible,
     NotProjection,
     NotUnitary,
+    ParseError,
 )
 from obstructkit.matcore import (
     block_sum_many,
@@ -33,6 +34,7 @@ from obstructkit.matcore import (
 )
 from obstructkit.quasirep import (
     QuasiRep,
+    _block_size,
     approx_mult_audit,
     clock_shift,
     commutation_defect,
@@ -50,7 +52,7 @@ from obstructkit.quasirep import (
     unitary_pair_rep,
     voiculescu_pair,
 )
-from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian
+from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian, random_projection
 from obstructkit.words import (
     GroupWord,
     IDENTITY_WORD,
@@ -303,7 +305,7 @@ def test_compress_by_commuting_projector_is_subrep(rng):
     assert report.max_defect <= 1e-10
     # an honest subrepresentation, equal to r1 up to the basis the range
     # isometry picked for range(p)
-    require_honest(rep.images, Z2, tol=1e-9)
+    require_honest(QuasiRep(Z2, rep.images, flavor="unitary"), tol=1e-9)
     for small, orig in zip(rep.images, r1.images):
         assert np.linalg.eigvals(small) == pytest.approx(
             np.linalg.eigvals(orig), abs=1e-9
@@ -344,25 +346,50 @@ def test_compress_rejects_non_projection(rng):
 
 def test_require_honest_rejects_defective(rng):
     phi = perturbed_honest_rep(Z2, symmetrized_generators(Z2), 0.3, 4, rng)
-    with pytest.raises((HypothesisViolation, Exception)):
-        require_honest(phi.images, Z2, tol=1e-9)
+    # a general-flavor rep has no gated adjoint table to fold relators over
+    with pytest.raises(ParseError, match="unitary flavor or compression data"):
+        require_honest(phi, tol=1e-9)
+    with pytest.raises(NotUnitary):
+        QuasiRep(Z2, phi.images, flavor="unitary")
+    # unitary but not commuting: the relator aba*b* is omega, not the identity
+    clock = unitary_pair_rep(*clock_shift(5))
+    with pytest.raises(HypothesisViolation, match="not an honest representation") as exc_info:
+        require_honest(clock, tol=1e-9)
+    assert exc_info.value.measured == pytest.approx(2.0 * math.sin(math.pi / 5), abs=1e-12)
 
 
 def test_require_honest_and_compress_refuse_mismatched_image_sizes():
     images = [np.eye(2), np.eye(3)]
-    with pytest.raises(InvalidSize, match="^generator images must share one dimension$"):
-        require_honest(images, Z2)
+    with pytest.raises(InvalidSize, match="^image of generator 1 must be 2 x 2, got 3$"):
+        QuasiRep(Z2, images, flavor="unitary")
     with pytest.raises(InvalidSize, match="^generator images must share one dimension$"):
         compress(images, np.eye(2), Z2)
+    with pytest.raises(InvalidSize, match="^projection dimension must match the representation$"):
+        compress([np.eye(2), np.eye(2)], np.eye(3), Z2)
+    with pytest.raises(InvalidSize, match="^one image per generator required$"):
+        compress([np.eye(2)], np.eye(2), Z2)
 
 
 def test_require_honest_gates_unitarity_at_the_quasirep_tolerance(rng):
     # ||a*a - 1|| ~ 1.1e-8: above UNITARITY_TOL = 1e-8 but below the
-    # 1e-10 * dim relator tolerance at dim 120, which must not widen the gate
+    # 1e-10 * dim relator tolerance at dim 120, which must not widen the gate;
+    # the norm 1 + 5.5e-9 also leaves the 1e-10 unit ball, so the gate has to
+    # come first for the refusal to say NotUnitary
     scaled = haar_unitary(120, rng) * (1.0 + 5.5e-9)
-    with pytest.raises(NotUnitary, match=r"\|\|a\*a - 1\|\| = 1\.1"):
-        require_honest([scaled], free_presentation(1))
-    assert require_honest([haar_unitary(120, rng)], free_presentation(1))[0].shape == (120, 120)
+    with pytest.raises(NotUnitary, match=r"^image of generator 0 .* = 1\.1"):
+        require_honest(QuasiRep(free_presentation(1), (scaled,), flavor="unitary"))
+    with pytest.raises(NotUnitary, match=r"^compressed image of generator 0 .* = 1\.1"):
+        compress([scaled], np.eye(120), free_presentation(1))
+    honest = QuasiRep(free_presentation(1), (haar_unitary(120, rng),), flavor="unitary")
+    assert require_honest(honest) is honest
+
+
+def test_honest_constructions_gate_each_image_once(rng, unitarity_checks):
+    phi = honest_commuting_rep(free_abelian_presentation(2), 6, rng)
+    assert unitarity_checks == [(6, 6), (6, 6)]
+    unitarity_checks.clear()
+    compress(phi.images, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
+    assert unitarity_checks == [(6, 6), (6, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +438,13 @@ def test_mult_audit_sqrt_bound_randomized(rng):
         assert audit.worst_ratio <= 1.0
 
 
+def test_mult_audit_eps_is_the_unitarity_defect(rng):
+    big = honest_commuting_rep(Z2, 7, rng)
+    rep, _ = compress(big.images, random_projection(7, 4, rng), Z2)
+    S = symmetrized_generators(Z2)
+    assert approx_mult_audit(rep, S, [A * B]).eps == defect(rep, S).unitarity_defect
+
+
 # ---------------------------------------------------------------------------
 # example families
 # ---------------------------------------------------------------------------
@@ -447,6 +481,42 @@ def test_voiculescu_pair_defect_and_sizes():
     u2, v2 = voiculescu_pair(0.5, 2)
     assert u2.shape[0] == 26
     assert commutation_defect(u2, v2) < 0.5
+
+
+def test_voiculescu_block_size_matches_the_search():
+    def search(delta):
+        n = 2
+        while 2.0 * math.sin(math.pi / n) >= delta:
+            n += 1
+        return n
+
+    boundaries = [2.0 * math.sin(math.pi / m) for m in range(2, 400)]
+    deltas = [0.5, 0.1, 0.01, 1e-3, 1e-5, 2.0, 2.5, *boundaries]
+    deltas += [np.nextafter(d, side) for d in boundaries for side in (0.0, 3.0)]
+    for delta in deltas:
+        assert _block_size(float(delta)) == search(delta), delta
+
+
+def test_voiculescu_pair_bytes_equal_the_block_sum():
+    for delta, k in ((0.5, 3), (0.25, -2), (0.1, 1)):
+        u1, v1 = clock_shift(_block_size(delta))
+        if k > 0:
+            u1, v1 = v1, u1
+        u, v = voiculescu_pair(delta, k)
+        assert u.tobytes() == block_sum_many([u1] * abs(k)).tobytes()
+        assert v.tobytes() == block_sum_many([v1] * abs(k)).tobytes()
+        assert not u.flags.writeable and not v.flags.writeable
+
+
+def test_voiculescu_pair_refuses_oversized_before_building():
+    # 1.3e8-square at k = 1e7 is past the 128 TB address space; the sizes at
+    # delta = 1e-9 (n about 6.3e9) and 5e-324 are refused by numpy or by the
+    # size arithmetic itself, all before any block exists
+    with pytest.raises(MemoryError):
+        voiculescu_pair(0.5, 10**7)
+    for delta in (1e-9, 5e-324):
+        with pytest.raises(InvalidSize, match="too large"):
+            voiculescu_pair(delta, 1)
 
 
 def test_voiculescu_positive_k_swaps():
@@ -526,8 +596,8 @@ def test_unitarity_refusals_name_the_image(rng):
     refusal = r"^image of generator 1 is not unitary: \|\|a\*a - 1\|\| = 7\.500e-01 > "
     with pytest.raises(NotUnitary, match=refusal):
         QuasiRep(Z2, (u, bad), flavor="unitary")
-    with pytest.raises(NotUnitary, match=r"^image of generator 0 is not unitary"):
-        require_honest([bad, u], Z2)
+    with pytest.raises(NotUnitary, match=r"^compressed image of generator 0 is not unitary"):
+        compress([bad, u], np.eye(3), Z2)
     comp = compress([u, u], np.diag([1.0, 0.0, 0.0]), Z2)[0].compression
     with pytest.raises(NotUnitary, match=r"^compressed image of generator 1 is not unitary"):
         QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",

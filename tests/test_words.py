@@ -14,26 +14,28 @@ from obstructkit.errors import (
     NotUnitary,
     ParseError,
 )
-from obstructkit.matcore import op_norm
+from obstructkit.matcore import as_matrix, op_norm
 from obstructkit.seeding import derive_rng, haar_unitary
 from obstructkit.words import (
     IDENTITY_WORD,
     GroupWord,
     Presentation,
+    adjoints,
     baumslag_solitar_presentation,
     canonical_form,
     commutator_decompose,
     exponent_sums,
+    fold_word,
     free_abelian_presentation,
     free_presentation,
     generator,
+    inverses,
     is_free_abelian,
     presentation_from_json,
     presentation_to_json,
     reduce,
     surface_presentation,
     word_from_text,
-    word_matrix,
     word_to_text,
 )
 
@@ -176,49 +178,61 @@ def test_decompose_round_trip_bulk():
 
 
 # ---------------------------------------------------------------------------
-# word_matrix
+# fold_word over adjoint and inverse tables
 # ---------------------------------------------------------------------------
 
 
-def test_word_matrix_identity_word(rng):
+def fold_adjoint(w, images):
+    """``w`` on unitaries: inverse letters read the :func:`adjoints` table."""
+    mats = [as_matrix(m) for m in images]
+    return fold_word(w, mats, adjoints(mats, "image of generator"))
+
+
+def fold_inverse(w, images):
+    """``w`` on invertible matrices: inverse letters read :func:`inverses`."""
+    mats = [as_matrix(m) for m in images]
+    return fold_word(w, mats, inverses(mats))
+
+
+def test_fold_word_identity_word(rng):
     u = haar_unitary(3, rng)
-    assert np.allclose(word_matrix(IDENTITY_WORD, [u]), np.eye(3))
+    assert np.allclose(fold_adjoint(IDENTITY_WORD, [u]), np.eye(3))
 
 
-def test_word_matrix_commuting_unitaries(rng):
+def test_fold_word_commuting_unitaries(rng):
     q = haar_unitary(4, rng)
     d1 = q @ np.diag(np.exp(2j * np.pi * rng.uniform(size=4))) @ q.conj().T
     d2 = q @ np.diag(np.exp(2j * np.pi * rng.uniform(size=4))) @ q.conj().T
-    out = word_matrix(commutator_word(A, B), [d1, d2])
+    out = fold_adjoint(commutator_word(A, B), [d1, d2])
     assert op_norm(out - np.eye(4)) <= 1e-12
 
 
-def test_word_matrix_clock_shift_relation():
+def test_fold_word_clock_shift_relation():
     n = 5
     omega = np.exp(2j * np.pi / n)
     u = np.diag(omega ** np.arange(n))
     v = np.zeros((n, n), dtype=complex)
     for j in range(n):
         v[(j + 1) % n, j] = 1.0
-    out = word_matrix(commutator_word(A, B), [u, v], inverse_mode="adjoint")
+    out = fold_adjoint(commutator_word(A, B), [u, v])
     assert op_norm(out - omega * np.eye(n)) <= 1e-12
 
 
-def test_word_matrix_respects_concatenation(rng):
+def test_fold_word_respects_concatenation(rng):
     u, v = haar_unitary(3, rng), haar_unitary(3, rng)
     w1 = A * B.inverse() * A
     w2 = B * A.inverse()
     # appending one letter reuses the identical left fold: bitwise equal
-    lhs_single = word_matrix(w1 * B, [u, v])
-    rhs_single = word_matrix(w1, [u, v]) @ v
+    lhs_single = fold_adjoint(w1 * B, [u, v])
+    rhs_single = fold_adjoint(w1, [u, v]) @ v
     assert np.array_equal(lhs_single, rhs_single)
     # longer tails regroup the fold; only float associativity error remains
-    lhs = word_matrix(w1 * w2, [u, v])
-    rhs = word_matrix(w1, [u, v]) @ word_matrix(w2, [u, v])
+    lhs = fold_adjoint(w1 * w2, [u, v])
+    rhs = fold_adjoint(w1, [u, v]) @ fold_adjoint(w2, [u, v])
     assert op_norm(lhs - rhs) <= 1e-14
 
 
-def test_word_matrix_det_multiplicativity(rng):
+def test_fold_word_det_multiplicativity(rng):
     u, v = haar_unitary(4, rng), haar_unitary(4, rng)
     for _ in range(25):
         length = int(rng.integers(0, 12))
@@ -228,47 +242,37 @@ def test_word_matrix_det_multiplicativity(rng):
         w = GroupWord(letters)
         sums = exponent_sums(w, 2)
         expected = np.linalg.det(u) ** sums[0] * np.linalg.det(v) ** sums[1]
-        got = np.linalg.det(word_matrix(w, [u, v]))
+        got = np.linalg.det(fold_adjoint(w, [u, v]))
         assert abs(got - expected) <= 1e-10 * 4
 
 
-def test_word_matrix_commutator_word_has_unit_det(rng):
+def test_fold_word_commutator_word_has_unit_det(rng):
     u, v = haar_unitary(5, rng), haar_unitary(5, rng)
     w = commutator_word(A, B)
-    det = np.linalg.det(word_matrix(w, [u, v]))
+    det = np.linalg.det(fold_adjoint(w, [u, v]))
     assert abs(det - 1.0) <= 1e-10 * 5
 
 
-def test_word_matrix_adjoint_mode_requires_unitary():
+def test_adjoints_require_unitary():
     with pytest.raises(NotUnitary):
-        word_matrix(A.inverse(), [np.diag([0.5, 0.5])], inverse_mode="adjoint")
+        fold_adjoint(A.inverse(), [np.diag([0.5, 0.5])])
 
 
-def test_word_matrix_adjoint_gate_runs_without_inverse_letters():
+def test_adjoints_gate_runs_without_inverse_letters():
     # the gate checks every image before the fold, so a positive word on a
     # non-unitary image is refused too, naming the image
     with pytest.raises(NotUnitary, match="image of generator 0 is not unitary"):
-        word_matrix(A, [np.diag([0.5, 0.5])], "adjoint")
+        fold_adjoint(A, [np.diag([0.5, 0.5])])
 
 
-def test_word_matrix_true_inverse_mode():
+def test_fold_word_over_true_inverses():
     m = np.diag([2.0, 4.0])
-    out = word_matrix(A.inverse(), [m], inverse_mode="true-inverse")
+    out = fold_inverse(A.inverse(), [m])
     assert np.allclose(out, np.diag([0.5, 0.25]))
     with pytest.raises(NotInvertible, match="image of generator 1 is singular"):
-        word_matrix(A * B.inverse(), [m, np.zeros((2, 2))], inverse_mode="true-inverse")
+        fold_inverse(A * B.inverse(), [m, np.zeros((2, 2))])
     # a singular image is fine while no inverse letter needs it
-    assert np.allclose(word_matrix(B, [m, np.zeros((2, 2))], "true-inverse"), 0.0)
-
-
-def test_word_matrix_unknown_inverse_mode():
-    with pytest.raises(ParseError, match="unknown inverse_mode"):
-        word_matrix(A, [np.eye(2)], "transpose")
-
-
-def test_word_matrix_dimension_mismatch():
-    with pytest.raises(InvalidSize):
-        word_matrix(A, [np.eye(2), np.eye(3)])
+    assert np.allclose(fold_inverse(B, [m, np.zeros((2, 2))]), 0.0)
 
 
 # ---------------------------------------------------------------------------
