@@ -116,7 +116,7 @@ def _trial_sqrt_mult(rng) -> dict:
     rank = int(rng.integers(max(1, dim // 2), dim))
     base = honest_commuting_rep(_PLANE, dim, rng)
     proj = random_projection(dim, rank, rng)
-    rep, _ = compress(base.images, proj, _PLANE)
+    rep = compress(base.images, proj, _PLANE)
     g_sample = [_random_word(rng, 2) for _ in range(3)]
     audit = approx_mult_audit(rep, symmetrized_generators(_PLANE), g_sample)
     return {"multiplicativity": audit.worst_ratio}

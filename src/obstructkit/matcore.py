@@ -10,7 +10,14 @@ off one stacked SVD call, which is bitwise equal to per-matrix calls; above
 it it streams the matrices one at a time through :func:`op_norm`, so a
 generator of large residues never holds more than one of them.
 Functions here are pure: inputs are never mutated and returned arrays are
-marked read-only, so values can be shared freely between threads.
+read-only, so values can be shared freely between threads.
+
+Read-only policy
+----------------
+:func:`as_matrix` and :func:`as_stack` are the only code that copies: they
+copy an array that may be the caller's, so a caller's array is never
+modified or frozen.  Every freshly computed result is marked read-only in
+place by :func:`sealed`, without a copy or a change of dtype or layout.
 
 Tolerances
 ----------
@@ -58,14 +65,14 @@ def spectral_tol(dim: int) -> float:
     return SPECTRAL_TOL_SCALE * dim
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.complex128)
-    if out is a and out.flags.writeable:
-        # ascontiguousarray returned the caller's own array; freezing it in
-        # place would mutate the input, which this module promises never to do
-        out = out.copy()
-    out.setflags(write=False)
-    return out
+def sealed(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only in place and return it.
+
+    Never pass it an array the caller may hold: that is :func:`as_matrix`'s
+    job, which copies.
+    """
+    a.setflags(write=False)
+    return a
 
 
 def as_matrix(a) -> np.ndarray:
@@ -81,7 +88,10 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidMatrix("matrix dimension must be positive")
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return _freeze(arr)
+    if arr.flags.writeable or not arr.flags.c_contiguous:
+        # np.asarray may have returned the caller's own array
+        arr = np.array(arr, order="C")
+    return sealed(arr)
 
 
 def as_stack(mats) -> np.ndarray:
@@ -101,17 +111,16 @@ def as_stack(mats) -> np.ndarray:
         raise InvalidMatrix("a stack needs at least one matrix of positive dimension")
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    arr.setflags(write=False)  # built from a list, so never the caller's array
-    return arr
+    return sealed(arr)  # built from a list, so never the caller's array
 
 
 def identity(dim: int) -> np.ndarray:
-    return _freeze(np.eye(dim, dtype=np.complex128))
+    return sealed(np.eye(dim, dtype=np.complex128))
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return a.conj().T
+    return sealed(a.conj().T)
 
 
 def _entry_scale(a: np.ndarray) -> float:
@@ -180,7 +189,7 @@ def _require_shape(a, shape: tuple) -> np.ndarray:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    return sealed(a @ b - b @ a)
 
 
 def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
@@ -204,7 +213,9 @@ def require_unitary(a, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.n
     arr = as_matrix(a)
     if not is_unitary(arr, tol):
         delta = op_norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
-        raise NotUnitary(f"{what} is not unitary: ||a*a - 1|| = {delta:.3e} > {tol:.1e}")
+        raise NotUnitary(
+            f"{what} is not unitary: ||a*a - 1|| = {delta:.3e} > {tol:.1e}", measured=delta
+        )
     return arr
 
 
@@ -267,7 +278,7 @@ def polar_unitary(a) -> np.ndarray:
         raise NotInvertible(
             f"smallest singular value {s[-1]:.3e} <= {SINGULARITY_TOL:.1e}"
         )
-    return _freeze(w @ vh)
+    return sealed(w @ vh)
 
 
 @dataclass(frozen=True)
@@ -299,13 +310,7 @@ def hermitian_eigensystem(a) -> HermitianSpectrum:
         )
     herm = (arr + arr.conj().T) / 2.0
     lam, vec = np.linalg.eigh(herm)
-    return HermitianSpectrum(_freeze_real(lam), _freeze(vec))
-
-
-def _freeze_real(x: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(x, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    return HermitianSpectrum(sealed(lam), sealed(vec))
 
 
 def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
@@ -333,7 +338,7 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     cols = spec.vectors[:, lam > cut]
     proj = cols @ cols.conj().T
     proj = (proj + proj.conj().T) / 2.0
-    return _freeze(proj)
+    return sealed(proj)
 
 
 def block_sum_many(mats) -> np.ndarray:
@@ -347,19 +352,18 @@ def block_sum_many(mats) -> np.ndarray:
     for m in mats:
         out[at:at + len(m), at:at + len(m)] = m
         at += len(m)
-    out.setflags(write=False)
-    return out
+    return sealed(out)
 
 
 def coordinate_projection(dim: int, rank: int) -> np.ndarray:
     """The projection onto the first ``rank`` coordinates of ``C^dim``."""
-    return _freeze(np.diag((np.arange(dim) < rank).astype(np.complex128)))
+    return sealed(np.diag((np.arange(dim) < rank).astype(np.complex128)))
 
 
 def hermitian_rotation(h, angle: float) -> np.ndarray:
     """``exp(i angle h)`` for hermitian ``h`` (symmetrized, not checked)."""
     lam, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (vecs * np.exp(1j * angle * lam)) @ vecs.conj().T
+    return sealed((vecs * np.exp(1j * angle * lam)) @ vecs.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -390,4 +394,4 @@ def matrix_from_json(obj) -> np.ndarray:
         data = parts.astype(np.float64).view(np.complex128).reshape(dim, dim)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
-    return as_matrix(data)
+    return as_matrix(sealed(data))  # fresh, so validated without a copy

@@ -44,6 +44,7 @@ from .matcore import (
     require_projection,
     require_projections,
     require_unit_ball,
+    sealed,
     spectral_projection,
 )
 
@@ -132,8 +133,7 @@ def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
     p, q = path[:-1], path[1:]
     eye = identity(path.shape[1])
     w, s, vh = np.linalg.svd(q @ p + (eye - q) @ (eye - p))
-    us = w @ vh
-    us.setflags(write=False)
+    us = sealed(w @ vh)
     conj = op_norms(u @ pi @ dagger(u) - qi for u, pi, qi in zip(us, p, q)).tolist()
     comm = op_norms(commutator(u, x) for u in us for x in ops).tolist()
     audits = []
@@ -218,7 +218,7 @@ def chain_conjugation(path, test_ops):
     norms = op_norms(commutator(u, x) for x in ops).tolist()
     worst = _commutator_worst(norms, comm_bound, "28*eps*m + 1e-8")
     report = ChainReport(m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst)
-    return u, report
+    return sealed(u), report
 
 
 def _projection_path(path) -> np.ndarray:
@@ -301,7 +301,7 @@ def pairing_operand(inp: PairingInput) -> np.ndarray:
     q_big = np.kron(np.eye(2), inp.q)
     b_big = np.kron(inp.b, np.eye(inp.k_dim))
     operand = e_big + q_big @ b_big @ q_big
-    return (operand + operand.conj().T) / 2.0
+    return sealed((operand + operand.conj().T) / 2.0)
 
 
 def pairing(inp: PairingInput) -> PairingResult:
@@ -355,7 +355,7 @@ def pairing_block_sum(a: PairingInput, b: PairingInput) -> PairingInput:
     view[:n1, :, :n1, :] = qa
     view[n1:, :, n1:, :] = qb
     gap = min(a.gap_tol, b.gap_tol)
-    return pairing_input(bb, qq, n, k, gap)
+    return pairing_input(sealed(bb), sealed(qq), n, k, gap)
 
 
 def pairing_input_to_json(inp: PairingInput) -> dict:

@@ -33,7 +33,6 @@ from .errors import (
 from .matcore import (
     as_matrix,
     dagger,
-    hermitian_eigensystem,
     hermitian_rotation,
     identity,
     matrix_from_json,
@@ -43,6 +42,7 @@ from .matcore import (
     polar_unitary,
     require_projection,
     require_unit_ball,
+    sealed,
     spectral_tol,
 )
 from .seeding import haar_unitary, random_hermitian
@@ -175,13 +175,13 @@ class QuasiRep:
             return identity(self.dim)
         if self.compression is not None:
             v = self.compression.isometry
-            return dagger(v) @ fold_word(key, *self._fold) @ v
+            return sealed(dagger(v) @ fold_word(key, *self._fold) @ v)
         hit = self.word_table.get(key.letters)
         if hit is not None:
             return hit
         if self.default_to_identity:
             return identity(self.dim)
-        return fold_word(key, *self._fold)
+        return sealed(fold_word(key, *self._fold))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
             pk = prod.letters
             if not prod.letters or pk in keys or pk in table:
                 continue
-            table[pk] = table[left.letters] @ table[right.letters]
+            table[pk] = sealed(table[left.letters] @ table[right.letters])
 
     return QuasiRep(
         presentation=phi.presentation,
@@ -334,16 +334,6 @@ def ucp_gram_check(phi: QuasiRep, F) -> float:
 # Compression of honest representations
 # ---------------------------------------------------------------------------
 
-def _range_isometry(p: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a projection."""
-    spec = hermitian_eigensystem(p)
-    mask = spec.eigenvalues > 0.5
-    rank = int(mask.sum())
-    if rank == 0:
-        raise InvalidSize("projection has rank zero; nothing to compress to")
-    return spec.vectors[:, mask]
-
-
 def require_honest(rep: QuasiRep, tol: float | None = None) -> QuasiRep:
     """Check that a unitary-flavor or compression ``rep`` is honest: each
     relator, folded over the images and adjoints its construction gated as
@@ -367,13 +357,13 @@ def require_honest(rep: QuasiRep, tol: float | None = None) -> QuasiRep:
     return rep
 
 
-def compress(big_images, proj, presentation: Presentation):
+def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
     """Corner an honest representation by a projection.
 
-    Returns the quasi-representation ``g -> V* pi(g) V`` (with ``V`` an
-    isometry onto the range of the projection) together with its defect
-    report over the symmetrized generator set.  The measured generator
-    defect never exceeds ``max_g ||[proj, pi(g)]|| + 1e-9``.
+    Returns the quasi-representation ``g -> V* pi(g) V``, with ``V`` an
+    isometry onto the range of the projection.  Its defect over the
+    symmetrized generators, ``defect(rep, symmetrized_generators(presentation))``,
+    never exceeds ``max_g ||[proj, pi(g)]|| + 1e-9``.
     """
     mats = tuple(as_matrix(m) for m in big_images)
     if len({m.shape for m in mats}) > 1:
@@ -381,15 +371,18 @@ def compress(big_images, proj, presentation: Presentation):
     p = require_projection(proj, what="compression projection")
     if any(m.shape != p.shape for m in mats):
         raise InvalidSize("projection dimension must match the representation")
-    v = _range_isometry(p)
+    # p passed the hermiticity gate of require_projection, so no second one
+    lam, vecs = np.linalg.eigh((p + p.conj().T) / 2.0)
+    v = sealed(vecs[:, lam > 0.5])
+    if v.shape[1] == 0:
+        raise InvalidSize("projection has rank zero; nothing to compress to")
     rep = QuasiRep(
         presentation=presentation,
-        images=tuple(dagger(v) @ m @ v for m in mats),
+        images=tuple(sealed(dagger(v) @ m @ v) for m in mats),
         flavor="ucp-compression",
         compression=CompressionData(mats, p, v),
     )
-    require_honest(rep)
-    return rep, defect(rep, symmetrized_generators(presentation))
+    return require_honest(rep)
 
 
 def symmetrized_generators(p: Presentation) -> list[GroupWord]:
@@ -460,14 +453,15 @@ def clock_shift(n: int):
     """
     if n < 2:
         raise InvalidSize(f"clock_shift needs n >= 2, got {n}")
-    phases = np.exp(2j * np.pi * np.arange(n) / n)
-    u = np.diag(phases).astype(np.complex128)
-    v = np.zeros((n, n), dtype=np.complex128)
-    for j in range(n):
-        v[(j + 1) % n, j] = 1.0
-    u.setflags(write=False)
-    v.setflags(write=False)
-    return u, v
+    try:
+        u = np.zeros((n, n), dtype=np.complex128)
+        v = np.zeros_like(u)
+    except (OverflowError, ValueError) as exc:  # past numpy's index range
+        raise InvalidSize(f"clock_shift for n = {n} is too large: {exc}") from exc
+    at = np.arange(n)
+    u[at, at] = np.exp(2j * np.pi * at / n)
+    v[(at + 1) % n, at] = 1.0
+    return sealed(u), sealed(v)
 
 
 def commutation_defect(u, v) -> float:
@@ -501,8 +495,7 @@ def voiculescu_pair(delta: float, k: int):
     at = np.arange(abs(k))
     for out, block in ((u, u1), (v, v1)):
         out.reshape(abs(k), n, abs(k), n)[at, :, at, :] = block
-        out.setflags(write=False)
-    return u, v
+    return sealed(u), sealed(v)
 
 
 def _block_size(delta: float) -> int:
@@ -519,7 +512,7 @@ def unitary_pair_rep(u, v) -> QuasiRep:
     """Wrap a unitary pair as a quasi-representation of the free-abelian plane."""
     return QuasiRep(
         presentation=free_abelian_presentation(2),
-        images=(as_matrix(u), as_matrix(v)),
+        images=(u, v),
         flavor="unitary",
     )
 
@@ -535,7 +528,7 @@ def honest_commuting_rep(p: Presentation, dim: int, rng) -> QuasiRep:
     images = []
     for _ in range(p.num_generators):
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
-        images.append(q @ np.diag(phases) @ q.conj().T)
+        images.append(sealed(q @ np.diag(phases) @ q.conj().T))
     return require_honest(QuasiRep(p, tuple(images), flavor="unitary"), tol=1e-8)
 
 
@@ -562,7 +555,7 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
         theta = rng.uniform(0.0, eta)
         shrink = rng.uniform(0.0, eta / 4.0)
         rot = hermitian_rotation(h, theta)
-        table[lk] = (1.0 - shrink) * (rot @ base.evaluate(w))
+        table[lk] = sealed((1.0 - shrink) * (rot @ base.evaluate(w)))
     return QuasiRep(p, _generator_images(p, table, base.images), word_table=table)
 
 
@@ -592,6 +585,10 @@ def quasirep_to_json(phi: QuasiRep) -> dict:
 
 
 def quasirep_from_json(obj) -> QuasiRep:
+    """Decode :func:`quasirep_to_json` output.  A ``"compression"`` is rebuilt
+    by :func:`compress` from its big images and projection, which refuses a
+    non-representation; stored images, flavor or extra fields that differ
+    from what it builds are a :class:`ParseError`."""
     try:
         pres = presentation_from_json(obj["presentation"])
         flavor = str(obj.get("flavor", "general"))
@@ -600,19 +597,19 @@ def quasirep_from_json(obj) -> QuasiRep:
         for text, mat in obj.get("word_table", {}).items():
             w = canonical_form(word_from_text(text, pres), pres)
             table[w.letters] = matrix_from_json(mat)
-        compression = None
+        default = bool(obj.get("default_to_identity", False))
         if "compression" in obj:
             comp = obj["compression"]
             big = tuple(matrix_from_json(m) for m in comp["big_images"])
-            proj = require_projection(matrix_from_json(comp["projection"]))
-            compression = CompressionData(big, proj, _range_isometry(proj))
+            proj = matrix_from_json(comp["projection"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed quasi-representation JSON: {exc}") from exc
-    return QuasiRep(
-        presentation=pres,
-        images=images,
-        flavor=flavor,
-        word_table=table,
-        compression=compression,
-        default_to_identity=bool(obj.get("default_to_identity", False)),
-    )
+    if "compression" not in obj:
+        return QuasiRep(pres, images, flavor, table, default_to_identity=default)
+    rep = compress(big, proj, pres)
+    stored = (flavor, len(images), bool(table), default)
+    if stored != (rep.flavor, len(rep.images), False, False) or not all(
+        map(np.array_equal, images, rep.images)
+    ):
+        raise ParseError("stored images, flavor or fields differ from the compression V* pi(g) V")
+    return rep

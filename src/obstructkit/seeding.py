@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidSize
+from .matcore import sealed
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -33,10 +34,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    q = q * (d / np.abs(d)).conj()
-    out = np.ascontiguousarray(q, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+    return sealed(q * (d / np.abs(d)).conj())
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
@@ -45,10 +43,8 @@ def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> n
     h = (z + z.conj().T) / 2.0
     top = float(np.linalg.norm(h, 2))
     if top == 0.0:
-        return np.zeros((dim, dim), dtype=np.complex128)
-    out = np.ascontiguousarray(h * (norm / top), dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+        return sealed(np.zeros((dim, dim), dtype=np.complex128))
+    return sealed(h * (norm / top))
 
 
 def random_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,6 +54,4 @@ def random_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarr
     u = haar_unitary(dim, rng)
     cols = u[:, :rank]
     p = cols @ cols.conj().T
-    out = np.ascontiguousarray((p + p.conj().T) / 2.0, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
+    return sealed((p + p.conj().T) / 2.0)

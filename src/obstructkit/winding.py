@@ -57,11 +57,11 @@ from .errors import (
 )
 from .matcore import (
     UNITARITY_TOL,
-    as_matrix,
     dagger,
     identity,
     op_norm,
     require_unitary,
+    sealed,
 )
 from .seeding import haar_unitary
 
@@ -530,4 +530,4 @@ def random_admissible_unitary(dim: int, rng, winding: int | None = None):
     theta = 2.0 * np.pi * k / dim + jitter
     q = haar_unitary(dim, rng)
     w = (q * np.exp(1j * theta)) @ q.conj().T
-    return as_matrix(w), -k
+    return sealed(w), -k

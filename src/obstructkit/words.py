@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, ParseError
-from .matcore import identity, require_unitary
+from .matcore import identity, require_unitary, sealed
 
 Letter = tuple[int, int]
 
@@ -144,9 +144,7 @@ def adjoints(mats, what: str) -> tuple:
     out = []
     for i, m in enumerate(mats):
         require_unitary(m, what=f"{what} {i}")
-        adj = m.conj().T
-        adj.setflags(write=False)
-        out.append(adj)
+        out.append(sealed(m.conj().T))
     return tuple(out)
 
 
@@ -155,12 +153,9 @@ def inverses(mats) -> tuple:
     out = []
     for m in mats:
         try:
-            inv = np.linalg.inv(m)
+            out.append(sealed(np.linalg.inv(m)))
         except np.linalg.LinAlgError:
-            inv = None
-        else:
-            inv.setflags(write=False)
-        out.append(inv)
+            out.append(None)
     return tuple(out)
 
 

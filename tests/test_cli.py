@@ -239,7 +239,7 @@ def test_gen_non_orientable_surface_gates_each_image_once(tmp_path, capsys, unit
 def test_invariants_non_unitary_compression_exit_two(tmp_path, capsys):
     pres = free_abelian_presentation(2)
     big = honest_commuting_rep(pres, 4, derive_rng(5, 1))
-    rep, _ = compress(big.images, np.diag([1.0, 1.0, 0.0, 0.0]), pres)
+    rep = compress(big.images, np.diag([1.0, 1.0, 0.0, 0.0]), pres)
     obj = quasirep_to_json(rep)
     obj["compression"]["big_images"][0] = matrix_to_json(np.diag([0.5, 1.0, 1.0, 1.0]))
     path = tmp_path / "comp.json"
@@ -663,11 +663,12 @@ LONG_INT = "9" * 5001
         ["gen", "surface", "--genus", "1", "--non-orientable", "--dim", "-2"],
         ["audit", "--trials", "-1"],
         ["audit", "--suite", "zzz"],
+        ["gen", "clock-shift", "--n", "99999999999999999999"],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
          "replay-negative-trial", "gen-negative-dim", "gen-non-orientable-negative-dim",
-         "audit-negative-trials", "audit-unknown-suite"],
+         "audit-negative-trials", "audit-unknown-suite", "gen-clock-shift-huge-n"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

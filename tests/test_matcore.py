@@ -351,6 +351,13 @@ def test_require_unitary_accepts_and_rejects(rng):
     assert not is_unitary(w * 1.01)
 
 
+def test_not_unitary_carries_the_measured_distance(rng):
+    # (2w)*(2w) - 1 = 3: the refusal carries the value its message prints
+    with pytest.raises(NotUnitary, match=r"= 3\.000e\+00 >") as exc_info:
+        require_unitary(2.0 * haar_unitary(5, rng))
+    assert exc_info.value.measured == pytest.approx(3.0, abs=1e-12)
+
+
 def test_unitarity_screen_falls_back_to_the_exact_norm():
     # ||a*a - 1|| = 0.9 tol, but its Frobenius norm is sqrt(400) * 0.9 tol
     dim = 400

@@ -319,7 +319,7 @@ def test_pairing_json_round_trip(rng):
 def _coordinate_probe(rng, big_dim=4, rank=2):
     big = honest_commuting_rep(Z2, big_dim, rng)
     p = np.diag([1.0] * rank + [0.0] * (big_dim - rank))
-    rep, _ = compress(big.images, p, Z2)
+    rep = compress(big.images, p, Z2)
     return rep
 
 

@@ -5,6 +5,7 @@ asserted with their literal constants.  Oracles are direct norm evaluations
 on independently constructed matrices.
 """
 
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -267,7 +268,7 @@ def test_gram_check_compression_is_psd(rng):
     h = random_hermitian(8, rng)
     lam, vec = np.linalg.eigh(h)
     p = vec[:, :5] @ vec[:, :5].conj().T
-    rep, _ = compress(big.images, p, Z2)
+    rep = compress(big.images, p, Z2)
     for _ in range(20):
         size = int(rng.integers(1, 7))
         F = []
@@ -287,8 +288,8 @@ def test_gram_check_compression_is_psd(rng):
 
 def test_compress_by_identity_is_original(rng):
     phi = honest_commuting_rep(Z2, 4, rng)
-    rep, report = compress(phi.images, np.eye(4), Z2)
-    assert report.max_defect <= 1e-10
+    rep = compress(phi.images, np.eye(4), Z2)
+    assert defect(rep, symmetrized_generators(Z2)).max_defect <= 1e-10
     # isometry spans the full space, so images agree up to a basis rotation
     for small, big in zip(rep.images, phi.images):
         assert sorted(np.round(np.linalg.eigvals(small), 8)) == pytest.approx(
@@ -301,8 +302,8 @@ def test_compress_by_commuting_projector_is_subrep(rng):
     r2 = honest_commuting_rep(Z2, 2, rng)
     big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
     p = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
-    rep, report = compress(big, p, Z2)
-    assert report.max_defect <= 1e-10
+    rep = compress(big, p, Z2)
+    assert defect(rep, symmetrized_generators(Z2)).max_defect <= 1e-10
     # an honest subrepresentation, equal to r1 up to the basis the range
     # isometry picked for range(p)
     require_honest(QuasiRep(Z2, rep.images, flavor="unitary"), tol=1e-9)
@@ -333,7 +334,7 @@ def test_compress_rotated_coordinate_projection_defect(rng):
         p0 = np.diag([1.0, 1.0, 0.0, 0.0])
         p = r @ p0 @ r.T
         p1 = free_presentation(1)
-        rep, report = compress([pi_a], p, p1)
+        report = defect(compress([pi_a], p, p1), symmetrized_generators(p1))
         assert report.max_defect <= 2.0 * theta + 1e-9
         assert report.max_defect <= op_norm(commutator(p, pi_a)) + 1e-9
 
@@ -399,7 +400,7 @@ def test_honest_constructions_gate_each_image_once(rng, unitarity_checks):
 
 def test_mult_audit_honest_compression(rng):
     phi = honest_commuting_rep(Z2, 5, rng)
-    rep, _ = compress(phi.images, np.eye(5), Z2)
+    rep = compress(phi.images, np.eye(5), Z2)
     S = symmetrized_generators(Z2)
     audit = approx_mult_audit(rep, S, [A * B, B.inverse() * A])
     assert audit.passed
@@ -410,7 +411,7 @@ def test_mult_audit_commuting_projector(rng):
     r1 = honest_commuting_rep(Z2, 3, rng)
     r2 = honest_commuting_rep(Z2, 3, rng)
     big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
-    rep, _ = compress(big, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
+    rep = compress(big, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
     audit = approx_mult_audit(rep, symmetrized_generators(Z2), [A, A * B])
     assert audit.passed
     assert audit.eps <= 1e-10
@@ -425,7 +426,7 @@ def test_mult_audit_sqrt_bound_randomized(rng):
         h = random_hermitian(dim, rng)
         lam, vec = np.linalg.eigh(h)
         p = vec[:, :rank] @ vec[:, :rank].conj().T
-        rep, _ = compress(big.images, p, Z2)
+        rep = compress(big.images, p, Z2)
         words = []
         for _ in range(3):
             letters = tuple(
@@ -440,7 +441,7 @@ def test_mult_audit_sqrt_bound_randomized(rng):
 
 def test_mult_audit_eps_is_the_unitarity_defect(rng):
     big = honest_commuting_rep(Z2, 7, rng)
-    rep, _ = compress(big.images, random_projection(7, 4, rng), Z2)
+    rep = compress(big.images, random_projection(7, 4, rng), Z2)
     S = symmetrized_generators(Z2)
     assert approx_mult_audit(rep, S, [A * B]).eps == defect(rep, S).unitarity_defect
 
@@ -467,6 +468,16 @@ def test_clock_shift_relation_and_defect():
         )
     with pytest.raises(InvalidSize):
         clock_shift(1)
+
+
+def test_clock_shift_bytes_equal_the_column_construction():
+    for n in (2, 5, 13):
+        u, v = clock_shift(n)
+        shift = np.zeros((n, n), dtype=np.complex128)
+        for j in range(n):
+            shift[(j + 1) % n, j] = 1.0
+        assert u.tobytes() == np.diag(np.exp(2j * np.pi * np.arange(n) / n)).tobytes()
+        assert v.tobytes() == shift.tobytes()
 
 
 def test_voiculescu_pair_defect_and_sizes():
@@ -553,7 +564,7 @@ def test_quasirep_json_compression_round_trip(rng):
     h = random_hermitian(5, rng)
     lam, vec = np.linalg.eigh(h)
     p = vec[:, :3] @ vec[:, :3].conj().T
-    rep, _ = compress(big.images, p, Z2)
+    rep = compress(big.images, p, Z2)
     back = quasirep_from_json(quasirep_to_json(rep))
     assert back.flavor == "ucp-compression"
     S = symmetrized_generators(Z2)
@@ -598,7 +609,7 @@ def test_unitarity_refusals_name_the_image(rng):
         QuasiRep(Z2, (u, bad), flavor="unitary")
     with pytest.raises(NotUnitary, match=r"^compressed image of generator 0 is not unitary"):
         compress([bad, u], np.eye(3), Z2)
-    comp = compress([u, u], np.diag([1.0, 0.0, 0.0]), Z2)[0].compression
+    comp = compress([u, u], np.diag([1.0, 0.0, 0.0]), Z2).compression
     with pytest.raises(NotUnitary, match=r"^compressed image of generator 1 is not unitary"):
         QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
                  compression=replace(comp, big_images=(u, bad)))
@@ -614,7 +625,7 @@ def test_general_rep_refuses_inverse_letter_of_singular_image():
 def non_unitary_compression_json(rng):
     big = honest_commuting_rep(Z2, 4, rng)
     p = np.diag([1.0, 1.0, 0.0, 0.0])
-    rep, _ = compress(big.images, p, Z2)
+    rep = compress(big.images, p, Z2)
     obj = quasirep_to_json(rep)
     obj["compression"]["big_images"][0] = matrix_to_json(np.diag([0.5, 1.0, 1.0, 1.0]))
     return obj
@@ -623,3 +634,43 @@ def non_unitary_compression_json(rng):
 def test_json_compression_with_non_unitary_big_image_is_refused(rng):
     with pytest.raises(NotUnitary):
         quasirep_from_json(non_unitary_compression_json(rng))
+
+
+def compression_json(rng):
+    big = honest_commuting_rep(Z2, 4, rng)
+    return quasirep_to_json(compress(big.images, np.diag([1.0, 1.0, 0.0, 0.0]), Z2))
+
+
+def test_json_compression_re_emits_byte_identically(rng):
+    text = json.dumps(compression_json(rng))
+    back = quasirep_from_json(json.loads(text))
+    assert back.flavor == "ucp-compression"
+    assert json.dumps(quasirep_to_json(back)) == text
+
+
+def test_json_compression_of_a_non_representation_is_refused(rng):
+    # the 4-dim clock-and-shift pair is unitary, but u v u* v* = i, not 1
+    obj = compression_json(rng)
+    obj["compression"]["big_images"] = [matrix_to_json(m) for m in clock_shift(4)]
+    with pytest.raises(HypothesisViolation, match="not an honest representation") as exc_info:
+        quasirep_from_json(obj)
+    assert exc_info.value.exit_code == 2
+    assert exc_info.value.measured == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj["images"].reverse(),
+        lambda obj: obj["images"].pop(),
+        lambda obj: obj.update(flavor="unitary"),
+        lambda obj: obj.update(default_to_identity=True),
+        lambda obj: obj.update(word_table={"a": obj["images"][0]}),
+    ],
+    ids=["swapped-images", "missing-image", "unitary-flavor", "default-to-identity", "word-table"],
+)
+def test_json_compression_fields_must_match_the_rebuilt_compression(edit, rng):
+    obj = compression_json(rng)
+    edit(obj)
+    with pytest.raises(ParseError, match="differ from the compression"):
+        quasirep_from_json(obj)
