@@ -446,6 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
                      default=argparse.SUPPRESS, help="validation threshold for raw unitary pairs")
     leaf = argparse.ArgumentParser(add_help=False, parents=[tol])
     leaf.add_argument("--out", default=None, help="write JSON here instead of stdout")
+    rep = argparse.ArgumentParser(add_help=False, parents=[leaf])
+    rep.add_argument("--eps", type=float, default=None, help="perturb to defect below eps")
+    rep.add_argument("--dim", type=int, default=8)
+    rep.add_argument("--seed", type=int, default=0)
+    surf = argparse.ArgumentParser(add_help=False)
+    surf.add_argument("--genus", type=int, required=True)
+    surf.add_argument("--non-orientable", dest="non_orientable", action="store_true")
 
     parser = _Parser(
         prog="obstructkit",
@@ -463,17 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = gen_sub.add_parser("clock-shift", parents=[leaf],
                            help="the n-dimensional clock-and-shift pair")
     c.add_argument("--n", type=int, required=True)
-    s = gen_sub.add_parser("surface", parents=[leaf], help="surface-group representation")
-    s.add_argument("--genus", type=int, required=True)
-    s.add_argument("--non-orientable", dest="non_orientable", action="store_true")
-    s.add_argument("--eps", type=float, default=None, help="perturb to defect below eps")
-    s.add_argument("--dim", type=int, default=8)
-    s.add_argument("--seed", type=int, default=0)
-    ab = gen_sub.add_parser("abelian", parents=[leaf], help="free-abelian representation")
+    gen_sub.add_parser("surface", parents=[rep, surf], help="surface-group representation")
+    ab = gen_sub.add_parser("abelian", parents=[rep], help="free-abelian representation")
     ab.add_argument("--rank", type=int, default=2)
-    ab.add_argument("--eps", type=float, default=None)
-    ab.add_argument("--dim", type=int, default=8)
-    ab.add_argument("--seed", type=int, default=0)
 
     inv = sub.add_parser("invariants", parents=[leaf],
                          help="winding and defect reports for a witness file")
@@ -512,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     mt = hom_sub.add_parser("mapping-torus", parents=[leaf], help="surface mapping torus")
     mt.add_argument("--sign", type=int, choices=(1, -1), required=True)
     mt.add_argument("--matrix", required=True, help="action on first homology (JSON)")
-    sf = hom_sub.add_parser("surface", parents=[leaf], help="closed surface group")
-    sf.add_argument("--genus", type=int, required=True)
-    sf.add_argument("--non-orientable", dest="non_orientable", action="store_true")
+    hom_sub.add_parser("surface", parents=[leaf, surf], help="closed surface group")
     bs = hom_sub.add_parser("bs", parents=[leaf], help="two-exponent one-relator family")
     bs.add_argument("--n", type=int, required=True)
     bs.add_argument("--m", type=int, required=True)

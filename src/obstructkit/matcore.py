@@ -75,6 +75,14 @@ def sealed(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def require_indexable(shape: tuple) -> tuple:
+    """``shape``, refused with :class:`InvalidSize` (numpy would raise
+    ``ValueError`` or ``OverflowError``) past the index range of ``complex128``."""
+    if math.prod(shape) * 16 > np.iinfo(np.intp).max:
+        raise InvalidSize(f"shape {shape} is too large: past numpy's index range")
+    return shape
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and normalize a square complex matrix.
 

@@ -40,6 +40,7 @@ from .matcore import (
     op_norm,
     op_norms,
     polar_unitary,
+    require_indexable,
     require_projection,
     require_unit_ball,
     sealed,
@@ -453,11 +454,8 @@ def clock_shift(n: int):
     """
     if n < 2:
         raise InvalidSize(f"clock_shift needs n >= 2, got {n}")
-    try:
-        u = np.zeros((n, n), dtype=np.complex128)
-        v = np.zeros_like(u)
-    except (OverflowError, ValueError) as exc:  # past numpy's index range
-        raise InvalidSize(f"clock_shift for n = {n} is too large: {exc}") from exc
+    u = np.zeros(require_indexable((n, n)), dtype=np.complex128)
+    v = np.zeros_like(u)
     at = np.arange(n)
     u[at, at] = np.exp(2j * np.pi * at / n)
     v[(at + 1) % n, at] = 1.0
@@ -483,12 +481,11 @@ def voiculescu_pair(delta: float, k: int):
         return one, one
     try:
         n = _block_size(delta)
-        # both outputs exist before any block: a size past numpy's index
-        # range or past the address space is refused here
-        u = np.zeros((n * abs(k),) * 2, dtype=np.complex128)
-        v = np.zeros_like(u)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+    except (OverflowError, ZeroDivisionError) as exc:
         raise InvalidSize(f"the pair for delta = {delta}, k = {k} is too large: {exc}") from exc
+    # both outputs exist before any block: past the address space, this fails
+    u = np.zeros(require_indexable((n * abs(k),) * 2), dtype=np.complex128)
+    v = np.zeros_like(u)
     u1, v1 = clock_shift(n)
     if k > 0:
         u1, v1 = v1, u1
@@ -541,8 +538,8 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     below ``eps / 16`` the triangle inequality keeps every pair defect at or
     below ``15 eps / 16``.
     """
-    if not 0.0 < eps < math.inf:  # NaN fails both comparisons
-        raise BoundViolation(f"eps must be positive and finite, got {eps}")
+    if not 0.0 < eps < 1.0:  # NaN fails both comparisons
+        raise BoundViolation(f"eps must be positive and below 1, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
     needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)

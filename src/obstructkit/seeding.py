@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidSize
-from .matcore import sealed
+from .matcore import require_indexable, sealed
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -31,7 +31,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise InvalidSize(f"dimension must be positive, got {dim}")
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = require_indexable((dim, dim))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return sealed(q * (d / np.abs(d)).conj())
@@ -39,7 +40,8 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
     """Random hermitian matrix rescaled to operator norm exactly ``norm``."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    shape = require_indexable((dim, dim))
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     h = (z + z.conj().T) / 2.0
     top = float(np.linalg.norm(h, 2))
     if top == 0.0:

@@ -5,21 +5,18 @@ on [0, 1] is closed (when ``det W = 1``) and avoids the origin, so it has a
 winding number.  Two algorithms compute it and must agree:
 
 * eigenvalue method — minus the sum of the eigenphases over 2 pi, which must
-  round to an integer.  When ``n tau <= HERMITIAN_PHASE_BUDGET`` (``n`` the
-  dimension, ``tau`` the unitarity tolerance) the phases are read off the
-  Hermitian part ``S = (W - W*)/2i`` as ``arcsin(eigvalsh(S))``.  This is
-  certified: the input check gives ``||W*W - 1|| <= tau``, so by the polar
-  decomposition ``W`` lies within ``tau`` of a unitary ``U``;
+  round to an integer.  The phases are read off the Hermitian part
+  ``S = (W - W*)/2i`` as ``arcsin(eigvalsh(S))``, certified while
+  ``n tau <= HERMITIAN_PHASE_BUDGET`` (``n`` the dimension, ``tau`` the
+  unitarity tolerance): the input check gives ``||W*W - 1|| <= tau``, so by
+  the polar decomposition ``W`` lies within ``tau`` of a unitary ``U``;
   ``||W - 1|| < 1`` keeps every eigenphase of ``U`` within ``2 tau`` of
   (-pi/3, pi/3), where for ``tau <= 1e-3`` ``arcsin`` inverts ``sin`` with
   Lipschitz constant below 2.02; and Weyl's inequality moves each eigenvalue
   of ``S`` by at most ``||W - U|| <= tau``.  Each phase is thus off by at
   most ``2.02 tau`` and the winding sum by ``2.02 n tau / 2 pi < n tau / 3``,
   so the residue gate allows ``EIG_RESIDUE_TOL + n tau / 3`` and the
-  integer is certified with room to spare.  Looser tolerances void that
-  bound (a defect of 1e-2 at dim 400 can move the sum by more than 1/2), so
-  they take the phases as the arguments of ``np.linalg.eigvals(W)``, whose
-  sum follows ``arg det W`` to rounding;
+  integer is certified with room to spare;
 * path method — the wrapped argument increments of the determinant summed
   over one batch of samples on the grid of ``_certified_intervals(theta)``
   intervals, on which no true increment reaches pi/2; a wrapped jump at or
@@ -30,10 +27,14 @@ winding number.  Two algorithms compute it and must agree:
   eigenphases, so the path method there cross-checks the summation and the
   grid, not the phases.
 
-The ``||W - 1|| < 1`` gate is first tried as one Cholesky factorization of
-a shift of ``(W + W*)/2``, which proves it on success
-(``_distance_below_one``); only inputs it cannot prove pay the exact norm,
-so every refusal still reports the measured distance.
+Above the budget (a defect of 1e-2 at dim 400 can move the Hermitian sum
+past 1/2) both methods run on the polar factor ``U`` of ``W = UP``
+(Higham 1986), gated at ``UNITARITY_TOL`` and at ``||U - 1|| < 1``.
+``W_s = (1 - s)W + sU = U((1 - s)P + s)`` has ``||W_s - 1|| < 1`` by
+convexity and ``det((1 - s)P + s) > 0``, so the argument increment of
+``det(t + (1-t)W_s)`` does not depend on ``s``: ``U`` has the winding of
+``W`` at any ``tau``.  As ``||U - W|| = ||P - 1|| <= tau``, ``U`` can fail
+the distance gate only if ``||W - 1|| >= 1 - tau``.
 
 Sign convention: the reported winding is counterclockwise-positive for the
 path ``t + (1-t)W`` as written.  Under it the clock-and-shift pair winds to
@@ -60,6 +61,7 @@ from .matcore import (
     dagger,
     identity,
     op_norm,
+    polar_unitary,
     require_unitary,
     sealed,
 )
@@ -252,10 +254,9 @@ def _certified_intervals(theta: np.ndarray) -> int:
     bounds ``|d/dt arg det|``.  On ``N = ceil(2 speed / pi) + 1`` intervals,
     factors whose top speeds sum to less than ``speed + pi/2`` move the
     argument by less than ``(speed + pi/2) / N <= pi/2`` per interval (the
-    slack ``_path_winding`` spends on the dense branch).  With
-    ``|theta_j| < pi/2`` (``||W - 1|| < 1``) that is under ``1.28 dim + 1``
-    intervals, and under ``0.74 dim + 1`` on the Hermitian route;
-    ``INITIAL_INTERVALS`` is the floor.
+    slack ``_path_winding`` spends on the dense branch).  With every
+    ``theta_j`` within ``2 tau`` of (-pi/3, pi/3) (module docstring) that is
+    under ``0.74 dim + 1`` intervals; ``INITIAL_INTERVALS`` is the floor.
     """
     speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
     return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1)
@@ -281,15 +282,12 @@ def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
       when its nearest point to 0 is interior, and by at most
       ``|r - 1| |sin phi| / min(1, r)`` with ``sin^2 phi < 2 tau`` when that
       point is an endpoint: either way by at most
-      ``sqrt(2) tau^{3/2} / (1 - tau)``.  On the ``eigvals`` route
-      ``theta_j = phi_j``, so ``E <= sqrt(2) n tau^{3/2} / (1 - tau)``, below
-      pi/2 whenever ``n tau^{3/2} <= 1`` and ``tau <= 0.09``: every
-      ``tau <= 0.033`` at dim 160.  On the Hermitian route (``n tau <= 1e-3``)
-      ``theta`` is within ``2.02 tau`` of the phases of ``U`` (module
-      docstring), and the eigenvalues of ``W`` pair with those of ``U`` within
-      ``2 n tau`` (each lies within ``tau`` of the spectrum of ``U``, and by
-      continuity from ``U`` every connected union of those ``tau``-discs holds
-      as many of either), so their arguments within ``pi n tau``; as
+      ``sqrt(2) tau^{3/2} / (1 - tau)``.  As ``n tau <= 1e-3``, ``theta``
+      is within ``2.02 tau`` of the phases of ``U`` (module docstring), and
+      the eigenvalues of ``W`` pair with those of ``U`` within ``2 n tau``
+      (each lies within ``tau`` of the spectrum of ``U``, and by continuity
+      from ``U`` every connected union of those ``tau``-discs holds as many
+      of either), so their arguments within ``pi n tau``; as
       ``2 tan(phi / 2)`` has slope at most 2 for ``|phi| < pi/2``,
       ``E <= 2 pi n^2 tau + 4.04 n tau + sqrt(2) n tau^{3/2} / (1 - tau)``,
       under 1.02 at ``n <= 160``.
@@ -385,17 +383,24 @@ def _distance_below_one(w: np.ndarray, tol: float) -> bool:
     return True
 
 
-def _eigenphases(w: np.ndarray, tol: float):
-    """Eigenphases of ``W`` and the residue their sum is certified to.
+def _require_distance_below_one(w: np.ndarray, tol: float, what: str) -> None:
+    """Refuse ``||W - 1|| >= 1``.  One Cholesky factorization proves the gate
+    when it can (:func:`_distance_below_one`); only inputs it cannot prove pay
+    the exact norm, so every refusal reports the measured distance."""
+    if not _distance_below_one(w, tol):
+        dist = op_norm(w - identity(w.shape[0]))
+        if dist >= 1.0:
+            raise HypothesisViolation(
+                f"{what} = {dist:.6f} >= 1; the determinant path may hit zero",
+                measured=dist,
+            )
 
-    ``arcsin(eigvalsh((W - W*)/2i))`` while ``n tau <= HERMITIAN_PHASE_BUDGET``,
-    else the arguments of ``eigvals(W)`` (module docstring).
-    """
-    dim = w.shape[0]
-    if dim * tol <= HERMITIAN_PHASE_BUDGET:
-        theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
-        return theta, EIG_RESIDUE_TOL + dim * tol / 3.0
-    return np.angle(np.linalg.eigvals(w)), EIG_RESIDUE_TOL
+
+def _eigenphases(w: np.ndarray, tol: float):
+    """Eigenphases ``arcsin(eigvalsh((W - W*)/2i))`` and the residue their sum
+    is certified to (module docstring)."""
+    theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
+    return theta, EIG_RESIDUE_TOL + w.shape[0] * tol / 3.0
 
 
 def winding_of_unitary(
@@ -408,44 +413,34 @@ def winding_of_unitary(
     Requires ``W`` unitary within tolerance, ``||W - 1|| < 1`` (the path then
     cannot meet the origin) and ``|det W - 1| <= 1e-8`` (the path is closed).
     The Hermitian eigenphases are certified only once the first two checks
-    pass, so they run first.  ``||W - 1|| < 1`` is proved by
-    :func:`_distance_below_one` when it can be; only otherwise is the norm
-    measured, so every refusal reports it.
+    pass, so they run first.  Beyond ``HERMITIAN_PHASE_BUDGET`` both methods
+    run on the polar factor ``U`` of ``W``, which must pass the same two
+    checks at ``UNITARITY_TOL`` (module docstring).
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
     w = require_unitary(w, tol=tol, what="winding input")
-    if not _distance_below_one(w, tol):
-        dist = op_norm(w - identity(w.shape[0]))
-        if dist >= 1.0:
-            raise HypothesisViolation(
-                f"{_distance} = {dist:.6f} >= 1; the determinant path may hit zero",
-                measured=dist,
-            )
+    _require_distance_below_one(w, tol, _distance)
     det = complex(np.linalg.det(w))
     if abs(det - 1.0) > DET_TOL:
         raise OpenPath(
             f"det(W) = {det:.12g} sits {abs(det - 1.0):.3e} from 1; path not closed"
         )
+    if w.shape[0] * tol > HERMITIAN_PHASE_BUDGET:
+        tol = UNITARITY_TOL
+        w = require_unitary(polar_unitary(w), tol=tol, what="polar factor of the winding input")
+        _require_distance_below_one(w, tol, "||U - 1|| (U the polar factor of W)")
     theta, residue_tol = _eigenphases(w, tol)
     total = -float(np.sum(theta)) / (2.0 * np.pi)
     w_eig = int(round(total))
     if abs(total - w_eig) > residue_tol:
-        raise OpenPath(
-            f"eigenvalue argument sum {total!r} does not round to an integer"
-        )
+        raise OpenPath(f"eigenvalue argument sum {total!r} does not round to an integer")
     w_path, clearance, samples = _path_winding(w, theta, residue_tol)
     if w_path != w_eig:
         raise NumericalInconsistency(
             f"winding methods disagree: eigenvalue {w_eig}, path {w_path}"
         )
-    return WindingReport(
-        winding=w_eig,
-        min_clearance=clearance,
-        samples_used=samples,
-        eigenvalue_method=w_eig,
-        path_method=w_path,
-        agreement=True,
-    )
+    return WindingReport(winding=w_eig, min_clearance=clearance, samples_used=samples,
+                         eigenvalue_method=w_eig, path_method=w_path, agreement=True)
 
 
 def winding_pair(u, v, unitarity_tol: float | None = None) -> WindingReport:

@@ -216,26 +216,26 @@ def free_presentation(n: int) -> Presentation:
 
 def free_abelian_presentation(n: int) -> Presentation:
     """Z^n: all pairwise commutators as relators (none needed for n = 1)."""
+    names = _default_names(n)  # refuses before any relator is built
     rels = tuple(
         _commutator_word(generator(i), generator(j))
         for i, j in combinations(range(n), 2)
     )
-    return Presentation(n, _default_names(n), rels)
+    return Presentation(n, names, rels)
 
 
 def surface_presentation(genus: int, orientable: bool = True) -> Presentation:
     """Orientable: ``prod [a_i, b_i]``; non-orientable: ``a_1^2 ... a_g^2``."""
     if genus < 1:
         raise InvalidSize("genus must be at least 1")
-    if orientable:
-        rel = IDENTITY_WORD
-        for i in range(genus):
-            rel = rel * _commutator_word(generator(2 * i), generator(2 * i + 1))
-        return Presentation(2 * genus, _default_names(2 * genus), (reduce(rel),))
+    names = _default_names(2 * genus if orientable else genus)  # before any word
     rel = IDENTITY_WORD
     for i in range(genus):
-        rel = rel * generator(i) * generator(i)
-    return Presentation(genus, _default_names(genus), (reduce(rel),))
+        if orientable:
+            rel = rel * _commutator_word(generator(2 * i), generator(2 * i + 1))
+        else:
+            rel = rel * generator(i) * generator(i)
+    return Presentation(len(names), names, (reduce(rel),))
 
 
 def baumslag_solitar_presentation(n: int, m: int) -> Presentation:

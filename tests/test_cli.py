@@ -16,7 +16,12 @@ from obstructkit.cli import main
 from obstructkit.homology import int_text
 from obstructkit.matcore import matrix_to_json
 from obstructkit.projops import pairing_input, pairing_input_to_json
-from obstructkit.quasirep import compress, honest_commuting_rep, quasirep_to_json
+from obstructkit.quasirep import (
+    compress,
+    honest_commuting_rep,
+    quasirep_to_json,
+    voiculescu_pair,
+)
 from obstructkit.seeding import derive_rng, random_projection
 from obstructkit.words import free_abelian_presentation
 
@@ -153,6 +158,16 @@ def test_invariants_raw_pair_stdin(capsys, monkeypatch):
     assert payload["input"] == "unitary-pair"
     assert payload["winding"]["winding"] == 0
     assert payload["commutation_defect"] <= 1e-15
+
+
+def test_invariants_loose_unitarity_tolerance_keeps_the_winding(tmp_path, capsys):
+    # any finite --tol.unitarity is accepted; past the Hermitian phase budget
+    # the winding is computed on the polar factor, so 1e300 still certifies 2
+    path = tmp_path / "raw.json"
+    path.write_text(raw_pair_json(*voiculescu_pair(0.5, 2)))
+    for tol in ("0.5", "1e300"):
+        payload = run_json(["invariants", str(path), "--tol.unitarity", tol], capsys)
+        assert payload["winding"]["winding"] == 2
 
 
 def test_invariants_anticommuting_pair_exit_two(tmp_path, capsys):
@@ -664,11 +679,19 @@ LONG_INT = "9" * 5001
         ["audit", "--trials", "-1"],
         ["audit", "--suite", "zzz"],
         ["gen", "clock-shift", "--n", "99999999999999999999"],
+        ["gen", "surface", "--genus", "100000000000000000000"],
+        ["gen", "abelian", "--rank", "3000", "--dim", "2"],
+        ["gen", "abelian", "--rank", "100000000000000000000"],
+        ["gen", "abelian", "--rank", "2", "--eps", "1e300"],
+        ["gen", "surface", "--genus", "2", "--dim", "100000000000000000000"],
+        ["gen", "abelian", "--rank", "2", "--dim", "100000000000000000000", "--eps", "0.1"],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
          "replay-negative-trial", "gen-negative-dim", "gen-non-orientable-negative-dim",
-         "audit-negative-trials", "audit-unknown-suite", "gen-clock-shift-huge-n"],
+         "audit-negative-trials", "audit-unknown-suite", "gen-clock-shift-huge-n",
+         "gen-surface-huge-genus", "gen-abelian-rank-3000", "gen-abelian-huge-rank",
+         "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from obstructkit.errors import (
     InvalidMatrix,
+    InvalidSize,
     NotHermitian,
     NotInvertible,
     NotProjection,
@@ -38,6 +39,7 @@ from obstructkit.matcore import (
     op_norm,
     op_norms,
     polar_unitary,
+    require_indexable,
     require_projection,
     require_unitary,
     spectral_projection,
@@ -455,3 +457,23 @@ def test_matrix_json_malformed():
     ):
         with pytest.raises(InvalidMatrix):
             matrix_from_json({"dim": 1, "entries": entries})
+
+
+def test_require_indexable_refuses_only_what_numpy_refuses():
+    assert require_indexable((3, 3)) == (3, 3)
+    # the smallest square complex128 shape past the index range: numpy
+    # refuses it too, so the check turns away nothing numpy could build
+    n = math.isqrt(np.iinfo(np.intp).max // 16) + 1
+    for shape in ((n, n), (10**20, 10**20)):
+        with pytest.raises(InvalidSize, match="too large"):
+            require_indexable(shape)
+        with pytest.raises((ValueError, OverflowError)):
+            np.empty(shape, dtype=np.complex128)
+
+
+@pytest.mark.parametrize("draw", [haar_unitary, random_hermitian])
+def test_seeding_refuses_an_oversized_dimension_before_drawing(draw):
+    rng = derive_rng(16, 1)
+    with pytest.raises(InvalidSize, match="too large"):
+        draw(10**20, rng)
+    assert rng.random() == derive_rng(16, 1).random()

@@ -224,6 +224,16 @@ def test_unitarize_is_identity_off_the_set(rng):
     assert np.allclose(sigma.evaluate(far), np.eye(4))
 
 
+@pytest.mark.parametrize("eps", [1.0, 1e300])
+def test_perturbed_honest_rep_refuses_eps_of_one_or_more(eps):
+    # the contraction factor 1 - shrink turned negative; a bound parameter
+    # out of range is refused as one (exit 1), before anything is drawn
+    rng = derive_rng(16, 2)
+    with pytest.raises(BoundViolation, match="below 1"):
+        perturbed_honest_rep(Z2, symmetrized_generators(Z2), eps, 3, rng)
+    assert rng.random() == derive_rng(16, 2).random()
+
+
 def test_unitarize_validation_gates(rng):
     phi = honest_commuting_rep(Z2, 3, rng)
     S = symmetrized_generators(Z2)

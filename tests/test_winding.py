@@ -235,7 +235,7 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
 
 
 def certified_sample_count(w):
-    """Samples of the certified grid, on the dense-LU and spectral branches alike.
+    """Samples of the certified grid, on the Hessenberg + Hyman and spectral branches alike.
 
     Each factor ``t + (1-t) e^{i theta}`` turns at most ``2 |tan(theta/2)|``;
     the phases come from the ``eigvals`` oracle.  One interval of slack
@@ -257,7 +257,7 @@ def test_large_windings_do_not_alias(dim, k):
     # a true jump above 3 pi/2 between samples wraps to a small one; from a
     # 64-interval grid the inputs above dim 200 used to report path windings
     # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement.  Dims
-    # 120 and 160 take the dense-LU samples on the same certified grid.
+    # 120 and 160 take the Hessenberg + Hyman samples on the same certified grid.
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == claimed == k
@@ -335,10 +335,10 @@ def test_residue_gate_follows_phase_certificate(dim, tol, rng):
     assert report.winding == report.eigenvalue_method == report.path_method == 0
 
 
-def test_loose_tolerance_takes_nonsymmetric_phases(rng):
-    # at tau = 1.1e-2 and dim 400 the Hermitian phases would sum to about
-    # -0.59 turns and round to a wrong winding; beyond the phase budget the
-    # eigenvalue method reads the arguments of eigvals instead
+def test_loose_tolerance_takes_the_polar_factor(rng):
+    # at tau = 1.1e-2 and dim 400 the Hermitian phases of W would sum to about
+    # -0.59 turns and round to a wrong winding; beyond the phase budget both
+    # methods run on the polar factor of W instead
     w = structured_defect_unitary(400, 1.1e-2, 1.04, rng)
     hermitian = -float(np.sum(np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))))
     assert round(hermitian / (2.0 * np.pi)) != 0
@@ -347,10 +347,11 @@ def test_loose_tolerance_takes_nonsymmetric_phases(rng):
 
 
 def test_loose_tolerance_dense_branch_off_circle(rng):
-    # tau = 1e-2 at dim 160 takes the eigvals phases and the dense-LU samples;
-    # a third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i}, inside the
-    # circle, and the rest on the positive axis at the radius that restores
-    # |det W| = 1, so the chords leave the circle the grid was certified for
+    # tau = 1e-2 at dim 160 takes the polar factor and the Hessenberg + Hyman
+    # samples.  A third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i},
+    # inside the circle, and the rest on the positive axis at the radius that
+    # restores |det W| = 1: the chords of W leave the circle the grid is
+    # certified for, and those of its polar factor lie on it
     tol, dim, inner = 1e-2, 160, 27
     rho = 1.0 - tol / 2.0
     lam = np.concatenate([
@@ -363,6 +364,47 @@ def test_loose_tolerance_dense_branch_off_circle(rng):
     report = winding_of_unitary(w, unitarity_tol=tol)
     assert report.winding == report.eigenvalue_method == report.path_method == 0
     assert report.samples_used <= certified_sample_count(w)
+
+
+def test_loose_tolerance_winds_the_polar_factor_of_a_non_normal_input(monkeypatch):
+    # W = U0 P with U0 unitary of winding 2, ||U0 - 1|| < 0.37, and P = exp(H)
+    # positive, det P = 1, not commuting with U0: W is not normal, its defect
+    # ||W*W - 1|| = ||P^2 - 1|| is about 0.22 and ||W - 1|| < 1 - tau.  At
+    # tau = 0.5 both methods must run on the polar factor U0, at UNITARITY_TOL
+    gen = derive_rng(16, 40)
+    u0 = torus_pair_phase_matrix(-2, 40, gen)
+    h = random_hermitian(40, gen, norm=0.1)
+    h = h - (np.trace(h).real / 40) * np.eye(40)
+    lam, vecs = np.linalg.eigh(h)
+    w = u0 @ ((vecs * np.exp(lam)) @ dagger(vecs))
+    assert op_norm(w @ dagger(w) - dagger(w) @ w) > 1e-3
+    assert 0.1 < op_norm(dagger(w) @ w - np.eye(40)) < 0.5
+    assert op_norm(w - np.eye(40)) < 0.5
+    seen = []
+    eigenphases = winding._eigenphases
+
+    def spy(v, tol):
+        seen.append((op_norm(v - u0), tol))
+        return eigenphases(v, tol)
+
+    monkeypatch.setattr(winding, "_eigenphases", spy)
+    report = winding_of_unitary(w, unitarity_tol=0.5)
+    assert report.winding == report.eigenvalue_method == report.path_method == 2
+    assert len(seen) == 1 and seen[0][0] < 1e-12 and seen[0][1] == UNITARITY_TOL
+
+
+def test_polar_factor_outside_the_unit_ball_is_refused():
+    # normal W, dim 10: eigenvalues 0.9 e^{+-1.05 i} and eight on the positive
+    # axis at the radius giving det W = 1.  tau = ||W*W - 1|| = 0.19 and
+    # ||W - 1|| = 0.956, but the polar factor has ||U - 1|| = 2 sin(0.525)
+    # = 1.0024, so its path may meet the origin and nothing is certified
+    lam = np.concatenate([0.9 * np.exp([1.05j, -1.05j]), np.full(8, 0.81 ** (-1.0 / 8.0))])
+    w = np.diag(lam)
+    assert op_norm(dagger(w) @ w - np.eye(10)) == pytest.approx(0.19)
+    assert op_norm(w - np.eye(10)) == pytest.approx(0.956, abs=1e-3)
+    with pytest.raises(HypothesisViolation, match="polar factor") as exc_info:
+        winding_of_unitary(w, unitarity_tol=0.2)
+    assert exc_info.value.measured == pytest.approx(2.0 * np.sin(0.525), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,24 @@ def test_surface_presentations():
         surface_presentation(0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: surface_presentation(10**20),
+        lambda: surface_presentation(10**20, orientable=False),
+        lambda: free_abelian_presentation(3000),
+        lambda: free_abelian_presentation(10**20),
+    ],
+    ids=["surface-huge-genus", "non-orientable-huge-genus", "abelian-rank-3000",
+         "abelian-huge-rank"],
+)
+def test_presentations_refuse_the_generator_count_before_any_word(build):
+    # the relators of these would take minutes or overflow itertools; the
+    # 26-letter alphabet refuses them first
+    with pytest.raises(InvalidSize, match="at most 26"):
+        build()
+
+
 def test_bs_presentation_rejects_zero():
     with pytest.raises(InvalidSize):
         baumslag_solitar_presentation(0, 3)
