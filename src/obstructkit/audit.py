@@ -32,7 +32,6 @@ from .errors import InvalidSize, ObstructkitError
 from .matcore import (
     commutator,
     coordinate_projection,
-    hermitian_rotation,
     op_norm,
     op_norms,
     spectral_projection,
@@ -53,7 +52,7 @@ from .quasirep import (
     symmetrized_generators,
     unitarize,
 )
-from .seeding import derive_rng, haar_unitary, random_hermitian, random_projection
+from .seeding import derive_rng, haar_unitary, random_projection, random_rotation
 from .words import GroupWord, free_abelian_presentation, surface_presentation
 
 SUITES = ("unitarize", "sqrt_mult", "alm_proj", "path_uni", "chain")
@@ -146,17 +145,14 @@ def _trial_path_uni(rng) -> dict:
     rank = int(rng.integers(1, dim))
     w = haar_unitary(dim, rng)
     p0 = coordinate_projection(dim, rank)
-    theta = float(rng.uniform(0.005, 0.1))
-    g = hermitian_rotation(random_hermitian(dim, rng, 1.0), theta)
+    g = random_rotation(dim, rng, rng.uniform(0.005, 0.1))
     p = w @ p0 @ w.conj().T
     q = w @ (g @ p0 @ g.conj().T) @ w.conj().T
     # Test operators diagonal in the hidden basis: they commute with p
     # exactly and with q up to the rotation scale, so the 28x bound is
     # exercised at a meaningful epsilon.
-    test_ops = []
-    for _ in range(2):
-        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
-        test_ops.append((w * phases) @ w.conj().T)
+    test_ops = [(w * np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))) @ w.conj().T
+                for _ in range(2)]
     ctx = projection_pair_context(p, q, test_ops)
     _, audit = connecting_unitary(ctx)
     return {
@@ -170,17 +166,10 @@ def _trial_chain(rng) -> dict:
     steps = int(rng.integers(5, 66))
     rank = int(rng.integers(1, dim))
     p0 = coordinate_projection(dim, rank)
-    h = random_hermitian(dim, rng, 1.0)
-    lam, vecs = np.linalg.eigh(h)
     total_angle = float(rng.uniform(0.3, min(2.5, 0.12 * steps)))
-    path = []
-    for j in range(steps + 1):
-        r = (vecs * np.exp(1j * (total_angle * j / steps) * lam)) @ vecs.conj().T
-        path.append(r @ p0 @ r.conj().T)
-    test_ops = []
-    for _ in range(2):
-        nu = float(rng.uniform(0.001, 0.05))
-        test_ops.append(hermitian_rotation(random_hermitian(dim, rng, 1.0), nu))
+    rots = random_rotation(dim, rng, total_angle * np.arange(steps + 1) / steps)
+    path = rots @ p0 @ rots.conj().transpose(0, 2, 1)
+    test_ops = [random_rotation(dim, rng, rng.uniform(0.001, 0.05)) for _ in range(2)]
     _, report = chain_conjugation(path, test_ops)
     return {
         "conjugation": report.conjugation_error / report.conjugation_bound,
@@ -330,8 +319,7 @@ def random_pairing_instance(rng, with_twist: bool = True):
     q0 = random_projection(k_dim, r, rng)
     q = np.kron(np.eye(n_dim), q0)
     if with_twist:
-        theta = float(rng.uniform(0.0, 0.01))
-        u = hermitian_rotation(random_hermitian(n_dim * k_dim, rng, 1.0), theta)
+        u = random_rotation(n_dim * k_dim, rng, rng.uniform(0.0, 0.01))
         q = u @ q @ u.conj().T
     e_plus_b = random_projection(2 * n_dim, n_dim + s, rng)
     e = coordinate_projection(2 * n_dim, n_dim)

@@ -280,12 +280,19 @@ def polar_unitary(a) -> np.ndarray:
     has spectrum inside ``(1 - eps, 1]``, so it sits within ``eps`` of the
     identity.
     """
-    arr = as_matrix(a)
-    w, s, vh = np.linalg.svd(arr)
-    if s[-1] <= SINGULARITY_TOL:
-        raise NotInvertible(
-            f"smallest singular value {s[-1]:.3e} <= {SINGULARITY_TOL:.1e}"
-        )
+    return polar_unitaries(as_matrix(a)[None])[0]
+
+
+def polar_unitaries(stack: np.ndarray) -> np.ndarray:
+    """:func:`polar_unitary` of every matrix of a validated stack, from one SVD
+    call; the first singular matrix in stack order raises :class:`NotInvertible`."""
+    w, s, vh = np.linalg.svd(stack)
+    for smallest in s[:, -1].tolist():
+        if smallest <= SINGULARITY_TOL:
+            raise NotInvertible(
+                f"smallest singular value {smallest:.3e} <= {SINGULARITY_TOL:.1e}",
+                measured=smallest,
+            )
     return sealed(w @ vh)
 
 
@@ -366,12 +373,6 @@ def block_sum_many(mats) -> np.ndarray:
 def coordinate_projection(dim: int, rank: int) -> np.ndarray:
     """The projection onto the first ``rank`` coordinates of ``C^dim``."""
     return sealed(np.diag((np.arange(dim) < rank).astype(np.complex128)))
-
-
-def hermitian_rotation(h, angle: float) -> np.ndarray:
-    """``exp(i angle h)`` for hermitian ``h`` (symmetrized, not checked)."""
-    lam, vecs = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return sealed((vecs * np.exp(1j * angle * lam)) @ vecs.conj().T)
 
 
 # ---------------------------------------------------------------------------

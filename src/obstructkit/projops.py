@@ -23,13 +23,11 @@ from .errors import (
     HypothesisViolation,
     InvalidMatrix,
     InvalidSize,
-    NotInvertible,
     NumericalInconsistency,
     ParseError,
     SubdivisionTooCoarse,
 )
 from .matcore import (
-    SINGULARITY_TOL,
     as_matrix,
     as_stack,
     commutator,
@@ -41,6 +39,7 @@ from .matcore import (
     matrix_to_json,
     op_norm,
     op_norms,
+    polar_unitaries,
     require_projection,
     require_projections,
     require_unit_ball,
@@ -124,27 +123,23 @@ def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
 
     ``path`` is a stack of projections with consecutive gaps below 1/4 and
     ``step_eps[i]`` the commutator scale of step ``i``.  All polar factors
-    come from one stacked SVD and all conjugation and commutator norms from
-    one :func:`op_norms` call each; the guarantees of
-    :func:`connecting_unitary` are then checked in step order, so the first
-    failing step raises.  Returns the unitaries as a stack and one
-    :class:`ConjugationAudit` per step.
+    come from one :func:`polar_unitaries` call, which refuses the first
+    singular step, and all conjugation and commutator norms from one
+    :func:`op_norms` call each; the guarantees of :func:`connecting_unitary`
+    are then checked in step order, so the first failing step raises.
+    Returns the unitaries as a stack and one :class:`ConjugationAudit` per step.
     """
     p, q = path[:-1], path[1:]
     eye = identity(path.shape[1])
-    w, s, vh = np.linalg.svd(q @ p + (eye - q) @ (eye - p))
-    us = sealed(w @ vh)
+    us = polar_unitaries(q @ p + (eye - q) @ (eye - p))
     conj = op_norms(u @ pi @ dagger(u) - qi for u, pi, qi in zip(us, p, q)).tolist()
     comm = op_norms(commutator(u, x) for u in us for x in ops).tolist()
     audits = []
     for i, eps in enumerate(step_eps):
-        if s[i, -1] <= SINGULARITY_TOL:
-            raise NotInvertible(
-                f"smallest singular value {s[i, -1]:.3e} <= {SINGULARITY_TOL:.1e}"
-            )
         if conj[i] > CONJUGATION_EXACTNESS:
             raise NumericalInconsistency(
-                f"conjugation identity failed: ||u p u* - q|| = {conj[i]:.3e}"
+                f"conjugation identity failed: ||u p u* - q|| = {conj[i]:.3e}",
+                measured=conj[i],
             )
         bound = COMMUTATOR_CONSTANT * eps + 1e-9
         norms = comm[i * len(ops):(i + 1) * len(ops)]
@@ -158,7 +153,8 @@ def _commutator_worst(norms, bound: float, label: str) -> float:
     for n in norms:
         if n > bound:
             raise NumericalInconsistency(
-                f"commutator bound failed: ||[u,x]|| = {n:.3e} > {label} = {bound:.3e}"
+                f"commutator bound failed: ||[u,x]|| = {n:.3e} > {label} = {bound:.3e}",
+                measured=n,
             )
     return max([0.0, *(n / bound for n in norms)])
 
@@ -212,7 +208,8 @@ def chain_conjugation(path, test_ops):
     conj_bound = CHAIN_EXACTNESS * max(m, 1)
     if conj_err > conj_bound:
         raise NumericalInconsistency(
-            f"chained conjugation drift {conj_err:.3e} exceeds {conj_bound:.3e}"
+            f"chained conjugation drift {conj_err:.3e} exceeds {conj_bound:.3e}",
+            measured=conj_err,
         )
     comm_bound = COMMUTATOR_CONSTANT * eps_path * m + CHAIN_EXACTNESS
     norms = op_norms(commutator(u, x) for x in ops).tolist()
@@ -316,13 +313,15 @@ def pairing(inp: PairingInput) -> PairingResult:
     idem = op_norm(proj @ proj - proj)
     if idem > 1e-10:
         raise NumericalInconsistency(
-            f"pairing projection fails idempotency: ||P^2 - P|| = {idem:.3e}"
+            f"pairing projection fails idempotency: ||P^2 - P|| = {idem:.3e}",
+            measured=idem,
         )
     trace = float(np.real(np.trace(proj)))
     rank = int(round(trace))
     if abs(trace - rank) > 1e-8:
         raise NumericalInconsistency(
-            f"pairing projection trace {trace!r} is not close to an integer"
+            f"pairing projection trace {trace!r} is not close to an integer",
+            measured=abs(trace - rank),
         )
     margin = float(np.min(np.abs(spec.eigenvalues - 0.5)))
     return PairingResult(proj, rank - inp.n_dim * inp.k_dim, rank, margin)

@@ -33,7 +33,6 @@ from .errors import (
 from .matcore import (
     as_matrix,
     dagger,
-    hermitian_rotation,
     identity,
     matrix_from_json,
     matrix_to_json,
@@ -46,7 +45,7 @@ from .matcore import (
     sealed,
     spectral_tol,
 )
-from .seeding import haar_unitary, random_hermitian
+from .seeding import haar_unitary, random_rotation
 from .words import (
     GroupWord,
     Presentation,
@@ -262,18 +261,14 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     each output value is unitary, ``||sigma(s) - phi(s)|| < eps`` on ``S``,
     and the output defect on ``S`` is below ``6 * eps``.
     """
-    if eps >= 1.0:
-        raise BoundViolation(f"unitarization needs eps < 1, got {eps}")
-    if eps <= 0.0:
-        raise BoundViolation(f"unitarization needs eps > 0, got {eps}")
+    if not 0.0 < eps < 1.0:  # NaN fails both comparisons
+        raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}")
     S = list(S)
     keys = _canonical_elements(S, phi.presentation)
-    for k in list(keys.values()):
-        inv = canonical_form(k.inverse(), phi.presentation)
-        if inv.letters not in keys:
-            raise AsymmetricSet(
-                f"word set is not closed under inversion (missing inverse of a member)"
-            )
+    for k in keys.values():
+        if canonical_form(k.inverse(), phi.presentation).letters not in keys:
+            raise AsymmetricSet("word set is not closed under inversion "
+                                "(missing inverse of a member)")
     measured = defect(phi, S)
     if measured.max_defect >= eps:
         raise HypothesisViolation(
@@ -281,11 +276,7 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
             measured=measured.max_defect,
         )
 
-    table: dict[tuple, np.ndarray] = {}
-    for lk, k in keys.items():
-        if not k.letters:
-            continue
-        table[lk] = polar_unitary(phi.evaluate(k))
+    table = {lk: polar_unitary(phi.evaluate(k)) for lk, k in keys.items() if k.letters}
 
     base_keys = sorted(keys.values(), key=_word_sort_key)
     for left in base_keys:
@@ -387,11 +378,7 @@ def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
 
 
 def symmetrized_generators(p: Presentation) -> list[GroupWord]:
-    out = []
-    for g in range(p.num_generators):
-        out.append(GroupWord(((g, 1),)))
-        out.append(GroupWord(((g, -1),)))
-    return out
+    return [GroupWord(((g, e),)) for g in range(p.num_generators) for e in (1, -1)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +487,8 @@ def _block_size(delta: float) -> int:
     on (0, pi/2], that is ``n > pi / asin(delta / 2)``: the search starts one
     below, which rounding cannot carry past the answer."""
     n = max(2, math.floor(math.pi / math.asin(min(delta / 2.0, 1.0))) - 1)
+    if n > 2**53:  # n + 1 would round to n, and the search would not end
+        raise OverflowError(f"blocks of size {n:.3e} are past any array size")
     while 2.0 * math.sin(math.pi / n) >= delta:
         n += 1
     return n
@@ -548,10 +537,8 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     for lk, w in needed.items():
         if not w.letters:
             continue
-        h = random_hermitian(dim, rng, norm=1.0)
-        theta = rng.uniform(0.0, eta)
+        rot = random_rotation(dim, rng, rng.uniform(0.0, eta))
         shrink = rng.uniform(0.0, eta / 4.0)
-        rot = hermitian_rotation(h, theta)
         table[lk] = sealed((1.0 - shrink) * (rot @ base.evaluate(w)))
     return QuasiRep(p, _generator_images(p, table, base.images), word_table=table)
 

@@ -333,12 +333,14 @@ def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
     winding = int(round(total))
     if abs(total - winding) > residue_tol:
         raise NumericalInconsistency(
-            f"path argument sum {total!r} does not close to an integer winding"
+            f"path argument sum {total!r} does not close to an integer winding",
+            measured=abs(total - winding),
         )
     clearance = float(mag.min())
     if not clearance > 0.0:
         raise NumericalInconsistency(
-            "sampled determinant magnitude reached zero; path not conclusive"
+            "sampled determinant magnitude reached zero; path not conclusive",
+            measured=clearance,
         )
     return winding, clearance, intervals + 1
 
@@ -423,7 +425,8 @@ def winding_of_unitary(
     det = complex(np.linalg.det(w))
     if abs(det - 1.0) > DET_TOL:
         raise OpenPath(
-            f"det(W) = {det:.12g} sits {abs(det - 1.0):.3e} from 1; path not closed"
+            f"det(W) = {det:.12g} sits {abs(det - 1.0):.3e} from 1; path not closed",
+            measured=abs(det - 1.0),
         )
     if w.shape[0] * tol > HERMITIAN_PHASE_BUDGET:
         tol = UNITARITY_TOL
@@ -433,7 +436,10 @@ def winding_of_unitary(
     total = -float(np.sum(theta)) / (2.0 * np.pi)
     w_eig = int(round(total))
     if abs(total - w_eig) > residue_tol:
-        raise OpenPath(f"eigenvalue argument sum {total!r} does not round to an integer")
+        raise OpenPath(
+            f"eigenvalue argument sum {total!r} does not round to an integer",
+            measured=abs(total - w_eig),
+        )
     w_path, clearance, samples = _path_winding(w, theta, residue_tol)
     if w_path != w_eig:
         raise NumericalInconsistency(

@@ -20,39 +20,40 @@ from obstructkit.seeding import derive_rng, random_projection
 MASTER = 20240817
 
 # float.hex of every ratio of trials 0 and 1 of each suite at master seed 7,
-# recorded before the audit norms were stacked: any drift of even one ulp in
-# a norm, a polar factor or the order of a product fails the test below
+# recorded before the audit norms were stacked (unitarize, path_uni and chain
+# again once each random rotation came from one eigh): any drift of even one
+# ulp in a norm, a polar factor or the order of a product fails the test below
 GOLDEN_SEED = 7
 GOLDEN_RATIOS = {
     ("unitarize", 0): {
-        "closeness": "0x1.fdba0dd05a94bp-5",
-        "defect": "0x1.cade801fb3640p-5",
-        "unitarity": "0x1.795927eb1faadp-17",
+        "closeness": "0x1.fdba0dd05b276p-5",
+        "defect": "0x1.dda65b97c5a58p-5",
+        "unitarity": "0x1.635818cdc0a0ep-17",
     },
     ("unitarize", 1): {
-        "closeness": "0x1.fcccf9f8854eep-5",
-        "defect": "0x1.6a01c569d8aafp-5",
-        "unitarity": "0x1.2c4b70ce7e413p-17",
+        "closeness": "0x1.fefe1655937cep-5",
+        "defect": "0x1.270e3e50697f7p-5",
+        "unitarity": "0x1.145fc8e92bdfdp-17",
     },
     ("sqrt_mult", 0): {"multiplicativity": "0x1.fd0470af115f7p-1"},
     ("sqrt_mult", 1): {"multiplicativity": "0x1.d24320bb6e81ep-1"},
     ("alm_proj", 0): {"commutator": "0x1.2c8352b15880cp-1"},
     ("alm_proj", 1): {"commutator": "0x1.df5823ba1d901p-3"},
     ("path_uni", 0): {
-        "commutator": "0x1.24db0069ebf8ep-5",
-        "conjugation": "0x1.a39e7019a47e5p-20",
+        "commutator": "0x1.24db0069ebfc3p-5",
+        "conjugation": "0x1.87a55ab372466p-20",
     },
     ("path_uni", 1): {
-        "commutator": "0x1.24edcf020391fp-5",
-        "conjugation": "0x1.f53c672417325p-21",
+        "commutator": "0x1.24edcf0203929p-5",
+        "conjugation": "0x1.57583bd0d4d0ep-21",
     },
     ("chain", 0): {
-        "commutator": "0x1.156cbc4f04b90p-10",
-        "conjugation": "0x1.28bbf972b1632p-25",
+        "commutator": "0x1.1eccd5007b5cdp-11",
+        "conjugation": "0x1.607aa5faa07afp-30",
     },
     ("chain", 1): {
-        "commutator": "0x1.4cb0e308af2f2p-11",
-        "conjugation": "0x1.d4b706faf145ep-23",
+        "commutator": "0x1.9b9c98b84096ep-10",
+        "conjugation": "0x1.23ed0ae38dc28p-24",
     },
 }
 

@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -685,13 +689,15 @@ LONG_INT = "9" * 5001
         ["gen", "abelian", "--rank", "2", "--eps", "1e300"],
         ["gen", "surface", "--genus", "2", "--dim", "100000000000000000000"],
         ["gen", "abelian", "--rank", "2", "--dim", "100000000000000000000", "--eps", "0.1"],
+        ["gen", "voiculescu", "--delta", "1e-300", "--k", "-1"],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
          "replay-negative-trial", "gen-negative-dim", "gen-non-orientable-negative-dim",
          "audit-negative-trials", "audit-unknown-suite", "gen-clock-shift-huge-n",
          "gen-surface-huge-genus", "gen-abelian-rank-3000", "gen-abelian-huge-rank",
-         "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim"],
+         "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim",
+         "gen-voiculescu-delta-1e-300"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))
@@ -742,3 +748,41 @@ def test_arbitrary_json_gets_an_exit_code(value):
                 sys.stdin = old_stdin
         assert isinstance(code, int), argv
         assert "Traceback" not in err.getvalue()
+
+
+# every numeric flag of the generating and exact subcommands, per command
+NUMERIC_FLAGS = {
+    ("gen", "voiculescu"): ("--delta", "--k"),
+    ("gen", "clock-shift"): ("--n",),
+    ("gen", "surface"): ("--genus", "--dim", "--eps", "--seed"),
+    ("gen", "abelian"): ("--rank", "--dim", "--eps", "--seed"),
+    ("homology", "bs"): ("--n", "--m"),
+    ("homology", "surface"): ("--genus",),
+    ("eta",): ("--q", "--order"),
+    ("audit", "--trials", "1"): ("--seed",),
+}
+EXTREME_NUMBERS = ("0", "-1", "1", str(2**63), str(10**20), "1e-300", "1e300", "nan", "inf")
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def _cap_address_space():
+    """Runs in the forked child only: a huge allocation fails there, not here."""
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_extreme_numeric_flags_get_an_exit_code(data):
+    command = data.draw(st.sampled_from(list(NUMERIC_FLAGS)), label="command")
+    argv = [*command]
+    for flag in NUMERIC_FLAGS[command]:
+        argv.append(f"{flag}={data.draw(st.sampled_from(EXTREME_NUMBERS), label=flag)}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    child = subprocess.run(
+        [sys.executable, "-m", "obstructkit.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=10, preexec_fn=_cap_address_space, check=False,
+    )
+    assert child.returncode in (0, 1, 2), (argv, child.returncode, child.stderr)
+    assert "Traceback" not in child.stderr, (argv, child.stderr)

@@ -28,6 +28,7 @@ from obstructkit.matcore import (
     SVD_NORM_DIM_LIMIT,
     UNITARITY_TOL,
     as_matrix,
+    as_stack,
     block_sum_many,
     commutator,
     dagger,
@@ -38,6 +39,7 @@ from obstructkit.matcore import (
     matrix_to_json,
     op_norm,
     op_norms,
+    polar_unitaries,
     polar_unitary,
     require_indexable,
     require_projection,
@@ -45,7 +47,13 @@ from obstructkit.matcore import (
     spectral_projection,
     spectral_tol,
 )
-from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian, random_projection
+from obstructkit.seeding import (
+    derive_rng,
+    haar_unitary,
+    random_hermitian,
+    random_projection,
+    random_rotation,
+)
 
 
 def power_iteration_norm(a, iters=2000, seed=5):
@@ -252,6 +260,21 @@ def test_polar_unitarity_property(rng):
 def test_polar_rejects_singular():
     with pytest.raises(NotInvertible):
         polar_unitary(np.diag([1.0, SINGULARITY_TOL / 2.0]))
+
+
+def test_polar_of_a_stack_is_bitwise_per_matrix(rng):
+    stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    us = polar_unitaries(as_stack(stack))
+    assert not us.flags.writeable
+    for a, u in zip(stack, us):
+        assert u.tobytes() == polar_unitary(a).tobytes()
+
+
+def test_polar_of_a_stack_refuses_its_first_singular_matrix():
+    stack = as_stack([np.eye(2), np.diag([1.0, SINGULARITY_TOL / 2.0]), np.zeros((2, 2))])
+    with pytest.raises(NotInvertible) as info:
+        polar_unitaries(stack)
+    assert info.value.measured == pytest.approx(SINGULARITY_TOL / 2.0)
 
 
 def test_polar_reconstructs_input(rng):
@@ -471,7 +494,28 @@ def test_require_indexable_refuses_only_what_numpy_refuses():
             np.empty(shape, dtype=np.complex128)
 
 
-@pytest.mark.parametrize("draw", [haar_unitary, random_hermitian])
+@pytest.mark.parametrize("dim", range(1, 41))
+def test_random_rotation_matches_the_expm_oracle(dim):
+    # exp(i angle h) for the norm-one matrix random_hermitian draws from the same stream
+    for angle in (0.3, -2.5):
+        h = random_hermitian(dim, derive_rng(17, dim), norm=1.0)
+        rot = random_rotation(dim, derive_rng(17, dim), angle)
+        assert np.abs(rot - scipy.linalg.expm(1j * angle * h)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_random_rotation_of_an_angle_array_is_bitwise_per_angle(dim):
+    angles = np.linspace(-1.0, 2.0, 6)
+    stack = random_rotation(dim, derive_rng(18, dim), angles)
+    assert stack.shape == (6, dim, dim) and not stack.flags.writeable
+    for angle, rot in zip(angles, stack):
+        assert rot.tobytes() == random_rotation(dim, derive_rng(18, dim), angle).tobytes()
+
+
+@pytest.mark.parametrize(
+    "draw", [haar_unitary, random_hermitian, lambda dim, rng: random_rotation(dim, rng, 0.1)],
+    ids=["haar_unitary", "random_hermitian", "random_rotation"],
+)
 def test_seeding_refuses_an_oversized_dimension_before_drawing(draw):
     rng = derive_rng(16, 1)
     with pytest.raises(InvalidSize, match="too large"):

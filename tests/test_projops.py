@@ -8,9 +8,11 @@ from obstructkit.errors import (
     HypothesisViolation,
     InvalidSize,
     NotProjection,
+    NumericalInconsistency,
     SpectralGapViolation,
     SubdivisionTooCoarse,
 )
+from obstructkit import projops
 from obstructkit.matcore import commutator, dagger, op_norm, require_projection
 from obstructkit.projops import (
     chain_conjugation,
@@ -99,6 +101,12 @@ def test_connecting_gate_far_projections():
     q = np.diag([0.0, 1.0]).astype(complex)  # distance 1
     with pytest.raises(HypothesisViolation):
         connecting_unitary(projection_pair_context(p, q, [np.eye(2)]))
+
+
+def test_commutator_refusal_carries_the_first_failing_norm():
+    with pytest.raises(NumericalInconsistency, match="commutator bound failed") as info:
+        projops._commutator_worst([0.01, 0.5, 0.7], 0.1, "bound")
+    assert info.value.measured == 0.5
 
 
 def test_context_rejects_non_projection(rng):

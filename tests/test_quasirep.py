@@ -241,6 +241,8 @@ def test_unitarize_validation_gates(rng):
         unitarize(phi, S, 1.0)
     with pytest.raises(BoundViolation):
         unitarize(phi, S, 0.0)
+    with pytest.raises(BoundViolation):
+        unitarize(phi, S, float("nan"))
     with pytest.raises(AsymmetricSet):
         unitarize(phi, [A, B], 0.1)
     noisy = perturbed_honest_rep(Z2, S, 0.2, 3, rng)

@@ -16,7 +16,6 @@ from obstructkit.matcore import (
     coordinate_projection,
     dagger,
     hermitian_eigensystem,
-    hermitian_rotation,
     identity,
     polar_unitary,
     sealed,
@@ -36,7 +35,12 @@ from obstructkit.quasirep import (
     honest_commuting_rep,
     voiculescu_pair,
 )
-from obstructkit.seeding import haar_unitary, random_hermitian, random_projection
+from obstructkit.seeding import (
+    haar_unitary,
+    random_hermitian,
+    random_projection,
+    random_rotation,
+)
 from obstructkit.winding import random_admissible_unitary, winding_of_unitary
 from obstructkit.words import GroupWord, adjoints, free_abelian_presentation, inverses
 
@@ -66,7 +70,7 @@ PRODUCERS = {
     ),
     "spectral_projection": lambda rng: [spectral_projection(np.diag([0.0, 1.0, 1.0]), 0.5, 0.1)],
     "coordinate_projection": lambda rng: [coordinate_projection(3, 1)],
-    "hermitian_rotation": lambda rng: [hermitian_rotation(random_hermitian(3, rng), 0.3)],
+    "random_rotation": lambda rng: [random_rotation(3, rng, 0.3)],
     "haar_unitary": lambda rng: [haar_unitary(3, rng)],
     "random_hermitian": lambda rng: [random_hermitian(3, rng)],
     "random_projection": lambda rng: [random_projection(3, 1, rng)],

@@ -118,6 +118,26 @@ def test_open_path_rejected():
         winding_of_unitary(w)
 
 
+def test_open_path_carries_the_distance_of_det_from_one():
+    with pytest.raises(OpenPath) as info:
+        winding_of_unitary(np.diag([np.exp(0.1j), 1.0]))
+    assert info.value.measured == pytest.approx(abs(np.exp(0.1j) - 1.0), rel=1e-12)
+
+
+def test_phase_residue_refusal_carries_the_distance_to_an_integer(monkeypatch):
+    eigenphases = winding._eigenphases
+
+    def nudged(w, tol):
+        theta, residue_tol = eigenphases(w, tol)
+        return theta + 0.3 * (np.arange(len(theta)) == 0), residue_tol
+
+    monkeypatch.setattr(winding, "_eigenphases", nudged)
+    w, _ = random_admissible_unitary(8, derive_rng(3, 8), winding=1)
+    with pytest.raises(OpenPath) as info:
+        winding_of_unitary(w)
+    assert info.value.measured == pytest.approx(0.3 / (2.0 * np.pi), abs=1e-9)
+
+
 def test_non_unitary_rejected():
     with pytest.raises(NotUnitary):
         winding_of_unitary(np.diag([0.9, 1.0]))
