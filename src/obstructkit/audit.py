@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSize, ObstructkitError
+from .errors import InvalidSize, ObstructkitError, ParseError
 from .matcore import (
     commutator,
     coordinate_projection,
@@ -214,10 +214,16 @@ class AuditOutcome:
     all_passed: bool
 
 
+def require_suites(names) -> None:
+    """Refuse an unknown suite name as malformed input, before any trial runs."""
+    for name in names:
+        if name not in _TRIALS:
+            raise ParseError(f"unknown audit suite {name!r}; expected one of {SUITES}")
+
+
 def run_trial(suite: str, master_seed: int, trial: int) -> dict:
     """Replay a single audit instance; returns its measured ratios."""
-    if suite not in _TRIALS:
-        raise ObstructkitError(f"unknown audit suite {suite!r}; expected one of {SUITES}")
+    require_suites([suite])
     rng = derive_rng(master_seed, _SUITE_INDEX[suite], trial)
     return _TRIALS[suite](rng)
 
@@ -229,8 +235,7 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
     error; each failure records (master_seed, suite, trial) so it can be
     replayed exactly with :func:`run_trial`.
     """
-    if suite not in _TRIALS:
-        raise ObstructkitError(f"unknown audit suite {suite!r}; expected one of {SUITES}")
+    require_suites([suite])
     if trials < 0:
         raise InvalidSize(f"trials must be non-negative, got {trials}")
     if master_seed < 0:
@@ -263,8 +268,10 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
 
 
 def run_audit(master_seed: int, trials: int, suites=None) -> AuditOutcome:
-    """Run each named suite once, in the order first given (default: all)."""
+    """Run each named suite once, in the order first given (default: all).
+    Every name is checked before the first suite runs."""
     chosen = dict.fromkeys(suites if suites is not None else SUITES)
+    require_suites(chosen)
     results = tuple(run_suite(name, master_seed, trials) for name in chosen)
     return AuditOutcome(
         master_seed=master_seed,

@@ -13,7 +13,7 @@ or ``--tol.gap=0.01``; a value must be finite and non-negative.
 
 Each command imports the library modules it runs when it runs, so start-up
 is paid by subcommand: ``homology`` and the closed-form and ``--phases``
-forms of ``eta`` never load numpy.
+forms of ``eta`` never load NumPy.
 """
 
 from __future__ import annotations
@@ -126,29 +126,15 @@ def _honest_or_perturbed(pres, args):
 
 
 def _gen_surface_rep(args):
-    import numpy as np
-
-    from .quasirep import QuasiRep, require_honest
-    from .seeding import derive_rng, haar_unitary
     from .words import surface_presentation
 
     pres = surface_presentation(args.genus, orientable=not args.non_orientable)
-    if not args.non_orientable:
-        return _honest_or_perturbed(pres, args)
-    if args.eps is not None:
+    if args.non_orientable and args.eps is not None:
         raise ParseError(
             "perturbed non-orientable surface models are not provided; "
             "omit --eps for an exact one"
         )
-    # Commuting involutions in a hidden common eigenbasis: each a_i^2 = 1
-    # exactly, so the single defining relator evaluates to the identity.
-    rng = derive_rng(_seed(args.seed, "--seed"), _GEN_STREAM)
-    w = haar_unitary(args.dim, rng)
-    images = []
-    for _ in range(pres.num_generators):
-        signs = np.where(rng.integers(0, 2, size=args.dim) == 0, 1.0, -1.0)
-        images.append((w * signs) @ w.conj().T)
-    return require_honest(QuasiRep(pres, tuple(images), flavor="unitary"))
+    return _honest_or_perturbed(pres, args)
 
 
 def cmd_gen(args) -> int:
@@ -252,31 +238,22 @@ def cmd_invariants(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite(name: str, source: str) -> str:
-    from .audit import SUITES
-
-    if name not in SUITES:
-        raise ParseError(f"unknown suite {name!r} in {source}; expected one of {SUITES}")
-    return name
-
-
 def cmd_audit(args) -> int:
     from . import audit as audit_mod
+    from .matcore import json_value
 
     if args.replay is not None:
         raw = args.replay
         obj = _load_json(raw[1:]) if raw.startswith("@") else _parse_json(raw, "--replay")
         try:
-            suite = str(obj["suite"])
-            seed = int(obj["master_seed"])
-            trial = int(obj["trial"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            suite, seed, trial = obj["suite"], obj["master_seed"], obj["trial"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(
                 "--replay needs fields suite, master_seed, trial"
             ) from exc
-        _suite(suite, "replay data")
-        _seed(seed, "replay master_seed")
-        _seed(trial, "replay trial")
+        audit_mod.require_suites([json_value(suite, (str,), "replay suite")])
+        _seed(json_value(seed, (int,), "replay master_seed"), "replay master_seed")
+        _seed(json_value(trial, (int,), "replay trial"), "replay trial")
         payload = {"suite": suite, "master_seed": seed, "trial": trial}
         try:
             ratios = audit_mod.run_trial(suite, seed, trial)
@@ -290,8 +267,7 @@ def cmd_audit(args) -> int:
             raise AuditViolation("replayed instance fails its bound")
         return 0
 
-    suites = [_suite(name, "--suite") for name in args.suite] if args.suite else None
-    outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, suites)
+    outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite)
     _emit(audit_mod.audit_outcome_to_json(outcome, include_timings=args.timings), args.out)
     if not outcome.all_passed:
         failing = [r.suite for r in outcome.suites if not r.passed]

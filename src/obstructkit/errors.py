@@ -72,8 +72,8 @@ class NotProjection(ObstructkitError):
 class SpectralGapViolation(ObstructkitError):
     """An eigenvalue sits inside the forbidden window around the cut."""
 
-    def __init__(self, message, eigenvalue=None, cut=None):
-        super().__init__(message)
+    def __init__(self, message, eigenvalue=None, cut=None, measured=None):
+        super().__init__(message, measured)
         self.eigenvalue = eigenvalue
         self.cut = cut
 
@@ -97,8 +97,8 @@ class NotAnAutomorphism(ObstructkitError):
 class SubdivisionTooCoarse(ObstructkitError):
     """A projection path has a consecutive gap of 1/4 or more."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
+    def __init__(self, message, index=None, measured=None):
+        super().__init__(message, measured)
         self.index = index
 
 

@@ -166,7 +166,8 @@ def eta_character_abel(
     if abs(estimate - exact) > err:
         raise NumericalInconsistency(
             f"extrapolated eta {estimate!r} misses the exact limit {exact!r} "
-            f"by more than the estimated error {err:.3e}"
+            f"by more than the estimated error {err:.3e}",
+            measured=abs(estimate - exact),
         )
     return EtaResult(
         eta=estimate,

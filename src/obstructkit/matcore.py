@@ -49,6 +49,7 @@ from .errors import (
     NotInvertible,
     NotProjection,
     NotUnitary,
+    ParseError,
     SpectralGapViolation,
 )
 
@@ -267,7 +268,8 @@ def require_projections(stack: np.ndarray, whats) -> None:
     for what, herm, idem in zip(whats, norms[::2], norms[1::2]):
         if herm > tol or idem > tol:
             raise NotProjection(
-                f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}"
+                f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}",
+                measured=max(herm, idem),
             )
 
 
@@ -321,7 +323,8 @@ def hermitian_eigensystem(a) -> HermitianSpectrum:
     asym = op_norm(arr - arr.conj().T)
     if asym > spectral_tol(dim):
         raise NotHermitian(
-            f"||a - a*|| = {asym:.3e} exceeds {spectral_tol(dim):.3e}; refusing to symmetrize"
+            f"||a - a*|| = {asym:.3e} exceeds {spectral_tol(dim):.3e}; refusing to symmetrize",
+            measured=asym,
         )
     herm = (arr + arr.conj().T) / 2.0
     lam, vec = np.linalg.eigh(herm)
@@ -349,25 +352,12 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
             f"eigenvalue {offender:.6f} within gap_tol {gap_tol} of cut {cut}",
             eigenvalue=offender,
             cut=cut,
+            measured=float(dist.min()),
         )
     cols = spec.vectors[:, lam > cut]
     proj = cols @ cols.conj().T
     proj = (proj + proj.conj().T) / 2.0
     return sealed(proj)
-
-
-def block_sum_many(mats) -> np.ndarray:
-    """Block-diagonal sum ``diag(m_0, m_1, ...)``, filled into one allocation."""
-    mats = [as_matrix(m) for m in mats]
-    if not mats:
-        raise InvalidMatrix("block_sum_many needs at least one matrix")
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=np.complex128)
-    at = 0
-    for m in mats:
-        out[at:at + len(m), at:at + len(m)] = m
-        at += len(m)
-    return sealed(out)
 
 
 def coordinate_projection(dim: int, rank: int) -> np.ndarray:
@@ -379,6 +369,19 @@ def coordinate_projection(dim: int, rank: int) -> np.ndarray:
 # JSON encoding
 # ---------------------------------------------------------------------------
 
+def json_value(value, kinds: tuple, what: str):
+    """``value`` if it is an instance of one of ``kinds``, else :class:`ParseError`.
+
+    JSON decoders pass every scalar field through here, so a float, string or
+    boolean is refused where an integer is due instead of being coerced; a
+    ``bool`` passes only where ``bool`` is one of ``kinds``.
+    """
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ParseError(f"{what} must be {names}, got {type(value).__name__}")
+    return value
+
+
 def matrix_to_json(a) -> dict:
     """Encode as ``{"dim": n, "entries": [[[re, im], ...], ...]}`` row-major."""
     arr = as_matrix(a)
@@ -387,11 +390,11 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """Decode :func:`matrix_to_json` output bit for bit.  Entries must be
-    numbers, booleans included, within a machine integer; anything else is
-    :class:`InvalidMatrix`."""
+    """Decode :func:`matrix_to_json` output bit for bit.  ``"dim"`` must be an
+    integer; entries must be numbers, booleans included, within a machine
+    integer; anything else is :class:`InvalidMatrix`."""
     try:
-        dim = int(obj["dim"])
+        dim = json_value(obj["dim"], (int,), "matrix dim")
         entries = obj["entries"]
         # check the shape before allocating: "dim" alone must not size an array
         if len(entries) != dim or any(len(row) != dim for row in entries):
@@ -401,6 +404,6 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ValueError(f"entries are not {dim} x {dim} pairs of numbers")
         # a view keeps every bit, the sign of -0.0 included; re + 1j*im would not
         data = parts.astype(np.float64).view(np.complex128).reshape(dim, dim)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParseError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
     return as_matrix(sealed(data))  # fresh, so validated without a copy

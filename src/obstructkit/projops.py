@@ -35,6 +35,7 @@ from .matcore import (
     dagger,
     hermitian_eigensystem,
     identity,
+    json_value,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -190,6 +191,7 @@ def chain_conjugation(path, test_ops):
             raise SubdivisionTooCoarse(
                 f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
                 index=i,
+                measured=gap,
             )
     ops = _unit_ball_operators(test_ops, dim)
     # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
@@ -339,20 +341,11 @@ def pairing_block_sum(a: PairingInput, b: PairingInput) -> PairingInput:
     n1, n2, k = a.n_dim, b.n_dim, a.k_dim
     n = n1 + n2
     bb = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for i in range(2):
-        for j in range(2):
-            bb[i * n:i * n + n1, j * n:j * n + n1] = a.b[
-                i * n1:(i + 1) * n1, j * n1:(j + 1) * n1
-            ]
-            bb[i * n + n1:(i + 1) * n, j * n + n1:(j + 1) * n] = b.b[
-                i * n2:(i + 1) * n2, j * n2:(j + 1) * n2
-            ]
+    bb.reshape(2, n, 2, n)[:, :n1, :, :n1] = a.b.reshape(2, n1, 2, n1)
+    bb.reshape(2, n, 2, n)[:, n1:, :, n1:] = b.b.reshape(2, n2, 2, n2)
     qq = np.zeros((n * k, n * k), dtype=np.complex128)
-    qa = a.q.reshape(n1, k, n1, k)
-    qb = b.q.reshape(n2, k, n2, k)
-    view = qq.reshape(n, k, n, k)
-    view[:n1, :, :n1, :] = qa
-    view[n1:, :, n1:, :] = qb
+    qq.reshape(n, k, n, k)[:n1, :, :n1, :] = a.q.reshape(n1, k, n1, k)
+    qq.reshape(n, k, n, k)[n1:, :, n1:, :] = b.q.reshape(n2, k, n2, k)
     gap = min(a.gap_tol, b.gap_tol)
     return pairing_input(sealed(bb), sealed(qq), n, k, gap)
 
@@ -370,9 +363,10 @@ def pairing_input_to_json(inp: PairingInput) -> dict:
 def pairing_input_from_json(obj) -> PairingInput:
     try:
         b, q = matrix_from_json(obj["b"]), matrix_from_json(obj["q"])
-        n_dim, k_dim = int(obj["N"]), int(obj["k"])
-        gap_tol = float(obj.get("gap_tol", DEFAULT_GAP_TOL))
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        n_dim = json_value(obj["N"], (int,), "pairing N")
+        k_dim = json_value(obj["k"], (int,), "pairing k")
+        gap_tol = json_value(obj.get("gap_tol", DEFAULT_GAP_TOL), (int, float), "gap_tol")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed pairing JSON: {exc}") from exc
     return pairing_input(b, q, n_dim, k_dim, gap_tol)
 

@@ -32,8 +32,10 @@ from .errors import (
 )
 from .matcore import (
     as_matrix,
+    commutator,
     dagger,
     identity,
+    json_value,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -51,6 +53,7 @@ from .words import (
     Presentation,
     adjoints,
     canonical_form,
+    exponent_sums,
     fold_word,
     free_abelian_presentation,
     generator,
@@ -312,12 +315,9 @@ def ucp_gram_check(phi: QuasiRep, F) -> float:
     F = list(F)
     if not F:
         raise InvalidSize("ucp_gram_check needs a nonempty word list")
-    d = phi.dim
-    n = len(F)
-    gram = np.empty((n * d, n * d), dtype=np.complex128)
-    for i, g in enumerate(F):
-        for j, h in enumerate(F):
-            gram[i * d:(i + 1) * d, j * d:(j + 1) * d] = phi.evaluate(g.inverse() * h)
+    n, d = len(F), phi.dim
+    blocks = np.array([[phi.evaluate(g.inverse() * h) for h in F] for g in F])
+    gram = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     herm = (gram + gram.conj().T) / 2.0
     return float(np.linalg.eigvalsh(herm)[0])
 
@@ -326,17 +326,17 @@ def ucp_gram_check(phi: QuasiRep, F) -> float:
 # Compression of honest representations
 # ---------------------------------------------------------------------------
 
-def require_honest(rep: QuasiRep, tol: float | None = None) -> QuasiRep:
+def require_honest(rep: QuasiRep) -> QuasiRep:
     """Check that a unitary-flavor or compression ``rep`` is honest: each
     relator, folded over the images and adjoints its construction gated as
-    unitary (the big images of a compression), evaluates within ``tol`` of
-    the identity.  The unitarity gate itself lives in :class:`QuasiRep`;
-    a general-flavor rep has no such table and is refused.  Returns ``rep``."""
+    unitary (the big images of a compression), evaluates within
+    ``max(spectral_tol(dim), 1e-9)`` of the identity.  The unitarity gate
+    itself lives in :class:`QuasiRep`; a general-flavor rep has no such
+    table and is refused.  Returns ``rep``."""
     if rep.compression is None and rep.flavor != "unitary":
         raise ParseError("an honest representation needs the unitary flavor or compression data")
     dim = rep._fold[0][0].shape[0]
-    if tol is None:
-        tol = max(spectral_tol(dim), 1e-9)
+    tol = max(spectral_tol(dim), 1e-9)
     eye = identity(dim)
     relators = (fold_word(r, *rep._fold) - eye for r in rep.presentation.relators)
     for err in op_norms(relators).tolist():
@@ -450,7 +450,7 @@ def clock_shift(n: int):
 
 
 def commutation_defect(u, v) -> float:
-    return op_norm(as_matrix(u) @ as_matrix(v) - as_matrix(v) @ as_matrix(u))
+    return op_norm(commutator(as_matrix(u), as_matrix(v)))
 
 
 def voiculescu_pair(delta: float, k: int):
@@ -506,16 +506,23 @@ def unitary_pair_rep(u, v) -> QuasiRep:
 def honest_commuting_rep(p: Presentation, dim: int, rng) -> QuasiRep:
     """Honest unitary representation with commuting images (shared eigenbasis).
 
-    Works whenever every relator has vanishing exponent sums (free-abelian
-    and orientable-surface presentations do); otherwise the relator check
-    fails loudly.
+    Draws one Haar basis ``q``, then one eigenvalue vector per generator:
+    random phases when every relator has vanishing exponent sums
+    (free-abelian and orientable-surface presentations), else random signs,
+    which satisfy every relator whose exponent sums are all even (such as
+    ``a_1^2 ... a_g^2``).  The relator check of :func:`require_honest`
+    decides: any other relator fails it loudly.
     """
     q = haar_unitary(dim, rng)
+    balanced = not any(any(exponent_sums(r, p.num_generators)) for r in p.relators)
     images = []
     for _ in range(p.num_generators):
-        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
-        images.append(sealed(q @ np.diag(phases) @ q.conj().T))
-    return require_honest(QuasiRep(p, tuple(images), flavor="unitary"), tol=1e-8)
+        if balanced:
+            eigs = np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))
+        else:
+            eigs = np.where(rng.integers(0, 2, size=dim) == 0, 1.0, -1.0)
+        images.append(sealed(q @ np.diag(eigs) @ q.conj().T))
+    return require_honest(QuasiRep(p, tuple(images), flavor="unitary"))
 
 
 def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> QuasiRep:
@@ -575,13 +582,14 @@ def quasirep_from_json(obj) -> QuasiRep:
     from what it builds are a :class:`ParseError`."""
     try:
         pres = presentation_from_json(obj["presentation"])
-        flavor = str(obj.get("flavor", "general"))
+        flavor = json_value(obj.get("flavor", "general"), (str,), "flavor")
         images = tuple(matrix_from_json(m) for m in obj["images"])
         table = {}
         for text, mat in obj.get("word_table", {}).items():
             w = canonical_form(word_from_text(text, pres), pres)
             table[w.letters] = matrix_from_json(mat)
-        default = bool(obj.get("default_to_identity", False))
+        default = obj.get("default_to_identity", False)
+        default = json_value(default, (bool,), "default_to_identity")
         if "compression" in obj:
             comp = obj["compression"]
             big = tuple(matrix_from_json(m) for m in comp["big_images"])

@@ -443,7 +443,8 @@ def winding_of_unitary(
     w_path, clearance, samples = _path_winding(w, theta, residue_tol)
     if w_path != w_eig:
         raise NumericalInconsistency(
-            f"winding methods disagree: eigenvalue {w_eig}, path {w_path}"
+            f"winding methods disagree: eigenvalue {w_eig}, path {w_path}",
+            measured=(w_eig, w_path),
         )
     return WindingReport(winding=w_eig, min_clearance=clearance, samples_used=samples,
                          eigenvalue_method=w_eig, path_method=w_path, agreement=True)

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, ParseError
-from .matcore import identity, require_unitary, sealed
+from .matcore import identity, json_value, require_unitary, sealed
 
 Letter = tuple[int, int]
 
@@ -337,11 +337,16 @@ def presentation_to_json(p: Presentation) -> dict:
     }
 
 
+def _json_strings(value, what: str) -> list:
+    """A JSON list of strings; anything else is :class:`ParseError`."""
+    return [json_value(s, (str,), what) for s in json_value(value, (list,), f"{what} list")]
+
+
 def presentation_from_json(obj) -> Presentation:
     try:
-        names = tuple(str(g) for g in obj["generators"])
-        relator_texts = [str(r) for r in obj.get("relators", [])]
-    except (KeyError, TypeError) as exc:
+        names = tuple(_json_strings(obj["generators"], "generator"))
+        relator_texts = _json_strings(obj.get("relators", []), "relator")
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ParseError(f"malformed presentation JSON: {exc}") from exc
     skeleton = Presentation(len(names), names, ())
     relators = tuple(word_from_text(t, skeleton) for t in relator_texts)

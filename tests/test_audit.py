@@ -13,7 +13,7 @@ from obstructkit.audit import (
     run_suite,
     run_trial,
 )
-from obstructkit.errors import InvalidSize, ObstructkitError
+from obstructkit.errors import InvalidSize, ObstructkitError, ParseError
 from obstructkit.projops import pairing
 from obstructkit.seeding import derive_rng, random_projection
 
@@ -136,6 +136,20 @@ def test_unknown_suite_rejected():
         run_trial("nonsense", 0, 0)
     with pytest.raises(ObstructkitError):
         run_suite("nonsense", 0, 1)
+
+
+def test_unknown_suite_is_malformed_input_and_runs_no_trial(monkeypatch):
+    import obstructkit.audit as audit_mod
+
+    calls = []
+    monkeypatch.setattr(audit_mod, "run_trial", lambda *replay: calls.append(replay) or {})
+    with pytest.raises(ParseError, match="unknown audit suite 'nonsense'") as exc_info:
+        run_audit(0, 1, ["chain", "nonsense"])
+    assert exc_info.value.exit_code == 1
+    assert calls == []  # chain, named first, did not run either
+    for unknown in (lambda: run_trial("nonsense", 0, 0), lambda: run_suite("nonsense", 0, 1)):
+        with pytest.raises(ParseError):
+            unknown()
 
 
 def test_run_audit_aggregates_in_order():

@@ -297,6 +297,20 @@ def test_audit_repeated_suite_runs_once(capsys):
     assert [s["suite"] for s in payload["suites"]] == ["chain", "alm_proj"]
 
 
+def test_audit_unknown_suite_exits_one_before_any_trial(capsys, monkeypatch):
+    import obstructkit.audit as audit_mod
+
+    calls = []
+    real = audit_mod.run_trial
+    monkeypatch.setattr(
+        audit_mod, "run_trial", lambda *replay: calls.append(replay) or real(*replay)
+    )
+    argv = ["audit", "--trials", "1", "--suite", "chain", "--suite", "nonsense"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == "" and calls == []
+    assert "unknown audit suite 'nonsense'" in err
+
+
 def test_audit_zero_trials(capsys):
     payload = run_json(["audit", "--trials", "0"], capsys)
     assert payload["all_passed"] is True
@@ -690,6 +704,10 @@ LONG_INT = "9" * 5001
         ["gen", "surface", "--genus", "2", "--dim", "100000000000000000000"],
         ["gen", "abelian", "--rank", "2", "--dim", "100000000000000000000", "--eps", "0.1"],
         ["gen", "voiculescu", "--delta", "1e-300", "--k", "-1"],
+        ["audit", "--replay", '{"suite":"alm_proj","master_seed":7.9,"trial":"3"}'],
+        ["audit", "--replay", '{"suite":"alm_proj","master_seed":7.9,"trial":3}'],
+        ["audit", "--replay", '{"suite":"alm_proj","master_seed":true,"trial":3}'],
+        ["audit", "--replay", '{"suite":["alm_proj"],"master_seed":7,"trial":3}'],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
@@ -697,7 +715,8 @@ LONG_INT = "9" * 5001
          "audit-negative-trials", "audit-unknown-suite", "gen-clock-shift-huge-n",
          "gen-surface-huge-genus", "gen-abelian-rank-3000", "gen-abelian-huge-rank",
          "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim",
-         "gen-voiculescu-delta-1e-300"],
+         "gen-voiculescu-delta-1e-300", "replay-float-seed-string-trial",
+         "replay-float-seed", "replay-bool-seed", "replay-list-suite"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from obstructkit.errors import BoundViolation, ZeroMode
+from obstructkit import eta
+from obstructkit.errors import BoundViolation, NumericalInconsistency, ZeroMode
 from obstructkit.eta import (
     DEFAULT_T_LADDER,
     T_MIN,
@@ -92,6 +93,15 @@ def test_custom_ladder():
         CharacterTwist(0.3), t_ladder=(0.5, 0.25, 0.125, 0.0625), richardson_order=3
     )
     assert res.eta == pytest.approx(0.4, abs=1e-4)
+
+
+def test_abel_inconsistency_carries_the_miss(monkeypatch):
+    # a series stuck at 0 extrapolates to 0, with zero correction, against
+    # the exact limit 1 - 2q = 0.5
+    monkeypatch.setattr(eta, "abel_series_value", lambda q, t: 0.0)
+    with pytest.raises(NumericalInconsistency, match="misses the exact limit") as exc_info:
+        eta_character_abel(CharacterTwist(0.25))
+    assert exc_info.value.measured == 0.5
 
 
 def test_abel_zero_mode():

@@ -29,7 +29,6 @@ from obstructkit.matcore import (
     UNITARITY_TOL,
     as_matrix,
     as_stack,
-    block_sum_many,
     commutator,
     dagger,
     hermitian_eigensystem,
@@ -299,8 +298,9 @@ def test_eigensystem_reconstructs(rng):
 
 
 def test_eigensystem_rejects_skew():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotHermitian) as exc_info:
         hermitian_eigensystem(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert exc_info.value.measured == pytest.approx(2.0, abs=1e-14)  # ||a - a*||
 
 
 def test_spectral_projection_diag_example():
@@ -319,6 +319,7 @@ def test_spectral_projection_gap_gate():
         spectral_projection(np.diag([0.5 + 0.01, 1.0]), 0.5, 0.05)
     assert exc_info.value.eigenvalue == pytest.approx(0.51)
     assert exc_info.value.cut == 0.5
+    assert exc_info.value.measured == pytest.approx(0.01, abs=1e-15)  # distance to the cut
 
 
 def test_spectral_projection_boundary_eigenvalue_passes():
@@ -417,8 +418,15 @@ def test_unitarity_gate_refuses_tiny_defects_and_nan_tolerances(dim):
 def test_require_projection_gate(rng):
     q = random_projection(5, 3, rng)
     require_projection(q)
-    with pytest.raises(NotProjection):
+    with pytest.raises(NotProjection) as exc_info:
         require_projection(q + 0.001 * np.eye(5))
+    # hermitian, so ||a^2 - a|| = 0.001 + 1e-6 on the range of q is the larger residue
+    assert exc_info.value.measured == pytest.approx(1.001e-3, abs=1e-12)
+    skew = np.diag([1.0, 0.0]).astype(np.complex128)
+    skew[0, 1] = 0.5  # idempotent, but ||a - a*|| = 0.5
+    with pytest.raises(NotProjection) as exc_info:
+        require_projection(skew)
+    assert exc_info.value.measured == pytest.approx(0.5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +434,12 @@ def test_require_projection_gate(rng):
 # ---------------------------------------------------------------------------
 
 
-def test_block_sum_basic():
-    out = block_sum_many((np.array([[1.0]]), np.array([[0.0]])))
-    assert np.allclose(out, np.diag([1.0, 0.0]))
-
-
 def test_block_sum_norm_is_max(rng):
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert op_norm(block_sum_many((a, b))) == pytest.approx(max(op_norm(a), op_norm(b)), abs=1e-12)
-
-
-def test_block_sum_many_matches_iterated():
-    mats = [np.eye(1) * k for k in (1.0, 2.0, 3.0)]
-    out = block_sum_many(mats)
-    assert np.allclose(out, np.diag([1.0, 2.0, 3.0]))
-    with pytest.raises(InvalidMatrix):
-        block_sum_many([])
+    assert op_norm(scipy.linalg.block_diag(a, b)) == pytest.approx(
+        max(op_norm(a), op_norm(b)), abs=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +477,9 @@ def test_matrix_json_malformed():
     ):
         with pytest.raises(InvalidMatrix):
             matrix_from_json({"dim": 1, "entries": entries})
+    for dim in (1.9, 1.0, True, "1", None):  # int() used to make 1 of the first four
+        with pytest.raises(InvalidMatrix, match="matrix dim must be int"):
+            matrix_from_json({"dim": dim, "entries": [[[1.0, 0.0]]]})
 
 
 def test_require_indexable_refuses_only_what_numpy_refuses():

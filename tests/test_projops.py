@@ -9,6 +9,7 @@ from obstructkit.errors import (
     InvalidSize,
     NotProjection,
     NumericalInconsistency,
+    ParseError,
     SpectralGapViolation,
     SubdivisionTooCoarse,
 )
@@ -188,6 +189,7 @@ def test_chain_coarse_subdivision_rejected(rng):
     with pytest.raises(SubdivisionTooCoarse) as exc_info:
         chain_conjugation([p0, p_far], [np.eye(4)])
     assert exc_info.value.index == 0
+    assert exc_info.value.measured == pytest.approx(op_norm(p0 - p_far), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,32 @@ def test_pairing_block_sum_additivity(rng):
         assert pairing(total).index == ia + ib
 
 
+def test_pairing_block_sum_bytes_equal_the_block_loop(rng):
+    from obstructkit.audit import random_pairing_instance
+
+    # reference: the 2 x 2 loop over the N-blocks of b, written out
+    checked = 0
+    while checked < 6:
+        a, _ = random_pairing_instance(rng)
+        b, _ = random_pairing_instance(rng)
+        if a.k_dim != b.k_dim:
+            continue
+        n1, n2 = a.n_dim, b.n_dim
+        n = n1 + n2
+        bb = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+        for i in range(2):
+            for j in range(2):
+                bb[i * n:i * n + n1, j * n:j * n + n1] = a.b[
+                    i * n1:(i + 1) * n1, j * n1:(j + 1) * n1
+                ]
+                bb[i * n + n1:(i + 1) * n, j * n + n1:(j + 1) * n] = b.b[
+                    i * n2:(i + 1) * n2, j * n2:(j + 1) * n2
+                ]
+        total = pairing_block_sum(a, b)
+        assert total.b.tobytes() == bb.tobytes()
+        checked += 1
+
+
 def test_pairing_gap_gate():
     # Rotate coordinate 1 of e against coordinate 3 by pi/3 while q mixes the
     # two N-coordinates evenly: the operand spectrum is exactly {0, 1/4, 3/4, 1},
@@ -305,6 +333,20 @@ def test_pairing_input_validation(rng):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(5), n, k)
     with pytest.raises(BoundViolation):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(n * k), n, k, gap_tol=0.7)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 2.7), ("N", True), ("k", "2"), ("k", 2.0), ("gap_tol", "0.1"), ("gap_tol", False)],
+)
+def test_pairing_json_refuses_coercible_fields(field, value, rng):
+    from obstructkit.audit import random_pairing_instance
+
+    inp, _ = random_pairing_instance(rng)
+    obj = pairing_input_to_json(inp)
+    pairing_input_from_json(dict(obj))  # the unedited input loads
+    with pytest.raises(ParseError, match=f"{field} must be"):
+        pairing_input_from_json({**obj, field: value})
 
 
 def test_pairing_json_round_trip(rng):

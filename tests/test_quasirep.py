@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from obstructkit.errors import (
     AsymmetricSet,
@@ -24,7 +25,6 @@ from obstructkit.errors import (
     ParseError,
 )
 from obstructkit.matcore import (
-    block_sum_many,
     commutator,
     dagger,
     identity,
@@ -57,10 +57,12 @@ from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian, rand
 from obstructkit.words import (
     GroupWord,
     IDENTITY_WORD,
+    baumslag_solitar_presentation,
     canonical_form,
     free_abelian_presentation,
     free_presentation,
     generator,
+    surface_presentation,
 )
 
 Z2 = free_abelian_presentation(2)
@@ -312,13 +314,13 @@ def test_compress_by_identity_is_original(rng):
 def test_compress_by_commuting_projector_is_subrep(rng):
     r1 = honest_commuting_rep(Z2, 3, rng)
     r2 = honest_commuting_rep(Z2, 2, rng)
-    big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
+    big = [scipy.linalg.block_diag(a, b) for a, b in zip(r1.images, r2.images)]
     p = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])
     rep = compress(big, p, Z2)
     assert defect(rep, symmetrized_generators(Z2)).max_defect <= 1e-10
     # an honest subrepresentation, equal to r1 up to the basis the range
     # isometry picked for range(p)
-    require_honest(QuasiRep(Z2, rep.images, flavor="unitary"), tol=1e-9)
+    require_honest(QuasiRep(Z2, rep.images, flavor="unitary"))
     for small, orig in zip(rep.images, r1.images):
         assert np.linalg.eigvals(small) == pytest.approx(
             np.linalg.eigvals(orig), abs=1e-9
@@ -361,13 +363,13 @@ def test_require_honest_rejects_defective(rng):
     phi = perturbed_honest_rep(Z2, symmetrized_generators(Z2), 0.3, 4, rng)
     # a general-flavor rep has no gated adjoint table to fold relators over
     with pytest.raises(ParseError, match="unitary flavor or compression data"):
-        require_honest(phi, tol=1e-9)
+        require_honest(phi)
     with pytest.raises(NotUnitary):
         QuasiRep(Z2, phi.images, flavor="unitary")
     # unitary but not commuting: the relator aba*b* is omega, not the identity
     clock = unitary_pair_rep(*clock_shift(5))
     with pytest.raises(HypothesisViolation, match="not an honest representation") as exc_info:
-        require_honest(clock, tol=1e-9)
+        require_honest(clock)
     assert exc_info.value.measured == pytest.approx(2.0 * math.sin(math.pi / 5), abs=1e-12)
 
 
@@ -405,6 +407,31 @@ def test_honest_constructions_gate_each_image_once(rng, unitarity_checks):
     assert unitarity_checks == [(6, 6), (6, 6)]
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3, 13])
+def test_honest_commuting_rep_signs_match_the_involution_construction(genus):
+    # reference: commuting involutions (w * signs) @ w* in one Haar basis w,
+    # with the draws in the same order, built inline here
+    pres = surface_presentation(genus, orientable=False)
+    for dim in (1, 2, 5, 9):
+        for seed in (0, 3, 11):
+            rep = honest_commuting_rep(pres, dim, derive_rng(seed, 31))
+            rng = derive_rng(seed, 31)
+            w = haar_unitary(dim, rng)
+            for image in rep.images:
+                signs = np.where(rng.integers(0, 2, size=dim) == 0, 1.0, -1.0)
+                assert image.tobytes() == ((w * signs) @ w.conj().T).tobytes()
+            assert rep.flavor == "unitary" and len(rep.images) == genus
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_honest_commuting_rep_refuses_a_relator_signs_cannot_satisfy(seed):
+    # a b a^-1 b^-2 has an odd exponent sum in b, so it evaluates to b^-1 on
+    # commuting involutions: 2 away from the identity unless b = 1
+    with pytest.raises(HypothesisViolation, match="not an honest representation") as exc_info:
+        honest_commuting_rep(baumslag_solitar_presentation(1, 2), 6, derive_rng(seed, 31))
+    assert exc_info.value.measured == pytest.approx(2.0, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # approx_mult_audit
 # ---------------------------------------------------------------------------
@@ -422,7 +449,7 @@ def test_mult_audit_honest_compression(rng):
 def test_mult_audit_commuting_projector(rng):
     r1 = honest_commuting_rep(Z2, 3, rng)
     r2 = honest_commuting_rep(Z2, 3, rng)
-    big = [block_sum_many((a, b)) for a, b in zip(r1.images, r2.images)]
+    big = [scipy.linalg.block_diag(a, b) for a, b in zip(r1.images, r2.images)]
     rep = compress(big, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
     audit = approx_mult_audit(rep, symmetrized_generators(Z2), [A, A * B])
     assert audit.passed
@@ -526,8 +553,8 @@ def test_voiculescu_pair_bytes_equal_the_block_sum():
         if k > 0:
             u1, v1 = v1, u1
         u, v = voiculescu_pair(delta, k)
-        assert u.tobytes() == block_sum_many([u1] * abs(k)).tobytes()
-        assert v.tobytes() == block_sum_many([v1] * abs(k)).tobytes()
+        assert u.tobytes() == scipy.linalg.block_diag(*[u1] * abs(k)).tobytes()
+        assert v.tobytes() == scipy.linalg.block_diag(*[v1] * abs(k)).tobytes()
         assert not u.flags.writeable and not v.flags.writeable
 
 
@@ -569,6 +596,17 @@ def test_quasirep_json_round_trip(rng):
     for a, b in zip(back.images, phi.images):
         assert np.array_equal(a, b)
     assert set(back.word_table) == set(phi.word_table)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("default_to_identity", "false"), ("default_to_identity", 0), ("flavor", 1)],
+)
+def test_quasirep_json_refuses_coercible_fields(field, value, rng):
+    # bool("false") is True: the string used to reverse its own meaning
+    obj = quasirep_to_json(honest_commuting_rep(Z2, 3, rng))
+    with pytest.raises(ParseError, match=f"{field} must be"):
+        quasirep_from_json({**obj, field: value})
 
 
 def test_quasirep_json_compression_round_trip(rng):

@@ -11,7 +11,6 @@ import pytest
 from obstructkit.matcore import (
     as_matrix,
     as_stack,
-    block_sum_many,
     commutator,
     coordinate_projection,
     dagger,
@@ -60,7 +59,6 @@ def _evaluations(rng):
 PRODUCERS = {
     "as_matrix": lambda rng: [as_matrix([[1.0, 2.0], [3.0, 4.0]])],
     "as_stack": lambda rng: [as_stack([np.eye(2), np.eye(2)])],
-    "block_sum_many": lambda rng: [block_sum_many([np.eye(2), np.eye(1)])],
     "identity": lambda rng: [identity(3)],
     "commutator": lambda rng: [commutator(*clock_shift(3))],
     "dagger": lambda rng: [dagger(haar_unitary(3, rng))],

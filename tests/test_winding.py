@@ -11,6 +11,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from obstructkit.errors import (
     NumericalInconsistency,
     OpenPath,
 )
-from obstructkit.matcore import UNITARITY_TOL, block_sum_many, dagger, is_unitary, op_norm
+from obstructkit.matcore import UNITARITY_TOL, dagger, is_unitary, op_norm
 from obstructkit.quasirep import (
     clock_shift,
     honest_commuting_rep,
@@ -444,9 +445,9 @@ def dense_test_matrix(kind, dim, gen):
     if kind == "dense":
         return np.array(random_admissible_unitary(dim, gen)[0])
     cut = int(gen.integers(1, dim))
-    w = np.array(block_sum_many((
+    w = np.array(scipy.linalg.block_diag(
         random_admissible_unitary(cut, gen)[0], random_admissible_unitary(dim - cut, gen)[0]
-    )))
+    ))
     if kind == "tiny":
         w[cut, cut - 1] = 1e-200
     return w
@@ -489,8 +490,9 @@ def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
 
     monkeypatch.setattr(winding, "_eigenphases", shifted)
     w, _ = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
-    with pytest.raises(NumericalInconsistency, match="methods disagree"):
+    with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
         winding_of_unitary(w)
+    assert exc_info.value.measured == (k + int(math.copysign(1, k)), k)  # (eigenvalue, path)
 
 
 def near_unit_distance_matrix(dim, offset, defect, gen):
@@ -546,7 +548,7 @@ def test_block_sum_additivity(rng):
         d1, d2 = int(rng.integers(2, 15)), int(rng.integers(2, 15))
         w1, k1 = random_admissible_unitary(d1, rng)
         w2, k2 = random_admissible_unitary(d2, rng)
-        report = winding_of_unitary(block_sum_many((w1, w2)))
+        report = winding_of_unitary(scipy.linalg.block_diag(w1, w2))
         assert report.winding == k1 + k2
 
 
@@ -639,7 +641,7 @@ def test_voiculescu_small_delta_pair(k):
 def test_pair_block_additivity():
     u1, v1 = voiculescu_pair(0.5, 2)
     u2, v2 = voiculescu_pair(0.5, -1)
-    report = winding_pair(block_sum_many((u1, u2)), block_sum_many((v1, v2)))
+    report = winding_pair(scipy.linalg.block_diag(u1, u2), scipy.linalg.block_diag(v1, v2))
     assert report.winding == 1
 
 

@@ -361,6 +361,20 @@ def test_presentation_json_round_trip():
     assert back == p
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"generators": "ab", "relators": []},  # used to read as ["a", "b"]
+        {"generators": ["a", 1]},
+        {"generators": ["a", "b"], "relators": "abAB"},
+        {"generators": ["a", "b"], "relators": [["a"]]},
+    ],
+)
+def test_presentation_json_refuses_what_it_would_coerce(obj):
+    with pytest.raises(ParseError):
+        presentation_from_json(obj)
+
+
 def test_presentation_validation():
     with pytest.raises(ParseError):
         Presentation(2, ("a", "a"))
