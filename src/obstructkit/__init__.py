@@ -29,7 +29,7 @@ _EXPORTS = {
                  "obstruction_count", "smith_normal_form", "symplectic_check"),
     "matcore": ("commutator", "dagger", "op_norm", "polar_unitary", "spectral_projection"),
     "projops": ("chain_conjugation", "compatibility_probe", "connecting_unitary", "pairing",
-                "pairing_block_sum", "pairing_input", "projection_pair_context"),
+                "pairing_block_sum", "pairing_input"),
     "quasirep": ("QuasiRep", "approx_mult_audit", "clock_shift", "commutation_defect",
                  "compress", "defect", "honest_commuting_rep", "perturbed_honest_rep",
                  "quasirep_from_json", "quasirep_to_json", "ucp_gram_check", "unitarize",

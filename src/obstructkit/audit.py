@@ -41,7 +41,6 @@ from .projops import (
     connecting_unitary,
     chain_conjugation,
     pairing_input,
-    projection_pair_context,
 )
 from .quasirep import (
     approx_mult_audit,
@@ -54,9 +53,6 @@ from .quasirep import (
 )
 from .seeding import derive_rng, haar_unitary, random_projection, random_rotation
 from .words import GroupWord, free_abelian_presentation, surface_presentation
-
-SUITES = ("unitarize", "sqrt_mult", "alm_proj", "path_uni", "chain")
-_SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
 
 _PLANE = free_abelian_presentation(2)
 _SURFACE2 = surface_presentation(2, orientable=True)
@@ -153,8 +149,7 @@ def _trial_path_uni(rng) -> dict:
     # exercised at a meaningful epsilon.
     test_ops = [(w * np.exp(1j * rng.uniform(-np.pi, np.pi, size=dim))) @ w.conj().T
                 for _ in range(2)]
-    ctx = projection_pair_context(p, q, test_ops)
-    _, audit = connecting_unitary(ctx)
+    _, audit = connecting_unitary(p, q, test_ops)
     return {
         "conjugation": audit.conjugation_error / CONJUGATION_EXACTNESS,
         "commutator": audit.worst_ratio,
@@ -184,6 +179,7 @@ _TRIALS = {
     "path_uni": _trial_path_uni,
     "chain": _trial_chain,
 }
+SUITES = tuple(_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def require_suites(names) -> None:
 def run_trial(suite: str, master_seed: int, trial: int) -> dict:
     """Replay a single audit instance; returns its measured ratios."""
     require_suites([suite])
-    rng = derive_rng(master_seed, _SUITE_INDEX[suite], trial)
+    rng = derive_rng(master_seed, SUITES.index(suite), trial)
     return _TRIALS[suite](rng)
 
 

@@ -282,8 +282,16 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _number_list(text: str, flag: str) -> list:
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ParseError(f"{flag} must be comma-separated numbers: {exc}") from exc
+
+
 def cmd_eta(args) -> int:
     from .eta import (
+        DEFAULT_RICHARDSON_ORDER,
         DEFAULT_T_LADDER,
         CharacterTwist,
         eta_character_abel,
@@ -294,27 +302,18 @@ def cmd_eta(args) -> int:
     if (args.q is None) == (args.phases is None):
         raise ParseError("give exactly one of --q or --phases")
     if args.phases is not None:
-        try:
-            phases = [float(x) for x in args.phases.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ParseError(f"--phases must be comma-separated numbers: {exc}") from exc
+        phases = _number_list(args.phases, "--phases")
         _emit({"phases": phases, "rho_loop": rho_loop(phases)}, args.out)
         return 0
     tw = CharacterTwist(args.q)
     if args.method == "closed":
         res = eta_character_closed(tw)
     else:
-        if args.ladder:
-            try:
-                ladder = tuple(float(x) for x in args.ladder.split(",") if x.strip())
-            except ValueError as exc:
-                raise ParseError(f"--ladder must be comma-separated numbers: {exc}") from exc
-        else:
-            ladder = DEFAULT_T_LADDER
-        if args.order is None:
-            res = eta_character_abel(tw, ladder)
-        else:
-            res = eta_character_abel(tw, ladder, args.order)
+        ladder = DEFAULT_T_LADDER
+        if args.ladder is not None:
+            ladder = tuple(_number_list(args.ladder, "--ladder"))
+        order = DEFAULT_RICHARDSON_ORDER if args.order is None else args.order
+        res = eta_character_abel(tw, ladder, order)
     _emit(asdict(res), args.out)
     return 0
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BoundViolation,
     HypothesisViolation,
     InvalidMatrix,
     InvalidSize,
@@ -264,8 +265,9 @@ def require_projections(stack: np.ndarray, whats) -> None:
     raises :class:`NotProjection`.
     """
     tol = spectral_tol(stack.shape[1])
-    norms = op_norms(r for a in stack for r in (a - a.conj().T, a @ a - a)).tolist()
-    for what, herm, idem in zip(whats, norms[::2], norms[1::2]):
+    residues = np.concatenate([stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack])
+    norms = op_norms(residues).tolist()
+    for what, herm, idem in zip(whats, norms[:len(stack)], norms[len(stack):]):
         if herm > tol or idem > tol:
             raise NotProjection(
                 f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}",
@@ -341,8 +343,12 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     carrying the offender.
 
     The output commutes with ``a`` and satisfies ``||P^2 - P||`` and
-    ``||P - P*||`` below ``spectral_tol(dim)``.
+    ``||P - P*||`` below ``spectral_tol(dim)``.  A non-finite ``cut`` or a
+    NaN or negative ``gap_tol``, which would switch the gate off, raises
+    :class:`BoundViolation` before the eigensolve.
     """
+    if not (math.isfinite(cut) and gap_tol >= 0.0):
+        raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0")
     spec = a if isinstance(a, HermitianSpectrum) else hermitian_eigensystem(a)
     lam = spec.eigenvalues
     dist = np.abs(lam - cut)

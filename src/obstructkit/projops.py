@@ -55,37 +55,6 @@ DEFAULT_GAP_TOL = 0.05
 
 
 @dataclass(frozen=True)
-class ProjectionPairContext:
-    """Two nearby projections plus the test operators they almost commute with.
-
-    ``eps`` is the measured scale ``max_x max(||[p,x]||, ||[q,x]||)``; the
-    guarantees of :func:`connecting_unitary` are stated against it.
-    """
-
-    p: np.ndarray
-    q: np.ndarray
-    test_ops: tuple
-    eps: float
-
-
-def projection_pair_context(p, q, test_ops) -> ProjectionPairContext:
-    p = require_projection(p, what="first projection")
-    q = require_projection(q, what="second projection")
-    if p.shape != q.shape:
-        raise InvalidSize("projections must share one dimension")
-    ops = _unit_ball_operators(test_ops, p.shape[0])
-    eps = max([0.0, *op_norms(commutator(y, x) for x in ops for y in (p, q)).tolist()])
-    return ProjectionPairContext(p, q, ops, eps)
-
-
-def _unit_ball_operators(test_ops, dim: int) -> tuple:
-    """Validate test operators: ``dim``-square and inside the unit ball."""
-    ops = tuple(as_matrix(x) for x in test_ops)
-    require_unit_ball(ops, dim, 1e-8, ["test operator"] * len(ops))
-    return ops
-
-
-@dataclass(frozen=True)
 class ConjugationAudit:
     """Measured guarantees of a connecting unitary.
 
@@ -101,25 +70,44 @@ class ConjugationAudit:
     worst_ratio: float
 
 
-def connecting_unitary(ctx: ProjectionPairContext):
+def connecting_unitary(p, q, test_ops):
     """Unitary with ``u p u* = q`` that almost commutes with the test family.
 
+    ``(p, q)`` is validated as a two-point path of :func:`chain_conjugation`.
     Requires ``||p - q|| < 1/4``.  The unitary is the polar factor of
     ``v = q p + (1 - q)(1 - p)``; since ``v p = q v`` and ``v* v`` commutes
     with ``p``, the conjugation identity holds exactly, and
-    ``||[u, x]|| <= 28 eps`` for every test operator.  Both facts are
-    asserted, with 1e-9 slack for floating point, before returning.
+    ``||[u, x]|| <= 28 eps`` for every test operator, where ``eps`` is the
+    largest ``||[p, x]||`` or ``||[q, x]||``.  Both facts are asserted, with
+    1e-9 slack for floating point, before returning.
     """
-    gap = op_norm(ctx.p - ctx.q)
+    path = _projection_path((p, q))
+    ops, comm = _commutator_norms(path, test_ops)
+    gap = op_norm(path[0] - path[1])
     if gap >= 0.25:
         raise HypothesisViolation(
             f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
         )
-    us, audits = _connecting_unitaries(np.stack([ctx.p, ctx.q]), ctx.test_ops, [ctx.eps])
+    us, audits = _connecting_unitaries(path, ops, [float(comm.max(initial=0.0))])
     return us[0], audits[0]
 
 
-def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
+def _commutator_norms(path: np.ndarray, test_ops):
+    """Validate the test operators against a path stack and measure them.
+
+    Each operator must be square, of the path's dimension and in the unit
+    ball (1e-8 slack).  Returns them as one sealed ``(k, n, n)`` stack and
+    ``comm[i, j] = ||[path[i], x_j]||`` from one :func:`op_norms` call.
+    """
+    n = path.shape[1]
+    ops = [as_matrix(x) for x in test_ops]
+    require_unit_ball(ops, n, 1e-8, ["test operator"] * len(ops))
+    ops = sealed(np.array(ops, dtype=np.complex128).reshape(-1, n, n))
+    comm = op_norms(commutator(path[:, None], ops).reshape(-1, n, n))
+    return ops, comm.reshape(len(path), len(ops))
+
+
+def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
     """The connecting unitaries of every step ``path[i] -> path[i + 1]``.
 
     ``path`` is a stack of projections with consecutive gaps below 1/4 and
@@ -131,10 +119,11 @@ def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
     Returns the unitaries as a stack and one :class:`ConjugationAudit` per step.
     """
     p, q = path[:-1], path[1:]
-    eye = identity(path.shape[1])
+    n = path.shape[1]
+    eye = identity(n)
     us = polar_unitaries(q @ p + (eye - q) @ (eye - p))
-    conj = op_norms(u @ pi @ dagger(u) - qi for u, pi, qi in zip(us, p, q)).tolist()
-    comm = op_norms(commutator(u, x) for u in us for x in ops).tolist()
+    conj = op_norms(us @ p @ us.conj().transpose(0, 2, 1) - q).tolist()
+    comm = op_norms(commutator(us[:, None], ops).reshape(-1, n, n)).reshape(len(us), len(ops))
     audits = []
     for i, eps in enumerate(step_eps):
         if conj[i] > CONJUGATION_EXACTNESS:
@@ -143,7 +132,7 @@ def _connecting_unitaries(path: np.ndarray, ops: tuple, step_eps):
                 measured=conj[i],
             )
         bound = COMMUTATOR_CONSTANT * eps + 1e-9
-        norms = comm[i * len(ops):(i + 1) * len(ops)]
+        norms = comm[i].tolist()
         worst = _commutator_worst(norms, bound, "28*eps + 1e-9")
         audits.append(ConjugationAudit(conj[i], tuple(norms), eps, bound, worst))
     return us, audits
@@ -185,22 +174,17 @@ def chain_conjugation(path, test_ops):
     """
     path = _projection_path(path)
     m, dim = len(path) - 1, path.shape[1]
-    gaps = op_norms(path[i] - path[i + 1] for i in range(m)).tolist()
-    for i, gap in enumerate(gaps):
+    for i, gap in enumerate(op_norms(path[:-1] - path[1:]).tolist()):
         if gap >= 0.25:
             raise SubdivisionTooCoarse(
                 f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
                 index=i,
                 measured=gap,
             )
-    ops = _unit_ball_operators(test_ops, dim)
     # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
-    k = len(ops)
-    flat = op_norms(commutator(pt, x) for pt in path for x in ops).tolist()
-    comm = [flat[i * k:(i + 1) * k] for i in range(m + 1)]
-    eps_path = max([0.0, *flat])
-
-    step_eps = [max([0.0, *comm[i], *comm[i + 1]]) for i in range(m)]
+    ops, comm = _commutator_norms(path, test_ops)
+    eps_path = float(comm.max(initial=0.0))
+    step_eps = np.maximum(comm[:-1], comm[1:]).max(axis=1, initial=0.0).tolist()
     step_us, _ = _connecting_unitaries(path, ops, step_eps)
     u = identity(dim)
     for step_u in step_us:
@@ -214,7 +198,7 @@ def chain_conjugation(path, test_ops):
             measured=conj_err,
         )
     comm_bound = COMMUTATOR_CONSTANT * eps_path * m + CHAIN_EXACTNESS
-    norms = op_norms(commutator(u, x) for x in ops).tolist()
+    norms = op_norms(commutator(u, ops)).tolist()
     worst = _commutator_worst(norms, comm_bound, "28*eps*m + 1e-8")
     report = ChainReport(m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst)
     return sealed(u), report

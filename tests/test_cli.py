@@ -708,6 +708,7 @@ LONG_INT = "9" * 5001
         ["audit", "--replay", '{"suite":"alm_proj","master_seed":7.9,"trial":3}'],
         ["audit", "--replay", '{"suite":"alm_proj","master_seed":true,"trial":3}'],
         ["audit", "--replay", '{"suite":["alm_proj"],"master_seed":7,"trial":3}'],
+        ["eta", "--q", "0.3", "--method", "abel", "--ladder", ""],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
@@ -716,7 +717,7 @@ LONG_INT = "9" * 5001
          "gen-surface-huge-genus", "gen-abelian-rank-3000", "gen-abelian-huge-rank",
          "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim",
          "gen-voiculescu-delta-1e-300", "replay-float-seed-string-trial",
-         "replay-float-seed", "replay-bool-seed", "replay-list-suite"],
+         "replay-float-seed", "replay-bool-seed", "replay-list-suite", "eta-empty-ladder"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))

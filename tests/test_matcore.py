@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obstructkit.errors import (
+    BoundViolation,
     InvalidMatrix,
     InvalidSize,
     NotHermitian,
@@ -320,6 +321,16 @@ def test_spectral_projection_gap_gate():
     assert exc_info.value.eigenvalue == pytest.approx(0.51)
     assert exc_info.value.cut == 0.5
     assert exc_info.value.measured == pytest.approx(0.01, abs=1e-15)  # distance to the cut
+
+
+@pytest.mark.parametrize(
+    "cut, gap_tol",
+    [(0.5, math.nan), (0.5, -1.0), (math.nan, 0.05), (math.inf, 0.05), (-math.inf, 0.05)],
+)
+def test_spectral_projection_refuses_tolerances_that_switch_the_gate_off(cut, gap_tol):
+    # each pair switches the gap gate off; unrefused, a projection would come back
+    with pytest.raises(BoundViolation):
+        spectral_projection(np.diag([1.0, 0.4]), cut, gap_tol)
 
 
 def test_spectral_projection_boundary_eigenvalue_passes():

@@ -25,7 +25,6 @@ from obstructkit.projops import (
     pairing_input_from_json,
     pairing_input_to_json,
     pairing_operand,
-    projection_pair_context,
 )
 from obstructkit.quasirep import compress, honest_commuting_rep
 from obstructkit.seeding import derive_rng, haar_unitary, random_projection
@@ -61,8 +60,7 @@ def plane_rotated_projection(p0_rank, dim, theta, basis):
 def test_connecting_equal_projections(rng):
     p = random_projection(5, 2, rng)
     x_ops = [haar_unitary(5, rng) for _ in range(3)]
-    ctx = projection_pair_context(p, p, x_ops)
-    u, audit = connecting_unitary(ctx)
+    u, audit = connecting_unitary(p, p, x_ops)
     assert op_norm(u @ p @ dagger(u) - p) <= 1e-9
     assert audit.worst_ratio <= 1.0
     assert audit.conjugation_error <= 1e-9
@@ -74,8 +72,7 @@ def test_connecting_rank_one_dim_two_angle():
     c, s = np.cos(theta), np.sin(theta)
     r = np.array([[c, -s], [s, c]], dtype=complex)
     q = r @ p @ r.T
-    ctx = projection_pair_context(p, q, [np.eye(2)])
-    u, audit = connecting_unitary(ctx)
+    u, audit = connecting_unitary(p, q, [np.eye(2)])
     assert op_norm(u @ p @ dagger(u) - q) <= 1e-9
     assert max(audit.commutator_norms) == 0.0  # identity commutes exactly
 
@@ -88,8 +85,7 @@ def test_connecting_randomized_postconditions(rng):
         basis = haar_unitary(dim, rng)
         p, q = plane_rotated_projection(rank, dim, theta, basis)
         x_ops = [haar_unitary(dim, rng) for _ in range(3)]
-        ctx = projection_pair_context(p, q, x_ops)
-        u, audit = connecting_unitary(ctx)
+        u, audit = connecting_unitary(p, q, x_ops)
         assert op_norm(dagger(u) @ u - np.eye(dim)) <= 1e-10 * dim
         assert op_norm(u @ p @ dagger(u) - q) <= 1e-9
         for x, measured in zip(x_ops, audit.commutator_norms):
@@ -101,7 +97,7 @@ def test_connecting_gate_far_projections():
     p = np.diag([1.0, 0.0]).astype(complex)
     q = np.diag([0.0, 1.0]).astype(complex)  # distance 1
     with pytest.raises(HypothesisViolation):
-        connecting_unitary(projection_pair_context(p, q, [np.eye(2)]))
+        connecting_unitary(p, q, [np.eye(2)])
 
 
 def test_commutator_refusal_carries_the_first_failing_norm():
@@ -112,7 +108,32 @@ def test_commutator_refusal_carries_the_first_failing_norm():
 
 def test_context_rejects_non_projection(rng):
     with pytest.raises(NotProjection):
-        projection_pair_context(0.5 * np.eye(3), np.eye(3), [])
+        connecting_unitary(0.5 * np.eye(3), np.eye(3), [])
+
+
+def test_pair_names_the_failing_path_position(rng):
+    p = random_projection(3, 1, rng)
+    with pytest.raises(NotProjection, match="path projection 1 "):
+        connecting_unitary(p, 0.5 * np.eye(3), [np.eye(3)])
+
+
+def test_pair_of_two_dimensions_is_refused(rng):
+    with pytest.raises(InvalidSize, match="share one dimension"):
+        connecting_unitary(random_projection(2, 1, rng), random_projection(3, 1, rng), [])
+
+
+def test_pair_refuses_test_operators_before_the_gap():
+    p = np.diag([1.0, 0.0]).astype(complex)
+    q = np.diag([0.0, 1.0]).astype(complex)  # distance 1
+    with pytest.raises(InvalidSize, match="test operator"):
+        connecting_unitary(p, q, [np.eye(3)])
+
+
+def test_chain_refuses_the_gap_before_test_operators(rng):
+    basis = haar_unitary(4, rng)
+    p0, p_far = plane_rotated_projection(2, 4, 0.6, basis)  # sin(0.6) > 1/4
+    with pytest.raises(SubdivisionTooCoarse):
+        chain_conjugation([p0, p_far], [np.eye(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +181,8 @@ def test_chain_two_step_equals_composition(rng):
     _, p2 = plane_rotated_projection(2, dim, 0.3, basis)
     x_ops = [haar_unitary(dim, rng)]
     u_chain, _ = chain_conjugation([p0, p1, p2], x_ops)
-    u1, _ = connecting_unitary(projection_pair_context(p0, p1, x_ops))
-    u2, _ = connecting_unitary(projection_pair_context(p1, p2, x_ops))
+    u1, _ = connecting_unitary(p0, p1, x_ops)
+    u2, _ = connecting_unitary(p1, p2, x_ops)
     assert np.array_equal(u_chain, u2 @ u1)
 
 

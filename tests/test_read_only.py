@@ -25,7 +25,6 @@ from obstructkit.projops import (
     connecting_unitary,
     pairing_input,
     pairing_operand,
-    projection_pair_context,
 )
 from obstructkit.quasirep import (
     QuasiRep,
@@ -77,7 +76,7 @@ PRODUCERS = {
     "clock_shift": lambda rng: list(clock_shift(3)),
     "voiculescu_pair": lambda rng: list(voiculescu_pair(0.9, 2)),
     "connecting_unitary": lambda rng: [
-        connecting_unitary(projection_pair_context(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), ()))[0]
+        connecting_unitary(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]), ())[0]
     ],
     "chain_conjugation": lambda rng: [chain_conjugation([np.diag([1.0, 0.0])] * 3, ())[0]],
     "pairing_operand": lambda rng: [
