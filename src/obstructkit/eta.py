@@ -146,8 +146,11 @@ def eta_character_abel(
             "not determine the sign — use eta_character_closed"
         )
     ladder = [float(t) for t in t_ladder]
-    if not ladder or any(not (T_MIN <= t <= 1.0) for t in ladder):
-        raise BoundViolation(f"t ladder entries must lie in [{T_MIN}, 1]")
+    if not ladder:
+        raise BoundViolation("t ladder is empty")
+    bad = next((t for t in ladder if not (T_MIN <= t <= 1.0)), None)
+    if bad is not None:
+        raise BoundViolation(f"t ladder entry {bad!r} must lie in [{T_MIN}, 1]", measured=bad)
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise BoundViolation("t ladder must be strictly descending")
     order = int(richardson_order)

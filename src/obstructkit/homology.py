@@ -7,13 +7,16 @@ can overflow or wrap.  The pieces:
 * one fraction-free (Bareiss) row-echelon elimination, every division
   checked exact, giving determinants and the ranks behind the H2 free ranks;
 * Smith normal form with tracked unimodular row/column transforms, self-
-  verified by exact products and determinants; it serves
-  ``smith_normal_form`` and ``homology snf``, where the transforms and
-  torsion are part of the answer.  One Hermite routine, run on the rows
-  and then on the columns in turn until the matrix is diagonal, does all
-  the elimination; reducing above every pivot keeps the transforms near the
-  input's size: under 50 bits from 15- to 24-bit inputs up to 40 wide, where
-  column operations on the unreduced matrix reached 1500;
+  verified by exact products: at full row rank U (A V) = D makes
+  (A V) D^-1 the inverse of U, so U is unimodular exactly when that is
+  integral (det U det U^-1 = 1), and V likewise from D^-1 (U A); only a
+  side of short rank takes a determinant.  It serves ``smith_normal_form``
+  and ``homology snf``, where the transforms and torsion are part of the
+  answer.  One Hermite routine, run on the rows and then on the columns in
+  turn until the matrix is diagonal, does all the elimination; reducing
+  above every pivot keeps the transforms near the input's size: under 50
+  bits from 15- to 24-bit inputs up to 40 wide, where column operations on
+  the unreduced matrix reached 1500;
 * second homology of free-by-cyclic groups (rank = multiplicity of the
   eigenvalue one of the inducing automorphism's abelianization);
 * second homology of surface mapping tori from the orientation sign and the
@@ -132,7 +135,7 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = list(zip(*b.entries))
     return IntMatrix(
         tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+            tuple(sum(map(operator.mul, row, col)) for col in bt)
             for row in a.entries
         )
     )
@@ -268,8 +271,11 @@ def smith_normal_form(a: IntMatrix):
     matrix or makes the pivot sequence lexicographically smaller, and so
     does each chain fold; a sequence of rank-many positive integers cannot
     decrease forever.  Reducing above every pivot keeps the entries of U
-    and V near the size of the input's.  The factorization and the
-    unimodularity of U, V are re-verified exactly before returning.
+    and V near the size of the input's.  U A V = D is re-verified exactly
+    before returning, and it certifies the transforms: at full row rank
+    (A V) D^-1 is U's inverse, so U is unimodular exactly when that is
+    integral (det U det U^-1 = 1); V likewise from D^-1 (U A) at full
+    column rank.  A side of short rank takes a Bareiss determinant.
     """
     r, c = a.rows, a.cols
     m = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(a.entries)]
@@ -295,10 +301,13 @@ def smith_normal_form(a: IntMatrix):
 
 
 def _verify_snf(a, u, d, v):
-    if int_matmul(int_matmul(u, a), v).entries != d.entries:
+    """U A V = D, D a Smith form, U and V unimodular.  The chain check puts
+    the rho nonzero d_j first, so (A V) D^-1 is integral when column j < rho
+    of A V is divisible by d_j, and D^-1 (U A) when row i < rho of U A is
+    divisible by d_i; a short or non-square side takes the determinant."""
+    ua = int_matmul(u, a)
+    if int_matmul(ua, v).entries != d.entries:
         raise NumericalInconsistency("normal form factorization failed to verify")
-    if abs(exact_determinant(u)) != 1 or abs(exact_determinant(v)) != 1:
-        raise NumericalInconsistency("normal form transforms are not unimodular")
     diag = d.diagonal()
     for i in range(d.rows):
         for j in range(d.cols):
@@ -309,6 +318,18 @@ def _verify_snf(a, u, d, v):
             raise NumericalInconsistency("zero diagonal entry precedes a nonzero one")
         if x and y % x:
             raise NumericalInconsistency("diagonal divisibility chain broken")
+    rho = len(diag) - diag.count(0)
+    if rho == a.rows == u.rows:
+        av = int_matmul(a, v).entries
+        u_ok = all(x % dj == 0 for row in av for x, dj in zip(row, diag))
+    else:
+        u_ok = abs(exact_determinant(u)) == 1
+    if rho == a.cols == v.cols:
+        v_ok = all(x % di == 0 for row, di in zip(ua.entries, diag) for x in row)
+    else:
+        v_ok = abs(exact_determinant(v)) == 1
+    if not (u_ok and v_ok):
+        raise NumericalInconsistency("normal form transforms are not unimodular")
 
 
 # ---------------------------------------------------------------------------

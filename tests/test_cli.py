@@ -410,6 +410,17 @@ def test_eta_abel_with_ladder(capsys):
     assert payload["eta"] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "ladder, text",
+    [("", "t ladder is empty"), (",", "t ladder is empty"), ("0.5,2", "t ladder entry 2.0 must lie")],
+    ids=["empty", "comma", "above-one"],
+)
+def test_eta_ladder_refusal_names_the_entry(ladder, text, capsys):
+    code, out, err = run_cli(["eta", "--q", "0.3", "--method", "abel", "--ladder", ladder], capsys)
+    assert_clean_refusal(code, out, err)
+    assert text in err
+
+
 def test_eta_phases(capsys):
     payload = run_json(["eta", "--phases", "0.25,0.5,0.125"], capsys)
     assert payload["rho_loop"] == 0.125

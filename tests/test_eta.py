@@ -135,6 +135,21 @@ def test_abel_parameter_floor_refuses_before_allocating(t):
         eta_character_abel(CharacterTwist(0.3), t_ladder=(0.4, 0.2, 0.1, 0.05, t))
 
 
+@pytest.mark.parametrize(
+    "ladder, text, measured",
+    [
+        ((), "t ladder is empty", None),
+        ((0.5, 2.0), "t ladder entry 2.0 must lie", 2.0),
+        ((0.4, 0.2, 0.0, 0.05, 1.5), "t ladder entry 0.0 must lie", 0.0),
+    ],
+    ids=["empty", "above-one", "first-of-two"],
+)
+def test_ladder_refusal_names_the_entry(ladder, text, measured):
+    with pytest.raises(BoundViolation, match=text) as exc_info:
+        eta_character_abel(CharacterTwist(0.3), t_ladder=ladder)
+    assert exc_info.value.measured == measured
+
+
 def test_abel_parameter_floor_is_accepted():
     assert abel_series_value(0.3, T_MIN) == pytest.approx(0.4, abs=1e-7)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+import obstructkit.homology as homology_module
 from obstructkit.errors import (
     BoundViolation,
     InvalidFamily,
@@ -21,6 +22,7 @@ from obstructkit.errors import (
 from obstructkit.homology import (
     AbelianGroup,
     _eliminate,
+    _verify_snf,
     abelian_group_to_json,
     abelian_group_to_text,
     int_text,
@@ -274,24 +276,68 @@ def elementary_product(n, steps, rng):
     return m
 
 
+def scrambled_diagonal(n, steps, tail):
+    """A = P diag(1, ..., 1, tail) Q with random unimodular P, Q; returns
+    (A, the diagonal)."""
+    rng = random.Random(n)
+    diagonal = [1] * (n - len(tail)) + list(tail)
+    p = elementary_product(n, steps, rng)
+    q = elementary_product(n, steps, rng)
+    scaled = int_matrix([[x * d for x, d in zip(row, diagonal)] for row in p])
+    return int_matmul(scaled, int_matrix(q)), diagonal
+
+
 @pytest.mark.parametrize(
     "n, steps, tail",
     [(40, 160, ()), (30, 120, (2, 10, 20, 2400))],
     ids=["unimodular-40", "chain-30"],
 )
 def test_snf_transforms_stay_small(n, steps, tail):
-    # A = P diag(1, ..., 1, tail) Q with random unimodular P, Q.  Column
-    # operations on the unreduced matrix grow these transforms to 164-852 bits.
-    rng = random.Random(n)
-    diagonal = [1] * (n - len(tail)) + list(tail)
-    p = elementary_product(n, steps, rng)
-    q = elementary_product(n, steps, rng)
-    scaled = int_matrix([[x * d for x, d in zip(row, diagonal)] for row in p])
-    a = int_matmul(scaled, int_matrix(q))
+    # Column operations on the unreduced matrix grow these transforms to
+    # 164-852 bits.
+    a, diagonal = scrambled_diagonal(n, steps, tail)
     assert list(assert_snf_contract(a)) == diagonal
     u, _, v = smith_normal_form(a)
     for transform in (u, v):
         assert max(abs(x).bit_length() for row in transform.entries for x in row) <= 64
+
+
+@pytest.mark.parametrize(
+    "a, u, v, d",
+    [
+        ([[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 2]]),
+        ([[1, 0], [0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 2]]),
+        ([[1, 0], [0, 0]], [[1, 0], [0, 2]], [[1, 0], [0, 1]], [[1, 0], [0, 0]]),
+    ],
+    ids=["u-side-full-rank", "v-side-full-rank", "determinant-fallback"],
+)
+def test_verify_snf_refuses_a_non_unimodular_transform(a, u, v, d):
+    # U A V = D holds, D is a Smith form, and det = 2 on one side: full rank
+    # reads the inverse (A V) D^-1 or D^-1 (U A), which has a half entry;
+    # short rank takes the determinant
+    with pytest.raises(NumericalInconsistency, match="not unimodular"):
+        _verify_snf(*map(int_matrix, (a, u, d, v)))
+
+
+@pytest.mark.parametrize(
+    "a, determinants",
+    [
+        (scrambled_diagonal(40, 160, ())[0], 0),
+        (int_matrix([[1, 2], [3, 4], [5, 6]]), 1),
+        (int_matrix([[2, 4, 6], [4, 8, 12]]), 2),
+    ],
+    ids=["unimodular-40", "short-row-rank", "short-both-ranks"],
+)
+def test_snf_takes_a_determinant_only_on_a_side_of_short_rank(monkeypatch, a, determinants):
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return exact_determinant(m)
+
+    monkeypatch.setattr(homology_module, "exact_determinant", spy)
+    smith_normal_form(a)
+    assert len(calls) == determinants
 
 
 def test_snf_huge_entries():
