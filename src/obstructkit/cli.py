@@ -264,15 +264,16 @@ def cmd_audit(args) -> int:
             failed = True
         _emit(payload, args.out)
         if failed:
-            raise AuditViolation("replayed instance fails its bound")
+            raise AuditViolation("replayed instance fails its bound", measured=payload)
         return 0
 
     outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite)
     _emit(audit_mod.audit_outcome_to_json(outcome, include_timings=args.timings), args.out)
     if not outcome.all_passed:
-        failing = [r.suite for r in outcome.suites if not r.passed]
+        failing = [r for r in outcome.suites if not r.passed]
         raise AuditViolation(
-            "audit failed in: " + ", ".join(failing) + " (failures are in the report)"
+            f"audit failed in: {', '.join(r.suite for r in failing)} (failures are in the report)",
+            measured=failing[0].failures[0],
         )
     return 0
 

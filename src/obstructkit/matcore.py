@@ -9,6 +9,8 @@ from one SVD up to ``SVD_NORM_DIM_LIMIT`` and above it, without an SVD, as
 off one stacked SVD call, which is bitwise equal to per-matrix calls; above
 it it streams the matrices one at a time through :func:`op_norm`, so a
 generator of large residues never holds more than one of them.
+:func:`spectral_split` is every split of a hermitian matrix at a cut, and
+:func:`range_projection` every projection built from orthonormal columns.
 Functions here are pure: inputs are never mutated and returned arrays are
 read-only, so values can be shared freely between threads.
 
@@ -37,8 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -60,6 +60,7 @@ UNITARITY_TOL = 1e-8
 # measured crossover with OpenBLAS: the SVD is 1.04-1.9x cheaper at dims 2-16,
 # the Gram route is as fast or faster from dim 24 up
 SVD_NORM_DIM_LIMIT = 16
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 def spectral_tol(dim: int) -> float:
@@ -115,13 +116,18 @@ def as_stack(mats) -> np.ndarray:
         arr = np.asarray(list(mats), dtype=np.complex128)
     except ValueError as exc:
         raise InvalidMatrix(f"expected equal-size square matrices: {exc}") from exc
+    return sealed(_require_stack(arr))  # built from a list, so never the caller's array
+
+
+def _require_stack(arr: np.ndarray) -> np.ndarray:
+    """The checks of :func:`as_stack` without a copy; a ``(0, n, n)`` array passes."""
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise InvalidMatrix(f"expected a stack of square matrices, got shape {arr.shape}")
-    if arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidMatrix("a stack needs at least one matrix of positive dimension")
+    if arr.shape[1] == 0:
+        raise InvalidMatrix("matrix dimension must be positive")
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return sealed(arr)  # built from a list, so never the caller's array
+    return arr
 
 
 def identity(dim: int) -> np.ndarray:
@@ -173,12 +179,16 @@ def op_norms(mats) -> np.ndarray:
 
     Up to ``SVD_NORM_DIM_LIMIT`` the matrices are validated once as a stack
     and every norm comes from one stacked ``np.linalg.svd`` call, which
-    returns the same bits as :func:`op_norm` on each matrix.  Above it they
-    are taken one at a time through :func:`op_norm`, so a generator input
-    never holds more than one large matrix.  An empty input gives an empty
-    array; ragged, non-square or non-finite input raises
+    returns the same bits as :func:`op_norm` on each matrix (an ndarray
+    stack is checked, not copied).  Above it they are taken one at a time
+    through :func:`op_norm`, so a generator input never holds more than one
+    large matrix.  An empty input gives an empty array; ragged, non-square or
+    non-finite input raises
     :class:`InvalidMatrix`.
     """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[2] <= SVD_NORM_DIM_LIMIT:
+        stack = _require_stack(mats.astype(np.complex128, copy=False))
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
     mats = iter(mats)
     first = next(mats, None)
     if first is None:
@@ -300,47 +310,38 @@ def polar_unitaries(stack: np.ndarray) -> np.ndarray:
     return sealed(w @ vh)
 
 
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Eigendecomposition of a hermitian matrix.
-
-    ``eigenvalues`` ascend; ``vectors`` has the matching eigenvectors as
-    columns and is unitary within ``spectral_tol(dim)``.  Reconstruction
-    ``V diag(lam) V*`` reproduces the input to the same tolerance.
+def spectral_split(herm: np.ndarray, cut: float, gap_tol: float):
+    """One ``eigh`` of a bitwise hermitian matrix, split at ``cut``: the ascending
+    eigenvalues and the eigenvector columns above the cut and at or below it.
+    An eigenvalue closer than ``gap_tol`` to the cut raises
+    :class:`SpectralGapViolation` carrying the offender.
     """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eigensystem(a) -> HermitianSpectrum:
-    """Eigendecomposition after the hermiticity gate.
-
-    Inputs with ``||a - a*|| <= spectral_tol(dim)`` are symmetrized to
-    ``(a + a*)/2`` before the eigensolve; larger asymmetry raises
-    :class:`NotHermitian` rather than silently discarding the skew part.
-    """
-    arr = as_matrix(a)
-    dim = arr.shape[0]
-    asym = op_norm(arr - arr.conj().T)
-    if asym > spectral_tol(dim):
-        raise NotHermitian(
-            f"||a - a*|| = {asym:.3e} exceeds {spectral_tol(dim):.3e}; refusing to symmetrize",
-            measured=asym,
+    lam, vecs = np.linalg.eigh(herm)
+    dist = np.abs(lam - cut)
+    if float(dist.min()) < gap_tol:
+        offender = float(lam[int(dist.argmin())])
+        raise SpectralGapViolation(
+            f"eigenvalue {offender:.6f} within gap_tol {gap_tol} of cut {cut}",
+            eigenvalue=offender,
+            cut=cut,
+            measured=float(dist.min()),
         )
-    herm = (arr + arr.conj().T) / 2.0
-    lam, vec = np.linalg.eigh(herm)
-    return HermitianSpectrum(sealed(lam), sealed(vec))
+    return sealed(lam), sealed(vecs[:, lam > cut]), sealed(vecs[:, lam <= cut])
+
+
+def range_projection(cols: np.ndarray) -> np.ndarray:
+    """``V V*``, symmetrized: the projection onto the span of orthonormal columns ``V``."""
+    proj = cols @ cols.conj().T
+    return sealed((proj + proj.conj().T) / 2.0)
 
 
 def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     """Spectral projection onto eigenvalues above ``cut``.
 
-    Applies the characteristic function of ``(cut, oo)`` to a hermitian
-    matrix (or its :class:`HermitianSpectrum`) through its eigendecomposition.
-    Every eigenvalue must keep distance at least ``gap_tol`` from the cut; an
-    eigenvalue inside the window raises :class:`SpectralGapViolation`
-    carrying the offender.
+    Applies the characteristic function of ``(cut, oo)`` to ``(a + a*)/2``
+    through :func:`spectral_split`, so no eigenvalue may lie within
+    ``gap_tol`` of the cut.  Asymmetry ``||a - a*||`` above ``spectral_tol(dim)``
+    raises :class:`NotHermitian` rather than silently discarding the skew part.
 
     The output commutes with ``a`` and satisfies ``||P^2 - P||`` and
     ``||P - P*||`` below ``spectral_tol(dim)``.  A non-finite ``cut`` or a
@@ -349,21 +350,15 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     """
     if not (math.isfinite(cut) and gap_tol >= 0.0):
         raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0")
-    spec = a if isinstance(a, HermitianSpectrum) else hermitian_eigensystem(a)
-    lam = spec.eigenvalues
-    dist = np.abs(lam - cut)
-    if dist.size and float(dist.min()) < gap_tol:
-        offender = float(lam[int(dist.argmin())])
-        raise SpectralGapViolation(
-            f"eigenvalue {offender:.6f} within gap_tol {gap_tol} of cut {cut}",
-            eigenvalue=offender,
-            cut=cut,
-            measured=float(dist.min()),
+    arr = as_matrix(a)
+    tol = spectral_tol(arr.shape[0])
+    asym = op_norm(arr - arr.conj().T)
+    if asym > tol:
+        raise NotHermitian(
+            f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",
+            measured=asym,
         )
-    cols = spec.vectors[:, lam > cut]
-    proj = cols @ cols.conj().T
-    proj = (proj + proj.conj().T) / 2.0
-    return sealed(proj)
+    return range_projection(spectral_split((arr + arr.conj().T) / 2.0, cut, gap_tol)[1])
 
 
 def coordinate_projection(dim: int, rank: int) -> np.ndarray:

@@ -9,7 +9,7 @@ number of steps.  Second, an almost-commuting pair of projections (one of
 block form ``diag(1, 0) + b``, one living on a tensor factor) pairs to an
 integer: the rank shift of a spectral projection with a protected gap at
 one half.  Finite dimensions collapse the K-class difference to that rank
-difference.
+difference, certified by Sylvester's law of inertia in :func:`_certify_inertia`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from .errors import (
     SubdivisionTooCoarse,
 )
 from .matcore import (
+    UNIT_ROUNDOFF,
     as_matrix,
     as_stack,
     commutator,
     coordinate_projection,
     dagger,
-    hermitian_eigensystem,
     identity,
     json_value,
     matrix_from_json,
@@ -41,11 +41,12 @@ from .matcore import (
     op_norm,
     op_norms,
     polar_unitaries,
+    range_projection,
     require_projection,
     require_projections,
     require_unit_ball,
     sealed,
-    spectral_projection,
+    spectral_split,
 )
 
 CONJUGATION_EXACTNESS = 1e-9
@@ -258,8 +259,9 @@ def pairing_input(b, q, n_dim: int, k_dim: int, gap_tol: float = DEFAULT_GAP_TOL
     e = coordinate_projection(2 * n_dim, n_dim)
     require_projection(e + b, what="e + b")
     require_projection(q, what="pairing projection q")
-    if not 0.0 < gap_tol < 0.5:
-        raise BoundViolation(f"gap_tol must lie in (0, 1/2), got {gap_tol}")
+    floor = 4.0 * _inertia_shift(2 * n_dim * k_dim, 2 * n_dim * k_dim)
+    if not floor < gap_tol < 0.5:
+        raise BoundViolation(f"gap_tol {gap_tol} not in ({floor:.1e}, 1/2)", measured=gap_tol)
     return PairingInput(b, q, n_dim, k_dim, gap_tol)
 
 
@@ -268,8 +270,8 @@ class PairingResult:
     """Spectral projection of the pairing operand and its integer index.
 
     ``index = rank - N*k`` is the finite-dimensional stand-in for the
-    K-class difference against ``diag(1, 0)``; ``margin`` is the distance
-    from the operand's spectrum to the cut at one half.
+    K-class difference against ``diag(1, 0)``, with ``rank`` certified by
+    inertia; ``margin`` is the distance from the computed spectrum to one half.
     """
 
     projection: np.ndarray
@@ -290,27 +292,74 @@ def pairing_operand(inp: PairingInput) -> np.ndarray:
 def pairing(inp: PairingInput) -> PairingResult:
     """Pair an almost-commuting projection against block data of index type.
 
-    The operand's spectrum must keep ``gap_tol`` clear of one half; the
-    resulting spectral projection is checked idempotent to 1e-10 and its
-    rank, minus ``N*k``, is the integer index.
+    The operand's spectrum must keep ``gap_tol`` clear of one half; the number
+    of eigenvector columns above it, certified by :func:`_certify_inertia`, is
+    the rank, and the rank minus ``N*k`` is the integer index.
     """
-    spec = hermitian_eigensystem(pairing_operand(inp))
-    proj = spectral_projection(spec, 0.5, inp.gap_tol)
-    idem = op_norm(proj @ proj - proj)
-    if idem > 1e-10:
-        raise NumericalInconsistency(
-            f"pairing projection fails idempotency: ||P^2 - P|| = {idem:.3e}",
-            measured=idem,
-        )
-    trace = float(np.real(np.trace(proj)))
-    rank = int(round(trace))
-    if abs(trace - rank) > 1e-8:
-        raise NumericalInconsistency(
-            f"pairing projection trace {trace!r} is not close to an integer",
-            measured=abs(trace - rank),
-        )
-    margin = float(np.min(np.abs(spec.eigenvalues - 0.5)))
-    return PairingResult(proj, rank - inp.n_dim * inp.k_dim, rank, margin)
+    operand = pairing_operand(inp)
+    lam, above, below = spectral_split(operand, 0.5, inp.gap_tol)
+    _certify_inertia(operand, above, below, inp.gap_tol)
+    rank = above.shape[1]
+    margin = float(np.min(np.abs(lam - 0.5)))
+    return PairingResult(range_projection(above), rank - inp.n_dim * inp.k_dim, rank, margin)
+
+
+def _inertia_shift(width: int, frob2: float) -> float:
+    return 10.0 * (width + 2) * (width**0.5 + 2.0) * UNIT_ROUNDOFF * frob2
+
+
+def _certify_inertia(operand, above, below, gap_tol: float) -> None:
+    """Prove that ``operand`` has exactly ``above.shape[1]`` eigenvalues above
+    one half, by Sylvester's law of inertia, or raise.
+
+    Let ``A`` be the operand (``n`` wide, exactly hermitian), ``g = gap_tol``,
+    ``c+- = 1/2 +- g/2``, ``V`` the columns of one side (``s`` of them, no
+    orthonormality assumed), ``M = A - c+`` above the cut and ``M = c- - A``
+    below it, ``K = ||V||_F^2`` as measured, ``u`` the unit roundoff and
+    ``mu = 10 (n + 2)(sqrt(n) + 2) u K`` (:func:`_inertia_shift`).  Each side
+    factors ``B = V* (M V) - mu`` by Cholesky; a failure raises
+    :class:`NumericalInconsistency` naming the side.
+
+    Claim: if ``B`` factors, ``V* M V`` is positive definite.  Then ``V x != 0``
+    and ``(Vx)* M (Vx) > 0`` for every ``x != 0``, so ``M`` is positive
+    definite on an ``s``-dimensional subspace, and by Courant-Fischer ``A`` has
+    at least ``r`` eigenvalues above ``c+`` (``r`` columns above) and at least
+    ``n - r`` below ``c-`` (``n - r`` below).  Together: exactly ``r`` above
+    one half, none in ``[c-, c+]`` (rounded, ``c+-`` stay on their side of
+    one half).  Proof of the claim, with ``||M|| <= 4`` as ``||A|| <= 3``
+    once ``pairing_input`` validated ``e + b`` and ``q`` as projections:
+
+    * forming ``M`` rounds only its diagonal, by at most ``4u``, which moves
+      ``V* M V`` by at most ``4 u K``;
+    * a complex product of length ``n`` errs by at most ``sqrt(2) gamma_{n+2}``
+      times the product of the moduli (Higham, Accuracy and Stability,
+      section 3.6), and ``|| |M| || <= sqrt(n) ||M||``, so the computed
+      ``V* (M V)`` is within ``5.8 (n + 2)(sqrt(n) + 1) u K`` of the exact
+      one in Frobenius norm; subtracting ``mu`` rounds the diagonal by at
+      most ``u (4.1 K + mu)``;
+    * Cholesky reads one triangle, so it factors the hermitian ``H`` built
+      from it, within ``sqrt(2)`` times the above of ``V* M V - mu``; run to
+      the end it gives ``R*R = H + E`` with ``R*R`` positive definite and
+      ``||E|| <= 2 gamma_{s+1} ||R||_F^2 <= 8.2 (n + 1) u K`` (Higham,
+      Theorem 10.3, doubled for complex arithmetic), so
+      ``lambda_min(H) > -||E||``.
+
+    Summed, ``lambda_min(V* M V) > mu - e`` with
+    ``e <= (8.2 (n + 2)(sqrt(n) + 1) + 8.2 (n + 1) + 10) u K + 2 u mu``, below
+    ``mu`` at every ``n >= 1``.  On an exact eigensolve the gap gate leaves
+    ``V* M V`` a least eigenvalue of at least ``g/2``, which must cover the
+    shift ``mu`` and the error ``e``; so ``pairing_input`` refuses
+    ``g <= 4 mu`` at ``K = n``, the largest ``K`` of orthonormal columns.
+    """
+    for side, cols, sign in (("above", above, 1.0), ("below", below, -1.0)):
+        shifted = sign * operand - (sign * 0.5 + gap_tol / 2.0) * np.eye(len(operand))
+        mu = _inertia_shift(len(operand), float(np.vdot(cols, cols).real))
+        try:
+            np.linalg.cholesky(cols.conj().T @ (shifted @ cols) - mu * np.eye(cols.shape[1]))
+        except np.linalg.LinAlgError:
+            raise NumericalInconsistency(
+                f"inertia certificate failed {side} the cut at one half", measured=side
+            ) from None
 
 
 def pairing_block_sum(a: PairingInput, b: PairingInput) -> PairingInput:

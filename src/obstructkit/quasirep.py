@@ -45,6 +45,7 @@ from .matcore import (
     require_projection,
     require_unit_ball,
     sealed,
+    spectral_split,
     spectral_tol,
 )
 from .seeding import haar_unitary, random_rotation
@@ -364,8 +365,7 @@ def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
     if any(m.shape != p.shape for m in mats):
         raise InvalidSize("projection dimension must match the representation")
     # p passed the hermiticity gate of require_projection, so no second one
-    lam, vecs = np.linalg.eigh((p + p.conj().T) / 2.0)
-    v = sealed(vecs[:, lam > 0.5])
+    v = spectral_split((p + p.conj().T) / 2.0, 0.5, 0.0)[1]
     if v.shape[1] == 0:
         raise InvalidSize("projection has rank zero; nothing to compress to")
     rep = QuasiRep(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidSize
-from .matcore import require_indexable, sealed
+from .matcore import range_projection, require_indexable, sealed
 
 
 def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
@@ -70,7 +70,4 @@ def random_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarr
     """Rank-``rank`` orthogonal projection with Haar-random range."""
     if not 0 <= rank <= dim:
         raise InvalidSize(f"rank {rank} out of range for dimension {dim}")
-    u = haar_unitary(dim, rng)
-    cols = u[:, :rank]
-    p = cols @ cols.conj().T
-    return sealed((p + p.conj().T) / 2.0)
+    return range_projection(haar_unitary(dim, rng)[:, :rank])

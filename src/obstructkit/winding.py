@@ -57,6 +57,7 @@ from .errors import (
     OpenPath,
 )
 from .matcore import (
+    UNIT_ROUNDOFF,
     UNITARITY_TOL,
     dagger,
     identity,
@@ -81,7 +82,6 @@ DENSE_DET_DIM_LIMIT = 160
 HESSENBERG_BLOCK = 32
 # Hyman's recurrence rescales before max |x| can pass exp(HYMAN_LOG_LIMIT).
 HYMAN_LOG_LIMIT = 600.0
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
 
 
 @dataclass(frozen=True)

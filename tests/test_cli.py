@@ -390,6 +390,28 @@ def test_audit_failure_exits_four(capsys, monkeypatch):
     assert failing[0]["failures"][0]["trial"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "alm_proj", "--trials", "2", "--seed", "5"],
+        ["--replay", '{"suite": "alm_proj", "master_seed": 5, "trial": 0}'],
+    ],
+    ids=["run", "replay"],
+)
+def test_audit_violation_carries_the_first_failure(capsys, monkeypatch, argv):
+    import obstructkit.audit as audit_mod
+    from obstructkit.cli import build_parser, cmd_audit
+    from obstructkit.errors import AuditViolation
+
+    monkeypatch.setattr(audit_mod, "run_trial", lambda s, m, t: {"commutator": 2.0})
+    with pytest.raises(AuditViolation) as exc_info:
+        cmd_audit(build_parser().parse_args(["audit", *argv]))
+    assert exc_info.value.measured == {
+        "suite": "alm_proj", "master_seed": 5, "trial": 0, "ratios": {"commutator": 2.0}
+    }
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # eta
 # ---------------------------------------------------------------------------
@@ -577,8 +599,13 @@ def test_tolerance_after_the_subcommand(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, gap_in_json",
-    [(["--tol.gap", "0.7"], None), (["--tol.gap", "0"], None), ([], "NaN")],
-    ids=["flag-above-half", "flag-zero", "json-nan"],
+    [
+        (["--tol.gap", "0.7"], None),
+        (["--tol.gap", "0"], None),
+        (["--tol.gap", "1e-300"], None),
+        ([], "NaN"),
+    ],
+    ids=["flag-above-half", "flag-zero", "flag-below-floor", "json-nan"],
 )
 def test_pairing_gap_out_of_range_exit_one(tmp_path, capsys, flags, gap_in_json):
     path = pairing_fixture_path(tmp_path)

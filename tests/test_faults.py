@@ -1,0 +1,93 @@
+"""Fault table: an injected fault in one stage of a reported integer must end
+in a refusal, never in a different integer.
+
+Each row monkeypatches one stage on an input whose integer is known by
+construction, then asserts the exception.  The Smith-form row is
+``tests/test_homology.py::test_verify_snf_refuses_a_non_unimodular_transform``,
+which doubles a transform row and expects ``_verify_snf`` to refuse.  The H2
+ranks come from exact arithmetic checked against sympy, so they need no row.
+"""
+
+import numpy as np
+import pytest
+
+from obstructkit import winding
+from obstructkit.audit import random_pairing_instance
+from obstructkit.errors import NumericalInconsistency
+from obstructkit.projops import pairing
+from obstructkit.seeding import derive_rng
+from obstructkit.winding import random_admissible_unitary, winding_of_unitary
+
+
+def _patch_eigh(monkeypatch, fault):
+    """Route ``np.linalg.eigh`` through ``fault(lam, vecs)``."""
+    eigh = np.linalg.eigh
+
+    def faulty(a):
+        lam, vecs = eigh(a)
+        return fault(lam.copy(), vecs.copy())
+
+    monkeypatch.setattr(np.linalg, "eigh", faulty)
+
+
+def _flip_nearest_half(lam, vecs):
+    i = int(np.abs(lam - 0.5).argmin())
+    lam[i] = 1.0 - lam[i]
+    return lam, vecs
+
+
+def _duplicate_a_column_above(lam, vecs):
+    above = np.flatnonzero(lam > 0.5)
+    vecs[:, above[0]] = vecs[:, above[-1]]
+    return lam, vecs
+
+
+def test_pairing_flip_is_refused(monkeypatch):
+    inp, expected = random_pairing_instance(derive_rng(1, 2))
+    assert expected == -1 and pairing(inp).index == expected
+    _patch_eigh(monkeypatch, _flip_nearest_half)
+    with pytest.raises(NumericalInconsistency):
+        pairing(inp)
+
+
+def test_pairing_rank_loss_is_refused_above_the_cut(monkeypatch):
+    inp, _ = random_pairing_instance(derive_rng(1, 2))
+    _patch_eigh(monkeypatch, _duplicate_a_column_above)
+    with pytest.raises(NumericalInconsistency, match="above") as exc_info:
+        pairing(inp)
+    assert exc_info.value.measured == "above"
+
+
+def _shift_every_phase(monkeypatch):
+    """Shift every eigenphase by ``2 pi / n``: the phase sum, and so the
+    eigenvalue winding, moves by one."""
+    eigenphases = winding._eigenphases
+
+    def shifted(w, tol):
+        theta, residue_tol = eigenphases(w, tol)
+        return theta + 2.0 * np.pi / w.shape[0], residue_tol
+
+    monkeypatch.setattr(winding, "_eigenphases", shifted)
+
+
+@pytest.mark.parametrize(
+    "dim",
+    [
+        40,
+        160,
+        pytest.param(
+            200,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 5: above DENSE_DET_DIM_LIMIT the path samples "
+                "the same eigenphases, so the fault returns winding 0 for 1",
+            ),
+        ),
+    ],
+)
+def test_winding_phase_shift_is_refused(monkeypatch, dim):
+    w, expected = random_admissible_unitary(dim, derive_rng(1, dim), winding=1)
+    assert expected == 1 and winding_of_unitary(w).winding == expected
+    _shift_every_phase(monkeypatch)
+    with pytest.raises(NumericalInconsistency):
+        winding_of_unitary(w)

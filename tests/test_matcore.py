@@ -7,6 +7,7 @@ against themselves.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from obstructkit.matcore import (
     as_stack,
     commutator,
     dagger,
-    hermitian_eigensystem,
     identity,
     is_unitary,
     matrix_from_json,
@@ -44,7 +44,9 @@ from obstructkit.matcore import (
     require_indexable,
     require_projection,
     require_unitary,
+    sealed,
     spectral_projection,
+    spectral_split,
     spectral_tol,
 )
 from obstructkit.seeding import (
@@ -149,7 +151,7 @@ def test_op_norm_rejects_nonfinite():
 @given(
     dim=st.integers(1, 40),
     count=st.integers(1, 6),
-    container=st.sampled_from(["list", "tuple", "generator"]),
+    container=st.sampled_from(["list", "tuple", "generator", "ndarray"]),
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=60)
@@ -160,13 +162,32 @@ def test_op_norms_bitwise_equal_to_op_norm(dim, count, container, seed):
         gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)) for _ in range(count)
     ]
     expected = [op_norm(a) for a in mats]
-    given_mats = {"list": mats, "tuple": tuple(mats), "generator": (a for a in mats)}[container]
+    given_mats = {
+        "list": mats,
+        "tuple": tuple(mats),
+        "generator": (a for a in mats),
+        "ndarray": np.array(mats),
+    }[container]
     norms = op_norms(given_mats)
     assert norms.dtype == np.float64
     assert norms.tolist() == expected
 
 
-@pytest.mark.parametrize("empty", [[], (), iter(())], ids=["list", "tuple", "generator"])
+def test_op_norms_takes_a_stack_without_copying_it():
+    stack = sealed(derive_rng(0, 9).standard_normal((2000, 8, 8)) + 0j)
+    tracemalloc.start()
+    try:
+        op_norms(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a copy of the stack, as a re-stacking would make, would alone reach nbytes
+    assert peak < stack.nbytes / 2
+
+
+@pytest.mark.parametrize(
+    "empty", [[], (), iter(()), np.empty((0, 3, 3))], ids=["list", "tuple", "generator", "ndarray"]
+)
 def test_op_norms_of_nothing_is_empty(empty):
     norms = op_norms(empty)
     assert norms.shape == (0,)
@@ -285,22 +306,24 @@ def test_polar_reconstructs_input(rng):
 
 
 # ---------------------------------------------------------------------------
-# hermitian_eigensystem / spectral_projection
+# spectral_split / spectral_projection
 # ---------------------------------------------------------------------------
 
 
-def test_eigensystem_reconstructs(rng):
+def test_spectral_split_reconstructs(rng):
     a = random_hermitian(7, rng, norm=2.0)
-    spec = hermitian_eigensystem(a)
-    assert list(spec.eigenvalues) == sorted(spec.eigenvalues)
-    reconstructed = (spec.vectors * spec.eigenvalues) @ dagger(spec.vectors)
+    lam, above, below = spectral_split(a, 0.3, 0.0)
+    assert list(lam) == sorted(lam)
+    assert above.shape[1] == int(np.sum(np.linalg.eigvalsh(a) > 0.3))
+    vectors = np.hstack([below, above])
+    reconstructed = (vectors * lam) @ dagger(vectors)
     assert op_norm(reconstructed - a) <= spectral_tol(7)
-    assert op_norm(dagger(spec.vectors) @ spec.vectors - identity(7)) <= spectral_tol(7)
+    assert op_norm(dagger(vectors) @ vectors - identity(7)) <= spectral_tol(7)
 
 
-def test_eigensystem_rejects_skew():
+def test_spectral_projection_rejects_skew():
     with pytest.raises(NotHermitian) as exc_info:
-        hermitian_eigensystem(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        spectral_projection(np.array([[0.0, 1.0], [-1.0, 0.0]]), 0.5, 0.05)
     assert exc_info.value.measured == pytest.approx(2.0, abs=1e-14)  # ||a - a*||
 
 

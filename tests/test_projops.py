@@ -354,6 +354,10 @@ def test_pairing_input_validation(rng):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(5), n, k)
     with pytest.raises(BoundViolation):
         pairing_input(np.zeros((2 * n, 2 * n)), np.eye(n * k), n, k, gap_tol=0.7)
+    # below the rounding floor of the inertia certificate (1.7e-12 at width 8)
+    with pytest.raises(BoundViolation, match="gap_tol") as exc_info:
+        pairing_input(np.zeros((2 * n, 2 * n)), np.eye(n * k), n, k, gap_tol=1e-12)
+    assert exc_info.value.measured == 1e-12
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,12 @@ from obstructkit.matcore import (
     commutator,
     coordinate_projection,
     dagger,
-    hermitian_eigensystem,
     identity,
     polar_unitary,
+    range_projection,
     sealed,
     spectral_projection,
+    spectral_split,
 )
 from obstructkit.projops import (
     chain_conjugation,
@@ -62,9 +63,8 @@ PRODUCERS = {
     "commutator": lambda rng: [commutator(*clock_shift(3))],
     "dagger": lambda rng: [dagger(haar_unitary(3, rng))],
     "polar_unitary": lambda rng: [polar_unitary(0.5 * haar_unitary(3, rng))],
-    "hermitian_eigensystem": lambda rng: list(
-        vars(hermitian_eigensystem(random_hermitian(3, rng))).values()
-    ),
+    "spectral_split": lambda rng: list(spectral_split(random_hermitian(3, rng), 0.0, 0.0)),
+    "range_projection": lambda rng: [range_projection(haar_unitary(3, rng)[:, :2])],
     "spectral_projection": lambda rng: [spectral_projection(np.diag([0.0, 1.0, 1.0]), 0.5, 0.1)],
     "coordinate_projection": lambda rng: [coordinate_projection(3, 1)],
     "random_rotation": lambda rng: [random_rotation(3, rng, 0.3)],
