@@ -386,12 +386,12 @@ def cmd_homology(args) -> int:
 
 def cmd_pairing(args) -> int:
     from .matcore import matrix_to_json
-    from .projops import pairing, pairing_input, pairing_input_from_json
+    from .projops import pairing, pairing_input_from_json
 
-    inp = pairing_input_from_json(_load_json(args.input))
-    gap = getattr(args, "tol_gap", None)
-    if gap is not None:
-        inp = pairing_input(inp.b, inp.q, inp.n_dim, inp.k_dim, gap)
+    obj = _load_json(args.input)
+    if isinstance(obj, dict) and hasattr(args, "tol_gap"):
+        obj["gap_tol"] = args.tol_gap  # the flag overrides the file
+    inp = pairing_input_from_json(obj)
     result = pairing(inp)
     payload = {
         "N": inp.n_dim,

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every module, with the CLI exit-code map.
 
 Exit codes:
-    1 -- malformed input (files, JSON, sizes, family and bound parameters)
+    1 -- malformed input (files, JSON, sizes, family and bound parameters),
+         refused by every entry point before its first value gate
     2 -- a mathematical hypothesis of an operation is not met
     3 -- internal numerical inconsistency (dual methods disagree, lost
          invertibility, a path step its certified grid rules out)

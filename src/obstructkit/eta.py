@@ -133,18 +133,13 @@ def eta_character_abel(
 ) -> EtaResult:
     """Abel-regularized eta: series values on a ``t`` ladder, extrapolated to 0.
 
-    Needs ``q`` in (0, 1): at ``q = 0`` the zero eigenvalue makes the signed
-    series ambiguous and the closed form should be used instead (ZeroMode).
     The ladder must be a descending sequence in [T_MIN, 1] with at least
     ``richardson_order + 1`` entries; the extrapolation uses its last
-    ``richardson_order + 1`` points.  The result is cross-checked against
+    ``richardson_order + 1`` points.  Only then is ``q = 0`` refused
+    (ZeroMode): its zero eigenvalue makes the signed series ambiguous, and
+    the closed form should be used.  The result is cross-checked against
     the exact limit and must agree within the reported error estimate.
     """
-    if tw.q == 0.0:
-        raise ZeroMode(
-            "spectrum contains 0 at phase q = 0; the regularized series does "
-            "not determine the sign — use eta_character_closed"
-        )
     ladder = [float(t) for t in t_ladder]
     if not ladder:
         raise BoundViolation("t ladder is empty")
@@ -159,6 +154,11 @@ def eta_character_abel(
     if len(ladder) < order + 1:
         raise BoundViolation(
             f"t ladder has {len(ladder)} points; order {order} needs {order + 1}"
+        )
+    if tw.q == 0.0:
+        raise ZeroMode(
+            "spectrum contains 0 at phase q = 0; the regularized series does "
+            "not determine the sign — use eta_character_closed"
         )
     window = ladder[-(order + 1) :]
     xs = [t * t for t in window]  # the series is even in t

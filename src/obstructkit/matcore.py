@@ -14,6 +14,11 @@ generator of large residues never holds more than one of them.
 Functions here are pure: inputs are never mutated and returned arrays are
 read-only, so values can be shared freely between threads.
 
+Shape before value: :func:`as_matrices` checks that a named family of
+matrices is square, finite and of one size, naming its first malformed
+member, and every entry point runs it on each family before its first value
+gate (unitarity, the unit ball, projections, gaps), so malformed input exits 1.
+
 Read-only policy
 ----------------
 :func:`as_matrix` and :func:`as_stack` are the only code that copies: they
@@ -99,10 +104,27 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidMatrix("matrix dimension must be positive")
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    if arr.flags.writeable or not arr.flags.c_contiguous:
-        # np.asarray may have returned the caller's own array
+    # np.asarray may have returned the caller's own array, unless it converted
+    # a list, a tuple or an ndarray into new memory, which is ours to seal
+    shared = arr.flags.writeable and not (isinstance(a, (list, tuple)) or (
+        isinstance(a, np.ndarray) and not np.may_share_memory(a, arr)))
+    if shared or not arr.flags.c_contiguous:
         arr = np.array(arr, order="C")
     return sealed(arr)
+
+
+def as_matrices(mats, whats, dim: int | None = None) -> tuple:
+    """A family through :func:`as_matrix`, as a tuple (large members are not
+    stacked into a copy); the first member not ``dim`` x ``dim`` (default: the
+    first member's size) raises :class:`InvalidSize` named from ``whats``."""
+    out = []
+    for a, what in zip(mats, whats, strict=True):
+        arr = as_matrix(a)
+        dim = arr.shape[0] if dim is None else dim
+        if arr.shape[0] != dim:
+            raise InvalidSize(f"{what} must be {dim} x {dim}, got {arr.shape[0]}")
+        out.append(arr)
+    return tuple(out)
 
 
 def as_stack(mats) -> np.ndarray:
@@ -239,25 +261,15 @@ def require_unitary(a, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.n
     return arr
 
 
-def require_unit_ball(mats, dim: int, tol: float, whats) -> None:
-    """Check that each matrix is ``dim`` x ``dim`` with ``||a|| <= 1 + tol``.
-
-    ``whats`` names the matrices in the messages.  Refusals come in input
-    order: the norms of the matrices before the first wrong shape are taken
-    in one :func:`op_norms` call and the first above ``1 + tol`` raises
-    :class:`HypothesisViolation`; otherwise the wrong shape raises
-    :class:`InvalidSize`.
-    """
-    mats = list(mats)
-    whats = list(whats)
-    fit = next((i for i, a in enumerate(mats) if a.shape[0] != dim), len(mats))
-    for what, norm in zip(whats, op_norms(mats[:fit]).tolist()):
+def require_unit_ball(mats, tol: float, whats) -> None:
+    """Check ``||a|| <= 1 + tol`` for equal-size matrices :func:`as_matrices`
+    validated, from one :func:`op_norms` call; the first above raises
+    :class:`HypothesisViolation` naming it from ``whats``."""
+    for what, norm in zip(whats, op_norms(mats).tolist()):
         if norm > 1.0 + tol:
             raise HypothesisViolation(
                 f"{what} leaves the unit ball: norm {norm:.12f}", measured=norm
             )
-    if fit < len(mats):
-        raise InvalidSize(f"{whats[fit]} must be {dim} x {dim}, got {mats[fit].shape[0]}")
 
 
 def require_projection(a, what: str = "matrix") -> np.ndarray:

@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     BoundViolation,
     HypothesisViolation,
-    InvalidMatrix,
     InvalidSize,
     NumericalInconsistency,
     ParseError,
@@ -29,8 +28,8 @@ from .errors import (
 )
 from .matcore import (
     UNIT_ROUNDOFF,
+    as_matrices,
     as_matrix,
-    as_stack,
     commutator,
     coordinate_projection,
     dagger,
@@ -74,38 +73,47 @@ class ConjugationAudit:
 def connecting_unitary(p, q, test_ops):
     """Unitary with ``u p u* = q`` that almost commutes with the test family.
 
-    ``(p, q)`` is validated as a two-point path of :func:`chain_conjugation`.
-    Requires ``||p - q|| < 1/4``.  The unitary is the polar factor of
+    ``(p, q)`` and the test family are validated as a two-point path of
+    :func:`chain_conjugation`, every shape before any value, and only then is
+    ``||p - q|| < 1/4`` required.  The unitary is the polar factor of
     ``v = q p + (1 - q)(1 - p)``; since ``v p = q v`` and ``v* v`` commutes
     with ``p``, the conjugation identity holds exactly, and
     ``||[u, x]|| <= 28 eps`` for every test operator, where ``eps`` is the
     largest ``||[p, x]||`` or ``||[q, x]||``.  Both facts are asserted, with
     1e-9 slack for floating point, before returning.
     """
-    path = _projection_path((p, q))
-    ops, comm = _commutator_norms(path, test_ops)
+    path, ops = _path_and_test_ops((p, q), test_ops)
     gap = op_norm(path[0] - path[1])
     if gap >= 0.25:
         raise HypothesisViolation(
             f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
         )
+    comm = _commutator_norms(path, ops)
     us, audits = _connecting_unitaries(path, ops, [float(comm.max(initial=0.0))])
     return us[0], audits[0]
 
 
-def _commutator_norms(path: np.ndarray, test_ops):
-    """Validate the test operators against a path stack and measure them.
+def _path_and_test_ops(path, test_ops):
+    """Both as sealed stacks, checked in order: path shapes, test-operator
+    shapes, path projections, the test operators' unit ball (1e-8 slack)."""
+    path, test_ops = list(path), list(test_ops)
+    names = [f"path projection {i}" for i in range(len(path))]
+    path = as_matrices(path, names)
+    if not path:
+        raise InvalidSize("chain_conjugation needs a nonempty path")
+    n = path[0].shape[0]
+    whats = [f"test operator {i}" for i in range(len(test_ops))]
+    ops = as_matrices(test_ops, whats, n)
+    path = sealed(np.array(path))
+    require_projections(path, names)
+    require_unit_ball(ops, 1e-8, whats)
+    return path, sealed(np.array(ops, dtype=np.complex128).reshape(-1, n, n))
 
-    Each operator must be square, of the path's dimension and in the unit
-    ball (1e-8 slack).  Returns them as one sealed ``(k, n, n)`` stack and
-    ``comm[i, j] = ||[path[i], x_j]||`` from one :func:`op_norms` call.
-    """
-    n = path.shape[1]
-    ops = [as_matrix(x) for x in test_ops]
-    require_unit_ball(ops, n, 1e-8, ["test operator"] * len(ops))
-    ops = sealed(np.array(ops, dtype=np.complex128).reshape(-1, n, n))
-    comm = op_norms(commutator(path[:, None], ops).reshape(-1, n, n))
-    return ops, comm.reshape(len(path), len(ops))
+
+def _commutator_norms(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``comm[i, j] = ||[mats[i], ops[j]]||`` from one :func:`op_norms` call."""
+    n = mats.shape[1]
+    return op_norms(commutator(mats[:, None], ops).reshape(-1, n, n)).reshape(len(mats), len(ops))
 
 
 def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
@@ -124,7 +132,7 @@ def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
     eye = identity(n)
     us = polar_unitaries(q @ p + (eye - q) @ (eye - p))
     conj = op_norms(us @ p @ us.conj().transpose(0, 2, 1) - q).tolist()
-    comm = op_norms(commutator(us[:, None], ops).reshape(-1, n, n)).reshape(len(us), len(ops))
+    comm = _commutator_norms(us, ops)
     audits = []
     for i, eps in enumerate(step_eps):
         if conj[i] > CONJUGATION_EXACTNESS:
@@ -171,9 +179,10 @@ def chain_conjugation(path, test_ops):
     ``eps_path = max_i max_x ||[p_i, x]||`` and ``m`` steps, the product of
     the per-step connecting unitaries satisfies ``||u p_0 u* - p_m|| <=
     1e-8 m`` and ``||[u, x]|| <= 28 eps_path m + 1e-8`` — the telescoping
-    sum of the per-step guarantees.
+    sum of the per-step guarantees.  As in :func:`connecting_unitary`, every
+    shape is validated before any value, and both before the gap rule.
     """
-    path = _projection_path(path)
+    path, ops = _path_and_test_ops(path, test_ops)
     m, dim = len(path) - 1, path.shape[1]
     for i, gap in enumerate(op_norms(path[:-1] - path[1:]).tolist()):
         if gap >= 0.25:
@@ -183,7 +192,7 @@ def chain_conjugation(path, test_ops):
                 measured=gap,
             )
     # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
-    ops, comm = _commutator_norms(path, test_ops)
+    comm = _commutator_norms(path, ops)
     eps_path = float(comm.max(initial=0.0))
     step_eps = np.maximum(comm[:-1], comm[1:]).max(axis=1, initial=0.0).tolist()
     step_us, _ = _connecting_unitaries(path, ops, step_eps)
@@ -203,27 +212,6 @@ def chain_conjugation(path, test_ops):
     worst = _commutator_worst(norms, comm_bound, "28*eps*m + 1e-8")
     report = ChainReport(m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst)
     return sealed(u), report
-
-
-def _projection_path(path) -> np.ndarray:
-    """Validate a path of projections as one stack, refusing in path order.
-
-    A path that does not stack (a malformed entry or two dimensions) is
-    checked position by position instead, so the first bad position raises
-    what :func:`require_projection` raises; if every position passes, the
-    dimensions differ.
-    """
-    path = list(path)
-    if not path:
-        raise InvalidSize("chain_conjugation needs a nonempty path")
-    try:
-        stack = as_stack(path)
-    except InvalidMatrix:
-        for i, pt in enumerate(path):
-            require_projection(pt, what=f"path projection {i}")
-        raise InvalidSize("all path projections must share one dimension") from None
-    require_projections(stack, (f"path projection {i}" for i in range(len(stack))))
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -248,20 +236,17 @@ class PairingInput:
 
 
 def pairing_input(b, q, n_dim: int, k_dim: int, gap_tol: float = DEFAULT_GAP_TOL) -> PairingInput:
-    b = as_matrix(b)
-    q = as_matrix(q)
+    """Validate the data of a pairing: sizes and the ``gap_tol`` bounds (exit 1)
+    before the projection gates on ``e + b`` and ``q``."""
     if n_dim < 1 or k_dim < 1:
         raise InvalidSize("tensor factors must have positive dimension")
-    if b.shape[0] != 2 * n_dim:
-        raise InvalidSize(f"b must be {2 * n_dim} x {2 * n_dim}, got {b.shape[0]}")
-    if q.shape[0] != n_dim * k_dim:
-        raise InvalidSize(f"q must be {n_dim * k_dim} x {n_dim * k_dim}, got {q.shape[0]}")
-    e = coordinate_projection(2 * n_dim, n_dim)
-    require_projection(e + b, what="e + b")
-    require_projection(q, what="pairing projection q")
+    (b,) = as_matrices((b,), ("b",), 2 * n_dim)
+    (q,) = as_matrices((q,), ("q",), n_dim * k_dim)
     floor = 4.0 * _inertia_shift(2 * n_dim * k_dim, 2 * n_dim * k_dim)
     if not floor < gap_tol < 0.5:
         raise BoundViolation(f"gap_tol {gap_tol} not in ({floor:.1e}, 1/2)", measured=gap_tol)
+    require_projection(coordinate_projection(2 * n_dim, n_dim) + b, what="e + b")
+    require_projection(q, what="pairing projection q")
     return PairingInput(b, q, n_dim, k_dim, gap_tol)
 
 
@@ -434,35 +419,37 @@ def compatibility_probe(q, probes, eps: float) -> CompatibilityReport:
     Probes are compression quasi-representations; only their compression
     isometry is used, as the ucp map ``a -> V* a V`` applied to the first
     tensor factor of ``q``.  The k factor is inferred from the dimensions.
+    Every probe's kind and size is checked before ``q``'s projection gate.
     """
-    q = require_projection(q, what="probed projection")
-    entries = []
-    all_pass = True
-    for probe in probes:
+    q = as_matrix(q)
+    probes = list(probes)
+    for i, probe in enumerate(probes):
         if probe.compression is None:
             raise HypothesisViolation(
                 "compatibility probes must be compression quasi-representations"
             )
-        v = probe.compression.isometry
-        n = v.shape[0]
+        n = probe.compression.isometry.shape[0]
         if q.shape[0] % n != 0:
-            raise InvalidSize(
-                f"projection dimension {q.shape[0]} is not a multiple of probe dimension {n}"
-            )
-        k = q.shape[0] // n
-        v_big = np.kron(v, np.eye(k))
+            raise InvalidSize(f"probe {i} dimension {n} does not divide {q.shape[0]}")
+    require_projection(q, what="probed projection")
+    entries = []
+    for probe in probes:
+        v = probe.compression.isometry
+        v_big = np.kron(v, np.eye(q.shape[0] // v.shape[0]))
         compressed = dagger(v_big) @ q @ v_big
         eigs = np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0)
-        worst = 0.0
-        ok = True
-        for lam in eigs:
-            lam = float(lam)
-            if lam < -eps or lam > 1.0 + eps:
-                ok = False
-                worst = max(worst, min(abs(lam), abs(lam - 1.0)))
-            elif 0.25 <= lam <= 0.75:
-                ok = False
-                worst = max(worst, min(lam - 0.25, 0.75 - lam) + 0.0)
-        all_pass = all_pass and ok
-        entries.append(ProbeEntry(tuple(float(x) for x in eigs), ok, worst))
-    return CompatibilityReport(tuple(entries), all_pass)
+        entries.append(_probe_entry(eigs, eps))
+    return CompatibilityReport(tuple(entries), all(e.passed for e in entries))
+
+
+def _probe_entry(eigs: np.ndarray, eps: float) -> ProbeEntry:
+    """Each eigenvalue outside ``[-eps, 1 + eps]`` violates by its distance to
+    {0, 1}, each one in ``[1/4, 3/4]`` by its distance to the window's edge."""
+    outside = (eigs < -eps) | (eigs > 1.0 + eps)
+    inside = eigs[~outside & (eigs >= 0.25) & (eigs <= 0.75)]
+    out = eigs[outside]
+    excess = np.concatenate([
+        np.minimum(np.abs(out), np.abs(out - 1.0)),
+        np.minimum(inside - 0.25, 0.75 - inside) + 0.0,
+    ])
+    return ProbeEntry(tuple(eigs.tolist()), excess.size == 0, float(excess.max(initial=0.0)))

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .matcore import (
-    as_matrix,
+    as_matrices,
     commutator,
     dagger,
     identity,
@@ -118,6 +118,8 @@ class QuasiRep:
 
     Construction validates all data once (copying ``word_table``, never
     writing to it); ``evaluate`` folds words over the stored arrays unchecked.
+    Every shape (images, table values, compression data) is checked before
+    any value, so a malformed family exits 1 whatever its values.
     An inverse letter is the adjoint, behind the :func:`words.adjoints` gate,
     for the ``"unitary"`` flavor and compressions, else the matrix inverse.
     This is the library's only unitarity gate on generator images: it runs
@@ -138,35 +140,32 @@ class QuasiRep:
     def __post_init__(self):
         if self.flavor not in FLAVORS:
             raise ParseError(f"unknown flavor {self.flavor!r}")
+        comp = self.compression
+        if (self.flavor == "ucp-compression") != (comp is not None):
+            raise ParseError("the ucp-compression flavor and compression data go together")
         if len(self.images) != self.presentation.num_generators:
             raise InvalidSize("one image per generator required")
-        comp = self.compression
-        if self.flavor == "ucp-compression" and comp is None:
-            raise ParseError("ucp-compression flavor requires compression data")
-        images = tuple(as_matrix(m) for m in self.images)
-        object.__setattr__(self, "images", images)
+        whats = [f"image of generator {i}" for i in range(len(self.images))]
+        whats += [f"table value for {key}" for key in self.word_table]
+        images = as_matrices(self.images, whats[:len(self.images)])
+        dim = images[0].shape[0]
+        values = as_matrices(self.word_table.values(), whats[len(images):], dim)
         if comp is not None:
-            big = tuple(as_matrix(m) for m in comp.big_images)
+            v = comp.isometry
+            names = (f"compressed image of generator {i}" for i in range(len(comp.big_images)))
+            big = as_matrices(comp.big_images, names, v.shape[0])
+            if len(big) != len(images) or v.shape != (v.shape[0], dim):
+                raise InvalidSize("compression data must match the generators")
             fold = (big, adjoints(big, "compressed image of generator"))
+            object.__setattr__(self, "compression", replace(comp, big_images=big))
         elif self.flavor == "unitary":
             fold = (images, adjoints(images, "image of generator"))
         else:
             fold = (images, inverses(images))
+        require_unit_ball(images + values, UNIT_BALL_TOL, whats)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "word_table", dict(zip(self.word_table, values)))
         object.__setattr__(self, "_fold", fold)
-        dim = images[0].shape[0]
-        whats = (f"image of generator {i}" for i in range(len(images)))
-        require_unit_ball(images, dim, UNIT_BALL_TOL, whats)
-        table = {key: as_matrix(value) for key, value in self.word_table.items()}
-        whats = (f"table value for {key}" for key in table)
-        require_unit_ball(table.values(), dim, UNIT_BALL_TOL, whats)
-        object.__setattr__(self, "word_table", table)
-        if comp is not None:
-            shape = (comp.isometry.shape[0], dim)
-            if len(big) != len(images) or comp.isometry.shape != shape or any(
-                m.shape[0] != shape[0] for m in big
-            ):
-                raise InvalidSize("compression data must match the generators")
-            object.__setattr__(self, "compression", replace(comp, big_images=big))
 
     @property
     def dim(self) -> int:
@@ -358,12 +357,10 @@ def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
     symmetrized generators, ``defect(rep, symmetrized_generators(presentation))``,
     never exceeds ``max_g ||[proj, pi(g)]|| + 1e-9``.
     """
-    mats = tuple(as_matrix(m) for m in big_images)
-    if len({m.shape for m in mats}) > 1:
-        raise InvalidSize("generator images must share one dimension")
-    p = require_projection(proj, what="compression projection")
-    if any(m.shape != p.shape for m in mats):
-        raise InvalidSize("projection dimension must match the representation")
+    big_images = list(big_images)
+    whats = [f"compressed image of generator {i}" for i in range(len(big_images))]
+    *mats, p = as_matrices([*big_images, proj], [*whats, "compression projection"])
+    require_projection(p, what="compression projection")
     # p passed the hermiticity gate of require_projection, so no second one
     v = spectral_split((p + p.conj().T) / 2.0, 0.5, 0.0)[1]
     if v.shape[1] == 0:
@@ -450,7 +447,7 @@ def clock_shift(n: int):
 
 
 def commutation_defect(u, v) -> float:
-    return op_norm(commutator(as_matrix(u), as_matrix(v)))
+    return op_norm(commutator(*as_matrices((u, v), ("u", "v"))))
 
 
 def voiculescu_pair(delta: float, k: int):

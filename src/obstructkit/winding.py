@@ -59,6 +59,7 @@ from .errors import (
 from .matcore import (
     UNIT_ROUNDOFF,
     UNITARITY_TOL,
+    as_matrices,
     dagger,
     identity,
     op_norm,
@@ -456,13 +457,13 @@ def winding_pair(u, v, unitarity_tol: float | None = None) -> WindingReport:
     Defined when ``||uvu*v* - 1|| < 1``, the gate ``winding_of_unitary``
     measures; for unitaries ``uvu*v* - 1 = (uv - vu) u*v*`` makes that norm
     ``||uv - vu||``, so it is measured once.  Swapping the pair inverts the
-    commutator and so negates the winding.
+    commutator and so negates the winding.  Both shapes are checked
+    (:class:`InvalidSize`) before either unitarity gate.
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
+    u, v = as_matrices((u, v), ("first of the pair", "second of the pair"))
     u = require_unitary(u, tol=tol, what="first of the pair")
     v = require_unitary(v, tol=tol, what="second of the pair")
-    if u.shape != v.shape:
-        raise NotUnitary("pair must share one dimension")
     w = u @ v @ dagger(u) @ dagger(v)
     # the product of four tol-almost-unitaries is only (4 tol)-almost-unitary
     return winding_of_unitary(

@@ -618,6 +618,42 @@ def test_pairing_gap_out_of_range_exit_one(tmp_path, capsys, flags, gap_in_json)
     assert err.startswith("error:") and err.count("\n") == 1 and "gap_tol" in err
 
 
+def _write_doubly_bad_input(kind, path):
+    """Input files with a size or bound fault and a value fault together."""
+    if kind == "raw-pair":
+        path.write_text(raw_pair_json(np.eye(2), np.eye(3)))
+    elif kind == "unitary-flavor":
+        rep = honest_commuting_rep(free_abelian_presentation(2), 2, derive_rng(0, 1))
+        obj = quasirep_to_json(rep)
+        obj["images"] = [matrix_to_json(np.eye(2)), matrix_to_json(2.0 * np.eye(3))]
+        path.write_text(json.dumps(obj))
+    else:  # e + b = 1/2 on the diagonal is no projection
+        b, q = matrix_to_json(np.diag([-0.5, 0.5])), matrix_to_json(np.eye(1))
+        path.write_text(json.dumps({"N": 1, "k": 1, "b": b, "q": q, "gap_tol": 0.05}))
+
+
+@pytest.mark.parametrize(
+    "kind, argv, text",
+    [
+        ("raw-pair", ["invariants"], "second of the pair must be 2 x 2, got 3"),
+        ("unitary-flavor", ["invariants"], "image of generator 1 must be 2 x 2, got 3"),
+        (None, ["eta", "--q", "0", "--method", "abel", "--ladder", ""], "t ladder is empty"),
+        ("pairing", ["pairing", "--tol.gap", "1e-300"], "gap_tol 1e-300 not in"),
+    ],
+    ids=["raw-pair-of-two-sizes", "unitary-flavor-of-two-sizes", "abel-q-zero-empty-ladder",
+         "non-projection-below-the-gap-floor"],
+)
+def test_malformed_input_exits_one_before_any_hypothesis(kind, argv, text, tmp_path, capsys):
+    if kind is not None:
+        path = tmp_path / "in.json"
+        _write_doubly_bad_input(kind, path)
+        argv = [argv[0], str(path), *argv[1:]]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and text in err
+
+
 def test_pairing_gap_violation_exit_two(tmp_path, capsys):
     # operand spectrum {0, 1/4, 3/4, 1}: a 0.3 gate must trip
     phi = np.pi / 3.0

@@ -230,6 +230,20 @@ def test_as_matrix_output_readonly():
         out[0, 0] = 7.0
 
 
+@pytest.mark.parametrize("convert", [np.asarray, np.ndarray.tolist], ids=["float-array", "list"])
+def test_as_matrix_converts_without_a_second_copy(convert):
+    given = convert(np.eye(300))
+    tracemalloc.start()
+    try:
+        out = as_matrix(given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the conversion itself is out.nbytes; a second copy would double the peak
+    assert peak < 1.5 * out.nbytes
+    assert not out.flags.writeable and np.array_equal(out, np.eye(300))
+
+
 def test_commutator_and_dagger():
     u, v = clock_and_shift(3)
     assert np.allclose(commutator(u, v), u @ v - v @ u)

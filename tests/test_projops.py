@@ -6,6 +6,7 @@ import pytest
 from obstructkit.errors import (
     BoundViolation,
     HypothesisViolation,
+    InvalidMatrix,
     InvalidSize,
     NotProjection,
     NumericalInconsistency,
@@ -118,7 +119,7 @@ def test_pair_names_the_failing_path_position(rng):
 
 
 def test_pair_of_two_dimensions_is_refused(rng):
-    with pytest.raises(InvalidSize, match="share one dimension"):
+    with pytest.raises(InvalidSize, match="^path projection 1 must be 2 x 2, got 3$"):
         connecting_unitary(random_projection(2, 1, rng), random_projection(3, 1, rng), [])
 
 
@@ -129,10 +130,10 @@ def test_pair_refuses_test_operators_before_the_gap():
         connecting_unitary(p, q, [np.eye(3)])
 
 
-def test_chain_refuses_the_gap_before_test_operators(rng):
+def test_chain_refuses_test_operators_before_the_gap(rng):
     basis = haar_unitary(4, rng)
     p0, p_far = plane_rotated_projection(2, 4, 0.6, basis)  # sin(0.6) > 1/4
-    with pytest.raises(SubdivisionTooCoarse):
+    with pytest.raises(InvalidSize, match="^test operator 0 must be 4 x 4, got 3$"):
         chain_conjugation([p0, p_far], [np.eye(3)])
 
 
@@ -195,13 +196,15 @@ def test_chain_refuses_a_non_projection_before_a_coarse_gap(rng):
         chain_conjugation(path, [np.eye(4)])
 
 
-def test_chain_unstackable_path_refuses_in_path_order(rng):
+def test_chain_path_refuses_shapes_in_path_order_before_projections(rng):
     p3 = random_projection(3, 1, rng)
     p4 = random_projection(4, 2, rng)
-    with pytest.raises(NotProjection, match="path projection 2 "):
+    with pytest.raises(InvalidSize, match="^path projection 1 must be 3 x 3, got 4$"):
         chain_conjugation([p3, p4, 0.5 * np.eye(3), np.full((3, 3), np.nan)], [])
-    with pytest.raises(InvalidSize, match="share one dimension"):
-        chain_conjugation([p3, p4], [])
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        chain_conjugation([p3, 0.5 * np.eye(3), np.full((3, 3), np.nan), p4], [])
+    with pytest.raises(NotProjection, match="path projection 1 "):
+        chain_conjugation([p3, 0.5 * np.eye(3), p3], [])
 
 
 def test_chain_coarse_subdivision_rejected(rng):
@@ -430,3 +433,50 @@ def test_probe_requires_compression(rng):
     phi = honest_commuting_rep(Z2, 4, rng)
     with pytest.raises(HypothesisViolation):
         compatibility_probe(np.eye(4), [phi], eps=0.01)
+
+
+def _old_probe_entry(eigs, eps):
+    """The per-eigenvalue loop ``compatibility_probe`` used before its array pass."""
+    worst = 0.0
+    ok = True
+    for lam in eigs:
+        lam = float(lam)
+        if lam < -eps or lam > 1.0 + eps:
+            ok = False
+            worst = max(worst, min(abs(lam), abs(lam - 1.0)))
+        elif 0.25 <= lam <= 0.75:
+            ok = False
+            worst = max(worst, min(lam - 0.25, 0.75 - lam) + 0.0)
+    return tuple(float(x) for x in eigs), ok, worst
+
+
+def test_probe_entries_match_the_per_eigenvalue_loop(rng):
+    eps = 1e-3
+    edges = [0.25, 0.75, -eps, 1.0 + eps, np.nextafter(-eps, -1.0), np.nextafter(1.0 + eps, 2.0),
+             0.0, 1.0, -0.0, 0.5, 0.2499999, 0.7500001]
+    cases = [np.sort(np.array(edges))]
+    for _ in range(200):
+        pool = np.concatenate([rng.uniform(-0.1, 1.1, 6), rng.choice(edges, 3)])
+        cases.append(np.sort(rng.choice(pool, rng.integers(1, 8), replace=False)))
+    for eigs in cases:
+        entry = projops._probe_entry(eigs, eps)
+        old = _old_probe_entry(eigs, eps)
+        assert (entry.eigenvalues, entry.passed) == old[:2]
+        assert np.float64(entry.worst_violation).tobytes() == np.float64(old[2]).tobytes()
+    # and through the probe itself, on random projections and probes
+    for seed in range(20):
+        r = derive_rng(seed, 41)
+        probe = compress(honest_commuting_rep(Z2, 3, r).images, random_projection(3, 2, r), Z2)
+        q = random_projection(6, int(r.integers(0, 7)), r)
+        entry = compatibility_probe(q, [probe], eps).entries[0]
+        assert (entry.eigenvalues, entry.passed, entry.worst_violation) == _old_probe_entry(
+            np.array(entry.eigenvalues), eps
+        )
+
+
+def test_probe_checks_every_probe_before_the_projection_gate(rng):
+    probe = _coordinate_probe(rng, big_dim=2, rank=1)
+    with pytest.raises(InvalidSize, match="^probe 1 dimension 4 does not divide 6$"):
+        compatibility_probe(0.5 * np.eye(6), [probe, _coordinate_probe(rng)], eps=0.01)
+    with pytest.raises(HypothesisViolation, match="compression"):
+        compatibility_probe(0.5 * np.eye(4), [probe, honest_commuting_rep(Z2, 4, rng)], eps=0.01)

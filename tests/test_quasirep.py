@@ -161,13 +161,15 @@ def test_defect_streams_large_residues():
     assert peak < 10 * matrix_bytes
 
 
-def test_unit_ball_refusal_comes_before_a_later_wrong_size():
+def test_wrong_size_refusal_comes_before_the_unit_ball():
     table = {canonical_form(A * B, Z2).letters: identity(3)}
-    with pytest.raises(HypothesisViolation, match="image of generator 0 leaves") as exc_info:
+    with pytest.raises(InvalidSize, match=r"^table value for .* must be 2 x 2, got 3$"):
         QuasiRep(Z2, (2.0 * identity(2), identity(2)), word_table=table)
-    assert exc_info.value.measured == pytest.approx(2.0)
     with pytest.raises(InvalidSize, match="table value"):
         QuasiRep(Z2, (identity(2), identity(2)), word_table=table)
+    with pytest.raises(HypothesisViolation, match="image of generator 0 leaves") as exc_info:
+        QuasiRep(Z2, (2.0 * identity(2), identity(2)))
+    assert exc_info.value.measured == pytest.approx(2.0)
 
 
 def test_defect_report_json_shape():
@@ -377,9 +379,9 @@ def test_require_honest_and_compress_refuse_mismatched_image_sizes():
     images = [np.eye(2), np.eye(3)]
     with pytest.raises(InvalidSize, match="^image of generator 1 must be 2 x 2, got 3$"):
         QuasiRep(Z2, images, flavor="unitary")
-    with pytest.raises(InvalidSize, match="^generator images must share one dimension$"):
+    with pytest.raises(InvalidSize, match="^compressed image of generator 1 must be 2 x 2, got 3$"):
         compress(images, np.eye(2), Z2)
-    with pytest.raises(InvalidSize, match="^projection dimension must match the representation$"):
+    with pytest.raises(InvalidSize, match="^compression projection must be 2 x 2, got 3$"):
         compress([np.eye(2), np.eye(2)], np.eye(3), Z2)
     with pytest.raises(InvalidSize, match="^one image per generator required$"):
         compress([np.eye(2)], np.eye(2), Z2)
@@ -495,6 +497,11 @@ def test_clock_shift_n2_hand_values():
     assert np.allclose(u, np.diag([1.0, -1.0]))
     assert np.allclose(v, np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert commutation_defect(u, v) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_commutation_defect_refuses_a_pair_of_two_sizes():
+    with pytest.raises(InvalidSize, match="^v must be 2 x 2, got 3$"):
+        commutation_defect(np.eye(2), np.eye(3))
 
 
 def test_clock_shift_relation_and_defect():
@@ -620,6 +627,16 @@ def test_quasirep_json_compression_round_trip(rng):
     S = symmetrized_generators(Z2)
     for s in S:
         assert op_norm(back.evaluate(s) - rep.evaluate(s)) <= 1e-9
+
+
+@pytest.mark.parametrize("flavor", ["general", "unitary"])
+def test_compression_data_need_the_compression_flavor(flavor, rng):
+    # such a rep evaluated through its compression, and its own JSON then failed to load
+    rep = compress(honest_commuting_rep(Z2, 4, rng).images, np.diag([1.0, 1.0, 0.0, 0.0]), Z2)
+    with pytest.raises(ParseError, match="ucp-compression flavor"):
+        QuasiRep(Z2, rep.images, flavor=flavor, compression=rep.compression)
+    with pytest.raises(ParseError, match="ucp-compression flavor"):
+        QuasiRep(Z2, rep.images, flavor="ucp-compression")
 
 
 # ---------------------------------------------------------------------------
