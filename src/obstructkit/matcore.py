@@ -21,10 +21,11 @@ gate (unitarity, the unit ball, projections, gaps), so malformed input exits 1.
 
 Read-only policy
 ----------------
-:func:`as_matrix` and :func:`as_stack` are the only code that copies: they
-copy an array that may be the caller's, so a caller's array is never
-modified or frozen.  Every freshly computed result is marked read-only in
-place by :func:`sealed`, without a copy or a change of dtype or layout.
+:func:`as_matrix`, :func:`as_matrices` and :func:`as_stack` are the only code
+that copies: they copy an array that may be the caller's, so a caller's
+array is never modified or frozen.  Every freshly computed result is marked
+read-only in place by :func:`sealed`, without a copy or a change of dtype or
+layout.
 
 Tolerances
 ----------
@@ -104,6 +105,11 @@ def as_matrix(a) -> np.ndarray:
         raise InvalidMatrix("matrix dimension must be positive")
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
+    return _owned(a, arr)
+
+
+def _owned(a, arr: np.ndarray) -> np.ndarray:
+    """``arr``, converted from ``a``, sealed, and copied first if ``a`` may own it."""
     # np.asarray may have returned the caller's own array, unless it converted
     # a list, a tuple or an ndarray into new memory, which is ours to seal
     shared = arr.flags.writeable and not (isinstance(a, (list, tuple)) or (
@@ -113,10 +119,20 @@ def as_matrix(a) -> np.ndarray:
     return sealed(arr)
 
 
-def as_matrices(mats, whats, dim: int | None = None) -> tuple:
+def as_matrices(mats, whats, dim: int | None = None):
     """A family through :func:`as_matrix`, as a tuple (large members are not
     stacked into a copy); the first member not ``dim`` x ``dim`` (default: the
-    first member's size) raises :class:`InvalidSize` named from ``whats``."""
+    first member's size) raises :class:`InvalidSize` named from ``whats``.
+    A ``(k, n, n)`` ndarray is gated whole, with the same refusals, by one
+    check of member 0 and one finiteness pass, and returned as a sealed stack.
+    """
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        arr = np.asarray(mats, dtype=np.complex128)
+        if len(arr):  # the members share member 0's shape: it decides every shape refusal
+            as_matrices((arr[0],), (next(iter(whats)),), dim)
+        if not np.isfinite(arr).all():
+            raise InvalidMatrix("matrix has non-finite entries")
+        return _owned(mats, arr)
     out = []
     for a, what in zip(mats, whats, strict=True):
         arr = as_matrix(a)

@@ -95,19 +95,20 @@ def connecting_unitary(p, q, test_ops):
 
 def _path_and_test_ops(path, test_ops):
     """Both as sealed stacks, checked in order: path shapes, test-operator
-    shapes, path projections, the test operators' unit ball (1e-8 slack)."""
-    path, test_ops = list(path), list(test_ops)
+    shapes, path projections, the test operators' unit ball (1e-8 slack).
+    An ndarray stack is gated whole by :func:`as_matrices`, not member by member."""
+    path, test_ops = (a if isinstance(a, np.ndarray) else list(a) for a in (path, test_ops))
     names = [f"path projection {i}" for i in range(len(path))]
     path = as_matrices(path, names)
-    if not path:
+    if not len(path):
         raise InvalidSize("chain_conjugation needs a nonempty path")
     n = path[0].shape[0]
     whats = [f"test operator {i}" for i in range(len(test_ops))]
     ops = as_matrices(test_ops, whats, n)
-    path = sealed(np.array(path))
+    path = sealed(np.asarray(path))
     require_projections(path, names)
     require_unit_ball(ops, 1e-8, whats)
-    return path, sealed(np.array(ops, dtype=np.complex128).reshape(-1, n, n))
+    return path, sealed(np.asarray(ops, dtype=np.complex128).reshape(-1, n, n))
 
 
 def _commutator_norms(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
@@ -419,15 +420,14 @@ def compatibility_probe(q, probes, eps: float) -> CompatibilityReport:
     Probes are compression quasi-representations; only their compression
     isometry is used, as the ucp map ``a -> V* a V`` applied to the first
     tensor factor of ``q``.  The k factor is inferred from the dimensions.
-    Every probe's kind and size is checked before ``q``'s projection gate.
+    Every probe's kind and size is checked before ``q``'s projection gate; a
+    probe without compression data is malformed input (:class:`ParseError`).
     """
     q = as_matrix(q)
     probes = list(probes)
     for i, probe in enumerate(probes):
         if probe.compression is None:
-            raise HypothesisViolation(
-                "compatibility probes must be compression quasi-representations"
-            )
+            raise ParseError(f"probe {i} is not a compression quasi-representation")
         n = probe.compression.isometry.shape[0]
         if q.shape[0] % n != 0:
             raise InvalidSize(f"probe {i} dimension {n} does not divide {q.shape[0]}")

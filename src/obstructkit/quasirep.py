@@ -40,7 +40,7 @@ from .matcore import (
     matrix_to_json,
     op_norm,
     op_norms,
-    polar_unitary,
+    polar_unitaries,
     require_indexable,
     require_projection,
     require_unit_ball,
@@ -48,7 +48,7 @@ from .matcore import (
     spectral_split,
     spectral_tol,
 )
-from .seeding import haar_unitary, random_rotation
+from .seeding import gaussian_hermitian, haar_unitary, rotations
 from .words import (
     GroupWord,
     Presentation,
@@ -147,13 +147,13 @@ class QuasiRep:
             raise InvalidSize("one image per generator required")
         whats = [f"image of generator {i}" for i in range(len(self.images))]
         whats += [f"table value for {key}" for key in self.word_table]
-        images = as_matrices(self.images, whats[:len(self.images)])
+        images = tuple(as_matrices(self.images, whats[:len(self.images)]))
         dim = images[0].shape[0]
         values = as_matrices(self.word_table.values(), whats[len(images):], dim)
         if comp is not None:
             v = comp.isometry
             names = (f"compressed image of generator {i}" for i in range(len(comp.big_images)))
-            big = as_matrices(comp.big_images, names, v.shape[0])
+            big = tuple(as_matrices(comp.big_images, names, v.shape[0]))
             if len(big) != len(images) or v.shape != (v.shape[0], dim):
                 raise InvalidSize("compression data must match the generators")
             fold = (big, adjoints(big, "compressed image of generator"))
@@ -279,7 +279,10 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
             measured=measured.max_defect,
         )
 
-    table = {lk: polar_unitary(phi.evaluate(k)) for lk, k in keys.items() if k.letters}
+    # one stacked SVD in key order, so the first singular key is the one refused
+    words = {lk: k for lk, k in keys.items() if k.letters}
+    values = np.array([phi.evaluate(k) for k in words.values()]).reshape(-1, phi.dim, phi.dim)
+    table = dict(zip(words, polar_unitaries(values)))
 
     base_keys = sorted(keys.values(), key=_word_sort_key)
     for left in base_keys:
@@ -529,21 +532,23 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     each needed group element independently by a small rotation and a small
     contraction.  With rotation angles below ``eps / 4`` and contraction
     below ``eps / 16`` the triangle inequality keeps every pair defect at or
-    below ``15 eps / 16``.
+    below ``15 eps / 16``.  The draws run per entry, in table order; the solve
+    runs once: one batched ``eigh`` (:func:`seeding.rotations`), one product.
     """
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
         raise BoundViolation(f"eps must be positive and below 1, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
     needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)
+    words = {lk: w for lk, w in needed.items() if w.letters}
+    if not words:
+        return QuasiRep(p, base.images)
     eta = eps / 4.0
-    table: dict[tuple, np.ndarray] = {}
-    for lk, w in needed.items():
-        if not w.letters:
-            continue
-        rot = random_rotation(dim, rng, rng.uniform(0.0, eta))
-        shrink = rng.uniform(0.0, eta / 4.0)
-        table[lk] = sealed((1.0 - shrink) * (rot @ base.evaluate(w)))
+    draws = [(rng.uniform(0.0, eta), gaussian_hermitian(dim, rng), rng.uniform(0.0, eta / 4.0))
+             for _ in words]
+    angles, hs, shrinks = map(np.array, zip(*draws))
+    rotated = rotations(hs, angles) @ np.array([base.evaluate(w) for w in words.values()])
+    table = dict(zip(words, sealed((1.0 - shrinks)[:, None, None] * rotated)))
     return QuasiRep(p, _generator_images(p, table, base.images), word_table=table)
 
 

@@ -4,8 +4,10 @@ All generators derive from a counter-based bit stream (Philox) through
 ``numpy``'s ``SeedSequence`` so that (master seed, suite index, trial index)
 fully determines a trial, independent of execution order or thread count.
 No code in this package touches the global numpy RNG.
-:func:`random_rotation` takes ``exp(i angle h/||h||)`` for a Gaussian hermitian
-``h`` from one ``eigh``, which also gives ``||h||``: no SVD per rotation.
+:func:`rotations` takes ``exp(i angle h/||h||)`` for a hermitian ``h``, or each
+of a stack with one angle each, from one ``eigh``, which also gives ``||h||``;
+a batched ``eigh`` gives the bits of one call per matrix, so draws made one by
+one and rotated as one stack equal :func:`random_rotation` drawn one by one.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return sealed(q * (d / np.abs(d)).conj())
 
 
-def _gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+def gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """``(z + z*)/2`` for a complex Gaussian ``dim`` x ``dim`` matrix ``z``."""
     shape = require_indexable((dim, dim))
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -49,21 +51,27 @@ def _gaussian_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:
     """Random hermitian matrix rescaled to operator norm exactly ``norm``."""
-    h = _gaussian_hermitian(dim, rng)
+    h = gaussian_hermitian(dim, rng)
     top = float(np.linalg.norm(h, 2))
     if top == 0.0:
         return sealed(np.zeros((dim, dim), dtype=np.complex128))
     return sealed(h * (norm / top))
 
 
+def rotations(h: np.ndarray, angle) -> np.ndarray:
+    """``exp(i angle h/||h||)`` from one ``eigh``, whose largest eigenvalue
+    magnitude is ``||h||``.  ``h`` is a hermitian matrix or a ``(k, n, n)``
+    stack of them with ``k`` angles, one each; a 1-D array of angles for one
+    matrix gives the stack of its rotations, one per angle."""
+    lam, vecs = np.linalg.eigh(h)
+    lam /= np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)
+    phases = np.exp(1j * (np.asarray(angle)[..., None] * lam))
+    return sealed((vecs * phases[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2))
+
+
 def random_rotation(dim: int, rng: np.random.Generator, angle) -> np.ndarray:
-    """``exp(i angle h/||h||)`` for the ``h`` of :func:`_gaussian_hermitian`, from one
-    ``eigh``, whose largest eigenvalue magnitude is ``||h||``.  A 1-D array of
-    angles gives the stack of rotations of one ``h``, one per angle."""
-    lam, vecs = np.linalg.eigh(_gaussian_hermitian(dim, rng))
-    lam /= np.abs(lam).max(initial=0.0)
-    phases = np.exp(1j * np.multiply.outer(angle, lam))
-    return sealed((vecs * phases[..., None, :]) @ vecs.conj().T)
+    """:func:`rotations` of the ``h`` of :func:`gaussian_hermitian`."""
+    return rotations(gaussian_hermitian(dim, rng), angle)
 
 
 def random_projection(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

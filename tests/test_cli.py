@@ -1,6 +1,7 @@
 """End-to-end CLI coverage: subcommands, exit codes, JSON determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -107,6 +108,24 @@ def test_gen_abelian_perturbed_skips_winding(tmp_path, capsys):
     code, _, err = run_cli(["invariants", str(witness), "--pairs", "a,b"], capsys)
     assert code == 2
     assert "unitarize" in err
+
+
+# sha256 of stdout, recorded while each perturbed table entry was still
+# rotated on its own: drawing per entry and solving the whole table as one
+# stack must keep every byte
+GEN_EPS_SHA256 = {
+    "gen abelian --rank 2 --eps 0.01 --seed 5":
+        "e9516d82d26699bd80980a48a7a5dcd9677046f71ea350302bcb0725cba8843f",
+    "gen surface --genus 2 --eps 0.05 --dim 6 --seed 5":
+        "204960285aaf344448fe01c626108121525e875699c8df6fcfff75e74f4009db",
+}
+
+
+@pytest.mark.parametrize("argv", GEN_EPS_SHA256)
+def test_gen_perturbed_tables_keep_their_bytes(argv, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_EPS_SHA256[argv]
 
 
 def test_gen_surface_eps_conflicts_with_non_orientable(capsys):

@@ -29,6 +29,7 @@ from obstructkit.matcore import (
     SINGULARITY_TOL,
     SVD_NORM_DIM_LIMIT,
     UNITARITY_TOL,
+    as_matrices,
     as_matrix,
     as_stack,
     commutator,
@@ -51,10 +52,12 @@ from obstructkit.matcore import (
 )
 from obstructkit.seeding import (
     derive_rng,
+    gaussian_hermitian,
     haar_unitary,
     random_hermitian,
     random_projection,
     random_rotation,
+    rotations,
 )
 
 
@@ -242,6 +245,46 @@ def test_as_matrix_converts_without_a_second_copy(convert):
     # the conversion itself is out.nbytes; a second copy would double the peak
     assert peak < 1.5 * out.nbytes
     assert not out.flags.writeable and np.array_equal(out, np.eye(300))
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as exc_info:
+        call()
+    return type(exc_info.value), str(exc_info.value)
+
+
+@pytest.mark.parametrize("dim", [None, 3, 2])
+def test_as_matrices_gates_an_ndarray_stack_with_the_member_loop_refusals(dim):
+    good = np.stack([np.eye(3), 2.0 * np.eye(3), np.ones((3, 3))])
+    nan_in_1, nan_in_0 = good.copy(), good.copy()
+    nan_in_1[1, 2, 0] = np.nan
+    nan_in_0[0, 0, 1] = np.inf
+    for stack in (np.zeros((2, 2, 3)), np.zeros((2, 0, 0)), nan_in_1, nan_in_0):
+        whats = [f"member {i}" for i in range(len(stack))]
+        expected = _refusal(lambda: as_matrices(list(stack), whats, dim))
+        assert _refusal(lambda: as_matrices(stack, whats, dim)) == expected
+    whats = [f"member {i}" for i in range(3)]
+    if dim == 2:
+        assert _refusal(lambda: as_matrices(good, whats, dim)) == (
+            InvalidSize, "member 0 must be 2 x 2, got 3"
+        )
+    else:
+        out = as_matrices(good, whats, dim)
+        assert out.tobytes() == np.array(as_matrices(list(good), whats, dim)).tobytes()
+    assert len(as_matrices(np.zeros((0, 2, 3)), [], dim)) == 0
+
+
+def test_as_matrices_copies_a_stack_only_when_it_is_the_callers_writable_array():
+    given = np.stack([np.eye(4, dtype=np.complex128)] * 3)
+    out = as_matrices(given, "abc")
+    assert given.flags.writeable and not out.flags.writeable
+    assert not np.may_share_memory(given, out)
+    out_again = as_matrices(out, "abc")
+    assert out_again is out  # already sealed and ours: no copy
+    converted = as_matrices(np.stack([np.eye(4)] * 3), "abc")  # float: converted once
+    assert converted.dtype == np.complex128 and not converted.flags.writeable
+    strided = as_matrices(given.transpose(0, 2, 1), "abc")
+    assert strided.flags.c_contiguous and given.flags.writeable
 
 
 def test_commutator_and_dagger():
@@ -558,6 +601,19 @@ def test_random_rotation_of_an_angle_array_is_bitwise_per_angle(dim):
     assert stack.shape == (6, dim, dim) and not stack.flags.writeable
     for angle, rot in zip(angles, stack):
         assert rot.tobytes() == random_rotation(dim, derive_rng(18, dim), angle).tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_rotations_of_a_stack_are_bitwise_the_random_rotations_of_one_stream(dim):
+    # draw k hermitians from one stream and rotate them as one stack; the
+    # same stream drawn rotation by rotation must give the same bytes
+    rng, ref = derive_rng(19, dim), derive_rng(19, dim)
+    angles = np.linspace(-1.0, 2.0, 5)
+    stack = rotations(np.array([gaussian_hermitian(dim, rng) for _ in angles]), angles)
+    assert stack.shape == (5, dim, dim) and not stack.flags.writeable
+    for angle, rot in zip(angles, stack):
+        assert rot.tobytes() == random_rotation(dim, ref, angle).tobytes()
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 """Projection toolkit: connecting unitaries, chains, the index pairing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,13 @@ from obstructkit.errors import (
     SubdivisionTooCoarse,
 )
 from obstructkit import projops
-from obstructkit.matcore import commutator, dagger, op_norm, require_projection
+from obstructkit.matcore import (
+    commutator,
+    coordinate_projection,
+    dagger,
+    op_norm,
+    require_projection,
+)
 from obstructkit.projops import (
     chain_conjugation,
     compatibility_probe,
@@ -28,7 +36,7 @@ from obstructkit.projops import (
     pairing_operand,
 )
 from obstructkit.quasirep import compress, honest_commuting_rep
-from obstructkit.seeding import derive_rng, haar_unitary, random_projection
+from obstructkit.seeding import derive_rng, haar_unitary, random_projection, random_rotation
 from obstructkit.words import free_abelian_presentation
 
 Z2 = free_abelian_presentation(2)
@@ -205,6 +213,31 @@ def test_chain_path_refuses_shapes_in_path_order_before_projections(rng):
         chain_conjugation([p3, 0.5 * np.eye(3), np.full((3, 3), np.nan), p4], [])
     with pytest.raises(NotProjection, match="path projection 1 "):
         chain_conjugation([p3, 0.5 * np.eye(3), p3], [])
+
+
+def test_chain_on_an_ndarray_path_matches_the_list_path_and_leaves_it_writable():
+    rng = derive_rng(23, 1)
+    for dim, steps in [(3, 5), (6, 40)]:
+        rots = random_rotation(dim, rng, 0.9 * np.arange(steps + 1) / steps)
+        path = rots @ coordinate_projection(dim, 1) @ rots.conj().transpose(0, 2, 1)
+        kept = path.copy()
+        ops = random_rotation(dim, rng, np.array([0.02, 0.03]))
+        u_list, report_list = chain_conjugation(list(path), list(ops))
+        u_stack, report_stack = chain_conjugation(path, ops)
+        assert u_stack.tobytes() == u_list.tobytes()
+        assert repr(report_stack) == repr(report_list)  # repr keeps every float bit
+        assert path.flags.writeable and path.tobytes() == kept.tobytes()
+    # the stack gate refuses with the texts of the member loop
+    nan_path = np.stack([np.eye(3), np.full((3, 3), np.nan)])
+    for path in (nan_path, np.zeros((2, 3, 4))):
+        with pytest.raises(InvalidMatrix) as from_list:
+            chain_conjugation(list(path), [])
+        with pytest.raises(InvalidMatrix, match=f"^{re.escape(str(from_list.value))}$"):
+            chain_conjugation(path, [])
+    with pytest.raises(InvalidSize, match="^chain_conjugation needs a nonempty path$"):
+        chain_conjugation(np.zeros((0, 3, 3)), [])
+    with pytest.raises(InvalidSize, match="^test operator 0 must be 3 x 3, got 2$"):
+        chain_conjugation(np.stack([np.eye(3)] * 2), np.stack([np.eye(2)]))
 
 
 def test_chain_coarse_subdivision_rejected(rng):
@@ -431,7 +464,7 @@ def test_probe_split_eigenvector_fails(rng):
 
 def test_probe_requires_compression(rng):
     phi = honest_commuting_rep(Z2, 4, rng)
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(ParseError, match="^probe 0 is not a compression quasi-representation$"):
         compatibility_probe(np.eye(4), [phi], eps=0.01)
 
 
@@ -478,5 +511,5 @@ def test_probe_checks_every_probe_before_the_projection_gate(rng):
     probe = _coordinate_probe(rng, big_dim=2, rank=1)
     with pytest.raises(InvalidSize, match="^probe 1 dimension 4 does not divide 6$"):
         compatibility_probe(0.5 * np.eye(6), [probe, _coordinate_probe(rng)], eps=0.01)
-    with pytest.raises(HypothesisViolation, match="compression"):
+    with pytest.raises(ParseError, match="^probe 1 is not a compression"):
         compatibility_probe(0.5 * np.eye(4), [probe, honest_commuting_rep(Z2, 4, rng)], eps=0.01)

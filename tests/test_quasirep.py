@@ -30,6 +30,7 @@ from obstructkit.matcore import (
     identity,
     matrix_to_json,
     op_norm,
+    polar_unitary,
     require_unitary,
     spectral_tol,
 )
@@ -53,7 +54,13 @@ from obstructkit.quasirep import (
     unitary_pair_rep,
     voiculescu_pair,
 )
-from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian, random_projection
+from obstructkit.seeding import (
+    derive_rng,
+    haar_unitary,
+    random_hermitian,
+    random_projection,
+    random_rotation,
+)
 from obstructkit.words import (
     GroupWord,
     IDENTITY_WORD,
@@ -226,6 +233,54 @@ def test_unitarize_is_identity_off_the_set(rng):
     sigma = unitarize(phi, symmetrized_generators(Z2), 0.05)
     far = GroupWord(((0, 1), (0, 1), (0, 1)))  # a^3: outside S and S*S
     assert np.allclose(sigma.evaluate(far), np.eye(4))
+
+
+def _old_perturbed_table(p, S, eps, dim, rng):
+    """The per-entry loop ``perturbed_honest_rep`` ran before its stacked solve:
+    one rotation, one product and one contraction per table entry."""
+    base = honest_commuting_rep(p, dim, rng)
+    eta = eps / 4.0
+    table = {}
+    for w in [*S, *(s * t for s in S for t in S)]:
+        k = canonical_form(w, p)
+        if not k.letters or k.letters in table:
+            continue
+        rot = random_rotation(dim, rng, rng.uniform(0.0, eta))
+        shrink = rng.uniform(0.0, eta / 4.0)
+        table[k.letters] = (1.0 - shrink) * (rot @ base.evaluate(k))
+    return table
+
+
+@pytest.mark.parametrize(
+    "p", [free_abelian_presentation(1), Z2, free_abelian_presentation(3), surface_presentation(2)],
+    ids=["Z", "Z2", "Z3", "surface-2"],
+)
+def test_perturbed_table_is_bitwise_the_per_entry_loop(p):
+    S = symmetrized_generators(p)
+    for seed, dim, eps in [(0, 1, 0.3), (1, 2, 0.05), (2, 5, 0.01), (3, 8, 0.9), (4, 13, 0.2)]:
+        phi = perturbed_honest_rep(p, S, eps, dim, derive_rng(seed, 77))
+        old = _old_perturbed_table(p, S, eps, dim, derive_rng(seed, 77))
+        assert list(phi.word_table) == list(old)
+        for key, value in old.items():
+            assert phi.word_table[key].tobytes() == value.tobytes()
+            assert not phi.word_table[key].flags.writeable
+
+
+def test_perturbed_table_and_unitarize_of_the_identity_alone(rng):
+    phi = perturbed_honest_rep(Z2, [IDENTITY_WORD], 0.1, 3, rng)
+    assert phi.word_table == {}
+    sigma = unitarize(phi, [IDENTITY_WORD], 0.1)
+    assert sigma.word_table == {}
+    assert np.array_equal(sigma.evaluate(A), np.eye(3))
+
+
+def test_unitarize_values_on_s_are_bitwise_the_per_key_polar_factors(rng):
+    S = symmetrized_generators(surface_presentation(2))
+    phi = perturbed_honest_rep(surface_presentation(2), S, 0.05, 6, rng)
+    sigma = unitarize(phi, S, 0.05)
+    for s in S:
+        key = canonical_form(s, phi.presentation).letters
+        assert sigma.word_table[key].tobytes() == polar_unitary(phi.evaluate(s)).tobytes()
 
 
 @pytest.mark.parametrize("eps", [1.0, 1e300])

@@ -39,6 +39,10 @@ def _probe_of_dim_two():
     return compatibility_probe(HALF3, [compress([I2, I2], P2, Z2)], 0.1)
 
 
+def _plain_probe_before_one_of_dim_two():
+    return compatibility_probe(HALF3, [QuasiRep(Z2, (I3, I3)), compress([I2, I2], P2, Z2)], 0.1)
+
+
 ROWS = {
     "general-flavor ragged images": (
         lambda: QuasiRep(Z2, (I2, 2.0 * I3)),
@@ -91,6 +95,10 @@ ROWS = {
     "probe of a size that does not divide a non-projection": (
         _probe_of_dim_two,
         r"^probe 0 dimension 2 does not divide 3$",
+    ),
+    "probe without compression data, then one of a non-dividing size": (
+        _plain_probe_before_one_of_dim_two,
+        r"^probe 0 is not a compression quasi-representation$",
     ),
 }
 
