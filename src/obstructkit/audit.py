@@ -30,11 +30,10 @@ import numpy as np
 
 from .errors import InvalidSize, ObstructkitError, ParseError
 from .matcore import (
-    commutator,
     coordinate_projection,
-    op_norm,
     op_norms,
-    spectral_projection,
+    range_projection,
+    spectral_split,
 )
 from .projops import (
     CONJUGATION_EXACTNESS,
@@ -128,11 +127,11 @@ def _trial_alm_proj(rng) -> dict:
     vals = np.concatenate([low, high])
     v = haar_unitary(dim, rng)
     a = (v * vals) @ v.conj().T
-    a = (a + a.conj().T) / 2.0
+    a = (a + a.conj().T) / 2.0  # bitwise hermitian: spectral_split takes it as is
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    b = g / op_norm(g)
-    chi = spectral_projection(a, 0.5, gap_tol=(0.5 - delta) * 0.99)
-    ab, chib = op_norms((commutator(a, b), commutator(chi, b))).tolist()
+    b = g / op_norms(g[None]).item()
+    chi = range_projection(spectral_split(a, 0.5, (0.5 - delta) * 0.99)[1])
+    ab, chib = op_norms((a @ b - b @ a, chi @ b - b @ chi)).tolist()
     return {"commutator": chib / (ab / (1.0 - 2.0 * delta) + 1e-12)}
 
 

@@ -3,16 +3,22 @@
 Every matrix in this library is a square, finite ``numpy`` array of
 ``complex128``.  All norms are operator norms: the largest singular value,
 from one SVD up to ``SVD_NORM_DIM_LIMIT`` and above it, without an SVD, as
-``s sqrt(lambda_max(b*b))`` for ``b = a / s`` (see :func:`op_norm`).
-:func:`op_norms` takes the norms of many equal-size matrices at once: up to
-``SVD_NORM_DIM_LIMIT`` it validates them as one stack and reads every norm
-off one stacked SVD call, which is bitwise equal to per-matrix calls; above
-it it streams the matrices one at a time through :func:`op_norm`, so a
-generator of large residues never holds more than one of them.
+``s sqrt(lambda_max(b*b))`` for ``b = a / s`` (see :func:`_gram_norm`).
+:func:`op_norms` is the one norm kernel: up to ``SVD_NORM_DIM_LIMIT`` it reads
+the norms of many equal-size matrices off one stacked SVD call, which is
+bitwise equal to per-matrix calls; above it it streams the matrices one at a
+time, so a generator of large residues never holds more than one of them.
 :func:`spectral_split` is every split of a hermitian matrix at a cut, and
 :func:`range_projection` every projection built from orthonormal columns.
 Functions here are pure: inputs are never mutated and returned arrays are
 read-only, so values can be shared freely between threads.
+
+Validate once: the public names (:func:`op_norm`, :func:`polar_unitary`,
+:func:`spectral_projection`, :func:`commutator`, :func:`dagger` and every
+module's entry points) gate the caller's matrices through :func:`as_matrix`
+or :func:`as_matrices`; kernels take arrays a gate passed or the library
+computed and trust them.  The norm kernel :func:`op_norms` keeps one check,
+finiteness, as a residue of finite matrices can overflow.
 
 Shape before value: :func:`as_matrices` checks that a named family of
 matrices is square, finite and of one size, naming its first malformed
@@ -21,11 +27,10 @@ gate (unitarity, the unit ball, projections, gaps), so malformed input exits 1.
 
 Read-only policy
 ----------------
-:func:`as_matrix`, :func:`as_matrices` and :func:`as_stack` are the only code
-that copies: they copy an array that may be the caller's, so a caller's
-array is never modified or frozen.  Every freshly computed result is marked
-read-only in place by :func:`sealed`, without a copy or a change of dtype or
-layout.
+:func:`as_matrix` and :func:`as_matrices` are the only code that copies: they
+copy an array that may be the caller's, so a caller's array is never
+modified or frozen.  Every freshly computed result is marked read-only in
+place by :func:`sealed`, without a copy or a change of dtype or layout.
 
 Tolerances
 ----------
@@ -96,16 +101,30 @@ def as_matrix(a) -> np.ndarray:
     """Validate and normalize a square complex matrix.
 
     Accepts anything ``np.asarray`` accepts.  Raises :class:`InvalidMatrix`
-    for non-square shapes, empty matrices, or non-finite entries.
+    for input numpy cannot convert, non-square shapes, empty matrices, or
+    non-finite entries.
     """
-    arr = np.asarray(a, dtype=np.complex128)
+    arr = _converted(a)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise InvalidMatrix("matrix dimension must be positive")
+    return _owned(a, _finite(arr))
+
+
+def _converted(a) -> np.ndarray:
+    """``np.asarray(a, dtype=complex128)``; what numpy cannot convert (ragged
+    or textual input, integers past ``float``) is :class:`InvalidMatrix`."""
+    try:
+        return np.asarray(a, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidMatrix(f"not a complex matrix: {exc}") from exc
+
+
+def _finite(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidMatrix("matrix has non-finite entries")
-    return _owned(a, arr)
+    return arr
 
 
 def _owned(a, arr: np.ndarray) -> np.ndarray:
@@ -127,12 +146,10 @@ def as_matrices(mats, whats, dim: int | None = None):
     check of member 0 and one finiteness pass, and returned as a sealed stack.
     """
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        arr = np.asarray(mats, dtype=np.complex128)
+        arr = _converted(mats)
         if len(arr):  # the members share member 0's shape: it decides every shape refusal
             as_matrices((arr[0],), (next(iter(whats)),), dim)
-        if not np.isfinite(arr).all():
-            raise InvalidMatrix("matrix has non-finite entries")
-        return _owned(mats, arr)
+        return _owned(mats, _finite(arr))
     out = []
     for a, what in zip(mats, whats, strict=True):
         arr = as_matrix(a)
@@ -143,38 +160,19 @@ def as_matrices(mats, whats, dim: int | None = None):
     return tuple(out)
 
 
-def as_stack(mats) -> np.ndarray:
-    """Validate equal-size square complex matrices as one read-only stack.
-
-    Returns a ``(k, n, n)`` array; raises :class:`InvalidMatrix` for an
-    empty or ragged input, non-square or empty matrices, or non-finite
-    entries.
-    """
-    try:
-        arr = np.asarray(list(mats), dtype=np.complex128)
-    except ValueError as exc:
-        raise InvalidMatrix(f"expected equal-size square matrices: {exc}") from exc
-    return sealed(_require_stack(arr))  # built from a list, so never the caller's array
-
-
-def _require_stack(arr: np.ndarray) -> np.ndarray:
-    """The checks of :func:`as_stack` without a copy; a ``(0, n, n)`` array passes."""
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise InvalidMatrix(f"expected a stack of square matrices, got shape {arr.shape}")
-    if arr.shape[1] == 0:
-        raise InvalidMatrix("matrix dimension must be positive")
-    if not np.isfinite(arr).all():
-        raise InvalidMatrix("matrix has non-finite entries")
-    return arr
-
-
 def identity(dim: int) -> np.ndarray:
     return sealed(np.eye(dim, dtype=np.complex128))
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return sealed(a.conj().T)
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose of a matrix :func:`as_matrix` validates."""
+    return sealed(as_matrix(a).conj().T)
+
+
+def commutator(a, b) -> np.ndarray:
+    """``ab - ba`` of two equal-size matrices :func:`as_matrices` validates."""
+    a, b = as_matrices((a, b), ("a", "b"))
+    return sealed(a @ b - b @ a)
 
 
 def _entry_scale(a: np.ndarray) -> float:
@@ -186,95 +184,88 @@ def _entry_scale(a: np.ndarray) -> float:
 
 
 def op_norm(a) -> float:
-    """Operator norm: the largest singular value.
-
-    Up to ``SVD_NORM_DIM_LIMIT`` it is read off one SVD, as call overhead
-    dominates there.  Above it, computed as ``s sqrt(lambda_max(b*b))`` with
-    ``b = a / s``, ``s`` the largest entry part magnitude and ``lambda_max``
-    from ``eigvalsh``.  After the division the Gram matrix ``b*b`` has
-    entries of magnitude at most ``2 dim`` and largest eigenvalue at least 1,
-    so it neither overflows nor underflows for any finite input.  Rounding
-    in the Gram product and the symmetric eigensolve moves ``lambda_max`` by
-    at most about ``dim eps ||b||_F^2 <= dim rank eps ||b||^2``, so the
-    result keeps a relative error of order ``dim eps`` times at most
-    ``rank / 2``, the order of an SVD's; the zero matrix gives 0.  Never
-    power iteration, so repeated runs report identical values.
-    Sub-multiplicative and invariant under multiplication by unitaries on
-    either side.
+    """Operator norm, the largest singular value, of a matrix :func:`as_matrix`
+    validates: :func:`op_norms` of it alone, so never power iteration, and
+    repeated runs report identical values.  Sub-multiplicative and invariant
+    under multiplication by unitaries on either side.
     """
-    arr = as_matrix(a)
-    if arr.shape[0] <= SVD_NORM_DIM_LIMIT:
-        return float(np.linalg.svd(arr, compute_uv=False)[0])
-    scale = _entry_scale(arr)
-    if scale == 0.0:
-        return 0.0
-    b = arr / scale
-    return scale * math.sqrt(float(np.linalg.eigvalsh(b.conj().T @ b)[-1]))
+    return op_norms(as_matrix(a)[None]).item()
 
 
 def op_norms(mats) -> np.ndarray:
-    """Operator norms of an iterable of equal-size square matrices.
+    """Operator norms of a stack or an iterable of equal-size square matrices.
 
-    Up to ``SVD_NORM_DIM_LIMIT`` the matrices are validated once as a stack
-    and every norm comes from one stacked ``np.linalg.svd`` call, which
-    returns the same bits as :func:`op_norm` on each matrix (an ndarray
-    stack is checked, not copied).  Above it they are taken one at a time
-    through :func:`op_norm`, so a generator input never holds more than one
-    large matrix.  An empty input gives an empty array; ragged, non-square or
-    non-finite input raises
-    :class:`InvalidMatrix`.
+    The one norm kernel: it trusts its input, arrays a gate passed or the
+    library computed.  Up to ``SVD_NORM_DIM_LIMIT``, where call overhead
+    dominates, every norm comes from one stacked ``np.linalg.svd`` call,
+    which returns the same bits as one call per matrix (an ndarray stack is
+    not copied).  Above it the matrices are taken one at a time by
+    :func:`_gram_norm`, so a generator input never holds more than one large
+    matrix.  Its one check is finiteness, as a residue of finite matrices
+    can overflow: a non-finite matrix raises :class:`InvalidMatrix`, where
+    the SVD would raise ``LinAlgError`` and an ``inf`` would give a NaN norm
+    that passes every ``>`` gate.  An empty input gives an empty array.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3 and mats.shape[2] <= SVD_NORM_DIM_LIMIT:
-        stack = _require_stack(mats.astype(np.complex128, copy=False))
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    mats = iter(mats)
-    first = next(mats, None)
-    if first is None:
-        return np.empty(0)
-    shape = np.shape(first)
-    if len(shape) == 2 and shape[0] > SVD_NORM_DIM_LIMIT:
-        rest = itertools.chain((first,), mats)
+    if isinstance(mats, np.ndarray):
+        dim = mats.shape[-1]
+    else:
+        mats = iter(mats)
+        first = next(mats, None)
+        if first is None:
+            return np.empty(0)
+        dim, mats = first.shape[-1], itertools.chain((first,), mats)
         del first  # the stream below must be the only holder of each matrix
-        return np.array([op_norm(_require_shape(a, shape)) for a in rest], dtype=float)
-    return np.linalg.svd(as_stack(itertools.chain((first,), mats)), compute_uv=False)[:, 0]
+    if dim > SVD_NORM_DIM_LIMIT:
+        return np.array([_gram_norm(_finite(a)) for a in mats], dtype=float)
+    stack = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats), dtype=np.complex128)
+    return np.linalg.svd(_finite(stack), compute_uv=False)[:, 0]
 
 
-def _require_shape(a, shape: tuple) -> np.ndarray:
-    arr = as_matrix(a)
-    if arr.shape != shape:
-        raise InvalidMatrix(f"expected equal-size matrices: {arr.shape} after {shape}")
-    return arr
+def _gram_norm(a: np.ndarray) -> float:
+    """The operator norm of a finite matrix as ``s sqrt(lambda_max(b*b))``
+    with ``b = a / s``, ``s`` the largest entry part magnitude and
+    ``lambda_max`` from ``eigvalsh``.
+
+    After the division the Gram matrix ``b*b`` has entries of magnitude at
+    most ``2 dim`` and largest eigenvalue at least 1, so it neither
+    overflows nor underflows for any finite input.  Rounding in the Gram
+    product and the symmetric eigensolve moves ``lambda_max`` by at most
+    about ``dim eps ||b||_F^2 <= dim rank eps ||b||^2``, so the result keeps
+    a relative error of order ``dim eps`` times at most ``rank / 2``, the
+    order of an SVD's; the zero matrix gives 0.
+    """
+    a = np.ascontiguousarray(a, dtype=np.complex128)
+    scale = _entry_scale(a)
+    if scale == 0.0:
+        return 0.0
+    b = a / scale
+    return scale * math.sqrt(float(np.linalg.eigvalsh(b.conj().T @ b)[-1]))
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return sealed(a @ b - b @ a)
-
-
-def is_unitary(a, tol: float = UNITARITY_TOL) -> bool:
+def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     """Whether ``||a*a - 1|| <= tol``.
 
     The Frobenius norm bounds the operator norm from above, so an O(dim^2)
-    Frobenius pass accepts first, scaled like :func:`op_norm` so that no
+    Frobenius pass accepts first, scaled like :func:`_gram_norm` so that no
     square underflows; only matrices it cannot accept pay the exact norm.
     Both tests accept only when ``<= tol`` holds, so a NaN ``tol`` refuses.
     """
-    arr = as_matrix(a)
-    delta = arr.conj().T @ arr - np.eye(arr.shape[0])
+    delta = a.conj().T @ a - np.eye(a.shape[0])
     scale = _entry_scale(delta)
     if scale == 0.0:
         return 0.0 <= tol
     frobenius = scale * float(np.linalg.norm(delta / scale))
-    return frobenius <= tol or op_norm(delta) <= tol
+    return frobenius <= tol or op_norms(delta[None]).item() <= tol
 
 
-def require_unitary(a, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
-    arr = as_matrix(a)
-    if not is_unitary(arr, tol):
-        delta = op_norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
+def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
+    """``a``, refused with :class:`NotUnitary` unless :func:`is_unitary`."""
+    if not is_unitary(a, tol):
+        delta = op_norms((a.conj().T @ a - np.eye(a.shape[0]))[None]).item()
         raise NotUnitary(
             f"{what} is not unitary: ||a*a - 1|| = {delta:.3e} > {tol:.1e}", measured=delta
         )
-    return arr
+    return a
 
 
 def require_unit_ball(mats, tol: float, whats) -> None:
@@ -288,11 +279,9 @@ def require_unit_ball(mats, tol: float, whats) -> None:
             )
 
 
-def require_projection(a, what: str = "matrix") -> np.ndarray:
+def require_projection(a: np.ndarray, what: str = "matrix") -> None:
     """Check ``a = a* = a^2`` within ``spectral_tol(dim)``."""
-    arr = as_matrix(a)
-    require_projections(arr[None], (what,))
-    return arr
+    require_projections(a[None], (what,))
 
 
 def require_projections(stack: np.ndarray, whats) -> None:
@@ -380,7 +369,7 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
         raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0")
     arr = as_matrix(a)
     tol = spectral_tol(arr.shape[0])
-    asym = op_norm(arr - arr.conj().T)
+    asym = op_norms((arr - arr.conj().T)[None]).item()
     if asym > tol:
         raise NotHermitian(
             f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",

@@ -30,14 +30,11 @@ from .matcore import (
     UNIT_ROUNDOFF,
     as_matrices,
     as_matrix,
-    commutator,
     coordinate_projection,
-    dagger,
     identity,
     json_value,
     matrix_from_json,
     matrix_to_json,
-    op_norm,
     op_norms,
     polar_unitaries,
     range_projection,
@@ -83,7 +80,7 @@ def connecting_unitary(p, q, test_ops):
     1e-9 slack for floating point, before returning.
     """
     path, ops = _path_and_test_ops((p, q), test_ops)
-    gap = op_norm(path[0] - path[1])
+    gap = op_norms((path[0] - path[1])[None]).item()
     if gap >= 0.25:
         raise HypothesisViolation(
             f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
@@ -113,8 +110,8 @@ def _path_and_test_ops(path, test_ops):
 
 def _commutator_norms(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``comm[i, j] = ||[mats[i], ops[j]]||`` from one :func:`op_norms` call."""
-    n = mats.shape[1]
-    return op_norms(commutator(mats[:, None], ops).reshape(-1, n, n)).reshape(len(mats), len(ops))
+    n, x = mats.shape[1], mats[:, None]
+    return op_norms((x @ ops - ops @ x).reshape(-1, n, n)).reshape(len(mats), len(ops))
 
 
 def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
@@ -201,7 +198,7 @@ def chain_conjugation(path, test_ops):
     for step_u in step_us:
         u = step_u @ u
 
-    conj_err = op_norm(u @ path[0] @ dagger(u) - path[-1])
+    conj_err = op_norms((u @ path[0] @ u.conj().T - path[-1])[None]).item()
     conj_bound = CHAIN_EXACTNESS * max(m, 1)
     if conj_err > conj_bound:
         raise NumericalInconsistency(
@@ -209,7 +206,7 @@ def chain_conjugation(path, test_ops):
             measured=conj_err,
         )
     comm_bound = COMMUTATOR_CONSTANT * eps_path * m + CHAIN_EXACTNESS
-    norms = op_norms(commutator(u, ops)).tolist()
+    norms = op_norms(u @ ops - ops @ u).tolist()
     worst = _commutator_worst(norms, comm_bound, "28*eps*m + 1e-8")
     report = ChainReport(m, eps_path, conj_err, conj_bound, tuple(norms), comm_bound, worst)
     return sealed(u), report
@@ -436,7 +433,7 @@ def compatibility_probe(q, probes, eps: float) -> CompatibilityReport:
     for probe in probes:
         v = probe.compression.isometry
         v_big = np.kron(v, np.eye(q.shape[0] // v.shape[0]))
-        compressed = dagger(v_big) @ q @ v_big
+        compressed = v_big.conj().T @ q @ v_big
         eigs = np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0)
         entries.append(_probe_entry(eigs, eps))
     return CompatibilityReport(tuple(entries), all(e.passed for e in entries))

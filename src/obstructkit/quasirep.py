@@ -32,13 +32,10 @@ from .errors import (
 )
 from .matcore import (
     as_matrices,
-    commutator,
-    dagger,
     identity,
     json_value,
     matrix_from_json,
     matrix_to_json,
-    op_norm,
     op_norms,
     polar_unitaries,
     require_indexable,
@@ -178,7 +175,7 @@ class QuasiRep:
             return identity(self.dim)
         if self.compression is not None:
             v = self.compression.isometry
-            return sealed(dagger(v) @ fold_word(key, *self._fold) @ v)
+            return sealed(v.conj().T @ fold_word(key, *self._fold) @ v)
         hit = self.word_table.get(key.letters)
         if hit is not None:
             return hit
@@ -231,7 +228,7 @@ def defect(phi: QuasiRep, S) -> DefectReport:
 
 
 def _unitarity_residues(values, eye):
-    return (r for v in values for r in (dagger(v) @ v - eye, v @ dagger(v) - eye))
+    return (r for v in values for r in (v.conj().T @ v - eye, v @ v.conj().T - eye))
 
 
 def defect_report_to_json(report: DefectReport, p: Presentation) -> dict:
@@ -370,7 +367,7 @@ def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
         raise InvalidSize("projection has rank zero; nothing to compress to")
     rep = QuasiRep(
         presentation=presentation,
-        images=tuple(sealed(dagger(v) @ m @ v) for m in mats),
+        images=tuple(sealed(v.conj().T @ m @ v) for m in mats),
         flavor="ucp-compression",
         compression=CompressionData(mats, p, v),
     )
@@ -450,7 +447,8 @@ def clock_shift(n: int):
 
 
 def commutation_defect(u, v) -> float:
-    return op_norm(commutator(*as_matrices((u, v), ("u", "v"))))
+    u, v = as_matrices((u, v), ("u", "v"))
+    return op_norms((u @ v - v @ u)[None]).item()
 
 
 def voiculescu_pair(delta: float, k: int):

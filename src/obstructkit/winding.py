@@ -60,10 +60,10 @@ from .matcore import (
     UNIT_ROUNDOFF,
     UNITARITY_TOL,
     as_matrices,
-    dagger,
+    as_matrix,
     identity,
     op_norm,
-    polar_unitary,
+    polar_unitaries,
     require_unitary,
     sealed,
 )
@@ -376,7 +376,7 @@ def _distance_below_one(w: np.ndarray, tol: float) -> bool:
     """
     dim = w.shape[0]
     margin = 4.0 * (1.0 + tol) * (dim + 1) ** 2 * UNIT_ROUNDOFF
-    shifted = w + dagger(w)
+    shifted = w + w.conj().T
     shifted *= 0.5
     shifted.flat[:: dim + 1] -= (1.0 + tol) / 2.0 + margin
     try:
@@ -402,7 +402,7 @@ def _require_distance_below_one(w: np.ndarray, tol: float, what: str) -> None:
 def _eigenphases(w: np.ndarray, tol: float):
     """Eigenphases ``arcsin(eigvalsh((W - W*)/2i))`` and the residue their sum
     is certified to (module docstring)."""
-    theta = np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))
+    theta = np.arcsin(np.linalg.eigvalsh((w - w.conj().T) / 2j))
     return theta, EIG_RESIDUE_TOL + w.shape[0] * tol / 3.0
 
 
@@ -421,7 +421,7 @@ def winding_of_unitary(
     checks at ``UNITARITY_TOL`` (module docstring).
     """
     tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
-    w = require_unitary(w, tol=tol, what="winding input")
+    w = require_unitary(as_matrix(w), tol=tol, what="winding input")
     _require_distance_below_one(w, tol, _distance)
     det = complex(np.linalg.det(w))
     if abs(det - 1.0) > DET_TOL:
@@ -431,7 +431,7 @@ def winding_of_unitary(
         )
     if w.shape[0] * tol > HERMITIAN_PHASE_BUDGET:
         tol = UNITARITY_TOL
-        w = require_unitary(polar_unitary(w), tol=tol, what="polar factor of the winding input")
+        w = require_unitary(polar_unitaries(w[None])[0], tol, "polar factor of the winding input")
         _require_distance_below_one(w, tol, "||U - 1|| (U the polar factor of W)")
     theta, residue_tol = _eigenphases(w, tol)
     total = -float(np.sum(theta)) / (2.0 * np.pi)
@@ -464,7 +464,7 @@ def winding_pair(u, v, unitarity_tol: float | None = None) -> WindingReport:
     u, v = as_matrices((u, v), ("first of the pair", "second of the pair"))
     u = require_unitary(u, tol=tol, what="first of the pair")
     v = require_unitary(v, tol=tol, what="second of the pair")
-    w = u @ v @ dagger(u) @ dagger(v)
+    w = u @ v @ u.conj().T @ v.conj().T
     # the product of four tol-almost-unitaries is only (4 tol)-almost-unitary
     return winding_of_unitary(
         w, unitarity_tol=5.0 * tol, _distance="||uvu*v* - 1|| (= ||uv - vu|| for unitaries)"
@@ -491,7 +491,7 @@ def winding_class(phi, decomp) -> WindingReport:
     for a_word, b_word in decomp.pairs:
         av = phi.evaluate(a_word)
         bv = phi.evaluate(b_word)
-        w = w @ (av @ bv @ dagger(av) @ dagger(bv))
+        w = w @ (av @ bv @ av.conj().T @ bv.conj().T)
     # each commutator factor multiplies four almost-unitaries
     tol = 5.0 * UNITARITY_TOL * max(1, len(decomp.pairs))
     return replace(winding_of_unitary(w, unitarity_tol=tol), source_path_reversed=True)

@@ -31,7 +31,6 @@ from obstructkit.matcore import (
     UNITARITY_TOL,
     as_matrices,
     as_matrix,
-    as_stack,
     commutator,
     dagger,
     identity,
@@ -50,6 +49,8 @@ from obstructkit.matcore import (
     spectral_split,
     spectral_tol,
 )
+from obstructkit.projops import pairing_input
+from obstructkit.quasirep import compress
 from obstructkit.seeding import (
     derive_rng,
     gaussian_hermitian,
@@ -59,6 +60,7 @@ from obstructkit.seeding import (
     random_rotation,
     rotations,
 )
+from obstructkit.words import free_abelian_presentation
 
 
 def power_iteration_norm(a, iters=2000, seed=5):
@@ -199,17 +201,38 @@ def test_op_norms_of_nothing_is_empty(empty):
 
 @pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
 def test_op_norms_rejects_bad_stacks(dim):
+    # the kernel trusts shapes; its one check is finiteness, in every container
     eye = np.eye(dim)
     bad_entry = eye.copy()
     bad_entry[0, 0] = np.inf
-    with pytest.raises(InvalidMatrix):
-        op_norms([eye, np.ones((dim, dim + 1))])
-    with pytest.raises(InvalidMatrix):
-        op_norms((eye, bad_entry))
-    with pytest.raises(InvalidMatrix):
-        op_norms(a for a in (eye, np.eye(dim + 1)))
-    with pytest.raises(InvalidMatrix):
-        op_norms([np.ones(dim)])
+    not_a_number = eye.copy()
+    not_a_number[-1, 0] = np.nan
+    for bad in (
+        (eye, bad_entry),
+        [not_a_number, eye],
+        (a for a in (eye, bad_entry)),
+        np.stack([eye, not_a_number]),
+    ):
+        with pytest.raises(InvalidMatrix, match="^matrix has non-finite entries$"):
+            op_norms(bad)
+
+
+@pytest.mark.parametrize(
+    "overflows",
+    [
+        # p @ p of 1e200 * I overflows in the projection residue
+        lambda: compress([np.eye(2)], 1e200 * np.eye(2), free_abelian_presentation(1)),
+        # e + b is finite, (e + b)^2 is not
+        lambda: pairing_input(1e200 * np.eye(2), np.eye(1), 1, 1),
+        # a - a* doubles 1e308 past the largest float
+        lambda: spectral_projection([[0.0, 1e308], [-1e308, 0.0]], 0.5, 0.1),
+    ],
+    ids=["compress", "pairing_input", "spectral_projection"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the overflow
+def test_an_overflowing_residue_of_finite_input_is_refused(overflows):
+    with pytest.raises(InvalidMatrix, match="^matrix has non-finite entries$"):
+        overflows()
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +316,23 @@ def test_commutator_and_dagger():
     assert np.allclose(dagger(u), u.conj().T)
 
 
+def test_commutator_and_dagger_gate_their_input():
+    comm = commutator([[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    assert comm.dtype == np.complex128 and not comm.flags.writeable
+    assert comm.tolist() == [[1, 0], [0, -1]]
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    adj = dagger(a)
+    assert adj.dtype == np.complex128 and not adj.flags.writeable
+    assert not np.may_share_memory(adj, a) and a.flags.writeable
+    assert dagger([[1, 2j], [3, 4]]).tolist() == [[1, 3], [-2j, 4]]
+    with pytest.raises(InvalidSize, match="^b must be 2 x 2, got 3$"):
+        commutator(np.eye(2), np.eye(3))
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        commutator(np.eye(2), [[np.nan, 0], [0, 1]])
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        dagger([[np.inf]])
+
+
 # ---------------------------------------------------------------------------
 # polar_unitary
 # ---------------------------------------------------------------------------
@@ -342,14 +382,15 @@ def test_polar_rejects_singular():
 
 def test_polar_of_a_stack_is_bitwise_per_matrix(rng):
     stack = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
-    us = polar_unitaries(as_stack(stack))
+    us = polar_unitaries(as_matrices(stack, "abcde"))
     assert not us.flags.writeable
     for a, u in zip(stack, us):
         assert u.tobytes() == polar_unitary(a).tobytes()
 
 
 def test_polar_of_a_stack_refuses_its_first_singular_matrix():
-    stack = as_stack([np.eye(2), np.diag([1.0, SINGULARITY_TOL / 2.0]), np.zeros((2, 2))])
+    singular = np.diag([1.0, SINGULARITY_TOL / 2.0])
+    stack = as_matrices(np.stack([np.eye(2), singular, np.zeros((2, 2))]), "abc")
     with pytest.raises(NotInvertible) as info:
         polar_unitaries(stack)
     assert info.value.measured == pytest.approx(SINGULARITY_TOL / 2.0)

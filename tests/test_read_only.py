@@ -10,7 +10,6 @@ import pytest
 
 from obstructkit.matcore import (
     as_matrix,
-    as_stack,
     commutator,
     coordinate_projection,
     dagger,
@@ -58,7 +57,6 @@ def _evaluations(rng):
 # each producer returns the arrays it made, from a fresh generator
 PRODUCERS = {
     "as_matrix": lambda rng: [as_matrix([[1.0, 2.0], [3.0, 4.0]])],
-    "as_stack": lambda rng: [as_stack([np.eye(2), np.eye(2)])],
     "identity": lambda rng: [identity(3)],
     "commutator": lambda rng: [commutator(*clock_shift(3))],
     "dagger": lambda rng: [dagger(haar_unitary(3, rng))],

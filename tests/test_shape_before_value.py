@@ -9,8 +9,16 @@ first malformed member.
 import numpy as np
 import pytest
 
-from obstructkit.errors import ParseError
+from obstructkit.errors import InvalidMatrix, ParseError
 from obstructkit.eta import CharacterTwist, eta_character_abel
+from obstructkit.matcore import (
+    as_matrices,
+    commutator,
+    dagger,
+    op_norm,
+    polar_unitary,
+    spectral_projection,
+)
 from obstructkit.projops import (
     chain_conjugation,
     compatibility_probe,
@@ -18,7 +26,7 @@ from obstructkit.projops import (
     pairing_input,
 )
 from obstructkit.quasirep import QuasiRep, compress
-from obstructkit.winding import winding_pair
+from obstructkit.winding import winding_of_unitary, winding_pair
 from obstructkit.words import GroupWord, canonical_form, free_abelian_presentation
 
 Z2 = free_abelian_presentation(2)
@@ -108,4 +116,29 @@ def test_malformed_input_is_refused_before_any_value_gate(row):
     call, message = ROWS[row]
     with pytest.raises(ParseError, match=message) as exc_info:
         call()
+    assert exc_info.value.exit_code == 1
+
+
+# ragged, textual and oversized entries, which numpy refuses with its own
+# ValueError, TypeError or OverflowError
+UNCONVERTIBLE = {
+    "op_norm of ragged rows": lambda: op_norm([[1, 2], [3]]),
+    "op_norm of a string": lambda: op_norm("ab"),
+    "op_norm of an integer past float": lambda: op_norm([[10**400]]),
+    "polar_unitary of letters": lambda: polar_unitary([["a", "b"], ["c", "d"]]),
+    "winding_of_unitary of ragged rows": lambda: winding_of_unitary([[1, 0], [0]]),
+    "QuasiRep of a ragged image": lambda: QuasiRep(
+        free_abelian_presentation(1), ([[1, 0], [0]],)
+    ),
+    "commutator of ragged rows": lambda: commutator([[1, 0], [0]], I2),
+    "dagger of a string": lambda: dagger("ab"),
+    "spectral_projection of ragged rows": lambda: spectral_projection([[1, 0], [0]], 0.5, 0.1),
+    "as_matrices of a stack of letters": lambda: as_matrices(np.array([[["a"]]]), "a"),
+}
+
+
+@pytest.mark.parametrize("row", UNCONVERTIBLE)
+def test_input_numpy_cannot_convert_is_refused_by_the_gate(row):
+    with pytest.raises(InvalidMatrix, match="^not a complex matrix: ") as exc_info:
+        UNCONVERTIBLE[row]()
     assert exc_info.value.exit_code == 1
