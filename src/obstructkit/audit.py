@@ -24,7 +24,7 @@ Suites and their bounds:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -277,25 +277,12 @@ def run_audit(master_seed: int, trials: int, suites=None) -> AuditOutcome:
 
 
 def audit_outcome_to_json(outcome: AuditOutcome, include_timings: bool = False) -> dict:
-    suites = []
-    for r in outcome.suites:
-        entry = {
-            "suite": r.suite,
-            "trials": r.trials,
-            "passed": r.passed,
-            "worst_ratios": r.worst_ratios,
-            "bounds": r.bounds,
-            "failures": list(r.failures),
-        }
-        if include_timings:
-            entry["seconds"] = r.seconds
-        suites.append(entry)
-    return {
-        "master_seed": outcome.master_seed,
-        "trials": outcome.trials,
-        "all_passed": outcome.all_passed,
-        "suites": suites,
-    }
+    """``asdict(outcome)``; each suite's ``seconds`` only when ``include_timings``."""
+    out = asdict(outcome)
+    if not include_timings:
+        for entry in out["suites"]:
+            del entry["seconds"]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +290,15 @@ def audit_outcome_to_json(outcome: AuditOutcome, include_timings: bool = False) 
 # ---------------------------------------------------------------------------
 
 
-def random_pairing_instance(rng, with_twist: bool = True):
+def random_pairing_instance(rng):
     """Pairing input with a provable index: returns (input, expected index).
 
-    Construction: ``q`` is (a small twist of) ``1_N (x) q0`` with ``q0`` of
+    Construction: ``q`` is a small twist of ``1_N (x) q0`` with ``q0`` of
     rank ``r``, and ``e + b`` is a Haar-rotated projection of rank ``N + s``.
     In the untwisted product form the pairing operand splits as
     ``e (x) (1 - q0) + (e + b) (x) q0``, whose spectral projection above one
-    half has rank ``N k + s r`` — index ``s r``.  A twist of angle at most
-    0.01 moves the operand by at most 0.04, which cannot close the unit gap
+    half has rank ``N k + s r`` — index ``s r``.  The twist, of angle at most
+    0.01, moves the operand by at most 0.04, which cannot close the unit gap
     or change the integer.
     """
     n_dim = int(rng.integers(2, 5))
@@ -319,10 +306,8 @@ def random_pairing_instance(rng, with_twist: bool = True):
     r = int(rng.integers(1, k_dim))
     s = int(rng.integers(-n_dim, n_dim + 1))
     q0 = random_projection(k_dim, r, rng)
-    q = np.kron(np.eye(n_dim), q0)
-    if with_twist:
-        u = random_rotation(n_dim * k_dim, rng, rng.uniform(0.0, 0.01))
-        q = u @ q @ u.conj().T
+    u = random_rotation(n_dim * k_dim, rng, rng.uniform(0.0, 0.01))
+    q = u @ np.kron(np.eye(n_dim), q0) @ u.conj().T
     e_plus_b = random_projection(2 * n_dim, n_dim + s, rng)
     e = coordinate_projection(2 * n_dim, n_dim)
     b = e_plus_b - e

@@ -68,10 +68,6 @@ class EtaResult:
     extrapolation_error: float
 
 
-def _rho_from_eta(eta: float, kernel_dim: int) -> float:
-    return ((kernel_dim + eta) - 1.0) / 2.0 % 1.0
-
-
 def eta_character_closed(tw: CharacterTwist) -> EtaResult:
     """Exact eta of the twisted circle operator.
 
@@ -175,7 +171,7 @@ def eta_character_abel(
     return EtaResult(
         eta=estimate,
         kernel_dim=0,
-        rho_mod_Z=_rho_from_eta(estimate, 0),
+        rho_mod_Z=(estimate - 1.0) / 2.0 % 1.0,
         method="abel-regularized",
         extrapolation_error=err,
     )

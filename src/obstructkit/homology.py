@@ -123,12 +123,6 @@ def int_matrix(rows) -> IntMatrix:
     return IntMatrix(data)
 
 
-def int_identity(n: int) -> IntMatrix:
-    if n < 1:
-        raise InvalidSize(f"identity needs positive size, got {n}")
-    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise InvalidSize(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
@@ -138,18 +132,6 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             tuple(sum(map(operator.mul, row, col)) for col in bt)
             for row in a.entries
         )
-    )
-
-
-def int_transpose(a: IntMatrix) -> IntMatrix:
-    return IntMatrix(tuple(zip(*a.entries)))
-
-
-def int_sub(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.rows != b.rows or a.cols != b.cols:
-        raise InvalidSize("matrix subtraction needs matching shapes")
-    return IntMatrix(
-        tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
     )
 
 
@@ -379,7 +361,8 @@ def abelian_group_to_json(g: AbelianGroup) -> dict:
 
 
 def _corank_of_one_minus(m: IntMatrix) -> int:
-    return m.rows - _eliminate(int_sub(int_identity(m.rows), m).entries)[0]
+    one_minus = [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m.entries)]
+    return m.rows - _eliminate(one_minus)[0]
 
 
 def _require_unimodular(m: IntMatrix, consequence: str) -> None:
@@ -432,7 +415,7 @@ def symplectic_check(a: IntMatrix, j: IntMatrix) -> bool:
     """Exact test of the symplectic congruence: transpose(A) J A == J."""
     if not a.is_square() or not j.is_square() or a.rows != j.rows:
         raise InvalidSize("symplectic check needs square matrices of one size")
-    return int_matmul(int_matmul(int_transpose(a), j), a).entries == j.entries
+    return int_matmul(int_matmul(IntMatrix(tuple(zip(*a.entries))), j), a).entries == j.entries
 
 
 # ---------------------------------------------------------------------------

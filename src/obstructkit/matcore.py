@@ -250,11 +250,12 @@ def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
     square underflows; only matrices it cannot accept pay the exact norm.
     Both tests accept only when ``<= tol`` holds, so a NaN ``tol`` refuses.
     """
-    delta = a.conj().T @ a - np.eye(a.shape[0])
-    scale = _entry_scale(delta)
-    if scale == 0.0:
-        return 0.0 <= tol
-    frobenius = scale * float(np.linalg.norm(delta / scale))
+    with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
+        delta = a.conj().T @ a - np.eye(a.shape[0])
+        scale = _entry_scale(delta)
+        if scale == 0.0:
+            return 0.0 <= tol
+        frobenius = scale * float(np.linalg.norm(delta / scale))
     return frobenius <= tol or op_norms(delta[None]).item() <= tol
 
 
@@ -292,7 +293,8 @@ def require_projections(stack: np.ndarray, whats) -> None:
     raises :class:`NotProjection`.
     """
     tol = spectral_tol(stack.shape[1])
-    residues = np.concatenate([stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack])
+    with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
+        residues = np.concatenate([stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack])
     norms = op_norms(residues).tolist()
     for what, herm, idem in zip(whats, norms[:len(stack)], norms[len(stack):]):
         if herm > tol or idem > tol:
@@ -369,7 +371,8 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
         raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0")
     arr = as_matrix(a)
     tol = spectral_tol(arr.shape[0])
-    asym = op_norms((arr - arr.conj().T)[None]).item()
+    with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
+        asym = op_norms((arr - arr.conj().T)[None]).item()
     if asym > tol:
         raise NotHermitian(
             f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",

@@ -107,11 +107,11 @@ class QuasiRep:
     """Unit-ball matrix images for the generators of a presentation.
 
     ``word_table`` (canonical letters tuple -> matrix) overrides evaluation on
-    specific group elements; ``compression`` reroutes all evaluation through
-    the stored honest representation; ``default_to_identity`` makes every
-    element outside the table evaluate to the identity (used by ``unitarize``,
-    whose construction is defined piecewise and is the identity off the
-    word set it was given).
+    specific group elements, so a key other than its own canonical form would
+    never be read and is refused; ``compression`` reroutes all evaluation
+    through the stored honest representation; ``default_to_identity`` makes
+    every element outside the table evaluate to the identity (used by
+    ``unitarize``, whose construction is the identity off its word set).
 
     Construction validates all data once (copying ``word_table``, never
     writing to it); ``evaluate`` folds words over the stored arrays unchecked.
@@ -142,6 +142,9 @@ class QuasiRep:
             raise ParseError("the ucp-compression flavor and compression data go together")
         if len(self.images) != self.presentation.num_generators:
             raise InvalidSize("one image per generator required")
+        for key in self.word_table:
+            if canonical_form(GroupWord(key), self.presentation).letters != key:
+                raise ParseError(f"table key {key} is not a canonical form")
         whats = [f"image of generator {i}" for i in range(len(self.images))]
         whats += [f"table value for {key}" for key in self.word_table]
         images = tuple(as_matrices(self.images, whats[:len(self.images)]))
@@ -284,11 +287,9 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     base_keys = sorted(keys.values(), key=_word_sort_key)
     for left in base_keys:
         for right in base_keys:
-            prod = canonical_form(left * right, phi.presentation)
-            pk = prod.letters
-            if not prod.letters or pk in keys or pk in table:
-                continue
-            table[pk] = sealed(table[left.letters] @ table[right.letters])
+            pk = canonical_form(left * right, phi.presentation).letters
+            if pk and pk not in table:
+                table[pk] = sealed(table[left.letters] @ table[right.letters])
 
     return QuasiRep(
         presentation=phi.presentation,
@@ -576,10 +577,10 @@ def quasirep_to_json(phi: QuasiRep) -> dict:
 
 
 def quasirep_from_json(obj) -> QuasiRep:
-    """Decode :func:`quasirep_to_json` output.  A ``"compression"`` is rebuilt
-    by :func:`compress` from its big images and projection, which refuses a
-    non-representation; stored images, flavor or extra fields that differ
-    from what it builds are a :class:`ParseError`."""
+    """Decode :func:`quasirep_to_json` output.  Two ``word_table`` texts of one
+    element are a :class:`ParseError`, and so are stored images, flavor or extra
+    fields that differ from the ``"compression"`` that :func:`compress` rebuilds
+    from its big images and projection, refusing a non-representation."""
     try:
         pres = presentation_from_json(obj["presentation"])
         flavor = json_value(obj.get("flavor", "general"), (str,), "flavor")
@@ -587,6 +588,8 @@ def quasirep_from_json(obj) -> QuasiRep:
         table = {}
         for text, mat in obj.get("word_table", {}).items():
             w = canonical_form(word_from_text(text, pres), pres)
+            if w.letters in table:
+                raise ParseError(f"word_table text {text!r} names an element already in the table")
             table[w.letters] = matrix_from_json(mat)
         default = obj.get("default_to_identity", False)
         default = json_value(default, (bool,), "default_to_identity")

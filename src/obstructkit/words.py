@@ -12,6 +12,10 @@ commutes and nothing else is imposed), ``canonical_form`` sorts a word into
 quasi-representation depend on the group element rather than on the
 spelling of the word.
 
+``canonical_form`` is the one place a word meets its presentation: it
+refuses a generator outside it, its letters key every word table, and
+``fold_word`` trusts them.
+
 An inverse letter evaluates through a table: :func:`adjoints`, the one
 unitarity gate behind every adjoint, or the true inverses of :func:`inverses`.
 """
@@ -38,26 +42,34 @@ class GroupWord:
     letters: tuple[Letter, ...] = ()
 
     def __post_init__(self):
-        for g, e in self.letters:
-            if e not in (1, -1):
-                raise ParseError(f"letter exponent must be +1 or -1, got {e}")
-            if g < 0:
-                raise ParseError(f"generator index must be nonnegative, got {g}")
+        if not isinstance(self.letters, tuple):
+            raise ParseError(f"a word is a tuple of letters, got {self.letters!r}")
+        for x in self.letters:
+            if not (isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], int)
+                    and x[0] >= 0 and x[1] in (1, -1)):
+                raise ParseError(f"a letter is a (generator index >= 0, ±1) pair, got {x!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + other.letters)
+        return _checked(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(tuple((g, -e) for g, e in reversed(self.letters)))
+        return _checked(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not reduce(self).letters
 
 
 IDENTITY_WORD = GroupWord()
+
+
+def _checked(letters: tuple) -> GroupWord:
+    """The word of letters taken from checked words, without a second check."""
+    w = object.__new__(GroupWord)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 def generator(index: int) -> GroupWord:
@@ -72,7 +84,7 @@ def reduce(w: GroupWord) -> GroupWord:
             stack.pop()
         else:
             stack.append((g, e))
-    return GroupWord(tuple(stack))
+    return _checked(tuple(stack))
 
 
 def exponent_sums(w: GroupWord, n_generators: int) -> tuple[int, ...]:
@@ -161,11 +173,9 @@ def inverses(mats) -> tuple:
 
 def fold_word(w: GroupWord, mats, inverses) -> np.ndarray:
     """Strict left fold of ``w`` over validated images and their :func:`adjoints`
-    or :func:`inverses`; only the letters are checked (None means singular)."""
+    or :func:`inverses`; the letters are trusted (None means singular)."""
     out = None
     for g, e in w.letters:
-        if g >= len(mats):
-            raise ParseError(f"word uses generator {g} but only {len(mats)} images given")
         factor = mats[g] if e == 1 else inverses[g]
         if factor is None:
             raise NotInvertible(f"image of generator {g} is singular")
@@ -249,9 +259,8 @@ def baumslag_solitar_presentation(n: int, m: int) -> Presentation:
     return Presentation(2, _default_names(2), (reduce(rel),))
 
 
-def _commutator_generator_pair(r: GroupWord) -> frozenset | None:
-    """The (unordered) generator pair when r is a commutator of two generators."""
-    w = reduce(r)
+def _commutator_generator_pair(w: GroupWord) -> frozenset | None:
+    """The generator pair when the reduced word w is a commutator of two generators."""
     if len(w.letters) != 4:
         return None
     for cand in (w, w.inverse()):
@@ -276,10 +285,10 @@ def is_free_abelian(p: Presentation) -> bool:
     n = p.num_generators
     needed = {frozenset(pair) for pair in combinations(range(n), 2)}
     seen = set()
-    for r in p.relators:
-        if reduce(r).is_identity():
+    for w in map(reduce, p.relators):
+        if not w.letters:
             continue
-        pair = _commutator_generator_pair(r)
+        pair = _commutator_generator_pair(w)
         if pair is None:
             return False
         seen.add(pair)
@@ -294,14 +303,14 @@ def canonical_form(w: GroupWord, p: Presentation) -> GroupWord:
     words equal in a free-abelian group therefore share one canonical form,
     which is what makes group-element-level evaluation well defined there.
     """
-    if p.free_abelian:
-        sums = exponent_sums(w, p.num_generators)
-        letters: list[Letter] = []
-        for g, e in enumerate(sums):
-            sign = 1 if e > 0 else -1
-            letters.extend([(g, sign)] * abs(e))
-        return GroupWord(tuple(letters))
-    return reduce(w)
+    sums = exponent_sums(w, p.num_generators)  # refuses out-of-range letters
+    if not p.free_abelian:
+        return reduce(w)
+    letters: list[Letter] = []
+    for g, e in enumerate(sums):
+        sign = 1 if e > 0 else -1
+        letters.extend([(g, sign)] * abs(e))
+    return _checked(tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -191,8 +191,3 @@ def test_random_pairing_instances_have_the_promised_index():
     for _ in range(30):
         inp, expected = random_pairing_instance(rng)
         assert pairing(inp).index == expected
-    for _ in range(10):
-        inp, expected = random_pairing_instance(rng, with_twist=False)
-        result = pairing(inp)
-        assert result.index == expected
-        assert result.margin == pytest.approx(0.5, abs=1e-9)

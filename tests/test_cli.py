@@ -673,6 +673,33 @@ def test_malformed_input_exits_one_before_any_hypothesis(kind, argv, text, tmp_p
     assert err.startswith("error:") and err.count("\n") == 1 and text in err
 
 
+def _one_line_refusal_input(kind, path):
+    if kind == "overflow-pair":  # (e + b)^2 overflows in the projection residue
+        b, q = matrix_to_json(1e200 * np.eye(2)), matrix_to_json(np.eye(1))
+        path.write_text(json.dumps({"N": 1, "k": 1, "b": b, "q": q}))
+    else:  # "ab" and "ba" name one element of Z^2
+        obj = quasirep_to_json(honest_commuting_rep(free_abelian_presentation(2), 2,
+                                                    derive_rng(0, 1)))
+        obj["word_table"] = {t: matrix_to_json(0.5 * np.eye(2)) for t in ("ab", "ba")}
+        path.write_text(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "kind, command, text",
+    [
+        ("overflow-pair", "pairing", "matrix has non-finite entries"),
+        ("duplicate-table", "invariants", "word_table text 'ba' names an element already in the table"),
+    ],
+)
+def test_a_refusal_writes_only_its_error_line(kind, command, text, tmp_path, fresh_python):
+    # a fresh interpreter with numpy's default warnings: nothing but the error line
+    path = tmp_path / "in.json"
+    _one_line_refusal_input(kind, path)
+    proc = fresh_python("import sys; from obstructkit.cli import main; sys.exit(main())",
+                        command, str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {text}\n")
+
+
 def test_pairing_gap_violation_exit_two(tmp_path, capsys):
     # operand spectrum {0, 1/4, 3/4, 1}: a 0.3 gate must trip
     phi = np.pi / 3.0

@@ -60,6 +60,7 @@ from obstructkit.seeding import (
     random_rotation,
     rotations,
 )
+from obstructkit.winding import winding_of_unitary
 from obstructkit.words import free_abelian_presentation
 
 
@@ -226,11 +227,13 @@ def test_op_norms_rejects_bad_stacks(dim):
         lambda: pairing_input(1e200 * np.eye(2), np.eye(1), 1, 1),
         # a - a* doubles 1e308 past the largest float
         lambda: spectral_projection([[0.0, 1e308], [-1e308, 0.0]], 0.5, 0.1),
+        # w* w of 1e200 * I overflows in the unitarity residue
+        lambda: winding_of_unitary(1e200 * np.eye(2)),
     ],
-    ids=["compress", "pairing_input", "spectral_projection"],
+    ids=["compress", "pairing_input", "spectral_projection", "winding_of_unitary"],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy notes the overflow
 def test_an_overflowing_residue_of_finite_input_is_refused(overflows):
+    # the repo's error::RuntimeWarning filter fails a row that lets numpy warn
     with pytest.raises(InvalidMatrix, match="^matrix has non-finite entries$"):
         overflows()
 

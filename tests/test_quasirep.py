@@ -235,6 +235,26 @@ def test_unitarize_is_identity_off_the_set(rng):
     assert np.allclose(sigma.evaluate(far), np.eye(4))
 
 
+def test_unitarized_surface_rep_refuses_a_generator_it_lacks(rng):
+    # off the table this rep is the identity, which once hid the bad letter
+    p = surface_presentation(2)
+    S = symmetrized_generators(p)
+    sigma = unitarize(perturbed_honest_rep(p, S, 0.05, 3, rng), S, 0.05)
+    with pytest.raises(ParseError, match="^word uses generator 9 but only 4 are declared$"):
+        sigma.evaluate(GroupWord(((9, 1),)))
+
+
+def test_unitarized_rep_json_round_trip_keeps_default_to_identity(rng):
+    S = symmetrized_generators(Z2)
+    sigma = unitarize(perturbed_honest_rep(Z2, S, 0.05, 3, rng), S, 0.05)
+    text = json.dumps(quasirep_to_json(sigma))
+    back = quasirep_from_json(json.loads(text))
+    assert back.default_to_identity and back.flavor == "unitary"
+    assert json.dumps(quasirep_to_json(back)) == text
+    far = GroupWord(((0, 1), (0, 1), (0, 1)))
+    assert np.array_equal(back.evaluate(far), np.eye(3))
+
+
 def _old_perturbed_table(p, S, eps, dim, rng):
     """The per-entry loop ``perturbed_honest_rep`` ran before its stacked solve:
     one rotation, one product and one contraction per table entry."""
@@ -669,6 +689,19 @@ def test_quasirep_json_refuses_coercible_fields(field, value, rng):
     obj = quasirep_to_json(honest_commuting_rep(Z2, 3, rng))
     with pytest.raises(ParseError, match=f"{field} must be"):
         quasirep_from_json({**obj, field: value})
+
+
+@pytest.mark.parametrize(
+    "p, texts",
+    [(Z2, ("ab", "ba")), (free_presentation(2), ("b", "aAb"))],
+    ids=["abelian-ab-ba", "free-b-aAb"],
+)
+def test_quasirep_json_refuses_two_texts_of_one_element(p, texts):
+    # the second text used to overwrite the first without a word
+    obj = quasirep_to_json(QuasiRep(p, (np.eye(2), np.eye(2))))
+    obj["word_table"] = {t: matrix_to_json(0.5 * np.eye(2)) for t in texts}
+    with pytest.raises(ParseError, match="names an element already in the table"):
+        quasirep_from_json(obj)
 
 
 def test_quasirep_json_compression_round_trip(rng):

@@ -3,13 +3,16 @@ matrices (exit 1) before its first value gate (exit 2 or 3).
 
 Each row is doubly bad: a size or bound fault and a value fault that, checked
 first, would exit 2.  The refusal must be a :class:`ParseError` naming the
-first malformed member.
+first malformed member.  The rows of ``REFUSALS`` have one fault each, and
+expect its own class and message.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from obstructkit.errors import InvalidMatrix, ParseError
+from obstructkit.errors import HypothesisViolation, InvalidMatrix, InvalidSize, ParseError
 from obstructkit.eta import CharacterTwist, eta_character_abel
 from obstructkit.matcore import (
     as_matrices,
@@ -19,15 +22,23 @@ from obstructkit.matcore import (
     polar_unitary,
     spectral_projection,
 )
+from obstructkit.homology import int_matrix, mapping_torus_surface_h2
 from obstructkit.projops import (
     chain_conjugation,
     compatibility_probe,
     connecting_unitary,
+    pairing_block_sum,
     pairing_input,
 )
-from obstructkit.quasirep import QuasiRep, compress
+from obstructkit.quasirep import QuasiRep, approx_mult_audit, compress, ucp_gram_check
 from obstructkit.winding import winding_of_unitary, winding_pair
-from obstructkit.words import GroupWord, canonical_form, free_abelian_presentation
+from obstructkit.words import (
+    GroupWord,
+    canonical_form,
+    free_abelian_presentation,
+    free_presentation,
+    generator,
+)
 
 Z2 = free_abelian_presentation(2)
 I2, I3 = np.eye(2), np.eye(3)
@@ -49,6 +60,12 @@ def _probe_of_dim_two():
 
 def _plain_probe_before_one_of_dim_two():
     return compatibility_probe(HALF3, [QuasiRep(Z2, (I3, I3)), compress([I2, I2], P2, Z2)], 0.1)
+
+
+def _compression_of_one_non_unitary_image_for_two_generators():
+    comp = compress([I2, I2], P2, Z2).compression
+    return QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
+                    compression=replace(comp, big_images=(2.0 * I2,)))
 
 
 ROWS = {
@@ -108,6 +125,31 @@ ROWS = {
         _plain_probe_before_one_of_dim_two,
         r"^probe 0 is not a compression quasi-representation$",
     ),
+    # "ba" on Z^2 names the element of "ab", whose key the table never read
+    "table key spelled ba beside an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={((1, 1), (0, 1)): I2}),
+        r"^table key \(\(1, 1\), \(0, 1\)\) is not a canonical form$",
+    ),
+    "table key of a generator Z^2 lacks beside an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={((5, 1),): I2}),
+        r"^word uses generator 5 but only 2 are declared$",
+    ),
+    "unknown flavor with an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, I2), flavor="orthogonal"),
+        r"^unknown flavor 'orthogonal'$",
+    ),
+    "compression data for too few generators, with a non-unitary image": (
+        _compression_of_one_non_unitary_image_for_two_generators,
+        r"^compression data must match the generators$",
+    ),
+    "compression to rank zero of a non-unitary image": (
+        lambda: compress([2.0 * I2, I2], np.zeros((2, 2)), Z2),
+        r"^projection has rank zero; nothing to compress to$",
+    ),
+    "pairing with N = 0 and a non-projection": (
+        lambda: pairing_input(np.diag([-0.5, 0.5]), np.eye(1), 0, 1),
+        r"^tensor factors must have positive dimension$",
+    ),
 }
 
 
@@ -142,3 +184,40 @@ def test_input_numpy_cannot_convert_is_refused_by_the_gate(row):
     with pytest.raises(InvalidMatrix, match="^not a complex matrix: ") as exc_info:
         UNCONVERTIBLE[row]()
     assert exc_info.value.exit_code == 1
+
+
+def _zero_image_rep():
+    # ||0* 0 - 1|| = 1: the unitarity defect is not below 1
+    return QuasiRep(free_presentation(1), (np.zeros((2, 2)),))
+
+
+REFUSALS = {
+    "ucp_gram_check of no words": (
+        lambda: ucp_gram_check(QuasiRep(Z2, (I2, I2)), []),
+        InvalidSize,
+        r"^ucp_gram_check needs a nonempty word list$",
+    ),
+    "approx_mult_audit of a unitarity defect of one": (
+        lambda: approx_mult_audit(_zero_image_rep(), [generator(0)], []),
+        HypothesisViolation,
+        r"^unitarity defect 1\.000000 is not below 1$",
+    ),
+    "pairing_block_sum of two k factors": (
+        lambda: pairing_block_sum(pairing_input(np.zeros((2, 2)), np.eye(1), 1, 1),
+                                  pairing_input(np.zeros((2, 2)), np.eye(2), 1, 2)),
+        InvalidSize,
+        r"^block sum needs matching k factors$",
+    ),
+    "mapping_torus_surface_h2 of a non-square action": (
+        lambda: mapping_torus_surface_h2(1, int_matrix([[1, 0]])),
+        InvalidSize,
+        r"^surface homology action must be square$",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", REFUSALS)
+def test_each_refusal_names_its_fault(row):
+    call, error, message = REFUSALS[row]
+    with pytest.raises(error, match=message):
+        call()

@@ -391,3 +391,25 @@ def test_group_word_validation():
         GroupWord(((0, 2),))
     with pytest.raises(ParseError):
         GroupWord(((-1, 1),))
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [(1, 2), ((1,),), ((0, 1, 1),), "ab", ((0.0, 1),), 5],
+    ids=["flat-pair", "one-tuple", "triple", "text", "float-generator", "integer"],
+)
+def test_group_word_refuses_what_is_not_a_tuple_of_letter_pairs(letters):
+    # these used to escape as a raw TypeError or ValueError, or build a word
+    with pytest.raises(ParseError):
+        GroupWord(letters)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [free_abelian_presentation(2), surface_presentation(2), free_presentation(2),
+     baumslag_solitar_presentation(2, 3)],
+    ids=["abelian", "surface", "free", "baumslag-solitar"],
+)
+def test_canonical_form_refuses_a_generator_outside_the_presentation(p):
+    with pytest.raises(ParseError, match=r"^word uses generator 9 but only \d+ are declared$"):
+        canonical_form(GroupWord(((0, 1), (9, 1))), p)
