@@ -107,9 +107,10 @@ class QuasiRep:
     """Unit-ball matrix images for the generators of a presentation.
 
     ``word_table`` (canonical letters tuple -> matrix) overrides evaluation on
-    specific group elements, so a key other than its own canonical form would
-    never be read and is refused; ``compression`` reroutes all evaluation
-    through the stored honest representation; ``default_to_identity`` makes
+    specific group elements, so a key other than its own canonical form, or
+    the identity's ``()``, would never be read and is refused;
+    ``compression`` reroutes all evaluation through the stored honest
+    representation; ``default_to_identity`` makes
     every element outside the table evaluate to the identity (used by
     ``unitarize``, whose construction is the identity off its word set).
 
@@ -143,8 +144,8 @@ class QuasiRep:
         if len(self.images) != self.presentation.num_generators:
             raise InvalidSize("one image per generator required")
         for key in self.word_table:
-            if canonical_form(GroupWord(key), self.presentation).letters != key:
-                raise ParseError(f"table key {key} is not a canonical form")
+            if not key or canonical_form(GroupWord(key), self.presentation).letters != key:
+                raise ParseError(f"table key {key} is not a nonidentity canonical form")
         whats = [f"image of generator {i}" for i in range(len(self.images))]
         whats += [f"table value for {key}" for key in self.word_table]
         images = tuple(as_matrices(self.images, whats[:len(self.images)]))
@@ -578,9 +579,10 @@ def quasirep_to_json(phi: QuasiRep) -> dict:
 
 def quasirep_from_json(obj) -> QuasiRep:
     """Decode :func:`quasirep_to_json` output.  Two ``word_table`` texts of one
-    element are a :class:`ParseError`, and so are stored images, flavor or extra
-    fields that differ from the ``"compression"`` that :func:`compress` rebuilds
-    from its big images and projection, refusing a non-representation."""
+    canonical form are a :class:`ParseError`, and so are stored images, flavor
+    or extra fields that differ from the ``"compression"`` that
+    :func:`compress` rebuilds from its big images and projection, refusing a
+    non-representation."""
     try:
         pres = presentation_from_json(obj["presentation"])
         flavor = json_value(obj.get("flavor", "general"), (str,), "flavor")

@@ -45,18 +45,18 @@ class GroupWord:
         if not isinstance(self.letters, tuple):
             raise ParseError(f"a word is a tuple of letters, got {self.letters!r}")
         for x in self.letters:
-            if not (isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], int)
-                    and x[0] >= 0 and x[1] in (1, -1)):
+            if not (isinstance(x, tuple) and len(x) == 2 and type(x[0]) is int
+                    and x[0] >= 0 and type(x[1]) is int and x[1] in (1, -1)):
                 raise ParseError(f"a letter is a (generator index >= 0, ±1) pair, got {x!r}")
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return _checked(self.letters + other.letters)
+        return GroupWord(self.letters + other.letters)
 
     def inverse(self) -> "GroupWord":
-        return _checked(tuple((g, -e) for g, e in reversed(self.letters)))
+        return GroupWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def is_identity(self) -> bool:
         return not reduce(self).letters
@@ -65,26 +65,22 @@ class GroupWord:
 IDENTITY_WORD = GroupWord()
 
 
-def _checked(letters: tuple) -> GroupWord:
-    """The word of letters taken from checked words, without a second check."""
-    w = object.__new__(GroupWord)
-    object.__setattr__(w, "letters", letters)
-    return w
-
-
 def generator(index: int) -> GroupWord:
     return GroupWord(((index, 1),))
 
 
 def reduce(w: GroupWord) -> GroupWord:
-    """Free reduction: cancel adjacent inverse pairs until none remain."""
+    """Free reduction: cancel adjacent inverse pairs until none remain.
+
+    A word with nothing to cancel is its own reduction and is returned as is.
+    """
     stack: list[Letter] = []
     for g, e in w.letters:
         if stack and stack[-1][0] == g and stack[-1][1] == -e:
             stack.pop()
         else:
             stack.append((g, e))
-    return _checked(tuple(stack))
+    return w if len(stack) == len(w.letters) else GroupWord(tuple(stack))
 
 
 def exponent_sums(w: GroupWord, n_generators: int) -> tuple[int, ...]:
@@ -310,7 +306,7 @@ def canonical_form(w: GroupWord, p: Presentation) -> GroupWord:
     for g, e in enumerate(sums):
         sign = 1 if e > 0 else -1
         letters.extend([(g, sign)] * abs(e))
-    return _checked(tuple(letters))
+    return GroupWord(tuple(letters))
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,16 @@ ROWS = {
     # "ba" on Z^2 names the element of "ab", whose key the table never read
     "table key spelled ba beside an image out of the ball": (
         lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={((1, 1), (0, 1)): I2}),
-        r"^table key \(\(1, 1\), \(0, 1\)\) is not a canonical form$",
+        r"^table key \(\(1, 1\), \(0, 1\)\) is not a nonidentity canonical form$",
     ),
     "table key of a generator Z^2 lacks beside an image out of the ball": (
         lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={((5, 1),): I2}),
         r"^word uses generator 5 but only 2 are declared$",
+    ),
+    # evaluate returns the identity before it looks in the table
+    "table key of the identity beside an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={(): 0.5 * I2}),
+        r"^table key \(\) is not a nonidentity canonical form$",
     ),
     "unknown flavor with an image out of the ball": (
         lambda: QuasiRep(Z2, (2.0 * I2, I2), flavor="orthogonal"),

@@ -97,6 +97,12 @@ def test_reduce_idempotent(letters):
 
 
 @given(letters_strategy)
+def test_a_reduced_word_is_its_own_reduction(letters):
+    r = reduce(GroupWord(letters))
+    assert reduce(r) is r
+
+
+@given(letters_strategy)
 def test_reduce_has_no_adjacent_cancellation(letters):
     r = reduce(GroupWord(letters))
     for (g0, e0), (g1, e1) in zip(r.letters, r.letters[1:]):
@@ -395,8 +401,9 @@ def test_group_word_validation():
 
 @pytest.mark.parametrize(
     "letters",
-    [(1, 2), ((1,),), ((0, 1, 1),), "ab", ((0.0, 1),), 5],
-    ids=["flat-pair", "one-tuple", "triple", "text", "float-generator", "integer"],
+    [(1, 2), ((1,),), ((0, 1, 1),), "ab", ((0.0, 1),), 5, ((0, 1.0),), ((True, 1),)],
+    ids=["flat-pair", "one-tuple", "triple", "text", "float-generator", "integer",
+         "float-exponent", "bool-generator"],
 )
 def test_group_word_refuses_what_is_not_a_tuple_of_letter_pairs(letters):
     # these used to escape as a raw TypeError or ValueError, or build a word
