@@ -56,25 +56,6 @@ from .words import GroupWord, free_abelian_presentation, surface_presentation
 _PLANE = free_abelian_presentation(2)
 _SURFACE2 = surface_presentation(2, orientable=True)
 
-BOUND_LABELS = {
-    "unitarize": {
-        "defect": "6 * eps",
-        "closeness": "eps",
-        "unitarity": "1e-10",
-    },
-    "sqrt_mult": {"multiplicativity": "sqrt(eps) + 1e-9"},
-    "alm_proj": {"commutator": "||[a, b]|| / (1 - 2 delta) + 1e-12"},
-    "path_uni": {
-        "conjugation": "1e-9",
-        "commutator": "28 * eps + 1e-9",
-    },
-    "chain": {
-        "conjugation": "1e-8 * steps",
-        "commutator": "28 * eps * steps + 1e-8",
-    },
-}
-
-
 # ---------------------------------------------------------------------------
 # Per-suite trials (each returns {ratio name: measured/bound})
 # ---------------------------------------------------------------------------
@@ -171,14 +152,26 @@ def _trial_chain(rng) -> dict:
     }
 
 
-_TRIALS = {
-    "unitarize": _trial_unitarize,
-    "sqrt_mult": _trial_sqrt_mult,
-    "alm_proj": _trial_alm_proj,
-    "path_uni": _trial_path_uni,
-    "chain": _trial_chain,
+# suite -> (trial, bound label per ratio), in the order suites run
+_SUITES = {
+    "unitarize": (_trial_unitarize, {
+        "defect": "6 * eps",
+        "closeness": "eps",
+        "unitarity": "1e-10",
+    }),
+    "sqrt_mult": (_trial_sqrt_mult, {"multiplicativity": "sqrt(eps) + 1e-9"}),
+    "alm_proj": (_trial_alm_proj, {"commutator": "||[a, b]|| / (1 - 2 delta) + 1e-12"}),
+    "path_uni": (_trial_path_uni, {
+        "conjugation": "1e-9",
+        "commutator": "28 * eps + 1e-9",
+    }),
+    "chain": (_trial_chain, {
+        "conjugation": "1e-8 * steps",
+        "commutator": "28 * eps * steps + 1e-8",
+    }),
 }
-SUITES = tuple(_TRIALS)
+SUITES = tuple(_SUITES)
+BOUND_LABELS = {name: labels for name, (_, labels) in _SUITES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +205,7 @@ class AuditOutcome:
 def require_suites(names) -> None:
     """Refuse an unknown suite name as malformed input, before any trial runs."""
     for name in names:
-        if name not in _TRIALS:
+        if name not in _SUITES:
             raise ParseError(f"unknown audit suite {name!r}; expected one of {SUITES}")
 
 
@@ -220,16 +213,25 @@ def run_trial(suite: str, master_seed: int, trial: int) -> dict:
     """Replay a single audit instance; returns its measured ratios."""
     require_suites([suite])
     rng = derive_rng(master_seed, SUITES.index(suite), trial)
-    return _TRIALS[suite](rng)
+    return _SUITES[suite][0](rng)
+
+
+def judge_trial(suite: str, master_seed: int, trial: int) -> tuple:
+    """One trial and its verdict ``(ratios, failure)``: it fails on a library
+    error (``ratios`` is None) or on a ratio above 1, and ``failure``, None on
+    a pass, is the replay triple plus the error text or the ratios above 1."""
+    replay = {"suite": suite, "master_seed": master_seed, "trial": trial}
+    try:
+        ratios = run_trial(suite, master_seed, trial)
+    except ObstructkitError as exc:
+        return None, {**replay, "error": f"{type(exc).__name__}: {exc}"}
+    bad = {k: v for k, v in ratios.items() if v > 1.0}
+    return ratios, ({**replay, "ratios": bad} if bad else None)
 
 
 def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
-    """Run one suite; collects the worst ratio per bound and any failures.
-
-    A failure is a trial whose ratio exceeds 1 or that raises a library
-    error; each failure records (master_seed, suite, trial) so it can be
-    replayed exactly with :func:`run_trial`.
-    """
+    """Run one suite; collects the worst ratio per bound and the failure
+    record of each trial :func:`judge_trial` fails, replayable by :func:`run_trial`."""
     require_suites([suite])
     if trials < 0:
         raise InvalidSize(f"trials must be non-negative, got {trials}")
@@ -239,18 +241,12 @@ def run_suite(suite: str, master_seed: int, trials: int) -> SuiteResult:
     worst = {name: 0.0 for name in sorted(BOUND_LABELS[suite])}
     failures = []
     for trial in range(trials):
-        replay = {"suite": suite, "master_seed": master_seed, "trial": trial}
-        try:
-            ratios = run_trial(suite, master_seed, trial)
-        except ObstructkitError as exc:
-            failures.append({**replay, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        bad = {k: v for k, v in ratios.items() if v > 1.0}
-        for k, v in ratios.items():
+        ratios, failure = judge_trial(suite, master_seed, trial)
+        for k, v in (ratios or {}).items():
             if v > worst[k]:
                 worst[k] = v
-        if bad:
-            failures.append({**replay, "ratios": bad})
+        if failure is not None:
+            failures.append(failure)
     return SuiteResult(
         suite=suite,
         trials=trials,

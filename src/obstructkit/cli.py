@@ -81,10 +81,20 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct; a repeated key is refused."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_json(text: str, source: str):
-    """Decode JSON; bad syntax, deep nesting or an over-long number: ParseError."""
+    """Decode JSON; bad syntax, repeated keys, deep nesting or an over-long number: ParseError."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON in {source}: {exc}") from exc
 
@@ -254,17 +264,11 @@ def cmd_audit(args) -> int:
         audit_mod.require_suites([json_value(suite, (str,), "replay suite")])
         _seed(json_value(seed, (int,), "replay master_seed"), "replay master_seed")
         _seed(json_value(trial, (int,), "replay trial"), "replay trial")
-        payload = {"suite": suite, "master_seed": seed, "trial": trial}
-        try:
-            ratios = audit_mod.run_trial(suite, seed, trial)
-            payload["ratios"] = ratios
-            failed = any(r > 1.0 for r in ratios.values())
-        except ObstructkitError as exc:
-            payload["error"] = f"{type(exc).__name__}: {exc}"
-            failed = True
-        _emit(payload, args.out)
-        if failed:
-            raise AuditViolation("replayed instance fails its bound", measured=payload)
+        ratios, failure = audit_mod.judge_trial(suite, seed, trial)
+        replay = {"suite": suite, "master_seed": seed, "trial": trial}
+        _emit(failure if ratios is None else {**replay, "ratios": ratios}, args.out)
+        if failure is not None:
+            raise AuditViolation("replayed instance fails its bound", measured=failure)
         return 0
 
     outcome = audit_mod.run_audit(_seed(args.seed, "--seed"), args.trials, args.suite)
@@ -292,8 +296,6 @@ def _number_list(text: str, flag: str) -> list:
 
 def cmd_eta(args) -> int:
     from .eta import (
-        DEFAULT_RICHARDSON_ORDER,
-        DEFAULT_T_LADDER,
         CharacterTwist,
         eta_character_abel,
         eta_character_closed,
@@ -310,11 +312,10 @@ def cmd_eta(args) -> int:
     if args.method == "closed":
         res = eta_character_closed(tw)
     else:
-        ladder = DEFAULT_T_LADDER
+        given = {} if args.order is None else {"richardson_order": args.order}
         if args.ladder is not None:
-            ladder = tuple(_number_list(args.ladder, "--ladder"))
-        order = DEFAULT_RICHARDSON_ORDER if args.order is None else args.order
-        res = eta_character_abel(tw, ladder, order)
+            given["t_ladder"] = tuple(_number_list(args.ladder, "--ladder"))
+        res = eta_character_abel(tw, **given)
     _emit(asdict(res), args.out)
     return 0
 

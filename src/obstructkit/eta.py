@@ -185,8 +185,5 @@ def rho_loop(phases) -> float:
     [0, 1), whether or not the representation factors through a finite
     quotient.
     """
-    qs = [float(q) for q in phases]
-    for q in qs:
-        if not (math.isfinite(q) and 0.0 <= q < 1.0):
-            raise BoundViolation(f"eigenphase must lie in [0, 1); got {q!r}")
+    qs = [CharacterTwist(q).q for q in phases]  # refuses a phase outside [0, 1)
     return (-math.fsum(qs)) % 1.0

@@ -73,11 +73,12 @@ def _word_sort_key(w: GroupWord) -> tuple:
 
 
 def _canonical_elements(words, p: Presentation) -> dict:
-    """The distinct group elements ``words`` name: canonical letters -> form."""
+    """The distinct nonidentity elements ``words`` name: canonical letters -> form."""
     out: dict[tuple, GroupWord] = {}
     for w in words:
         k = canonical_form(w, p)
-        out.setdefault(k.letters, k)
+        if k.letters:
+            out.setdefault(k.letters, k)
     return out
 
 
@@ -281,9 +282,8 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
         )
 
     # one stacked SVD in key order, so the first singular key is the one refused
-    words = {lk: k for lk, k in keys.items() if k.letters}
-    values = np.array([phi.evaluate(k) for k in words.values()]).reshape(-1, phi.dim, phi.dim)
-    table = dict(zip(words, polar_unitaries(values)))
+    values = np.array([phi.evaluate(k) for k in keys.values()]).reshape(-1, phi.dim, phi.dim)
+    table = dict(zip(keys, polar_unitaries(values)))
 
     base_keys = sorted(keys.values(), key=_word_sort_key)
     for left in base_keys:
@@ -539,8 +539,7 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
         raise BoundViolation(f"eps must be positive and below 1, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
-    needed = _canonical_elements([*S, *(s * t for s in S for t in S)], p)
-    words = {lk: w for lk, w in needed.items() if w.letters}
+    words = _canonical_elements([*S, *(s * t for s in S for t in S)], p)
     if not words:
         return QuasiRep(p, base.images)
     eta = eps / 4.0

@@ -255,28 +255,13 @@ def baumslag_solitar_presentation(n: int, m: int) -> Presentation:
     return Presentation(2, _default_names(2), (reduce(rel),))
 
 
-def _commutator_generator_pair(w: GroupWord) -> frozenset | None:
-    """The generator pair when the reduced word w is a commutator of two generators."""
-    if len(w.letters) != 4:
-        return None
-    for cand in (w, w.inverse()):
-        for shift in range(4):
-            rot = cand.letters[shift:] + cand.letters[:shift]
-            (g0, e0), (g1, e1), (g2, e2), (g3, e3) = rot
-            if (
-                g0 == g2 and g1 == g3 and g0 != g1
-                and e0 == 1 and e1 == 1 and e2 == -1 and e3 == -1
-            ):
-                return frozenset((g0, g1))
-    return None
-
-
 def is_free_abelian(p: Presentation) -> bool:
     """Recognize Z^n given as: all pairwise generator commutators, nothing else.
 
-    Cyclic rotations and inverses of commutator relators are accepted (so the
-    genus-1 orientable surface presentation counts as Z^2).  Any relator that
-    is not such a commutator, or any uncovered generator pair, disqualifies.
+    A relator counts when it reduces to ``(g, e)(h, -f)(g, -e)(h, f)``, where
+    reduction forces g != h: exactly the cyclic rotations and inverses of
+    ``[g, h]`` (so the genus-1 orientable surface presentation counts as
+    Z^2).  Any other relator, or any uncovered generator pair, disqualifies.
     """
     n = p.num_generators
     needed = {frozenset(pair) for pair in combinations(range(n), 2)}
@@ -284,10 +269,10 @@ def is_free_abelian(p: Presentation) -> bool:
     for w in map(reduce, p.relators):
         if not w.letters:
             continue
-        pair = _commutator_generator_pair(w)
-        if pair is None:
+        (g, e), (h, f) = w.letters[0], w.letters[-1]
+        if w.letters != ((g, e), (h, -f), (g, -e), (h, f)):
             return False
-        seen.add(pair)
+        seen.add(frozenset((g, h)))
     return seen == needed
 
 

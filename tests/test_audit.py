@@ -8,6 +8,7 @@ from obstructkit.audit import (
     BOUND_LABELS,
     SUITES,
     audit_outcome_to_json,
+    judge_trial,
     random_pairing_instance,
     run_audit,
     run_suite,
@@ -77,6 +78,11 @@ def test_run_trial_replay_is_deterministic(suite):
     assert set(first) == set(BOUND_LABELS[suite])
     different = run_trial(suite, MASTER, 4)
     assert different != first  # distinct trials draw distinct instances
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_judge_trial_passes_a_trial_within_its_bounds(suite):
+    assert judge_trial(suite, MASTER, 3) == (run_trial(suite, MASTER, 3), None)
 
 
 @pytest.mark.parametrize("suite", SUITES)

@@ -28,7 +28,7 @@ from obstructkit.quasirep import (
     voiculescu_pair,
 )
 from obstructkit.seeding import derive_rng, random_projection
-from obstructkit.words import free_abelian_presentation
+from obstructkit.words import free_abelian_presentation, presentation_to_json
 
 
 def run_cli(argv, capsys):
@@ -431,6 +431,49 @@ def test_audit_violation_carries_the_first_failure(capsys, monkeypatch, argv):
     capsys.readouterr()
 
 
+SUITE_RUN = ["--suite", "path_uni", "--trials", "1", "--seed", "5"]
+REPLAY = ["--replay", '{"suite": "path_uni", "master_seed": 5, "trial": 0}']
+
+
+def _violation_and_stdout(argv, capsys):
+    from obstructkit.cli import build_parser, cmd_audit
+    from obstructkit.errors import AuditViolation
+
+    with pytest.raises(AuditViolation) as exc_info:
+        cmd_audit(build_parser().parse_args(["audit", *argv]))
+    return exc_info.value.measured, json.loads(capsys.readouterr().out)
+
+
+def test_replay_and_suite_run_report_one_failure_record(capsys, monkeypatch):
+    import obstructkit.audit as audit_mod
+
+    ratios = {"commutator": 2.0, "conjugation": 0.5}
+    monkeypatch.setattr(audit_mod, "run_trial", lambda s, m, t: dict(ratios))
+    run_measured, report = _violation_and_stdout(SUITE_RUN, capsys)
+    replay_measured, replayed = _violation_and_stdout(REPLAY, capsys)
+    record = {"suite": "path_uni", "master_seed": 5, "trial": 0, "ratios": {"commutator": 2.0}}
+    assert run_measured == replay_measured == record
+    assert report["suites"][0]["failures"] == [record]
+    # the replay prints every ratio; only the record keeps to those above 1
+    assert replayed == {**record, "ratios": ratios}
+
+
+def test_replay_and_suite_run_report_one_error_record(capsys, monkeypatch):
+    import obstructkit.audit as audit_mod
+    from obstructkit.errors import NotUnitary
+
+    def refused(suite, master_seed, trial):
+        raise NotUnitary("image 0 is not unitary")
+
+    monkeypatch.setattr(audit_mod, "run_trial", refused)
+    run_measured, report = _violation_and_stdout(SUITE_RUN, capsys)
+    replay_measured, replayed = _violation_and_stdout(REPLAY, capsys)
+    record = {"suite": "path_uni", "master_seed": 5, "trial": 0,
+              "error": "NotUnitary: image 0 is not unitary"}
+    assert run_measured == replay_measured == replayed == record
+    assert report["suites"][0]["failures"] == [record]
+
+
 # ---------------------------------------------------------------------------
 # eta
 # ---------------------------------------------------------------------------
@@ -799,6 +842,16 @@ def assert_clean_refusal(code, out, err):
 
 DEEP = "[" * 50000
 LONG_INT = "9" * 5001
+# one key written twice; kept as its last value, each file runs to exit 0
+EYE2 = json.dumps(matrix_to_json(np.eye(2)))
+REPEATED_TABLE_KEY = (
+    f'{{"presentation": {json.dumps(presentation_to_json(free_abelian_presentation(2)))}, '
+    f'"images": [{EYE2}, {EYE2}], "word_table": {{"ab": {EYE2}, "ab": {EYE2}}}}}'
+)
+REPEATED_N = (
+    f'{{"N": 2, "N": 1, "k": 1, "b": {json.dumps(matrix_to_json(np.zeros((2, 2))))}, '
+    f'"q": {json.dumps(matrix_to_json(np.eye(1)))}}}'
+)
 
 
 @pytest.mark.parametrize(
@@ -829,6 +882,7 @@ LONG_INT = "9" * 5001
         ["audit", "--replay", '{"suite":"alm_proj","master_seed":true,"trial":3}'],
         ["audit", "--replay", '{"suite":["alm_proj"],"master_seed":7,"trial":3}'],
         ["eta", "--q", "0.3", "--method", "abel", "--ladder", ""],
+        ["audit", "--replay", '{"suite":"nonsense","suite":"chain","master_seed":7,"trial":3}'],
     ],
     ids=["snf-deep", "replay-deep", "fbc-long-int", "replay-infinite-seed",
          "gen-negative-seed", "audit-negative-seed", "replay-negative-seed",
@@ -837,7 +891,8 @@ LONG_INT = "9" * 5001
          "gen-surface-huge-genus", "gen-abelian-rank-3000", "gen-abelian-huge-rank",
          "gen-abelian-eps-1e300", "gen-surface-huge-dim", "gen-abelian-huge-dim",
          "gen-voiculescu-delta-1e-300", "replay-float-seed-string-trial",
-         "replay-float-seed", "replay-bool-seed", "replay-list-suite", "eta-empty-ladder"],
+         "replay-float-seed", "replay-bool-seed", "replay-list-suite", "eta-empty-ladder",
+         "replay-repeated-key"],
 )
 def test_malformed_inline_json_exit_one(argv, capsys):
     assert_clean_refusal(*run_cli(argv, capsys))
@@ -851,9 +906,12 @@ def test_malformed_inline_json_exit_one(argv, capsys):
         ("invariants", b"\xff\xfe"),
         ("pairing", "[]"),
         ("pairing", '{"N": 1}'),
+        ("invariants", REPEATED_TABLE_KEY),
+        ("pairing", REPEATED_N),
     ],
     ids=["invariants-long-int", "invariants-infinite-dim", "invariants-not-utf8",
-         "pairing-list", "pairing-missing-fields"],
+         "pairing-list", "pairing-missing-fields", "invariants-repeated-key",
+         "pairing-repeated-key"],
 )
 def test_malformed_json_file_exit_one(command, text, tmp_path, capsys):
     path = tmp_path / "bad.json"

@@ -208,6 +208,12 @@ def test_rho_loop_phase_domain():
         rho_loop([-0.5])
 
 
+@pytest.mark.parametrize("bad", [1.0, -0.5, float("nan"), float("inf")])
+def test_rho_loop_refuses_each_phase_as_a_character_twist(bad):
+    with pytest.raises(BoundViolation, match=r"character phase must lie in \[0, 1\)"):
+        rho_loop([0.2, bad])
+
+
 def test_result_json_shape():
     payload = asdict(eta_character_closed(CharacterTwist(0.25)))
     assert payload == {

@@ -79,7 +79,7 @@ def _shift_every_phase(monkeypatch):
             200,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 5: above DENSE_DET_DIM_LIMIT the path samples "
+                reason="ROADMAP item 3: above DENSE_DET_DIM_LIMIT the path samples "
                 "the same eigenphases, so the fault returns winding 0 for 1",
             ),
         ),

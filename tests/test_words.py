@@ -1,5 +1,6 @@
 """Word calculus: reduction, exponent sums, commutator rewriting, evaluation."""
 
+import itertools
 import json
 
 import numpy as np
@@ -333,6 +334,55 @@ def test_is_free_abelian_recognition():
     assert not is_free_abelian(surface_presentation(2))
     assert not is_free_abelian(baumslag_solitar_presentation(2, 3))
     assert not is_free_abelian(free_presentation(2))
+
+
+def reference_commutator_pair(w):
+    """The rotation-and-inverse search the one-pattern test replaced: the
+    generator pair when the reduced word w is a commutator of two generators."""
+    if len(w.letters) != 4:
+        return None
+    for cand in (w, w.inverse()):
+        for shift in range(4):
+            rot = cand.letters[shift:] + cand.letters[:shift]
+            (g0, e0), (g1, e1), (g2, e2), (g3, e3) = rot
+            if (
+                g0 == g2 and g1 == g3 and g0 != g1
+                and e0 == 1 and e1 == 1 and e2 == -1 and e3 == -1
+            ):
+                return frozenset((g0, g1))
+    return None
+
+
+def test_commutator_pattern_agrees_with_the_rotation_search():
+    """Every word of up to 6 letters over 3 generators, beside the commutators
+    of two generator pairs: Z^3 exactly when the search finds the third pair."""
+    z3 = free_abelian_presentation(3)
+    pairs = {frozenset(g for g, _ in r.letters): r for r in z3.relators}
+    letters = [(g, e) for g in range(3) for e in (1, -1)]
+    agreed = 0
+    for length in range(7):
+        for spelled in itertools.product(letters, repeat=length):
+            w = GroupWord(spelled)
+            found = reference_commutator_pair(reduce(w))
+            for pair in pairs:
+                others = tuple(r for q, r in pairs.items() if q != pair)
+                p = Presentation(3, z3.generator_names, (w, *others))
+                assert is_free_abelian(p) == (found == pair), (spelled, pair)
+            agreed += 1
+    assert agreed == 55987
+
+
+@pytest.mark.parametrize(
+    "relator, z2",
+    [("abAB", True), ("bABa", True), ("ABab", True), ("BabA", True),
+     ("baBA", True), ("aBAb", True), ("BAba", True), ("AbaB", True),
+     ("abAb", False), ("abBA", False), ("aabb", False), ("abABab", False)],
+)
+def test_rotated_or_inverted_commutator_presents_z2(relator, z2):
+    p = presentation_from_json({"generators": ["a", "b"], "relators": [relator]})
+    assert is_free_abelian(p) is z2
+    ab, ba = (canonical_form(word_from_text(t, p), p) for t in ("ab", "ba"))
+    assert (ab == ba) is z2
 
 
 def test_canonical_form_sorts_abelian_words():
