@@ -110,6 +110,25 @@ def test_gen_abelian_perturbed_skips_winding(tmp_path, capsys):
     assert "unitarize" in err
 
 
+def test_invariants_refuses_a_pair_chunk_without_a_comma(tmp_path, capsys):
+    witness = tmp_path / "z2.json"
+    run_cli(["gen", "abelian", "--rank", "2", "--dim", "3", "--out", str(witness)], capsys)
+    code, out, err = run_cli(["invariants", str(witness), "--pairs", "a"], capsys)
+    assert_clean_refusal(code, out, err)
+    assert "bad chunk 'a'" in err
+
+
+def test_invariants_skips_the_winding_without_a_balanced_relator(tmp_path, capsys):
+    # the relator aabb of the non-orientable genus-2 surface has exponent sums (2, 2)
+    witness = tmp_path / "klein.json"
+    argv = ["gen", "surface", "--genus", "2", "--non-orientable", "--out", str(witness)]
+    assert run_cli(argv, capsys)[0] == 0
+    payload = run_json(["invariants", str(witness)], capsys)
+    assert payload["winding"] == {
+        "skipped": "no relator with vanishing exponent sums; pass --pairs"
+    }
+
+
 # sha256 of stdout, recorded while each perturbed table entry was still
 # rotated on its own: drawing per entry and solving the whole table as one
 # stack must keep every byte
@@ -496,8 +515,9 @@ def test_eta_abel_with_ladder(capsys):
 
 @pytest.mark.parametrize(
     "ladder, text",
-    [("", "t ladder is empty"), (",", "t ladder is empty"), ("0.5,2", "t ladder entry 2.0 must lie")],
-    ids=["empty", "comma", "above-one"],
+    [("", "t ladder is empty"), (",", "t ladder is empty"), ("0.5,2", "t ladder entry 2.0 must lie"),
+     ("0.4,x", "--ladder must be comma-separated numbers")],
+    ids=["empty", "comma", "above-one", "not-a-number"],
 )
 def test_eta_ladder_refusal_names_the_entry(ladder, text, capsys):
     code, out, err = run_cli(["eta", "--q", "0.3", "--method", "abel", "--ladder", ladder], capsys)

@@ -2,17 +2,20 @@
 in a refusal, never in a different integer.
 
 Each row monkeypatches one stage on an input whose integer is known by
-construction, then asserts the exception.  The Smith-form row is
+construction, then asserts the exception.  The Smith-form rows are
 ``tests/test_homology.py::test_verify_snf_refuses_a_non_unimodular_transform``,
-which doubles a transform row and expects ``_verify_snf`` to refuse.  The H2
-ranks come from exact arithmetic checked against sympy, so they need no row.
+which doubles a transform row, and
+``tests/test_homology.py::test_verify_snf_refuses_a_false_normal_form``; each
+expects ``_verify_snf`` to refuse.  The H2 ranks come from exact arithmetic
+checked against sympy, so they need no row.  The connecting unitaries carry
+no integer, but their certificates are refusals too, so they have rows here.
 """
 
 import numpy as np
 import pytest
 
-from obstructkit import winding
-from obstructkit.audit import random_pairing_instance
+from obstructkit import projops, winding
+from obstructkit.audit import random_pairing_instance, run_trial
 from obstructkit.errors import NumericalInconsistency
 from obstructkit.projops import pairing
 from obstructkit.seeding import derive_rng
@@ -91,3 +94,62 @@ def test_winding_phase_shift_is_refused(monkeypatch, dim):
     _shift_every_phase(monkeypatch)
     with pytest.raises(NumericalInconsistency):
         winding_of_unitary(w)
+
+
+def _patch_sample_path(monkeypatch, fault):
+    """Route ``winding._sample_path`` through ``fault(mag, ang, ts)``."""
+    sample_path = winding._sample_path
+
+    def faulty(w, theta, ts):
+        mag, ang = sample_path(w, theta, ts)
+        return fault(mag.copy(), ang.copy(), ts)
+
+    monkeypatch.setattr(winding, "_sample_path", faulty)
+
+
+def _drift_the_argument(mag, ang, ts):
+    return mag, ang + 0.3 * ts  # the increments' sum moves by 0.3 / (2 pi)
+
+
+def _zero_one_magnitude(mag, ang, ts):
+    mag[len(mag) // 2] = 0.0
+    return mag, ang
+
+
+@pytest.mark.parametrize(
+    "fault, text",
+    [
+        (_drift_the_argument, "does not close to an integer winding"),
+        (_zero_one_magnitude, "sampled determinant magnitude reached zero"),
+    ],
+    ids=["argument-drift", "zero-clearance"],
+)
+def test_winding_path_fault_is_refused(monkeypatch, fault, text):
+    w, expected = random_admissible_unitary(40, derive_rng(1, 40), winding=1)
+    assert winding_of_unitary(w).winding == expected
+    _patch_sample_path(monkeypatch, fault)
+    with pytest.raises(NumericalInconsistency, match=text):
+        winding_of_unitary(w)
+
+
+def test_connecting_unitary_conjugation_fault_is_refused(monkeypatch):
+    # the complex conjugate of each polar factor no longer carries p to q
+    assert max(run_trial("path_uni", 7, 0).values()) <= 1.0
+    polar_unitaries = projops.polar_unitaries
+    monkeypatch.setattr(projops, "polar_unitaries", lambda a: polar_unitaries(a).conj())
+    with pytest.raises(NumericalInconsistency, match="conjugation identity failed"):
+        run_trial("path_uni", 7, 0)
+
+
+def test_chain_drift_is_refused(monkeypatch):
+    # each step's unitary scaled by 1.0001: the product drifts off p_m
+    assert max(run_trial("chain", 7, 0).values()) <= 1.0
+    connecting_unitaries = projops._connecting_unitaries
+
+    def scaled(*args):
+        us, audits = connecting_unitaries(*args)
+        return us * 1.0001, audits
+
+    monkeypatch.setattr(projops, "_connecting_unitaries", scaled)
+    with pytest.raises(NumericalInconsistency, match="chained conjugation drift"):
+        run_trial("chain", 7, 0)

@@ -318,6 +318,24 @@ def test_verify_snf_refuses_a_non_unimodular_transform(a, u, v, d):
 
 
 @pytest.mark.parametrize(
+    "a, d, text",
+    [
+        ([[1, 0], [0, 1]], [[1, 0], [0, 2]], "factorization failed to verify"),
+        ([[1, 1], [0, 1]], [[1, 1], [0, 1]], "normal form is not diagonal"),
+        ([[0, 0], [0, 1]], [[0, 0], [0, 1]], "zero diagonal entry precedes a nonzero one"),
+        ([[2, 0], [0, 3]], [[2, 0], [0, 3]], "diagonal divisibility chain broken"),
+    ],
+    ids=["d-is-not-uav", "off-diagonal", "zero-first", "2-does-not-divide-3"],
+)
+def test_verify_snf_refuses_a_false_normal_form(a, d, text):
+    # U = V = I, so U A V = A: the first D differs from it, the others are A
+    # itself and fail one Smith-form rule each
+    eye = int_matrix([[1, 0], [0, 1]])
+    with pytest.raises(NumericalInconsistency, match=text):
+        _verify_snf(int_matrix(a), eye, int_matrix(d), eye)
+
+
+@pytest.mark.parametrize(
     "a, determinants",
     [
         (scrambled_diagonal(40, 160, ())[0], 0),

@@ -30,6 +30,7 @@ from obstructkit.matcore import (
     identity,
     matrix_to_json,
     op_norm,
+    op_norms,
     polar_unitary,
     require_unitary,
     spectral_tol,
@@ -560,6 +561,30 @@ def test_mult_audit_eps_is_the_unitarity_defect(rng):
     rep = compress(big.images, random_projection(7, 4, rng), Z2)
     S = symmetrized_generators(Z2)
     assert approx_mult_audit(rep, S, [A * B]).eps == defect(rep, S).unitarity_defect
+
+
+@pytest.mark.parametrize("dim, rank", [(8, 5), (30, 20)], ids=["svd-route", "gram-route"])
+def test_mult_audit_measures_the_residue_formed_inline(dim, rank, rng):
+    # bitwise: each entry is the norm of phi(gs) - phi(g) phi(s), or of
+    # phi(sg) - phi(s) phi(g), formed here one matrix at a time
+    big = honest_commuting_rep(Z2, dim, rng)
+    rep = compress(big.images, random_projection(dim, rank, rng), Z2)
+    ev = rep.evaluate
+    audit = approx_mult_audit(rep, symmetrized_generators(Z2), [A * B, B.inverse(), A * A])
+    assert len(audit.entries) == 24
+    for g, s, order, measured, *_ in audit.entries:
+        x, y = (g, s) if order == "left" else (s, g)
+        assert measured == op_norms((ev(x * y) - ev(x) @ ev(y))[None]).item()
+
+
+@pytest.mark.parametrize("pres", [Z2, surface_presentation(2)], ids=["z2", "genus-2"])
+def test_unitarize_refusal_measures_the_product_defect(pres, rng):
+    S = symmetrized_generators(pres)
+    phi = perturbed_honest_rep(pres, S, 0.1, 4, rng)
+    worst = defect(phi, S).max_defect
+    with pytest.raises(HypothesisViolation, match="is not below eps") as exc_info:
+        unitarize(phi, S, worst)
+    assert exc_info.value.measured == worst
 
 
 # ---------------------------------------------------------------------------

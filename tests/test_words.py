@@ -406,6 +406,8 @@ def test_word_text_round_trip():
     assert word_to_text(w, p) == "abAB"
     with pytest.raises(ParseError):
         word_from_text("xyz", p)
+    with pytest.raises(ParseError, match="generator 2 outside the presentation"):
+        word_to_text(generator(2), p)
 
 
 def test_presentation_json_round_trip():
@@ -434,6 +436,8 @@ def test_presentation_json_refuses_what_it_would_coerce(obj):
 def test_presentation_validation():
     with pytest.raises(ParseError):
         Presentation(2, ("a", "a"))
+    with pytest.raises(ParseError, match="one name per generator required"):
+        Presentation(2, ("a",))
     with pytest.raises(ParseError):
         Presentation(1, ("A",))
     with pytest.raises(InvalidSize):
