@@ -4,12 +4,13 @@ Exit codes: 0 success; 1 unusable input (flags, files, JSON, family
 parameters); 2 a mathematical hypothesis of the requested computation fails;
 3 internal numerical inconsistency; 4 an audited bound was violated.
 
-All output is JSON with sorted keys, so identical inputs, seeds and
-tolerance overrides produce byte-identical bytes.  The overrides
-``--tol.gap`` (spectral-gap window of the pairing) and ``--tol.unitarity``
-(input validation for raw unitary pairs) are ordinary argparse options on
-every parser, so they go before or after the subcommand, as ``--tol.gap 0.01``
-or ``--tol.gap=0.01``; a value must be finite and non-negative.
+All output is ``json.dumps(payload, sort_keys=True, indent=2)`` and a
+newline, so identical inputs, seeds and tolerance overrides produce
+byte-identical bytes.  The overrides ``--tol.gap`` (spectral-gap window of
+the pairing) and ``--tol.unitarity`` (input validation for raw unitary pairs)
+are ordinary argparse options on every parser, so they go before or after the
+subcommand, as ``--tol.gap 0.01`` or ``--tol.gap=0.01``; a value must be
+finite and non-negative.
 
 Each command imports the library modules it runs when it runs, so start-up
 is paid by subcommand: ``homology`` and the closed-form and ``--phases``
@@ -24,6 +25,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from .errors import AuditViolation, ObstructkitError, ParseError
@@ -71,9 +73,41 @@ def _uncapped_int_text():
         sys.set_int_max_str_digits(old_cap)
 
 
+def _json_text(node, indent=""):
+    """``json.dumps(node, sort_keys=True, indent=2)``, nested at ``indent``.
+
+    CPython's C encoder runs only without ``indent``, so this writer walks
+    the containers itself.  A list of equal, non-empty lists of exact
+    ``float``/``int`` leaves (a matrix row of ``[re, im]`` pairs, an integer
+    matrix) is one ``%r`` template, the text ``float.__repr__`` and
+    ``int.__repr__`` give json too; a NaN or infinity, the only float texts
+    with an ``n``, sends it back to json.  Every other node, ``bool`` and
+    ``np.float64`` leaves and non-``str`` keys included, is json's own text
+    re-indented, which is exact because JSON text holds no raw newline.
+    """
+    inner = indent + "  "
+    if type(node) is dict and node and set(map(type, node)) == {str}:
+        items = (f"{json.dumps(k)}: {_json_text(node[k], inner)}" for k in sorted(node))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(node) is list and node:
+        width = len(node[0]) if type(node[0]) is list else 0
+        if not (width and set(map(type, node)) == {list} and set(map(len, node)) == {width}
+                and set(map(type, chain.from_iterable(node))) <= {float, int}):
+            items = (_json_text(item, inner) for item in node)
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        row = "\n" + inner + "[" + ",".join(["\n" + inner + "  %r"] * width) + "\n" + inner + "]"
+        text = ("[" + ",".join([row] * len(node)) + "\n" + indent + "]") % tuple(
+            chain.from_iterable(node)
+        )
+        if "n" not in text:
+            return text
+    return json.dumps(node, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 def _emit(payload, out_path):
+    """Write exactly ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline."""
     with _uncapped_int_text():
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -295,6 +295,8 @@ def _verify_snf(a, u, d, v):
         for j in range(d.cols):
             if i != j and d.entries[i][j]:
                 raise NumericalInconsistency("normal form is not diagonal")
+    if min(diag, default=0) < 0:
+        raise NumericalInconsistency("negative diagonal entry")
     for x, y in zip(diag, diag[1:]):
         if x == 0 and y != 0:
             raise NumericalInconsistency("zero diagonal entry precedes a nonzero one")

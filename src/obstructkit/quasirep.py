@@ -210,25 +210,31 @@ class DefectReport:
 def defect(phi: QuasiRep, S) -> DefectReport:
     """Measure all ordered-pair defects of ``phi`` over the word list ``S``."""
     S = list(S)
+    value = _values(phi, S)
     pairs = [(s, t) for s in S for t in S]
-    norms = _product_norms(phi, pairs)
-    return DefectReport(dict(zip(pairs, norms)), max([0.0, *norms]), _unitarity_defect(phi, S))
+    norms = _product_norms(phi, value, pairs)
+    unitarity = _unitarity_defect(phi, [value[s] for s in S])
+    return DefectReport(dict(zip(pairs, norms)), max([0.0, *norms]), unitarity)
 
 
-def _product_norms(phi: QuasiRep, pairs) -> list:
+def _values(phi: QuasiRep, words) -> dict:
+    """``phi(w)`` for each distinct word ``w``, each evaluated once."""
+    return {w: phi.evaluate(w) for w in dict.fromkeys(words)}
+
+
+def _product_norms(phi: QuasiRep, value: dict, pairs) -> list:
     """``||phi(s) phi(t) - phi(st)||`` for each pair (s, t), in order.
 
-    Each word is evaluated once, and the residues go to one :func:`op_norms`
-    call, which streams them above ``SVD_NORM_DIM_LIMIT``.
+    ``value`` is :func:`_values` of every word in the pairs; the residues go
+    to one :func:`op_norms` call, which streams them above
+    ``SVD_NORM_DIM_LIMIT``.
     """
-    value = {w: phi.evaluate(w) for w in dict.fromkeys(x for pair in pairs for x in pair)}
     return op_norms(value[s] @ value[t] - phi.evaluate(s * t) for s, t in pairs).tolist()
 
 
-def _unitarity_defect(phi: QuasiRep, S) -> float:
-    """``max_s max(||phi(s)* phi(s) - 1||, ||phi(s) phi(s)* - 1||)``, 0 on an empty ``S``."""
+def _unitarity_defect(phi: QuasiRep, values) -> float:
+    """``max_v max(||v* v - 1||, ||v v* - 1||)`` over the values ``phi(s)``, 0 on none."""
     eye = identity(phi.dim)
-    values = (phi.evaluate(s) for s in S)
     residues = (r for v in values for r in (v.conj().T @ v - eye, v @ v.conj().T - eye))
     return max([0.0, *op_norms(residues).tolist()])
 
@@ -271,7 +277,8 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
         if canonical_form(k.inverse(), phi.presentation).letters not in keys:
             raise AsymmetricSet("word set is not closed under inversion "
                                 "(missing inverse of a member)")
-    measured = max([0.0, *_product_norms(phi, [(s, t) for s in S for t in S])])
+    pairs = [(s, t) for s in S for t in S]
+    measured = max([0.0, *_product_norms(phi, _values(phi, S), pairs)])
     if measured >= eps:
         raise HypothesisViolation(
             f"defect {measured:.6e} is not below eps = {eps}", measured=measured
@@ -397,8 +404,9 @@ class MultiplicativityAudit:
 
 
 def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
-    S = list(S)
-    eps = _unitarity_defect(phi, S)
+    S, g_sample = list(S), list(g_sample)
+    value = _values(phi, [*S, *g_sample])
+    eps = _unitarity_defect(phi, [value[s] for s in S])
     if eps >= 1.0:
         raise HypothesisViolation(
             f"unitarity defect {eps:.6f} is not below 1", measured=eps
@@ -408,7 +416,7 @@ def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
     pairs = [(g, s) if order == "left" else (s, g) for g, s, order in cases]
     entries = tuple(
         (*case, measured, measured / bound, measured <= bound)
-        for case, measured in zip(cases, _product_norms(phi, pairs))
+        for case, measured in zip(cases, _product_norms(phi, value, pairs))
     )
     worst = max([0.0, *(e[4] for e in entries)])
     return MultiplicativityAudit(eps, bound, entries, worst, all(e[5] for e in entries))

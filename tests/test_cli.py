@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from obstructkit.audit import run_trial
-from obstructkit.cli import main
+from obstructkit.cli import _json_text, main
 from obstructkit.homology import int_text
 from obstructkit.matcore import matrix_to_json
 from obstructkit.projops import pairing_input, pairing_input_to_json
@@ -846,6 +847,99 @@ def test_out_file_byte_identical_to_stdout(tmp_path, capsys):
     code, silent, _ = run_cli(["eta", "--q", "0.3", "--out", str(out)], capsys)
     assert code == 0 and silent == ""
     assert out.read_text() == stdout_text
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(payload, sort_keys=True, indent=2), byte for byte
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def witness_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("witnesses")
+    files = {"pair": root / "pair.json", "rep": root / "rep.json"}
+    assert main(["gen", "voiculescu", "--delta", "0.5", "--k", "2",
+                 "--out", str(files["pair"])]) == 0
+    assert main(["gen", "surface", "--genus", "2", "--dim", "4",
+                 "--out", str(files["rep"])]) == 0
+    files["pairing"] = pairing_fixture_path(root)
+    files["out"] = root / "out.json"
+    return files
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "gen voiculescu --delta 0.5 --k 2",
+        "gen clock-shift --n 5",
+        "gen surface --genus 2 --dim 4",
+        "gen surface --genus 2 --non-orientable --dim 4 --seed 5",
+        "gen surface --genus 2 --eps 0.05 --dim 6 --seed 5",
+        "gen abelian --rank 2 --dim 3 --out {out}",
+        "gen abelian --rank 2 --eps 0.01 --seed 5",
+        "invariants {pair}",
+        "invariants {rep}",
+        "pairing {pairing}",
+        "pairing {pairing} --full",
+        "homology snf --matrix [[2,4,6],[4,8,12]]",
+        "homology fbc --matrix [[2,1],[1,1]]",
+        "eta --q 0.3",
+        "eta --q 0.3 --method abel",
+        "audit --trials 5 --seed 7",
+    ],
+)
+def test_every_subcommand_writes_json_dumps_of_its_output(command, witness_files, capsys):
+    code, text, err = run_cli(command.format(**witness_files).split(), capsys)
+    assert code == 0, err
+    if "--out" in command:
+        assert text == ""
+        text = witness_files["out"].read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+# every leaf json writes through a repr of its own: a float subclass, a bool
+# and the non-finite floats differ from %r, and strings hold the characters
+# of the writer's templates and separators
+tricky_strings = st.sampled_from(['", "', "%r", "%s%%", "a\nb", "é☃", ": ", ""])
+plain_numbers = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e30, 10**30])
+    | st.floats(min_value=-1e-307, max_value=1e-307)
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+)
+numbers = plain_numbers | st.booleans() | st.floats().map(np.float64)
+leaves = st.none() | numbers | st.text(max_size=4) | tricky_strings
+# numeric tables, equal-width (the writer's template) and ragged
+tables = st.sampled_from([plain_numbers, numbers]).flatmap(
+    lambda entry: st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(entry, min_size=width, max_size=width), max_size=4)
+    )
+    | st.lists(st.lists(entry, max_size=3), max_size=4)
+)
+json_trees = st.recursive(
+    # a flatmap, so the tables are half the base draws, not one branch in twelve
+    st.booleans().flatmap(lambda table: tables if table else leaves),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=3) | tricky_strings, children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=400)
+@given(json_trees)
+@example([[math.nan, 1.0], [math.inf, -math.inf]])
+@example([[-0.0, 5e-324], [1e30, 10**30]])
+@example([[True, 1.0], [False, 0]])
+@example([[np.float64(0.5), 1.0]])
+@example([[1.0], [2.0, 3.0]])
+@example([[]])
+@example({"a, b": [[1, 2]], "%r": {"%s": "x, y\né"}})
+@example({1: [[1.0]], 10: [[2.0]], 2: ()})
+def test_json_writer_matches_json_dumps(tree):
+    assert _json_text(tree) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ in a refusal, never in a different integer.
 Each row monkeypatches one stage on an input whose integer is known by
 construction, then asserts the exception.  The Smith-form rows are
 ``tests/test_homology.py::test_verify_snf_refuses_a_non_unimodular_transform``,
-which doubles a transform row, and
-``tests/test_homology.py::test_verify_snf_refuses_a_false_normal_form``; each
-expects ``_verify_snf`` to refuse.  The H2 ranks come from exact arithmetic
+which doubles a transform row,
+``tests/test_homology.py::test_verify_snf_refuses_a_false_normal_form`` and
+``tests/test_homology.py::test_verify_snf_refuses_a_negative_diagonal_entry``;
+each expects ``_verify_snf`` to refuse.  The H2 ranks come from exact arithmetic
 checked against sympy, so they need no row.  The connecting unitaries carry
 no integer, but their certificates are refusals too, so they have rows here.
 """

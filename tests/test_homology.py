@@ -335,6 +335,15 @@ def test_verify_snf_refuses_a_false_normal_form(a, d, text):
         _verify_snf(int_matrix(a), eye, int_matrix(d), eye)
 
 
+def test_verify_snf_refuses_a_negative_diagonal_entry():
+    # U A V = D holds and U is unimodular, so only the sign rule of a Smith
+    # form catches the -1 a Hermite step that skips its sign fix leaves
+    eye = int_matrix([[1, 0], [0, 1]])
+    flip = int_matrix([[1, 0], [0, -1]])
+    with pytest.raises(NumericalInconsistency, match="negative diagonal entry"):
+        _verify_snf(eye, flip, flip, eye)
+
+
 @pytest.mark.parametrize(
     "a, determinants",
     [
