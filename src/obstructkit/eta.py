@@ -107,7 +107,8 @@ def abel_series_value(q: float, t: float) -> float:
     ns = np.arange(-n_max, n_max + 1, dtype=np.float64)
     lam = ns + q
     terms = np.sign(lam) * np.exp(-t * np.abs(lam))
-    return math.fsum(terms.tolist())
+    # fsum reads the float64 buffer directly, without a list of floats
+    return math.fsum(memoryview(terms))
 
 
 def _neville_at_zero(xs, ys):

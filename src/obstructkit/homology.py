@@ -10,7 +10,10 @@ can overflow or wrap.  The pieces:
   verified by exact products: at full row rank U (A V) = D makes
   (A V) D^-1 the inverse of U, so U is unimodular exactly when that is
   integral (det U det U^-1 = 1), and V likewise from D^-1 (U A); only a
-  side of short rank takes a determinant.  It serves ``smith_normal_form``
+  side of short rank takes a determinant.  The certificate does one dense
+  product, U A; the products with V read each column of V through its
+  nonzeros, and V is 2-11 % nonzero on 20- to 40-wide inputs.  It serves
+  ``smith_normal_form``
   and ``homology snf``, where the transforms and torsion are part of the
   answer.  One Hermite routine, run on the rows and then on the columns in
   turn until the matrix is diagonal, does all the elimination; reducing
@@ -124,15 +127,27 @@ def int_matrix(rows) -> IntMatrix:
 
 
 def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Exact product A B, one column of B at a time.
+
+    A column with at most a quarter of its entries nonzero is read through
+    those entries, and a lone 1 is a copy of a column of A, so a sparse
+    right factor costs O(nnz(B) rows(A)) instead of O(rows(A) cols(A) cols(B)).
+    Integer sums are exact in any order, so every entry is the triple sum's.
+    """
     if a.cols != b.rows:
         raise InvalidSize(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bt = list(zip(*b.entries))
-    return IntMatrix(
-        tuple(
-            tuple(sum(map(operator.mul, row, col)) for col in bt)
-            for row in a.entries
-        )
-    )
+    cols = []
+    for col in zip(*b.entries):
+        nz = [p for p, x in enumerate(col) if x]
+        if 4 * len(nz) > len(col):
+            cols.append([sum(map(operator.mul, row, col)) for row in a.entries])
+        elif len(nz) == 1 and col[nz[0]] == 1:
+            cols.append([row[nz[0]] for row in a.entries])
+        else:
+            vals = [col[p] for p in nz]
+            cols.append([sum(map(operator.mul, map(row.__getitem__, nz), vals))
+                         for row in a.entries])
+    return IntMatrix(tuple(zip(*cols)))
 
 
 def _eliminate(rows) -> tuple[int, int]:
@@ -193,17 +208,26 @@ def _hermite(m, width, partner):
     and the entries above it are reduced modulo it.  Those reductions change
     only columns right of the pivot, and later swaps only columns right of
     later pivots, so every reduced column stays reduced.
+
+    The pivot search reads ``mins``: each row's smallest nonzero |entry|
+    over its first ``width`` columns (0 for a zero row), recomputed only
+    for the rows a phase changed.  That is the minimum over the remaining
+    block, because a row below the pivot is zero left of it, and a column
+    swap stays inside the block, so it permutes the row's entries there
+    without changing their minimum.  Negating a row keeps it too.
     """
     rows = len(m)
+    mins = [min(map(abs, filter(None, row[:width])), default=0) for row in m]
     for t in range(min(rows, width)):
         best, pos = 0, None
         for i in range(t, rows):
-            val = min(map(abs, filter(None, m[i][t:width])), default=0)
+            val = mins[i]
             if val and (not best or val < best):
                 best, pos = val, i
         if pos is None:
             return t
         m[t], m[pos] = m[pos], m[t]
+        mins[t], mins[pos] = mins[pos], mins[t]
         j = next(j for j in range(t, width) if abs(m[t][j]) == best)
         if j != t:
             for row in m:
@@ -214,22 +238,35 @@ def _hermite(m, width, partner):
                 m[t] = [-x for x in m[t]]
             top = m[t][t:]
             pivot = top[0]
-            # nearest-integer quotients: each remainder is at most pivot / 2
+            # nearest-integer quotients: each remainder is at most pivot / 2;
+            # the same pass finds the first row of least nonzero remainder
+            low, least = None, 0
             for i in range(t + 1, rows):
                 row = m[i]
-                k = (2 * row[t] + pivot) // (2 * pivot)
+                x = row[t]
+                if not x:
+                    continue
+                k = (2 * x + pivot) // (2 * pivot)
                 if k:
                     row[t:] = [x - k * y for x, y in zip(row[t:], top)]
-            leftover = [i for i in range(t + 1, rows) if m[i][t]]
-            if not leftover:
+                    mins[i] = None
+                    x = row[t]
+                    if not x:
+                        continue
+                if low is None or abs(x) < least:
+                    low, least = i, abs(x)
+            if low is None:
                 break
-            low = min(leftover, key=lambda i: abs(m[i][t]))
             m[t], m[low] = m[low], m[t]
+            mins[t], mins[low] = mins[low], mins[t]
         for i in range(t):
             row = m[i]
             k = row[t] // pivot
             if k:
                 row[t:] = [x - k * y for x, y in zip(row[t:], top)]
+        for i in range(t + 1, rows):
+            if mins[i] is None:
+                mins[i] = min(map(abs, filter(None, m[i][t + 1:width])), default=0)
     return min(rows, width)
 
 
@@ -286,7 +323,9 @@ def _verify_snf(a, u, d, v):
     """U A V = D, D a Smith form, U and V unimodular.  The chain check puts
     the rho nonzero d_j first, so (A V) D^-1 is integral when column j < rho
     of A V is divisible by d_j, and D^-1 (U A) when row i < rho of U A is
-    divisible by d_i; a short or non-square side takes the determinant."""
+    divisible by d_i; a short or non-square side takes the determinant.
+    U A is the one dense product: ``int_matmul`` reads the sparse columns
+    of V through their nonzeros, so (U A) V and A V cost O(nnz(V) n)."""
     ua = int_matmul(u, a)
     if int_matmul(ua, v).entries != d.entries:
         raise NumericalInconsistency("normal form factorization failed to verify")

@@ -272,20 +272,29 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
         raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}")
     S = list(S)
-    keys = _canonical_elements(S, phi.presentation)
+    # each element S names, once, under its canonical form, and the first
+    # member of S that names it
+    keys, first = {}, {}
+    for s in S:
+        k = canonical_form(s, phi.presentation)
+        if k.letters and k.letters not in keys:
+            keys[k.letters], first[k.letters] = k, s
     for k in keys.values():
         if canonical_form(k.inverse(), phi.presentation).letters not in keys:
             raise AsymmetricSet("word set is not closed under inversion "
                                 "(missing inverse of a member)")
+    value = _values(phi, S)
     pairs = [(s, t) for s in S for t in S]
-    measured = max([0.0, *_product_norms(phi, _values(phi, S), pairs)])
+    measured = max([0.0, *_product_norms(phi, value, pairs)])
     if measured >= eps:
         raise HypothesisViolation(
             f"defect {measured:.6e} is not below eps = {eps}", measured=measured
         )
 
-    # one stacked SVD in key order, so the first singular key is the one refused
-    values = np.array([phi.evaluate(k) for k in keys.values()]).reshape(-1, phi.dim, phi.dim)
+    # one stacked SVD in key order, so the first singular key is the one
+    # refused; phi(s) depends only on the element s names, so the gate's
+    # values serve
+    values = np.array([value[s] for s in first.values()]).reshape(-1, phi.dim, phi.dim)
     table = dict(zip(keys, polar_unitaries(values)))
 
     base_keys = sorted(keys.values(), key=_word_sort_key)

@@ -39,6 +39,23 @@ def test_series_matches_geometric_oracle():
             )
 
 
+def _list_fsum_series(q, t):
+    """The series summed as ``fsum`` of a list of Python floats."""
+    import numpy as np
+
+    n_max = eta._truncation_count(t)
+    lam = np.arange(-n_max, n_max + 1, dtype=np.float64) + q
+    return math.fsum((np.sign(lam) * np.exp(-t * np.abs(lam))).tolist())
+
+
+def test_series_sum_is_bitwise_the_list_fsum():
+    # fsum reads the float64 buffer through a memoryview: the same floats,
+    # so the same correctly rounded sum
+    for q in GRID:
+        for t in DEFAULT_T_LADDER:
+            assert abel_series_value(q, t).hex() == _list_fsum_series(q, t).hex()
+
+
 def test_closed_form_values():
     half = eta_character_closed(CharacterTwist(0.5))
     assert half.eta == 0.0 and half.kernel_dim == 0

@@ -1,5 +1,6 @@
 """Exact integer homology: SNF, mapping-torus H2, obstruction counts."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from obstructkit.errors import (
 )
 from obstructkit.homology import (
     AbelianGroup,
+    IntMatrix,
     _eliminate,
     _verify_snf,
     abelian_group_to_json,
@@ -274,10 +276,10 @@ def elementary_product(n, steps, rng):
     return m
 
 
-def scrambled_diagonal(n, steps, tail):
-    """A = P diag(1, ..., 1, tail) Q with random unimodular P, Q; returns
-    (A, the diagonal)."""
-    rng = random.Random(n)
+def scrambled_diagonal(n, steps, tail, seed=None):
+    """A = P diag(1, ..., 1, tail) Q with random unimodular P, Q drawn from
+    ``random.Random(seed)`` (default: n); returns (A, the diagonal)."""
+    rng = random.Random(n if seed is None else seed)
     diagonal = [1] * (n - len(tail)) + list(tail)
     p = elementary_product(n, steps, rng)
     q = elementary_product(n, steps, rng)
@@ -369,6 +371,138 @@ def test_snf_huge_entries():
     a = int_matrix([[10**20, 1], [1, 10**20]])
     d = assert_snf_contract(a)
     assert d == (1, 10**40 - 1)
+
+
+# The Hermite routine and the product as they were before the cached row
+# minima, the single-pass Euclid rounds and the sparse columns.  The faster
+# code must choose every pivot, row and column as these do, so U, D and V
+# must agree entry for entry.
+
+
+def _reference_int_matmul(a, b):
+    bt = list(zip(*b.entries))
+    return IntMatrix(tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in a.entries))
+
+
+def _reference_hermite(m, width, partner):
+    rows = len(m)
+    for t in range(min(rows, width)):
+        best, pos = 0, None
+        for i in range(t, rows):
+            val = min(map(abs, filter(None, m[i][t:width])), default=0)
+            if val and (not best or val < best):
+                best, pos = val, i
+        if pos is None:
+            return t
+        m[t], m[pos] = m[pos], m[t]
+        j = next(j for j in range(t, width) if abs(m[t][j]) == best)
+        if j != t:
+            for row in m:
+                row[t], row[j] = row[j], row[t]
+            partner[t], partner[j] = partner[j], partner[t]
+        while True:
+            if m[t][t] < 0:
+                m[t] = [-x for x in m[t]]
+            top = m[t][t:]
+            pivot = top[0]
+            for i in range(t + 1, rows):
+                row = m[i]
+                k = (2 * row[t] + pivot) // (2 * pivot)
+                if k:
+                    row[t:] = [x - k * y for x, y in zip(row[t:], top)]
+            leftover = [i for i in range(t + 1, rows) if m[i][t]]
+            if not leftover:
+                break
+            low = min(leftover, key=lambda i: abs(m[i][t]))
+            m[t], m[low] = m[low], m[t]
+        for i in range(t):
+            row = m[i]
+            k = row[t] // pivot
+            if k:
+                row[t:] = [x - k * y for x, y in zip(row[t:], top)]
+    return min(rows, width)
+
+
+def assert_snf_matches_reference(a):
+    got = smith_normal_form(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homology_module, "_hermite", _reference_hermite)
+        mp.setattr(homology_module, "int_matmul", _reference_int_matmul)
+        want = smith_normal_form(a)
+    for g, w in zip(got, want):
+        assert g.entries == w.entries
+
+
+@st.composite
+def oracle_matrices(draw):
+    """1-12 x 1-12, rank 0 to full, entries up to about 2**72, with some rows
+    and columns zeroed."""
+    r = draw(st.integers(min_value=1, max_value=12))
+    c = draw(st.integers(min_value=1, max_value=12))
+    k = draw(st.integers(min_value=0, max_value=min(r, c)))
+    entry = st.one_of(st.integers(min_value=-3, max_value=3),
+                      st.integers(min_value=-(2**70), max_value=2**70))
+    left = draw(st.lists(st.lists(st.integers(min_value=-2, max_value=2), min_size=k, max_size=k),
+                         min_size=r, max_size=r))
+    right = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=k, max_size=k))
+    rows = [[sum(x * y for x, y in zip(lrow, col)) for col in zip(*right)] if k else [0] * c
+            for lrow in left]
+    zero_rows = draw(st.sets(st.integers(min_value=0, max_value=r - 1), max_size=r))
+    zero_cols = draw(st.sets(st.integers(min_value=0, max_value=c - 1), max_size=c))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+@settings(max_examples=150)
+@given(oracle_matrices())
+def test_snf_transforms_match_the_reference_bit_for_bit(rows):
+    assert_snf_matches_reference(int_matrix(rows))
+
+
+@pytest.mark.parametrize(
+    "n, steps, tail",
+    [(20, 120, ()), (40, 160, ()), (30, 120, (2, 6, 30, 2100)), (30, 120, (3, 15, 45, 1260))],
+    ids=["unimodular-20", "unimodular-40", "chain-30-a", "chain-30-b"],
+)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_snf_transforms_match_the_reference_on_workload_inputs(n, steps, tail, seed):
+    assert_snf_matches_reference(scrambled_diagonal(n, steps, tail, seed)[0])
+
+
+@st.composite
+def sparse_column_products(draw):
+    """(A, B) where each column of B is zero, a lone +-1, at most a quarter
+    nonzero, or dense."""
+    r = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=12))
+    c = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(st.integers(min_value=-5, max_value=5),
+                      st.integers(min_value=-(2**70), max_value=2**70))
+    a = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r))
+    cols = []
+    for _ in range(c):
+        kind = draw(st.sampled_from(["zero", "lone", "sparse", "dense"]))
+        col = [0] * k
+        if kind == "lone":
+            col[draw(st.integers(min_value=0, max_value=k - 1))] = draw(st.sampled_from([1, -1]))
+        elif kind == "sparse":
+            for p in draw(st.sets(st.integers(min_value=0, max_value=k - 1), max_size=k // 4)):
+                col[p] = draw(entry)
+        elif kind == "dense":
+            col = draw(st.lists(entry, min_size=k, max_size=k))
+        cols.append(col)
+    return a, [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200)
+@given(sparse_column_products())
+def test_int_matmul_is_the_triple_sum(ab):
+    a, b = ab
+    want = tuple(
+        tuple(sum(a[i][p] * b[p][j] for p in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+    assert int_matmul(int_matrix(a), int_matrix(b)).entries == want
 
 
 # ---------------------------------------------------------------------------

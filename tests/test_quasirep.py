@@ -587,6 +587,19 @@ def test_unitarize_refusal_measures_the_product_defect(pres, rng):
     assert exc_info.value.measured == worst
 
 
+@pytest.mark.parametrize("pres", [Z2, surface_presentation(2)], ids=["z2", "genus-2"])
+def test_unitarize_evaluates_each_member_of_s_once(pres, rng, monkeypatch):
+    # the defect gate's values feed the polar factors: phi(s) once per
+    # member and phi(st) once per ordered pair, nothing more
+    S = symmetrized_generators(pres)
+    phi = perturbed_honest_rep(pres, S, 0.05, 3, rng)
+    calls = []
+    evaluate = QuasiRep.evaluate
+    monkeypatch.setattr(QuasiRep, "evaluate", lambda self, w: calls.append(w) or evaluate(self, w))
+    unitarize(phi, S, 0.05)
+    assert len(calls) == len(S) + len(S) ** 2
+
+
 # ---------------------------------------------------------------------------
 # example families
 # ---------------------------------------------------------------------------
