@@ -169,21 +169,9 @@ def _honest_or_perturbed(pres, args):
     return perturbed_honest_rep(pres, symmetrized_generators(pres), args.eps, args.dim, rng)
 
 
-def _gen_surface_rep(args):
-    from .words import surface_presentation
-
-    pres = surface_presentation(args.genus, orientable=not args.non_orientable)
-    if args.non_orientable and args.eps is not None:
-        raise ParseError(
-            "perturbed non-orientable surface models are not provided; "
-            "omit --eps for an exact one"
-        )
-    return _honest_or_perturbed(pres, args)
-
-
 def cmd_gen(args) -> int:
     from .quasirep import clock_shift, quasirep_to_json, unitary_pair_rep, voiculescu_pair
-    from .words import free_abelian_presentation
+    from .words import free_abelian_presentation, surface_presentation
 
     if args.family == "voiculescu":
         u, v = voiculescu_pair(args.delta, args.k)
@@ -192,7 +180,13 @@ def cmd_gen(args) -> int:
         u, v = clock_shift(args.n)
         rep = unitary_pair_rep(u, v)
     elif args.family == "surface":
-        rep = _gen_surface_rep(args)
+        pres = surface_presentation(args.genus, orientable=not args.non_orientable)
+        if args.non_orientable and args.eps is not None:
+            raise ParseError(
+                "perturbed non-orientable surface models are not provided; "
+                "omit --eps for an exact one"
+            )
+        rep = _honest_or_perturbed(pres, args)
     else:  # abelian
         rep = _honest_or_perturbed(free_abelian_presentation(args.rank), args)
     _emit(quasirep_to_json(rep), args.out)
@@ -230,7 +224,7 @@ def _default_decomposition(pres):
 
 
 def cmd_invariants(args) -> int:
-    from .matcore import matrix_from_json
+    from .matcore import UNITARITY_TOL, matrix_from_json
     from .quasirep import (
         commutation_defect,
         defect,
@@ -244,7 +238,7 @@ def cmd_invariants(args) -> int:
     if isinstance(obj, dict) and "u" in obj and "v" in obj:
         u = matrix_from_json(obj["u"])
         v = matrix_from_json(obj["v"])
-        report = winding_pair(u, v, unitarity_tol=getattr(args, "tol_unitarity", None))
+        report = winding_pair(u, v, unitarity_tol=getattr(args, "tol_unitarity", UNITARITY_TOL))
         payload = {
             "input": "unitary-pair",
             "commutation_defect": commutation_defect(u, v),
@@ -338,6 +332,11 @@ def cmd_eta(args) -> int:
 
     if (args.q is None) == (args.phases is None):
         raise ParseError("give exactly one of --q or --phases")
+    if args.phases is not None and args.method == "abel":
+        raise ParseError("--method abel needs --q, not --phases")
+    # read only by the Abel method; refused, not ignored, anywhere else
+    if args.method != "abel" and (args.ladder is not None or args.order is not None):
+        raise ParseError("--ladder and --order need --q with --method abel")
     if args.phases is not None:
         phases = _number_list(args.phases, "--phases")
         _emit({"phases": phases, "rho_loop": rho_loop(phases)}, args.out)

@@ -115,7 +115,6 @@ def _neville_at_zero(xs, ys):
     """Polynomial extrapolation to 0; returns (value, last diagonal correction)."""
     tab = list(ys)
     m = len(xs) - 1
-    prev = tab[0]
     for k in range(1, m + 1):
         prev = tab[0]
         for i in range(m - k + 1):

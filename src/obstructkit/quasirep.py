@@ -110,7 +110,8 @@ class QuasiRep:
     specific group elements, so a key other than its own canonical form, or
     the identity's ``()``, would never be read and is refused;
     ``compression`` reroutes all evaluation through the stored honest
-    representation; ``default_to_identity`` makes
+    representation, so it takes neither of the other two fields, which it
+    would never read; ``default_to_identity`` makes
     every element outside the table evaluate to the identity (used by
     ``unitarize``, whose construction is the identity off its word set).
 
@@ -141,6 +142,8 @@ class QuasiRep:
         comp = self.compression
         if (self.flavor == "ucp-compression") != (comp is not None):
             raise ParseError("the ucp-compression flavor and compression data go together")
+        if comp is not None and (self.word_table or self.default_to_identity):
+            raise ParseError("compression data take no word_table or default_to_identity")
         if len(self.images) != self.presentation.num_generators:
             raise InvalidSize("one image per generator required")
         for key in self.word_table:
@@ -272,18 +275,13 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
         raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}")
     S = list(S)
-    # each element S names, once, under its canonical form, and the first
-    # member of S that names it
-    keys, first = {}, {}
-    for s in S:
-        k = canonical_form(s, phi.presentation)
-        if k.letters and k.letters not in keys:
-            keys[k.letters], first[k.letters] = k, s
+    keys = _canonical_elements(S, phi.presentation)
     for k in keys.values():
         if canonical_form(k.inverse(), phi.presentation).letters not in keys:
             raise AsymmetricSet("word set is not closed under inversion "
                                 "(missing inverse of a member)")
-    value = _values(phi, S)
+    # keys first: a canonical member of S shares its key's evaluation
+    value = _values(phi, [*keys.values(), *S])
     pairs = [(s, t) for s in S for t in S]
     measured = max([0.0, *_product_norms(phi, value, pairs)])
     if measured >= eps:
@@ -291,10 +289,8 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
             f"defect {measured:.6e} is not below eps = {eps}", measured=measured
         )
 
-    # one stacked SVD in key order, so the first singular key is the one
-    # refused; phi(s) depends only on the element s names, so the gate's
-    # values serve
-    values = np.array([value[s] for s in first.values()]).reshape(-1, phi.dim, phi.dim)
+    # one stacked SVD in key order, so the first singular key is the one refused
+    values = np.array([value[k] for k in keys.values()]).reshape(-1, phi.dim, phi.dim)
     table = dict(zip(keys, polar_unitaries(values)))
 
     base_keys = sorted(keys.values(), key=_word_sort_key)

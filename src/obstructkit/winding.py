@@ -408,7 +408,7 @@ def _eigenphases(w: np.ndarray, tol: float):
 
 def winding_of_unitary(
     w,
-    unitarity_tol: float | None = None,
+    unitarity_tol: float = UNITARITY_TOL,
     _distance: str = "||W - 1||",
 ) -> WindingReport:
     """Winding of ``t -> det(t + (1-t)W)`` by both methods, which must agree.
@@ -420,7 +420,7 @@ def winding_of_unitary(
     run on the polar factor ``U`` of ``W``, which must pass the same two
     checks at ``UNITARITY_TOL`` (module docstring).
     """
-    tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
+    tol = float(unitarity_tol)
     w = require_unitary(as_matrix(w), tol=tol, what="winding input")
     _require_distance_below_one(w, tol, _distance)
     det = complex(np.linalg.det(w))
@@ -451,32 +451,39 @@ def winding_of_unitary(
                          eigenvalue_method=w_eig, path_method=w_path, agreement=True)
 
 
-def winding_pair(u, v, unitarity_tol: float | None = None) -> WindingReport:
+def _commutator_winding(pairs, dim: int, tol: float) -> WindingReport:
+    """Winding of ``W = prod a b a* b*`` over the ``tol``-almost-unitary pairs
+    read once from ``pairs`` (none: ``W = 1``), checked at ``5 tol max(1, m)``
+    for ``m`` pairs.  For unitaries ``aba*b* - 1 = (ab - ba) a*b*``, so on one
+    pair the distance gate measures ``||ab - ba||``."""
+    w, m = identity(dim), 0
+    for m, (a, b) in enumerate(pairs, 1):
+        c = a @ b @ a.conj().T @ b.conj().T
+        w = c if m == 1 else w @ c
+    return winding_of_unitary(w, unitarity_tol=5.0 * tol * max(1, m), _distance=(
+        "||W - 1|| (W the commutator product; ||uv - vu|| for one pair)"))
+
+
+def winding_pair(u, v, unitarity_tol: float = UNITARITY_TOL) -> WindingReport:
     """Winding of the multiplicative commutator ``u v u* v*``.
 
-    Defined when ``||uvu*v* - 1|| < 1``, the gate ``winding_of_unitary``
-    measures; for unitaries ``uvu*v* - 1 = (uv - vu) u*v*`` makes that norm
-    ``||uv - vu||``, so it is measured once.  Swapping the pair inverts the
-    commutator and so negates the winding.  Both shapes are checked
-    (:class:`InvalidSize`) before either unitarity gate.
+    Defined when ``||uv - vu|| < 1`` (:func:`_commutator_winding`).  Swapping
+    the pair inverts the commutator and so negates the winding.  Both shapes
+    are checked (:class:`InvalidSize`) before either unitarity gate.
     """
-    tol = UNITARITY_TOL if unitarity_tol is None else float(unitarity_tol)
+    tol = float(unitarity_tol)
     u, v = as_matrices((u, v), ("first of the pair", "second of the pair"))
     u = require_unitary(u, tol=tol, what="first of the pair")
     v = require_unitary(v, tol=tol, what="second of the pair")
-    w = u @ v @ u.conj().T @ v.conj().T
-    # the product of four tol-almost-unitaries is only (4 tol)-almost-unitary
-    return winding_of_unitary(
-        w, unitarity_tol=5.0 * tol, _distance="||uvu*v* - 1|| (= ||uv - vu|| for unitaries)"
-    )
+    return _commutator_winding([(u, v)], u.shape[0], tol)
 
 
 def winding_class(phi, decomp) -> WindingReport:
     """Winding attached to a commutator decomposition of a homology class.
 
-    Evaluates ``W`` as the product of matrix commutators of the values of
-    ``phi`` on the decomposition's word pairs; ``winding_of_unitary`` refuses
-    ``||W - 1|| >= 1`` with :class:`HypothesisViolation`.
+    ``W`` is the product of the commutators of the values of ``phi`` on the
+    decomposition's word pairs (:func:`_commutator_winding`, which refuses
+    ``||W - 1|| >= 1`` with :class:`HypothesisViolation`).
     The defining convention for class pairings runs the path in reverse;
     the report is normalized to the basic orientation and flagged, so the
     value here for the one-pair decomposition equals ``winding_pair`` on the
@@ -487,14 +494,8 @@ def winding_class(phi, decomp) -> WindingReport:
             "winding_class needs a unitary-valued quasi-representation; "
             "unitarize first"
         )
-    w = identity(phi.dim)
-    for a_word, b_word in decomp.pairs:
-        av = phi.evaluate(a_word)
-        bv = phi.evaluate(b_word)
-        w = w @ (av @ bv @ av.conj().T @ bv.conj().T)
-    # each commutator factor multiplies four almost-unitaries
-    tol = 5.0 * UNITARITY_TOL * max(1, len(decomp.pairs))
-    return replace(winding_of_unitary(w, unitarity_tol=tol), source_path_reversed=True)
+    values = ((phi.evaluate(a), phi.evaluate(b)) for a, b in decomp.pairs)
+    return replace(_commutator_winding(values, phi.dim, UNITARITY_TOL), source_path_reversed=True)
 
 
 # ---------------------------------------------------------------------------

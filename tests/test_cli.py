@@ -544,8 +544,15 @@ def test_eta_argument_exclusivity(capsys):
         ["eta", "--q", "0.3", "--method", "abel", "--order", "0"],
         ["eta", "--phases", "0.5,nan"],
         ["eta", "--q", "1.5"],
+        # the Abel method alone reads --ladder and --order
+        ["eta", "--q", "0.3", "--ladder", "0.4,x"],
+        ["eta", "--q", "0.3", "--order", "-5"],
+        ["eta", "--phases", "0.1", "--order", "3"],
+        ["eta", "--phases", "0.1", "--method", "abel"],
+        ["eta", "--phases", "0.1", "--method", "abel", "--ladder", "garbage"],
     ],
-    ids=["abel-order-zero", "phases-nan", "q-out-of-range"],
+    ids=["abel-order-zero", "phases-nan", "q-out-of-range", "ladder-closed", "order-closed",
+         "order-phases", "abel-phases", "abel-phases-ladder"],
 )
 def test_eta_unusable_flag_exit_one(argv, capsys):
     code, out, err = run_cli(argv, capsys)

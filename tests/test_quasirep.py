@@ -304,6 +304,16 @@ def test_unitarize_values_on_s_are_bitwise_the_per_key_polar_factors(rng):
         assert sigma.word_table[key].tobytes() == polar_unitary(phi.evaluate(s)).tobytes()
 
 
+def test_unitarize_keys_a_non_canonical_member_by_its_element(rng):
+    # "ba" and "BA" name the elements of "ab" and "AB" on Z^2
+    S = [A, A.inverse(), B, B.inverse(), B * A, B.inverse() * A.inverse()]
+    phi = perturbed_honest_rep(Z2, S, 0.05, 3, rng)
+    sigma = unitarize(phi, S, 0.05)
+    key = canonical_form(A * B, Z2).letters
+    assert sigma.word_table[key].tobytes() == polar_unitary(phi.evaluate(B * A)).tobytes()
+    assert np.array_equal(sigma.evaluate(B * A), sigma.evaluate(A * B))
+
+
 @pytest.mark.parametrize("eps", [1.0, 1e300])
 def test_perturbed_honest_rep_refuses_eps_of_one_or_more(eps):
     # the contraction factor 1 - shrink turned negative; a bound parameter
@@ -763,6 +773,18 @@ def test_compression_data_need_the_compression_flavor(flavor, rng):
         QuasiRep(Z2, rep.images, flavor=flavor, compression=rep.compression)
     with pytest.raises(ParseError, match="ucp-compression flavor"):
         QuasiRep(Z2, rep.images, flavor="ucp-compression")
+
+
+@pytest.mark.parametrize("table, default", [(True, False), (False, True), (True, True)],
+                         ids=["table", "default", "both"])
+def test_compression_data_take_no_table_or_default(table, default, rng):
+    # evaluate reads neither, and quasirep_from_json refuses a JSON with both
+    big = honest_commuting_rep(Z2, 6, rng)
+    rep = compress(big.images, np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), Z2)
+    word_table = {canonical_form(A * B, Z2).letters: 0.5 * np.eye(3)} if table else {}
+    with pytest.raises(ParseError, match="^compression data take no word_table"):
+        QuasiRep(Z2, rep.images, "ucp-compression", word_table, rep.compression,
+                 default_to_identity=default)
 
 
 # ---------------------------------------------------------------------------

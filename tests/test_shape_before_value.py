@@ -68,6 +68,13 @@ def _compression_of_one_non_unitary_image_for_two_generators():
                     compression=replace(comp, big_images=(2.0 * I2,)))
 
 
+def _compression_with_a_table_and_a_non_unitary_image():
+    comp = compress([I2, I2], P2, Z2).compression
+    return QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
+                    word_table={AB: 0.5 * np.eye(1)},
+                    compression=replace(comp, big_images=(2.0 * I2, I2)))
+
+
 ROWS = {
     "general-flavor ragged images": (
         lambda: QuasiRep(Z2, (I2, 2.0 * I3)),
@@ -146,6 +153,10 @@ ROWS = {
     "compression data for too few generators, with a non-unitary image": (
         _compression_of_one_non_unitary_image_for_two_generators,
         r"^compression data must match the generators$",
+    ),
+    "compression data with a word table, and a non-unitary big image": (
+        _compression_with_a_table_and_a_non_unitary_image,
+        r"^compression data take no word_table or default_to_identity$",
     ),
     "compression to rank zero of a non-unitary image": (
         lambda: compress([2.0 * I2, I2], np.zeros((2, 2)), Z2),

@@ -7,7 +7,7 @@ which the library's Hermitian eigenphases replace.
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -687,6 +687,34 @@ def test_winding_class_rejects_large_commutator():
     with pytest.raises(HypothesisViolation) as exc_info:
         winding_class(phi, decomp)
     assert exc_info.value.measured is not None
+
+
+ONE_PAIR = CommutatorDecomposition(((A, B),), A * B * A.inverse() * B.inverse())
+PAIRS = {
+    "clock-shift-9": lambda: clock_shift(9),
+    "voiculescu-0.5-2": lambda: voiculescu_pair(0.5, 2),
+    "voiculescu-0.25--3": lambda: voiculescu_pair(0.25, -3),
+    "voiculescu-0.1-3": lambda: voiculescu_pair(0.1, 3),
+}
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_winding_class_of_one_pair_is_winding_pair(pair):
+    # one commutator routine serves both: the one-pair class report is the
+    # pair's, bit for bit, apart from the orientation flag
+    u, v = PAIRS[pair]()
+    report = winding_class(unitary_pair_rep(u, v), ONE_PAIR)
+    assert report.source_path_reversed is True
+    assert replace(report, source_path_reversed=False) == winding_pair(u, v)
+
+
+def test_winding_class_and_winding_pair_refuse_one_pair_alike():
+    u, v = clock_shift(4)  # ||uv - vu|| = sqrt(2)
+    with pytest.raises(HypothesisViolation, match="uv - vu") as by_pair:
+        winding_pair(u, v)
+    with pytest.raises(HypothesisViolation, match="uv - vu") as by_class:
+        winding_class(unitary_pair_rep(u, v), ONE_PAIR)
+    assert by_class.value.measured == by_pair.value.measured == pytest.approx(math.sqrt(2.0))
 
 
 def test_winding_class_rejects_non_unitary_flavor(rng):
