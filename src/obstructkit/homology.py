@@ -91,6 +91,16 @@ class IntMatrix:
                         f"integer matrix entries must be exact ints; got {x!r}"
                     )
 
+    @classmethod
+    def _trusted(cls, entries) -> IntMatrix:
+        """The matrix of ``entries``, a nonempty rectangular tuple of tuples
+        of ints that the library built from validated ones, without the
+        entry-by-entry check: outside input goes through ``IntMatrix`` or
+        ``int_matrix``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -147,7 +157,7 @@ def int_matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
             vals = [col[p] for p in nz]
             cols.append([sum(map(operator.mul, map(row.__getitem__, nz), vals))
                          for row in a.entries])
-    return IntMatrix(tuple(zip(*cols)))
+    return IntMatrix._trusted(tuple(zip(*cols)))
 
 
 def _eliminate(rows) -> tuple[int, int]:
@@ -312,9 +322,9 @@ def smith_normal_form(a: IntMatrix):
         vt = [row[r:] for row in mt]
         m = [list(row) + u_row for row, u_row in zip(zip(*(row[:r] for row in mt)), u)]
 
-    uu = IntMatrix(tuple(tuple(row[c:]) for row in m))
-    dd = IntMatrix(tuple(tuple(row[:c]) for row in m))
-    vv = IntMatrix(tuple(zip(*vt)))
+    uu = IntMatrix._trusted(tuple(tuple(row[c:]) for row in m))
+    dd = IntMatrix._trusted(tuple(tuple(row[:c]) for row in m))
+    vv = IntMatrix._trusted(tuple(zip(*vt)))
     _verify_snf(a, uu, dd, vv)
     return uu, dd, vv
 
@@ -456,7 +466,8 @@ def symplectic_check(a: IntMatrix, j: IntMatrix) -> bool:
     """Exact test of the symplectic congruence: transpose(A) J A == J."""
     if not a.is_square() or not j.is_square() or a.rows != j.rows:
         raise InvalidSize("symplectic check needs square matrices of one size")
-    return int_matmul(int_matmul(IntMatrix(tuple(zip(*a.entries))), j), a).entries == j.entries
+    at = IntMatrix._trusted(tuple(zip(*a.entries)))
+    return int_matmul(int_matmul(at, j), a).entries == j.entries
 
 
 # ---------------------------------------------------------------------------

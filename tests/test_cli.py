@@ -561,6 +561,33 @@ def test_eta_unusable_flag_exit_one(argv, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+FLOOR_LADDER = "0.0016,0.0008,0.0004,0.0002,0.0001"
+
+
+def test_eta_floor_ladder_passes_the_cross_check(capsys):
+    # exited 3 while the error bar left out the rounding of its 1.6e6 terms
+    payload = run_json(["eta", "--q", "0.3", "--method", "abel", "--ladder", FLOOR_LADDER], capsys)
+    assert abs(payload["eta"] - 0.4) <= payload["extrapolation_error"]
+
+
+@pytest.mark.parametrize(
+    "ladder", ["0.4,0.2,0.1,0.05,0.025", FLOOR_LADDER], ids=["default", "floor"]
+)
+def test_eta_offset_series_exit_three(monkeypatch, ladder, capsys):
+    from obstructkit import eta
+
+    exact_sums = eta._abel_sums
+
+    def faulted(q, window):
+        ys, mass = exact_sums(q, window)
+        return [y + 1e-10 for y in ys], mass
+
+    monkeypatch.setattr(eta, "_abel_sums", faulted)
+    code, out, err = run_cli(["eta", "--q", "0.3", "--method", "abel", "--ladder", ladder], capsys)
+    assert code == 3 and out == ""
+    assert "misses the exact limit" in err
+
+
 def test_eta_zero_mode_exit_two(capsys):
     code, _, err = run_cli(["eta", "--q", "0.0", "--method", "abel"], capsys)
     assert code == 2

@@ -107,6 +107,26 @@ def test_int_matrix_refuses_inexact_entries(entry):
         int_matrix([[1, entry]])
 
 
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_int_matrix_constructor_still_refuses(entry):
+    # products the library builds skip the entry check; IntMatrix itself
+    # stays a gate for outside input
+    with pytest.raises(InvalidMatrix, match="exact ints"):
+        IntMatrix(((entry,),))
+
+
+def test_smith_normal_form_checks_no_entry_twice(monkeypatch):
+    a = int_matrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    checks = []
+    original = IntMatrix.__post_init__
+    monkeypatch.setattr(IntMatrix, "__post_init__", lambda m: checks.append(original(m)))
+    u, d, v = smith_normal_form(a)
+    assert checks == []
+    assert int_matmul(int_matmul(u, a), v) == d
+    assert d.diagonal() == (2, 6, 12)
+    assert all(type(x) is int for m in (u, d, v) for row in m.entries for x in row)
+
+
 def test_int_matrix_json_round_trip():
     payload = int_matrix_to_json(PHI_STAR)
     assert payload["rows"] == 4 and payload["cols"] == 4
