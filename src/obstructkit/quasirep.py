@@ -9,6 +9,16 @@ recognizably free-abelian, the value depends on the group element and not on
 the spelling of the word.  That is what makes the multiplicative defect
 ``||phi(s) phi(t) - phi(st)||`` meaningful.
 
+Evaluate once, compute on stacks: ``defect``, ``approx_mult_audit`` and
+``unitarize`` evaluate each distinct element they meet once, keyed by its
+canonical letters.  Up to ``SVD_NORM_DIM_LIMIT`` the values are gathered
+into one ``(k, d, d)`` stack, and every residue ``phi(s) phi(t) - phi(st)``
+or ``v* v - 1`` comes from one batched matmul; above it the residues stream
+to ``op_norms`` one at a time, the split ``op_norms`` itself makes, so a set
+of large residues is never held at once.  A batched matmul makes the same
+per-matrix BLAS call, in the same order, as the loop it replaces, so every
+value is the loop's to the bit.
+
 The headline operation is ``unitarize``: given a quasi-representation whose
 defect on a symmetric word set is below ``eps``, it produces a unitary-valued
 one that is ``eps``-close on the set and whose defect is below ``6 * eps``.
@@ -35,6 +45,7 @@ from .matcore import (
     json_value,
     matrix_from_json,
     matrix_to_json,
+    SVD_NORM_DIM_LIMIT,
     op_norms,
     polar_unitaries,
     require_indexable,
@@ -72,7 +83,8 @@ def _word_sort_key(w: GroupWord) -> tuple:
 
 
 def _canonical_elements(words, p: Presentation) -> dict:
-    """The distinct nonidentity elements ``words`` name: canonical letters -> form."""
+    """The distinct nonidentity elements ``words`` (words or their letters)
+    name: canonical letters -> form."""
     out: dict[tuple, GroupWord] = {}
     for w in words:
         k = canonical_form(w, p)
@@ -111,7 +123,8 @@ class QuasiRep:
     the identity's ``()``, would never be read and is refused;
     ``compression`` reroutes all evaluation through the stored honest
     representation, so it takes neither of the other two fields, which it
-    would never read; ``default_to_identity`` makes
+    would never read, and ``images`` other than its ``V* pi(g) V`` to the bit
+    are refused (:class:`ParseError`); ``default_to_identity`` makes
     every element outside the table evaluate to the identity (used by
     ``unitarize``, whose construction is the identity off its word set).
 
@@ -144,10 +157,14 @@ class QuasiRep:
             raise ParseError("the ucp-compression flavor and compression data go together")
         if comp is not None and (self.word_table or self.default_to_identity):
             raise ParseError("compression data take no word_table or default_to_identity")
-        if len(self.images) != self.presentation.num_generators:
+        p = self.presentation
+        if len(self.images) != p.num_generators:
             raise InvalidSize("one image per generator required")
         for key in self.word_table:
-            if not key or canonical_form(GroupWord(key), self.presentation).letters != key:
+            # a key the library built is its form's own letters tuple, which the
+            # memo answers; any other key is read as a word, which checks it
+            if not key or (canonical_form(key, p).letters is not key
+                           and canonical_form(GroupWord(key), p).letters != key):
                 raise ParseError(f"table key {key} is not a nonidentity canonical form")
         whats = [f"image of generator {i}" for i in range(len(self.images))]
         whats += [f"table value for {key}" for key in self.word_table]
@@ -161,6 +178,8 @@ class QuasiRep:
             if len(big) != len(images) or v.shape != (v.shape[0], dim):
                 raise InvalidSize("compression data must match the generators")
             fold = (big, adjoints(big, "compressed image of generator"))
+            if not all(map(np.array_equal, images, _corners(big, v))):
+                raise ParseError("images differ from the compression V* pi(g) V")
             object.__setattr__(self, "compression", replace(comp, big_images=big))
         elif self.flavor == "unitary":
             fold = (images, adjoints(images, "image of generator"))
@@ -191,6 +210,26 @@ class QuasiRep:
         return sealed(fold_word(key, *self._fold))
 
 
+def _corners(big, v) -> tuple:
+    """``V* pi(g) V`` of each big image: the one formula for compression images."""
+    vh = v.conj().T
+    return tuple(sealed(vh @ m @ v) for m in big)
+
+
+def _folds(rep: QuasiRep, forms) -> np.ndarray:
+    """:func:`words.fold_word` of each nonidentity form over the fold table of
+    a unitary-flavor ``rep``, as one ``(k, d, d)`` stack: one batched matmul
+    per letter position, each matrix the fold's own left-to-right product."""
+    mats, adjs = rep._fold
+    factors = np.array([*mats, *adjs])
+    rows = [[g if e == 1 else len(mats) + g for g, e in w.letters] for w in forms]
+    out = factors[[r[0] for r in rows]]
+    for j in range(1, max(map(len, rows))):
+        live = [i for i, r in enumerate(rows) if len(r) > j]
+        out[live] = out[live] @ factors[[rows[i][j] for i in live]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Defect measurement
 # ---------------------------------------------------------------------------
@@ -211,34 +250,76 @@ class DefectReport:
 
 
 def defect(phi: QuasiRep, S) -> DefectReport:
-    """Measure all ordered-pair defects of ``phi`` over the word list ``S``."""
+    """Measure all ordered-pair defects of ``phi`` over the word list ``S``.
+
+    On a unitary-flavor rep with no table, where each member of ``S`` is a
+    generator letter or the identity and its inverse is in ``S``,
+    ``phi(s^-1)`` is ``phi(s)*`` to the bit, so the (s, s^-1) and (s^-1, s)
+    residues are ``v v* - 1`` and ``v* v - 1``: the unitarity defect is read
+    off those pair norms instead of being formed again.
+    """
     S = list(S)
-    value = _values(phi, S)
-    pairs = [(s, t) for s in S for t in S]
+    value = {}
+    keys = _evaluated(phi, S, value)
+    pairs = [(a, b) for a in keys for b in keys]
     norms = _product_norms(phi, value, pairs)
-    unitarity = _unitarity_defect(phi, [value[s] for s in S])
-    return DefectReport(dict(zip(pairs, norms)), max([0.0, *norms]), unitarity)
+    inverse = {k: tuple((g, -e) for g, e in reversed(k)) for k in keys}
+    if phi.flavor == "unitary" and not phi.word_table and all(
+            len(k) < 2 and i in inverse for k, i in inverse.items()):
+        unitarity = max([0.0, *(n for (a, b), n in zip(pairs, norms) if b == inverse[a])])
+    else:
+        unitarity = _unitarity_defect(phi, [value[k] for k in inverse])
+    pair_defects = dict(zip(((s, t) for s in S for t in S), norms))
+    return DefectReport(pair_defects, max([0.0, *norms]), unitarity)
 
 
-def _values(phi: QuasiRep, words) -> dict:
-    """``phi(w)`` for each distinct word ``w``, each evaluated once."""
-    return {w: phi.evaluate(w) for w in dict.fromkeys(words)}
+def _evaluated(phi: QuasiRep, words, value: dict) -> list:
+    """The canonical letters of each word (or letters tuple), in order;
+    ``value`` (canonical letters -> ``phi``) gains ``phi`` on each element it
+    lacks, each evaluated once."""
+    p = phi.presentation
+    keys = []
+    for w in words:
+        k = canonical_form(w, p)
+        if k.letters not in value:
+            value[k.letters] = phi.evaluate(k)
+        keys.append(k.letters)
+    return keys
 
 
 def _product_norms(phi: QuasiRep, value: dict, pairs) -> list:
-    """``||phi(s) phi(t) - phi(st)||`` for each pair (s, t), in order.
+    """``||phi(s) phi(t) - phi(st)||`` for each pair (s, t) of canonical
+    letters, in order, with ``phi(s)`` and ``phi(t)`` read from ``value``.
 
-    ``value`` is :func:`_values` of every word in the pairs; the residues go
-    to one :func:`op_norms` call, which streams them above
-    ``SVD_NORM_DIM_LIMIT``.
+    Up to ``SVD_NORM_DIM_LIMIT``, ``value`` gains each product element,
+    evaluated once, and the residues are one batched ``left @ right - prod``
+    over a stack of its values; above it they stream to :func:`op_norms`,
+    ``phi(st)`` evaluated per pair.
     """
-    return op_norms(value[s] @ value[t] - phi.evaluate(s * t) for s, t in pairs).tolist()
+    if not pairs:
+        return []
+    p = phi.presentation
+    if phi.dim > SVD_NORM_DIM_LIMIT:
+        return op_norms(value[a] @ value[b] - phi.evaluate(canonical_form(a + b, p))
+                        for a, b in pairs).tolist()
+    prods = _evaluated(phi, [a + b for a, b in pairs], value)
+    row = dict(zip(value, range(len(value))))
+    stack = np.array(list(value.values()))
+    left, right, prod = (stack[[row[k] for k in ks]] for ks in (*zip(*pairs), prods))
+    return op_norms(left @ right - prod).tolist()
 
 
 def _unitarity_defect(phi: QuasiRep, values) -> float:
-    """``max_v max(||v* v - 1||, ||v v* - 1||)`` over the values ``phi(s)``, 0 on none."""
+    """``max_v max(||v* v - 1||, ||v v* - 1||)`` over the values ``phi(s)``,
+    0 on none: one batched product per side up to ``SVD_NORM_DIM_LIMIT``,
+    streamed above it."""
     eye = identity(phi.dim)
-    residues = (r for v in values for r in (v.conj().T @ v - eye, v @ v.conj().T - eye))
+    if phi.dim > SVD_NORM_DIM_LIMIT:
+        residues = (r for v in values for r in (v.conj().T @ v - eye, v @ v.conj().T - eye))
+    else:
+        v = np.array(values).reshape(-1, phi.dim, phi.dim)
+        vh = v.conj().transpose(0, 2, 1)
+        residues = np.concatenate((vh @ v, v @ vh)) - eye
     return max([0.0, *op_norms(residues).tolist()])
 
 
@@ -275,14 +356,15 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
         raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}")
     S = list(S)
-    keys = _canonical_elements(S, phi.presentation)
+    p = phi.presentation
+    keys = _canonical_elements(S, p)
     for k in keys.values():
-        if canonical_form(k.inverse(), phi.presentation).letters not in keys:
+        if canonical_form(k.inverse(), p).letters not in keys:
             raise AsymmetricSet("word set is not closed under inversion "
                                 "(missing inverse of a member)")
-    # keys first: a canonical member of S shares its key's evaluation
-    value = _values(phi, [*keys.values(), *S])
-    pairs = [(s, t) for s in S for t in S]
+    value = {}
+    s_keys = _evaluated(phi, S, value)
+    pairs = [(a, b) for a in s_keys for b in s_keys]
     measured = max([0.0, *_product_norms(phi, value, pairs)])
     if measured >= eps:
         raise HypothesisViolation(
@@ -290,15 +372,23 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
         )
 
     # one stacked SVD in key order, so the first singular key is the one refused
-    values = np.array([value[k] for k in keys.values()]).reshape(-1, phi.dim, phi.dim)
-    table = dict(zip(keys, polar_unitaries(values)))
+    values = np.array([value[k] for k in keys]).reshape(-1, phi.dim, phi.dim)
+    unitaries = polar_unitaries(values)
+    table = dict(zip(keys, unitaries))
 
+    # each new product element keyed by its first factorization in word
+    # order, all formed by one batched matmul
+    row = dict(zip(keys, range(len(keys))))
     base_keys = sorted(keys.values(), key=_word_sort_key)
+    firsts = {}
     for left in base_keys:
         for right in base_keys:
-            pk = canonical_form(left * right, phi.presentation).letters
+            pk = canonical_form(left.letters + right.letters, p).letters
             if pk and pk not in table:
-                table[pk] = sealed(table[left.letters] @ table[right.letters])
+                firsts.setdefault(pk, (row[left.letters], row[right.letters]))
+    if firsts:
+        i, j = (list(ix) for ix in zip(*firsts.values()))
+        table.update(zip(firsts, sealed(unitaries[i] @ unitaries[j])))
 
     return QuasiRep(
         presentation=phi.presentation,
@@ -377,7 +467,7 @@ def compress(big_images, proj, presentation: Presentation) -> QuasiRep:
         raise InvalidSize("projection has rank zero; nothing to compress to")
     rep = QuasiRep(
         presentation=presentation,
-        images=tuple(sealed(v.conj().T @ m @ v) for m in mats),
+        images=_corners(mats, v),
         flavor="ucp-compression",
         compression=CompressionData(mats, p, v),
     )
@@ -410,15 +500,17 @@ class MultiplicativityAudit:
 
 def approx_mult_audit(phi: QuasiRep, S, g_sample) -> MultiplicativityAudit:
     S, g_sample = list(S), list(g_sample)
-    value = _values(phi, [*S, *g_sample])
-    eps = _unitarity_defect(phi, [value[s] for s in S])
+    value = {}
+    s_keys = _evaluated(phi, S, value)
+    g_keys = _evaluated(phi, g_sample, value)
+    eps = _unitarity_defect(phi, [value[k] for k in dict.fromkeys(s_keys)])
     if eps >= 1.0:
         raise HypothesisViolation(
             f"unitarity defect {eps:.6f} is not below 1", measured=eps
         )
     bound = math.sqrt(eps) + 1e-9
     cases = [(g, s, order) for g in g_sample for s in S for order in ("left", "right")]
-    pairs = [(g, s) if order == "left" else (s, g) for g, s, order in cases]
+    pairs = [pair for a in g_keys for b in s_keys for pair in ((a, b), (b, a))]
     entries = tuple(
         (*case, measured, measured / bound, measured <= bound)
         for case, measured in zip(cases, _product_norms(phi, value, pairs))
@@ -533,20 +625,21 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     contraction.  With rotation angles below ``eps / 4`` and contraction
     below ``eps / 16`` the triangle inequality keeps every pair defect at or
     below ``15 eps / 16``.  The draws run per entry, in table order; the solve
-    runs once: one batched ``eigh`` (:func:`seeding.rotations`), one product.
+    runs once: one batched ``eigh`` (:func:`seeding.rotations`), one product
+    with the base values, folded by :func:`_folds` one letter position at a time.
     """
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
         raise BoundViolation(f"eps must be positive and below 1, got {eps}")
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
-    words = _canonical_elements([*S, *(s * t for s in S for t in S)], p)
+    words = _canonical_elements([*S, *(s.letters + t.letters for s in S for t in S)], p)
     if not words:
         return QuasiRep(p, base.images)
     eta = eps / 4.0
     draws = [(rng.uniform(0.0, eta), gaussian_hermitian(dim, rng), rng.uniform(0.0, eta / 4.0))
              for _ in words]
     angles, hs, shrinks = map(np.array, zip(*draws))
-    rotated = rotations(hs, angles) @ np.array([base.evaluate(w) for w in words.values()])
+    rotated = rotations(hs, angles) @ _folds(base, words.values())
     table = dict(zip(words, sealed((1.0 - shrinks)[:, None, None] * rotated)))
     return QuasiRep(p, _generator_images(p, table, base.images), word_table=table)
 

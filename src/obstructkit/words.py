@@ -16,12 +16,21 @@ spelling of the word.
 refuses a generator outside it, its letters key every word table, and
 ``fold_word`` trusts them.
 
+Each presentation memoizes its canonical forms, keyed by the letters tuple
+of the word and of its form, up to ``CANONICAL_MEMO_SIZE`` entries; a full
+memo is emptied before it takes the next one.  Only a form that was computed
+stores anything, so a word the presentation refuses is refused on every
+call, warm memo or cold.  A hit builds no word: callers pass the letters of
+a product, ``s.letters + t.letters``, and only a miss builds (and so
+validates) the :class:`GroupWord`.
+
 An inverse letter evaluates through a table: :func:`adjoints`, the one
 unitarity gate behind every adjoint, or the true inverses of :func:`inverses`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -33,6 +42,13 @@ from .matcore import identity, json_value, require_unitary, sealed
 Letter = tuple[int, int]
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+# entries per presentation's canonical_form memo: a genus-2 unitarize trial
+# stores 73, and a full memo costs well under a megabyte
+CANONICAL_MEMO_SIZE = 4096
+# a miss's size check and its two stores are one step, so threads sharing a
+# presentation keep its memo under the cap
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -192,6 +208,8 @@ class Presentation:
     relators: tuple[GroupWord, ...] = ()
     # is_free_abelian, computed once at construction for canonical_form
     free_abelian: bool = field(init=False, repr=False, compare=False)
+    # canonical_form's memo: letters tuple -> form, computed forms only
+    _forms: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.num_generators < 1:
@@ -276,14 +294,35 @@ def is_free_abelian(p: Presentation) -> bool:
     return seen == needed
 
 
-def canonical_form(w: GroupWord, p: Presentation) -> GroupWord:
+def canonical_form(w, p: Presentation) -> GroupWord:
     """Normal form of w as an element of the presented group, where known.
 
     Free-abelian presentations get the sorted power form
     ``g_0^{e_0} g_1^{e_1} ...``; everything else gets free reduction.  Two
     words equal in a free-abelian group therefore share one canonical form,
     which is what makes group-element-level evaluation well defined there.
+
+    ``w`` is a :class:`GroupWord` or the letters tuple of one.  The
+    presentation's memo answers a letters tuple it holds (as ``==`` does, so
+    pass letters of words already built); a miss builds the word, which
+    validates it, and computes the form.
     """
+    letters = w.letters if isinstance(w, GroupWord) else w
+    memo = p._forms
+    form = memo.get(letters)
+    if form is None:
+        form = _normal_form(w if isinstance(w, GroupWord) else GroupWord(w), p)
+        with _MEMO_LOCK:
+            if len(memo) > CANONICAL_MEMO_SIZE - 2:
+                memo.clear()
+            # equal forms share one object, so a key built from its letters
+            # is that form's own tuple
+            form = memo[letters] = memo.setdefault(form.letters, form)
+    return form
+
+
+def _normal_form(w: GroupWord, p: Presentation) -> GroupWord:
+    """:func:`canonical_form` computed, without the memo."""
     sums = exponent_sums(w, p.num_generators)  # refuses out-of-range letters
     if not p.free_abelian:
         return reduce(w)

@@ -13,6 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from obstructkit.errors import (
     AsymmetricSet,
@@ -38,6 +40,9 @@ from obstructkit.matcore import (
 from obstructkit.quasirep import (
     QuasiRep,
     _block_size,
+    _evaluated,
+    _product_norms,
+    _unitarity_defect,
     approx_mult_audit,
     clock_shift,
     commutation_defect,
@@ -71,6 +76,7 @@ from obstructkit.words import (
     free_presentation,
     generator,
     surface_presentation,
+    word_from_text,
 )
 
 Z2 = free_abelian_presentation(2)
@@ -597,17 +603,212 @@ def test_unitarize_refusal_measures_the_product_defect(pres, rng):
     assert exc_info.value.measured == worst
 
 
-@pytest.mark.parametrize("pres", [Z2, surface_presentation(2)], ids=["z2", "genus-2"])
-def test_unitarize_evaluates_each_member_of_s_once(pres, rng, monkeypatch):
-    # the defect gate's values feed the polar factors: phi(s) once per
-    # member and phi(st) once per ordered pair, nothing more
-    S = symmetrized_generators(pres)
-    phi = perturbed_honest_rep(pres, S, 0.05, 3, rng)
+def _distinct_elements(p, words):
+    """How many elements the words name, counted from their canonical forms."""
+    return len({canonical_form(w, p).letters for w in words})
+
+
+def _counted_evaluations(monkeypatch):
     calls = []
     evaluate = QuasiRep.evaluate
     monkeypatch.setattr(QuasiRep, "evaluate", lambda self, w: calls.append(w) or evaluate(self, w))
+    return calls
+
+
+@pytest.mark.parametrize("pres", [Z2, surface_presentation(2)], ids=["z2", "genus-2"])
+def test_unitarize_evaluates_each_member_of_s_once(pres, rng, monkeypatch):
+    # the defect gate's values feed the polar factors: phi once per element
+    # of S and of S.S, nothing more
+    S = symmetrized_generators(pres)
+    phi = perturbed_honest_rep(pres, S, 0.05, 3, rng)
+    calls = _counted_evaluations(monkeypatch)
     unitarize(phi, S, 0.05)
-    assert len(calls) == len(S) + len(S) ** 2
+    assert len(calls) == _distinct_elements(pres, [*S, *(s * t for s in S for t in S)])
+
+
+@pytest.mark.parametrize("pres", [Z2, surface_presentation(2)], ids=["z2", "genus-2"])
+def test_defect_evaluates_each_element_once(pres, rng, monkeypatch):
+    S = [*symmetrized_generators(pres), B * A, A * B]
+    phi = perturbed_honest_rep(pres, S, 0.05, 3, rng)
+    calls = _counted_evaluations(monkeypatch)
+    defect(phi, S)
+    assert len(calls) == _distinct_elements(pres, [*S, *(s * t for s in S for t in S)])
+
+
+def test_mult_audit_evaluates_each_element_once(rng, monkeypatch):
+    big = honest_commuting_rep(Z2, 6, rng)
+    rep = compress(big.images, random_projection(6, 4, rng), Z2)
+    S = symmetrized_generators(Z2)
+    g_sample = [A * B, B * A, A.inverse(), IDENTITY_WORD]
+    calls = _counted_evaluations(monkeypatch)
+    approx_mult_audit(rep, S, g_sample)
+    products = [w for g in g_sample for s in S for w in (g * s, s * g)]
+    assert len(calls) == _distinct_elements(Z2, [*S, *g_sample, *products])
+
+
+# ---------------------------------------------------------------------------
+# stacked paths against the per-word loop they replace
+# ---------------------------------------------------------------------------
+
+
+def _hexes(a) -> list:
+    return [float.hex(x) for x in np.asarray(a, dtype=complex).view(float).ravel()]
+
+
+def _reference_product_norms(phi, pairs) -> list:
+    """The per-pair loop: phi(s) phi(t) - phi(st), one residue per pair."""
+    ev = phi.evaluate
+    return op_norms(ev(s) @ ev(t) - ev(s * t) for s, t in pairs).tolist()
+
+
+def _reference_unitarity_defect(phi, S) -> float:
+    eye = identity(phi.dim)
+    values = [phi.evaluate(s) for s in S]
+    residues = (r for v in values for r in (v.conj().T @ v - eye, v @ v.conj().T - eye))
+    return max([0.0, *op_norms(residues).tolist()])
+
+
+def _reference_unitarize_table(phi, S) -> dict:
+    """Polar factors per key, then one product per new element, in word order."""
+    p = phi.presentation
+    keys = {}
+    for s in S:
+        k = canonical_form(s, p)
+        if k.letters:
+            keys.setdefault(k.letters, k)
+    table = {lk: polar_unitary(phi.evaluate(k)) for lk, k in keys.items()}
+    order = sorted(keys.values(), key=lambda w: (len(w), [(g, e != 1) for g, e in w.letters]))
+    for left in order:
+        for right in order:
+            pk = canonical_form(left * right, p).letters
+            if pk and pk not in table:
+                table[pk] = table[left.letters] @ table[right.letters]
+    return table
+
+
+_PRESENTATIONS = {
+    "Z2": Z2,
+    "Z3": free_abelian_presentation(3),
+    "genus-2": surface_presentation(2),
+    "non-orientable-3": surface_presentation(3, orientable=False),
+    "BS(1,2)": baumslag_solitar_presentation(1, 2),
+}
+
+
+def _honest_images(p, dim, gen):
+    """Unitary images satisfying every relator of ``p``."""
+    if p is _PRESENTATIONS["BS(1,2)"]:  # a b a^-1 b^-2 = 1 with b = 1
+        return (haar_unitary(dim, gen), identity(dim))
+    return honest_commuting_rep(p, dim, gen).images
+
+
+def _perturbed_table(p, dim, gen) -> dict:
+    """An honest value on each element of S and S.S (S the symmetrized
+    generators), rotated and shrunk a little."""
+    honest = QuasiRep(p, _honest_images(p, dim, gen), flavor="unitary")
+    S = symmetrized_generators(p)
+    table = {}
+    for w in [*S, *(s * t for s in S for t in S)]:
+        k = canonical_form(w, p)
+        if k.letters and k.letters not in table:
+            rot = random_rotation(dim, gen, gen.uniform(0.0, 0.05))
+            table[k.letters] = (1.0 - gen.uniform(0.0, 0.01)) * (rot @ honest.evaluate(k))
+    return table
+
+
+def _rep_of_flavor(flavor, p, dim, gen):
+    if flavor == "general":
+        return QuasiRep(p, tuple(0.9 * haar_unitary(dim, gen) for _ in range(p.num_generators)))
+    if flavor in ("general-table", "default-to-identity"):
+        table = _perturbed_table(p, dim, gen)
+        images = tuple(table[canonical_form(generator(g), p).letters]
+                       for g in range(p.num_generators))
+        return QuasiRep(p, images, word_table=table,
+                        default_to_identity=flavor == "default-to-identity")
+    if flavor == "unitary":
+        return QuasiRep(p, tuple(haar_unitary(dim, gen) for _ in range(p.num_generators)),
+                        flavor="unitary")
+    extra = int(gen.integers(1, 4))
+    big = _honest_images(p, dim + extra, gen)
+    return compress(big, random_projection(dim + extra, dim, gen), p)
+
+
+def _word_set(p, spellings):
+    """The symmetrized generators, with ab, ba, AB, BA and aA when asked: on
+    Z^n, ba and BA spell the elements of ab and AB, and aA the identity."""
+    S = symmetrized_generators(p)
+    if spellings:
+        S += [word_from_text(t, p) for t in ("ab", "ba", "AB", "BA", "aA")]
+    return S
+
+
+_FLAVORS = ["general-table", "general", "default-to-identity", "unitary", "compression"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PRESENTATIONS)), st.sampled_from(_FLAVORS),
+       st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_residues_are_bitwise_the_per_word_loop(name, flavor, dim, spellings, seed):
+    p = _PRESENTATIONS[name]
+    phi = _rep_of_flavor(flavor, p, dim, derive_rng(seed, 32))
+    S = _word_set(p, spellings)
+    pairs = [(s, t) for s in S for t in S]
+    expected = _reference_product_norms(phi, pairs)
+    value = {}
+    keys = _evaluated(phi, S, value)
+    got = _product_norms(phi, value, [(a, b) for a in keys for b in keys])
+    assert list(map(float.hex, got)) == list(map(float.hex, expected))
+    unitarity = _reference_unitarity_defect(phi, S)
+    assert float.hex(_unitarity_defect(phi, [phi.evaluate(s) for s in S])) == float.hex(unitarity)
+    # defect takes the unitarity defect from the pair norms where it may
+    report = defect(phi, S)
+    assert [float.hex(report.pair_defects[st]) for st in pairs] == list(map(float.hex, expected))
+    assert float.hex(report.unitarity_defect) == float.hex(unitarity)
+    assert float.hex(report.max_defect) == float.hex(max([0.0, *expected]))
+    # the square-root audit: eps from the unitarity residues, both orders of each pair
+    g_sample = [word_from_text(t, p) for t in ("", "ab", "Ba", "aab")]
+    if unitarity < 1.0:
+        audit = approx_mult_audit(phi, S, g_sample)
+        cases = [(g, s) if order == "left" else (s, g)
+                 for g in g_sample for s in S for order in ("left", "right")]
+        assert float.hex(audit.eps) == float.hex(unitarity)
+        assert [float.hex(e[3]) for e in audit.entries] == list(
+            map(float.hex, _reference_product_norms(phi, cases)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_PRESENTATIONS)), st.sampled_from(_FLAVORS),
+       st.integers(1, 20), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_unitarize_is_bitwise_the_per_key_loop(name, flavor, dim, spellings, seed):
+    p = _PRESENTATIONS[name]
+    phi = _rep_of_flavor(flavor, p, dim, derive_rng(seed, 33))
+    S = _word_set(p, spellings)
+    measured = max([0.0, *_reference_product_norms(phi, [(s, t) for s in S for t in S])])
+    eps = 0.5
+    if measured >= eps:
+        with pytest.raises(HypothesisViolation) as exc_info:
+            unitarize(phi, S, eps)
+        assert float.hex(exc_info.value.measured) == float.hex(measured)
+        return
+    sigma = unitarize(phi, S, eps)
+    expected = _reference_unitarize_table(phi, S)
+    assert list(sigma.word_table) == list(expected)
+    for key, value in expected.items():
+        assert _hexes(sigma.word_table[key]) == _hexes(value)
+
+
+# BS(1, 2) is left out: honest_commuting_rep's signs cannot satisfy its relator
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(set(_PRESENTATIONS) - {"BS(1,2)"})), st.integers(1, 20),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_stacked_perturbed_table_is_bitwise_the_per_entry_loop(name, dim, spellings, seed):
+    p = _PRESENTATIONS[name]
+    S = _word_set(p, spellings)
+    phi = perturbed_honest_rep(p, S, 0.1, dim, derive_rng(seed, 34))
+    old = _old_perturbed_table(p, S, 0.1, dim, derive_rng(seed, 34))
+    assert list(phi.word_table) == list(old)
+    for key, value in old.items():
+        assert _hexes(phi.word_table[key]) == _hexes(value)
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +974,33 @@ def test_compression_data_need_the_compression_flavor(flavor, rng):
         QuasiRep(Z2, rep.images, flavor=flavor, compression=rep.compression)
     with pytest.raises(ParseError, match="ucp-compression flavor"):
         QuasiRep(Z2, rep.images, flavor="ucp-compression")
+
+
+def test_compression_images_must_be_the_corners_of_its_data(rng):
+    # a rank-3 compression of a dim-6 rep: the images evaluate never reads
+    # must still be its V* pi(g) V, the rule quasirep_from_json applies
+    big = honest_commuting_rep(Z2, 6, rng)
+    rep = compress(big.images, random_projection(6, 3, rng), Z2)
+    with pytest.raises(ParseError, match="^images differ from the compression V"):
+        QuasiRep(Z2, (0.5 * np.eye(3), 0.5 * np.eye(3)), "ucp-compression",
+                 compression=rep.compression)
+    with pytest.raises(ParseError, match="^images differ from the compression V"):
+        QuasiRep(Z2, rep.images[::-1], "ucp-compression", compression=rep.compression)
+    again = QuasiRep(Z2, tuple(np.array(m) for m in rep.images), "ucp-compression",
+                     compression=rep.compression)
+    assert json.dumps(quasirep_to_json(again)) == json.dumps(quasirep_to_json(rep))
+
+
+@pytest.mark.parametrize("letter", [(True, 1), (1.0, 1), (1, True)],
+                         ids=["bool", "float", "bool-sign"])
+def test_a_table_key_of_non_int_letters_is_refused_warm_or_cold(letter):
+    p = free_abelian_presentation(2)
+    table = {(letter,): 0.5 * np.eye(2)}
+    with pytest.raises(ParseError, match="a letter is a"):
+        QuasiRep(p, (np.eye(2), np.eye(2)), word_table=table)
+    canonical_form(B, p)  # ((1, 1),) is held now, and equals the key
+    with pytest.raises(ParseError, match="a letter is a"):
+        QuasiRep(p, (np.eye(2), np.eye(2)), word_table=table)
 
 
 @pytest.mark.parametrize("table, default", [(True, False), (False, True), (True, True)],

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from obstructkit.errors import (
 from obstructkit.matcore import as_matrix, op_norm
 from obstructkit.seeding import derive_rng, haar_unitary
 from obstructkit.words import (
+    CANONICAL_MEMO_SIZE,
     IDENTITY_WORD,
     GroupWord,
     Presentation,
@@ -474,3 +477,84 @@ def test_group_word_refuses_what_is_not_a_tuple_of_letter_pairs(letters):
 def test_canonical_form_refuses_a_generator_outside_the_presentation(p):
     with pytest.raises(ParseError, match=r"^word uses generator 9 but only \d+ are declared$"):
         canonical_form(GroupWord(((0, 1), (9, 1))), p)
+
+
+def _words_up_to(n_generators, length):
+    letters = [(g, e) for g in range(n_generators) for e in (1, -1)]
+    for k in range(length + 1):
+        yield from (GroupWord(w) for w in itertools.product(letters, repeat=k))
+
+
+@pytest.mark.parametrize("p", [free_abelian_presentation(2), surface_presentation(2)],
+                         ids=["abelian", "surface"])
+def test_a_warm_memo_refuses_what_a_cold_one_refuses(p):
+    bad = ((0, 1), (9, 1))
+    with pytest.raises(ParseError) as cold:
+        canonical_form(GroupWord(bad), p)
+    for w in _words_up_to(2, 3):
+        canonical_form(w, p)
+    assert p._forms
+    for word in (GroupWord(bad), bad):
+        with pytest.raises(ParseError) as warm:
+            canonical_form(word, p)
+        assert str(warm.value) == str(cold.value)
+    assert bad not in p._forms
+
+
+def test_a_memo_hit_builds_no_word(monkeypatch):
+    p = free_abelian_presentation(3)
+    word = word_from_text("cabA", p)
+    form = canonical_form(word, p)
+    built = []
+    init = GroupWord.__post_init__
+    monkeypatch.setattr(GroupWord, "__post_init__", lambda self: built.append(self) or init(self))
+    assert canonical_form(word.letters, p) is form
+    assert canonical_form(form.letters, p) is form
+    assert built == []
+
+
+def test_the_memo_never_passes_its_cap():
+    p = free_presentation(3)
+    for i, w in enumerate(_words_up_to(3, 5)):
+        canonical_form(w, p)
+        assert len(p._forms) <= CANONICAL_MEMO_SIZE
+    assert i + 1 > 2 * CANONICAL_MEMO_SIZE
+
+
+def test_threads_sharing_a_presentation_keep_its_memo_under_the_cap():
+    p = free_presentation(3)
+    words = list(_words_up_to(3, 5))
+    expected = [reduce(w) for w in words]
+    sizes, results, interval = [], {}, sys.getswitchinterval()
+
+    def work(k):
+        got = []
+        for w in words[k::2] + words[::-1]:
+            got.append(canonical_form(w, p))
+            sizes.append(len(p._forms))
+        results[k] = got
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert max(sizes) <= CANONICAL_MEMO_SIZE
+    for k, got in results.items():
+        assert got == expected[k::2] + expected[::-1]
+
+
+@pytest.mark.parametrize("make", [lambda: free_abelian_presentation(3),
+                                  lambda: surface_presentation(2)], ids=["abelian", "surface"])
+def test_an_equal_fresh_presentation_gives_equal_forms(make):
+    warm = make()
+    words = list(_words_up_to(3, 3))
+    forms = [canonical_form(w, warm) for w in words]
+    fresh = make()
+    assert fresh == warm and hash(fresh) == hash(warm) and not fresh._forms
+    assert [canonical_form(w, fresh) for w in words] == forms
