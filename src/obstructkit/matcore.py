@@ -20,6 +20,17 @@ or :func:`as_matrices`; kernels take arrays a gate passed or the library
 computed and trust them.  The norm kernel :func:`op_norms` keeps one check,
 finiteness, as a residue of finite matrices can overflow.
 
+Prove gates, norm what is read: a gate whose norms are only compared with a
+bound (unitarity, the unit ball, projections, path gaps, relators, the
+defect below ``eps``, each step of a connecting unitary) is proved by
+:func:`screened_norms`.  Its screen clears a member through a rounding-safe
+upper bound, the Frobenius norm or Gershgorin on the Gram matrix, and only
+when the exact norm passes too; the members it cannot clear get their
+exact :func:`op_norms` value, so every refusal keeps its class, message,
+``measured`` value and first member in order.  Exact norms are computed
+only for values a report carries and for refusals, and :func:`op_norms`
+stays the one exact kernel.
+
 Shape before value: :func:`as_matrices` checks that a named family of
 matrices is square, finite and of one size, naming its first malformed
 member, and every entry point runs it on each family before its first value
@@ -72,6 +83,7 @@ UNITARITY_TOL = 1e-8
 # the Gram route is as fast or faster from dim 24 up
 SVD_NORM_DIM_LIMIT = 16
 UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2.0
+_SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
 def spectral_tol(dim: int) -> float:
@@ -138,24 +150,38 @@ def _owned(a, arr: np.ndarray) -> np.ndarray:
     return sealed(arr)
 
 
+class Labels:
+    """Names of a family's members, each built only when a refusal reads it:
+    ``Labels(label)[i]`` is ``label(i)``."""
+
+    __slots__ = ("label",)
+
+    def __init__(self, label):
+        self.label = label
+
+    def __getitem__(self, i: int) -> str:
+        return self.label(i)
+
+
 def as_matrices(mats, whats, dim: int | None = None):
     """A family through :func:`as_matrix`, as a tuple (large members are not
     stacked into a copy); the first member not ``dim`` x ``dim`` (default: the
-    first member's size) raises :class:`InvalidSize` named from ``whats``.
+    first member's size) raises :class:`InvalidSize` named ``whats[i]``
+    (a sequence or :class:`Labels`, read only by a refusal).
     A ``(k, n, n)`` ndarray is gated whole, with the same refusals, by one
     check of member 0 and one finiteness pass, and returned as a sealed stack.
     """
     if isinstance(mats, np.ndarray) and mats.ndim == 3:
         arr = _converted(mats)
         if len(arr):  # the members share member 0's shape: it decides every shape refusal
-            as_matrices((arr[0],), (next(iter(whats)),), dim)
+            as_matrices((arr[0],), whats, dim)
         return _owned(mats, _finite(arr))
     out = []
-    for a, what in zip(mats, whats, strict=True):
+    for i, a in enumerate(mats):
         arr = as_matrix(a)
         dim = arr.shape[0] if dim is None else dim
         if arr.shape[0] != dim:
-            raise InvalidSize(f"{what} must be {dim} x {dim}, got {arr.shape[0]}")
+            raise InvalidSize(f"{whats[i]} must be {dim} x {dim}, got {arr.shape[0]}")
         out.append(arr)
     return tuple(out)
 
@@ -206,19 +232,25 @@ def op_norms(mats) -> np.ndarray:
     the SVD would raise ``LinAlgError`` and an ``inf`` would give a NaN norm
     that passes every ``>`` gate.  An empty input gives an empty array.
     """
-    if isinstance(mats, np.ndarray):
-        dim = mats.shape[-1]
-    else:
-        mats = iter(mats)
-        first = next(mats, None)
-        if first is None:
-            return np.empty(0)
-        dim, mats = first.shape[-1], itertools.chain((first,), mats)
-        del first  # the stream below must be the only holder of each matrix
+    dim, mats = _sized(mats)
+    if dim is None:
+        return np.empty(0)
     if dim > SVD_NORM_DIM_LIMIT:
         return np.array([_gram_norm(_finite(a)) for a in mats], dtype=float)
     stack = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats), dtype=np.complex128)
     return np.linalg.svd(_finite(stack), compute_uv=False)[:, 0]
+
+
+def _sized(mats):
+    """``(dim, mats)``: the size of the members, None when there are none, and
+    the members, an ndarray as given, else an iterator that alone holds each."""
+    if isinstance(mats, np.ndarray):
+        return (mats.shape[-1] if len(mats) else None), mats
+    mats = iter(mats)
+    first = next(mats, None)
+    if first is None:
+        return None, mats
+    return first.shape[-1], itertools.chain((first,), mats)
 
 
 def _gram_norm(a: np.ndarray) -> float:
@@ -242,21 +274,94 @@ def _gram_norm(a: np.ndarray) -> float:
     return scale * math.sqrt(float(np.linalg.eigvalsh(b.conj().T @ b)[-1]))
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Whether ``||a*a - 1|| <= tol``.
+def screened_norms(mats, bound) -> dict:
+    """``{index: op_norms value}``, in order, of each member of a stack or an
+    iterable of equal-size square matrices whose ``||a|| <= bound`` (a float
+    or one per member) :func:`_screen` cannot prove.
 
-    The Frobenius norm bounds the operator norm from above, so an O(dim^2)
-    Frobenius pass accepts first, scaled like :func:`_gram_norm` so that no
-    square underflows; only matrices it cannot accept pay the exact norm.
-    Both tests accept only when ``<= tol`` holds, so a NaN ``tol`` refuses.
+    The screen clears only members whose exact norm passes, never a
+    non-finite one, so a gate that refuses the first member above its bound
+    finds it here with its :func:`op_norms` value, and an overflowed residue
+    still raises :class:`InvalidMatrix`.  Above ``SVD_NORM_DIM_LIMIT`` the
+    members are taken one at a time, as :func:`op_norms` takes them.
+    """
+    bounds = np.asarray(bound, dtype=float)
+    dim, mats = _sized(mats)
+    if dim is None:
+        return {}
+    if dim > SVD_NORM_DIM_LIMIT:
+        return {i: _gram_norm(_finite(a)) for i, a in enumerate(mats)
+                if not _screen(a[None], bounds if bounds.ndim == 0 else bounds[i])[0]}
+    stack = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats), dtype=np.complex128)
+    cleared = _screen(stack, bounds)
+    if cleared.all():
+        return {}
+    rest = np.flatnonzero(~cleared)
+    return dict(zip(rest.tolist(), op_norms(stack[rest]).tolist()))
+
+
+def _screen(stack: np.ndarray, bounds) -> np.ndarray:
+    """Which members of a nonempty ``(k, d, d)`` stack provably have an
+    :func:`op_norms` value at most ``bounds`` (a float or one per member).
+
+    A member clears when an upper bound on ``||a||^2`` is at most the
+    :func:`_squared_limits` of its bound: first ``||a||_F^2``, O(d^2), for
+    residues that should be tiny; then, for the members left,
+    ``max_i sum_j |(a* a)_ij|`` (Gershgorin on one batched Gram product),
+    for matrices near the unit ball and path gaps.
+
+    Rounding moves the first by at most ``gamma_{2d^2}`` relatively, the
+    second by ``sqrt(2) d gamma_{d+2} ||a||^2`` (Higham section 3.6 for a
+    complex dot product, and row sums of ``|a|* |a|`` at most
+    ``||a||_1 ||a||_inf <= d ||a||^2``) plus ``gamma_d``, and
+    :func:`op_norms` errs by ``O(d u)`` (SVD) or about ``d^2 u / 2``
+    (:func:`_gram_norm`): the limit's factor covers these and its own
+    roundings.  An underflowed product errs by at most half the smallest
+    subnormal, which the limit's ``8 d^2`` subnormals cover, so squares that
+    flushed to zero clear nothing.  A non-finite member, or one whose
+    squares overflow, has a NaN or infinite upper bound and never clears.
+    No RuntimeWarning is raised.
+    """
+    k, d = len(stack), stack.shape[-1]
+    limits = _squared_limits(bounds, d)
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    flat = stack.reshape(k, -1).view(np.float64)
+    # einsum raises no floating-point warnings: an overflow is an infinite bound
+    cleared = np.einsum("ij,ij->i", flat, flat) <= limits
+    if not cleared.all():
+        rest = np.flatnonzero(~cleared)
+        a = stack if len(rest) == k else stack[rest]
+        with np.errstate(all="ignore"):  # a non-finite member only fails its comparison
+            rows = np.abs(a.conj().transpose(0, 2, 1) @ a).sum(axis=2).max(axis=1)
+        cleared[rest] = rows <= (limits if np.ndim(limits) == 0 else limits[rest])
+    return cleared
+
+
+def _squared_limits(bounds, d: int):
+    """``(bound^2 - 8 d^2 s) / (1 + 16 (d + 2)^2 u)``, ``s`` the smallest
+    subnormal: the largest upper bound on ``||a||^2`` of a ``d`` x ``d``
+    member that :func:`_screen` clears against ``bound``; a float for one
+    bound, an array for one per member.  A bound above ``2^500`` counts as
+    ``2^500``, so the limit stays finite and an infinite upper bound never
+    clears; a negative or NaN bound gives a negative limit, which nothing
+    clears."""
+    underflow = 8.0 * d * d * _SMALLEST_SUBNORMAL
+    slack = 1.0 + 16.0 * (d + 2) ** 2 * UNIT_ROUNDOFF
+    if np.ndim(bounds) == 0:  # Python floats: most gates have one bound
+        bound = min(float(bounds), 2.0**500)  # a NaN bound stays NaN
+        return ((bound * bound if bound >= 0.0 else -1.0) - underflow) / slack
+    bounds = np.minimum(bounds, 2.0**500)
+    return (np.where(bounds >= 0.0, bounds * bounds, -1.0) - underflow) / slack
+
+
+def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
+    """Whether ``||a*a - 1|| <= tol``: :func:`_screen` accepts first, and only
+    a matrix it cannot clear pays the exact norm.  Neither accepts a NaN
+    ``tol``.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
-        delta = a.conj().T @ a - np.eye(a.shape[0])
-        scale = _entry_scale(delta)
-        if scale == 0.0:
-            return 0.0 <= tol
-        frobenius = scale * float(np.linalg.norm(delta / scale))
-    return frobenius <= tol or op_norms(delta[None]).item() <= tol
+        delta = (a.conj().T @ a - np.eye(a.shape[0]))[None]
+    return bool(_screen(delta, tol)[0]) or op_norms(delta).item() <= tol
 
 
 def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
@@ -271,12 +376,12 @@ def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matr
 
 def require_unit_ball(mats, tol: float, whats) -> None:
     """Check ``||a|| <= 1 + tol`` for equal-size matrices :func:`as_matrices`
-    validated, from one :func:`op_norms` call; the first above raises
-    :class:`HypothesisViolation` naming it from ``whats``."""
-    for what, norm in zip(whats, op_norms(mats).tolist()):
+    validated, proved by :func:`screened_norms`; the first above raises
+    :class:`HypothesisViolation` named ``whats[i]``, with its exact norm."""
+    for i, norm in screened_norms(mats, 1.0 + tol).items():
         if norm > 1.0 + tol:
             raise HypothesisViolation(
-                f"{what} leaves the unit ball: norm {norm:.12f}", measured=norm
+                f"{whats[i]} leaves the unit ball: norm {norm:.12f}", measured=norm
             )
 
 
@@ -288,20 +393,21 @@ def require_projection(a: np.ndarray, what: str = "matrix") -> None:
 def require_projections(stack: np.ndarray, whats) -> None:
     """:func:`require_projection` for every matrix of a validated stack.
 
-    ``whats`` names the matrices.  Both residues of every matrix come from
-    one :func:`op_norms` call; the first matrix in stack order that fails
-    raises :class:`NotProjection`.
+    Both residues of every matrix are proved by one :func:`screened_norms`
+    call; the first matrix in stack order that fails raises
+    :class:`NotProjection` named ``whats[i]``, with the exact norms of both.
     """
-    tol = spectral_tol(stack.shape[1])
+    tol, k = spectral_tol(stack.shape[1]), len(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
         residues = np.concatenate([stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack])
-    norms = op_norms(residues).tolist()
-    for what, herm, idem in zip(whats, norms[:len(stack)], norms[len(stack):]):
-        if herm > tol or idem > tol:
-            raise NotProjection(
-                f"{what} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}",
-                measured=max(herm, idem),
-            )
+    failed = [j % k for j, norm in screened_norms(residues, tol).items() if norm > tol]
+    if failed:
+        i = min(failed)
+        herm, idem = op_norms(residues[[i, k + i]]).tolist()
+        raise NotProjection(
+            f"{whats[i]} is not a projection: ||a-a*|| = {herm:.3e}, ||a^2-a|| = {idem:.3e}",
+            measured=max(herm, idem),
+        )
 
 
 def polar_unitary(a) -> np.ndarray:
@@ -372,12 +478,13 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     arr = as_matrix(a)
     tol = spectral_tol(arr.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
-        asym = op_norms((arr - arr.conj().T)[None]).item()
-    if asym > tol:
-        raise NotHermitian(
-            f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",
-            measured=asym,
-        )
+        skew = (arr - arr.conj().T)[None]
+    for asym in screened_norms(skew, tol).values():
+        if asym > tol:
+            raise NotHermitian(
+                f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",
+                measured=asym,
+            )
     return range_projection(spectral_split((arr + arr.conj().T) / 2.0, cut, gap_tol)[1])
 
 

@@ -14,6 +14,7 @@ difference, certified by Sylvester's law of inertia in :func:`_certify_inertia`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 )
 from .matcore import (
     UNIT_ROUNDOFF,
+    Labels,
     as_matrices,
     as_matrix,
     coordinate_projection,
@@ -41,6 +43,7 @@ from .matcore import (
     require_projection,
     require_projections,
     require_unit_ball,
+    screened_norms,
     sealed,
     spectral_split,
 )
@@ -49,6 +52,8 @@ CONJUGATION_EXACTNESS = 1e-9
 COMMUTATOR_CONSTANT = 28.0
 CHAIN_EXACTNESS = 1e-8
 DEFAULT_GAP_TOL = 0.05
+# a gap is refused at 1/4 or above: the screen proves it at most the float below
+_BELOW_QUARTER = math.nextafter(0.25, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,17 +82,21 @@ def connecting_unitary(p, q, test_ops):
     with ``p``, the conjugation identity holds exactly, and
     ``||[u, x]|| <= 28 eps`` for every test operator, where ``eps`` is the
     largest ``||[p, x]||`` or ``||[q, x]||``.  Both facts are asserted, with
-    1e-9 slack for floating point, before returning.
+    1e-9 slack for floating point, before returning; the audit reports their
+    exact norms.
     """
     path, ops = _path_and_test_ops((p, q), test_ops)
-    gap = op_norms((path[0] - path[1])[None]).item()
-    if gap >= 0.25:
-        raise HypothesisViolation(
-            f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
-        )
-    comm = _commutator_norms(path, ops)
-    us, audits = _connecting_unitaries(path, ops, [float(comm.max(initial=0.0))])
-    return us[0], audits[0]
+    for gap in screened_norms((path[0] - path[1])[None], _BELOW_QUARTER).values():
+        if gap >= 0.25:
+            raise HypothesisViolation(
+                f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
+            )
+    eps = float(_commutator_norms(path, ops).max(initial=0.0))
+    us, (conj, comm) = _connecting_unitaries(path, ops, [eps])
+    bound = COMMUTATOR_CONSTANT * eps + 1e-9
+    norms = op_norms(comm).tolist()
+    worst = _commutator_worst(norms, bound, "28*eps + 1e-9")
+    return us[0], ConjugationAudit(op_norms(conj).item(), tuple(norms), eps, bound, worst)
 
 
 def _path_and_test_ops(path, test_ops):
@@ -95,12 +104,12 @@ def _path_and_test_ops(path, test_ops):
     shapes, path projections, the test operators' unit ball (1e-8 slack).
     An ndarray stack is gated whole by :func:`as_matrices`, not member by member."""
     path, test_ops = (a if isinstance(a, np.ndarray) else list(a) for a in (path, test_ops))
-    names = [f"path projection {i}" for i in range(len(path))]
+    names = Labels("path projection {}".format)
     path = as_matrices(path, names)
     if not len(path):
         raise InvalidSize("chain_conjugation needs a nonempty path")
     n = path[0].shape[0]
-    whats = [f"test operator {i}" for i in range(len(test_ops))]
+    whats = Labels("test operator {}".format)
     ops = as_matrices(test_ops, whats, n)
     path = sealed(np.asarray(path))
     require_projections(path, names)
@@ -108,10 +117,15 @@ def _path_and_test_ops(path, test_ops):
     return path, sealed(np.asarray(ops, dtype=np.complex128).reshape(-1, n, n))
 
 
+def _commutators(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``[mats[i], ops[j]]`` at row ``i * len(ops) + j`` of one stack."""
+    n, x = mats.shape[1], mats[:, None]
+    return (x @ ops - ops @ x).reshape(-1, n, n)
+
+
 def _commutator_norms(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``comm[i, j] = ||[mats[i], ops[j]]||`` from one :func:`op_norms` call."""
-    n, x = mats.shape[1], mats[:, None]
-    return op_norms((x @ ops - ops @ x).reshape(-1, n, n)).reshape(len(mats), len(ops))
+    return op_norms(_commutators(mats, ops)).reshape(len(mats), len(ops))
 
 
 def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
@@ -120,39 +134,46 @@ def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
     ``path`` is a stack of projections with consecutive gaps below 1/4 and
     ``step_eps[i]`` the commutator scale of step ``i``.  All polar factors
     come from one :func:`polar_unitaries` call, which refuses the first
-    singular step, and all conjugation and commutator norms from one
-    :func:`op_norms` call each; the guarantees of :func:`connecting_unitary`
-    are then checked in step order, so the first failing step raises.
-    Returns the unitaries as a stack and one :class:`ConjugationAudit` per step.
+    singular step, and the guarantees of :func:`connecting_unitary` are
+    proved by one :func:`screened_norms` call for the conjugation residues
+    and one for the commutators; the first failing step raises, its
+    conjugation identity before its commutators.  Returns the unitaries as
+    a stack and the residues, ``u p u* - q`` per step and ``[u, x]`` as
+    :func:`_commutators` stacks them, for a caller that reports their norms.
     """
     p, q = path[:-1], path[1:]
-    n = path.shape[1]
+    n, k = path.shape[1], len(ops)
     eye = identity(n)
     us = polar_unitaries(q @ p + (eye - q) @ (eye - p))
-    conj = op_norms(us @ p @ us.conj().transpose(0, 2, 1) - q).tolist()
-    comm = _commutator_norms(us, ops)
-    audits = []
-    for i, eps in enumerate(step_eps):
-        if conj[i] > CONJUGATION_EXACTNESS:
+    conj = us @ p @ us.conj().transpose(0, 2, 1) - q
+    comm = _commutators(us, ops)
+    bounds = COMMUTATOR_CONSTANT * np.asarray(step_eps, dtype=float) + 1e-9
+    failed = [(i, -1, e) for i, e in screened_norms(conj, CONJUGATION_EXACTNESS).items()
+              if e > CONJUGATION_EXACTNESS]
+    failed += [(j // k, j % k, e) for j, e in screened_norms(comm, np.repeat(bounds, k)).items()
+               if e > bounds[j // k]]
+    if failed:
+        i, j, e = min(failed)
+        if j < 0:
             raise NumericalInconsistency(
-                f"conjugation identity failed: ||u p u* - q|| = {conj[i]:.3e}",
-                measured=conj[i],
+                f"conjugation identity failed: ||u p u* - q|| = {e:.3e}", measured=e
             )
-        bound = COMMUTATOR_CONSTANT * eps + 1e-9
-        norms = comm[i].tolist()
-        worst = _commutator_worst(norms, bound, "28*eps + 1e-9")
-        audits.append(ConjugationAudit(conj[i], tuple(norms), eps, bound, worst))
-    return us, audits
+        raise _commutator_refusal(e, bounds[i], "28*eps + 1e-9")
+    return us, (conj, comm)
+
+
+def _commutator_refusal(norm: float, bound: float, label: str) -> NumericalInconsistency:
+    return NumericalInconsistency(
+        f"commutator bound failed: ||[u,x]|| = {norm:.3e} > {label} = {bound:.3e}",
+        measured=norm,
+    )
 
 
 def _commutator_worst(norms, bound: float, label: str) -> float:
     """The worst ratio of ``||[u, x]||`` to ``bound``; refuses the first norm above it."""
     for n in norms:
         if n > bound:
-            raise NumericalInconsistency(
-                f"commutator bound failed: ||[u,x]|| = {n:.3e} > {label} = {bound:.3e}",
-                measured=n,
-            )
+            raise _commutator_refusal(n, bound, label)
     return max([0.0, *(n / bound for n in norms)])
 
 
@@ -182,7 +203,7 @@ def chain_conjugation(path, test_ops):
     """
     path, ops = _path_and_test_ops(path, test_ops)
     m, dim = len(path) - 1, path.shape[1]
-    for i, gap in enumerate(op_norms(path[:-1] - path[1:]).tolist()):
+    for i, gap in screened_norms(path[:-1] - path[1:], _BELOW_QUARTER).items():
         if gap >= 0.25:
             raise SubdivisionTooCoarse(
                 f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",

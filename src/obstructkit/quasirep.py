@@ -40,6 +40,7 @@ from .errors import (
     ParseError,
 )
 from .matcore import (
+    Labels,
     as_matrices,
     identity,
     json_value,
@@ -51,6 +52,7 @@ from .matcore import (
     require_indexable,
     require_projection,
     require_unit_ball,
+    screened_norms,
     sealed,
     spectral_split,
     spectral_tol,
@@ -166,14 +168,15 @@ class QuasiRep:
             if not key or (canonical_form(key, p).letters is not key
                            and canonical_form(GroupWord(key), p).letters != key):
                 raise ParseError(f"table key {key} is not a nonidentity canonical form")
-        whats = [f"image of generator {i}" for i in range(len(self.images))]
-        whats += [f"table value for {key}" for key in self.word_table]
-        images = tuple(as_matrices(self.images, whats[:len(self.images)]))
+        n, keys = len(self.images), list(self.word_table)
+        whats = Labels(lambda i: f"image of generator {i}" if i < n else
+                       f"table value for {keys[i - n]}")
+        images = tuple(as_matrices(self.images, whats))
         dim = images[0].shape[0]
-        values = as_matrices(self.word_table.values(), whats[len(images):], dim)
+        values = as_matrices(self.word_table.values(), Labels(lambda i: whats[n + i]), dim)
         if comp is not None:
             v = comp.isometry
-            names = (f"compressed image of generator {i}" for i in range(len(comp.big_images)))
+            names = Labels("compressed image of generator {}".format)
             big = tuple(as_matrices(comp.big_images, names, v.shape[0]))
             if len(big) != len(images) or v.shape != (v.shape[0], dim):
                 raise InvalidSize("compression data must match the generators")
@@ -289,24 +292,29 @@ def _evaluated(phi: QuasiRep, words, value: dict) -> list:
 
 def _product_norms(phi: QuasiRep, value: dict, pairs) -> list:
     """``||phi(s) phi(t) - phi(st)||`` for each pair (s, t) of canonical
-    letters, in order, with ``phi(s)`` and ``phi(t)`` read from ``value``.
+    letters, in order: :func:`op_norms` of :func:`_product_residues`."""
+    return op_norms(_product_residues(phi, value, pairs)).tolist()
+
+
+def _product_residues(phi: QuasiRep, value: dict, pairs):
+    """``phi(s) phi(t) - phi(st)`` for each pair (s, t) of canonical letters,
+    in order, with ``phi(s)`` and ``phi(t)`` read from ``value``.
 
     Up to ``SVD_NORM_DIM_LIMIT``, ``value`` gains each product element,
     evaluated once, and the residues are one batched ``left @ right - prod``
-    over a stack of its values; above it they stream to :func:`op_norms`,
-    ``phi(st)`` evaluated per pair.
+    over a stack of its values; above it they are a stream, ``phi(st)``
+    evaluated per pair, so a norm kernel holds one at a time.
     """
     if not pairs:
-        return []
+        return ()
     p = phi.presentation
     if phi.dim > SVD_NORM_DIM_LIMIT:
-        return op_norms(value[a] @ value[b] - phi.evaluate(canonical_form(a + b, p))
-                        for a, b in pairs).tolist()
+        return (value[a] @ value[b] - phi.evaluate(canonical_form(a + b, p)) for a, b in pairs)
     prods = _evaluated(phi, [a + b for a, b in pairs], value)
     row = dict(zip(value, range(len(value))))
     stack = np.array(list(value.values()))
     left, right, prod = (stack[[row[k] for k in ks]] for ks in (*zip(*pairs), prods))
-    return op_norms(left @ right - prod).tolist()
+    return left @ right - prod
 
 
 def _unitarity_defect(phi: QuasiRep, values) -> float:
@@ -365,7 +373,9 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     value = {}
     s_keys = _evaluated(phi, S, value)
     pairs = [(a, b) for a in s_keys for b in s_keys]
-    measured = max([0.0, *_product_norms(phi, value, pairs)])
+    # a residue the screen proves below eps cannot be the largest of a refusal
+    residues = _product_residues(phi, value, pairs)
+    measured = max([0.0, *screened_norms(residues, math.nextafter(eps, 0.0)).values()])
     if measured >= eps:
         raise HypothesisViolation(
             f"defect {measured:.6e} is not below eps = {eps}", measured=measured
@@ -439,7 +449,7 @@ def require_honest(rep: QuasiRep) -> QuasiRep:
     tol = max(spectral_tol(dim), 1e-9)
     eye = identity(dim)
     relators = (fold_word(r, *rep._fold) - eye for r in rep.presentation.relators)
-    for err in op_norms(relators).tolist():
+    for err in screened_norms(relators, tol).values():
         if err > tol:
             raise HypothesisViolation(
                 f"relator evaluates {err:.3e} away from the identity; "

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -53,4 +54,20 @@ def unitarity_checks(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(matcore, "is_unitary", counted)
+    return calls
+
+
+@pytest.fixture
+def svd_matrices(monkeypatch):
+    """The number of matrices each ``np.linalg.svd`` call receives from here
+    on, a stack counting as its members, which every exact norm up to
+    ``SVD_NORM_DIM_LIMIT`` and every polar factor goes through."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
     return calls

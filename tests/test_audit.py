@@ -70,6 +70,22 @@ def test_run_trial_ratios_are_bit_exact(suite, trial):
     assert {k: float(v).hex() for k, v in ratios.items()} == GOLDEN_RATIOS[(suite, trial)]
 
 
+# matrices np.linalg.svd receives over trials 0-99 at seed 7: the polar
+# factors and the norms a report carries (chain: eps_path and the final
+# conjugation and commutators; unitarize: the output's defect, unitarity and
+# closeness).  The projection, unit-ball, gap, relator, defect < eps and step
+# gates are proved by the screen, and a change that norms one of them again
+# fails here (before the screen: chain 34902, unitarize 18334).
+SVD_MATRICES = {"chain": 11834, "unitarize": 6208}
+
+
+@pytest.mark.parametrize("suite", sorted(SVD_MATRICES))
+def test_gates_leave_the_svd_to_reported_norms(suite, svd_matrices):
+    for trial in range(100):
+        run_trial(suite, GOLDEN_SEED, trial)
+    assert sum(svd_matrices) == SVD_MATRICES[suite]
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_run_trial_replay_is_deterministic(suite):
     first = run_trial(suite, MASTER, 3)

@@ -10,16 +10,20 @@ which doubles a transform row,
 each expects ``_verify_snf`` to refuse.  The H2 ranks come from exact arithmetic
 checked against sympy, so they need no row.  The connecting unitaries carry
 no integer, but their certificates are refusals too, so they have rows here.
+Gates whose norms the bound screen proves (``matcore.screened_norms``) must
+refuse a fault as the exact norms alone do: the same class, message and
+``measured`` as with a screen that clears nothing.
 """
 
 import numpy as np
 import pytest
 
-from obstructkit import projops, winding
+from obstructkit import matcore, projops, winding
 from obstructkit.audit import random_pairing_instance, run_trial
-from obstructkit.errors import NumericalInconsistency
-from obstructkit.projops import pairing
-from obstructkit.seeding import derive_rng
+from obstructkit.errors import NotProjection, NumericalInconsistency, ObstructkitError
+from obstructkit.matcore import coordinate_projection
+from obstructkit.projops import chain_conjugation, pairing
+from obstructkit.seeding import derive_rng, random_rotation
 from obstructkit.winding import random_admissible_unitary, winding_of_unitary
 
 
@@ -154,3 +158,47 @@ def test_chain_drift_is_refused(monkeypatch):
     monkeypatch.setattr(projops, "_connecting_unitaries", scaled)
     with pytest.raises(NumericalInconsistency, match="chained conjugation drift"):
         run_trial("chain", 7, 0)
+
+
+def _refusal(call) -> tuple:
+    with pytest.raises(ObstructkitError) as exc_info:
+        call()
+    return type(exc_info.value), str(exc_info.value), exc_info.value.measured
+
+
+def _screened_and_exact_refusals(monkeypatch, call) -> tuple:
+    """The refusal of ``call``, then its refusal with a screen that clears
+    nothing, so that every gate norms every member exactly."""
+    screened = _refusal(call)
+    monkeypatch.setattr(matcore, "_screen", lambda stack, bounds: np.zeros(len(stack), bool))
+    return screened, _refusal(call)
+
+
+def test_chain_step_commutator_fault_is_refused(monkeypatch):
+    # ||[u, x]|| is about eps / 60 here: each step's scale cut by 1e-5 puts
+    # 28 eps + 1e-9 below it
+    connecting_unitaries = projops._connecting_unitaries
+
+    def shrunk(path, ops, step_eps):
+        return connecting_unitaries(path, ops, [1e-5 * eps for eps in step_eps])
+
+    monkeypatch.setattr(projops, "_connecting_unitaries", shrunk)
+    screened, exact = _screened_and_exact_refusals(monkeypatch, lambda: run_trial("chain", 7, 0))
+    assert screened == exact
+    kind, text, measured = screened
+    assert kind is NumericalInconsistency and text.startswith("commutator bound failed")
+    assert f"{measured:.3e}" in text
+
+
+def test_chain_projection_off_by_a_millionth_is_refused(monkeypatch):
+    gen = derive_rng(7, 33)
+    rots = random_rotation(5, gen, 0.05 * np.arange(8))
+    path = rots @ coordinate_projection(5, 2) @ rots.conj().transpose(0, 2, 1)
+    path[3] += 1e-6 * np.eye(5)  # hermitian still: only ||a^2 - a|| fails
+    ops = [random_rotation(5, gen, 0.01) for _ in range(2)]
+    screened, exact = _screened_and_exact_refusals(
+        monkeypatch, lambda: chain_conjugation(path, ops))
+    assert screened == exact
+    kind, text, measured = screened
+    assert kind is NotProjection and text.startswith("path projection 3 is not a projection")
+    assert measured == pytest.approx(1e-6, rel=1e-3)

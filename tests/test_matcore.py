@@ -6,8 +6,10 @@ spectral projections.  Library calls are cross-checked against these, never
 against themselves.
 """
 
+import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from obstructkit.errors import (
     NotUnitary,
     SpectralGapViolation,
 )
+from obstructkit import matcore
+from obstructkit.cli import main
 from obstructkit.matcore import (
     SINGULARITY_TOL,
     SVD_NORM_DIM_LIMIT,
@@ -44,6 +48,7 @@ from obstructkit.matcore import (
     require_indexable,
     require_projection,
     require_unitary,
+    screened_norms,
     sealed,
     spectral_projection,
     spectral_split,
@@ -548,6 +553,105 @@ def test_unitarity_gate_refuses_tiny_defects_and_nan_tolerances(dim):
     assert not is_unitary(a, tol=float("nan"))
     with pytest.raises(NotUnitary):
         require_unitary(identity(3), tol=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# the bound screen
+# ---------------------------------------------------------------------------
+
+
+def _member(gen, dim: int, kind: str) -> np.ndarray:
+    if kind == "rank-1":
+        x = gen.normal(size=(dim, 1)) + 1j * gen.normal(size=(dim, 1))
+        return x @ (gen.normal(size=(1, dim)) + 1j * gen.normal(size=(1, dim)))
+    if kind == "diagonal":
+        return np.diag(gen.normal(size=dim) + 1j * gen.normal(size=dim))
+    return gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+
+
+def _svd_norm(a) -> float:
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+@given(
+    dim=st.integers(1, 20),
+    count=st.integers(0, 5),
+    kind=st.sampled_from(["dense", "rank-1", "diagonal"]),
+    exponent=st.integers(-170, 150),
+    factor=st.sampled_from([1.0 - 1e-12, 1.0 + 1e-12, 0.5, 2.0]),
+    tiny_row=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=150)
+def test_screen_never_clears_a_matrix_above_its_bound(dim, count, kind, exponent, factor,
+                                                      tiny_row, seed):
+    # dims 1-20 cover both sides of SVD_NORM_DIM_LIMIT; each member is scaled
+    # to its bound times 1 +- 1e-12 (or 1/2, 2), entries from 1e-170 to 1e150
+    gen = derive_rng(seed, 11)
+    bounds = [10.0 ** exponent] * count + [1e-200] * tiny_row
+    mats = []
+    for bound in bounds:
+        a = _member(gen, dim, kind)
+        mats.append(a * (bound * factor / _svd_norm(a)))
+    stack = np.array(mats, dtype=np.complex128).reshape(-1, dim, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = screened_norms(stack, np.array(bounds))
+        streamed = screened_norms(iter(mats), np.array(bounds))
+    for i, (a, bound) in enumerate(zip(stack, bounds)):
+        if i not in norms:
+            assert _svd_norm(a) <= bound and op_norms(a[None]).item() <= bound
+        else:
+            assert norms[i] == op_norms(a[None]).item()
+        if factor > 1.0:  # every member is above its bound
+            assert i in norms
+    assert streamed == norms
+
+
+@pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
+@pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan, 1e200])
+def test_screen_never_clears_a_non_finite_matrix(dim, poison):
+    # 1e200 is finite, but its square overflows
+    stack = np.array([1e-20 * np.eye(dim), 1e-20 * np.eye(dim)], dtype=np.complex128)
+    stack[1, 0, -1] = poison
+    if np.isfinite(poison):
+        stack[1, -1, 0] = np.inf  # op_norms refuses what the screen would not clear
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert matcore._screen(stack, 1.0).tolist() == [True, False]
+        assert matcore._screen(stack, np.inf).tolist() == [True, False]
+        with pytest.raises(InvalidMatrix, match="^matrix has non-finite entries$"):
+            screened_norms(stack, 1.0)
+
+
+@pytest.mark.parametrize(
+    "empty", [[], (), iter(()), np.empty((0, 3, 3))], ids=["list", "tuple", "generator", "ndarray"]
+)
+def test_screen_of_nothing_clears_everything(empty):
+    assert screened_norms(empty, 1.0) == {}
+
+
+@pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
+def test_screen_takes_no_negative_or_nan_bound(dim):
+    # the screen adds the underflow of its products, so it clears zero against
+    # a tiny bound and leaves a zero bound to the exact norm
+    zero = np.zeros((1, dim, dim), dtype=np.complex128)
+    assert matcore._screen(zero, 1e-150).tolist() == [True]
+    for bound in (0.0, -1e-300, -1.0, np.nan):
+        assert matcore._screen(zero, bound).tolist() == [False]
+        assert screened_norms(zero, bound) == {0: 0.0}
+
+
+def test_screen_leaves_the_overflowing_pairing_residue_to_the_norm_kernel(tmp_path, capsys):
+    # (e + b)^2 of b = 1e200 * 1 overflows: exit 1, and no RuntimeWarning on the way
+    path = tmp_path / "overflow.json"
+    b, q = matrix_to_json(1e200 * np.eye(2)), matrix_to_json(np.eye(1))
+    path.write_text(json.dumps({"N": 1, "k": 1, "b": b, "q": q}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["pairing", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: matrix has non-finite entries\n")
 
 
 def test_require_projection_gate(rng):
