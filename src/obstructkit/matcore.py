@@ -22,14 +22,15 @@ finiteness, as a residue of finite matrices can overflow.
 
 Prove gates, norm what is read: a gate whose norms are only compared with a
 bound (unitarity, the unit ball, projections, path gaps, relators, the
-defect below ``eps``, each step of a connecting unitary) is proved by
-:func:`screened_norms`.  Its screen clears a member through a rounding-safe
-upper bound, the Frobenius norm or Gershgorin on the Gram matrix, and only
-when the exact norm passes too; the members it cannot clear get their
-exact :func:`op_norms` value, so every refusal keeps its class, message,
-``measured`` value and first member in order.  Exact norms are computed
-only for values a report carries and for refusals, and :func:`op_norms`
-stays the one exact kernel.
+defect below ``eps``, each step of a chain of connecting unitaries) is
+proved by :func:`screened_norms`.  Its screen clears a member through a
+rounding-safe upper bound, the Frobenius norm or Gershgorin on the Gram
+matrix, and only when the exact norm passes too; the members it cannot
+clear get their exact :func:`op_norms` value, so every refusal keeps its
+class, message, ``measured`` value and first member in order.  Exact norms
+are computed only for values a report carries and for refusals, and a gate
+on norms a report carries (a lone connecting unitary's step) reads those,
+once; :func:`op_norms` stays the one exact kernel.
 
 Shape before value: :func:`as_matrices` checks that a named family of
 matrices is square, finite and of one size, naming its first malformed

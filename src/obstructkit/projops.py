@@ -92,11 +92,14 @@ def connecting_unitary(p, q, test_ops):
                 f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
             )
     eps = float(_commutator_norms(path, ops).max(initial=0.0))
-    us, (conj, comm) = _connecting_unitaries(path, ops, [eps])
+    us, conj, comm = _step_unitaries(path, ops)
+    conj_err = op_norms(conj).item()
+    if conj_err > CONJUGATION_EXACTNESS:
+        raise _conjugation_refusal(conj_err)
     bound = COMMUTATOR_CONSTANT * eps + 1e-9
     norms = op_norms(comm).tolist()
     worst = _commutator_worst(norms, bound, "28*eps + 1e-9")
-    return us[0], ConjugationAudit(op_norms(conj).item(), tuple(norms), eps, bound, worst)
+    return us[0], ConjugationAudit(conj_err, tuple(norms), eps, bound, worst)
 
 
 def _path_and_test_ops(path, test_ops):
@@ -128,25 +131,37 @@ def _commutator_norms(mats: np.ndarray, ops: np.ndarray) -> np.ndarray:
     return op_norms(_commutators(mats, ops)).reshape(len(mats), len(ops))
 
 
-def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
-    """The connecting unitaries of every step ``path[i] -> path[i + 1]``.
+def _step_unitaries(path: np.ndarray, ops: np.ndarray):
+    """The connecting unitary of every step ``path[i] -> path[i + 1]`` and
+    its residues: ``(us, conj, comm)`` with ``conj[i] = u_i p_i u_i* - p_{i+1}``
+    and ``comm`` the ``[u_i, x]`` as :func:`_commutators` stacks them.
 
-    ``path`` is a stack of projections with consecutive gaps below 1/4 and
-    ``step_eps[i]`` the commutator scale of step ``i``.  All polar factors
-    come from one :func:`polar_unitaries` call, which refuses the first
-    singular step, and the guarantees of :func:`connecting_unitary` are
-    proved by one :func:`screened_norms` call for the conjugation residues
-    and one for the commutators; the first failing step raises, its
-    conjugation identity before its commutators.  Returns the unitaries as
-    a stack and the residues, ``u p u* - q`` per step and ``[u, x]`` as
-    :func:`_commutators` stacks them, for a caller that reports their norms.
+    ``path`` is a stack of projections with consecutive gaps below 1/4.  All
+    polar factors come from one :func:`polar_unitaries` call, which refuses
+    the first singular step.  The residues are not normed here: a caller
+    that reports the norms gates on them (:func:`connecting_unitary`), one
+    that does not proves its gates by the screen (:func:`_connecting_unitaries`).
     """
     p, q = path[:-1], path[1:]
-    n, k = path.shape[1], len(ops)
-    eye = identity(n)
+    eye = identity(path.shape[1])
     us = polar_unitaries(q @ p + (eye - q) @ (eye - p))
     conj = us @ p @ us.conj().transpose(0, 2, 1) - q
-    comm = _commutators(us, ops)
+    return us, conj, _commutators(us, ops)
+
+
+def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
+    """The connecting unitaries of a path's steps (:func:`_step_unitaries`),
+    with the guarantees of :func:`connecting_unitary` at commutator scale
+    ``step_eps[i]`` for step ``i``.
+
+    They are proved by one :func:`screened_norms` call for the conjugation
+    residues and one for the commutators; the first failing step raises, its
+    conjugation identity before its commutators, with the exact norm that
+    :func:`connecting_unitary` would report.  Returns the unitaries as a
+    stack.
+    """
+    us, conj, comm = _step_unitaries(path, ops)
+    k = len(ops)
     bounds = COMMUTATOR_CONSTANT * np.asarray(step_eps, dtype=float) + 1e-9
     failed = [(i, -1, e) for i, e in screened_norms(conj, CONJUGATION_EXACTNESS).items()
               if e > CONJUGATION_EXACTNESS]
@@ -155,11 +170,15 @@ def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
     if failed:
         i, j, e = min(failed)
         if j < 0:
-            raise NumericalInconsistency(
-                f"conjugation identity failed: ||u p u* - q|| = {e:.3e}", measured=e
-            )
+            raise _conjugation_refusal(e)
         raise _commutator_refusal(e, bounds[i], "28*eps + 1e-9")
-    return us, (conj, comm)
+    return us
+
+
+def _conjugation_refusal(norm: float) -> NumericalInconsistency:
+    return NumericalInconsistency(
+        f"conjugation identity failed: ||u p u* - q|| = {norm:.3e}", measured=norm
+    )
 
 
 def _commutator_refusal(norm: float, bound: float, label: str) -> NumericalInconsistency:
@@ -214,7 +233,7 @@ def chain_conjugation(path, test_ops):
     comm = _commutator_norms(path, ops)
     eps_path = float(comm.max(initial=0.0))
     step_eps = np.maximum(comm[:-1], comm[1:]).max(axis=1, initial=0.0).tolist()
-    step_us, _ = _connecting_unitaries(path, ops, step_eps)
+    step_us = _connecting_unitaries(path, ops, step_eps)
     u = identity(dim)
     for step_u in step_us:
         u = step_u @ u

@@ -77,12 +77,23 @@ INITIAL_INTERVALS = 64
 # Above this dimension the path samples the determinant through the spectral
 # factorization instead of Hyman's recurrence (see _sample_path).
 DENSE_DET_DIM_LIMIT = 160
-# Columns per blocked Householder update in _hessenberg: at dim 160 on a
-# 2-core x86-64 VM, blocks of 32 took 9.0 ms, of 8-16 11.6-11.7 ms and of
-# 64 15.7 ms.
-HESSENBERG_BLOCK = 32
+# Columns per blocked Householder update in _hessenberg.  Its time at dims
+# 8/24/40/80/120/160 on a 2-core x86-64 VM (default OpenBLAS threads, best
+# of 60), in ms: blocks of 24 took 0.095/0.36/0.64/1.84/3.62/5.62, of 32
+# 0.094/0.35/0.66/1.80/3.65/6.05, of 16 0.094/0.36/0.64/1.83/3.69/6.02, and
+# of 8, 48 and 64 up to 1.3x longer from dim 80 on.
+HESSENBERG_BLOCK = 24
+# _hessenberg sums ||x||^2 without scaling x strictly between these.
+_SQUARES_LO = 2.0**-900
+_SQUARES_HI = 2.0**900
 # Hyman's recurrence rescales before max |x| can pass exp(HYMAN_LOG_LIMIT).
 HYMAN_LOG_LIMIT = 600.0
+# From this dim on, _hyman_log_det takes the finished rows' share of the
+# next HYMAN_BLOCK rows from one matrix product.  At 65 samples on a 2-core
+# x86-64 VM that is faster from about dim 128 (one BLAS thread: 144); at dim
+# 160 it took 0.96 ms against 1.15 ms row by row (one thread: 0.85 / 0.97).
+HYMAN_BLOCK = 32
+HYMAN_BLOCK_MIN_DIM = 144
 
 
 @dataclass(frozen=True)
@@ -109,54 +120,89 @@ class WindingReport:
 def _hessenberg(w: np.ndarray) -> np.ndarray:
     """Upper Hessenberg ``H = Q* W Q`` by blocked Householder reflections.
 
-    Column ``j`` is reduced by ``P = 1 - beta v v*``, which maps
-    ``x = H[j+1:, j]`` to ``-e^{i arg x_0} ||x|| e_1``; ``v`` is built from
-    ``x`` scaled by its largest entry, so tiny columns neither underflow nor
-    divide by zero.  A column that is already reduced (``x[1:] = 0``: every
-    column of a diagonal ``W``, and the block edges of a block-diagonal one)
-    gets no reflection, so its zero subdiagonal stays exactly zero.  The
-    reflections of ``HESSENBERG_BLOCK`` columns are gathered as
-    ``1 - V T V*`` with ``Y = A V T`` (``A`` the matrix at the block's
-    start); each column of the block is brought up to date from them just
-    before it is reduced, and the rest of the matrix once per block by two
-    matrix products, ``A <- (1 - V T* V*)(A - Y V*)``: the compact WY form of
-    LAPACK's ``zgehrd`` (Golub & Van Loan section 7.4).  ``T*`` is stored.
-    Entries below the subdiagonal are returned as zeros; ``Q`` is not kept.
+    Column ``j`` is reduced by ``P = 1 - u u*``, which maps
+    ``x = H[j+1:, j]`` to ``-e^{i arg x_0} ||x|| e_1``: ``u`` is ``x`` with
+    ``x_0`` replaced by ``e^{i arg x_0} (|x_0| + ||x||)``, times
+    ``(||x|| (||x|| + |x_0|))^{-1/2}``, so ``||u||^2 = 2`` however small
+    ``x`` is.  Its scalars are Python floats.  ``||x||^2`` is summed as it
+    stands when it lies in ``(_SQUARES_LO, _SQUARES_HI)``: no square there
+    overflows, and squares that underflow move it by a relative ``n 2^-174``
+    at most.  Outside that range, or when the squares of a nonzero tail all
+    underflow, ``x`` is first scaled exactly by the power of two that puts its
+    largest entry in [1/2, 1), so tiny columns neither underflow nor divide
+    by zero, and a subnormal one is not divided by its subnormal largest
+    entry (whose reciprocal overflows).  A column that is already reduced
+    (``x[1:] = 0``: every column of a diagonal ``W``, and the block edges of a
+    block-diagonal one) gets no reflection, so its zero subdiagonal stays
+    exactly zero.
+
+    The reflections of ``HESSENBERG_BLOCK`` columns are gathered as
+    ``1 - U T U*`` (``T`` upper triangular with unit diagonal), with
+    ``Y = A U T`` (``A`` the matrix at the block's start) and ``M = T* U*``;
+    a column of ``Y`` or a row of ``M`` is final once written.  Each column
+    of the block is brought up to date just before it is reduced, by
+    ``col - Y U*[:, j]`` and then ``col - U (M col)``, and the rest of the
+    matrix once per block by two matrix products,
+    ``A <- (1 - U M)(A - Y U*)``: the compact WY form of LAPACK's ``zgehrd``
+    (Golub & Van Loan section 7.4).  With ``z = U* u`` over the earlier
+    reflections, the new row of ``M`` is ``u* - z* M`` and the new column of
+    ``Y`` is ``A u - Y z``, one product: ``Y`` sits right of ``A`` in one
+    column-major work array, and ``-z`` right of ``u`` in the row that keeps
+    ``u``.  Entries below the subdiagonal are returned as zeros; ``Q`` is not
+    kept.
     """
-    a = np.array(w, dtype=np.complex128)
-    n = a.shape[0]
+    n = w.shape[0]
+    work = np.zeros((n, n + min(HESSENBERG_BLOCK, max(n - 2, 0))), dtype=np.complex128, order="F")
+    a = work[:, :n]
+    a[...] = w
     for j0 in range(0, n - 2, HESSENBERG_BLOCK):
         j1 = min(j0 + HESSENBERG_BLOCK, n - 2)
-        v_all = np.zeros((n, j1 - j0), dtype=np.complex128)
-        vh_all = np.zeros((j1 - j0, n), dtype=np.complex128)
-        y_all = np.zeros((n, j1 - j0), dtype=np.complex128)
-        th_all = np.zeros((j1 - j0, j1 - j0), dtype=np.complex128)
+        b = j1 - j0
+        y = work[:, n : n + b]
+        y[...] = 0.0
+        uz = np.zeros((b, n + b), dtype=np.complex128)  # row c: u, then -z
+        ut = uz[:, :n]
+        uh = np.zeros((b, n), dtype=np.complex128)
+        m = np.zeros((b, n), dtype=np.complex128)
         for c, j in enumerate(range(j0, j1)):
             col = a[:, j]
-            col -= y_all[:, :c] @ vh_all[:c, j]
-            col -= v_all[:, :c] @ (th_all[:c, :c] @ (vh_all[:c] @ col))
+            if c:
+                col -= np.dot(y[:, :c], uh[:c, j])
+                col -= np.dot(np.dot(m[:c], col), ut[:c])
             x = col[j + 1 :]
-            if not x[1:].any():
-                continue
-            scale = np.abs(x).max()
-            v = x / scale
-            alpha = math.sqrt(np.vdot(v, v).real)
-            head = abs(v[0])
-            phase = v[0] / head if head > 0.0 else 1.0
-            v[0] = phase * (head + alpha)
-            beta = 1.0 / (alpha * (alpha + head))  # 2 / ||v||^2
+            tail = float(np.vdot(x[1:], x[1:]).real)
+            x0 = complex(x[0])
+            head = abs(x0)
+            v, scale, norm2 = x, 1.0, head * head + tail
+            if not (tail and _SQUARES_LO < norm2 < _SQUARES_HI):
+                if not x[1:].any():
+                    continue
+                power = math.frexp(float(np.abs(x).max()))[1]
+                v = np.ldexp(x.real, -power) + 1j * np.ldexp(x.imag, -power)
+                scale = math.ldexp(1.0, power)
+                x0 = complex(v[0])
+                head = abs(x0)
+                norm2 = float(np.vdot(v, v).real)
+            alpha = math.sqrt(norm2)
+            phase = x0 / head if head else 1.0
+            root = 1.0 / math.sqrt(alpha * (alpha + head))
+            k = n - j - 1
+            u = uz[c, j + 1 : n + c]
+            np.multiply(v, root, out=u[:k])
+            u[0] = phase * (head + alpha) * root
             x[0] = -phase * alpha * scale
             x[1:] = 0.0
-            v_all[j + 1 :, c] = v
-            vh = np.conjugate(v, out=vh_all[c, j + 1 :])
-            vv = vh_all[:c, j + 1 :] @ v
-            th_all[c, :c] = -beta * (vh @ v_all[j + 1 :, :c]) @ th_all[:c, :c]
-            th_all[c, c] = beta
-            y_all[:, c] = beta * (a[:, j + 1 :] @ v - y_all[:, :c] @ vv)
-        a[:, j1:] -= y_all @ vh_all[:, j1:]
+            uc = np.conjugate(u[:k], out=uh[c, j + 1 :])
+            if c:
+                z = np.dot(uh[:c, j + 1 :], u[:k], out=u[k:])
+                np.negative(z, out=z)
+                np.dot(z.conj(), m[:c], out=m[c])
+            m[c, j + 1 :] += uc
+            np.dot(work[:, j + 1 : n + c], u, out=y[:, c])
+        a[:, j1:] -= y @ uh[:, j1:]
         rows = a[j0 + 1 :, j1:]
-        rows -= v_all[j0 + 1 :] @ (th_all @ (vh_all[:, j0 + 1 :] @ rows))
-    return a
+        rows -= ut[:, j0 + 1 :].T @ (m[:, j0 + 1 :] @ rows)
+    return np.ascontiguousarray(a)
 
 
 def _hyman_log_det(h: np.ndarray, ts: np.ndarray):
@@ -169,16 +215,24 @@ def _hyman_log_det(h: np.ndarray, ts: np.ndarray):
     multiply; dropping it moves ``W`` by at most ``u ||W||_F``.  In each
     block Hyman's recurrence runs from its last row up, for the whole batch
     of ``rho`` at once: ``x`` with last entry 1 solves every row but the
-    first of ``(rho + H) x = r e_1``, row ``i`` giving
-    ``x_{i-1} = -(rho x_i + H[i, i:] x) / h_{i,i-1}`` (one gemv), and the
-    block's determinant is ``(-1)^{m-1} r prod h_{i,i-1}`` (Cramer's rule
-    for the last entry of ``x``): O(n^2) per sample.  No row grows ``max |x|``
-    by more than ``(rho + ||H[i]||_1) / |h_{i,i-1}|``, so ``x`` is scaled by
-    a power of two to ``max |x| < 1`` before that bound reaches
-    ``exp(HYMAN_LOG_LIMIT)``, and nothing overflows.  Every factor enters
-    the logarithm as ``log m + k log 2`` with ``m`` in [1/2, 1) and the
-    integer exponents summed exactly: a plain sum of the factors' logarithms
-    (hundreds each way at dim 160) was off by up to 1e-12 against ``det``.
+    first of ``(rho + H) x = r e_1``, and the block's determinant is
+    ``(-1)^{m-1} r prod h_{i,i-1}`` (Cramer's rule for the last entry of
+    ``x``): O(n^2) per sample.  The split flags and the reciprocals
+    ``-1 / h_{i,i-1}`` are taken once, as ``G = -H[i] / h_{i,i-1}`` and
+    ``R = -rho / h_{i,i-1}`` row by row, so row ``i`` gives
+    ``x_{i-1} = G[i, i:] x + R[i] x_i`` in one vector-matrix product, one
+    multiply and one add; a block's first row gives ``r`` from ``H`` itself.
+    From ``HYMAN_BLOCK_MIN_DIM`` on, the share of the finished entries of
+    ``x`` in the next ``HYMAN_BLOCK`` rows, when none of them is a block's
+    first row, is one matrix product, written where those rows put their
+    ``x_{i-1}``, and each row adds the rest.  No row grows ``max |x|`` by more than
+    ``(rho + ||H[i]||_1) / |h_{i,i-1}|``, so ``x`` (with any such partial
+    sums) is scaled by a power of two to ``max |x| < 1`` before that bound
+    reaches ``exp(HYMAN_LOG_LIMIT)``, and nothing overflows.  Every factor
+    enters the logarithm as ``log m + k log 2`` with ``m`` in [1/2, 1) and
+    the integer exponents summed exactly: a plain sum of the factors'
+    logarithms (hundreds each way at dim 160) was off by up to 1e-12
+    against ``det``.
     """
     n = h.shape[0]
     log_mag = np.zeros(len(ts))
@@ -198,23 +252,38 @@ def _hyman_log_det(h: np.ndarray, ts: np.ndarray):
     mantissa, exponent = np.frexp(np.abs(kept))
     log_small += np.log(mantissa).sum()
     powers += exponent.sum()
+    recip = np.zeros(n, dtype=np.complex128)
+    np.divide(-1.0, sub, out=recip[1:], where=~split)
+    g = h * recip[:, None]
+    r = np.multiply.outer(recip, rho)
+    first = [True, *split.tolist()]  # row i is the first row of its block
+    chunked = n >= HYMAN_BLOCK_MIN_DIM
     dets = []
     x = np.empty((n, len(t)), dtype=np.complex128)
     x[-1] = 1.0
-    hi, rows = n, 0
+    hi, rows, lo, top = n, 0, n, n
     for i in range(n - 1, -1, -1):
-        r = h[i, i:hi] @ x[i:hi]
-        r += rho * x[i]
-        if i == 0 or split[i - 1]:
-            dets.append(r)
+        if first[i]:
+            d = h[i, i:hi] @ x[i:hi]
+            d += rho * x[i]
+            dets.append(d)
             hi, rows = i, 0
             x[i - 1] = 1.0  # the next block's last entry (at i = 0, unread)
             continue
-        np.multiply(r, -1.0 / sub[i - 1], out=x[i - 1])
+        xi = x[i - 1]
+        if lo <= i < top:  # x_{i-1} holds the share of x[top:hi]
+            xi += np.dot(g[i, i:top], x[i:top])
+        elif chunked and i > 1 and not any(first[max(i - HYMAN_BLOCK + 1, 1) : i]):
+            lo, top = max(i - HYMAN_BLOCK + 1, 1), i
+            np.dot(g[lo : i + 1, i:hi], x[i:hi], out=x[lo - 1 : i])
+        else:
+            np.dot(g[i, i:hi], x[i:hi], out=xi)
+        xi += r[i] * x[i]
         rows += 1
         if rows == every:
-            exponent = np.frexp(np.abs(x[i - 1 : hi]).max(axis=0))[1]
-            x[i - 1 : hi] *= np.ldexp(1.0, -exponent)
+            start = lo - 1 if lo < i else i - 1
+            exponent = np.frexp(np.abs(x[start:hi]).max(axis=0))[1]
+            x[start:hi] *= np.ldexp(1.0, -exponent)
             powers += exponent
             rows = 0
     dets = np.array(dets)
@@ -300,7 +369,9 @@ def _path_winding(w: np.ndarray, theta: np.ndarray, residue_tol: float):
     the splits at subdiagonals of at most ``u ||H||_F`` add ``u ||W||_F``.
     Hyman's recurrence, like back substitution, is exact for a perturbation
     of each row of ``t + (1-t)H`` below ``gamma_{2n}`` times its entries
-    (Wilkinson, The Algebraic Eigenvalue Problem, 1965), and its exact
+    (Wilkinson, The Algebraic Eigenvalue Problem, 1965; taking each row
+    times the rounded ``-1 / h_{i,i-1}`` first adds two roundings per entry,
+    which stays inside ``gamma_{2n}``), and its exact
     power-of-two bookkeeping adds a relative error below ``4 n u``.  So each
     sample is ``det(M + D)`` to within that factor, with ``M = t + (1-t)W``
     and ``||D|| <= d = (c + 2) n^{5/2} u (1 + tau)``.  For unit ``x``,

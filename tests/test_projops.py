@@ -115,6 +115,72 @@ def test_commutator_refusal_carries_the_first_failing_norm():
     assert info.value.measured == 0.5
 
 
+def _norm_passes(monkeypatch) -> list:
+    """``(kernel name, stack)`` of every ``op_norms`` and ``screened_norms``
+    call projops makes from here on."""
+    passes = []
+    for name in ("op_norms", "screened_norms"):
+        def recorded(mats, *args, kernel=getattr(projops, name), name=name):
+            passes.append((name, np.array(mats)))
+            return kernel(mats, *args)
+
+        monkeypatch.setattr(projops, name, recorded)
+    return passes
+
+
+def _step_instance(seed):
+    """A two-point path 0.1 apart in 5 dims and three unitary test operators."""
+    gen = derive_rng(seed, 55)
+    p, q = plane_rotated_projection(2, 5, 0.1, haar_unitary(5, gen))
+    return p, q, [haar_unitary(5, gen) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_connecting_unitary_norms_each_residue_family_once(seed, monkeypatch):
+    # the one step gates on the exact norms its audit reports; a chain, which
+    # reports none of them, proves the same gates by the screen
+    p, q, x_ops = _step_instance(seed)
+    _, conj, comm = projops._step_unitaries(*projops._path_and_test_ops((p, q), x_ops))
+    passes = _norm_passes(monkeypatch)
+    _, audit = connecting_unitary(p, q, x_ops)
+    for residues in (conj, comm):
+        assert [name for name, mats in passes if np.array_equal(mats, residues)] == ["op_norms"]
+    assert audit.conjugation_error == op_norm(conj[0])
+    path, ops = projops._path_and_test_ops((p, q, p), x_ops)
+    passes.clear()
+    chain_conjugation(path, ops)
+    for residues in projops._step_unitaries(path, ops)[1:]:
+        names = [name for name, mats in passes if np.array_equal(mats, residues)]
+        assert names == ["screened_norms"]
+
+
+def test_connecting_unitary_refuses_its_conjugation_before_its_commutators(monkeypatch):
+    # each step unitary scaled by 1 + 1e-6 misses q by about 1e-6, and eps cut
+    # by 1e-6 puts 28 eps + 1e-9 below every commutator
+    p, q, x_ops = _step_instance(0)
+    step_unitaries, commutator_norms = projops._step_unitaries, projops._commutator_norms
+
+    def scaled(path, ops):
+        us = step_unitaries(path, ops)[0] * (1.0 + 1e-6)
+        conj = us @ path[:-1] @ us.conj().transpose(0, 2, 1) - path[1:]
+        return us, conj, projops._commutators(us, ops)
+
+    monkeypatch.setattr(projops, "_commutator_norms", lambda *a: 1e-6 * commutator_norms(*a))
+    u, _ = connecting_unitary(p, q, [])
+    with pytest.raises(NumericalInconsistency, match="commutator bound failed") as info:
+        connecting_unitary(p, q, x_ops)
+    first = op_norm(commutator(u, x_ops[0]))
+    assert info.value.measured == first
+    assert f"||[u,x]|| = {first:.3e} > 28*eps + 1e-9 = " in str(info.value)
+    monkeypatch.setattr(projops, "_step_unitaries", scaled)
+    with pytest.raises(NumericalInconsistency, match="conjugation identity failed") as info:
+        connecting_unitary(p, q, x_ops)
+    conj_err = op_norm((1.0 + 1e-6) ** 2 * u @ p @ dagger(u) - q)
+    assert info.value.measured == pytest.approx(conj_err, rel=1e-6)
+    measured = info.value.measured
+    assert str(info.value) == f"conjugation identity failed: ||u p u* - q|| = {measured:.3e}"
+
+
 def test_context_rejects_non_projection(rng):
     with pytest.raises(NotProjection):
         connecting_unitary(0.5 * np.eye(3), np.eye(3), [])

@@ -20,9 +20,10 @@ from obstructkit.errors import (
     HypothesisViolation,
     NotUnitary,
     NumericalInconsistency,
+    ObstructkitError,
     OpenPath,
 )
-from obstructkit.matcore import UNITARITY_TOL, dagger, is_unitary, op_norm
+from obstructkit.matcore import UNIT_ROUNDOFF, UNITARITY_TOL, dagger, is_unitary, op_norm
 from obstructkit.quasirep import (
     clock_shift,
     honest_commuting_rep,
@@ -493,6 +494,234 @@ def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
     with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
         winding_of_unitary(w)
     assert exc_info.value.measured == (k + int(math.copysign(1, k)), k)  # (eigenvalue, path)
+
+
+# The Householder reduction and Hyman's recurrence as they were before the
+# lean column and row loops: one product per term, the reflector built from
+# x divided by its largest entry, T* stored and -1/h_{i,i-1} applied row by
+# row.  The faster code does the same reduction and recurrence in another
+# order of rounding, so it must agree with these within the bounds below.
+
+
+def _reference_hessenberg(w):
+    a = np.array(w, dtype=np.complex128)
+    n = a.shape[0]
+    for j0 in range(0, n - 2, 32):
+        j1 = min(j0 + 32, n - 2)
+        v_all = np.zeros((n, j1 - j0), dtype=np.complex128)
+        vh_all = np.zeros((j1 - j0, n), dtype=np.complex128)
+        y_all = np.zeros((n, j1 - j0), dtype=np.complex128)
+        th_all = np.zeros((j1 - j0, j1 - j0), dtype=np.complex128)
+        for c, j in enumerate(range(j0, j1)):
+            col = a[:, j]
+            col -= y_all[:, :c] @ vh_all[:c, j]
+            col -= v_all[:, :c] @ (th_all[:c, :c] @ (vh_all[:c] @ col))
+            x = col[j + 1 :]
+            if not x[1:].any():
+                continue
+            scale = np.abs(x).max()
+            v = x / scale
+            alpha = math.sqrt(np.vdot(v, v).real)
+            head = abs(v[0])
+            phase = v[0] / head if head > 0.0 else 1.0
+            v[0] = phase * (head + alpha)
+            beta = 1.0 / (alpha * (alpha + head))
+            x[0] = -phase * alpha * scale
+            x[1:] = 0.0
+            v_all[j + 1 :, c] = v
+            vh = np.conjugate(v, out=vh_all[c, j + 1 :])
+            vv = vh_all[:c, j + 1 :] @ v
+            th_all[c, :c] = -beta * (vh @ v_all[j + 1 :, :c]) @ th_all[:c, :c]
+            th_all[c, c] = beta
+            y_all[:, c] = beta * (a[:, j + 1 :] @ v - y_all[:, :c] @ vv)
+        a[:, j1:] -= y_all @ vh_all[:, j1:]
+        rows = a[j0 + 1 :, j1:]
+        rows -= v_all[j0 + 1 :] @ (th_all @ (vh_all[:, j0 + 1 :] @ rows))
+    return a
+
+
+def _reference_hyman_log_det(h, ts):
+    n = h.shape[0]
+    log_mag = np.zeros(len(ts))
+    ang = np.zeros(len(ts))
+    inner = ts < 1.0
+    t = ts[inner]
+    rho = t / (1.0 - t)
+    sub = np.diagonal(h, -1)
+    split = np.abs(sub) <= UNIT_ROUNDOFF * np.linalg.norm(h)
+    kept = sub[~split]
+    grow = np.log(rho.max(initial=0.0) + np.abs(h[1:][~split]).sum(axis=1))
+    grow -= np.log(np.abs(kept))
+    every = max(1, int(600.0 // max(grow.max(initial=1.0), 1.0)))
+    mantissa, exponent = np.frexp(1.0 - t)
+    log_small = n * np.log(mantissa)
+    powers = n * exponent
+    mantissa, exponent = np.frexp(np.abs(kept))
+    log_small += np.log(mantissa).sum()
+    powers += exponent.sum()
+    dets = []
+    x = np.empty((n, len(t)), dtype=np.complex128)
+    x[-1] = 1.0
+    hi, rows = n, 0
+    for i in range(n - 1, -1, -1):
+        r = h[i, i:hi] @ x[i:hi]
+        r += rho * x[i]
+        if i == 0 or split[i - 1]:
+            dets.append(r)
+            hi, rows = i, 0
+            x[i - 1] = 1.0
+            continue
+        np.multiply(r, -1.0 / sub[i - 1], out=x[i - 1])
+        rows += 1
+        if rows == every:
+            exponent = np.frexp(np.abs(x[i - 1 : hi]).max(axis=0))[1]
+            x[i - 1 : hi] *= np.ldexp(1.0, -exponent)
+            powers += exponent
+            rows = 0
+    dets = np.array(dets)
+    mantissa, exponent = np.frexp(np.abs(dets))
+    log_small += np.log(mantissa).sum(axis=0)
+    powers += exponent.sum(axis=0)
+    log_mag[inner] = log_small + powers * math.log(2.0)
+    ang[inner] = np.angle(dets).sum(axis=0) + np.angle(kept).sum() + np.pi * len(kept)
+    return log_mag, ang
+
+
+DENSE_KINDS = ("dense", "diagonal", "blocks", "tiny")
+# both sides of the first two HESSENBERG_BLOCK edges (n - 2 columns are
+# reduced) and of HYMAN_BLOCK_MIN_DIM, up to DENSE_DET_DIM_LIMIT
+REFERENCE_DIMS = sorted(
+    {1, 2, 3, 4, 5, 8, 13, 40, 80, 101, 120, 159, 160}
+    | {k * winding.HESSENBERG_BLOCK + d for k in (1, 2) for d in (1, 2, 3)}
+    | {winding.HYMAN_BLOCK_MIN_DIM + d for d in (-1, 0, 1)}
+)
+SAMPLE_TS = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
+
+
+def assert_samples_agree(h, ref_h, ts=SAMPLE_TS):
+    """log |det| and arg det (mod 2 pi) within 1e-12 of the reference's on
+    the reference's own H, and on each side's H."""
+    ref_log, ref_ang = _reference_hyman_log_det(ref_h, ts)
+    for log_mag, ang in (winding._hyman_log_det(ref_h, ts), winding._hyman_log_det(h, ts)):
+        assert np.max(np.abs(log_mag - ref_log)) < 1e-12
+        assert np.max(np.abs(np.angle(np.exp(1j * (ang - ref_ang))))) < 1e-12
+
+
+def assert_samples_match_slogdet(h, w, tol, ts=SAMPLE_TS):
+    """log |det| and arg det from Hyman's recurrence on ``h`` within ``tol``
+    of ``np.linalg.slogdet`` of ``t + (1-t)W``."""
+    log_mag, ang = winding._hyman_log_det(h, ts)
+    stack = ts[:, None, None] * np.eye(w.shape[0]) + (1.0 - ts)[:, None, None] * w
+    sign, logabs = np.linalg.slogdet(stack)
+    assert np.max(np.abs(log_mag - logabs)) < tol
+    assert np.max(np.abs(np.angle(np.exp(1j * ang) / sign))) < tol
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+@pytest.mark.parametrize("dim", REFERENCE_DIMS)
+def test_hessenberg_matches_the_reference(dim, kind):
+    # Both reductions are backward stable, and while no subdiagonal is tiny
+    # H is fixed by W and the phase rule (the implicit Q theorem), so they
+    # differ by about as much as the reference's own H moves when W moves by
+    # a random relative perturbation of one unit roundoff.  The bound is 100
+    # times that, plus 100 n u: over 200 random inputs of each kind the
+    # largest ratio was 13.  Exact zeros stay exact: a diagonal W is returned
+    # bit for bit, and the subdiagonal zero pattern is the reference's.  For
+    # "tiny" the reduction meets a subdiagonal far below roundoff at the
+    # block edge and restarts from a direction set by rounding there, so
+    # past the edge any Hessenberg form is as valid and only the leading
+    # columns and the determinants are compared.
+    gen = derive_rng(11, dim, DENSE_KINDS.index(kind))
+    w = dense_test_matrix(kind, dim, gen)
+    h, ref_h = winding._hessenberg(w), _reference_hessenberg(w)
+    assert np.all(np.tril(h, -2) == 0.0)
+    assert np.array_equal(np.diagonal(h, -1) == 0.0, np.diagonal(ref_h, -1) == 0.0)
+    if kind == "diagonal":
+        assert np.array_equal(h, ref_h)
+    lead = dim
+    if kind == "tiny" and dim > 1:
+        lead = next(k for k in range(1, dim) if w[k, k - 1] == 1e-200)
+    noise = (gen.standard_normal(w.shape) + 1j * gen.standard_normal(w.shape)) * np.abs(w)
+    moved = _reference_hessenberg(w + UNIT_ROUNDOFF * noise)
+    own = np.max(np.abs(moved - ref_h)[: lead + 1, :lead], initial=0.0)
+    gap = np.max(np.abs(h - ref_h)[: lead + 1, :lead], initial=0.0)
+    assert gap <= 100.0 * (own + dim * UNIT_ROUNDOFF)
+    assert_samples_agree(h, ref_h)
+
+
+@pytest.mark.parametrize("tiny", (1e-310, 1e-160, 1e-140, 1e300))
+def test_hessenberg_scales_columns_outside_the_safe_range(tiny):
+    # a column tail whose squares underflow (or overflow) is scaled by a
+    # power of two first; the reference divides by the largest entry, whose
+    # reciprocal overflows when it is subnormal, and returns NaNs there
+    w = np.diag(np.exp(1j * np.linspace(-0.5, 0.5, 6)))
+    w[2:5, 0] = [tiny, -2.0 * tiny, 1j * tiny]
+    h = winding._hessenberg(w)
+    assert np.all(np.isfinite(h)) and np.all(np.tril(h, -2) == 0.0)
+    assert abs(h[1, 0]) == pytest.approx(math.sqrt(6.0) * tiny, rel=1e-15)
+    if tiny > 1e-300:
+        assert np.max(np.abs(h - _reference_hessenberg(w))) <= 1e-14 * max(1.0, tiny)
+    if tiny < 1.0:  # above, ||H||_F overflows: far outside Hyman's domain
+        assert_samples_match_slogdet(h, w, 1e-12)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 7, 12, 30))
+def test_hyman_row_blocks_match_the_reference(dim, kind, monkeypatch):
+    # three-row blocks from dim 1 on, and a rescale at every row, so that
+    # blocks meet splits and rescales meet partial sums at small dims
+    monkeypatch.setattr(winding, "HYMAN_BLOCK", 3)
+    monkeypatch.setattr(winding, "HYMAN_BLOCK_MIN_DIM", 1)
+    monkeypatch.setattr(winding, "HYMAN_LOG_LIMIT", 1.0)
+    w = dense_test_matrix(kind, dim, derive_rng(12, dim, DENSE_KINDS.index(kind)))
+    h = winding._hessenberg(w)
+    assert_samples_agree(h, _reference_hessenberg(w))
+    assert_samples_match_slogdet(h, w, 1e-10)
+
+
+def _winding_outcome(w):
+    """The report's integers and clearance, or the refusal's class, text and
+    measured value."""
+    try:
+        report = winding_of_unitary(w)
+    except ObstructkitError as exc:
+        return type(exc), str(exc), exc.measured
+    return report.winding, report.samples_used, report.path_method, report.min_clearance
+
+
+def _reference_input(seed, monkeypatch):
+    """A seeded dense-path input of one of five families: admissible, block
+    diagonal, block diagonal with a 1e-200 coupling, admissible with every
+    eigenphase shifted by 2 pi / dim (methods disagree) and admissible on a
+    two-interval grid (a wrapped jump reaches pi/2)."""
+    gen = derive_rng(13, seed)
+    dim = int(gen.integers(1, 161))
+    family = seed % 5
+    if family in (1, 2):
+        return dense_test_matrix(("blocks", "tiny")[family - 1], dim, gen)
+    w = random_admissible_unitary(dim, gen)[0]
+    if family == 3:
+        eigenphases = winding._eigenphases
+
+        def shifted(w, tol):
+            theta, residue_tol = eigenphases(w, tol)
+            return theta + 2.0 * np.pi / len(theta), residue_tol
+
+        monkeypatch.setattr(winding, "_eigenphases", shifted)
+    if family == 4:
+        monkeypatch.setattr(winding, "_certified_intervals", lambda theta: 2)
+    return w
+
+
+@pytest.mark.parametrize("seed", range(210))
+def test_winding_matches_the_reference_path(seed, monkeypatch):
+    w = _reference_input(seed, monkeypatch)
+    got = _winding_outcome(w)
+    monkeypatch.setattr(winding, "_hessenberg", _reference_hessenberg)
+    monkeypatch.setattr(winding, "_hyman_log_det", _reference_hyman_log_det)
+    want = _winding_outcome(w)
+    assert got[:-1] == want[:-1]
+    assert got[-1] == pytest.approx(want[-1], rel=1e-9)
 
 
 def near_unit_distance_matrix(dim, offset, defect, gen):
