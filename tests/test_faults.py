@@ -87,8 +87,8 @@ def _shift_every_phase(monkeypatch):
             200,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 3: above DENSE_DET_DIM_LIMIT the path samples "
-                "the same eigenphases, so the fault returns winding 0 for 1",
+                reason="ROADMAP item 3: above CAYLEY_DIM_LIMIT the path samples the "
+                "eigenvalue method's own phases, so the fault returns winding 0 for 1",
             ),
         ),
     ],
@@ -101,12 +101,38 @@ def test_winding_phase_shift_is_refused(monkeypatch, dim):
         winding_of_unitary(w)
 
 
+@pytest.mark.parametrize("dim", [8, 40, 160])
+def test_cayley_phase_shift_is_refused(monkeypatch, dim):
+    # every Cayley phase moved by 2 pi / n moves the path method, and not the
+    # eigenvalue method, by one turn
+    w, expected = random_admissible_unitary(dim, derive_rng(1, dim), winding=1)
+    assert expected == 1 and winding_of_unitary(w).winding == expected
+    cayley_phases = winding._cayley_phases
+    monkeypatch.setattr(
+        winding, "_cayley_phases", lambda w, tol: cayley_phases(w, tol) + 2.0 * np.pi / len(w))
+    with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
+        winding_of_unitary(w)
+    assert exc_info.value.measured == (1, 0)  # (eigenvalue, path)
+
+
+def test_cayley_solve_fault_is_refused_by_its_residual(monkeypatch):
+    # 1e-6 added to every entry of X leaves the residual (1 + W) 1e-6 J
+    w, expected = random_admissible_unitary(40, derive_rng(1, 40), winding=1)
+    assert winding_of_unitary(w).winding == expected
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
+    with pytest.raises(NumericalInconsistency, match="Cayley solve residual") as exc_info:
+        winding_of_unitary(w)
+    residual = (np.eye(40) + w) @ np.full((40, 40), 1e-6)
+    assert exc_info.value.measured == pytest.approx(np.linalg.norm(residual), rel=1e-9)
+
+
 def _patch_sample_path(monkeypatch, fault):
     """Route ``winding._sample_path`` through ``fault(mag, ang, ts)``."""
     sample_path = winding._sample_path
 
-    def faulty(w, theta, ts):
-        mag, ang = sample_path(w, theta, ts)
+    def faulty(theta, ts):
+        mag, ang = sample_path(theta, ts)
         return fault(mag.copy(), ang.copy(), ts)
 
     monkeypatch.setattr(winding, "_sample_path", faulty)

@@ -1,9 +1,11 @@
 """Winding numbers: dual-algorithm agreement, additivity, stability.
 
-Two independent oracles: plain dense sampling of t -> det(t + (1-t)W) on a
-fixed fine uniform grid, which shares no code path with the library's
-certified grid; and the nonsymmetric eigensolver ``np.linalg.eigvals``,
-which the library's Hermitian eigenphases replace.
+Three independent oracles: plain dense sampling of t -> det(t + (1-t)W) on
+a fixed fine uniform grid, which shares no code path with the library's
+certified grid; the nonsymmetric eigensolver ``np.linalg.eigvals``, which
+the library's Hermitian eigenphases replace; and, up to dim 160, a path
+sampled with no eigensolve at all (a Householder reduction to Hessenberg
+form and Hyman's recurrence), which the library's Cayley phases replace.
 """
 
 import math
@@ -257,7 +259,7 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
 
 
 def certified_sample_count(w):
-    """Samples of the certified grid, on the Hessenberg + Hyman and spectral branches alike.
+    """Samples of the certified grid, on the Cayley and spectral branches alike.
 
     Each factor ``t + (1-t) e^{i theta}`` turns at most ``2 |tan(theta/2)|``;
     the phases come from the ``eigvals`` oracle.  One interval of slack
@@ -279,7 +281,7 @@ def test_large_windings_do_not_alias(dim, k):
     # a true jump above 3 pi/2 between samples wraps to a small one; from a
     # 64-interval grid the inputs above dim 200 used to report path windings
     # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement.  Dims
-    # 120 and 160 take the Hessenberg + Hyman samples on the same certified grid.
+    # 120 and 160 take the Cayley phases' samples on their own certified grid.
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == claimed == k
@@ -287,10 +289,11 @@ def test_large_windings_do_not_alias(dim, k):
 
 
 def test_coarse_grid_refuses_on_dense_branch(monkeypatch):
-    # four intervals at dim 160 are far below the certified count; the dense
-    # samples must then be refused, never read as a winding: at k = 15 one
-    # wrapped jump reaches pi/2, at k = +-20 every jump aliases to a small
-    # one and the path reads 0 against the eigenvalue method's +-20
+    # four intervals at dim 160 are far below the certified count; the
+    # samples of the Cayley branch must then be refused, never read as a
+    # winding: at k = 15 one wrapped jump reaches pi/2, at k = +-20 every
+    # jump aliases to a small one and the path reads 0 against the
+    # eigenvalue method's +-20
     certified = winding._certified_intervals
     monkeypatch.setattr(
         winding, "_certified_intervals", lambda th: 4 if len(th) == 160 else certified(th)
@@ -369,7 +372,7 @@ def test_loose_tolerance_takes_the_polar_factor(rng):
 
 
 def test_loose_tolerance_dense_branch_off_circle(rng):
-    # tau = 1e-2 at dim 160 takes the polar factor and the Hessenberg + Hyman
+    # tau = 1e-2 at dim 160 takes the polar factor and the Cayley phases'
     # samples.  A third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i},
     # inside the circle, and the rest on the positive axis at the radius that
     # restores |det W| = 1: the chords of W leave the circle the grid is
@@ -430,8 +433,206 @@ def test_polar_factor_outside_the_unit_ball_is_refused():
 
 
 # ---------------------------------------------------------------------------
-# dense path samples: Householder + Hyman against slogdet
+# the eigensolver-free oracle: Householder + Hyman against slogdet
 # ---------------------------------------------------------------------------
+
+# A path with no eigensolve: det(t + (1-t)W) sampled through one Householder
+# reduction of W to Hessenberg form and Hyman's recurrence, O(dim^2) per
+# sample.  Up to winding.CAYLEY_DIM_LIMIT the library's Cayley-phase path is
+# compared with it (_route_through_oracle); _reference_hessenberg and
+# _reference_hyman_log_det below check it in turn.
+
+# Columns per blocked Householder update in _hessenberg (the fastest of 8 to
+# 64 at dims 8-160; the tests below straddle its block edges).
+HESSENBERG_BLOCK = 24
+# _hessenberg sums ||x||^2 without scaling x strictly between these.
+_SQUARES_LO = 2.0**-900
+_SQUARES_HI = 2.0**900
+# Hyman's recurrence rescales before max |x| can pass exp(HYMAN_LOG_LIMIT).
+HYMAN_LOG_LIMIT = 600.0
+# From this dim on, _hyman_log_det takes the finished rows' share of the
+# next HYMAN_BLOCK rows from one matrix product (faster from about dim 128
+# at 65 samples).
+HYMAN_BLOCK = 32
+HYMAN_BLOCK_MIN_DIM = 144
+
+
+def _hessenberg(w: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg ``H = Q* W Q`` by blocked Householder reflections.
+
+    Column ``j`` is reduced by ``P = 1 - u u*``, which maps
+    ``x = H[j+1:, j]`` to ``-e^{i arg x_0} ||x|| e_1``: ``u`` is ``x`` with
+    ``x_0`` replaced by ``e^{i arg x_0} (|x_0| + ||x||)``, times
+    ``(||x|| (||x|| + |x_0|))^{-1/2}``, so ``||u||^2 = 2`` however small
+    ``x`` is.  Its scalars are Python floats.  ``||x||^2`` is summed as it
+    stands when it lies in ``(_SQUARES_LO, _SQUARES_HI)``: no square there
+    overflows, and squares that underflow move it by a relative ``n 2^-174``
+    at most.  Outside that range, or when the squares of a nonzero tail all
+    underflow, ``x`` is first scaled exactly by the power of two that puts its
+    largest entry in [1/2, 1), so tiny columns neither underflow nor divide
+    by zero, and a subnormal one is not divided by its subnormal largest
+    entry (whose reciprocal overflows).  A column that is already reduced
+    (``x[1:] = 0``: every column of a diagonal ``W``, and the block edges of a
+    block-diagonal one) gets no reflection, so its zero subdiagonal stays
+    exactly zero.
+
+    The reflections of ``HESSENBERG_BLOCK`` columns are gathered as
+    ``1 - U T U*`` (``T`` upper triangular with unit diagonal), with
+    ``Y = A U T`` (``A`` the matrix at the block's start) and ``M = T* U*``;
+    a column of ``Y`` or a row of ``M`` is final once written.  Each column
+    of the block is brought up to date just before it is reduced, by
+    ``col - Y U*[:, j]`` and then ``col - U (M col)``, and the rest of the
+    matrix once per block by two matrix products,
+    ``A <- (1 - U M)(A - Y U*)``: the compact WY form of LAPACK's ``zgehrd``
+    (Golub & Van Loan section 7.4).  With ``z = U* u`` over the earlier
+    reflections, the new row of ``M`` is ``u* - z* M`` and the new column of
+    ``Y`` is ``A u - Y z``, one product: ``Y`` sits right of ``A`` in one
+    column-major work array, and ``-z`` right of ``u`` in the row that keeps
+    ``u``.  Entries below the subdiagonal are returned as zeros; ``Q`` is not
+    kept.
+    """
+    n = w.shape[0]
+    work = np.zeros((n, n + min(HESSENBERG_BLOCK, max(n - 2, 0))), dtype=np.complex128, order="F")
+    a = work[:, :n]
+    a[...] = w
+    for j0 in range(0, n - 2, HESSENBERG_BLOCK):
+        j1 = min(j0 + HESSENBERG_BLOCK, n - 2)
+        b = j1 - j0
+        y = work[:, n : n + b]
+        y[...] = 0.0
+        uz = np.zeros((b, n + b), dtype=np.complex128)  # row c: u, then -z
+        ut = uz[:, :n]
+        uh = np.zeros((b, n), dtype=np.complex128)
+        m = np.zeros((b, n), dtype=np.complex128)
+        for c, j in enumerate(range(j0, j1)):
+            col = a[:, j]
+            if c:
+                col -= np.dot(y[:, :c], uh[:c, j])
+                col -= np.dot(np.dot(m[:c], col), ut[:c])
+            x = col[j + 1 :]
+            tail = float(np.vdot(x[1:], x[1:]).real)
+            x0 = complex(x[0])
+            head = abs(x0)
+            v, scale, norm2 = x, 1.0, head * head + tail
+            if not (tail and _SQUARES_LO < norm2 < _SQUARES_HI):
+                if not x[1:].any():
+                    continue
+                power = math.frexp(float(np.abs(x).max()))[1]
+                v = np.ldexp(x.real, -power) + 1j * np.ldexp(x.imag, -power)
+                scale = math.ldexp(1.0, power)
+                x0 = complex(v[0])
+                head = abs(x0)
+                norm2 = float(np.vdot(v, v).real)
+            alpha = math.sqrt(norm2)
+            phase = x0 / head if head else 1.0
+            root = 1.0 / math.sqrt(alpha * (alpha + head))
+            k = n - j - 1
+            u = uz[c, j + 1 : n + c]
+            np.multiply(v, root, out=u[:k])
+            u[0] = phase * (head + alpha) * root
+            x[0] = -phase * alpha * scale
+            x[1:] = 0.0
+            uc = np.conjugate(u[:k], out=uh[c, j + 1 :])
+            if c:
+                z = np.dot(uh[:c, j + 1 :], u[:k], out=u[k:])
+                np.negative(z, out=z)
+                np.dot(z.conj(), m[:c], out=m[c])
+            m[c, j + 1 :] += uc
+            np.dot(work[:, j + 1 : n + c], u, out=y[:, c])
+        a[:, j1:] -= y @ uh[:, j1:]
+        rows = a[j0 + 1 :, j1:]
+        rows -= ut[:, j0 + 1 :].T @ (m[:, j0 + 1 :] @ rows)
+    return np.ascontiguousarray(a)
+
+
+def _hyman_log_det(h: np.ndarray, ts: np.ndarray):
+    """``log |det M_t|`` and ``arg det M_t`` (unwrapped) for ``M_t = t + (1-t)H``.
+
+    ``H`` is upper Hessenberg.  ``t = 1`` gives ``det 1 = 1`` and is set, not
+    computed; for ``t < 1``, ``M_t = (1-t)(rho + H)`` with ``rho = t/(1-t)``.
+    A subdiagonal entry at most ``u ||H||_F`` (``u`` the unit roundoff, so
+    every exact zero) splits ``H`` into diagonal blocks whose determinants
+    multiply; dropping it moves ``W`` by at most ``u ||W||_F``.  In each
+    block Hyman's recurrence runs from its last row up, for the whole batch
+    of ``rho`` at once: ``x`` with last entry 1 solves every row but the
+    first of ``(rho + H) x = r e_1``, and the block's determinant is
+    ``(-1)^{m-1} r prod h_{i,i-1}`` (Cramer's rule for the last entry of
+    ``x``): O(n^2) per sample.  The split flags and the reciprocals
+    ``-1 / h_{i,i-1}`` are taken once, as ``G = -H[i] / h_{i,i-1}`` and
+    ``R = -rho / h_{i,i-1}`` row by row, so row ``i`` gives
+    ``x_{i-1} = G[i, i:] x + R[i] x_i`` in one vector-matrix product, one
+    multiply and one add; a block's first row gives ``r`` from ``H`` itself.
+    From ``HYMAN_BLOCK_MIN_DIM`` on, the share of the finished entries of
+    ``x`` in the next ``HYMAN_BLOCK`` rows, when none of them is a block's
+    first row, is one matrix product, written where those rows put their
+    ``x_{i-1}``, and each row adds the rest.  No row grows ``max |x|`` by more than
+    ``(rho + ||H[i]||_1) / |h_{i,i-1}|``, so ``x`` (with any such partial
+    sums) is scaled by a power of two to ``max |x| < 1`` before that bound
+    reaches ``exp(HYMAN_LOG_LIMIT)``, and nothing overflows.  Every factor
+    enters the logarithm as ``log m + k log 2`` with ``m`` in [1/2, 1) and
+    the integer exponents summed exactly: a plain sum of the factors'
+    logarithms (hundreds each way at dim 160) was off by up to 1e-12
+    against ``det``.
+    """
+    n = h.shape[0]
+    log_mag = np.zeros(len(ts))
+    ang = np.zeros(len(ts))
+    inner = ts < 1.0
+    t = ts[inner]
+    rho = t / (1.0 - t)
+    sub = np.diagonal(h, -1)
+    split = np.abs(sub) <= UNIT_ROUNDOFF * np.linalg.norm(h)
+    kept = sub[~split]
+    grow = np.log(rho.max(initial=0.0) + np.abs(h[1:][~split]).sum(axis=1))
+    grow -= np.log(np.abs(kept))
+    every = max(1, int(HYMAN_LOG_LIMIT // max(grow.max(initial=1.0), 1.0)))
+    mantissa, exponent = np.frexp(1.0 - t)
+    log_small = n * np.log(mantissa)
+    powers = n * exponent
+    mantissa, exponent = np.frexp(np.abs(kept))
+    log_small += np.log(mantissa).sum()
+    powers += exponent.sum()
+    recip = np.zeros(n, dtype=np.complex128)
+    np.divide(-1.0, sub, out=recip[1:], where=~split)
+    g = h * recip[:, None]
+    r = np.multiply.outer(recip, rho)
+    first = [True, *split.tolist()]  # row i is the first row of its block
+    chunked = n >= HYMAN_BLOCK_MIN_DIM
+    dets = []
+    x = np.empty((n, len(t)), dtype=np.complex128)
+    x[-1] = 1.0
+    hi, rows, lo, top = n, 0, n, n
+    for i in range(n - 1, -1, -1):
+        if first[i]:
+            d = h[i, i:hi] @ x[i:hi]
+            d += rho * x[i]
+            dets.append(d)
+            hi, rows = i, 0
+            x[i - 1] = 1.0  # the next block's last entry (at i = 0, unread)
+            continue
+        xi = x[i - 1]
+        if lo <= i < top:  # x_{i-1} holds the share of x[top:hi]
+            xi += np.dot(g[i, i:top], x[i:top])
+        elif chunked and i > 1 and not any(first[max(i - HYMAN_BLOCK + 1, 1) : i]):
+            lo, top = max(i - HYMAN_BLOCK + 1, 1), i
+            np.dot(g[lo : i + 1, i:hi], x[i:hi], out=x[lo - 1 : i])
+        else:
+            np.dot(g[i, i:hi], x[i:hi], out=xi)
+        xi += r[i] * x[i]
+        rows += 1
+        if rows == every:
+            start = lo - 1 if lo < i else i - 1
+            exponent = np.frexp(np.abs(x[start:hi]).max(axis=0))[1]
+            x[start:hi] *= np.ldexp(1.0, -exponent)
+            powers += exponent
+            rows = 0
+    dets = np.array(dets)
+    mantissa, exponent = np.frexp(np.abs(dets))
+    log_small += np.log(mantissa).sum(axis=0)
+    powers += exponent.sum(axis=0)
+    log_mag[inner] = log_small + powers * math.log(2.0)
+    ang[inner] = np.angle(dets).sum(axis=0) + np.angle(kept).sum() + np.pi * len(kept)
+    return log_mag, ang
 
 
 def dense_test_matrix(kind, dim, gen):
@@ -464,11 +665,11 @@ def test_hyman_samples_match_slogdet(dim, kind, seed):
     gen = derive_rng(seed, dim)
     w = dense_test_matrix(kind, dim, gen)
     ts = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
-    h = winding._hessenberg(w)
+    h = _hessenberg(w)
     assert np.all(np.tril(h, -2) == 0.0)
     if kind == "diagonal":
         assert np.all(np.diagonal(h, -1) == 0.0)
-    log_mag, ang = winding._hyman_log_det(h, ts)
+    log_mag, ang = _hyman_log_det(h, ts)
     assert np.all(np.isfinite(log_mag)) and np.all(np.isfinite(ang))
     stack = ts[:, None, None] * np.eye(dim) + (1.0 - ts)[:, None, None] * w
     sign, logabs = np.linalg.slogdet(stack)
@@ -480,9 +681,9 @@ def test_hyman_samples_match_slogdet(dim, kind, seed):
 
 @pytest.mark.parametrize("dim, k", [(40, 2), (40, -2), (160, 10), (160, -10)])
 def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
-    # moving every eigenphase by 2 pi / dim (away from 0, so the grid only
-    # gets finer) shifts the eigenvalue method by one turn; the Hessenberg
-    # samples must keep the true winding, and the dual gate must fire
+    # moving every eigenphase by 2 pi / dim shifts the eigenvalue method by
+    # one turn; the Cayley phases, and the grid and samples taken from them,
+    # must keep the true winding, and the dual gate must fire
     eigenphases = winding._eigenphases
 
     def shifted(w, tol):
@@ -589,11 +790,11 @@ def _reference_hyman_log_det(h, ts):
 
 DENSE_KINDS = ("dense", "diagonal", "blocks", "tiny")
 # both sides of the first two HESSENBERG_BLOCK edges (n - 2 columns are
-# reduced) and of HYMAN_BLOCK_MIN_DIM, up to DENSE_DET_DIM_LIMIT
+# reduced) and of HYMAN_BLOCK_MIN_DIM, up to CAYLEY_DIM_LIMIT
 REFERENCE_DIMS = sorted(
     {1, 2, 3, 4, 5, 8, 13, 40, 80, 101, 120, 159, 160}
-    | {k * winding.HESSENBERG_BLOCK + d for k in (1, 2) for d in (1, 2, 3)}
-    | {winding.HYMAN_BLOCK_MIN_DIM + d for d in (-1, 0, 1)}
+    | {k * HESSENBERG_BLOCK + d for k in (1, 2) for d in (1, 2, 3)}
+    | {HYMAN_BLOCK_MIN_DIM + d for d in (-1, 0, 1)}
 )
 SAMPLE_TS = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
 
@@ -602,7 +803,7 @@ def assert_samples_agree(h, ref_h, ts=SAMPLE_TS):
     """log |det| and arg det (mod 2 pi) within 1e-12 of the reference's on
     the reference's own H, and on each side's H."""
     ref_log, ref_ang = _reference_hyman_log_det(ref_h, ts)
-    for log_mag, ang in (winding._hyman_log_det(ref_h, ts), winding._hyman_log_det(h, ts)):
+    for log_mag, ang in (_hyman_log_det(ref_h, ts), _hyman_log_det(h, ts)):
         assert np.max(np.abs(log_mag - ref_log)) < 1e-12
         assert np.max(np.abs(np.angle(np.exp(1j * (ang - ref_ang))))) < 1e-12
 
@@ -610,7 +811,7 @@ def assert_samples_agree(h, ref_h, ts=SAMPLE_TS):
 def assert_samples_match_slogdet(h, w, tol, ts=SAMPLE_TS):
     """log |det| and arg det from Hyman's recurrence on ``h`` within ``tol``
     of ``np.linalg.slogdet`` of ``t + (1-t)W``."""
-    log_mag, ang = winding._hyman_log_det(h, ts)
+    log_mag, ang = _hyman_log_det(h, ts)
     stack = ts[:, None, None] * np.eye(w.shape[0]) + (1.0 - ts)[:, None, None] * w
     sign, logabs = np.linalg.slogdet(stack)
     assert np.max(np.abs(log_mag - logabs)) < tol
@@ -633,7 +834,7 @@ def test_hessenberg_matches_the_reference(dim, kind):
     # columns and the determinants are compared.
     gen = derive_rng(11, dim, DENSE_KINDS.index(kind))
     w = dense_test_matrix(kind, dim, gen)
-    h, ref_h = winding._hessenberg(w), _reference_hessenberg(w)
+    h, ref_h = _hessenberg(w), _reference_hessenberg(w)
     assert np.all(np.tril(h, -2) == 0.0)
     assert np.array_equal(np.diagonal(h, -1) == 0.0, np.diagonal(ref_h, -1) == 0.0)
     if kind == "diagonal":
@@ -656,7 +857,7 @@ def test_hessenberg_scales_columns_outside_the_safe_range(tiny):
     # reciprocal overflows when it is subnormal, and returns NaNs there
     w = np.diag(np.exp(1j * np.linspace(-0.5, 0.5, 6)))
     w[2:5, 0] = [tiny, -2.0 * tiny, 1j * tiny]
-    h = winding._hessenberg(w)
+    h = _hessenberg(w)
     assert np.all(np.isfinite(h)) and np.all(np.tril(h, -2) == 0.0)
     assert abs(h[1, 0]) == pytest.approx(math.sqrt(6.0) * tiny, rel=1e-15)
     if tiny > 1e-300:
@@ -670,11 +871,11 @@ def test_hessenberg_scales_columns_outside_the_safe_range(tiny):
 def test_hyman_row_blocks_match_the_reference(dim, kind, monkeypatch):
     # three-row blocks from dim 1 on, and a rescale at every row, so that
     # blocks meet splits and rescales meet partial sums at small dims
-    monkeypatch.setattr(winding, "HYMAN_BLOCK", 3)
-    monkeypatch.setattr(winding, "HYMAN_BLOCK_MIN_DIM", 1)
-    monkeypatch.setattr(winding, "HYMAN_LOG_LIMIT", 1.0)
+    monkeypatch.setitem(globals(), "HYMAN_BLOCK", 3)
+    monkeypatch.setitem(globals(), "HYMAN_BLOCK_MIN_DIM", 1)
+    monkeypatch.setitem(globals(), "HYMAN_LOG_LIMIT", 1.0)
     w = dense_test_matrix(kind, dim, derive_rng(12, dim, DENSE_KINDS.index(kind)))
-    h = winding._hessenberg(w)
+    h = _hessenberg(w)
     assert_samples_agree(h, _reference_hessenberg(w))
     assert_samples_match_slogdet(h, w, 1e-10)
 
@@ -713,15 +914,49 @@ def _reference_input(seed, monkeypatch):
     return w
 
 
+def _route_through_oracle(monkeypatch, hessenberg=_hessenberg, hyman_log_det=_hyman_log_det):
+    """Build the path up to ``CAYLEY_DIM_LIMIT`` with no second eigensolve:
+    the grid from the eigenvalue method's phases and the samples from
+    ``hyman_log_det`` on ``hessenberg(W)``, neither reading a phase."""
+    inputs = []
+
+    def grid_phases(w, tol):
+        inputs.append(w)
+        return winding._eigenphases(w, tol)[0]
+
+    def samples(theta, ts):
+        log_mag, ang = hyman_log_det(hessenberg(inputs[-1]), ts)
+        return np.exp(log_mag), ang
+
+    monkeypatch.setattr(winding, "_cayley_phases", grid_phases)
+    monkeypatch.setattr(winding, "_sample_path", samples)
+
+
 @pytest.mark.parametrize("seed", range(210))
 def test_winding_matches_the_reference_path(seed, monkeypatch):
+    # the oracle's lean Householder and Hyman loops against the reference's
     w = _reference_input(seed, monkeypatch)
+    _route_through_oracle(monkeypatch)
     got = _winding_outcome(w)
-    monkeypatch.setattr(winding, "_hessenberg", _reference_hessenberg)
-    monkeypatch.setattr(winding, "_hyman_log_det", _reference_hyman_log_det)
+    _route_through_oracle(monkeypatch, _reference_hessenberg, _reference_hyman_log_det)
     want = _winding_outcome(w)
     assert got[:-1] == want[:-1]
     assert got[-1] == pytest.approx(want[-1], rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(210, 420))
+def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
+    # the eigensolver-free cross-check: on the five families the Cayley
+    # route returns the oracle path's winding and sample count, or refuses
+    # with the oracle's class and text
+    w = _reference_input(seed, monkeypatch)
+    got = _winding_outcome(w)
+    _route_through_oracle(monkeypatch)
+    want = _winding_outcome(w)
+    kept = 2 if isinstance(want[0], type) else 3
+    assert got[:kept] == want[:kept]
+    if kept == 3:
+        assert got[-1] == pytest.approx(want[-1], rel=1e-9)
 
 
 def near_unit_distance_matrix(dim, offset, defect, gen):
@@ -765,6 +1000,42 @@ def test_distance_screen_decides_near_one(rng):
     assert winding._distance_below_one(below, 1e-12)
     assert not winding._distance_below_one(below, UNITARITY_TOL)
     assert not winding._distance_below_one(above, 1e-12)
+
+
+def cayley_phase_bound(w, tau):
+    """The per-phase bound of ``winding._cayley_phases``:
+    ``4 tau / (c (c - tau)) + 2 rho / (c - tau) + 30 n (n + 3) u`` with
+    ``c = 2 cos(pi/6 + tau)`` and ``rho`` the Frobenius norm of the solve's
+    computed residual."""
+    n = w.shape[0]
+    plus, minus = np.eye(n) + w, np.eye(n) - w
+    rho = np.linalg.norm(plus @ np.linalg.solve(plus, minus) - minus)
+    c = 2.0 * math.cos(math.pi / 6.0 + tau)
+    return 4.0 * tau / (c * (c - tau)) + 2.0 * rho / (c - tau) + 30.0 * n * (n + 3) * UNIT_ROUNDOFF
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 160),
+    offset=st.floats(-0.5, -1e-9),
+    tau_frac=st.floats(0.0, 1.0),
+    defect_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cayley_phases_lie_within_their_bound(dim, offset, tau_frac, defect_frac, seed):
+    # tau from 1e-12 up to the phase budget, on a log scale, and non-normal W
+    # near the ||W - 1|| < 1 edge; the oracle is eigvals of the polar factor
+    # from an SVD, whose own error the bound's rounding term covers again
+    top = math.log10(winding.HERMITIAN_PHASE_BUDGET / dim)
+    tau = 10.0 ** (-12.0 + tau_frac * (top + 12.0))
+    w = near_unit_distance_matrix(dim, offset, defect_frac * tau, derive_rng(seed, dim))
+    if not is_unitary(w, tau) or op_norm(w - np.eye(dim)) >= 1.0:
+        return
+    left, _, right = np.linalg.svd(w)
+    phi = np.sort(np.angle(np.linalg.eigvals(left @ right)))
+    theta = winding._cayley_phases(w, tau)
+    oracle_error = 30.0 * dim * (dim + 3) * UNIT_ROUNDOFF
+    assert np.max(np.abs(theta - phi)) <= cayley_phase_bound(w, tau) + oracle_error
 
 
 # ---------------------------------------------------------------------------
