@@ -17,20 +17,18 @@ winding number.  Two algorithms compute it and must agree:
   most ``2.02 tau`` and the winding sum by ``2.02 n tau / 2 pi < n tau / 3``,
   so the residue gate allows ``EIG_RESIDUE_TOL + n tau / 3`` and the
   integer is certified with room to spare;
-* path method — the wrapped argument increments of the determinant summed
-  over one batch of samples on the grid of ``_certified_intervals`` intervals,
-  on which no true increment reaches pi/2; a wrapped jump at or above pi/2 is
-  refused, not refined (proof in ``_path_winding``).  The samples are
-  products of the factors ``t + (1-t) exp(i theta'_j)``.  Up to
+* path method — the same winding read off the path
+  ``prod_j (t + (1-t) exp(i theta'_j))``, which is ``det(t + (1-t)W)`` when
+  the ``theta'_j`` are the eigenphases of ``W``: minus the phase sum, and the
+  exact minimum of ``|det|``, both in closed form (``_path_winding``).  Up to
   ``CAYLEY_DIM_LIMIT`` the ``theta'`` are the phases of the Cayley transform
-  ``i(1 - W)(1 + W)^{-1}``: one ``np.linalg.solve``, checked by its
-  residual, and a second Hermitian eigensolve on a different matrix,
-  certified to keep the path's sum within the same residue tolerance
-  (``_cayley_phases``).  Above it the path samples the eigenvalue method's own
-  phases, so there it cross-checks the summation and the grid, not the
-  phases.  An eigensolver-free path (a Householder reduction to Hessenberg
-  form and Hyman's recurrence) is kept in ``tests/test_winding.py`` as the
-  oracle the Cayley route is compared with.
+  ``i(1 - W)(1 + W)^{-1}``: one ``np.linalg.solve``, checked by its residual,
+  and a second Hermitian eigensolve on a different matrix, certified to keep
+  the path's sum within the same residue tolerance (``_cayley_phases``).
+  Above it there is no independent second method yet (ROADMAP item 3): the
+  ``theta'`` are the eigenvalue method's own phases.  An eigensolver-free
+  path (a Householder reduction to Hessenberg form and Hyman's recurrence)
+  is kept in ``tests/test_winding.py`` as the oracle of the Cayley route.
 
 Above the budget (a defect of 1e-2 at dim 400 can move the Hermitian sum
 past 1/2) both methods run on the polar factor ``U`` of ``W = UP``
@@ -78,7 +76,6 @@ DET_TOL = 1e-8
 EIG_RESIDUE_TOL = 1e-6
 # Largest dim * tau for which the Hermitian eigenphases are certified.
 HERMITIAN_PHASE_BUDGET = 1e-3
-INITIAL_INTERVALS = 64
 # Up to this dimension the path method takes its phases from the Cayley
 # transform of W (_cayley_phases); above it, from the eigenvalue method.
 CAYLEY_DIM_LIMIT = 160
@@ -89,9 +86,10 @@ class WindingReport:
     """Result of a dual-method winding computation.
 
     ``agreement`` is always True on a returned report (disagreement raises);
-    ``min_clearance`` is the smallest sampled ``|det|`` along the path, so a
-    positive value witnesses that the path misses the origin on the sample
-    set.  ``source_path_reversed`` marks reports normalized from the
+    ``min_clearance`` is the exact minimum over ``t`` of ``|det|`` along the
+    path of the unitary with the path method's phases ``theta'``, reached at
+    ``t = 1/2``, and ``samples_used`` is 1: the one point at which the path is
+    evaluated.  ``source_path_reversed`` marks reports normalized from the
     reversed-orientation convention used for homology-class pairings.
     """
 
@@ -105,77 +103,34 @@ class WindingReport:
     source_path_reversed: bool = False
 
 
-def _sample_path(theta: np.ndarray, ts: np.ndarray):
-    """Magnitude and argument (mod 2 pi) of ``prod_j (t + (1-t) exp(i theta_j))``
-    at each ``t``: ``det(t + (1-t)W)`` when the ``theta_j`` are the
-    eigenphases of a unitary ``W``, which shares its eigenvectors with
-    ``t + (1-t)W``."""
-    factors = ts[:, None] + np.outer(1.0 - ts, np.exp(1j * theta))
-    mag = np.exp(np.sum(np.log(np.abs(factors)), axis=1))
-    ang = np.angle(np.exp(1j * np.sum(np.angle(factors), axis=1)))
-    return mag, ang
-
-
-def _certified_intervals(theta: np.ndarray) -> int:
-    """Grid size on which no true increment of the sampled argument reaches pi/2.
-
-    Along ``t -> t + (1-t) lam`` the argument moves monotonically at speed
-    ``|Im lam| / |t + (1-t) lam|^2``.  For ``lam = exp(i theta)`` the chord
-    stays at least ``cos(theta / 2)`` from the origin, so that speed is at
-    most ``2 |tan(theta / 2)|`` and ``speed = sum_j 2 |tan(theta_j / 2)|``
-    bounds ``|d/dt arg|`` of the product of the factors.  On
-    ``N = ceil(2 speed / pi) + 1`` intervals the argument moves by at most
-    ``speed / N``, below pi/2 by at least ``(pi/2)^2 / (speed + pi/2)``.  With
-    every ``theta_j`` within ``5 tau + 2e-6`` of (-pi/3, pi/3) (module docstring and
-    :func:`_cayley_phases`) that is at most ``0.74 dim + 2`` intervals;
-    ``INITIAL_INTERVALS`` is the floor.
-    """
-    speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
-    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 1)
-
-
 def _path_winding(theta: np.ndarray, residue_tol: float):
-    """Path winding from one batch of ``_certified_intervals(theta) + 1``
-    samples of the product of the factors ``t + (1-t) exp(i theta_j)``.
+    """Winding and exact smallest ``|det|`` of ``t -> prod_j (t + (1-t) exp(i theta_j))``.
 
-    The grid and the samples come from the same phases, so no true increment
-    between samples reaches pi/2 (:func:`_certified_intervals`); a computed
-    sample is off by a few ``dim`` unit roundoffs in its argument, far inside
-    the room the grid leaves.  A wrapped jump at or above pi/2 therefore
-    raises :class:`NumericalInconsistency` carrying the jump, and on a valid
-    input never does.
-
-    The sum of the increments is minus the phase sum (each phase lies in
-    (-pi, pi), where the factor's argument runs from ``theta_j`` to 0) and
-    must lie within ``residue_tol`` of an integer.  Above
-    ``CAYLEY_DIM_LIMIT`` the phases are the eigenvalue method's, so the sum
-    carries that method's certified error; up to it they are the Cayley
-    phases, certified to the same tolerance (:func:`_cayley_phases`).
+    A factor with ``theta_j`` in (-pi, pi) runs along the chord from
+    ``exp(i theta_j)`` to 1, its argument from ``theta_j`` to 0, so the
+    winding is ``-sum theta_j / 2 pi``, which the phases keep within
+    ``residue_tol`` of an integer: the eigenvalue method's above
+    ``CAYLEY_DIM_LIMIT``, the Cayley phases up to it (:func:`_cayley_phases`).
+    ``|t + (1-t) exp(i theta)|^2 = 1 - 2t(1-t)(1 - cos theta)`` is smallest at
+    ``t = 1/2`` for every factor at once, where it is
+    ``(1 + cos theta) / 2 = cos(theta / 2)^2``: exactly 0 for a phase at pi, a
+    path through the origin, which is refused before the sum is read.
     """
-    intervals = _certified_intervals(theta)
-    mag, ang = _sample_path(theta, np.linspace(0.0, 1.0, intervals + 1))
-    jumps = np.angle(np.exp(1j * np.diff(ang)))
-    worst = float(np.max(np.abs(jumps)))
-    if worst >= np.pi / 2.0:
+    with np.errstate(divide="ignore"):
+        clearance = math.exp(0.5 * float(np.sum(np.log((1.0 + np.cos(theta)) / 2.0))))
+    if not clearance > 0.0:
         raise NumericalInconsistency(
-            f"wrapped path jump {worst:.6f} reaches pi/2 on the certified grid "
-            f"of {intervals} intervals; the samples do not follow the phases",
-            measured=worst,
+            "determinant magnitude reached zero at t = 1/2; path not conclusive",
+            measured=clearance,
         )
-    total = float(np.sum(jumps)) / (2.0 * np.pi)
+    total = -float(np.sum(theta)) / (2.0 * np.pi)
     winding = int(round(total))
     if abs(total - winding) > residue_tol:
         raise NumericalInconsistency(
             f"path argument sum {total!r} does not close to an integer winding",
             measured=abs(total - winding),
         )
-    clearance = float(mag.min())
-    if not clearance > 0.0:
-        raise NumericalInconsistency(
-            "sampled determinant magnitude reached zero; path not conclusive",
-            measured=clearance,
-        )
-    return winding, clearance, intervals + 1
+    return winding, clearance
 
 
 def _distance_below_one(w: np.ndarray, tol: float) -> bool:
@@ -343,13 +298,13 @@ def winding_of_unitary(
             measured=abs(total - w_eig),
         )
     path_theta = _cayley_phases(w, tol) if w.shape[0] <= CAYLEY_DIM_LIMIT else theta
-    w_path, clearance, samples = _path_winding(path_theta, residue_tol)
+    w_path, clearance = _path_winding(path_theta, residue_tol)
     if w_path != w_eig:
         raise NumericalInconsistency(
             f"winding methods disagree: eigenvalue {w_eig}, path {w_path}",
             measured=(w_eig, w_path),
         )
-    return WindingReport(winding=w_eig, min_clearance=clearance, samples_used=samples,
+    return WindingReport(winding=w_eig, min_clearance=clearance, samples_used=1,
                          eigenvalue_method=w_eig, path_method=w_path, agreement=True)
 
 

@@ -87,7 +87,7 @@ def _shift_every_phase(monkeypatch):
             200,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 3: above CAYLEY_DIM_LIMIT the path samples the "
+                reason="ROADMAP item 3: above CAYLEY_DIM_LIMIT the path method sums the "
                 "eigenvalue method's own phases, so the fault returns winding 0 for 1",
             ),
         ),
@@ -127,40 +127,36 @@ def test_cayley_solve_fault_is_refused_by_its_residual(monkeypatch):
     assert exc_info.value.measured == pytest.approx(np.linalg.norm(residual), rel=1e-9)
 
 
-def _patch_sample_path(monkeypatch, fault):
-    """Route ``winding._sample_path`` through ``fault(mag, ang, ts)``."""
-    sample_path = winding._sample_path
-
-    def faulty(theta, ts):
-        mag, ang = sample_path(theta, ts)
-        return fault(mag.copy(), ang.copy(), ts)
-
-    monkeypatch.setattr(winding, "_sample_path", faulty)
+def _patch_cayley_phases(monkeypatch, fault):
+    """Route the phases of ``winding._cayley_phases`` through ``fault(theta)``."""
+    cayley_phases = winding._cayley_phases
+    monkeypatch.setattr(winding, "_cayley_phases", lambda w, tol: fault(cayley_phases(w, tol)))
 
 
-def _drift_the_argument(mag, ang, ts):
-    return mag, ang + 0.3 * ts  # the increments' sum moves by 0.3 / (2 pi)
+def _drift_every_phase(theta):
+    return theta + 0.3 / len(theta)  # the phase sum moves by 0.3, not a whole turn
 
 
-def _zero_one_magnitude(mag, ang, ts):
-    mag[len(mag) // 2] = 0.0
-    return mag, ang
+def _one_phase_at_pi(theta):
+    theta[0] = np.pi  # an eigenvalue at -1: the path meets the origin at t = 1/2
+    return theta
 
 
 @pytest.mark.parametrize(
-    "fault, text",
+    "fault, text, measured",
     [
-        (_drift_the_argument, "does not close to an integer winding"),
-        (_zero_one_magnitude, "sampled determinant magnitude reached zero"),
+        (_drift_every_phase, "does not close to an integer winding", 0.3 / (2.0 * np.pi)),
+        (_one_phase_at_pi, "reached zero", 0.0),
     ],
     ids=["argument-drift", "zero-clearance"],
 )
-def test_winding_path_fault_is_refused(monkeypatch, fault, text):
+def test_winding_path_fault_is_refused(monkeypatch, fault, text, measured):
     w, expected = random_admissible_unitary(40, derive_rng(1, 40), winding=1)
     assert winding_of_unitary(w).winding == expected
-    _patch_sample_path(monkeypatch, fault)
-    with pytest.raises(NumericalInconsistency, match=text):
+    _patch_cayley_phases(monkeypatch, fault)
+    with pytest.raises(NumericalInconsistency, match=text) as exc_info:
         winding_of_unitary(w)
+    assert exc_info.value.measured == pytest.approx(measured, rel=1e-9, abs=0.0)
 
 
 def test_connecting_unitary_conjugation_fault_is_refused(monkeypatch):

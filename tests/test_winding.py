@@ -2,10 +2,11 @@
 
 Three independent oracles: plain dense sampling of t -> det(t + (1-t)W) on
 a fixed fine uniform grid, which shares no code path with the library's
-certified grid; the nonsymmetric eigensolver ``np.linalg.eigvals``, which
-the library's Hermitian eigenphases replace; and, up to dim 160, a path
-sampled with no eigensolve at all (a Householder reduction to Hessenberg
-form and Hyman's recurrence), which the library's Cayley phases replace.
+closed-form phase sum; the nonsymmetric eigensolver ``np.linalg.eigvals``,
+which the library's Hermitian eigenphases replace; and, up to dim 160, a
+path sampled with no eigensolve at all (a Householder reduction to
+Hessenberg form and Hyman's recurrence), which the library's Cayley phases
+replace.
 """
 
 import math
@@ -22,7 +23,6 @@ from obstructkit.errors import (
     HypothesisViolation,
     NotUnitary,
     NumericalInconsistency,
-    ObstructkitError,
     OpenPath,
 )
 from obstructkit.matcore import UNIT_ROUNDOFF, UNITARITY_TOL, dagger, is_unitary, op_norm
@@ -34,7 +34,6 @@ from obstructkit.quasirep import (
 )
 from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian
 from obstructkit.winding import (
-    INITIAL_INTERVALS,
     WindingReport,
     max_winding_for_dim,
     random_admissible_unitary,
@@ -63,6 +62,19 @@ def brute_force_winding(w, samples=20001):
     winding = int(round(total / (2.0 * np.pi)))
     assert abs(total / (2.0 * np.pi) - winding) < 1e-4
     return winding, float(np.min(np.abs(dets)))
+
+
+def assert_exact_clearance(report, u):
+    """``samples_used`` is 1, and ``min_clearance`` is the exact minimum of
+    ``|det(t + (1-t)U)|``, ``U`` the unitary the path method ran on: within
+    1e-12 relative of ``|det((1 + U)/2)|`` from ``slogdet``, and at most the
+    magnitude at 33 evenly spaced ``t``, plus 1e-12 relative."""
+    assert report.samples_used == 1
+    ts = np.linspace(0.0, 1.0, 33)
+    stack = ts[:, None, None] * np.eye(u.shape[0]) + (1.0 - ts)[:, None, None] * u
+    _, logabs = np.linalg.slogdet(np.concatenate([stack, (np.eye(u.shape[0]) + u)[None] / 2.0]))
+    assert report.min_clearance == pytest.approx(math.exp(logabs[-1]), rel=1e-12)
+    assert report.min_clearance <= np.exp(logabs[:-1]).min() * (1.0 + 1e-12)
 
 
 def torus_pair_phase_matrix(k, dim, gen):
@@ -159,8 +171,9 @@ def test_report_json_fields():
     assert obj["agreement"] is True
     assert obj["orientation"] == "basic"
     assert obj["source_path_reversed"] is False
-    assert obj["samples_used"] >= 65
+    assert obj["samples_used"] == 1
     assert obj["min_clearance"] > 0
+    assert_exact_clearance(winding_of_unitary(np.eye(3)), np.eye(3))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +271,6 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
     assert exc_info.value.measured == pytest.approx(2.0 * np.sin(theta / 2.0), abs=1e-6)
 
 
-def certified_sample_count(w):
-    """Samples of the certified grid, on the Cayley and spectral branches alike.
-
-    Each factor ``t + (1-t) e^{i theta}`` turns at most ``2 |tan(theta/2)|``;
-    the phases come from the ``eigvals`` oracle.  One interval of slack
-    covers the phases' ``2 tau`` distance from the library's.
-    """
-    theta = np.angle(np.linalg.eigvals(w))
-    speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
-    return max(INITIAL_INTERVALS, math.ceil(2.0 * speed / math.pi) + 2) + 1
-
-
 @pytest.mark.parametrize(
     "dim, k",
     [
@@ -278,44 +279,17 @@ def certified_sample_count(w):
     ],
 )
 def test_large_windings_do_not_alias(dim, k):
-    # a true jump above 3 pi/2 between samples wraps to a small one; from a
-    # 64-interval grid the inputs above dim 200 used to report path windings
-    # 12, -10, -1, 8, -1 and 1 and be refused as a method disagreement.  Dims
-    # 120 and 160 take the Cayley phases' samples on their own certified grid.
+    # windings near the admissible cap, where a sampled path would need its
+    # finest grid not to alias; dims 120 and 160 take the Cayley phases
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == claimed == k
-    assert report.samples_used <= certified_sample_count(w)
-
-
-def test_coarse_grid_refuses_on_dense_branch(monkeypatch):
-    # four intervals at dim 160 are far below the certified count; the
-    # samples of the Cayley branch must then be refused, never read as a
-    # winding: at k = 15 one wrapped jump reaches pi/2, at k = +-20 every
-    # jump aliases to a small one and the path reads 0 against the
-    # eigenvalue method's +-20
-    certified = winding._certified_intervals
-    monkeypatch.setattr(
-        winding, "_certified_intervals", lambda th: 4 if len(th) == 160 else certified(th)
-    )
-
-    def coarse(k):
-        w, _ = random_admissible_unitary(160, derive_rng(7, 160, abs(k)), winding=k)
-        with pytest.raises(NumericalInconsistency) as exc_info:
-            winding_of_unitary(w)
-        return exc_info.value
-
-    jump = coarse(15)
-    assert "reaches pi/2" in str(jump)
-    assert jump.measured == pytest.approx(2.108, abs=1e-3)
-    for k in (20, -20):
-        assert "methods disagree" in str(coarse(k))
+    assert_exact_clearance(report, w)
 
 
 def test_distance_near_one_above_dense_dims(rng):
-    # ||W - 1|| = 1 - 1e-9: the eigenvalues +-pi/3 turn at most 2 tan(pi/6)
-    # each along the sampled chords, so the certified grid stays at 64
-    # intervals however close the distance sits to 1
+    # ||W - 1|| = 1 - 1e-9: the eigenvalues at +-pi/3 keep the path at least
+    # cos(pi/6)^2 = 3/4 from the origin, however close the distance sits to 1
     theta = 2.0 * np.arcsin((1.0 - 1e-9) / 2.0)
     phases = np.zeros(170)
     phases[:2] = theta, -theta
@@ -323,7 +297,8 @@ def test_distance_near_one_above_dense_dims(rng):
     w = (q * np.exp(1j * phases)) @ dagger(q)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == 0
-    assert report.samples_used == INITIAL_INTERVALS + 1
+    assert_exact_clearance(report, w)
+    assert report.min_clearance == pytest.approx(0.75, rel=1e-8)
 
 
 def structured_defect_unitary(dim, tol, theta, rng):
@@ -372,11 +347,10 @@ def test_loose_tolerance_takes_the_polar_factor(rng):
 
 
 def test_loose_tolerance_dense_branch_off_circle(rng):
-    # tau = 1e-2 at dim 160 takes the polar factor and the Cayley phases'
-    # samples.  A third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i},
-    # inside the circle, and the rest on the positive axis at the radius that
-    # restores |det W| = 1: the chords of W leave the circle the grid is
-    # certified for, and those of its polar factor lie on it
+    # tau = 1e-2 at dim 160 takes the polar factor and its Cayley phases.  A
+    # third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i}, inside the
+    # circle, and the rest on the positive axis at the radius that restores
+    # |det W| = 1: the clearance is the polar factor's, not that of W
     tol, dim, inner = 1e-2, 160, 27
     rho = 1.0 - tol / 2.0
     lam = np.concatenate([
@@ -388,7 +362,8 @@ def test_loose_tolerance_dense_branch_off_circle(rng):
     w = (q * lam) @ dagger(q)
     report = winding_of_unitary(w, unitarity_tol=tol)
     assert report.winding == report.eigenvalue_method == report.path_method == 0
-    assert report.samples_used <= certified_sample_count(w)
+    left, _, right = np.linalg.svd(w)
+    assert_exact_clearance(report, left @ right)
 
 
 def test_loose_tolerance_winds_the_polar_factor_of_a_non_normal_input(monkeypatch):
@@ -439,7 +414,7 @@ def test_polar_factor_outside_the_unit_ball_is_refused():
 # A path with no eigensolve: det(t + (1-t)W) sampled through one Householder
 # reduction of W to Hessenberg form and Hyman's recurrence, O(dim^2) per
 # sample.  Up to winding.CAYLEY_DIM_LIMIT the library's Cayley-phase path is
-# compared with it (_route_through_oracle); _reference_hessenberg and
+# compared with it (_oracle_path_winding); _reference_hessenberg and
 # _reference_hyman_log_det below check it in turn.
 
 # Columns per blocked Householder update in _hessenberg (the fastest of 8 to
@@ -682,8 +657,8 @@ def test_hyman_samples_match_slogdet(dim, kind, seed):
 @pytest.mark.parametrize("dim, k", [(40, 2), (40, -2), (160, 10), (160, -10)])
 def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
     # moving every eigenphase by 2 pi / dim shifts the eigenvalue method by
-    # one turn; the Cayley phases, and the grid and samples taken from them,
-    # must keep the true winding, and the dual gate must fire
+    # one turn; the Cayley phases, and the path sum taken from them, must
+    # keep the true winding, and the dual gate must fire
     eigenphases = winding._eigenphases
 
     def shifted(w, tol):
@@ -880,83 +855,91 @@ def test_hyman_row_blocks_match_the_reference(dim, kind, monkeypatch):
     assert_samples_match_slogdet(h, w, 1e-10)
 
 
-def _winding_outcome(w):
-    """The report's integers and clearance, or the refusal's class, text and
-    measured value."""
-    try:
-        report = winding_of_unitary(w)
-    except ObstructkitError as exc:
-        return type(exc), str(exc), exc.measured
-    return report.winding, report.samples_used, report.path_method, report.min_clearance
+def _oracle_path_winding(w, hessenberg=_hessenberg, hyman_log_det=_hyman_log_det):
+    """Winding and smallest sampled ``|det|`` of ``t -> det(t + (1-t)W)``
+    with no Hermitian eigensolve: ``hyman_log_det`` on ``hessenberg(W)``,
+    sampled on a grid on which no true argument increment reaches pi/2, its
+    wrapped increments summed and rounded; ``None`` for a path that does not
+    close to within 1e-6 of an integer turn.
+
+    Along ``t -> t + (1-t) e^{i theta}`` the argument turns at speed at most
+    ``2 |tan(theta / 2)|``, so on ``N > 2 speed / pi`` intervals, ``speed``
+    summed over the phases, no increment reaches pi/2.  The phases come from
+    ``np.linalg.eigvals``, and one interval of slack covers their distance
+    from the exact ones; ``N`` is at least 64 and even, so the grid holds
+    ``t = 1/2``, where every factor is smallest.
+    """
+    theta = np.angle(np.linalg.eigvals(w))
+    speed = 2.0 * float(np.sum(np.abs(np.tan(theta / 2.0))))
+    intervals = max(64, math.ceil(2.0 * speed / math.pi) + 2)
+    intervals += intervals % 2
+    log_mag, ang = hyman_log_det(hessenberg(w), np.linspace(0.0, 1.0, intervals + 1))
+    jumps = np.angle(np.exp(1j * np.diff(ang)))
+    assert np.max(np.abs(jumps)) < np.pi / 2.0
+    total = float(np.sum(jumps)) / (2.0 * np.pi)
+    closed = abs(total - round(total)) < 1e-6
+    return round(total) if closed else None, float(np.exp(log_mag.min()))
 
 
-def _reference_input(seed, monkeypatch):
-    """A seeded dense-path input of one of five families: admissible, block
-    diagonal, block diagonal with a 1e-200 coupling, admissible with every
-    eigenphase shifted by 2 pi / dim (methods disagree) and admissible on a
-    two-interval grid (a wrapped jump reaches pi/2)."""
+def _reference_input(seed):
+    """A seeded input up to ``CAYLEY_DIM_LIMIT`` and its family, one of five:
+    admissible, block diagonal, block diagonal with a 1e-200 coupling, and
+    twice admissible, for the shifted eigenphases and the shifted Cayley
+    phases of :func:`test_cayley_path_matches_the_hyman_oracle`."""
     gen = derive_rng(13, seed)
     dim = int(gen.integers(1, 161))
     family = seed % 5
     if family in (1, 2):
-        return dense_test_matrix(("blocks", "tiny")[family - 1], dim, gen)
-    w = random_admissible_unitary(dim, gen)[0]
+        return dense_test_matrix(("blocks", "tiny")[family - 1], dim, gen), family
+    return random_admissible_unitary(dim, gen)[0], family
+
+
+@pytest.mark.parametrize("seed", range(210))
+def test_winding_matches_the_reference_path(seed):
+    # the oracle's lean Householder and Hyman loops against the reference's
+    w, _ = _reference_input(seed)
+    got = _oracle_path_winding(w)
+    want = _oracle_path_winding(w, _reference_hessenberg, _reference_hyman_log_det)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(210, 420))
+def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
+    # the eigensolver-free cross-check.  Families 0-2: the Cayley route
+    # returns the oracle path's winding, and its clearance is the oracle's
+    # sample at t = 1/2, or it refuses an open path (a 1 x 1 block diagonal
+    # input) as the oracle does.  Family 3: every eigenphase moved by 2 pi / n
+    # moves the eigenvalue method, and not the path, one turn down.  Family 4:
+    # every Cayley phase moved so moves the path method, and not the other.
+    w, family = _reference_input(seed)
+    oracle, oracle_min = _oracle_path_winding(w)
     if family == 3:
         eigenphases = winding._eigenphases
 
         def shifted(w, tol):
             theta, residue_tol = eigenphases(w, tol)
-            return theta + 2.0 * np.pi / len(theta), residue_tol
+            return theta + 2.0 * np.pi / len(w), residue_tol
 
         monkeypatch.setattr(winding, "_eigenphases", shifted)
-    if family == 4:
-        monkeypatch.setattr(winding, "_certified_intervals", lambda theta: 2)
-    return w
-
-
-def _route_through_oracle(monkeypatch, hessenberg=_hessenberg, hyman_log_det=_hyman_log_det):
-    """Build the path up to ``CAYLEY_DIM_LIMIT`` with no second eigensolve:
-    the grid from the eigenvalue method's phases and the samples from
-    ``hyman_log_det`` on ``hessenberg(W)``, neither reading a phase."""
-    inputs = []
-
-    def grid_phases(w, tol):
-        inputs.append(w)
-        return winding._eigenphases(w, tol)[0]
-
-    def samples(theta, ts):
-        log_mag, ang = hyman_log_det(hessenberg(inputs[-1]), ts)
-        return np.exp(log_mag), ang
-
-    monkeypatch.setattr(winding, "_cayley_phases", grid_phases)
-    monkeypatch.setattr(winding, "_sample_path", samples)
-
-
-@pytest.mark.parametrize("seed", range(210))
-def test_winding_matches_the_reference_path(seed, monkeypatch):
-    # the oracle's lean Householder and Hyman loops against the reference's
-    w = _reference_input(seed, monkeypatch)
-    _route_through_oracle(monkeypatch)
-    got = _winding_outcome(w)
-    _route_through_oracle(monkeypatch, _reference_hessenberg, _reference_hyman_log_det)
-    want = _winding_outcome(w)
-    assert got[:-1] == want[:-1]
-    assert got[-1] == pytest.approx(want[-1], rel=1e-9)
-
-
-@pytest.mark.parametrize("seed", range(210, 420))
-def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
-    # the eigensolver-free cross-check: on the five families the Cayley
-    # route returns the oracle path's winding and sample count, or refuses
-    # with the oracle's class and text
-    w = _reference_input(seed, monkeypatch)
-    got = _winding_outcome(w)
-    _route_through_oracle(monkeypatch)
-    want = _winding_outcome(w)
-    kept = 2 if isinstance(want[0], type) else 3
-    assert got[:kept] == want[:kept]
-    if kept == 3:
-        assert got[-1] == pytest.approx(want[-1], rel=1e-9)
+        measured = (oracle - 1, oracle)  # (eigenvalue, path)
+    elif family == 4:
+        cayley_phases = winding._cayley_phases
+        monkeypatch.setattr(
+            winding, "_cayley_phases", lambda w, tol: cayley_phases(w, tol) + 2.0 * np.pi / len(w))
+        measured = (oracle, oracle - 1)
+    elif oracle is None:
+        with pytest.raises(OpenPath):
+            winding_of_unitary(w)
+        return
+    else:
+        report = winding_of_unitary(w)
+        assert report.winding == report.path_method == oracle
+        assert report.min_clearance == pytest.approx(oracle_min, rel=1e-9)
+        return
+    with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
+        winding_of_unitary(w)
+    assert exc_info.value.measured == measured
 
 
 def near_unit_distance_matrix(dim, offset, defect, gen):
