@@ -13,8 +13,7 @@ subcommand, as ``--tol.gap 0.01`` or ``--tol.gap=0.01``; a value must be
 finite and non-negative.
 
 Each command imports the library modules it runs when it runs, so start-up
-is paid by subcommand: ``homology`` and the closed-form and ``--phases``
-forms of ``eta`` never load NumPy.
+is paid by subcommand: ``homology`` and ``eta`` never load NumPy.
 """
 
 from __future__ import annotations

@@ -7,17 +7,14 @@ computed two ways:
 
 * ``eta_character_closed`` returns the exact values (``1 - 2q`` for
   ``q`` in (0, 1), zero with a one-dimensional kernel at ``q = 0``);
-* ``eta_character_abel`` sums the Abel-regularized series
+* ``eta_character_abel`` evaluates the Abel-regularized series
   ``E(t) = sum sign(n+q) e^{-t|n+q|}`` at a ladder of ``t`` values and
-  Richardson-extrapolates ``t -> 0``.  ``E`` is even in ``t``, so the
-  extrapolation runs in the variable ``t^2``.
+  extrapolates polynomially to ``t -> 0``, with a proved error bound.  ``E``
+  is even in ``t``, so the extrapolation runs in the variable ``t^2``.
 
-The series is summed exactly and rounded once, so each value is the
-correctly rounded sum of its floating-point terms: bit for bit what
-``math.fsum`` returns on them (Shewchuk, DCG 18, 1997).  A few numpy passes
-split the terms, by exponent range, into exact partial sums (see
-``_exact_parts``), and ``math.fsum`` of those few floats rounds once,
-instead of ``fsum`` stepping through every term.
+For ``q`` in (0, 1) the series is two geometric series, over ``n + q > 0``
+and over ``n + q < 0``, so each value comes from their closed form
+``E(t) = (e^{-tq} - e^{-t(1-q)}) / (1 - e^{-t}) = sinh(t(1/2 - q)) / sinh(t/2)``.
 
 Both report ``rho_mod_Z``, the eta data of the character reduced against the
 untwisted operator: ``((kernel + eta) - (1 + 0)) / 2`` mod 1, which is ``-q``
@@ -34,16 +31,11 @@ from .errors import BoundViolation, NumericalInconsistency, ZeroMode
 
 DEFAULT_T_LADDER = (0.4, 0.2, 0.1, 0.05, 0.025)
 DEFAULT_RICHARDSON_ORDER = 4
-# Omitted-tail bound for the Abel series at each ladder point.
-TAIL_TOL = 1e-14
-# Smallest accepted t: a window of about 8.4e5 series terms, growing like 1/t.
+# Smallest accepted t: ladders and series values live in [T_MIN, 1].
 T_MIN = 1e-4
-# Floor on the reported extrapolation error: covers the omitted tails and
-# the rounding of the extrapolation itself, after amplification by its
-# weights.  The rounding of the series terms is estimated per call.
-ERROR_FLOOR = 1e-13
-# Terms per point in one block of the series window: bounds peak memory.
-_CHUNK = 1 << 15
+# Radius of the circle in x = t^2 on which the remainder bound takes |E| <= 1;
+# the proof needs it at most pi^2 (see eta_character_abel).
+_RADIUS = 9.8696
 
 
 @dataclass(frozen=True)
@@ -66,10 +58,10 @@ class EtaResult:
     ``rho_mod_Z`` is ``((kernel_dim + eta) - 1) / 2`` reduced mod 1 — the
     comparison of this operator's half-count against the untwisted one,
     whose kernel is one-dimensional with vanishing eta.
-    ``extrapolation_error`` is zero for closed-form results and an estimated
-    bound (twice the last extrapolation correction plus the larger of a
-    noise floor and the rounding of the series terms) for Abel-regularized
-    ones.
+    ``extrapolation_error`` is zero for closed-form results and, for
+    Abel-regularized ones, a proved bound on the distance of ``eta`` from
+    the exact ``1 - 2q``: the interpolation remainder plus the rounding of
+    the series values and of the extrapolation.
     """
 
     eta: float
@@ -102,119 +94,22 @@ def eta_character_closed(tw: CharacterTwist) -> EtaResult:
     )
 
 
-def _truncation_count(t: float) -> int:
-    # Window half-width N with the omitted geometric tail below TAIL_TOL:
-    # the tail of sum e^{-t n} past N is e^{-t(N+1)} / (1 - e^{-t}).
-    return int(math.ceil((33.0 - math.log1p(-math.exp(-t))) / t)) + 1
-
-
-def _exact_parts(x, starts):
-    """Split the exact sum of each segment ``x[starts[i]:starts[i + 1]]`` of
-    a finite float64 array into a few floats: the floats of segment ``i``
-    add up exactly to its terms.  ``x`` is overwritten; segments are
-    nonempty; every term is below ``2**(1023 - s)`` in size, ``2**s`` the
-    first power of two at least ``2 len(x)`` (a larger one makes
-    ``math.ldexp`` raise OverflowError).
-
-    Each pass takes the bits of every term from ``2**(k - 53)`` up, for
-    ``sigma = 2**k`` at least ``2 len(x)`` times every term's size, by
-    error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
-    2008): ``q = (sigma + x) - sigma`` is exact, a multiple of
-    ``2**(k - 53)``, and so is ``x - q``, below ``2**(k - 53)`` in size.
-    The ``q`` of a segment then add up in floating point with no rounding,
-    since every partial sum is a multiple of ``2**(k - 53)`` below
-    ``sigma``.  The next pass starts from ``2**(k - 53)``, and passes go on
-    until no bit is left: about ``53 - s`` bits of exponent range per pass,
-    so three or four for a series window.  Each pass is thus one exponent
-    bin of every term (Malcolm, CACM 14, 1971), and its sum is exact.
-    """
-    import numpy as np
-
-    spread = (2 * len(x) - 1).bit_length()
-    size = max(float(x.max()), -float(x.min()))
-    q = np.empty_like(x)
-    levels = []
-    while size:
-        k = math.frexp(size)[1] + spread
-        sigma = math.ldexp(1.0, k)
-        np.add(x, sigma, out=q)
-        q -= sigma
-        x -= q
-        levels.append(np.add.reduceat(q, starts).tolist())
-        if not x.any():
-            break
-        size = math.ldexp(1.0, k - 53)
-    return list(zip(*levels)) if levels else [()] * len(starts)
-
-
-def _abel_sums(q, window):
-    """The Abel series at each ``t`` of ``window``, and the sum of the
-    absolute values of its terms there.
-
-    One pass over ``n`` in blocks of ``_CHUNK``: a block forms ``n + q``
-    once, then ``e^{-t |n + q|}``, the same floats as one point at a time,
-    for every point whose window ``|n| <= N(t)`` meets it.  Each point's
-    terms are exact-summed in three segments, ``n + q`` negative, zero and
-    positive: the series ``sum sign(n + q) e^{-t |n + q|}`` is the positive
-    sum less the negative one, and the absolute sum is the two added.
-    ``math.fsum`` of a point's exact parts rounds their exact total once.
-    """
-    import numpy as np  # here, so the closed form and rho_loop start without numpy
-
-    reach = [_truncation_count(t) for t in window]
-    top = max(reach)
-    totals = [[] for _ in window]  # exact parts of each point's sum
-    mass = [[] for _ in window]
-    for a in range(-top, top + 1, _CHUNK):
-        lam = np.arange(a, min(a + _CHUNK, top + 1), dtype=np.float64)
-        lam += q
-        # n + q < 0 before index zero and > 0 from index pos on; a float sum
-        # is 0 only for exact opposites, so at most lam[zero] is 0
-        zero = int(np.searchsorted(lam, 0.0))
-        pos = zero + int(zero < len(lam) and lam[zero] == 0.0)
-        dist = np.abs(lam, out=lam)
-        spans = [(p, max(-n - a, 0), min(n + 1 - a, len(lam))) for p, n in enumerate(reach)]
-        spans = [(p, lo, hi) for p, lo, hi in spans if lo < hi]
-        terms = np.concatenate([dist[lo:hi] for _, lo, hi in spans])
-        pieces = []  # (point, sign, first index in terms)
-        offset = 0
-        for p, lo, hi in spans:
-            terms[offset : offset + hi - lo] *= -window[p]
-            cuts = [lo, min(max(zero, lo), hi), min(max(pos, lo), hi), hi]
-            for sign, i, j in zip((-1, 0, 1), cuts, cuts[1:]):
-                if i < j:
-                    pieces.append((p, sign, offset + i - lo))
-            offset += hi - lo
-        np.exp(terms, out=terms)
-        for (p, sign, _), parts in zip(pieces, _exact_parts(terms, [i for _, _, i in pieces])):
-            if sign:
-                totals[p] += parts if sign > 0 else [-v for v in parts]
-                mass[p] += parts
-    return [math.fsum(parts) for parts in totals], [math.fsum(parts) for parts in mass]
+def _abel_values(q, window):
+    """``E(t) = sinh(t(1/2 - q)) / sinh(t/2)`` at each ``t`` of ``window``."""
+    s = 0.5 - q
+    return [math.sinh(s * t) / math.sinh(0.5 * t) for t in window]
 
 
 def abel_series_value(q: float, t: float) -> float:
-    """Truncated ``sum over n of sign(n+q) e^{-t|n+q|}`` (tail below 1e-14).
-
-    The terms are summed exactly and rounded once, so the value is the
-    correctly rounded sum of the floating-point terms: the float
-    ``math.fsum`` returns on them, bit for bit.  It is ``_abel_sums`` on a
-    one-point window, the code ``eta_character_abel`` runs.
+    """``sum over n of sign(n+q) e^{-t|n+q|}`` for ``q`` in (0, 1) and ``t``
+    in [T_MIN, 1], from its closed form: within ``12u |E|`` of the sum's
+    value, ``u = 2**-53`` (see ``eta_character_abel``).
     """
-    if not t >= T_MIN:  # NaN fails the comparison
-        raise BoundViolation(f"Abel parameter t must be at least {T_MIN}, got {t!r}")
-    return _abel_sums(q, (t,))[0][0]
-
-
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation to 0; returns (value, last diagonal correction)."""
-    tab = list(ys)
-    m = len(xs) - 1
-    for k in range(1, m + 1):
-        prev = tab[0]
-        for i in range(m - k + 1):
-            tab[i] = (xs[i] * tab[i + 1] - xs[i + k] * tab[i]) / (xs[i] - xs[i + k])
-    return tab[0], abs(tab[0] - prev)
+    if not T_MIN <= t <= 1.0:  # NaN fails the comparison
+        raise BoundViolation(f"Abel parameter t must be at least {T_MIN} and at most 1, got {t!r}")
+    if not 0.0 < q < 1.0:
+        raise BoundViolation(f"series phase q must lie in (0, 1), got {q!r}")
+    return _abel_values(q, (t,))[0]
 
 
 def eta_character_abel(
@@ -224,27 +119,50 @@ def eta_character_abel(
 ) -> EtaResult:
     """Abel-regularized eta: series values on a ``t`` ladder, extrapolated to 0.
 
-    The ladder must be a descending sequence in [T_MIN, 1] with at least
-    ``richardson_order + 1`` entries; the extrapolation uses its last
-    ``richardson_order + 1`` points.  Only then is ``q = 0`` refused
-    (ZeroMode): its zero eigenvalue makes the signed series ambiguous, and
-    the closed form should be used.  The result is cross-checked against
-    the exact limit and must agree within the reported error estimate.
+    The ladder must be a strictly descending sequence in [T_MIN, 1] with at
+    least ``m + 1`` entries, ``m = richardson_order``; the extrapolation uses its
+    last ``m + 1`` points.  Only then is ``q = 0`` refused (ZeroMode): its
+    zero eigenvalue makes the signed series ambiguous, and the closed form
+    should be used.
 
-    That estimate is twice the last extrapolation correction plus the
-    larger of ``ERROR_FLOOR`` and a rounding term for the series terms.  A
-    term is formed with two roundings, in ``n + q`` and in ``t |n + q|``,
-    which ``exp`` turns into a relative error of at most ``2u y`` (to first
-    order, ``u = 2**-53``, ``y = t |n + q|``), and ``exp`` adds its own,
-    assumed within one ulp (``2u``).  Under the weights ``e^{-y}`` the mean
-    of ``y`` over a window is below ``1 + t`` (on each side ``y = t(k + c)``
-    with ``0 < c <= 1``, mean ``tc + t / (e^t - 1)``), so a point's terms
-    are off by at most ``(4 + 2t) u S`` in all, ``S`` the sum of their
-    absolute values (about ``2 / t``), and its sum ``E`` is then rounded
-    once (``u |E|``).  The extrapolated value is the Lagrange combination
-    ``sum w_i E(t_i)`` at 0, so the term is
-    ``u sum |w_i| ((4 + 2 t_i) S_i + |E_i|)``: about 6e-14 on the default
-    ladder, under the floor, and 1.5e-11 on 0.0016, 0.0008, ..., 0.0001.
+    The estimate is ``p(0) = sum w_i y_i`` for the polynomial ``p`` of
+    degree ``m`` through the points ``(x_i, y_i)``: ``x_i`` is ``t_i^2``
+    rounded, ``y_i`` the computed ``E(t_i)`` and
+    ``w_i = prod_{j != i} x_j / (x_j - x_i)`` its Lagrange weight at 0.
+    ``extrapolation_error`` bounds ``|p(0) - (1 - 2q)|`` in two parts.
+
+    The remainder.  With ``s = 1/2 - q``, ``f(x) = E(sqrt x)
+    = sinh(s sqrt x) / sinh(sqrt x / 2)`` is analytic for ``|x| < 4 pi^2``
+    (its poles are at ``x = -4 pi^2 k^2``) and ``f(0) = 1 - 2q``.  By the
+    Hermite integral formula (Trefethen, Approximation Theory and
+    Approximation Practice, 2013, ch. 11) the interpolant ``P`` of ``f`` at
+    the nodes has ``|f(0) - P(0)| <= M prod x_i / prod (R - x_i)``, ``M`` the
+    largest ``|f|`` on ``|x| = R`` and ``R`` above every node.  Take ``R``
+    at most ``pi^2``.  For ``sqrt x = a + ib``, ``|sinh(a + ib)|^2
+    = sinh^2 a + sin^2 b``, so ``|sinh(s sqrt x)|^2 = sinh^2(sa) + sin^2(sb)
+    <= sinh^2(a / 2) + sin^2(b / 2) = |sinh(sqrt x / 2)|^2``: ``|s| < 1/2``
+    and ``|b| <= pi``, where ``sin^2`` increases in ``|b| / 2``.  So
+    ``M = 1``, and the remainder is about 1.1e-15 on the default ladder and
+    1e-39 on 0.0016, 0.0008, ..., 0.0001.
+
+    The rounding, ``u = 2**-53``.  The argument ``s t`` carries at most two
+    roundings, which ``sinh`` turns into a relative error of at most
+    ``cosh(1/2) 2u < 2.3u`` since ``|s t| < 1/2``; ``t / 2`` is exact; each
+    ``sinh`` is assumed within 2 ulps (``4u``), glibc's published bound; the
+    division adds ``u``.  So ``|y_i - E(t_i)| <= 12u |E(t_i)|``.  Rounding
+    ``t_i^2`` to ``x_i`` moves ``f`` by at most ``u x_i`` times
+    ``|f'| <= R M / (R - 1)^2 < 0.13``.  Each computed weight is ``3m - 1``
+    roundings from ``w_i``, its product with ``y_i`` one more, and
+    ``math.fsum`` rounds the exact sum once (``u |p(0)|``).  With the
+    constants rounded up, to cover second-order terms and the arithmetic of
+    the bound itself, the rounding part is
+    ``u sum |w_i| ((14 + 3m) |y_i| + 1)``: about 2.5e-15 at ``q = 0.3`` on
+    either ladder.
+
+    A fault ``delta`` in one value moves the estimate by ``|w_i| delta``:
+    the weights are 1.45, -0.48, 0.032, -4.7e-4 and 1.4e-6 on a halving
+    ladder, from its smallest ``t`` up.  An estimate that misses ``1 - 2q``
+    by more than the bound is refused (NumericalInconsistency).
     """
     ladder = [float(t) for t in t_ladder]
     if not ladder:
@@ -268,19 +186,22 @@ def eta_character_abel(
         )
     window = ladder[-(order + 1) :]
     xs = [t * t for t in window]  # the series is even in t
-    ys, mass = _abel_sums(tw.q, window)
-    estimate, correction = _neville_at_zero(xs, ys)
+    ys = _abel_values(tw.q, window)
     weights = [math.prod(xj / (xj - xi) for xj in xs if xj != xi) for xi in xs]
+    estimate = math.fsum(w * y for w, y in zip(weights, ys))
+    remainder = math.prod(xs) / math.prod(_RADIUS - x for x in xs)
     rounding = 2.0**-53 * sum(
-        abs(w) * ((4.0 + 2.0 * t) * s + abs(y)) for w, t, s, y in zip(weights, window, mass, ys)
+        abs(w) * ((14 + 3 * order) * abs(y) + 1.0) for w, y in zip(weights, ys)
     )
-    err = 2.0 * correction + max(ERROR_FLOOR, rounding)
-    exact = 1.0 - 2.0 * tw.q
-    if abs(estimate - exact) > err:
+    err = remainder + rounding
+    # the miss from 1 - 2q, exact and rounded once: no rounding of its own
+    # can carry it past err
+    miss = abs(math.fsum((estimate, -1.0, 2.0 * tw.q)))
+    if miss > err:
         raise NumericalInconsistency(
-            f"extrapolated eta {estimate!r} misses the exact limit {exact!r} "
-            f"by more than the estimated error {err:.3e}",
-            measured=abs(estimate - exact),
+            f"extrapolated eta {estimate!r} misses the exact limit {1.0 - 2.0 * tw.q!r} "
+            f"by more than its error bound {err:.3e}",
+            measured=miss,
         )
     return EtaResult(
         eta=estimate,

@@ -565,7 +565,7 @@ FLOOR_LADDER = "0.0016,0.0008,0.0004,0.0002,0.0001"
 
 
 def test_eta_floor_ladder_passes_the_cross_check(capsys):
-    # exited 3 while the error bar left out the rounding of its 1.6e6 terms
+    # exited 3 while the error bar left out the rounding of the series terms
     payload = run_json(["eta", "--q", "0.3", "--method", "abel", "--ladder", FLOOR_LADDER], capsys)
     assert abs(payload["eta"] - 0.4) <= payload["extrapolation_error"]
 
@@ -576,13 +576,8 @@ def test_eta_floor_ladder_passes_the_cross_check(capsys):
 def test_eta_offset_series_exit_three(monkeypatch, ladder, capsys):
     from obstructkit import eta
 
-    exact_sums = eta._abel_sums
-
-    def faulted(q, window):
-        ys, mass = exact_sums(q, window)
-        return [y + 1e-10 for y in ys], mass
-
-    monkeypatch.setattr(eta, "_abel_sums", faulted)
+    values = eta._abel_values
+    monkeypatch.setattr(eta, "_abel_values", lambda q, t: [y + 1e-10 for y in values(q, t)])
     code, out, err = run_cli(["eta", "--q", "0.3", "--method", "abel", "--ladder", ladder], capsys)
     assert code == 3 and out == ""
     assert "misses the exact limit" in err
@@ -866,9 +861,10 @@ sys.stderr.write(json.dumps([code, "numpy" in sys.modules]))
         (["homology", "fbc", "--matrix", "[[1,1],[1,2]]"], False),
         (["eta", "--q", "0.25"], False),
         (["eta", "--phases", "0.1,0.2"], False),
-        (["eta", "--q", "0.25", "--method", "abel"], True),
+        (["eta", "--q", "0.25", "--method", "abel"], False),
+        (["eta", "--q", "0.3", "--method", "abel", "--ladder", FLOOR_LADDER], False),
     ],
-    ids=["homology-snf", "homology-fbc", "eta-closed", "eta-phases", "eta-abel"],
+    ids=["homology-snf", "homology-fbc", "eta-closed", "eta-phases", "eta-abel", "eta-abel-floor"],
 )
 def test_startup_imports_by_subcommand(argv, loads_numpy, fresh_python):
     proc = fresh_python(NUMPY_PROBE, *argv)
