@@ -17,18 +17,22 @@ winding number.  Two algorithms compute it and must agree:
   most ``2.02 tau`` and the winding sum by ``2.02 n tau / 2 pi < n tau / 3``,
   so the residue gate allows ``EIG_RESIDUE_TOL + n tau / 3`` and the
   integer is certified with room to spare;
-* path method — the same winding read off the path
-  ``prod_j (t + (1-t) exp(i theta'_j))``, which is ``det(t + (1-t)W)`` when
-  the ``theta'_j`` are the eigenphases of ``W``: minus the phase sum, and the
-  exact minimum of ``|det|``, both in closed form (``_path_winding``).  Up to
-  ``CAYLEY_DIM_LIMIT`` the ``theta'`` are the phases of the Cayley transform
-  ``i(1 - W)(1 + W)^{-1}``: one ``np.linalg.solve``, checked by its residual,
-  and a second Hermitian eigensolve on a different matrix, certified to keep
-  the path's sum within the same residue tolerance (``_cayley_phases``).
-  Above it there is no independent second method yet (ROADMAP item 3): the
-  ``theta'`` are the eigenvalue method's own phases.  An eigensolver-free
-  path (a Householder reduction to Hessenberg form and Hyman's recurrence)
-  is kept in ``tests/test_winding.py`` as the oracle of the Cayley route.
+* path method — ``-Phi(W) / 2 pi``, ``Phi(W)`` the sum of the arguments of
+  the pivots of the LU factorization of ``W`` without pivoting, up to
+  ``PIVOT_DIM_LIMIT``: stacked solves and Schur products, each level gated
+  by its measured residual, and no eigensolve (``_pivot_argument_sum``,
+  which proves the sum within the same residue tolerance).  So up to the
+  limit a Hermitian eigensolve and an LU elimination of ``W`` are
+  cross-checked.  Above it there is no independent second method yet
+  (ROADMAP item 3): the path method sums the eigenvalue method's own phases.
+  An eigensolver-free path (a Householder reduction to Hessenberg form and
+  Hyman's recurrence) is kept in ``tests/test_winding.py`` as the oracle of
+  the pivot route.
+
+At every dimension the reported clearance is the exact minimum of ``|det|``
+along ``t -> prod_j (t + (1-t) exp(i theta_j))``, the path of the unitary
+with the eigenvalue method's phases ``theta_j``: ``prod_j cos(theta_j / 2)``,
+reached at ``t = 1/2`` (``_clearance``).
 
 Above the budget (a defect of 1e-2 at dim 400 can move the Hermitian sum
 past 1/2) both methods run on the polar factor ``U`` of ``W = UP``
@@ -54,6 +58,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    BoundViolation,
     HypothesisViolation,
     NotUnitary,
     NumericalInconsistency,
@@ -76,21 +81,27 @@ DET_TOL = 1e-8
 EIG_RESIDUE_TOL = 1e-6
 # Largest dim * tau for which the Hermitian eigenphases are certified.
 HERMITIAN_PHASE_BUDGET = 1e-3
-# Up to this dimension the path method takes its phases from the Cayley
-# transform of W (_cayley_phases); above it, from the eigenvalue method.
-CAYLEY_DIM_LIMIT = 160
+# Up to this dimension the path method sums the arguments of the LU pivots
+# of W (_pivot_argument_sum); above it, the eigenvalue method's phases.
+PIVOT_DIM_LIMIT = 160
+# Largest matrix _pivot_argument_sum eliminates entry by entry.
+PIVOT_LEAF = 12
 
 
 @dataclass(frozen=True)
 class WindingReport:
     """Result of a dual-method winding computation.
 
-    ``agreement`` is always True on a returned report (disagreement raises);
-    ``min_clearance`` is the exact minimum over ``t`` of ``|det|`` along the
-    path of the unitary with the path method's phases ``theta'``, reached at
-    ``t = 1/2``, and ``samples_used`` is 1: the one point at which the path is
-    evaluated.  ``source_path_reversed`` marks reports normalized from the
-    reversed-orientation convention used for homology-class pairings.
+    ``agreement`` is always True on a returned report (disagreement raises).
+    ``eigenvalue_method`` is the integer of the Hermitian eigenphases;
+    ``path_method`` that of the LU pivot arguments up to ``PIVOT_DIM_LIMIT``
+    and of the same eigenphases above it.  ``min_clearance`` is the exact
+    minimum over ``t`` of ``|det|`` along the path of the unitary with the
+    eigenvalue method's phases, ``prod_j cos(theta_j / 2)`` at ``t = 1/2``,
+    at every dimension, and ``samples_used`` is 1: the one point at which
+    the path is evaluated.  ``source_path_reversed`` marks reports
+    normalized from the reversed-orientation convention used for
+    homology-class pairings.
     """
 
     winding: int
@@ -103,34 +114,25 @@ class WindingReport:
     source_path_reversed: bool = False
 
 
-def _path_winding(theta: np.ndarray, residue_tol: float):
-    """Winding and exact smallest ``|det|`` of ``t -> prod_j (t + (1-t) exp(i theta_j))``.
+def _rounded_winding(phase_sum: float, residue_tol: float, error, what: str) -> int:
+    """The winding ``-phase_sum / 2 pi``, refused with ``error`` carrying the
+    distance unless it lies within ``residue_tol`` of an integer."""
+    total = -phase_sum / (2.0 * np.pi)
+    nearest = float(np.rint(total))
+    if not abs(total - nearest) <= residue_tol:
+        raise error(f"{what} argument sum {total!r} does not round to an integer",
+                    measured=abs(total - nearest))
+    return int(nearest)
 
-    A factor with ``theta_j`` in (-pi, pi) runs along the chord from
-    ``exp(i theta_j)`` to 1, its argument from ``theta_j`` to 0, so the
-    winding is ``-sum theta_j / 2 pi``, which the phases keep within
-    ``residue_tol`` of an integer: the eigenvalue method's above
-    ``CAYLEY_DIM_LIMIT``, the Cayley phases up to it (:func:`_cayley_phases`).
+
+def _clearance(theta: np.ndarray) -> float:
+    """Exact smallest ``|det|`` of ``t -> prod_j (t + (1-t) exp(i theta_j))``.
+
     ``|t + (1-t) exp(i theta)|^2 = 1 - 2t(1-t)(1 - cos theta)`` is smallest at
     ``t = 1/2`` for every factor at once, where it is
-    ``(1 + cos theta) / 2 = cos(theta / 2)^2``: exactly 0 for a phase at pi, a
-    path through the origin, which is refused before the sum is read.
+    ``(1 + cos theta) / 2 = cos(theta / 2)^2``.
     """
-    with np.errstate(divide="ignore"):
-        clearance = math.exp(0.5 * float(np.sum(np.log((1.0 + np.cos(theta)) / 2.0))))
-    if not clearance > 0.0:
-        raise NumericalInconsistency(
-            "determinant magnitude reached zero at t = 1/2; path not conclusive",
-            measured=clearance,
-        )
-    total = -float(np.sum(theta)) / (2.0 * np.pi)
-    winding = int(round(total))
-    if abs(total - winding) > residue_tol:
-        raise NumericalInconsistency(
-            f"path argument sum {total!r} does not close to an integer winding",
-            measured=abs(total - winding),
-        )
-    return winding, clearance
+    return math.exp(0.5 * float(np.sum(np.log((1.0 + np.cos(theta)) / 2.0))))
 
 
 def _distance_below_one(w: np.ndarray, tol: float) -> bool:
@@ -193,73 +195,137 @@ def _eigenphases(w: np.ndarray, tol: float):
     return theta, EIG_RESIDUE_TOL + w.shape[0] * tol / 3.0
 
 
-def _cayley_phases(w: np.ndarray, tol: float) -> np.ndarray:
-    """The path method's phases up to ``CAYLEY_DIM_LIMIT``: ``2 arctan`` of
-    ``eigvalsh`` of the Hermitian part ``H`` of ``iX^``, ``X^`` the computed
-    solution ``X`` of ``(1 + W) X = 1 - W``.
+def _eliminate(a: np.ndarray) -> np.ndarray:
+    """The pivots of the LU factorizations without pivoting of a matrix or a
+    stack of them, one entry at a time: each step divides the column under
+    the pivot by it and subtracts the outer product with the pivot's row."""
+    pivots = np.empty(a.shape[:-1], dtype=np.complex128)
+    for j in range(a.shape[-1] - 1):
+        pivots[..., j] = a[..., 0, 0]
+        a = a[..., 1:, 1:] - a[..., 1:, :1] / a[..., :1, :1] * a[..., :1, 1:]
+    pivots[..., -1] = a[..., 0, 0]
+    return pivots
 
-    For a unitary ``U`` without eigenvalue -1, ``A_U = i(1 - U)(1 + U)^{-1}``
-    is Hermitian with eigenvalues ``tan(phi_j / 2)``, ``phi_j`` the
-    eigenphases of ``U`` in (-pi, pi), which ``2 arctan`` returns.  Let ``W``
-    have passed the gates of :func:`winding_of_unitary` at ``tau = tol``
-    (so ``tau <= 1e-3``), ``U`` be its polar factor, ``n`` the dimension, ``u``
-    the unit roundoff and ``rho`` the Frobenius norm of the computed residual
-    ``(1 + W) X^ - (1 - W)``.  Then the sorted phases returned lie within
-    ``4 tau / (c (c - tau)) + 2 rho / (c - tau) + 30 n (n + 3) u`` of the
-    sorted ``phi_j``, ``c = 2 cos(pi/6 + tau)``:
 
-    * ``||W - U|| <= ||W*W - 1|| <= tau`` (module docstring) and
-      ``||U - 1|| < 1 + tau``, so ``|phi_j| < 2 arcsin((1 + tau)/2)
-      < pi/3 + 2 tau``, ``||(1 + U)^{-1}|| <= 1/c`` and, as
-      ``1 + W = (1 + U) + (W - U)``, ``||(1 + W)^{-1}|| <= 1/(c - tau)``.
-    * ``(1 - Y)(1 + Y)^{-1} = 2(1 + Y)^{-1} - 1`` gives
-      ``A_W - A_U = 2i (1 + W)^{-1} (U - W)(1 + U)^{-1}``, so ``A_W = iX``
-      lies within ``2 tau / (c (c - tau))`` of ``A_U``, and so does its
-      Hermitian part, ``A_U`` being Hermitian.
-    * No growth factor of the LU solve is assumed:
-      ``X^ - X = (1 + W)^{-1} R`` with ``R = (1 + W) X^ - (1 - W)``.  Forming
-      ``1 + W``, ``1 - W``, the product and the difference moves the computed
-      residual from ``R`` by ``g <= 3 n (n + 3) u`` in the Frobenius norm
-      (complex inner products as in Higham, Accuracy and Stability,
-      section 3.6, with ``||1 + W||_F <= 2.01 sqrt(n)`` and
-      ``||X^||_F < 0.6 sqrt(n)``), so ``||X^ - X|| <= (rho + g)/(c - tau)``.
-      A ``rho`` above ``EIG_RESIDUE_TOL / n`` is refused with
-      :class:`NumericalInconsistency` carrying ``rho``.
-    * Forming ``H`` moves it by at most ``u ||X^||_F``, and ``eigvalsh``
-      returns the exact spectrum of ``H + E`` with ``||E|| <= 20 n^2 u ||H||``
-      (Golub & Van Loan section 8.3, their modest constant taken at most 20).
-    * By Weyl's inequality (Golub & Van Loan chapter 8) no sorted eigenvalue
-      moves by more than the sum of these norms, and ``2 arctan`` (``arctan``
-      is Lipschitz with constant 1) at most doubles it, adding ``2 pi u`` of
-      its own; the rounding terms, doubled, stay below ``30 n (n + 3) u``.
+def _pivot_argument_sum(w: np.ndarray) -> float:
+    """``Phi(W)``, the sum of the arguments of the pivots of the LU
+    factorization of ``W`` without pivoting; the path method's winding up to
+    ``PIVOT_DIM_LIMIT`` is ``-Phi(W) / 2 pi``.
 
-    With ``c (c - tau) > 2.9948`` the phase sum over 2 pi then moves by under
-    ``0.2126 n tau`` for the first term, ``1.84e-7`` below the refused
-    residual and ``2.2e-9`` for rounding at ``n <= CAYLEY_DIM_LIMIT``.  The
-    ``phi_j`` sum to ``arg det W`` (``|det W - 1| <= DET_TOL``, so under
-    ``1.6e-9`` turns) minus 2 pi times the winding of ``U``, the winding of
-    ``W``.  So the path's sum lies within ``n tau / 3 + 2e-7`` of the
-    winding the eigenvalue method certifies: inside the residue tolerance,
-    and the dual-method gate cannot fire on an input that passes the gates.
+    Up to ``PIVOT_LEAF`` the pivots come from :func:`_eliminate` alone.
+    Above it ``W`` is padded with an identity block to ``N = b 2^L``,
+    ``b <= PIVOT_LEAF``, which adds pivots 1.  Each of ``L`` levels replaces
+    every ``M`` of a stack by its leading half ``M11`` and ``fl(M22 - M21 X^)``,
+    ``X^`` from one stacked ``np.linalg.solve`` of ``M11 X = M12``; the
+    ``2^L`` leaves are then eliminated together.  No growth factor of the
+    solves is assumed: a level whose computed residuals ``M11 X^ - M12``
+    have a Frobenius norm ``rho_l`` above ``EIG_RESIDUE_TOL / n`` over the
+    stack is refused with :class:`NumericalInconsistency` carrying it.
+
+    Let ``W`` have passed the gates of :func:`winding_of_unitary` at
+    ``tau = tol <= 1e-3`` (``n`` the dimension, ``u`` the unit roundoff),
+    ``U`` be its polar factor with eigenphases ``phi_j``, ``H(A)`` the
+    Hermitian part ``(A + A*)/2`` and ``K(g)`` the matrices with
+    ``H(A) >= g`` and ``H(A^{-1}) >= g``.
+
+    * ``W`` lies in ``K(c)``, ``c = cos(pi/3 + 2 tau) - tau/(1 - tau) > 0.497``:
+      ``|phi_j| < pi/3 + 2 tau`` (module docstring) gives
+      ``H(U) = H(U*) >= cos(pi/3 + 2 tau)``, and ``||W - U|| <= tau``,
+      ``||W^{-1} - U*|| <= tau/(1 - tau)``.  The padding stays in ``K(c)``.
+    * ``A`` in ``K(g)`` has ``||A||, ||A^{-1}|| <= 1/g``, as
+      ``|x* A x| >= g |x|^2``.  Its leading block ``A11`` and the Schur
+      complement ``S = A22 - A21 A11^{-1} A12`` lie in ``K(g)``:
+      ``x* S x = z* A z`` for ``z = (-A11^{-1} A12 x, x)``, ``|z| >= |x|``;
+      ``S^{-1}`` is the trailing block of ``A^{-1}``, and ``A11^{-1}`` the
+      Schur complement of it in ``A^{-1}``.  So the pivots exist, have real
+      parts at least ``g``, and are those of ``A11`` followed by those of
+      ``S``.  For ``||E|| <= e < g``, ``A + E`` lies in
+      ``K(g - e/(g(g - e)))`` and ``|Phi(A + E) - Phi(A)|`` is at most
+      ``||E||_* / (g - e)`` (``||.||_*`` the nuclear norm): along ``A + sE``
+      the pivots keep positive real parts, so ``Phi`` is a continuous
+      argument of ``det``, with derivative ``Im tr((A + sE)^{-1} E)``.
+    * The Hermitian parts of ``t + (1-t)W`` and ``(1 - s)W + sU`` are at
+      least ``c`` for ``s, t`` in [0, 1].  Along the second, ``det`` is
+      ``det U det((1 - s)P + s)``, of constant argument, so ``Phi`` is
+      constant.  Along ``t + (1-t)U``, ``Phi`` and
+      ``sum_j arg(t + (1-t) exp(i phi_j))`` are continuous arguments of one
+      ``det`` that both reach 0 at ``t = 1``.  So ``Phi(W) = sum_j phi_j``:
+      ``-Phi(W) / 2 pi`` is the sum the eigenvalue method certifies, within
+      ``|arg det W| / 2 pi < 1.6e-9`` of the winding.
+    * A level makes ``S^ = fl(M22 - M21 X^)`` exactly the Schur complement
+      of ``M + E``, ``E = [[0, R], [0, F]]``, ``R = M11 X^ - M12``,
+      ``F = S^ - (M22 - M21 X^)``; an elimination step makes
+      ``S^ = fl(B22 - l^ B12)``, ``l^ = fl(B21 / B11)``, that of ``B + E``,
+      ``E = [[0, 0], [B11 l^ - B21, F]]``.  Neither touches the leading
+      block, so ``Phi(M + E) = Phi(M11) + Phi(S^)``, and the computed
+      pivots' arguments sum to ``Phi(W)`` plus each step's
+      ``Phi(M + E) - Phi(M)``.
+    * By induction down the steps every matrix formed lies in ``K(0.4969)``:
+      along any chain of steps the ``||E||`` sum to under
+      ``L (EIG_RESIDUE_TOL / n + 2e-11) + 1e-13 < 8.1e-8``, as
+      ``n >= 6 * 2^L + 1`` when ``L >= 1``, which costs ``K`` under
+      ``3.3e-7``.  So every
+      ``M``, ``M11^{-1}`` and ``B11^{-1}`` has norm at most 2.02, and
+      ``X^`` and ``l^`` under 4.1.  With ``h`` columns in ``M11``,
+      ``7 <= h <= 80``, the computed residual misses ``R`` by at most
+      ``sqrt(2) gamma_{h+3} (||M11||_F ||X^||_F + ||M12||_F)`` in the
+      Frobenius norm, and ``F`` is as small (complex inner products; Higham,
+      Accuracy and Stability, section 3.6): ``||E - [[0, R^], [0, 0]]||_*``
+      is under ``37 h^{5/2} u``.  In a step, numpy's complex quotient
+      (Smith's algorithm, whose denominator cannot cancel) is within a
+      relative ``12 u``, each product within ``sqrt(2) gamma_2`` and each
+      difference within ``u``, so ``||E||_F < 90 u`` and
+      ``||E||_* < 300 u``.
+    * A level's ``E`` have rank at most ``h``, and ``2^l h = N/2`` at level
+      ``l``, so by Cauchy-Schwarz their residual parts' nuclear norms sum to
+      at most ``sqrt(N/2) rho_l``, with the computed ``rho_l`` (a relative
+      ``N^2 u`` off).  In all, with under ``N`` steps, ``Phi(W)`` misses the
+      returned sum by at most
+      ``(sqrt(N/2) sum_l rho_l + 60 (N/2)^{5/2} u + 300 N u) / 0.4969``
+      plus ``2 N (N + 2) u`` for the ``Arg`` and their sum.  As
+      ``N < 7n/6``, the residuals move the winding by under
+      ``L sqrt(7/12n) EIG_RESIDUE_TOL / (2 pi 0.4969) < 1.05e-7`` and the
+      rest by under ``2e-10`` at ``n <= PIVOT_DIM_LIMIT``.
+
+    So the path's total lies within ``1.1e-7`` of the winding the eigenvalue
+    method certifies, inside the residue tolerance: the dual-method gate
+    cannot fire on an input that passes the gates.
     """
     n = w.shape[0]
-    plus = w.copy()
-    plus.flat[:: n + 1] += 1.0
-    minus = -w
-    minus.flat[:: n + 1] += 1.0
-    x = np.linalg.solve(plus, minus)
-    residual = plus @ x
-    residual -= minus
-    rho = float(np.linalg.norm(residual))
-    if not rho <= EIG_RESIDUE_TOL / n:
-        raise NumericalInconsistency(
-            f"Cayley solve residual {rho:.3e} exceeds {EIG_RESIDUE_TOL / n:.3e}; "
-            "the path phases are not certified",
-            measured=rho,
-        )
-    h = x - x.conj().T
-    h *= 0.5j
-    return 2.0 * np.arctan(np.linalg.eigvalsh(h))
+    levels = ((n - 1) // PIVOT_LEAF).bit_length()
+    if not levels:
+        return float(np.sum(np.angle(_eliminate(w))))
+    size = -(-n >> levels) << levels
+    if size == n:
+        a = w[None]
+    else:
+        a = np.eye(size, dtype=np.complex128)[None]
+        a[0, :n, :n] = w
+    limit = EIG_RESIDUE_TOL / n
+    for _ in range(levels):
+        h = a.shape[-1] // 2
+        top, right = a[:, :h, :h], a[:, :h, h:]
+        x = np.linalg.solve(top, right)
+        residual = top @ x
+        residual -= right
+        rho = float(np.linalg.norm(residual))
+        if not rho <= limit:
+            raise NumericalInconsistency(
+                f"pivot level residual {rho:.3e} exceeds {limit:.3e}; "
+                "the path sum is not certified",
+                measured=rho,
+            )
+        a = np.concatenate((top, a[:, h:, h:] - a[:, h:, :h] @ x))
+    return float(np.sum(np.angle(_eliminate(a))))
+
+
+def _unitarity_tol(value) -> float:
+    """``float(value)``, refused as :class:`BoundViolation` when NaN or
+    negative, which would blame the matrix; ``inf`` routes to the polar factor."""
+    tol = float(value)
+    if not tol >= 0.0:
+        raise BoundViolation(f"unitarity_tol {tol} must be >= 0", measured=tol)
+    return tol
 
 
 def winding_of_unitary(
@@ -274,9 +340,10 @@ def winding_of_unitary(
     The Hermitian eigenphases are certified only once the first two checks
     pass, so they run first.  Beyond ``HERMITIAN_PHASE_BUDGET`` both methods
     run on the polar factor ``U`` of ``W``, which must pass the same two
-    checks at ``UNITARITY_TOL`` (module docstring).
+    checks at ``UNITARITY_TOL`` (module docstring).  A NaN or negative
+    ``unitarity_tol`` is :class:`BoundViolation` before any gate.
     """
-    tol = float(unitarity_tol)
+    tol = _unitarity_tol(unitarity_tol)
     w = require_unitary(as_matrix(w), tol=tol, what="winding input")
     _require_distance_below_one(w, tol, _distance)
     det = complex(np.linalg.det(w))
@@ -290,21 +357,16 @@ def winding_of_unitary(
         w = require_unitary(polar_unitaries(w[None])[0], tol, "polar factor of the winding input")
         _require_distance_below_one(w, tol, "||U - 1|| (U the polar factor of W)")
     theta, residue_tol = _eigenphases(w, tol)
-    total = -float(np.sum(theta)) / (2.0 * np.pi)
-    w_eig = int(round(total))
-    if abs(total - w_eig) > residue_tol:
-        raise OpenPath(
-            f"eigenvalue argument sum {total!r} does not round to an integer",
-            measured=abs(total - w_eig),
-        )
-    path_theta = _cayley_phases(w, tol) if w.shape[0] <= CAYLEY_DIM_LIMIT else theta
-    w_path, clearance = _path_winding(path_theta, residue_tol)
+    theta_sum = float(np.sum(theta))
+    w_eig = _rounded_winding(theta_sum, residue_tol, OpenPath, "eigenvalue")
+    path_sum = _pivot_argument_sum(w) if w.shape[0] <= PIVOT_DIM_LIMIT else theta_sum
+    w_path = _rounded_winding(path_sum, residue_tol, NumericalInconsistency, "path")
     if w_path != w_eig:
         raise NumericalInconsistency(
             f"winding methods disagree: eigenvalue {w_eig}, path {w_path}",
             measured=(w_eig, w_path),
         )
-    return WindingReport(winding=w_eig, min_clearance=clearance, samples_used=1,
+    return WindingReport(winding=w_eig, min_clearance=_clearance(theta), samples_used=1,
                          eigenvalue_method=w_eig, path_method=w_path, agreement=True)
 
 
@@ -326,9 +388,10 @@ def winding_pair(u, v, unitarity_tol: float = UNITARITY_TOL) -> WindingReport:
 
     Defined when ``||uv - vu|| < 1`` (:func:`_commutator_winding`).  Swapping
     the pair inverts the commutator and so negates the winding.  Both shapes
-    are checked (:class:`InvalidSize`) before either unitarity gate.
+    are checked (:class:`InvalidSize`) before either unitarity gate, and
+    ``unitarity_tol`` as in :func:`winding_of_unitary` before both.
     """
-    tol = float(unitarity_tol)
+    tol = _unitarity_tol(unitarity_tol)
     u, v = as_matrices((u, v), ("first of the pair", "second of the pair"))
     u = require_unitary(u, tol=tol, what="first of the pair")
     v = require_unitary(v, tol=tol, what="second of the pair")

@@ -87,7 +87,7 @@ def _shift_every_phase(monkeypatch):
             200,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 3: above CAYLEY_DIM_LIMIT the path method sums the "
+                reason="ROADMAP item 3: above PIVOT_DIM_LIMIT the path method sums the "
                 "eigenvalue method's own phases, so the fault returns winding 0 for 1",
             ),
         ),
@@ -101,62 +101,96 @@ def test_winding_phase_shift_is_refused(monkeypatch, dim):
         winding_of_unitary(w)
 
 
+def _patch_pivot_sum(monkeypatch, fault):
+    """Route the sum of ``winding._pivot_argument_sum`` through ``fault``."""
+    pivot_sum = winding._pivot_argument_sum
+    monkeypatch.setattr(winding, "_pivot_argument_sum", lambda w: fault(pivot_sum(w)))
+
+
 @pytest.mark.parametrize("dim", [8, 40, 160])
 def test_cayley_phase_shift_is_refused(monkeypatch, dim):
-    # every Cayley phase moved by 2 pi / n moves the path method, and not the
-    # eigenvalue method, by one turn
+    # the pivot argument sum moved by one turn moves the path method, and
+    # not the eigenvalue method, by one turn (the name is the Cayley route's,
+    # which this row covered before the pivot sum replaced it)
     w, expected = random_admissible_unitary(dim, derive_rng(1, dim), winding=1)
     assert expected == 1 and winding_of_unitary(w).winding == expected
-    cayley_phases = winding._cayley_phases
-    monkeypatch.setattr(
-        winding, "_cayley_phases", lambda w, tol: cayley_phases(w, tol) + 2.0 * np.pi / len(w))
+    _patch_pivot_sum(monkeypatch, lambda total: total + 2.0 * np.pi)
     with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
         winding_of_unitary(w)
     assert exc_info.value.measured == (1, 0)  # (eigenvalue, path)
 
 
+def _faulted_solve(monkeypatch, members):
+    """Add 1e-6 to every entry of the stacked solves of ``members`` systems,
+    and return the list the expected residual norms are appended to."""
+    solve, expected = np.linalg.solve, []
+
+    def faulted(a, b):
+        x = solve(a, b)
+        if len(a) != members:
+            return x
+        expected.append(np.linalg.norm(a @ np.full_like(b, 1e-6)))
+        return x + 1e-6
+
+    monkeypatch.setattr(np.linalg, "solve", faulted)
+    return expected
+
+
 def test_cayley_solve_fault_is_refused_by_its_residual(monkeypatch):
-    # 1e-6 added to every entry of X leaves the residual (1 + W) 1e-6 J
+    # the first level's solve + 1e-6 leaves the residual W11 1e-6 J, and the
+    # level gate refuses it (the name is the Cayley route's, as above)
     w, expected = random_admissible_unitary(40, derive_rng(1, 40), winding=1)
     assert winding_of_unitary(w).winding == expected
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) + 1e-6)
-    with pytest.raises(NumericalInconsistency, match="Cayley solve residual") as exc_info:
+    _faulted_solve(monkeypatch, 1)
+    with pytest.raises(NumericalInconsistency, match="pivot level residual") as exc_info:
         winding_of_unitary(w)
-    residual = (np.eye(40) + w) @ np.full((40, 40), 1e-6)
+    residual = w[:20, :20] @ np.full((20, 20), 1e-6)
     assert exc_info.value.measured == pytest.approx(np.linalg.norm(residual), rel=1e-9)
 
 
-def _patch_cayley_phases(monkeypatch, fault):
-    """Route the phases of ``winding._cayley_phases`` through ``fault(theta)``."""
-    cayley_phases = winding._cayley_phases
-    monkeypatch.setattr(winding, "_cayley_phases", lambda w, tol: fault(cayley_phases(w, tol)))
+@pytest.mark.parametrize("members", [2, 8])
+def test_pivot_level_fault_is_refused_by_its_residual(monkeypatch, members):
+    # a fault in a deeper level's stacked solve (levels 1 and 3 of four at
+    # dim 160) is refused by that level's gate, carrying its stacked residual
+    w, expected = random_admissible_unitary(160, derive_rng(1, 160), winding=1)
+    assert winding_of_unitary(w).winding == expected
+    residuals = _faulted_solve(monkeypatch, members)
+    with pytest.raises(NumericalInconsistency, match="pivot level residual") as exc_info:
+        winding_of_unitary(w)
+    assert exc_info.value.measured == pytest.approx(residuals[0], rel=1e-6)
 
 
-def _drift_every_phase(theta):
-    return theta + 0.3 / len(theta)  # the phase sum moves by 0.3, not a whole turn
+@pytest.mark.parametrize("dim", [8, 160])
+def test_pivot_leaf_fault_is_refused(monkeypatch, dim):
+    # 1e-3 added below the first pivot of every leaf moves the pivot sum off
+    # its integer; the path method refuses what no level gate sees
+    w, expected = random_admissible_unitary(dim, derive_rng(1, dim), winding=1)
+    assert winding_of_unitary(w).winding == expected
+    eliminate, sums = winding._eliminate, []
+
+    def faulted(a):
+        a = a + 1e-3 * (np.arange(a.shape[-1]) == 1)[:, None] * (np.arange(a.shape[-1]) == 0)
+        pivots = eliminate(a)
+        sums.append(float(np.sum(np.angle(pivots))))
+        return pivots
+
+    monkeypatch.setattr(winding, "_eliminate", faulted)
+    with pytest.raises(NumericalInconsistency, match="path argument sum") as exc_info:
+        winding_of_unitary(w)
+    total = -sums[0] / (2.0 * np.pi)
+    assert exc_info.value.measured == pytest.approx(abs(total - round(total)), rel=1e-9)
+    assert exc_info.value.measured > winding.EIG_RESIDUE_TOL
 
 
-def _one_phase_at_pi(theta):
-    theta[0] = np.pi  # an eigenvalue at -1: the path meets the origin at t = 1/2
-    return theta
-
-
-@pytest.mark.parametrize(
-    "fault, text, measured",
-    [
-        (_drift_every_phase, "does not close to an integer winding", 0.3 / (2.0 * np.pi)),
-        (_one_phase_at_pi, "reached zero", 0.0),
-    ],
-    ids=["argument-drift", "zero-clearance"],
-)
-def test_winding_path_fault_is_refused(monkeypatch, fault, text, measured):
+@pytest.mark.parametrize("drift", [0.3], ids=["argument-drift"])
+def test_winding_path_fault_is_refused(monkeypatch, drift):
+    # the pivot sum moved by 0.3, not a whole turn, no longer rounds
     w, expected = random_admissible_unitary(40, derive_rng(1, 40), winding=1)
     assert winding_of_unitary(w).winding == expected
-    _patch_cayley_phases(monkeypatch, fault)
-    with pytest.raises(NumericalInconsistency, match=text) as exc_info:
+    _patch_pivot_sum(monkeypatch, lambda total: total + drift)
+    with pytest.raises(NumericalInconsistency, match="path argument sum") as exc_info:
         winding_of_unitary(w)
-    assert exc_info.value.measured == pytest.approx(measured, rel=1e-9, abs=0.0)
+    assert exc_info.value.measured == pytest.approx(drift / (2.0 * np.pi), rel=1e-9, abs=0.0)
 
 
 def test_connecting_unitary_conjugation_fault_is_refused(monkeypatch):

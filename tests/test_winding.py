@@ -5,8 +5,8 @@ a fixed fine uniform grid, which shares no code path with the library's
 closed-form phase sum; the nonsymmetric eigensolver ``np.linalg.eigvals``,
 which the library's Hermitian eigenphases replace; and, up to dim 160, a
 path sampled with no eigensolve at all (a Householder reduction to
-Hessenberg form and Hyman's recurrence), which the library's Cayley phases
-replace.
+Hessenberg form and Hyman's recurrence), which the library's LU pivot
+argument sum replaces.
 """
 
 import math
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from obstructkit import winding
 from obstructkit.errors import (
+    BoundViolation,
     HypothesisViolation,
     NotUnitary,
     NumericalInconsistency,
@@ -161,8 +162,33 @@ def test_non_unitary_rejected():
 
 def test_nan_tolerance_refuses():
     w, _ = random_admissible_unitary(8, derive_rng(3, 8), winding=1)
-    with pytest.raises(NotUnitary):
+    with pytest.raises(BoundViolation, match="unitarity_tol nan") as exc_info:
         winding_of_unitary(w, unitarity_tol=float("nan"))
+    assert math.isnan(exc_info.value.measured)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, -math.inf], ids=["nan", "negative", "minus-inf"])
+@pytest.mark.parametrize("entry", ["winding_of_unitary", "winding_pair"])
+def test_bad_unitarity_tolerance_is_a_bound_violation(entry, tol):
+    # the tolerance is refused before any gate, even on a matrix that would
+    # fail one: NotUnitary (exit 2) would blame the matrix for the tolerance
+    far = np.diag([2.0, 1.0, 0.5])
+    call = winding_of_unitary if entry == "winding_of_unitary" else (
+        lambda a, unitarity_tol: winding_pair(a, a, unitarity_tol=unitarity_tol))
+    with pytest.raises(BoundViolation) as exc_info:
+        call(far, unitarity_tol=tol)
+    assert exc_info.value.exit_code == 1
+    measured = exc_info.value.measured
+    assert measured == tol or (math.isnan(tol) and math.isnan(measured))
+
+
+def test_infinite_tolerance_takes_the_polar_factor():
+    # inf stays legal: n tau is past the phase budget, so both methods run
+    # on the polar factor at UNITARITY_TOL
+    w, expected = random_admissible_unitary(8, derive_rng(3, 8), winding=1)
+    assert winding_of_unitary(w, unitarity_tol=math.inf).winding == expected
+    u, v = voiculescu_pair(0.5, 2)
+    assert winding_pair(u, v, unitarity_tol=math.inf).winding == 2
 
 
 def test_report_json_fields():
@@ -280,11 +306,26 @@ def test_distance_gate_fires_before_phases_near_quarter_turn(theta, sign, rng):
 )
 def test_large_windings_do_not_alias(dim, k):
     # windings near the admissible cap, where a sampled path would need its
-    # finest grid not to alias; dims 120 and 160 take the Cayley phases
+    # finest grid not to alias; dims 120 and 160 take the pivot argument sum
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
     assert report.winding == report.path_method == claimed == k
     assert_exact_clearance(report, w)
+
+
+@pytest.mark.parametrize("dim", [8, 40, 159, 160, 161, 400])
+def test_clearance_has_one_source_at_every_dimension(dim, monkeypatch):
+    # min_clearance is prod cos(theta_j / 2) over the eigenvalue method's
+    # phases on both sides of PIVOT_DIM_LIMIT, and only dims up to it run
+    # the pivot route
+    w, expected = random_admissible_unitary(dim, derive_rng(11, dim), winding=1)
+    pivot_sum, calls = winding._pivot_argument_sum, []
+    monkeypatch.setattr(winding, "_pivot_argument_sum", lambda v: calls.append(1) or pivot_sum(v))
+    report = winding_of_unitary(w)
+    assert report.winding == expected
+    _, logabs = np.linalg.slogdet((np.eye(dim) + w) / 2.0)
+    assert report.min_clearance == pytest.approx(math.exp(logabs), rel=1e-12)
+    assert len(calls) == (dim <= winding.PIVOT_DIM_LIMIT)
 
 
 def test_distance_near_one_above_dense_dims(rng):
@@ -347,7 +388,7 @@ def test_loose_tolerance_takes_the_polar_factor(rng):
 
 
 def test_loose_tolerance_dense_branch_off_circle(rng):
-    # tau = 1e-2 at dim 160 takes the polar factor and its Cayley phases.  A
+    # tau = 1e-2 at dim 160 takes the polar factor and its pivot sum.  A
     # third of the eigenvalues sit at (1 - tau/2) e^{+-1.04 i}, inside the
     # circle, and the rest on the positive axis at the radius that restores
     # |det W| = 1: the clearance is the polar factor's, not that of W
@@ -413,7 +454,7 @@ def test_polar_factor_outside_the_unit_ball_is_refused():
 
 # A path with no eigensolve: det(t + (1-t)W) sampled through one Householder
 # reduction of W to Hessenberg form and Hyman's recurrence, O(dim^2) per
-# sample.  Up to winding.CAYLEY_DIM_LIMIT the library's Cayley-phase path is
+# sample.  Up to winding.PIVOT_DIM_LIMIT the library's pivot-argument path is
 # compared with it (_oracle_path_winding); _reference_hessenberg and
 # _reference_hyman_log_det below check it in turn.
 
@@ -657,7 +698,7 @@ def test_hyman_samples_match_slogdet(dim, kind, seed):
 @pytest.mark.parametrize("dim, k", [(40, 2), (40, -2), (160, 10), (160, -10)])
 def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
     # moving every eigenphase by 2 pi / dim shifts the eigenvalue method by
-    # one turn; the Cayley phases, and the path sum taken from them, must
+    # one turn; the pivot argument sum, and the path winding taken from it, must
     # keep the true winding, and the dual gate must fire
     eigenphases = winding._eigenphases
 
@@ -765,7 +806,7 @@ def _reference_hyman_log_det(h, ts):
 
 DENSE_KINDS = ("dense", "diagonal", "blocks", "tiny")
 # both sides of the first two HESSENBERG_BLOCK edges (n - 2 columns are
-# reduced) and of HYMAN_BLOCK_MIN_DIM, up to CAYLEY_DIM_LIMIT
+# reduced) and of HYMAN_BLOCK_MIN_DIM, up to PIVOT_DIM_LIMIT
 REFERENCE_DIMS = sorted(
     {1, 2, 3, 4, 5, 8, 13, 40, 80, 101, 120, 159, 160}
     | {k * HESSENBERG_BLOCK + d for k in (1, 2) for d in (1, 2, 3)}
@@ -882,10 +923,10 @@ def _oracle_path_winding(w, hessenberg=_hessenberg, hyman_log_det=_hyman_log_det
 
 
 def _reference_input(seed):
-    """A seeded input up to ``CAYLEY_DIM_LIMIT`` and its family, one of five:
+    """A seeded input up to ``PIVOT_DIM_LIMIT`` and its family, one of five:
     admissible, block diagonal, block diagonal with a 1e-200 coupling, and
-    twice admissible, for the shifted eigenphases and the shifted Cayley
-    phases of :func:`test_cayley_path_matches_the_hyman_oracle`."""
+    twice admissible, for the shifted eigenphases and the shifted pivot sum
+    of :func:`test_cayley_path_matches_the_hyman_oracle`."""
     gen = derive_rng(13, seed)
     dim = int(gen.integers(1, 161))
     family = seed % 5
@@ -906,12 +947,13 @@ def test_winding_matches_the_reference_path(seed):
 
 @pytest.mark.parametrize("seed", range(210, 420))
 def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
-    # the eigensolver-free cross-check.  Families 0-2: the Cayley route
+    # the eigensolver-free cross-check of the pivot route (the test is named
+    # for the Cayley route it checked first).  Families 0-2: the pivot route
     # returns the oracle path's winding, and its clearance is the oracle's
     # sample at t = 1/2, or it refuses an open path (a 1 x 1 block diagonal
     # input) as the oracle does.  Family 3: every eigenphase moved by 2 pi / n
     # moves the eigenvalue method, and not the path, one turn down.  Family 4:
-    # every Cayley phase moved so moves the path method, and not the other.
+    # the pivot sum moved by one turn moves the path method, and not the other.
     w, family = _reference_input(seed)
     oracle, oracle_min = _oracle_path_winding(w)
     if family == 3:
@@ -924,9 +966,8 @@ def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
         monkeypatch.setattr(winding, "_eigenphases", shifted)
         measured = (oracle - 1, oracle)  # (eigenvalue, path)
     elif family == 4:
-        cayley_phases = winding._cayley_phases
-        monkeypatch.setattr(
-            winding, "_cayley_phases", lambda w, tol: cayley_phases(w, tol) + 2.0 * np.pi / len(w))
+        pivot_sum = winding._pivot_argument_sum
+        monkeypatch.setattr(winding, "_pivot_argument_sum", lambda w: pivot_sum(w) + 2.0 * np.pi)
         measured = (oracle, oracle - 1)
     elif oracle is None:
         with pytest.raises(OpenPath):
@@ -985,16 +1026,14 @@ def test_distance_screen_decides_near_one(rng):
     assert not winding._distance_below_one(above, 1e-12)
 
 
-def cayley_phase_bound(w, tau):
-    """The per-phase bound of ``winding._cayley_phases``:
-    ``4 tau / (c (c - tau)) + 2 rho / (c - tau) + 30 n (n + 3) u`` with
-    ``c = 2 cos(pi/6 + tau)`` and ``rho`` the Frobenius norm of the solve's
-    computed residual."""
-    n = w.shape[0]
-    plus, minus = np.eye(n) + w, np.eye(n) - w
-    rho = np.linalg.norm(plus @ np.linalg.solve(plus, minus) - minus)
-    c = 2.0 * math.cos(math.pi / 6.0 + tau)
-    return 4.0 * tau / (c * (c - tau)) + 2.0 * rho / (c - tau) + 30.0 * n * (n + 3) * UNIT_ROUNDOFF
+def pivot_sum_bound(size, residuals):
+    """The proven miss of ``winding._pivot_argument_sum`` from the eigenphase
+    sum of the polar factor, in radians:
+    ``(sqrt(N/2) sum_l rho_l + 60 (N/2)^{5/2} u + 300 N u) / 0.4969 + 2 N (N + 2) u``,
+    ``N`` the padded size and ``rho_l`` the levels' residual norms."""
+    u, half = UNIT_ROUNDOFF, size / 2.0
+    return ((math.sqrt(half) * math.fsum(residuals) + 60.0 * half**2.5 * u + 300.0 * size * u)
+            / 0.4969 + 2.0 * size * (size + 2) * u)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1005,20 +1044,31 @@ def cayley_phase_bound(w, tau):
     defect_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_cayley_phases_lie_within_their_bound(dim, offset, tau_frac, defect_frac, seed):
+def test_pivot_argument_sum_lies_within_its_bound(dim, offset, tau_frac, defect_frac, seed):
     # tau from 1e-12 up to the phase budget, on a log scale, and non-normal W
-    # near the ||W - 1|| < 1 edge; the oracle is eigvals of the polar factor
-    # from an SVD, whose own error the bound's rounding term covers again
+    # near the ||W - 1|| < 1 edge; the oracle is the eigenphase sum of the
+    # polar factor from an SVD, whose own error 30 n (n + 3) u covers.  The
+    # bound has no tau term: the pivot sum of W is that of its polar factor
     top = math.log10(winding.HERMITIAN_PHASE_BUDGET / dim)
     tau = 10.0 ** (-12.0 + tau_frac * (top + 12.0))
     w = near_unit_distance_matrix(dim, offset, defect_frac * tau, derive_rng(seed, dim))
     if not is_unitary(w, tau) or op_norm(w - np.eye(dim)) >= 1.0:
         return
     left, _, right = np.linalg.svd(w)
-    phi = np.sort(np.angle(np.linalg.eigvals(left @ right)))
-    theta = winding._cayley_phases(w, tau)
+    phi_sum = math.fsum(np.angle(np.linalg.eigvals(left @ right)))
+    solve, sizes, residuals = np.linalg.solve, [dim], []
+
+    def spy(a, b):
+        x = solve(a, b)
+        sizes.append(2 * a.shape[-1])
+        residuals.append(float(np.linalg.norm(a @ x - b)))
+        return x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "solve", spy)
+        total = winding._pivot_argument_sum(w)
     oracle_error = 30.0 * dim * (dim + 3) * UNIT_ROUNDOFF
-    assert np.max(np.abs(theta - phi)) <= cayley_phase_bound(w, tau) + oracle_error
+    assert abs(total - phi_sum) <= pivot_sum_bound(max(sizes), residuals) + oracle_error
 
 
 # ---------------------------------------------------------------------------
