@@ -4,8 +4,9 @@ Exit codes:
     1 -- malformed input (files, JSON, sizes, family and bound parameters),
          refused by every entry point before its first value gate
     2 -- a mathematical hypothesis of an operation is not met
-    3 -- internal numerical inconsistency (dual methods disagree, lost
-         invertibility, a path step its certified grid rules out)
+    3 -- internal numerical inconsistency (the winding's two methods
+         disagree, a pivot level residual is too large, a certificate or a
+         self-verification fails)
     4 -- an audited bound was violated (used by the audit suites)
 """
 

@@ -47,7 +47,7 @@ class CharacterTwist:
     def __post_init__(self):
         q = float(self.q)
         if not (math.isfinite(q) and 0.0 <= q < 1.0):
-            raise BoundViolation(f"character phase must lie in [0, 1); got {self.q!r}")
+            raise BoundViolation(f"character phase must lie in [0, 1); got {self.q!r}", measured=q)
         object.__setattr__(self, "q", q)
 
 
@@ -106,9 +106,10 @@ def abel_series_value(q: float, t: float) -> float:
     value, ``u = 2**-53`` (see ``eta_character_abel``).
     """
     if not T_MIN <= t <= 1.0:  # NaN fails the comparison
-        raise BoundViolation(f"Abel parameter t must be at least {T_MIN} and at most 1, got {t!r}")
+        raise BoundViolation(f"Abel parameter t must be at least {T_MIN} and at most 1, got {t!r}",
+                             measured=t)
     if not 0.0 < q < 1.0:
-        raise BoundViolation(f"series phase q must lie in (0, 1), got {q!r}")
+        raise BoundViolation(f"series phase q must lie in (0, 1), got {q!r}", measured=q)
     return _abel_values(q, (t,))[0]
 
 
@@ -166,18 +167,20 @@ def eta_character_abel(
     """
     ladder = [float(t) for t in t_ladder]
     if not ladder:
-        raise BoundViolation("t ladder is empty")
+        raise BoundViolation("t ladder is empty", measured=0)
     bad = next((t for t in ladder if not (T_MIN <= t <= 1.0)), None)
     if bad is not None:
         raise BoundViolation(f"t ladder entry {bad!r} must lie in [{T_MIN}, 1]", measured=bad)
-    if any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise BoundViolation("t ladder must be strictly descending")
+    bad = next((b for a, b in zip(ladder, ladder[1:]) if b >= a), None)
+    if bad is not None:
+        raise BoundViolation("t ladder must be strictly descending", measured=bad)
     order = int(richardson_order)
     if order < 1:
-        raise BoundViolation("richardson_order must be at least 1")
+        raise BoundViolation("richardson_order must be at least 1", measured=order)
     if len(ladder) < order + 1:
         raise BoundViolation(
-            f"t ladder has {len(ladder)} points; order {order} needs {order + 1}"
+            f"t ladder has {len(ladder)} points; order {order} needs {order + 1}",
+            measured=len(ladder),
         )
     if tw.q == 0.0:
         raise ZeroMode(

@@ -382,15 +382,18 @@ class AbelianGroup:
 
     def __post_init__(self):
         if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise BoundViolation(f"free rank must be a nonnegative int; got {self.free_rank!r}")
+            raise BoundViolation(f"free rank must be a nonnegative int; got {self.free_rank!r}",
+                                 measured=self.free_rank)
         tor = tuple(self.torsion)
         object.__setattr__(self, "torsion", tor)
         for d in tor:
             if not isinstance(d, int) or d < 2:
-                raise BoundViolation(f"torsion coefficients must be ints >= 2; got {d!r}")
+                raise BoundViolation(f"torsion coefficients must be ints >= 2; got {d!r}",
+                                     measured=d)
         for x, y in zip(tor, tor[1:]):
             if y % x:
-                raise BoundViolation(f"torsion coefficients must form a divisibility chain; got {tor}")
+                raise BoundViolation(f"torsion coefficients must form a divisibility chain; got {tor}",
+                                     measured=y)
 
 
 def abelian_group_to_text(g: AbelianGroup) -> str:
@@ -450,7 +453,8 @@ def mapping_torus_surface_h2(orientation_sign: int, m: IntMatrix) -> AbelianGrou
     * sign -1: Z/2 plus Z^corank(I - m).
     """
     if orientation_sign not in (1, -1):
-        raise BoundViolation(f"orientation sign must be +1 or -1; got {orientation_sign!r}")
+        raise BoundViolation(f"orientation sign must be +1 or -1; got {orientation_sign!r}",
+                             measured=orientation_sign)
     if not m.is_square():
         raise InvalidSize("surface homology action must be square")
     if m.rows % 2:

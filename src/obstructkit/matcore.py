@@ -22,15 +22,15 @@ finiteness, as a residue of finite matrices can overflow.
 
 Prove gates, norm what is read: a gate whose norms are only compared with a
 bound (unitarity, the unit ball, projections, path gaps, relators, the
-defect below ``eps``, each step of a chain of connecting unitaries) is
-proved by :func:`screened_norms`.  Its screen clears a member through a
-rounding-safe upper bound, the Frobenius norm or Gershgorin on the Gram
-matrix, and only when the exact norm passes too; the members it cannot
-clear get their exact :func:`op_norms` value, so every refusal keeps its
-class, message, ``measured`` value and first member in order.  Exact norms
-are computed only for values a report carries and for refusals, and a gate
-on norms a report carries (a lone connecting unitary's step) reads those,
-once; :func:`op_norms` stays the one exact kernel.
+defect below ``eps``, each step of a chain of connecting unitaries) raises
+on what :func:`screened_norms`, the one pass/fail rule, returns.  A screen
+clears members through a rounding-safe upper bound, the Frobenius norm or
+Gershgorin on the Gram matrix, and only when the exact norm passes too;
+only the rest pay an exact :func:`op_norms` value, and only those above
+their bound come back, each refusal with its class, message, ``measured``
+value and first member in order.  A gate on norms a report carries (a lone
+connecting unitary's step) reads those, once; :func:`op_norms` stays the
+one exact kernel.
 
 Shape before value: :func:`as_matrices` checks that a named family of
 matrices is square, finite and of one size, naming its first malformed
@@ -276,29 +276,30 @@ def _gram_norm(a: np.ndarray) -> float:
 
 
 def screened_norms(mats, bound) -> dict:
-    """``{index: op_norms value}``, in order, of each member of a stack or an
-    iterable of equal-size square matrices whose ``||a|| <= bound`` (a float
-    or one per member) :func:`_screen` cannot prove.
+    """``{index: op_norms value}``, in order, of the members of a stack or an
+    iterable of equal-size square matrices whose norm is not at most
+    ``bound`` (a float or one per member): the members a gate refuses.
 
-    The screen clears only members whose exact norm passes, never a
-    non-finite one, so a gate that refuses the first member above its bound
-    finds it here with its :func:`op_norms` value, and an overflowed residue
-    still raises :class:`InvalidMatrix`.  Above ``SVD_NORM_DIM_LIMIT`` the
-    members are taken one at a time, as :func:`op_norms` takes them.
+    Only members :func:`_screen` cannot clear pay an exact norm.  A NaN or
+    negative bound refuses every member, and an overflowed residue, which
+    the screen never clears, raises :class:`InvalidMatrix`.  Above
+    ``SVD_NORM_DIM_LIMIT`` the members are taken one at a time.
     """
     bounds = np.asarray(bound, dtype=float)
     dim, mats = _sized(mats)
     if dim is None:
         return {}
     if dim > SVD_NORM_DIM_LIMIT:
-        return {i: _gram_norm(_finite(a)) for i, a in enumerate(mats)
-                if not _screen(a[None], bounds if bounds.ndim == 0 else bounds[i])[0]}
-    stack = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats), dtype=np.complex128)
-    cleared = _screen(stack, bounds)
-    if cleared.all():
-        return {}
-    rest = np.flatnonzero(~cleared)
-    return dict(zip(rest.tolist(), op_norms(stack[rest]).tolist()))
+        norms = ((i, _gram_norm(_finite(a))) for i, a in enumerate(mats)
+                 if not _screen(a[None], bounds if bounds.ndim == 0 else bounds[i])[0])
+    else:
+        stack = np.asarray(mats if isinstance(mats, np.ndarray) else list(mats))
+        cleared = _screen(stack, bounds)
+        if cleared.all():
+            return {}
+        rest = np.flatnonzero(~cleared)
+        norms = zip(rest.tolist(), op_norms(stack[rest]).tolist())
+    return {i: n for i, n in norms if not n <= (bounds if bounds.ndim == 0 else bounds[i])}
 
 
 def _screen(stack: np.ndarray, bounds) -> np.ndarray:
@@ -356,13 +357,11 @@ def _squared_limits(bounds, d: int):
 
 
 def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Whether ``||a*a - 1|| <= tol``: :func:`_screen` accepts first, and only
-    a matrix it cannot clear pays the exact norm.  Neither accepts a NaN
-    ``tol``.
-    """
+    """Whether ``||a*a - 1|| <= tol``, proved by :func:`screened_norms`, so a
+    NaN ``tol`` accepts nothing."""
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
         delta = (a.conj().T @ a - np.eye(a.shape[0]))[None]
-    return bool(_screen(delta, tol)[0]) or op_norms(delta).item() <= tol
+    return not screened_norms(delta, tol)
 
 
 def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
@@ -380,10 +379,9 @@ def require_unit_ball(mats, tol: float, whats) -> None:
     validated, proved by :func:`screened_norms`; the first above raises
     :class:`HypothesisViolation` named ``whats[i]``, with its exact norm."""
     for i, norm in screened_norms(mats, 1.0 + tol).items():
-        if norm > 1.0 + tol:
-            raise HypothesisViolation(
-                f"{whats[i]} leaves the unit ball: norm {norm:.12f}", measured=norm
-            )
+        raise HypothesisViolation(
+            f"{whats[i]} leaves the unit ball: norm {norm:.12f}", measured=norm
+        )
 
 
 def require_projection(a: np.ndarray, what: str = "matrix") -> None:
@@ -401,7 +399,7 @@ def require_projections(stack: np.ndarray, whats) -> None:
     tol, k = spectral_tol(stack.shape[1]), len(stack)
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
         residues = np.concatenate([stack - stack.conj().transpose(0, 2, 1), stack @ stack - stack])
-    failed = [j % k for j, norm in screened_norms(residues, tol).items() if norm > tol]
+    failed = [j % k for j in screened_norms(residues, tol)]
     if failed:
         i = min(failed)
         herm, idem = op_norms(residues[[i, k + i]]).tolist()
@@ -475,17 +473,17 @@ def spectral_projection(a, cut: float, gap_tol: float) -> np.ndarray:
     :class:`BoundViolation` before the eigensolve.
     """
     if not (math.isfinite(cut) and gap_tol >= 0.0):
-        raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0")
+        raise BoundViolation(f"spectral cut {cut} must be finite and gap_tol {gap_tol} >= 0",
+                             measured=gap_tol if math.isfinite(cut) else cut)
     arr = as_matrix(a)
     tol = spectral_tol(arr.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
         skew = (arr - arr.conj().T)[None]
     for asym in screened_norms(skew, tol).values():
-        if asym > tol:
-            raise NotHermitian(
-                f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",
-                measured=asym,
-            )
+        raise NotHermitian(
+            f"||a - a*|| = {asym:.3e} exceeds {tol:.3e}; refusing to symmetrize",
+            measured=asym,
+        )
     return range_projection(spectral_split((arr + arr.conj().T) / 2.0, cut, gap_tol)[1])
 
 

@@ -87,10 +87,9 @@ def connecting_unitary(p, q, test_ops):
     """
     path, ops = _path_and_test_ops((p, q), test_ops)
     for gap in screened_norms((path[0] - path[1])[None], _BELOW_QUARTER).values():
-        if gap >= 0.25:
-            raise HypothesisViolation(
-                f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
-            )
+        raise HypothesisViolation(
+            f"||p - q|| = {gap:.6f} >= 1/4; no controlled conjugation", measured=gap
+        )
     eps = float(_commutator_norms(path, ops).max(initial=0.0))
     us, conj, comm = _step_unitaries(path, ops)
     conj_err = op_norms(conj).item()
@@ -163,10 +162,8 @@ def _connecting_unitaries(path: np.ndarray, ops: np.ndarray, step_eps):
     us, conj, comm = _step_unitaries(path, ops)
     k = len(ops)
     bounds = COMMUTATOR_CONSTANT * np.asarray(step_eps, dtype=float) + 1e-9
-    failed = [(i, -1, e) for i, e in screened_norms(conj, CONJUGATION_EXACTNESS).items()
-              if e > CONJUGATION_EXACTNESS]
-    failed += [(j // k, j % k, e) for j, e in screened_norms(comm, np.repeat(bounds, k)).items()
-               if e > bounds[j // k]]
+    failed = [(i, -1, e) for i, e in screened_norms(conj, CONJUGATION_EXACTNESS).items()]
+    failed += [(j // k, j % k, e) for j, e in screened_norms(comm, np.repeat(bounds, k)).items()]
     if failed:
         i, j, e = min(failed)
         if j < 0:
@@ -223,12 +220,11 @@ def chain_conjugation(path, test_ops):
     path, ops = _path_and_test_ops(path, test_ops)
     m, dim = len(path) - 1, path.shape[1]
     for i, gap in screened_norms(path[:-1] - path[1:], _BELOW_QUARTER).items():
-        if gap >= 0.25:
-            raise SubdivisionTooCoarse(
-                f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
-                index=i,
-                measured=gap,
-            )
+        raise SubdivisionTooCoarse(
+            f"gap {gap:.6f} >= 1/4 between path positions {i} and {i + 1}",
+            index=i,
+            measured=gap,
+        )
     # ||[p_i, x]||, measured once: eps_path and each step's eps are maxima of these
     comm = _commutator_norms(path, ops)
     eps_path = float(comm.max(initial=0.0))

@@ -362,7 +362,7 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     and the output defect on ``S`` is below ``6 * eps``.
     """
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
-        raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}")
+        raise BoundViolation(f"unitarization needs 0 < eps < 1, got {eps}", measured=eps)
     S = list(S)
     p = phi.presentation
     keys = _canonical_elements(S, p)
@@ -373,10 +373,9 @@ def unitarize(phi: QuasiRep, S, eps: float) -> QuasiRep:
     value = {}
     s_keys = _evaluated(phi, S, value)
     pairs = [(a, b) for a in s_keys for b in s_keys]
-    # a residue the screen proves below eps cannot be the largest of a refusal
-    residues = _product_residues(phi, value, pairs)
-    measured = max([0.0, *screened_norms(residues, math.nextafter(eps, 0.0)).values()])
-    if measured >= eps:
+    refused = screened_norms(_product_residues(phi, value, pairs), math.nextafter(eps, 0.0))
+    if refused:
+        measured = max(refused.values())
         raise HypothesisViolation(
             f"defect {measured:.6e} is not below eps = {eps}", measured=measured
         )
@@ -450,12 +449,11 @@ def require_honest(rep: QuasiRep) -> QuasiRep:
     eye = identity(dim)
     relators = (fold_word(r, *rep._fold) - eye for r in rep.presentation.relators)
     for err in screened_norms(relators, tol).values():
-        if err > tol:
-            raise HypothesisViolation(
-                f"relator evaluates {err:.3e} away from the identity; "
-                "not an honest representation",
-                measured=err,
-            )
+        raise HypothesisViolation(
+            f"relator evaluates {err:.3e} away from the identity; "
+            "not an honest representation",
+            measured=err,
+        )
     return rep
 
 
@@ -564,7 +562,7 @@ def voiculescu_pair(delta: float, k: int):
     winding.  ``k = 0`` degenerates to a commuting 1x1 pair.
     """
     if not 0.0 < delta < math.inf:  # NaN fails both comparisons
-        raise BoundViolation(f"delta must be positive and finite, got {delta}")
+        raise BoundViolation(f"delta must be positive and finite, got {delta}", measured=delta)
     if k == 0:
         one = identity(1)
         return one, one
@@ -639,7 +637,7 @@ def perturbed_honest_rep(p: Presentation, S, eps: float, dim: int, rng) -> Quasi
     with the base values, folded by :func:`_folds` one letter position at a time.
     """
     if not 0.0 < eps < 1.0:  # NaN fails both comparisons
-        raise BoundViolation(f"eps must be positive and below 1, got {eps}")
+        raise BoundViolation(f"eps must be positive and below 1, got {eps}", measured=eps)
     base = honest_commuting_rep(p, dim, rng)
     S = list(S)
     words = _canonical_elements([*S, *(s.letters + t.letters for s in S for t in S)], p)

@@ -196,9 +196,9 @@ def _eigenphases(w: np.ndarray, tol: float):
 
 
 def _eliminate(a: np.ndarray) -> np.ndarray:
-    """The pivots of the LU factorizations without pivoting of a matrix or a
-    stack of them, one entry at a time: each step divides the column under
-    the pivot by it and subtracts the outer product with the pivot's row."""
+    """The pivots of the LU factorizations without pivoting of a stack of
+    matrices, one entry at a time: each step divides the column under the
+    pivot by it and subtracts the outer product with the pivot's row."""
     pivots = np.empty(a.shape[:-1], dtype=np.complex128)
     for j in range(a.shape[-1] - 1):
         pivots[..., j] = a[..., 0, 0]
@@ -212,9 +212,9 @@ def _pivot_argument_sum(w: np.ndarray) -> float:
     factorization of ``W`` without pivoting; the path method's winding up to
     ``PIVOT_DIM_LIMIT`` is ``-Phi(W) / 2 pi``.
 
-    Up to ``PIVOT_LEAF`` the pivots come from :func:`_eliminate` alone.
-    Above it ``W`` is padded with an identity block to ``N = b 2^L``,
-    ``b <= PIVOT_LEAF``, which adds pivots 1.  Each of ``L`` levels replaces
+    ``W`` is padded with an identity block to ``N = b 2^L``,
+    ``b <= PIVOT_LEAF``, in a one-member stack (a copy of ``W`` when
+    ``L = 0``); the padding adds pivots 1.  Each of ``L`` levels replaces
     every ``M`` of a stack by its leading half ``M11`` and ``fl(M22 - M21 X^)``,
     ``X^`` from one stacked ``np.linalg.solve`` of ``M11 X = M12``; the
     ``2^L`` leaves are then eliminated together.  No growth factor of the
@@ -293,14 +293,9 @@ def _pivot_argument_sum(w: np.ndarray) -> float:
     """
     n = w.shape[0]
     levels = ((n - 1) // PIVOT_LEAF).bit_length()
-    if not levels:
-        return float(np.sum(np.angle(_eliminate(w))))
     size = -(-n >> levels) << levels
-    if size == n:
-        a = w[None]
-    else:
-        a = np.eye(size, dtype=np.complex128)[None]
-        a[0, :n, :n] = w
+    a = np.eye(size, dtype=np.complex128)[None]
+    a[0, :n, :n] = w
     limit = EIG_RESIDUE_TOL / n
     for _ in range(levels):
         h = a.shape[-1] // 2

@@ -506,7 +506,7 @@ def test_abel_parameter_floor_refuses_before_allocating(t):
 @pytest.mark.parametrize(
     "ladder, text, measured",
     [
-        ((), "t ladder is empty", None),
+        ((), "t ladder is empty", 0),
         ((0.5, 2.0), "t ladder entry 2.0 must lie", 2.0),
         ((0.4, 0.2, 0.0, 0.05, 1.5), "t ladder entry 0.0 must lie", 0.0),
     ],

@@ -634,12 +634,43 @@ def test_screen_of_nothing_clears_everything(empty):
 @pytest.mark.parametrize("dim", [3, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
 def test_screen_takes_no_negative_or_nan_bound(dim):
     # the screen adds the underflow of its products, so it clears zero against
-    # a tiny bound and leaves a zero bound to the exact norm
+    # a tiny bound and leaves a zero bound to the exact norm, which passes; a
+    # negative or NaN bound refuses even the zero matrix
     zero = np.zeros((1, dim, dim), dtype=np.complex128)
     assert matcore._screen(zero, 1e-150).tolist() == [True]
-    for bound in (0.0, -1e-300, -1.0, np.nan):
+    assert matcore._screen(zero, 0.0).tolist() == [False]
+    assert screened_norms(zero, 0.0) == {}
+    for bound in (-1e-300, -1.0, np.nan):
         assert matcore._screen(zero, bound).tolist() == [False]
         assert screened_norms(zero, bound) == {0: 0.0}
+
+
+# a member's bound over its exact norm: refused, just refused, passing with
+# nothing to spare, just passing, passing
+_BOUND_OVER_NORM = (0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("per_member", [False, True], ids=["scalar", "per-member"])
+@pytest.mark.parametrize("form", ["stack", "iterator"])
+@pytest.mark.parametrize("dim", [4, SVD_NORM_DIM_LIMIT + 4], ids=["stacked", "streamed"])
+def test_screened_norms_returns_exactly_the_members_above_their_bound(dim, form, per_member,
+                                                                      seed):
+    gen = derive_rng(seed, 13)
+    factors = gen.permutation(np.array(_BOUND_OVER_NORM * 2))
+    kinds = gen.choice(["dense", "rank-1", "diagonal"], len(factors))
+    mats = np.array([_member(gen, dim, kind) for kind in kinds])
+    if per_member:
+        bound = op_norms(mats) * factors
+        bounds = bound.tolist()
+    else:  # member i's norm is about 1 / factors[i], and one member is at the bound
+        mats = mats / (factors * op_norms(mats))[:, None, None]
+        bound = op_norms(mats)[factors.tolist().index(1.0)].item()
+        bounds = [bound] * len(mats)
+    want = {i: n for i, n in enumerate(op_norms(mats).tolist()) if not n <= bounds[i]}
+    assert set(want) == {i for i, f in enumerate(factors) if f < 1.0}
+    got = screened_norms(mats if form == "stack" else iter(list(mats)), bound)
+    assert list(got.items()) == list(want.items())
 
 
 def test_screen_leaves_the_overflowing_pairing_residue_to_the_norm_kernel(tmp_path, capsys):

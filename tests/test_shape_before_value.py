@@ -7,13 +7,20 @@ first malformed member.  The rows of ``REFUSALS`` have one fault each, and
 expect its own class and message.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from obstructkit.errors import HypothesisViolation, InvalidMatrix, InvalidSize, ParseError
-from obstructkit.eta import CharacterTwist, eta_character_abel
+from obstructkit.errors import (
+    BoundViolation,
+    HypothesisViolation,
+    InvalidMatrix,
+    InvalidSize,
+    ParseError,
+)
+from obstructkit.eta import CharacterTwist, abel_series_value, eta_character_abel
 from obstructkit.matcore import (
     as_matrices,
     commutator,
@@ -22,7 +29,7 @@ from obstructkit.matcore import (
     polar_unitary,
     spectral_projection,
 )
-from obstructkit.homology import int_matrix, mapping_torus_surface_h2
+from obstructkit.homology import AbelianGroup, int_matrix, mapping_torus_surface_h2
 from obstructkit.projops import (
     chain_conjugation,
     compatibility_probe,
@@ -30,7 +37,16 @@ from obstructkit.projops import (
     pairing_block_sum,
     pairing_input,
 )
-from obstructkit.quasirep import QuasiRep, approx_mult_audit, compress, ucp_gram_check
+from obstructkit.quasirep import (
+    QuasiRep,
+    approx_mult_audit,
+    compress,
+    perturbed_honest_rep,
+    ucp_gram_check,
+    unitarize,
+    voiculescu_pair,
+)
+from obstructkit.seeding import derive_rng
 from obstructkit.winding import winding_of_unitary, winding_pair
 from obstructkit.words import (
     GroupWord,
@@ -237,3 +253,59 @@ def test_each_refusal_names_its_fault(row):
     call, error, message = REFUSALS[row]
     with pytest.raises(error, match=message):
         call()
+
+
+NAN = math.nan
+TW = CharacterTwist(0.3)
+
+# each bound refusal and the value it must carry in ``measured``: the
+# offending value, or the count when the refusal is about a count
+BOUND_REFUSALS = {
+    "spectral_projection of an infinite cut": (lambda: spectral_projection(I2, math.inf, 0.1),
+                                               math.inf),
+    "spectral_projection of a NaN cut": (lambda: spectral_projection(I2, NAN, 0.1), NAN),
+    "spectral_projection of a negative gap_tol": (lambda: spectral_projection(I2, 0.5, -1.0),
+                                                  -1.0),
+    "spectral_projection of a NaN gap_tol": (lambda: spectral_projection(I2, 0.5, NAN), NAN),
+    "CharacterTwist of phase 1": (lambda: CharacterTwist(1.0), 1.0),
+    "CharacterTwist of a NaN phase": (lambda: CharacterTwist(NAN), NAN),
+    "abel_series_value of t above 1": (lambda: abel_series_value(0.3, 2.0), 2.0),
+    "abel_series_value of a NaN t": (lambda: abel_series_value(0.3, NAN), NAN),
+    "abel_series_value of q = 0": (lambda: abel_series_value(0.0, 0.5), 0.0),
+    "abel_series_value of a NaN q": (lambda: abel_series_value(NAN, 0.5), NAN),
+    "eta_character_abel of an empty ladder": (lambda: eta_character_abel(TW, []), 0),
+    "eta_character_abel of a rising ladder": (
+        lambda: eta_character_abel(TW, [0.4, 0.2, 0.3, 0.1, 0.05]), 0.3),
+    "eta_character_abel of a repeated entry": (
+        lambda: eta_character_abel(TW, [0.4, 0.2, 0.2, 0.1, 0.05]), 0.2),
+    "eta_character_abel of order 0": (lambda: eta_character_abel(TW, richardson_order=0), 0),
+    "eta_character_abel of a short ladder": (lambda: eta_character_abel(TW, [0.4, 0.2]), 2),
+    "AbelianGroup of free rank -1": (lambda: AbelianGroup(-1), -1),
+    "AbelianGroup of free rank 1.5": (lambda: AbelianGroup(1.5), 1.5),
+    "AbelianGroup of torsion 1": (lambda: AbelianGroup(0, (2, 1)), 1),
+    "AbelianGroup of torsion 2, 4, 6": (lambda: AbelianGroup(0, (2, 4, 6)), 6),
+    "mapping_torus_surface_h2 of sign 0": (
+        lambda: mapping_torus_surface_h2(0, int_matrix([[1, 0], [0, 1]])), 0),
+    "unitarize of eps = 1": (lambda: unitarize(QuasiRep(Z2, (I2, I2)), [], 1.0), 1.0),
+    "unitarize of a NaN eps": (lambda: unitarize(QuasiRep(Z2, (I2, I2)), [], NAN), NAN),
+    "perturbed_honest_rep of eps = 0": (
+        lambda: perturbed_honest_rep(Z2, [], 0.0, 2, derive_rng(1, 1)), 0.0),
+    "perturbed_honest_rep of a NaN eps": (
+        lambda: perturbed_honest_rep(Z2, [], NAN, 2, derive_rng(1, 1)), NAN),
+    "voiculescu_pair of delta = 0": (lambda: voiculescu_pair(0.0, 1), 0.0),
+    "voiculescu_pair of an infinite delta": (lambda: voiculescu_pair(math.inf, 1), math.inf),
+    "voiculescu_pair of a NaN delta": (lambda: voiculescu_pair(NAN, 1), NAN),
+}
+
+
+@pytest.mark.parametrize("row", BOUND_REFUSALS)
+def test_each_bound_refusal_carries_its_offending_value(row):
+    call, want = BOUND_REFUSALS[row]
+    with pytest.raises(BoundViolation) as exc_info:
+        call()
+    got = exc_info.value.measured
+    if isinstance(want, float) and math.isnan(want):
+        assert isinstance(got, float) and math.isnan(got)
+    else:
+        assert type(got) is type(want) and got == want
+    assert exc_info.value.exit_code == 1
