@@ -235,6 +235,8 @@ def cmd_invariants(args) -> int:
 
     obj = _load_json(args.input)
     if isinstance(obj, dict) and "u" in obj and "v" in obj:
+        if args.pairs is not None:  # a raw pair has no words: refused, not ignored
+            raise ParseError("--pairs needs a quasi-representation file, not a raw u, v pair")
         u = matrix_from_json(obj["u"])
         v = matrix_from_json(obj["v"])
         report = winding_pair(u, v, unitarity_tol=getattr(args, "tol_unitarity", UNITARITY_TOL))

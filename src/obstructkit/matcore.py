@@ -23,14 +23,14 @@ finiteness, as a residue of finite matrices can overflow.
 Prove gates, norm what is read: a gate whose norms are only compared with a
 bound (unitarity, the unit ball, projections, path gaps, relators, the
 defect below ``eps``, each step of a chain of connecting unitaries) raises
-on what :func:`screened_norms`, the one pass/fail rule, returns.  A screen
-clears members through a rounding-safe upper bound, the Frobenius norm or
-Gershgorin on the Gram matrix, and only when the exact norm passes too;
-only the rest pay an exact :func:`op_norms` value, and only those above
-their bound come back, each refusal with its class, message, ``measured``
-value and first member in order.  A gate on norms a report carries (a lone
-connecting unitary's step) reads those, once; :func:`op_norms` stays the
-one exact kernel.
+on what one :func:`screened_norms` call per family, the one pass/fail rule,
+returns.  A screen clears members through a rounding-safe upper bound, the
+Frobenius norm or Gershgorin on the Gram matrix, and only when the exact
+norm passes too; only the rest pay an exact :func:`op_norms` value, and
+only those above their bound come back, each refusal with its class,
+message, ``measured`` value and first member in order.  A gate on norms a
+report carries (a lone connecting unitary's step) reads those, once;
+:func:`op_norms` stays the one exact kernel.
 
 Shape before value: :func:`as_matrices` checks that a named family of
 matrices is square, finite and of one size, naming its first malformed
@@ -356,22 +356,17 @@ def _squared_limits(bounds, d: int):
     return (np.where(bounds >= 0.0, bounds * bounds, -1.0) - underflow) / slack
 
 
-def is_unitary(a: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Whether ``||a*a - 1|| <= tol``, proved by :func:`screened_norms`, so a
-    NaN ``tol`` accepts nothing."""
+def require_unitary(mats, tol: float, whats) -> None:
+    """Check ``||a*a - 1|| <= tol`` for equal-size matrices :func:`as_matrices`
+    validated, proved by one :func:`screened_norms` call over their residues,
+    formed inside it, so a NaN ``tol`` accepts nothing; the first above
+    raises :class:`NotUnitary` named ``whats[i]``, with its exact norm."""
     with np.errstate(over="ignore", invalid="ignore"):  # op_norms refuses an overflow
-        delta = (a.conj().T @ a - np.eye(a.shape[0]))[None]
-    return not screened_norms(delta, tol)
-
-
-def require_unitary(a: np.ndarray, tol: float = UNITARITY_TOL, what: str = "matrix") -> np.ndarray:
-    """``a``, refused with :class:`NotUnitary` unless :func:`is_unitary`."""
-    if not is_unitary(a, tol):
-        delta = op_norms((a.conj().T @ a - np.eye(a.shape[0]))[None]).item()
+        failed = screened_norms((a.conj().T @ a - np.eye(a.shape[0]) for a in mats), tol)
+    for i, delta in failed.items():
         raise NotUnitary(
-            f"{what} is not unitary: ||a*a - 1|| = {delta:.3e} > {tol:.1e}", measured=delta
+            f"{whats[i]} is not unitary: ||a*a - 1|| = {delta:.3e} > {tol:.1e}", measured=delta
         )
-    return a
 
 
 def require_unit_ball(mats, tol: float, whats) -> None:

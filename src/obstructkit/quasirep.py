@@ -136,9 +136,9 @@ class QuasiRep:
     any value, so a malformed family exits 1 whatever its values.
     An inverse letter is the adjoint, behind the :func:`words.adjoints` gate,
     for the ``"unitary"`` flavor and compressions, else the matrix inverse.
-    This is the library's only unitarity gate on generator images: it runs
-    before the unit-ball check, so a nearly unitary image is refused as
-    :class:`NotUnitary`, and :func:`require_honest` reuses its table.
+    This is the library's only unitarity gate on generator images, one call
+    for all, before the unit-ball check: the first nearly unitary image is
+    refused as :class:`NotUnitary`.  :func:`require_honest` reuses its table.
     """
 
     presentation: Presentation

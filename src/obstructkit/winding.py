@@ -140,7 +140,7 @@ def _distance_below_one(w: np.ndarray, tol: float) -> bool:
 
     True when ``A = Re W - ((1 + tau)/2 + mu)`` factors, ``Re W = (W + W*)/2``,
     ``tau = tol`` and ``mu = 4 (1 + tau)(n + 1)^2 u`` (``u`` the unit
-    roundoff); ``W`` must have passed ``require_unitary(W, tau)``.  False
+    roundoff); ``W`` must have passed ``require_unitary`` at ``tau``.  False
     proves nothing.  Proof: ``(W - 1)*(W - 1) = (W*W - 1) + 2(1 - Re W)``,
     so ``||W - 1||^2 <= ||W*W - 1|| + 2 - 2 lambda_min(Re W)``.
 
@@ -339,7 +339,8 @@ def winding_of_unitary(
     ``unitarity_tol`` is :class:`BoundViolation` before any gate.
     """
     tol = _unitarity_tol(unitarity_tol)
-    w = require_unitary(as_matrix(w), tol=tol, what="winding input")
+    w = as_matrix(w)
+    require_unitary((w,), tol, ("winding input",))
     _require_distance_below_one(w, tol, _distance)
     det = complex(np.linalg.det(w))
     if abs(det - 1.0) > DET_TOL:
@@ -349,7 +350,8 @@ def winding_of_unitary(
         )
     if w.shape[0] * tol > HERMITIAN_PHASE_BUDGET:
         tol = UNITARITY_TOL
-        w = require_unitary(polar_unitaries(w[None])[0], tol, "polar factor of the winding input")
+        w = polar_unitaries(w[None])[0]
+        require_unitary((w,), tol, ("polar factor of the winding input",))
         _require_distance_below_one(w, tol, "||U - 1|| (U the polar factor of W)")
     theta, residue_tol = _eigenphases(w, tol)
     theta_sum = float(np.sum(theta))
@@ -388,8 +390,7 @@ def winding_pair(u, v, unitarity_tol: float = UNITARITY_TOL) -> WindingReport:
     """
     tol = _unitarity_tol(unitarity_tol)
     u, v = as_matrices((u, v), ("first of the pair", "second of the pair"))
-    u = require_unitary(u, tol=tol, what="first of the pair")
-    v = require_unitary(v, tol=tol, what="second of the pair")
+    require_unitary((u, v), tol, ("first of the pair", "second of the pair"))
     return _commutator_winding([(u, v)], u.shape[0], tol)
 
 

@@ -25,7 +25,8 @@ a product, ``s.letters + t.letters``, and only a miss builds (and so
 validates) the :class:`GroupWord`.
 
 An inverse letter evaluates through a table: :func:`adjoints`, the one
-unitarity gate behind every adjoint, or the true inverses of :func:`inverses`.
+unitarity gate behind every adjoint, one call per family of images, or the
+true inverses of :func:`inverses`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InvalidSize, NotInCommutatorSubgroup, NotInvertible, ParseError
-from .matcore import identity, json_value, require_unitary, sealed
+from .matcore import UNITARITY_TOL, Labels, identity, json_value, require_unitary, sealed
 
 Letter = tuple[int, int]
 
@@ -163,13 +164,11 @@ def commutator_decompose(w: GroupWord) -> CommutatorDecomposition:
 
 
 def adjoints(mats, what: str) -> tuple:
-    """The unitarity gate: read-only adjoints of validated images, each unitary
-    within ``UNITARITY_TOL`` or refused as ``f"{what} {i}"`` (:class:`NotUnitary`)."""
-    out = []
-    for i, m in enumerate(mats):
-        require_unitary(m, what=f"{what} {i}")
-        out.append(sealed(m.conj().T))
-    return tuple(out)
+    """The unitarity gate: read-only adjoints of validated images, all unitary
+    within ``UNITARITY_TOL`` by one :func:`matcore.require_unitary` call, or
+    the first that is not refused as ``f"{what} {i}"`` (:class:`NotUnitary`)."""
+    require_unitary(mats, UNITARITY_TOL, Labels(lambda i: f"{what} {i}"))
+    return tuple(sealed(m.conj().T) for m in mats)
 
 
 def inverses(mats) -> tuple:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from obstructkit import matcore
+from obstructkit import matcore, winding, words
 from obstructkit.seeding import derive_rng
 
 # Dense-matrix examples are slow per case; trade example count for coverage
@@ -44,16 +44,19 @@ def fresh_python():
 
 @pytest.fixture
 def unitarity_checks(monkeypatch):
-    """The shapes of the matrices ``matcore.is_unitary`` checks from here on,
-    which every unitarity gate goes through."""
+    """The shape of each member ``matcore.require_unitary``, the one
+    unitarity gate, checks from here on.  Each module binds the gate by
+    name, so each binding is patched."""
     calls = []
-    original = matcore.is_unitary
+    original = matcore.require_unitary
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def counted(mats, *args, **kwargs):
+        mats = tuple(mats)
+        calls.extend(np.shape(a) for a in mats)
+        return original(mats, *args, **kwargs)
 
-    monkeypatch.setattr(matcore, "is_unitary", counted)
+    for module in (matcore, winding, words):
+        monkeypatch.setattr(module, "require_unitary", counted)
     return calls
 
 

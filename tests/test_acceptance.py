@@ -1,8 +1,8 @@
-"""Acceptance gate: the eight headline guarantees, each with its time budget.
+"""Acceptance gate: the eight headline guarantees, each with its CPU-time budget.
 
 Run with ``pytest -v tests/test_acceptance.py``: each criterion is one test,
 so the verbose listing shows one PASS/FAIL line per criterion.  Every test
-also prints its measured runtime against the budget (visible with ``-s`` or
+also prints its measured CPU time against the budget (visible with ``-s`` or
 in failure output).
 """
 
@@ -33,18 +33,20 @@ ACCEPT_SEED = 20240819
 
 @contextmanager
 def budget(criterion: int, label: str, seconds: float):
-    start = time.perf_counter()
+    # CPU time of this process, BLAS threads included: other load on the
+    # host slows the wall clock, not this count
+    start = time.process_time()
     try:
         yield
     except BaseException:
         print(f"[acceptance] criterion {criterion} ({label}): FAIL")
         raise
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     print(
         f"[acceptance] criterion {criterion} ({label}): PASS "
-        f"in {elapsed:.2f}s (budget {seconds:.0f}s)"
+        f"in {elapsed:.2f}s CPU (budget {seconds:.0f}s)"
     )
-    assert elapsed < seconds, f"criterion {criterion} took {elapsed:.2f}s >= {seconds}s"
+    assert elapsed < seconds, f"criterion {criterion} took {elapsed:.2f}s CPU >= {seconds}s"
 
 
 def test_criterion_1_voiculescu_realization():

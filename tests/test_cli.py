@@ -731,9 +731,11 @@ def test_pairing_gap_out_of_range_exit_one(tmp_path, capsys, flags, gap_in_json)
 
 
 def _write_doubly_bad_input(kind, path):
-    """Input files with a size or bound fault and a value fault together."""
+    """Input files with a size, bound or flag fault and a value fault together."""
     if kind == "raw-pair":
         path.write_text(raw_pair_json(np.eye(2), np.eye(3)))
+    elif kind == "non-unitary-raw-pair":  # --pairs reads words, which a raw pair lacks
+        path.write_text(raw_pair_json(np.diag([0.5, 1.0]), np.eye(2)))
     elif kind == "unitary-flavor":
         rep = honest_commuting_rep(free_abelian_presentation(2), 2, derive_rng(0, 1))
         obj = quasirep_to_json(rep)
@@ -748,12 +750,14 @@ def _write_doubly_bad_input(kind, path):
     "kind, argv, text",
     [
         ("raw-pair", ["invariants"], "second of the pair must be 2 x 2, got 3"),
+        ("non-unitary-raw-pair", ["invariants", "--pairs", "zz"],
+         "--pairs needs a quasi-representation file"),
         ("unitary-flavor", ["invariants"], "image of generator 1 must be 2 x 2, got 3"),
         (None, ["eta", "--q", "0", "--method", "abel", "--ladder", ""], "t ladder is empty"),
         ("pairing", ["pairing", "--tol.gap", "1e-300"], "gap_tol 1e-300 not in"),
     ],
-    ids=["raw-pair-of-two-sizes", "unitary-flavor-of-two-sizes", "abel-q-zero-empty-ladder",
-         "non-projection-below-the-gap-floor"],
+    ids=["raw-pair-of-two-sizes", "pairs-on-a-non-unitary-raw-pair", "unitary-flavor-of-two-sizes",
+         "abel-q-zero-empty-ladder", "non-projection-below-the-gap-floor"],
 )
 def test_malformed_input_exits_one_before_any_hypothesis(kind, argv, text, tmp_path, capsys):
     if kind is not None:

@@ -38,7 +38,6 @@ from obstructkit.matcore import (
     commutator,
     dagger,
     identity,
-    is_unitary,
     matrix_from_json,
     matrix_to_json,
     op_norm,
@@ -508,20 +507,43 @@ def test_gap_lemma_commutator_bound(rng):
 # ---------------------------------------------------------------------------
 
 
+def passes_unitarity(a, tol=UNITARITY_TOL):
+    """Whether ``a`` alone passes the family gate :func:`require_unitary`."""
+    try:
+        require_unitary((a,), tol, ("a",))
+    except NotUnitary:
+        return False
+    return True
+
+
 def test_require_unitary_accepts_and_rejects(rng):
     w = haar_unitary(4, rng)
-    require_unitary(w)
-    assert is_unitary(w)
-    with pytest.raises(NotUnitary):
-        require_unitary(w * 1.01)
-    assert not is_unitary(w * 1.01)
+    assert passes_unitarity(w)
+    assert not passes_unitarity(w * 1.01)
 
 
 def test_not_unitary_carries_the_measured_distance(rng):
     # (2w)*(2w) - 1 = 3: the refusal carries the value its message prints
     with pytest.raises(NotUnitary, match=r"= 3\.000e\+00 >") as exc_info:
-        require_unitary(2.0 * haar_unitary(5, rng))
+        require_unitary((2.0 * haar_unitary(5, rng),), UNITARITY_TOL, ("a",))
     assert exc_info.value.measured == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [5, SVD_NORM_DIM_LIMIT + 4], ids=["svd", "gram"])
+def test_unitarity_gate_refuses_the_first_failing_member(dim, rng):
+    # one call proves the family; the refusal names the first member that
+    # fails, with the exact norm of its own residue
+    w = haar_unitary(dim, rng)
+    family = (w, 1.01 * w, 2.0 * w)
+    calls = []
+    screen = matcore.screened_norms
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcore, "screened_norms", lambda *a: calls.append(1) or screen(*a))
+        with pytest.raises(NotUnitary, match="member 1 is not unitary") as exc_info:
+            require_unitary(family, UNITARITY_TOL, [f"member {i}" for i in range(3)])
+    assert len(calls) == 1
+    residue = family[1].conj().T @ family[1] - np.eye(dim)
+    assert exc_info.value.measured == op_norms(residue[None]).item()
 
 
 def test_unitarity_screen_falls_back_to_the_exact_norm():
@@ -530,13 +552,11 @@ def test_unitarity_screen_falls_back_to_the_exact_norm():
     diag = np.full(dim, np.sqrt(1.0 + 0.9 * UNITARITY_TOL))
     a = np.diag(diag)
     assert np.linalg.norm(a.conj().T @ a - np.eye(dim)) > UNITARITY_TOL
-    assert is_unitary(a)
-    require_unitary(a)
+    assert passes_unitarity(a)
     diag[0] = np.sqrt(1.0 + 1.1 * UNITARITY_TOL)
     a = np.diag(diag)
-    assert not is_unitary(a)
     with pytest.raises(NotUnitary, match="1.100e-08"):
-        require_unitary(a)
+        require_unitary((a,), UNITARITY_TOL, ("a",))
 
 
 @pytest.mark.parametrize("dim", [2, SVD_NORM_DIM_LIMIT + 4], ids=["svd", "gram"])
@@ -544,15 +564,13 @@ def test_unitarity_gate_refuses_tiny_defects_and_nan_tolerances(dim):
     # unscaled, the squares of 1e-170 flush to zero and the screen would pass
     a = np.eye(dim)
     a[0, 1] = 1e-170
-    assert not is_unitary(a, tol=0.0)
+    assert not passes_unitarity(a, tol=0.0)
     # exact norm 1e-170, Frobenius norm 1.41e-170
-    assert is_unitary(a, tol=1.2e-170)
-    assert not is_unitary(a, tol=0.5e-170)
-    assert is_unitary(identity(3), tol=0.0)
-    assert not is_unitary(identity(3), tol=float("nan"))
-    assert not is_unitary(a, tol=float("nan"))
-    with pytest.raises(NotUnitary):
-        require_unitary(identity(3), tol=float("nan"))
+    assert passes_unitarity(a, tol=1.2e-170)
+    assert not passes_unitarity(a, tol=0.5e-170)
+    assert passes_unitarity(identity(3), tol=0.0)
+    assert not passes_unitarity(identity(3), tol=float("nan"))
+    assert not passes_unitarity(a, tol=float("nan"))
 
 
 # ---------------------------------------------------------------------------

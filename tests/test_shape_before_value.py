@@ -104,6 +104,16 @@ ROWS = {
         lambda: winding_pair(I2, I3),
         r"^second of the pair must be 2 x 2, got 3$",
     ),
+    # one unitarity gate proves the whole family, so an overflowed residue
+    # anywhere in it is refused before the first non-unitary member
+    "winding pair: non-unitary, then a residue that overflows": (
+        lambda: winding_pair(2.0 * I2, 1e200 * I2),
+        r"^matrix has non-finite entries$",
+    ),
+    "unitary-flavor images: non-unitary, then a residue that overflows": (
+        lambda: QuasiRep(Z2, (2.0 * I2, 1e200 * I2), flavor="unitary"),
+        r"^matrix has non-finite entries$",
+    ),
     "table value of the wrong size": (
         lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={AB: I3}),
         r"^table value for .* must be 2 x 2, got 3$",
