@@ -453,9 +453,10 @@ def test_polar_factor_outside_the_unit_ball_is_refused():
 
 # A path with no eigensolve: det(t + (1-t)W) sampled through one Householder
 # reduction of W to Hessenberg form and Hyman's recurrence, O(dim^2) per
-# sample.  Its samples are checked against np.linalg.slogdet, and up to
-# winding.PIVOT_DIM_LIMIT the library's pivot-argument path is compared with
-# the winding they give (_oracle_path_winding).  The oracle only has to be
+# sample.  Its Hessenberg form is checked against LAPACK's, its samples
+# against np.linalg.slogdet and its windings against np.linalg.eigvals; up
+# to winding.PIVOT_DIM_LIMIT the library's pivot-argument path is compared
+# with the winding they give (_oracle_path_winding).  The oracle only has to be
 # right, not fast: one product per term, the reflector built from x divided
 # by its largest entry, T* stored and -1/h_{i,i-1} applied row by row.
 
@@ -608,6 +609,87 @@ def test_hyman_samples_match_slogdet(dim, kind, seed):
     assert np.all(log_mag[at_one] == 0.0) and np.all(ang[at_one] == 0.0)
 
 
+def assert_hyman_matches_slogdet(h, w, ts, tol):
+    """Hyman's log |det| and arg det of ``t + (1-t)H`` within ``tol`` of
+    ``np.linalg.slogdet`` of ``t + (1-t)W``."""
+    log_mag, ang = _hyman_log_det(h, ts)
+    sign, logabs = np.linalg.slogdet(ts[:, None, None] * np.eye(len(w)) + (1.0 - ts)[:, None, None] * w)
+    assert np.max(np.abs(log_mag - logabs)) < tol
+    assert np.max(np.abs(np.angle(np.exp(1j * ang) / sign))) < tol
+
+
+DENSE_KINDS = ("dense", "diagonal", "blocks", "tiny")
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+# both sides of the first two 32-column block edges (n - 2 columns are
+# reduced), up to PIVOT_DIM_LIMIT
+@pytest.mark.parametrize("dim", (1, 2, 3, 4, 5, 8, 13, 33, 34, 35, 40, 66, 67, 68, 80, 101, 100, 120, 130, 144, 159, 160))
+def test_hessenberg_matches_lapack(dim, kind):
+    # LAPACK's zgehrd (scipy.linalg.hessenberg) also fixes Q e_1 = e_1, so
+    # while no subdiagonal is tiny both H are fixed by W up to a diagonal
+    # unitary similarity (the implicit Q theorem), which keeps every |h_ij|:
+    # they differ by about as much as LAPACK's H moves when W moves by a
+    # random relative perturbation of one unit roundoff, and the bound is
+    # 100 times that, plus 100 n u.  Past a 1e-200 coupling ("tiny") any
+    # Hessenberg form is as valid, so only the leading columns are compared.
+    # Exact zeros stay exact: a diagonal W comes back bit for bit, and a
+    # block edge keeps its zero subdiagonal.  Hyman's samples on either H
+    # match slogdet on W.
+    gen = derive_rng(11, dim, DENSE_KINDS.index(kind))
+    w = dense_test_matrix(kind, dim, gen)
+    h, lapack_h = _hessenberg(w), scipy.linalg.hessenberg(w)
+    assert np.all(np.tril(h, -2) == 0.0)
+    if kind == "diagonal":
+        assert np.array_equal(h, w)
+    lead = dim
+    if kind in ("blocks", "tiny") and dim > 1:
+        cut = next(k for k in range(1, dim) if np.abs(w[k:, :k]).max() <= 1e-200)
+        if kind == "blocks":
+            assert h[cut, cut - 1] == 0.0
+        else:
+            lead = cut
+    noise = (gen.standard_normal(w.shape) + 1j * gen.standard_normal(w.shape)) * np.abs(w)
+    moved = np.abs(scipy.linalg.hessenberg(w + UNIT_ROUNDOFF * noise))
+    own = np.max(np.abs(moved - np.abs(lapack_h))[: lead + 1, :lead], initial=0.0)
+    gap = np.max(np.abs(np.abs(h) - np.abs(lapack_h))[: lead + 1, :lead], initial=0.0)
+    assert gap <= 100.0 * (own + dim * UNIT_ROUNDOFF)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
+    assert_hyman_matches_slogdet(h, w, ts, 1e-10)
+    assert_hyman_matches_slogdet(lapack_h, w, ts, 1e-10)
+
+
+@pytest.mark.parametrize("tiny", (1e-310, 1e-160, 1e-140, 1e300))
+def test_hessenberg_reflects_tiny_and_huge_columns(tiny):
+    # the reflector comes from the tail divided by its largest entry, so a
+    # tail whose squares underflow or overflow is reduced as a unit one is;
+    # below 2^-1024 that entry's reciprocal overflows and the result is NaN
+    w = np.diag(np.exp(1j * np.linspace(-0.5, 0.5, 6)))
+    w[2:5, 0] = [tiny, -2.0 * tiny, 1j * tiny]
+    if tiny < 2.0**-1024:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(_hessenberg(w)).any()
+        return
+    h = _hessenberg(w)
+    assert np.all(np.isfinite(h)) and np.all(np.tril(h, -2) == 0.0)
+    assert abs(h[1, 0]) == pytest.approx(math.sqrt(6.0) * tiny, rel=1e-15)
+    if tiny < 1.0:  # above, ||H||_F overflows: far outside Hyman's domain
+        ts = np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - np.logspace(-12.0, -1.0, 5)])
+        assert_hyman_matches_slogdet(h, w, ts, 1e-12)
+
+
+@pytest.mark.parametrize("kind", DENSE_KINDS)
+@pytest.mark.parametrize("dim", (1, 2, 3, 5, 7, 12, 30))
+def test_hyman_rescales_every_row_of_a_scaled_hessenberg(dim, kind):
+    # H scaled by 2^-960 puts every kept subdiagonal entry below 1e-289, so
+    # a row may grow x by more than exp(600) and x is rescaled at every
+    # row; samples at t near 2^-960 weigh t against H
+    scale = 2.0**-960
+    w = scale * dense_test_matrix(kind, dim, derive_rng(12, dim, DENSE_KINDS.index(kind)))
+    ts = np.concatenate([scale * np.array([0.0, 0.25, 1.0, 4.0]), np.linspace(0.25, 1.0, 4), 1.0 - np.logspace(-12.0, -1.0, 3)])
+    assert_hyman_matches_slogdet(_hessenberg(w), w, ts, 1e-10)
+
+
 @pytest.mark.parametrize("dim, k", [(40, 2), (40, -2), (160, 10), (160, -10)])
 def test_dense_path_never_reads_the_phases(dim, k, monkeypatch):
     # moving every eigenphase by 2 pi / dim shifts the eigenvalue method by
@@ -701,6 +783,21 @@ def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
     with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
         winding_of_unitary(w)
     assert exc_info.value.measured == measured
+
+
+@pytest.mark.parametrize("seed", range(210))
+def test_hyman_oracle_matches_the_eigenvalues(seed):
+    # the oracle itself against np.linalg.eigvals, on 210 other inputs of
+    # the same five families: its winding is minus the summed eigenvalue
+    # arguments over 2 pi (None where that sum is no integer turn), and its
+    # smallest sample is the one at t = 1/2, prod |cos(theta / 2)|, where
+    # every factor |t + (1-t) e^{i theta}| is smallest
+    w, _ = _oracle_input(seed)
+    oracle, oracle_min = _oracle_path_winding(w)
+    theta = np.angle(np.linalg.eigvals(w))
+    turns = -math.fsum(theta) / (2.0 * np.pi)
+    assert oracle == (round(turns) if abs(turns - round(turns)) < 1e-6 else None)
+    assert oracle_min == pytest.approx(np.prod(np.abs(np.cos(theta / 2.0))), rel=1e-9)
 
 
 def near_unit_distance_matrix(dim, offset, defect, gen):
