@@ -173,11 +173,9 @@ def cmd_gen(args) -> int:
     from .words import free_abelian_presentation, surface_presentation
 
     if args.family == "voiculescu":
-        u, v = voiculescu_pair(args.delta, args.k)
-        rep = unitary_pair_rep(u, v)
+        rep = unitary_pair_rep(*voiculescu_pair(args.delta, args.k))
     elif args.family == "clock-shift":
-        u, v = clock_shift(args.n)
-        rep = unitary_pair_rep(u, v)
+        rep = unitary_pair_rep(*clock_shift(args.n))
     elif args.family == "surface":
         pres = surface_presentation(args.genus, orientable=not args.non_orientable)
         if args.non_orientable and args.eps is not None:
@@ -237,8 +235,7 @@ def cmd_invariants(args) -> int:
     if isinstance(obj, dict) and "u" in obj and "v" in obj:
         if args.pairs is not None:  # a raw pair has no words: refused, not ignored
             raise ParseError("--pairs needs a quasi-representation file, not a raw u, v pair")
-        u = matrix_from_json(obj["u"])
-        v = matrix_from_json(obj["v"])
+        u, v = matrix_from_json(obj["u"]), matrix_from_json(obj["v"])
         report = winding_pair(u, v, unitarity_tol=getattr(args, "tol_unitarity", UNITARITY_TOL))
         payload = {
             "input": "unitary-pair",
@@ -254,17 +251,12 @@ def cmd_invariants(args) -> int:
         "flavor": phi.flavor,
         "defect": defect_report_to_json(defect(phi, S), phi.presentation),
     }
-    decomp = (
-        _parse_pairs(args.pairs, phi.presentation)
-        if args.pairs
-        else _default_decomposition(phi.presentation)
-    )
+    decomp = (_parse_pairs(args.pairs, phi.presentation) if args.pairs
+              else _default_decomposition(phi.presentation))
     if phi.flavor != "unitary" and not args.pairs:
         payload["winding"] = {"skipped": "flavor is not unitary; unitarize first"}
     elif decomp is None:
-        payload["winding"] = {
-            "skipped": "no relator with vanishing exponent sums; pass --pairs"
-        }
+        payload["winding"] = {"skipped": "no relator with vanishing exponent sums; pass --pairs"}
     else:
         # winding_class refuses a non-unitary flavor given --pairs
         payload["winding"] = asdict(winding_class(phi, decomp))

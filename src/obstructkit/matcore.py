@@ -125,6 +125,17 @@ def as_matrix(a) -> np.ndarray:
     return _owned(a, _finite(arr))
 
 
+def as_rectangular(a, what: str) -> np.ndarray:
+    """:func:`as_matrix` for a matrix of any shape, layout kept, each refusal naming ``what``."""
+    try:
+        arr = _converted(a)
+        if arr.ndim != 2:
+            raise InvalidMatrix(f"expected a matrix, got shape {arr.shape}")
+        return _owned(a, _finite(arr), "K")
+    except InvalidMatrix as exc:
+        raise InvalidMatrix(f"{what}: {exc}") from exc
+
+
 def _converted(a) -> np.ndarray:
     """``np.asarray(a, dtype=complex128)``; what numpy cannot convert (ragged
     or textual input, integers past ``float``) is :class:`InvalidMatrix`."""
@@ -140,14 +151,15 @@ def _finite(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _owned(a, arr: np.ndarray) -> np.ndarray:
-    """``arr``, converted from ``a``, sealed, and copied first if ``a`` may own it."""
+def _owned(a, arr: np.ndarray, order: str = "C") -> np.ndarray:
+    """``arr``, converted from ``a``, sealed, and copied first (in ``order``)
+    if ``a`` may own it or, for ``order="C"``, if it is not in C order."""
     # np.asarray may have returned the caller's own array, unless it converted
     # a list, a tuple or an ndarray into new memory, which is ours to seal
     shared = arr.flags.writeable and not (isinstance(a, (list, tuple)) or (
         isinstance(a, np.ndarray) and not np.may_share_memory(a, arr)))
-    if shared or not arr.flags.c_contiguous:
-        arr = np.array(arr, order="C")
+    if shared or not (order == "K" or arr.flags.c_contiguous):
+        arr = np.array(arr, order=order)
     return sealed(arr)
 
 

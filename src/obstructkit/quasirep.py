@@ -42,6 +42,7 @@ from .errors import (
 from .matcore import (
     Labels,
     as_matrices,
+    as_rectangular,
     identity,
     json_value,
     matrix_from_json,
@@ -175,15 +176,15 @@ class QuasiRep:
         dim = images[0].shape[0]
         values = as_matrices(self.word_table.values(), Labels(lambda i: whats[n + i]), dim)
         if comp is not None:
-            v = comp.isometry
+            v = as_rectangular(comp.isometry, "compression isometry")
             names = Labels("compressed image of generator {}".format)
-            big = tuple(as_matrices(comp.big_images, names, v.shape[0]))
-            if len(big) != len(images) or v.shape != (v.shape[0], dim):
+            big = tuple(as_matrices(comp.big_images, names, len(v)))
+            if len(big) != len(images) or v.shape != (len(v), dim):
                 raise InvalidSize("compression data must match the generators")
             fold = (big, adjoints(big, "compressed image of generator"))
             if not all(map(np.array_equal, images, _corners(big, v))):
                 raise ParseError("images differ from the compression V* pi(g) V")
-            object.__setattr__(self, "compression", replace(comp, big_images=big))
+            object.__setattr__(self, "compression", replace(comp, big_images=big, isometry=v))
         elif self.flavor == "unitary":
             fold = (images, adjoints(images, "image of generator"))
         else:
@@ -596,11 +597,7 @@ def _block_size(delta: float) -> int:
 
 def unitary_pair_rep(u, v) -> QuasiRep:
     """Wrap a unitary pair as a quasi-representation of the free-abelian plane."""
-    return QuasiRep(
-        presentation=free_abelian_presentation(2),
-        images=(u, v),
-        flavor="unitary",
-    )
+    return QuasiRep(free_abelian_presentation(2), (u, v), flavor="unitary")
 
 
 def honest_commuting_rep(p: Presentation, dim: int, rng) -> QuasiRep:
@@ -693,8 +690,7 @@ def quasirep_from_json(obj) -> QuasiRep:
             if w.letters in table:
                 raise ParseError(f"word_table text {text!r} names an element already in the table")
             table[w.letters] = matrix_from_json(mat)
-        default = obj.get("default_to_identity", False)
-        default = json_value(default, (bool,), "default_to_identity")
+        default = json_value(obj.get("default_to_identity", False), (bool,), "default_to_identity")
         if "compression" in obj:
             comp = obj["compression"]
             big = tuple(matrix_from_json(m) for m in comp["big_images"])

@@ -2,7 +2,8 @@
 
 For a unitary ``W`` with ``||W - 1|| < 1`` the path ``t -> det(t + (1-t)W)``
 on [0, 1] is closed (when ``det W = 1``) and avoids the origin, so it has a
-winding number.  Two algorithms compute it and must agree:
+winding number.  Two algorithms compute it; up to ``PIVOT_DIM_LIMIT`` both
+run and must agree, above it the eigenvalue method alone:
 
 * eigenvalue method — minus the sum of the eigenphases over 2 pi, which must
   round to an integer.  The phases are read off the Hermitian part
@@ -24,10 +25,9 @@ winding number.  Two algorithms compute it and must agree:
   which proves the sum within the same residue tolerance).  So up to the
   limit a Hermitian eigensolve and an LU elimination of ``W`` are
   cross-checked.  Above it there is no independent second method yet
-  (ROADMAP item 3): the path method sums the eigenvalue method's own phases.
-  An eigensolver-free path (a Householder reduction to Hessenberg form and
-  Hyman's recurrence) is kept in ``tests/test_winding.py`` as the oracle of
-  the pivot route.
+  (ROADMAP item 3).  An eigensolver-free path (a Householder reduction to
+  Hessenberg form and Hyman's recurrence) is kept in
+  ``tests/test_winding.py`` as the oracle of the pivot route.
 
 At every dimension the reported clearance is the exact minimum of ``|det|``
 along ``t -> prod_j (t + (1-t) exp(i theta_j))``, the path of the unitary
@@ -35,7 +35,7 @@ with the eigenvalue method's phases ``theta_j``: ``prod_j cos(theta_j / 2)``,
 reached at ``t = 1/2`` (``_clearance``).
 
 Above the budget (a defect of 1e-2 at dim 400 can move the Hermitian sum
-past 1/2) both methods run on the polar factor ``U`` of ``W = UP``
+past 1/2) the winding is computed on the polar factor ``U`` of ``W = UP``
 (Higham 1986), gated at ``UNITARITY_TOL`` and at ``||U - 1|| < 1``.
 ``W_s = (1 - s)W + sU = U((1 - s)P + s)`` has ``||W_s - 1|| < 1`` by
 convexity and ``det((1 - s)P + s) > 0``, so the argument increment of
@@ -82,7 +82,7 @@ EIG_RESIDUE_TOL = 1e-6
 # Largest dim * tau for which the Hermitian eigenphases are certified.
 HERMITIAN_PHASE_BUDGET = 1e-3
 # Up to this dimension the path method sums the arguments of the LU pivots
-# of W (_pivot_argument_sum); above it, the eigenvalue method's phases.
+# of W (_pivot_argument_sum); above it only the eigenvalue method runs.
 PIVOT_DIM_LIMIT = 160
 # Largest matrix _pivot_argument_sum eliminates entry by entry.
 PIVOT_LEAF = 12
@@ -90,28 +90,27 @@ PIVOT_LEAF = 12
 
 @dataclass(frozen=True)
 class WindingReport:
-    """Result of a dual-method winding computation.
+    """Result of a certified winding computation.
 
-    ``agreement`` is always True on a returned report (disagreement raises).
-    ``eigenvalue_method`` is the integer of the Hermitian eigenphases;
-    ``path_method`` that of the LU pivot arguments up to ``PIVOT_DIM_LIMIT``
-    and of the same eigenphases above it.  ``min_clearance`` is the exact
-    minimum over ``t`` of ``|det|`` along the path of the unitary with the
-    eigenvalue method's phases, ``prod_j cos(theta_j / 2)`` at ``t = 1/2``,
-    at every dimension, and ``samples_used`` is 1: the one point at which
-    the path is evaluated.  ``source_path_reversed`` marks reports
-    normalized from the reversed-orientation convention used for
+    ``winding`` is the integer of the Hermitian eigenphases, which up to
+    ``PIVOT_DIM_LIMIT`` the LU pivot arguments round to as well (a sum that
+    does not round, or two integers that differ, raise).  ``min_clearance``
+    is the exact minimum over ``t`` of ``|det|`` along the path of the
+    unitary with the eigenvalue method's phases, ``prod_j cos(theta_j / 2)``
+    at ``t = 1/2``, at every dimension.  ``source_path_reversed`` marks
+    reports normalized from the reversed-orientation convention used for
     homology-class pairings.
+
+    ``agreement`` (True: disagreement raises) and ``samples_used`` (1, the
+    point ``t = 1/2``) hold on every report: class constants, outside
+    ``asdict`` and the JSON, kept for the benchmark's check and tracer.
     """
 
     winding: int
     min_clearance: float
-    samples_used: int
-    eigenvalue_method: int
-    path_method: int
-    agreement: bool
-    orientation: str = "basic"
     source_path_reversed: bool = False
+    agreement = True
+    samples_used = 1
 
 
 def _rounded_winding(phase_sum: float, residue_tol: float, error, what: str) -> int:
@@ -328,14 +327,15 @@ def winding_of_unitary(
     unitarity_tol: float = UNITARITY_TOL,
     _distance: str = "||W - 1||",
 ) -> WindingReport:
-    """Winding of ``t -> det(t + (1-t)W)`` by both methods, which must agree.
+    """Winding of ``t -> det(t + (1-t)W)`` by the eigenvalue method and, up
+    to ``PIVOT_DIM_LIMIT``, the path method, which must agree.
 
     Requires ``W`` unitary within tolerance, ``||W - 1|| < 1`` (the path then
     cannot meet the origin) and ``|det W - 1| <= 1e-8`` (the path is closed).
     The Hermitian eigenphases are certified only once the first two checks
-    pass, so they run first.  Beyond ``HERMITIAN_PHASE_BUDGET`` both methods
-    run on the polar factor ``U`` of ``W``, which must pass the same two
-    checks at ``UNITARITY_TOL`` (module docstring).  A NaN or negative
+    pass, so they run first.  Beyond ``HERMITIAN_PHASE_BUDGET`` the winding
+    is computed on the polar factor ``U`` of ``W``, which must pass the same
+    two checks at ``UNITARITY_TOL`` (module docstring).  A NaN or negative
     ``unitarity_tol`` is :class:`BoundViolation` before any gate.
     """
     tol = _unitarity_tol(unitarity_tol)
@@ -354,17 +354,16 @@ def winding_of_unitary(
         require_unitary((w,), tol, ("polar factor of the winding input",))
         _require_distance_below_one(w, tol, "||U - 1|| (U the polar factor of W)")
     theta, residue_tol = _eigenphases(w, tol)
-    theta_sum = float(np.sum(theta))
-    w_eig = _rounded_winding(theta_sum, residue_tol, OpenPath, "eigenvalue")
-    path_sum = _pivot_argument_sum(w) if w.shape[0] <= PIVOT_DIM_LIMIT else theta_sum
-    w_path = _rounded_winding(path_sum, residue_tol, NumericalInconsistency, "path")
-    if w_path != w_eig:
-        raise NumericalInconsistency(
-            f"winding methods disagree: eigenvalue {w_eig}, path {w_path}",
-            measured=(w_eig, w_path),
-        )
-    return WindingReport(winding=w_eig, min_clearance=_clearance(theta), samples_used=1,
-                         eigenvalue_method=w_eig, path_method=w_path, agreement=True)
+    w_eig = _rounded_winding(float(np.sum(theta)), residue_tol, OpenPath, "eigenvalue")
+    if w.shape[0] <= PIVOT_DIM_LIMIT:
+        w_path = _rounded_winding(_pivot_argument_sum(w), residue_tol,
+                                  NumericalInconsistency, "path")
+        if w_path != w_eig:
+            raise NumericalInconsistency(
+                f"winding methods disagree: eigenvalue {w_eig}, path {w_path}",
+                measured=(w_eig, w_path),
+            )
+    return WindingReport(winding=w_eig, min_clearance=_clearance(theta))
 
 
 def _commutator_winding(pairs, dim: int, tol: float) -> WindingReport:

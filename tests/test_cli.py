@@ -63,7 +63,7 @@ def test_gen_voiculescu_round_trip(tmp_path, capsys):
     payload = run_json(["invariants", str(witness)], capsys)
     assert payload["input"] == "quasirep"
     assert payload["winding"]["winding"] == 2
-    assert payload["winding"]["agreement"]
+    assert sorted(payload["winding"]) == ["min_clearance", "source_path_reversed", "winding"]
     assert payload["defect"]["max_defect"] < 0.5
 
 

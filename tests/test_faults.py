@@ -87,8 +87,8 @@ def _shift_every_phase(monkeypatch):
             200,
             marks=pytest.mark.xfail(
                 strict=True,
-                reason="ROADMAP item 3: above PIVOT_DIM_LIMIT the path method sums the "
-                "eigenvalue method's own phases, so the fault returns winding 0 for 1",
+                reason="ROADMAP item 3: above PIVOT_DIM_LIMIT only the eigenvalue method "
+                "runs, so the fault returns winding 0 for 1",
             ),
         ),
     ],
@@ -242,6 +242,36 @@ def test_chain_step_commutator_fault_is_refused(monkeypatch):
     assert screened == exact
     kind, text, measured = screened
     assert kind is NumericalInconsistency and text.startswith("commutator bound failed")
+    assert f"{measured:.3e}" in text
+
+
+def test_chain_step_conjugation_fault_is_refused(monkeypatch):
+    # the last step's residue u p u* - q moved by 1e-7 I, past the 1e-9 gate,
+    # and that step's commutator scale cut by 1e-5, so that its commutators
+    # fail too: the conjugation identity is refused first, with that step's
+    # exact norm
+    step_unitaries, connecting_unitaries = projops._step_unitaries, projops._connecting_unitaries
+    faulted = []
+
+    def shrunk(path, ops, step_eps):
+        return connecting_unitaries(path, ops, [*step_eps[:-1], 1e-5 * step_eps[-1]])
+
+    def perturbed(path, ops):
+        us, conj, comm = step_unitaries(path, ops)
+        conj = conj.copy()
+        conj[-1] += 1e-7 * np.eye(conj.shape[-1])
+        faulted.append(conj[-1])
+        return us, conj, comm
+
+    monkeypatch.setattr(projops, "_connecting_unitaries", shrunk)
+    kind, text, _ = _refusal(lambda: run_trial("chain", 7, 0))
+    assert kind is NumericalInconsistency and text.startswith("commutator bound failed")
+    monkeypatch.setattr(projops, "_step_unitaries", perturbed)
+    screened, exact = _screened_and_exact_refusals(monkeypatch, lambda: run_trial("chain", 7, 0))
+    assert screened == exact
+    kind, text, measured = screened
+    assert kind is NumericalInconsistency and text.startswith("conjugation identity failed")
+    assert measured == matcore.op_norms(faulted[-1][None]).item() > projops.CONJUGATION_EXACTNESS
     assert f"{measured:.3e}" in text
 
 

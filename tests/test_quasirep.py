@@ -580,6 +580,24 @@ def test_mult_audit_eps_is_the_unitarity_defect(rng):
     assert approx_mult_audit(rep, S, [A * B]).eps == defect(rep, S).unitarity_defect
 
 
+@pytest.mark.parametrize("pair", [lambda: clock_shift(5), lambda: voiculescu_pair(0.1, 3)],
+                         ids=["stacked-dim-5", "streamed-dim-189"])
+def test_no_pairs_give_empty_reports(pair):
+    # no word pairs: no residue is formed on either side of
+    # SVD_NORM_DIM_LIMIT, and every maximum is 0.0
+    phi = unitary_pair_rep(*pair())
+    assert phi.dim in (5, 189)
+    report = defect(phi, [])
+    assert report.pair_defects == {}
+    assert report.max_defect == report.unitarity_defect == 0.0
+    audit = approx_mult_audit(phi, [], [])
+    assert (audit.eps, audit.bound, audit.entries, audit.worst_ratio) == (0.0, 1e-9, (), 0.0)
+    assert audit.passed is True
+    audit = approx_mult_audit(phi, symmetrized_generators(Z2), [])
+    assert audit.entries == () and audit.worst_ratio == 0.0 and audit.passed is True
+    assert 0.0 <= audit.eps < 1e-15 and audit.bound == math.sqrt(audit.eps) + 1e-9
+
+
 @pytest.mark.parametrize("dim, rank", [(8, 5), (30, 20)], ids=["svd-route", "gram-route"])
 def test_mult_audit_measures_the_residue_formed_inline(dim, rank, rng):
     # bitwise: each entry is the norm of phi(gs) - phi(g) phi(s), or of

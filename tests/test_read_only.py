@@ -5,6 +5,8 @@ Oracles are the ``writeable`` flag and a bytewise snapshot taken before the
 call.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,27 @@ def test_caller_arrays_stay_writable_and_unchanged(rng):
     for a, snapshot in zip(caller, before):
         assert a.flags.writeable
         assert a.tobytes() == snapshot
+
+
+def test_compression_isometry_is_kept_sealed(rng):
+    # a writable isometry is copied, as an image is, so writing to it later
+    # changes nothing the rep evaluates; a list converts; a sealed one is
+    # kept as it is, its memory layout too
+    rep = compress(honest_commuting_rep(Z2, 4, rng).images, HALF, Z2)
+    sealed_iso = rep.compression.isometry
+
+    def rebuilt(isometry):
+        comp = replace(rep.compression, isometry=isometry)
+        return QuasiRep(Z2, rep.images, "ucp-compression", compression=comp)
+
+    assert rebuilt(sealed_iso).compression.isometry is sealed_iso
+    writable = np.array(sealed_iso, order="K")
+    kept = rebuilt(writable)
+    before = kept.evaluate(AB)
+    assert kept.compression.isometry is not writable and writable.flags.writeable
+    assert not kept.compression.isometry.flags.writeable
+    assert kept.compression.isometry.flags.f_contiguous == sealed_iso.flags.f_contiguous
+    writable[:] = 0.0
+    assert np.array_equal(kept.evaluate(AB), before)
+    listed = rebuilt(sealed_iso.tolist()).compression.isometry
+    assert np.array_equal(listed, sealed_iso) and not listed.flags.writeable

@@ -91,6 +91,12 @@ def _compression_with_a_table_and_a_non_unitary_image():
                     compression=replace(comp, big_images=(2.0 * I2, I2)))
 
 
+def _compression_with_isometry_and_a_non_unitary_image(isometry):
+    comp = compress([I2, I2], P2, Z2).compression
+    return QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
+                    compression=replace(comp, big_images=(2.0 * I2, I2), isometry=isometry))
+
+
 ROWS = {
     "general-flavor ragged images": (
         lambda: QuasiRep(Z2, (I2, 2.0 * I3)),
@@ -183,6 +189,19 @@ ROWS = {
     "compression data with a word table, and a non-unitary big image": (
         _compression_with_a_table_and_a_non_unitary_image,
         r"^compression data take no word_table or default_to_identity$",
+    ),
+    # the isometry is converted as an image is, and refused under its own name
+    "compression isometry of ragged rows, with a non-unitary big image": (
+        lambda: _compression_with_isometry_and_a_non_unitary_image([[1.0], [0.0, 1.0]]),
+        r"^compression isometry: not a complex matrix: ",
+    ),
+    "compression isometry with a NaN entry, with a non-unitary big image": (
+        lambda: _compression_with_isometry_and_a_non_unitary_image([[math.nan], [0.0]]),
+        r"^compression isometry: matrix has non-finite entries$",
+    ),
+    "compression isometry of one entry, with a non-unitary big image": (
+        lambda: _compression_with_isometry_and_a_non_unitary_image(1.0),
+        r"^compression isometry: expected a matrix, got shape \(\)$",
     ),
     "compression to rank zero of a non-unitary image": (
         lambda: compress([2.0 * I2, I2], np.zeros((2, 2)), Z2),

@@ -10,7 +10,7 @@ argument sum replaces.
 """
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -35,6 +35,7 @@ from obstructkit.quasirep import (
 )
 from obstructkit.seeding import derive_rng, haar_unitary, random_hermitian
 from obstructkit.winding import (
+    WindingReport,
     max_winding_for_dim,
     random_admissible_unitary,
     winding_class,
@@ -96,7 +97,6 @@ def test_identity_has_zero_winding():
     assert report.winding == 0
     assert report.min_clearance == pytest.approx(1.0)
     assert report.agreement
-    assert report.eigenvalue_method == report.path_method == 0
 
 
 @pytest.mark.parametrize("n", [7, 9, 12])
@@ -191,12 +191,16 @@ def test_infinite_tolerance_takes_the_polar_factor():
 
 
 def test_report_json_fields():
-    obj = asdict(winding_of_unitary(np.eye(3)))
+    # only what can differ between two inputs is a field; agreement and
+    # samples_used hold on every report, so they are class constants
+    assert [f.name for f in fields(WindingReport)] == [
+        "winding", "min_clearance", "source_path_reversed"]
+    report = winding_of_unitary(np.eye(3))
+    assert report.agreement is True and report.samples_used == 1
+    obj = asdict(report)
+    assert sorted(obj) == ["min_clearance", "source_path_reversed", "winding"]
     assert obj["winding"] == 0
-    assert obj["agreement"] is True
-    assert obj["orientation"] == "basic"
     assert obj["source_path_reversed"] is False
-    assert obj["samples_used"] == 1
     assert obj["min_clearance"] > 0
     assert_exact_clearance(winding_of_unitary(np.eye(3)), np.eye(3))
 
@@ -228,10 +232,10 @@ def test_random_admissible_unrealizable_winding(rng):
 def test_dual_methods_agree_on_random_batch(rng):
     for _ in range(200):
         dim = int(rng.integers(2, 41))
-        w, _ = random_admissible_unitary(dim, rng)
+        w, expected = random_admissible_unitary(dim, rng)
         report = winding_of_unitary(w)
         assert report.agreement
-        assert report.eigenvalue_method == report.path_method
+        assert report.winding == expected
         assert report.min_clearance > 0
 
 
@@ -277,7 +281,7 @@ def test_hermitian_phases_match_eigvals_oracle(dim, seed, perturb):
     oracle = eigvals_winding(w)
     assert abs(oracle - claimed) < 1e-6
     report = winding_of_unitary(w)
-    assert report.winding == report.eigenvalue_method == report.path_method == claimed
+    assert report.winding == claimed
 
 
 @pytest.mark.parametrize("theta", [np.pi / 2 - 1e-6, np.pi / 2, np.pi / 2 + 1e-6])
@@ -308,23 +312,37 @@ def test_large_windings_do_not_alias(dim, k):
     # finest grid not to alias; dims 120 and 160 take the pivot argument sum
     w, claimed = random_admissible_unitary(dim, derive_rng(7, dim, abs(k)), winding=k)
     report = winding_of_unitary(w)
-    assert report.winding == report.path_method == claimed == k
+    assert report.winding == claimed == k
     assert_exact_clearance(report, w)
 
 
-@pytest.mark.parametrize("dim", [8, 40, 159, 160, 161, 400])
+@pytest.mark.parametrize("dim", [8, 40, 159, 160, 161, 400, 800])
 def test_clearance_has_one_source_at_every_dimension(dim, monkeypatch):
     # min_clearance is prod cos(theta_j / 2) over the eigenvalue method's
-    # phases on both sides of PIVOT_DIM_LIMIT, and only dims up to it run
-    # the pivot route
+    # phases on both sides of PIVOT_DIM_LIMIT; only dims up to it run the
+    # pivot route and round a second sum, so above it no sum is rounded twice
     w, expected = random_admissible_unitary(dim, derive_rng(11, dim), winding=1)
-    pivot_sum, calls = winding._pivot_argument_sum, []
-    monkeypatch.setattr(winding, "_pivot_argument_sum", lambda v: calls.append(1) or pivot_sum(v))
+    rounded, pivot_sum, calls = winding._rounded_winding, winding._pivot_argument_sum, []
+
+    def spy_rounding(phase_sum, residue_tol, error, what):
+        calls.append((what, phase_sum))
+        return rounded(phase_sum, residue_tol, error, what)
+
+    def spy_pivot_sum(v):
+        calls.append(("pivot sum", pivot_sum(v)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(winding, "_rounded_winding", spy_rounding)
+    monkeypatch.setattr(winding, "_pivot_argument_sum", spy_pivot_sum)
     report = winding_of_unitary(w)
     assert report.winding == expected
     _, logabs = np.linalg.slogdet((np.eye(dim) + w) / 2.0)
     assert report.min_clearance == pytest.approx(math.exp(logabs), rel=1e-12)
-    assert len(calls) == (dim <= winding.PIVOT_DIM_LIMIT)
+    if dim <= winding.PIVOT_DIM_LIMIT:
+        assert [what for what, _ in calls] == ["eigenvalue", "pivot sum", "path"]
+        assert calls[2][1] is calls[1][1]  # the path rounds the pivot sum
+    else:
+        assert [what for what, _ in calls] == ["eigenvalue"]
 
 
 def test_distance_near_one_above_dense_dims(rng):
@@ -336,7 +354,7 @@ def test_distance_near_one_above_dense_dims(rng):
     q = haar_unitary(170, rng)
     w = (q * np.exp(1j * phases)) @ dagger(q)
     report = winding_of_unitary(w)
-    assert report.winding == report.path_method == 0
+    assert report.winding == 0
     assert_exact_clearance(report, w)
     assert report.min_clearance == pytest.approx(0.75, rel=1e-8)
 
@@ -372,7 +390,7 @@ def test_residue_gate_follows_phase_certificate(dim, tol, rng):
     residue = -float(np.sum(np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))))
     assert 1.05e-6 < abs(residue) / (2.0 * np.pi) < dim * tol / 3.0
     report = winding_of_unitary(w, unitarity_tol=tol)
-    assert report.winding == report.eigenvalue_method == report.path_method == 0
+    assert report.winding == 0
 
 
 def test_loose_tolerance_takes_the_polar_factor(rng):
@@ -383,7 +401,7 @@ def test_loose_tolerance_takes_the_polar_factor(rng):
     hermitian = -float(np.sum(np.arcsin(np.linalg.eigvalsh((w - dagger(w)) / 2j))))
     assert round(hermitian / (2.0 * np.pi)) != 0
     report = winding_of_unitary(w, unitarity_tol=1.1e-2)
-    assert report.winding == report.eigenvalue_method == report.path_method == 0
+    assert report.winding == 0
 
 
 def test_loose_tolerance_dense_branch_off_circle(rng):
@@ -401,7 +419,7 @@ def test_loose_tolerance_dense_branch_off_circle(rng):
     q = haar_unitary(dim, rng)
     w = (q * lam) @ dagger(q)
     report = winding_of_unitary(w, unitarity_tol=tol)
-    assert report.winding == report.eigenvalue_method == report.path_method == 0
+    assert report.winding == 0
     left, _, right = np.linalg.svd(w)
     assert_exact_clearance(report, left @ right)
 
@@ -429,7 +447,7 @@ def test_loose_tolerance_winds_the_polar_factor_of_a_non_normal_input(monkeypatc
 
     monkeypatch.setattr(winding, "_eigenphases", spy)
     report = winding_of_unitary(w, unitarity_tol=0.5)
-    assert report.winding == report.eigenvalue_method == report.path_method == 2
+    assert report.winding == 2
     assert len(seen) == 1 and seen[0][0] < 1e-12 and seen[0][1] == UNITARITY_TOL
 
 
@@ -777,7 +795,7 @@ def test_cayley_path_matches_the_hyman_oracle(seed, monkeypatch):
         return
     else:
         report = winding_of_unitary(w)
-        assert report.winding == report.path_method == oracle
+        assert report.winding == oracle
         assert report.min_clearance == pytest.approx(oracle_min, rel=1e-9)
         return
     with pytest.raises(NumericalInconsistency, match="methods disagree") as exc_info:
@@ -1023,7 +1041,6 @@ def test_winding_class_honest_surface_rep(rng):
     report = winding_class(phi, decomp)
     assert report.winding == 0
     assert report.source_path_reversed is True
-    assert report.orientation == "basic"
 
 
 def test_winding_class_genus_one_clock_shift():
