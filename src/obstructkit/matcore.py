@@ -180,23 +180,30 @@ def as_matrices(mats, whats, dim: int | None = None):
     """A family through :func:`as_matrix`, as a tuple (large members are not
     stacked into a copy); the first member not ``dim`` x ``dim`` (default: the
     first member's size) raises :class:`InvalidSize` named ``whats[i]``
-    (a sequence or :class:`Labels`, read only by a refusal).
+    (a sequence or :class:`Labels`, read only by a refusal), and every
+    :class:`InvalidMatrix` is prefixed with the name of its member.
     A ``(k, n, n)`` ndarray is gated whole, with the same refusals, by one
-    check of member 0 and one finiteness pass, and returned as a sealed stack.
+    check of member 0, which names every conversion and shape refusal, and one
+    finiteness pass, which names the first non-finite member; it is returned
+    as a sealed stack.
     """
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        arr = _converted(mats)
-        if len(arr):  # the members share member 0's shape: it decides every shape refusal
-            as_matrices((arr[0],), whats, dim)
-        return _owned(mats, _finite(arr))
-    out = []
-    for i, a in enumerate(mats):
-        arr = as_matrix(a)
-        dim = arr.shape[0] if dim is None else dim
-        if arr.shape[0] != dim:
-            raise InvalidSize(f"{whats[i]} must be {dim} x {dim}, got {arr.shape[0]}")
-        out.append(arr)
-    return tuple(out)
+    stack = isinstance(mats, np.ndarray) and mats.ndim == 3
+    i, out = 0, []
+    try:
+        arr = _converted(mats) if stack else None
+        # the members of a stack share member 0's shape: it decides every shape refusal
+        for i, a in enumerate(itertools.islice(arr, 1) if stack else mats):
+            m = as_matrix(a)
+            dim = m.shape[0] if dim is None else dim
+            if m.shape[0] != dim:
+                raise InvalidSize(f"{whats[i]} must be {dim} x {dim}, got {m.shape[0]}")
+            out.append(m)
+        if stack and not (finite := np.isfinite(arr)).all():
+            i = int(np.argmin(finite.all(axis=(1, 2))))
+            raise InvalidMatrix("matrix has non-finite entries")
+        return _owned(mats, arr) if stack else tuple(out)
+    except InvalidMatrix as exc:
+        raise InvalidMatrix(f"{whats[i]}: {exc}") from exc
 
 
 def identity(dim: int) -> np.ndarray:
@@ -526,7 +533,8 @@ def matrix_to_json(a) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     """Decode :func:`matrix_to_json` output bit for bit.  ``"dim"`` must be an
     integer; entries must be numbers, booleans included, within a machine
-    integer; anything else is :class:`InvalidMatrix`."""
+    integer; anything else is :class:`InvalidMatrix`.  The values are not
+    checked: the caller hands the matrix to a family gate, which names it."""
     try:
         dim = json_value(obj["dim"], (int,), "matrix dim")
         entries = obj["entries"]
@@ -540,4 +548,4 @@ def matrix_from_json(obj) -> np.ndarray:
         data = parts.astype(np.float64).view(np.complex128).reshape(dim, dim)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError, ParseError) as exc:
         raise InvalidMatrix(f"malformed matrix JSON: {exc}") from exc
-    return as_matrix(sealed(data))  # fresh, so validated without a copy
+    return sealed(data)

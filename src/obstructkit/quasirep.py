@@ -165,9 +165,10 @@ class QuasiRep:
             raise InvalidSize("one image per generator required")
         for key in self.word_table:
             # a key the library built is its form's own letters tuple, which the
-            # memo answers; any other key is read as a word, which checks it
-            if not key or (canonical_form(key, p).letters is not key
-                           and canonical_form(GroupWord(key), p).letters != key):
+            # memo answers; a memo miss builds the word, which checks the key,
+            # and any other key is checked by reading it as a word
+            if not key or ((form := canonical_form(key, p)).letters is not key
+                           and form.letters != GroupWord(key).letters):
                 raise ParseError(f"table key {key} is not a nonidentity canonical form")
         n, keys = len(self.images), list(self.word_table)
         whats = Labels(lambda i: f"image of generator {i}" if i < n else

@@ -1070,7 +1070,32 @@ def test_malformed_json_file_exit_one(command, text, tmp_path, capsys):
     assert_clean_refusal(*run_cli([command, str(path)], capsys))
 
 
-FIELD_NAMES = ("u", "v", "dim", "entries", "b", "q", "N", "k", "gap_tol",
+NAN_IMAGE = '{"dim": 2, "entries": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+Z2_JSON = json.dumps(presentation_to_json(free_abelian_presentation(2)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (f'{{"presentation": {{"relators": []}}, "images": [{EYE2}, {EYE2}]}}',
+         "error: malformed presentation JSON: "),
+        (f'{{"presentation": ["a", "b"], "images": [{EYE2}, {EYE2}]}}',
+         "error: malformed presentation JSON: "),
+        # the decoder passes the entries through; the family gate names the image
+        (f'{{"presentation": {Z2_JSON}, "images": [{EYE2}, {NAN_IMAGE}]}}',
+         "error: image of generator 1: matrix has non-finite entries\n"),
+    ],
+    ids=["presentation-without-generators", "presentation-list", "nan-image"],
+)
+def test_malformed_rep_file_refusal_names_its_part(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["invariants", str(path)], capsys)
+    assert_clean_refusal(code, out, err)
+    assert err.startswith(message)
+
+
+FIELD_NAMES =("u", "v", "dim", "entries", "b", "q", "N", "k", "gap_tol",
                "presentation", "generators", "relators", "images", "flavor")
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),

@@ -25,6 +25,7 @@ from obstructkit.matcore import (
     as_matrices,
     commutator,
     dagger,
+    matrix_to_json,
     op_norm,
     polar_unitary,
     spectral_projection,
@@ -42,6 +43,7 @@ from obstructkit.quasirep import (
     approx_mult_audit,
     compress,
     perturbed_honest_rep,
+    quasirep_from_json,
     ucp_gram_check,
     unitarize,
     voiculescu_pair,
@@ -54,6 +56,7 @@ from obstructkit.words import (
     free_abelian_presentation,
     free_presentation,
     generator,
+    presentation_to_json,
 )
 
 Z2 = free_abelian_presentation(2)
@@ -89,6 +92,13 @@ def _compression_with_a_table_and_a_non_unitary_image():
     return QuasiRep(Z2, (np.eye(1), np.eye(1)), flavor="ucp-compression",
                     word_table={AB: 0.5 * np.eye(1)},
                     compression=replace(comp, big_images=(2.0 * I2, I2)))
+
+
+def _json_rep_with_a_nan_image_beside_one_out_of_the_ball():
+    nan_entry = matrix_to_json(I2)
+    nan_entry["entries"][1][1][0] = math.nan
+    return quasirep_from_json({"presentation": presentation_to_json(Z2),
+                               "images": [matrix_to_json(2.0 * I2), nan_entry]})
 
 
 def _compression_with_isometry_and_a_non_unitary_image(isometry):
@@ -203,6 +213,36 @@ ROWS = {
         lambda: _compression_with_isometry_and_a_non_unitary_image(1.0),
         r"^compression isometry: expected a matrix, got shape \(\)$",
     ),
+    # a family gate names the member whose entries are not finite or square
+    "NaN image beside a non-unitary image": (
+        lambda: QuasiRep(Z2, (2.0 * I2, math.nan * I2), flavor="unitary"),
+        r"^image of generator 1: matrix has non-finite entries$",
+    ),
+    "non-square image beside an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, np.ones((2, 3)))),
+        r"^image of generator 1: expected a square matrix, got shape \(2, 3\)$",
+    ),
+    "NaN table value beside an image out of the ball": (
+        lambda: QuasiRep(Z2, (2.0 * I2, I2), word_table={AB: math.nan * I2}),
+        r"^table value for \(\(0, 1\), \(1, 1\)\): matrix has non-finite entries$",
+    ),
+    "non-unitary winding pair with a NaN member": (
+        lambda: winding_pair(2.0 * I2, math.nan * I2),
+        r"^second of the pair: matrix has non-finite entries$",
+    ),
+    "chain path with a NaN member beside a non-projection": (
+        lambda: chain_conjugation([P3, math.nan * I3, HALF3], []),
+        r"^path projection 1: matrix has non-finite entries$",
+    ),
+    # a stack is checked by one finiteness pass, which names its first NaN member
+    "chain path stack with a NaN member after a non-projection": (
+        lambda: chain_conjugation(np.array([P3, HALF3, math.nan * I3, math.nan * I3]), []),
+        r"^path projection 2: matrix has non-finite entries$",
+    ),
+    "JSON rep with a NaN image beside an image out of the ball": (
+        _json_rep_with_a_nan_image_beside_one_out_of_the_ball,
+        r"^image of generator 1: matrix has non-finite entries$",
+    ),
     "compression to rank zero of a non-unitary image": (
         lambda: compress([2.0 * I2, I2], np.zeros((2, 2)), Z2),
         r"^projection has rank zero; nothing to compress to$",
@@ -223,27 +263,32 @@ def test_malformed_input_is_refused_before_any_value_gate(row):
 
 
 # ragged, textual and oversized entries, which numpy refuses with its own
-# ValueError, TypeError or OverflowError
+# ValueError, TypeError or OverflowError; each row with the name its refusal
+# starts with, as a family gate names the member numpy cannot convert
 UNCONVERTIBLE = {
-    "op_norm of ragged rows": lambda: op_norm([[1, 2], [3]]),
-    "op_norm of a string": lambda: op_norm("ab"),
-    "op_norm of an integer past float": lambda: op_norm([[10**400]]),
-    "polar_unitary of letters": lambda: polar_unitary([["a", "b"], ["c", "d"]]),
-    "winding_of_unitary of ragged rows": lambda: winding_of_unitary([[1, 0], [0]]),
-    "QuasiRep of a ragged image": lambda: QuasiRep(
-        free_abelian_presentation(1), ([[1, 0], [0]],)
+    "op_norm of ragged rows": (lambda: op_norm([[1, 2], [3]]), ""),
+    "op_norm of a string": (lambda: op_norm("ab"), ""),
+    "op_norm of an integer past float": (lambda: op_norm([[10**400]]), ""),
+    "polar_unitary of letters": (lambda: polar_unitary([["a", "b"], ["c", "d"]]), ""),
+    "winding_of_unitary of ragged rows": (lambda: winding_of_unitary([[1, 0], [0]]), ""),
+    "QuasiRep of a ragged image": (
+        lambda: QuasiRep(free_abelian_presentation(1), ([[1, 0], [0]],)),
+        "image of generator 0: ",
     ),
-    "commutator of ragged rows": lambda: commutator([[1, 0], [0]], I2),
-    "dagger of a string": lambda: dagger("ab"),
-    "spectral_projection of ragged rows": lambda: spectral_projection([[1, 0], [0]], 0.5, 0.1),
-    "as_matrices of a stack of letters": lambda: as_matrices(np.array([[["a"]]]), "a"),
+    "commutator of ragged rows": (lambda: commutator([[1, 0], [0]], I2), "a: "),
+    "dagger of a string": (lambda: dagger("ab"), ""),
+    "spectral_projection of ragged rows": (
+        lambda: spectral_projection([[1, 0], [0]], 0.5, 0.1), ""),
+    "as_matrices of a stack of letters": (
+        lambda: as_matrices(np.array([[["a"]]]), "a"), "a: "),
 }
 
 
 @pytest.mark.parametrize("row", UNCONVERTIBLE)
 def test_input_numpy_cannot_convert_is_refused_by_the_gate(row):
-    with pytest.raises(InvalidMatrix, match="^not a complex matrix: ") as exc_info:
-        UNCONVERTIBLE[row]()
+    call, name = UNCONVERTIBLE[row]
+    with pytest.raises(InvalidMatrix, match=f"^{name}not a complex matrix: ") as exc_info:
+        call()
     assert exc_info.value.exit_code == 1
 
 

@@ -882,7 +882,7 @@ def pivot_sum_bound(size, residuals):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    dim=st.integers(1, 160),
+    dim=st.integers(1, winding.PIVOT_DIM_LIMIT),
     offset=st.floats(-0.5, -1e-9),
     tau_frac=st.floats(0.0, 1.0),
     defect_frac=st.floats(0.0, 1.0),

@@ -1,8 +1,10 @@
-"""Print the two line counts of ``src/obstructkit``: ``wc -l`` and code lines.
+"""Print the two line counts of ``src/obstructkit``, then of ``tests``:
+``wc -l`` and code lines.
 
 Code lines are what is left of a module after removing the module, class and
 function docstrings (found with ``ast``), blank lines and comment-only lines.
-One row per module, then the total.  Standard library only::
+One table per directory: one row per module, then the total.  Standard
+library only::
 
     python3 tools/src_lines.py
 """
@@ -13,7 +15,8 @@ import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "obstructkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DIRS = (ROOT / "src" / "obstructkit", ROOT / "tests")
 
 
 def counts(text: str) -> tuple[int, int]:
@@ -32,11 +35,14 @@ def counts(text: str) -> tuple[int, int]:
 
 
 def main() -> int:
-    rows = [(path.name, *counts(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    print(f"{'module':<16}{'wc -l':>8}{'code':>8}")
-    for name, wc, code in rows:
-        print(f"{name:<16}{wc:>8}{code:>8}")
+    for number, directory in enumerate(DIRS):
+        rows = [(path.name, *counts(path.read_text())) for path in sorted(directory.glob("*.py"))]
+        rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
+        if number:
+            print()
+        print(f"{directory.relative_to(ROOT).as_posix() + '/':<28}{'wc -l':>8}{'code':>8}")
+        for name, wc, code in rows:
+            print(f"{name:<28}{wc:>8}{code:>8}")
     return 0
 
 
